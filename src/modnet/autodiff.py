@@ -8,6 +8,7 @@ while no tape is active are plain values and cost no bookkeeping.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
 
@@ -30,6 +31,16 @@ _ACTIVE_TAPE: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
 
 def active_tape() -> "Tape | None":
     return _ACTIVE_TAPE.get()
+
+
+@contextlib.contextmanager
+def paused():
+    """Suspend the active tape: primitives inside compute values only."""
+    token = _ACTIVE_TAPE.set(None)
+    try:
+        yield
+    finally:
+        _ACTIVE_TAPE.reset(token)
 
 
 class Parameter:
@@ -235,6 +246,29 @@ def _emit(kind: str, out_data, inputs: list[Tensor], pull_fns) -> Tensor:
     return tape.record(kind, out_data, pulls)
 
 
+def record_joint(kind: str, out_data, inputs, pullback) -> Tensor:
+    """Record one op whose pullback yields every input's gradient at once.
+
+    ``pullback(g)`` returns gradients aligned with ``inputs`` (Parameters
+    are watched on the active tape).  It runs once per incoming gradient,
+    however many of the inputs sit on the tape.
+    """
+    if active_tape() is None:
+        return Tensor(out_data)
+    ts = [_as_tensor(x) for x in inputs]
+    memo = [None, None]
+
+    def make_pull(i):
+        def pull(g):
+            if memo[0] is not g:
+                memo[0], memo[1] = g, pullback(g)
+            return memo[1][i]
+
+        return pull
+
+    return _emit(kind, out_data, ts, [make_pull(i) for i in range(len(ts))])
+
+
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     if g.shape == tuple(shape):
         return g
@@ -306,14 +340,15 @@ def relu(x) -> Tensor:
     return _emit("relu", x.data * mask, [x], [lambda g: g * mask])
 
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    xd = x.data
-    out = np.empty_like(xd)
-    pos = xd >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = stable_sigmoid(x.data)
     return _emit("sigmoid", out, [x], [lambda g: g * out * (1.0 - out)])
 
 
@@ -325,18 +360,10 @@ def tanh(x) -> Tensor:
 
 def softplus(x) -> Tensor:
     x = _as_tensor(x)
-    out = np.logaddexp(0.0, x.data)
     xd = x.data
-
-    def pull(g):
-        s = np.empty_like(xd)
-        pos = xd >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-        ex = np.exp(xd[~pos])
-        s[~pos] = ex / (1.0 + ex)
-        return g * s
-
-    return _emit("softplus", out, [x], [pull])
+    return _emit(
+        "softplus", np.logaddexp(0.0, xd), [x], [lambda g: g * stable_sigmoid(xd)]
+    )
 
 
 def row_softmax(x) -> Tensor:
@@ -375,6 +402,37 @@ def concat_last(*xs) -> Tensor:
         return lambda g: g[..., lo:hi]
 
     return _emit("concat-last-axis", out, ts, [make_pull(i) for i in range(len(ts))])
+
+
+def stack_rows(xs) -> Tensor:
+    """Join tensors along the first axis; trailing shapes must agree."""
+    ts = [_as_tensor(x) for x in xs]
+    if not ts:
+        raise ShapeError("row-stack: no inputs")
+    tail = ts[0].shape[1:]
+    for t in ts:
+        if t.ndim < 1 or t.shape[1:] != tail:
+            raise ShapeError(
+                f"row-stack: trailing shapes differ: {[t.shape for t in ts]}"
+            )
+    out = np.concatenate([t.data for t in ts], axis=0)
+    offsets = np.cumsum([0] + [t.shape[0] for t in ts])
+
+    def make_pull(i):
+        lo, hi = offsets[i], offsets[i + 1]
+        return lambda g: g[lo:hi]
+
+    return _emit("row-stack", out, ts, [make_pull(i) for i in range(len(ts))])
+
+
+def reshape(x, shape) -> Tensor:
+    x = _as_tensor(x)
+    src = x.shape
+    try:
+        out = x.data.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"reshape: cannot reshape {src} to {tuple(shape)}") from None
+    return _emit("reshape", out, [x], [lambda g: g.reshape(src)])
 
 
 def sum_over_axis(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -474,31 +532,6 @@ def categorical_log_prob(logits, targets) -> Tensor:
         return np.expand_dims(g, -1) * (onehot - p)
 
     return _emit("categorical-log-prob", out, [logits], [pull])
-
-
-_PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "elementwise-mul": mul,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "softplus": softplus,
-    "row-softmax": row_softmax,
-    "concat-last-axis": concat_last,
-    "sum-over-axis": sum_over_axis,
-    "embedding-lookup": embedding_lookup,
-    "gaussian-log-density": gaussian_log_density,
-    "categorical-log-prob": categorical_log_prob,
-}
-
-
-def apply_primitive(kind: str, *inputs, **kwargs) -> Tensor:
-    try:
-        fn = _PRIMITIVES[kind]
-    except KeyError:
-        raise ShapeError(f"unknown primitive {kind!r}") from None
-    return fn(*inputs, **kwargs)
 
 
 def mean_all(x) -> Tensor:

@@ -4,6 +4,16 @@ The update and reset gates are ordinary dense maps.  The candidate state
 is produced by a pool of modules: a controller (or a noisy top-k gate)
 decides per timestep which modules contribute.  Parameters are shared
 across timesteps; the selection is free to change at every step.
+
+A modular-GRU step is one tape record with a closed-form pullback, so a
+taped unroll costs about three records per timestep (embedding, [h, x],
+cell step).  Under a tape the output head and the controller heads then
+score all steps at once on the stacked per-step rows: every step's
+activations are kept for the backward sweep anyway, so stacking them
+adds only one copy.  Without a tape (E-step, probe, evaluation) each
+step is scored as it goes and only the running state is kept; batching
+there would hold the states of every window and step at once (evaluation
+scores all windows in one unroll).
 """
 
 from __future__ import annotations
@@ -17,14 +27,20 @@ import numpy as np
 from modnet.autodiff import (
     Parameter,
     Tensor,
+    active_tape,
     add,
     categorical_log_prob,
     concat_last,
     constant,
     embedding_lookup,
     mul,
+    paused,
+    record_joint,
     relu,
+    reshape,
     sigmoid,
+    stable_sigmoid,
+    stack_rows,
     sum_over_axis,
 )
 from modnet.modular import (
@@ -70,13 +86,58 @@ class ModularGruCell:
         return self.update.parameters() + self.reset.parameters() + self.layer.parameters()
 
     def step(self, h: Tensor, x: Tensor, selection: np.ndarray, hx: Tensor | None = None) -> Tensor:
+        """One gated update, recorded as a single ``modular-gru-step``.
+
+        The forward runs with the tape paused; the pullback returns the
+        gradients of h, x, [h, x], both gates and every used module.
+        """
         if hx is None:
             hx = concat_last(h, x)
-        z = sigmoid(self.update(hx))
-        r = sigmoid(self.reset(hx))
-        cand = relu(self.layer.forward_selected(concat_last(mul(r, h), x), selection))
-        keep = add(mul(z, -1.0), 1.0)
-        return add(mul(keep, h), mul(z, cand))
+        pool = self.layer.pool
+        sel = self.layer._validate(selection, h.shape[0])
+        used = [int(j) for j in np.unique(sel)]
+        # a module picked by several slots of a row counts once per slot
+        counts = [(sel == j).sum(axis=1).astype(np.float64)[:, None] for j in used]
+        hd, xd, hxd = h.data, x.data, hx.data
+        with paused():
+            z = stable_sigmoid(self.update(hx).data)
+            r = stable_sigmoid(self.reset(hx).data)
+            px = np.concatenate([r * hd, xd], axis=-1)
+            pre = None
+            for j, c in zip(used, counts):
+                term = pool.apply(j, px).data * c
+                pre = term if pre is None else pre + term
+            cand = relu(Tensor(pre)).data
+        keep = z * -1.0 + 1.0
+        out = keep * hd + z * cand
+        modules = [pool.modules[j] for j in used]
+
+        def pullback(g):
+            gpre = g * z * (pre > 0)
+            mod_grads = []
+            gpx = None
+            for m, c in zip(modules, counts):
+                gt = gpre * c
+                mod_grads += [px.T @ gt, gt.sum(axis=0)]
+                term = gt @ m.w.data.T
+                gpx = term if gpx is None else gpx + term
+            grh = gpx[:, : self.hidden]
+            gz = (g * cand - g * hd) * z * (1.0 - z)
+            gr = grh * hd * r * (1.0 - r)
+            return [
+                g * keep + grh * r,
+                gpx[:, self.hidden :],
+                gz @ self.update.w.data.T + gr @ self.reset.w.data.T,
+                hxd.T @ gz,
+                gz.sum(axis=0),
+                hxd.T @ gr,
+                gr.sum(axis=0),
+                *mod_grads,
+            ]
+
+        inputs = [h, x, hx, *self.update.parameters(), *self.reset.parameters()]
+        inputs += [p for m in modules for p in m.parameters()]
+        return record_joint("modular-gru-step", out, inputs, pullback)
 
 
 class NoisyTopKGruCell:
@@ -185,7 +246,6 @@ class ModularGruLM:
         with_ctrl: bool = False,
         detach_ctrl_inputs: bool = False,
         collect_probs: bool = False,
-        check_finite: bool = False,
     ) -> RolloutResult:
         """Unroll over a (batch, steps) token block, scoring next tokens.
 
@@ -218,9 +278,12 @@ class ModularGruLM:
                     f"{(batch, steps, self.n_slots)}"
                 )
 
+        taped = active_tape() is not None
         h: Tensor = Tensor(np.zeros((batch, self.cell.hidden)))
         cond: Tensor | None = None
         ctrl: Tensor | None = None
+        states: list[Tensor] = []
+        ctrl_inputs: list[Tensor] = []
         chosen = np.empty((batch, steps, self.n_slots), dtype=np.int64)
         token_ll = np.empty((batch, steps))
         probs_out = (
@@ -249,14 +312,28 @@ class ModularGruLM:
                 probs_out[:, t] = p
             if with_ctrl:
                 cin = constant(hx) if detach_ctrl_inputs else hx
-                term = ctrl_model.log_prob(cin, sel)
-                ctrl = term if ctrl is None else add(ctrl, term)
+                if taped:
+                    ctrl_inputs.append(cin)
+                else:
+                    term = ctrl_model.log_prob(cin, sel)
+                    ctrl = term if ctrl is None else add(ctrl, term)
             h = self.cell.step(h, x, sel, hx=hx)
-            if check_finite and not np.isfinite(h.data).all():
-                raise ArithmeticError(f"non-finite hidden state at step {t}")
-            ll = categorical_log_prob(self.out(h), targets[:, t])
-            token_ll[:, t] = ll.data
-            cond = ll if cond is None else add(cond, ll)
+            if taped:
+                states.append(h)
+            else:
+                ll = categorical_log_prob(self.out(h), targets[:, t])
+                token_ll[:, t] = ll.data
+                cond = ll if cond is None else add(cond, ll)
+        if taped:
+            # rows are time-major (t * batch + b); summing the (steps, batch)
+            # view over axis 0 adds the steps in the same order as above
+            ll = categorical_log_prob(self.out(stack_rows(states)), targets.T.reshape(-1))
+            token_ll[...] = ll.data.reshape(steps, batch).T
+            cond = sum_over_axis(reshape(ll, (steps, batch)), axis=0)
+            if with_ctrl:
+                sel_rows = chosen.transpose(1, 0, 2).reshape(-1, self.n_slots)
+                term = ctrl_model.log_prob(stack_rows(ctrl_inputs), sel_rows)
+                ctrl = sum_over_axis(reshape(term, (steps, batch)), axis=0)
         return RolloutResult(cond, ctrl, chosen, token_ll, probs_out)
 
     def score(self, tokens, targets, comps) -> np.ndarray:
@@ -350,7 +427,6 @@ class NoisyTopKGruLM:
         train: bool = False,
         rng: np.random.Generator | None = None,
         collect_weights: bool = False,
-        check_finite: bool = False,
     ) -> RolloutResult:
         tokens = np.asarray(tokens)
         targets = np.asarray(targets)
@@ -370,8 +446,6 @@ class NoisyTopKGruLM:
             h, w, _ = self.cell.step(h, x, train=train, rng=rng)
             if collect_weights:
                 weights[:, t] = w.data
-            if check_finite and not np.isfinite(h.data).all():
-                raise ArithmeticError(f"non-finite hidden state at step {t}")
             ll = categorical_log_prob(self.out(h), targets[:, t])
             token_ll[:, t] = ll.data
             cond = ll if cond is None else add(cond, ll)

@@ -311,7 +311,6 @@ class ModularNet:
         comps,
         with_ctrl: bool = False,
         detach_ctrl_inputs: bool = False,
-        check_finite: bool = False,
     ) -> tuple[Tensor, Tensor | None]:
         """Run the stack under a fixed composition.
 
@@ -323,14 +322,12 @@ class ModularNet:
         per_layer = self._per_layer(comps)
         h: Tensor = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         ctrl_ll: Tensor | None = None
-        for l, (layer, sel) in enumerate(zip(self.layers, per_layer)):
+        for layer, sel in zip(self.layers, per_layer):
             if with_ctrl:
                 inp = constant(h) if detach_ctrl_inputs else h
                 term = layer.controller.log_prob(inp, sel)
                 ctrl_ll = term if ctrl_ll is None else add(ctrl_ll, term)
             h = layer.forward_selected(h, sel)
-            if check_finite and not np.isfinite(h.data).all():
-                raise ArithmeticError(f"non-finite activations after layer {l}")
         return h, ctrl_ll
 
     def cond_log_lik(self, x, y, comps) -> Tensor:

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 import modnet
-from modnet.autodiff import Tensor, add, constant, mean_all, mul
+from modnet.autodiff import Tensor, add, constant, mean_all, mul, paused
 from modnet.baselines import (
     BaselineConfig,
     NoisyTopKTrainer,
@@ -133,7 +133,10 @@ class RegressionTask:
         return mean_all(ll)
 
     def sample_comps(self, idx, rng):
-        return np.transpose(self.model.sample_compositions(self.data.x[idx], rng), (1, 0, 2))
+        # the draw never feeds a loss, so it stays off any active tape
+        with paused():
+            comps = self.model.sample_compositions(self.data.x[idx], rng)
+        return np.transpose(comps, (1, 0, 2))
 
     def reinforce_surrogate(self, idx, comps, baseline):
         x, y = self.data.x[idx], self.data.y[idx]
@@ -249,9 +252,11 @@ class SequenceTask:
         return mean_all(ll)
 
     def sample_comps(self, idx, rng):
-        res = self.model.rollout(
-            self.data.tokens[idx], self.data.targets[idx], rng=rng
-        )
+        # the draw never feeds a loss, so it stays off any active tape
+        with paused():
+            res = self.model.rollout(
+                self.data.tokens[idx], self.data.targets[idx], rng=rng
+            )
         return res.comps
 
     def reinforce_surrogate(self, idx, comps, baseline):

@@ -148,12 +148,36 @@ def write_checkpoint(
 
 
 def read_checkpoint(path: str) -> CheckpointData:
+    """Load a checkpoint; any malformed content raises ValueError naming ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic {blob[:8]!r})")
+    try:
+        return _parse_checkpoint(blob)
+    except (
+        struct.error, AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError
+    ) as exc:
+        raise ValueError(f"{path}: malformed checkpoint: {exc!r}") from exc
+
+
+_HEADER_TYPES = {
+    "version": str,
+    "config": dict,
+    "iteration": int,
+    "rng": dict,
+    "opt_t": int,
+    "scalars": dict,
+    "arrays": list,
+}
+
+
+def _parse_checkpoint(blob: bytes) -> CheckpointData:
     (head_len,) = struct.unpack("<Q", blob[8:16])
     header = json.loads(blob[16 : 16 + head_len].decode("utf-8"))
+    for key, kind in _HEADER_TYPES.items():
+        if not isinstance(header[key], kind):
+            raise ValueError(f"header field {key!r} is not a JSON {kind.__name__}")
     arrays = _unpack_arrays(header["arrays"], blob[16 + head_len :])
     params, opt_m, opt_v, state = {}, {}, {}, {}
     for name, arr in arrays.items():
@@ -167,7 +191,7 @@ def read_checkpoint(path: str) -> CheckpointData:
         elif kind == "state":
             state[rest] = arr
         else:
-            raise ValueError(f"unknown array kind {kind!r} in {path}")
+            raise ValueError(f"unknown array kind {kind!r}")
     return CheckpointData(
         version=header["version"],
         config=header["config"],

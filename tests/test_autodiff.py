@@ -10,7 +10,6 @@ from modnet.autodiff import (
     Tape,
     Tensor,
     add,
-    apply_primitive,
     categorical_log_prob,
     concat_last,
     constant,
@@ -20,10 +19,14 @@ from modnet.autodiff import (
     matmul,
     mean_all,
     mul,
+    paused,
     relu,
+    reshape,
     row_softmax,
     sigmoid,
     softplus,
+    stable_sigmoid,
+    stack_rows,
     sum_over_axis,
     tanh,
 )
@@ -304,9 +307,45 @@ def test_gaussian_rejects_shape_mismatch():
         gaussian_log_density(np.ones((2, 3)), np.ones((2, 2)))
 
 
-def test_unknown_primitive_name():
-    with pytest.raises(ShapeError, match="unknown primitive"):
-        apply_primitive("does-not-exist", np.ones(2))
+def test_row_stack_and_reshape_reject_bad_shapes():
+    with pytest.raises(ShapeError, match="row-stack"):
+        stack_rows([])
+    with pytest.raises(ShapeError, match="row-stack"):
+        stack_rows([np.ones((2, 3)), np.ones((2, 4))])
+    with pytest.raises(ShapeError, match="reshape"):
+        reshape(np.ones((2, 3)), (4, 2))
+
+
+def masked_sigmoid(x):
+    """The per-sign boolean-mask formula the stable helper replaced."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_stable_sigmoid_is_bit_identical_to_masked_formula():
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, 1e-300, -1e-300, 36.7, -745.2]
+    x = np.concatenate([special, rng.standard_normal(200) * 30.0]).reshape(-1, 7)
+    got, want = stable_sigmoid(x), masked_sigmoid(x)
+    assert got.tobytes() == want.tobytes()
+    assert sigmoid(x).data.tobytes() == want.tobytes()
+    p = Parameter(x, "p")
+    (g,) = backward_wrt(lambda: sum_over_axis(softplus(p)), p)
+    assert g.tobytes() == want.tobytes()
+
+
+def test_paused_tape_records_nothing_and_resumes():
+    p = Parameter(np.ones(3), "p")
+    with Tape() as tape:
+        with paused():
+            inner = sum_over_axis(mul(p, p))
+        assert len(tape) == 0 and inner.node is None
+        outer = sum_over_axis(mul(p, p))
+    assert len(tape) == 2 and outer.tape is tape
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +371,8 @@ def _param(*shape, name="p", scale=1.0):
         "softplus",
         "row-softmax",
         "concat-last-axis",
+        "row-stack",
+        "reshape",
         "sum-over-axis",
         "embedding-lookup",
         "gaussian-log-density",
@@ -373,6 +414,15 @@ def test_fd_every_primitive(name):
         sel = FD_RNG.standard_normal((4, 5))
         fn = lambda: mean_all(mul(concat_last(probe, other), sel))
         params = [probe, other]
+    elif name == "row-stack":
+        other = _param(2, 3, name="other")
+        sel = FD_RNG.standard_normal((10, 3))
+        fn = lambda: mean_all(mul(stack_rows([probe, other, probe]), sel))
+        params = [probe, other]
+    elif name == "reshape":
+        sel = FD_RNG.standard_normal((2, 6))
+        fn = lambda: mean_all(mul(reshape(probe, (2, 6)), sel))
+        params = [probe]
     elif name == "sum-over-axis":
         fn = lambda: mean_all(mul(sum_over_axis(probe, axis=0), np.array([1.0, -2.0, 0.5])))
         params = [probe]

@@ -1,4 +1,5 @@
 import json
+import struct
 import os
 import shutil
 import subprocess
@@ -122,6 +123,27 @@ def test_eval_corrupt_checkpoint_is_exit_2(tmp_path, capsys):
     bad.write_bytes(b"not a checkpoint at all")
     assert main(["eval", str(bad), "train"]) == 2
     capsys.readouterr()
+
+
+def header_without_arrays():
+    head = json.dumps({"version": "0", "config": tiny_config(), "iteration": 1}).encode()
+    return b"MODNETC1" + struct.pack("<Q", len(head)) + head
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+@pytest.mark.parametrize(
+    "blob",
+    [b"MODNETC1\x01", header_without_arrays()],
+    ids=["short-header", "no-arrays"],
+)
+def test_malformed_checkpoint_is_exit_2(tmp_path, capsys, monkeypatch, command, blob):
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "root"))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob)
+    argv = [command, str(bad)] + (["train"] if command == "eval" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(bad) in err
 
 
 def test_resume_rejects_non_schedule_overrides(tmp_path, capsys):

@@ -4,7 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from modnet.autodiff import Tape, Tensor, grad_check, mean_all
+from modnet.autodiff import (
+    Parameter,
+    Tape,
+    Tensor,
+    add,
+    concat_last,
+    grad_check,
+    mean_all,
+    mul,
+    relu,
+    sigmoid,
+    sum_over_axis,
+)
 from modnet.gru import ModularGruCell, ModularGruLM, NoisyTopKGruCell, NoisyTopKGruLM
 
 RNG = np.random.default_rng(99)
@@ -33,6 +45,21 @@ def reference_cell_step(cell, h, x, sel):
             cand[b] += px[b] @ m.w.data + m.b.data
     cand = np.maximum(cand, 0.0)
     return (1.0 - z) * h + z * cand
+
+
+def composed_cell_step(cell, h, x, selection, hx=None):
+    """The cell update built from generic primitives, one record per op.
+
+    Reference for the fused ``modular-gru-step``: same arithmetic in the
+    same order, so forward values must match bit for bit.
+    """
+    if hx is None:
+        hx = concat_last(h, x)
+    z = sigmoid(cell.update(hx))
+    r = sigmoid(cell.reset(hx))
+    cand = relu(cell.layer.forward_selected(concat_last(mul(r, h), x), selection))
+    keep = add(mul(z, -1.0), 1.0)
+    return add(mul(keep, h), mul(z, cand))
 
 
 def reference_lm_rollout(lm, tokens, targets, comps):
@@ -120,6 +147,62 @@ def test_cell_candidate_rectified_after_sum():
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
+def step_grads(step_fn, cell, h, x, sel, weight):
+    """Gradients of sum(weight * step(h, x, sel, hx=[h, x])) for every input."""
+    hp, xp = Parameter(h, "h"), Parameter(x, "x")
+    with Tape() as tape:
+        ht, xt = tape.watch(hp), tape.watch(xp)
+        hx = concat_last(ht, xt)
+        out = step_fn(cell, ht, xt, sel, hx=hx)
+        loss = sum_over_axis(mul(out, weight))
+        n_records = len(tape)
+    grads = tape.backward(loss)
+    wrt = [hp, xp] + cell.parameters()
+    return out.data, [tape.grad(grads, p) for p in wrt], n_records
+
+
+@pytest.mark.parametrize(
+    "n_slots, sel_rows",
+    [
+        (1, [[0], [2], [1], [2], [0], [1]]),
+        # module 1 unused: its gradients must come out as exact zeros
+        (1, [[0], [2], [0], [2], [2], [0]]),
+        # row 0 picks module 1 in both slots, so its output counts twice
+        (2, [[1, 1], [0, 2], [2, 0], [2, 2], [0, 1], [1, 0]]),
+    ],
+)
+def test_fused_step_matches_composed_step(n_slots, sel_rows):
+    rng = np.random.default_rng(70 + n_slots)
+    cell = ModularGruCell(rng, in_dim=3, hidden=4, n_modules=3, n_slots=n_slots)
+    for p in cell.parameters():
+        if p.name.endswith(".b"):
+            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    h = rng.standard_normal((6, 4))
+    x = rng.standard_normal((6, 3))
+    sel = np.array(sel_rows, dtype=np.int64)
+    weight = rng.standard_normal((6, 4))
+
+    got, got_g, fused_records = step_grads(ModularGruCell.step, cell, h, x, sel, weight)
+    want, want_g, composed_records = step_grads(composed_cell_step, cell, h, x, sel, weight)
+    assert np.array_equal(got, want)
+    # [h, x] concat, one fused step, then the loss's mul and sum
+    assert fused_records == 4 and composed_records > 20
+
+    hx = np.concatenate([h, x], axis=-1)
+    r = np_sigmoid(hx @ cell.reset.w.data + cell.reset.b.data)
+    px = np.concatenate([r * h, x], axis=-1)
+    pre = np.zeros_like(h)
+    for b in range(6):
+        for k in range(n_slots):
+            m = cell.layer.pool.modules[sel[b, k]]
+            pre[b] += px[b] @ m.w.data + m.b.data
+    # rows on both sides of the kink, so the relu mask is exercised
+    assert (pre < 0).any() and (pre > 0).any()
+
+    for g, w in zip(got_g, want_g):
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # language model rollout
 
@@ -135,6 +218,63 @@ def test_rollout_forced_comps_matches_reference():
     assert np.allclose(res.ctrl_ll.data, ctrl, atol=1e-10)
     assert np.array_equal(res.comps, comps)
     assert np.allclose(res.token_ll.sum(axis=1), cond, atol=1e-10)
+
+
+def taped_and_untaped(lm, tokens, targets, **kwargs):
+    rng_seed = kwargs.pop("rng_seed", None)
+
+    def run():
+        if rng_seed is not None:
+            kwargs["rng"] = np.random.default_rng(rng_seed)
+        return lm.rollout(tokens, targets, **kwargs)
+
+    plain = run()
+    with Tape() as tape:
+        taped = run()
+        n_records = len(tape)
+    return plain, taped, n_records
+
+
+@pytest.mark.parametrize("detach", [False, True])
+@pytest.mark.parametrize("masked", [False, True])
+def test_taped_rollout_scores_equal_untaped(detach, masked):
+    # under a tape the head and controller score all steps in one batch;
+    # the values must not differ by a single bit from step-by-step scoring
+    lm = make_lm(n_modules=3, n_slots=2, seed=208)
+    batch, steps = 5, 6
+    tokens = RNG.integers(0, 5, size=(batch, steps))
+    targets = RNG.integers(0, 5, size=(batch, steps))
+    comps = RNG.integers(0, 3, size=(batch, steps, 2)).astype(np.int64)
+    extra = {}
+    if masked:
+        extra = {"sample_mask": np.array([True, False, True, True, False]), "rng_seed": 9}
+    plain, taped, n_records = taped_and_untaped(
+        lm, tokens, targets, comps=comps, with_ctrl=True,
+        detach_ctrl_inputs=detach, **extra,
+    )
+    assert np.array_equal(plain.comps, taped.comps)
+    assert np.array_equal(plain.token_ll, taped.token_ll)
+    assert np.array_equal(plain.cond_ll.data, taped.cond_ll.data)
+    assert np.array_equal(plain.ctrl_ll.data, taped.ctrl_ll.data)
+    # embedding, [h, x] and the cell step per timestep; the head stacks,
+    # projects (2), scores, reshapes and sums; the controller does the same
+    # with 2 heads joined by one add, and detached inputs stack unrecorded
+    assert n_records == 3 * steps + 6 + (9 if detach else 10)
+
+
+def test_lm_grad_check_two_slots():
+    lm = make_lm(vocab=4, embed=2, hidden=3, n_modules=3, n_slots=2, seed=209)
+    tokens = np.array([[0, 1, 2], [3, 2, 1]])
+    targets = np.array([[1, 2, 3], [0, 0, 2]])
+    comps = np.array(
+        [[[0, 0], [1, 2], [2, 1]], [[2, 2], [1, 0], [0, 1]]], dtype=np.int64
+    )
+
+    def fn():
+        res = lm.rollout(tokens, targets, comps=comps, with_ctrl=True)
+        return mean_all(res.cond_ll + res.ctrl_ll)
+
+    assert grad_check(fn, lm.parameters(), step=1e-5) < 1e-4
 
 
 def test_rollout_score_is_cond_plus_ctrl():

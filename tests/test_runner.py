@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from modnet.autodiff import Tape, mean_all
 from modnet.baselines import NoisyTopKTrainer, ReinforceTrainer, StaticTrainer
 from modnet.config import from_dict
 from modnet.em import EMTrainer
@@ -80,6 +81,25 @@ def test_sequence_task_probe_shapes():
     assert snap.chosen[0].shape == (40, 1)
     assert paths.shape == (8, 5, 1)
     assert 0.0 <= snap.h_batch <= np.log(2) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"kind": "toy-regression", "n": 16},
+        {"kind": "two-regime-lm", "n_windows": 8, "unroll": 4},
+    ],
+)
+def test_sample_comps_records_nothing_on_an_active_tape(task):
+    cfg, streams, data, model, task = build_all({"task": task, "trainer": {"kind": "reinforce"}})
+    idx = np.array([0, 3, 3, 5, 7])
+    want = task.sample_comps(idx, np.random.default_rng(12))
+    with Tape() as tape:
+        mean_all(model.parameters()[0])
+        before = len(tape)
+        got = task.sample_comps(idx, np.random.default_rng(12))
+        assert before > 0 and len(tape) == before
+    assert np.array_equal(got, want)
 
 
 def test_resolve_out_dir_explicit_and_collision(tmp_path):

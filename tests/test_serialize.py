@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -98,6 +99,22 @@ def test_checkpoint_detects_truncation(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-40])
     with pytest.raises(ValueError, match="truncated"):
+        read_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "key, value", [("rng", "garbage"), ("scalars", []), ("iteration", "7"), ("arrays", {})]
+)
+def test_checkpoint_rejects_wrongly_typed_header_field(tmp_path, key, value):
+    path = tmp_path / "w.ckpt"
+    write_sample(path, [Parameter(np.zeros(2), "p")])
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + n])
+    header[key] = value
+    head = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + n :])
+    with pytest.raises(ValueError, match=f"{key}"):
         read_checkpoint(str(path))
 
 
