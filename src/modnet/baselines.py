@@ -7,43 +7,22 @@ methods.  Each works against the same task-adapter protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from modnet.autodiff import Tape
+from modnet.config import TrainerConfig
 from modnet.em import StepGuard
-from modnet.modular import ModularLayer, ModulePool
 from modnet.optim import Adam
-
-
-@dataclass
-class BaselineConfig:
-    m_steps: int = 15
-    batch: int = 64
-    lr: float = 1e-3
-    clip_norm: float | None = None
-    samples_per_example: int = 1  # score-function trainer only
-    ema_decay: float = 0.99  # score-function trainer only
-
-    def validate(self) -> None:
-        if self.m_steps < 1:
-            raise ValueError("m_steps must be >= 1")
-        if self.samples_per_example < 1:
-            raise ValueError("samples_per_example must be >= 1")
-        if not 0.0 < self.ema_decay < 1.0:
-            raise ValueError("ema_decay must lie in (0, 1)")
 
 
 class _GradientTrainer:
     """Shared guarded-step loop; subclasses build the step objective."""
 
-    def __init__(self, task, config: BaselineConfig, streams):
-        config.validate()
+    def __init__(self, task, config: TrainerConfig, streams, clip_norm: float | None = None):
         self.task = task
         self.cfg = config
         self.streams = streams
-        self.opt = Adam(task.parameters(), lr=config.lr, clip_norm=config.clip_norm)
+        self.opt = Adam(task.parameters(), lr=config.lr, clip_norm=clip_norm)
         self.guard = StepGuard()
 
     def _build(self, idx: np.ndarray):
@@ -102,8 +81,8 @@ class ReinforceTrainer(_GradientTrainer):
     selection term trains only the controller.
     """
 
-    def __init__(self, task, config: BaselineConfig, streams):
-        super().__init__(task, config, streams)
+    def __init__(self, task, config: TrainerConfig, streams, clip_norm: float | None = None):
+        super().__init__(task, config, streams, clip_norm)
         self.ema = 0.0
 
     def _build(self, idx):
@@ -144,11 +123,3 @@ class StaticTrainer(_GradientTrainer):
         obj = self.task.objective(idx, comps, with_ctrl=False)
         return obj, {}
 
-
-def static_baseline_forward(x, pool: ModulePool, fixed_indices, combine: str = "sum") -> np.ndarray:
-    """Combine the named modules for every input, no selection involved."""
-    fixed = np.asarray(fixed_indices, dtype=np.int64).reshape(-1)
-    xv = np.asarray(x, dtype=np.float64)
-    layer = ModularLayer(pool, None, combine=combine, n_slots=len(fixed))
-    sel = np.broadcast_to(fixed, (xv.shape[0], len(fixed)))
-    return layer.forward_selected(xv, sel).data

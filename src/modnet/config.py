@@ -106,32 +106,19 @@ def _fill(dc_type, data: dict, path: str):
         if name not in allowed:
             raise ConfigError(f"{here}: unknown field")
         ftype = allowed[name].type
-        if dataclasses.is_dataclass(_resolve(ftype)):
+        if ftype in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"{here}: expected an object")
-            kwargs[name] = _fill(_resolve(ftype), value, here)
+            kwargs[name] = _fill(_SECTIONS[ftype], value, here)
         else:
             kwargs[name] = _coerce(value, ftype, here)
     return dc_type(**kwargs)
 
 
-_DATACLASS_FIELDS = {
-    "task": TaskConfig,
-    "trainer": TrainerConfig,
-    "architecture": ArchitectureConfig,
-    "diagnostics": DiagnosticsConfig,
+# nested sections by annotation; annotations are strings in this module
+_SECTIONS = {
+    c.__name__: c for c in (TaskConfig, TrainerConfig, ArchitectureConfig, DiagnosticsConfig)
 }
-
-
-def _resolve(ftype):
-    if isinstance(ftype, str):
-        return {
-            "TaskConfig": TaskConfig,
-            "TrainerConfig": TrainerConfig,
-            "ArchitectureConfig": ArchitectureConfig,
-            "DiagnosticsConfig": DiagnosticsConfig,
-        }.get(ftype, ftype)
-    return ftype
 
 
 def _coerce(value, ftype, path: str):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from modnet.autodiff import Tape
+from modnet.config import TrainerConfig
 from modnet.optim import Adam
 
 log = logging.getLogger("modnet")
@@ -54,26 +55,6 @@ class StepGuard:
 
 
 @dataclass
-class EMConfig:
-    """Search/ascent schedule.  ``n_samples`` proposals per search step,
-    ``m_steps`` ascent steps per iteration, separate search and ascent
-    minibatch sizes."""
-
-    n_samples: int = 10
-    m_steps: int = 15
-    e_batch: int = 64
-    m_batch: int = 64
-    lr: float = 1e-3
-    clip_norm: float | None = None
-
-    def validate(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.m_steps < 1:
-            raise ValueError("m_steps must be >= 1")
-
-
-@dataclass
 class AssignmentBuffer:
     """Best-known composition and its last joint score, per example."""
 
@@ -103,18 +84,21 @@ class EMTrainer:
     ``parameters()``, ``propose_and_score(idx, incumbent, n_samples,
     rng)``, ``enumerate_and_score(idx, incumbent)``, and ``objective(idx,
     comps)`` (a scalar mean joint log-probability built under the active
-    tape).
+    tape).  Compositions are example-major: ``unit_shape`` is (units,
+    slots), a unit being a layer or a timestep; the buffer holds
+    (n_examples, units, slots) and candidates stack to (candidates, batch,
+    units, slots).  ``config`` is the run's trainer section and
+    ``clip_norm`` the effective gradient clip.
     """
 
-    def __init__(self, task, config: EMConfig, streams):
-        config.validate()
+    def __init__(self, task, config: TrainerConfig, streams, clip_norm: float | None = None):
         self.task = task
         self.cfg = config
         self.streams = streams
         self.buffer = init_assignment_buffer(
             streams["buffer"], task.n_examples, task.unit_shape, task.n_choices
         )
-        self.opt = Adam(task.parameters(), lr=config.lr, clip_norm=config.clip_norm)
+        self.opt = Adam(task.parameters(), lr=config.lr, clip_norm=clip_norm)
         self.guard = StepGuard()
 
     def partial_e_step(
@@ -170,7 +154,7 @@ class EMTrainer:
         values = []
         skipped = 0
         for _ in range(self.cfg.m_steps):
-            idx = rng.integers(0, self.task.n_examples, size=self.cfg.m_batch)
+            idx = rng.integers(0, self.task.n_examples, size=self.cfg.batch)
             comps = self.buffer.comps[idx]
             with Tape() as tape:
                 obj = self.task.objective(idx, comps)

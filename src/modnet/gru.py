@@ -18,7 +18,6 @@ scores all windows in one unroll).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +48,8 @@ from modnet.modular import (
     ModularLayer,
     ModulePool,
     NoisyTopKGate,
+    enumerate_compositions,
+    log_sum_exp,
     sample_rows,
 )
 
@@ -187,24 +188,17 @@ class NoisyTopKGruCell:
         z = sigmoid(self.update(hx))
         r = sigmoid(self.reset(hx))
         px = concat_last(mul(r, h), x)
-        mix = None
-        for j in np.unique(np.nonzero(mask)[1]):
-            onehot = np.zeros(self.pool.n_modules)
-            onehot[j] = 1.0
-            wj = sum_over_axis(mul(w, constant(onehot)), axis=-1, keepdims=True)
-            term = mul(self.pool.apply(int(j), px), wj)
-            mix = term if mix is None else add(mix, term)
-        cand = relu(mix)
+        cand = relu(self.pool.mix(px, w, mask))
         keep = add(mul(z, -1.0), 1.0)
         return add(mul(keep, h), mul(z, cand)), w, mask
 
 
 @dataclass
 class RolloutResult:
-    cond_ll: Tensor
+    cond_ll: Tensor | None
     ctrl_ll: Tensor | None
     comps: np.ndarray
-    token_ll: np.ndarray
+    token_ll: np.ndarray | None
     probs: np.ndarray | None = None
     weights: np.ndarray | None = None
 
@@ -238,7 +232,7 @@ class ModularGruLM:
     def rollout(
         self,
         tokens: np.ndarray,
-        targets: np.ndarray,
+        targets: np.ndarray | None = None,
         comps: np.ndarray | None = None,
         sample_mask: np.ndarray | None = None,
         greedy: bool = False,
@@ -253,15 +247,20 @@ class ModularGruLM:
         controller (greedy or sampled).  With both ``comps`` and a boolean
         ``sample_mask``, masked rows resample while the rest stay forced;
         this lets one unroll score an incumbent and fresh proposals side
-        by side on tiled rows.
+        by side on tiled rows.  Without ``targets`` an untaped unroll only
+        chooses selections: ``cond_ll`` and ``token_ll`` come back None.
         """
         tokens = np.asarray(tokens)
-        targets = np.asarray(targets)
-        if tokens.shape != targets.shape or tokens.ndim != 2:
+        targets = None if targets is None else np.asarray(targets)
+        scored = targets is not None
+        if tokens.ndim != 2 or (scored and targets.shape != tokens.shape):
             raise ValueError(
-                f"tokens {tokens.shape} and targets {targets.shape} must be "
+                f"tokens {tokens.shape} and targets {np.shape(targets)} must be "
                 "equal 2-D shapes"
             )
+        taped = active_tape() is not None
+        if taped and not scored:
+            raise ValueError("a taped rollout needs targets")
         batch, steps = tokens.shape
         needs_sampling = comps is None and not greedy
         if sample_mask is not None:
@@ -278,14 +277,13 @@ class ModularGruLM:
                     f"{(batch, steps, self.n_slots)}"
                 )
 
-        taped = active_tape() is not None
         h: Tensor = Tensor(np.zeros((batch, self.cell.hidden)))
         cond: Tensor | None = None
         ctrl: Tensor | None = None
         states: list[Tensor] = []
         ctrl_inputs: list[Tensor] = []
         chosen = np.empty((batch, steps, self.n_slots), dtype=np.int64)
-        token_ll = np.empty((batch, steps))
+        token_ll = np.empty((batch, steps)) if scored else None
         probs_out = (
             np.empty((batch, steps, self.n_slots, self.cell.controller.n_modules))
             if collect_probs
@@ -320,7 +318,7 @@ class ModularGruLM:
             h = self.cell.step(h, x, sel, hx=hx)
             if taped:
                 states.append(h)
-            else:
+            elif scored:
                 ll = categorical_log_prob(self.out(h), targets[:, t])
                 token_ll[:, t] = ll.data
                 cond = ll if cond is None else add(cond, ll)
@@ -368,9 +366,6 @@ class ModularGruLM:
         cands = res.comps.reshape(tile, batch, steps, self.n_slots)
         return cands, scores
 
-    def num_compositions_per_step(self) -> int:
-        return self.n_modules**self.n_slots
-
     def marginal_log_lik(
         self, tokens, targets, budget: int = 4096
     ) -> np.ndarray:
@@ -380,19 +375,9 @@ class ModularGruLM:
         """
         tokens = np.asarray(tokens)
         batch, steps = tokens.shape
-        per_step = self.num_compositions_per_step()
-        total = per_step**steps
-        if total > budget:
-            raise ValueError(f"{total} selection sequences exceed budget {budget}")
-        step_space = list(itertools.product(range(self.n_modules), repeat=self.n_slots))
-        scores = np.empty((total, batch))
-        for i, seq in enumerate(itertools.product(step_space, repeat=steps)):
-            comp = np.broadcast_to(
-                np.asarray(seq, dtype=np.int64)[None], (batch, steps, self.n_slots)
-            )
-            scores[i] = self.score(tokens, targets, comp)
-        m = scores.max(axis=0)
-        return m + np.log(np.exp(scores - m).sum(axis=0))
+        space = enumerate_compositions(self.n_modules, steps, self.n_slots, budget)
+        scores = [self.score(tokens, targets, np.broadcast_to(c, (batch, *c.shape))) for c in space]
+        return log_sum_exp(np.stack(scores))
 
 
 class NoisyTopKGruLM:

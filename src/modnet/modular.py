@@ -85,6 +85,21 @@ class ModulePool:
         h = self.modules[index](x)
         return relu(h) if self.kind == "linear-relu" else h
 
+    def mix(self, x, w: Tensor, mask: np.ndarray) -> Tensor:
+        """Outputs on x blended by the (batch, modules) weights ``w``.
+
+        Modules outside every row's 0/1 ``mask`` are never evaluated; rows
+        that dropped a run module contribute exact zeros through ``w``.
+        """
+        out = None
+        for j in np.unique(np.nonzero(mask)[1]):
+            onehot = np.zeros(self.n_modules)
+            onehot[j] = 1.0
+            wj = sum_over_axis(mul(w, constant(onehot)), axis=-1, keepdims=True)
+            term = mul(self.apply(int(j), x), wj)
+            out = term if out is None else add(out, term)
+        return out
+
     def parameters(self) -> list[Parameter]:
         return [p for m in self.modules for p in m.parameters()]
 
@@ -94,6 +109,25 @@ def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     cum = np.cumsum(probs, axis=-1)
     idx = (u[..., None] >= cum).sum(axis=-1)
     return np.minimum(idx, probs.shape[-1] - 1)
+
+
+def enumerate_compositions(n_modules: int, units: int, slots: int, budget: int) -> np.ndarray:
+    """Every composition shared by a whole batch, shape (N, units, slots).
+
+    A unit is a layer or a timestep.  The order is lexicographic over the
+    flattened (unit, slot) choices, unit-major; refuses past ``budget``.
+    """
+    n = n_modules ** (units * slots)
+    if n > budget:
+        raise ValueError(f"{n} compositions exceed enumeration budget {budget}")
+    flat = list(itertools.product(range(n_modules), repeat=units * slots))
+    return np.asarray(flat, dtype=np.int64).reshape(n, units, slots)
+
+
+def log_sum_exp(scores: np.ndarray) -> np.ndarray:
+    """Stable log of the sum of exp(scores) over axis 0."""
+    m = scores.max(axis=0)
+    return m + np.log(np.exp(scores - m).sum(axis=0))
 
 
 class Controller:
@@ -161,41 +195,26 @@ class Controller:
 
 
 class ModularLayer:
-    """One pool plus the controller that routes inputs through it.
-
-    ``controller=None`` gives a selection-free layer (for fixed-routing
-    baselines); pass ``n_slots`` explicitly in that case.
-    """
+    """One pool plus the controller that routes inputs through it."""
 
     COMBINES = ("sum", "concat")
 
-    def __init__(
-        self,
-        pool: ModulePool,
-        controller: Controller | None,
-        combine: str = "sum",
-        n_slots: int | None = None,
-    ):
+    def __init__(self, pool: ModulePool, controller: Controller, combine: str = "sum"):
         if combine not in self.COMBINES:
             raise ValueError(f"combine must be one of {self.COMBINES}, got {combine!r}")
-        if controller is not None:
-            if controller.n_modules != pool.n_modules:
-                raise ValueError(
-                    f"controller covers {controller.n_modules} modules, "
-                    f"pool has {pool.n_modules}"
-                )
-            n_slots = controller.n_slots
-        elif n_slots is None:
-            raise ValueError("a controller-free layer needs an explicit n_slots")
+        if controller.n_modules != pool.n_modules:
+            raise ValueError(
+                f"controller covers {controller.n_modules} modules, "
+                f"pool has {pool.n_modules}"
+            )
         self.pool = pool
         self.controller = controller
         self.combine = combine
-        self.n_slots = n_slots
+        self.n_slots = controller.n_slots
         self.out_dim = pool.out_dim * (self.n_slots if combine == "concat" else 1)
 
     def parameters(self) -> list[Parameter]:
-        ctrl = [] if self.controller is None else self.controller.parameters()
-        return self.pool.parameters() + ctrl
+        return self.pool.parameters() + self.controller.parameters()
 
     def _validate(self, selection: np.ndarray, batch: int) -> np.ndarray:
         sel = np.asarray(selection)
@@ -276,14 +295,18 @@ class OutputHead:
 class ModularNet:
     """Feedforward stack of modular layers with one output head.
 
-    A full composition is the stack of per-layer selections: a list with
-    one (batch, slots) integer array per layer, or a single array of shape
-    (layers, batch, slots) when every layer has the same slot count.
+    A composition is an integer array of shape (batch, layers, slots):
+    ``comps[b, l]`` holds the modules that example b runs at layer l.
+    Every layer shares one pool size and one slot count.
     """
 
     def __init__(self, layers: list[ModularLayer], head: OutputHead):
         if not layers:
             raise ValueError("need at least one modular layer")
+        shapes = {(layer.pool.n_modules, layer.n_slots) for layer in layers}
+        if len(shapes) != 1:
+            raise ValueError(f"layers must share one (n_modules, n_slots), got {sorted(shapes)}")
+        ((self.n_modules, self.n_slots),) = shapes
         self.layers = layers
         self.head = head
 
@@ -294,16 +317,6 @@ class ModularNet:
     @property
     def n_layers(self) -> int:
         return len(self.layers)
-
-    def _per_layer(self, comps) -> list[np.ndarray]:
-        if isinstance(comps, np.ndarray) and comps.ndim == 3:
-            return [comps[l] for l in range(comps.shape[0])]
-        comps = list(comps)
-        if len(comps) != self.n_layers:
-            raise ShapeError(
-                f"composition covers {len(comps)} layers, net has {self.n_layers}"
-            )
-        return [np.asarray(c) for c in comps]
 
     def forward(
         self,
@@ -319,15 +332,19 @@ class ModularNet:
         sees the layer's realized input.  ``detach_ctrl_inputs`` blocks
         gradient flow from controller scores back into earlier layers.
         """
-        per_layer = self._per_layer(comps)
+        comps = np.asarray(comps)
+        if comps.ndim != 3 or comps.shape[1] != self.n_layers:
+            raise ShapeError(
+                f"composition shape {comps.shape}, expected (batch, {self.n_layers}, slots)"
+            )
         h: Tensor = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         ctrl_ll: Tensor | None = None
-        for layer, sel in zip(self.layers, per_layer):
+        for l, layer in enumerate(self.layers):
             if with_ctrl:
                 inp = constant(h) if detach_ctrl_inputs else h
-                term = layer.controller.log_prob(inp, sel)
+                term = layer.controller.log_prob(inp, comps[:, l])
                 ctrl_ll = term if ctrl_ll is None else add(ctrl_ll, term)
-            h = layer.forward_selected(h, sel)
+            h = layer.forward_selected(h, comps[:, l])
         return h, ctrl_ll
 
     def cond_log_lik(self, x, y, comps) -> Tensor:
@@ -351,8 +368,8 @@ class ModularNet:
     ):
         """Walk the stack choosing selections on the fly.
 
-        Returns (comps, probs): the chosen composition as an array of shape
-        (layers, batch, slots) and each controller's distribution along the
+        Returns (comps, probs): the chosen composition, shape (batch,
+        layers, slots), and each controller's distribution along the
         realized path, a list of (batch, slots, modules) arrays.
         """
         if not greedy and rng is None:
@@ -369,7 +386,7 @@ class ModularNet:
             comps.append(sel)
             probs.append(p)
             h = layer.forward_selected(Tensor(h), sel).data
-        return np.stack(comps, axis=0), probs
+        return np.stack(comps, axis=1), probs
 
     def sample_compositions(self, x, rng: np.random.Generator) -> np.ndarray:
         return self.trace(x, rng=rng)[0]
@@ -383,64 +400,17 @@ class ModularNet:
         h, _ = self.forward(x, comps)
         return self.head.predict(h)
 
-    def num_compositions(self) -> int:
-        n = 1
-        for layer in self.layers:
-            n *= layer.pool.n_modules**layer.n_slots
-        return n
-
-    def iter_compositions(self):
-        """All compositions as tuples of per-layer slot assignments."""
-        spaces = [
-            itertools.product(range(layer.pool.n_modules), repeat=layer.n_slots)
-            for layer in self.layers
-        ]
-        return itertools.product(*[list(s) for s in spaces])
-
     def marginal_log_lik(self, x, y, budget: int = 100_000) -> np.ndarray:
         """Exact log p(y | x) by enumerating every composition.
 
         Cost is linear in the composition count; refuses to run past
         ``budget``.  Returns one value per example.
         """
-        n = self.num_compositions()
-        if n > budget:
-            raise ValueError(
-                f"{n} compositions exceed enumeration budget {budget}"
-            )
         x = np.asarray(x, dtype=np.float64)
+        space = enumerate_compositions(self.n_modules, self.n_layers, self.n_slots, budget)
         batch = x.shape[0]
-        scores = np.empty((n, batch), dtype=np.float64)
-        for i, comp in enumerate(self.iter_compositions()):
-            per_layer = [
-                np.broadcast_to(
-                    np.asarray(slots, dtype=np.int64), (batch, len(slots))
-                )
-                for slots in comp
-            ]
-            scores[i] = self.score_compositions(x, y, per_layer)
-        m = scores.max(axis=0)
-        return m + np.log(np.exp(scores - m).sum(axis=0))
-
-    def best_joint_score(self, x, y, budget: int = 100_000) -> np.ndarray:
-        """Per-example joint score of the single best composition."""
-        n = self.num_compositions()
-        if n > budget:
-            raise ValueError(
-                f"{n} compositions exceed enumeration budget {budget}"
-            )
-        x = np.asarray(x, dtype=np.float64)
-        batch = x.shape[0]
-        best = np.full(batch, -np.inf)
-        for comp in self.iter_compositions():
-            per_layer = [
-                np.broadcast_to(
-                    np.asarray(slots, dtype=np.int64), (batch, len(slots))
-                )
-                for slots in comp
-            ]
-            np.maximum(best, self.score_compositions(x, y, per_layer), out=best)
-        return best
+        scores = [self.score_compositions(x, y, np.broadcast_to(c, (batch, *c.shape))) for c in space]
+        return log_sum_exp(np.stack(scores))
 
 
 class NoisyTopKGate:
@@ -505,40 +475,10 @@ class NoisyTopKLayer:
     def forward(
         self, x, train: bool = False, rng: np.random.Generator | None = None
     ) -> tuple[Tensor, Tensor, np.ndarray]:
-        """Returns (mixture output, weights, survivor mask).
-
-        Modules outside every row's top-k are never evaluated; surviving
-        modules run batched and rows that dropped them contribute exact
-        zeros through their zero weights.
-        """
+        """Returns (mixture output, weights, survivor mask)."""
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         w, mask = self.gate.weights(xt, train=train, rng=rng)
-        out = None
-        for j in np.unique(np.nonzero(mask)[1]):
-            onehot = np.zeros(self.pool.n_modules)
-            onehot[j] = 1.0
-            wj = sum_over_axis(mul(w, constant(onehot)), axis=-1, keepdims=True)
-            term = mul(self.pool.apply(int(j), xt), wj)
-            out = term if out is None else add(out, term)
-        return out, w, mask
-
-    def forward_per_example(
-        self, x, train: bool = False, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        """Reference path: loop rows, evaluate only that row's survivors.
-
-        Value-only; exists to cross-check the batched path.  Pass an rng in
-        the same state as the batched call to reproduce its noise draw.
-        """
-        xv = np.asarray(x, dtype=np.float64)
-        w, mask = self.gate.weights(Tensor(xv), train=train, rng=rng)
-        wv = w.data
-        out = np.zeros((xv.shape[0], self.pool.out_dim))
-        for b in range(xv.shape[0]):
-            row = Tensor(xv[b : b + 1])
-            for j in np.nonzero(mask[b])[0]:
-                out[b] += wv[b, j] * self.pool.apply(int(j), row).data[0]
-        return out
+        return self.pool.mix(xt, w, mask), w, mask
 
 
 class NoisyTopKNet:

@@ -19,12 +19,7 @@ import numpy as np
 
 import modnet
 from modnet.autodiff import Tensor, add, constant, mean_all, mul, paused
-from modnet.baselines import (
-    BaselineConfig,
-    NoisyTopKTrainer,
-    ReinforceTrainer,
-    StaticTrainer,
-)
+from modnet.baselines import NoisyTopKTrainer, ReinforceTrainer, StaticTrainer
 from modnet.config import (
     ConfigError,
     ExperimentConfig,
@@ -34,7 +29,6 @@ from modnet.config import (
     from_dict,
 )
 from modnet.datasets import (
-    TextData,
     ToyRegression,
     TwoRegimeData,
     gen_toy_regression,
@@ -42,11 +36,10 @@ from modnet.datasets import (
     load_text_data,
 )
 from modnet.diagnostics import SelectionSnapshot, export_path_trace, selection_image, write_pgm
-from modnet.em import EMConfig, EMTrainer, NumericAbort
+from modnet.em import EMTrainer, NumericAbort
 from modnet.gru import ModularGruLM, NoisyTopKGruLM
 from modnet.modular import (
     Controller,
-    Linear,
     ModularLayer,
     ModularNet,
     ModulePool,
@@ -54,6 +47,7 @@ from modnet.modular import (
     NoisyTopKLayer,
     NoisyTopKNet,
     OutputHead,
+    enumerate_compositions,
 )
 from modnet.seeding import SeedStreams
 from modnet.serialize import (
@@ -78,6 +72,14 @@ def _static_pattern(cfg: ExperimentConfig) -> np.ndarray:
     return np.asarray([k % a.n_modules for k in range(a.n_slots)], dtype=np.int64)
 
 
+def _enumerate_and_score(task, idx, incumbent, budget: int, score):
+    """The incumbent and every batch-shared composition, then their scores."""
+    space = enumerate_compositions(task.n_choices, *task.unit_shape, budget)
+    shared = np.broadcast_to(space[:, None], (len(space), len(idx), *space.shape[1:]))
+    cands = np.concatenate([np.asarray(incumbent)[None], shared])
+    return cands, np.stack([score(c) for c in cands])
+
+
 class RegressionTask:
     """Two-cluster regression behind the trainer protocol."""
 
@@ -88,61 +90,42 @@ class RegressionTask:
         self.n_examples = data.n
         self.n_choices = cfg.architecture.n_modules
         if isinstance(model, ModularNet):
-            self.unit_shape = (model.n_layers, model.layers[0].n_slots)
+            self.unit_shape = (model.n_layers, model.n_slots)
 
     def parameters(self):
         return self.model.parameters()
-
-    @staticmethod
-    def _layer_major(comps: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(np.transpose(comps, (1, 0, 2)))
 
     def propose_and_score(self, idx, incumbent, n_samples, rng):
         x, y = self.data.x[idx], self.data.y[idx]
         cands = [np.asarray(incumbent)]
         for _ in range(n_samples):
-            cands.append(np.transpose(self.model.sample_compositions(x, rng), (1, 0, 2)))
+            cands.append(self.model.sample_compositions(x, rng))
         stacked = np.stack(cands)
-        scores = np.stack(
-            [self.model.score_compositions(x, y, self._layer_major(c)) for c in stacked]
-        )
+        scores = np.stack([self.model.score_compositions(x, y, c) for c in stacked])
         return stacked, scores
 
     def enumerate_and_score(self, idx, incumbent):
-        if self.model.num_compositions() > ENUM_BUDGET:
-            raise ValueError("composition space too large to enumerate")
         x, y = self.data.x[idx], self.data.y[idx]
-        batch = len(idx)
-        cands = [np.asarray(incumbent)]
-        for comp in self.model.iter_compositions():
-            arr = np.asarray(comp, dtype=np.int64)  # (layers, slots)
-            cands.append(np.broadcast_to(arr[:, None, :], (arr.shape[0], batch, arr.shape[1])).transpose(1, 0, 2))
-        stacked = np.stack(cands)
-        scores = np.stack(
-            [self.model.score_compositions(x, y, self._layer_major(c)) for c in stacked]
+        return _enumerate_and_score(
+            self, idx, incumbent, ENUM_BUDGET, lambda c: self.model.score_compositions(x, y, c)
         )
-        return stacked, scores
 
     def objective(self, idx, comps, with_ctrl: bool = True) -> Tensor:
         x, y = self.data.x[idx], self.data.y[idx]
-        lbk = self._layer_major(np.asarray(comps))
         if with_ctrl:
-            ll = self.model.joint_log_prob(x, y, lbk)
+            ll = self.model.joint_log_prob(x, y, comps)
         else:
-            ll = self.model.cond_log_lik(x, y, lbk)
+            ll = self.model.cond_log_lik(x, y, comps)
         return mean_all(ll)
 
     def sample_comps(self, idx, rng):
         # the draw never feeds a loss, so it stays off any active tape
         with paused():
-            comps = self.model.sample_compositions(self.data.x[idx], rng)
-        return np.transpose(comps, (1, 0, 2))
+            return self.model.sample_compositions(self.data.x[idx], rng)
 
     def reinforce_surrogate(self, idx, comps, baseline):
         x, y = self.data.x[idx], self.data.y[idx]
-        h, ctrl_ll = self.model.forward(
-            x, self._layer_major(np.asarray(comps)), with_ctrl=True, detach_ctrl_inputs=True
-        )
+        h, ctrl_ll = self.model.forward(x, comps, with_ctrl=True, detach_ctrl_inputs=True)
         cond = self.model.head.log_prob(h, y)
         rewards = cond.data.copy()
         advantage = rewards - baseline
@@ -163,7 +146,7 @@ class RegressionTask:
         if isinstance(self.model, NoisyTopKNet):
             _, weights, _ = self.model.forward(x, train=False)
             probs = [w[:, None, :] for w in weights]
-            chosen = [w.argmax(axis=-1)[:, None] for w in weights]
+            comps = np.stack([w.argmax(axis=-1)[:, None] for w in weights], axis=1)
         elif self.cfg.trainer.kind == "static":
             comps = self.static_comps(idx)
             probs = []
@@ -171,13 +154,10 @@ class RegressionTask:
             for l, layer in enumerate(self.model.layers):
                 probs.append(layer.controller.distribution(h))
                 h = layer.forward_selected(Tensor(h), comps[:, l]).data
-            chosen = [comps[:, l] for l in range(comps.shape[1])]
         else:
             comps, probs = self.model.trace(x, rng=rng)
-            chosen = [comps[l] for l in range(comps.shape[0])]
-        snap = SelectionSnapshot(probs, chosen)
-        paths = np.stack(chosen, axis=1)
-        return snap, paths
+        chosen = [comps[:, l] for l in range(comps.shape[1])]
+        return SelectionSnapshot(probs, chosen), comps
 
     def eval_metrics(self, mode: str = "most-likely-composition") -> dict:
         x, y = self.data.x, self.data.y
@@ -189,7 +169,7 @@ class RegressionTask:
             mse = float(np.mean((pred - y) ** 2))
             return {"mode": mode, "mse": mse, "nll": nll}
         if self.cfg.trainer.kind == "static":
-            comps = self._layer_major(self.static_comps(np.arange(self.data.n)))
+            comps = self.static_comps(np.arange(self.data.n))
         else:
             comps = self.model.greedy_compositions(x)
         pred = self.model.predict(x, comps)
@@ -224,22 +204,10 @@ class SequenceTask:
         )
 
     def enumerate_and_score(self, idx, incumbent):
-        steps = self.data.tokens.shape[1]
-        per_step = self.model.num_compositions_per_step()
-        if per_step**steps > SEQ_ENUM_BUDGET:
-            raise ValueError("selection-sequence space too large to enumerate")
         tokens, targets = self.data.tokens[idx], self.data.targets[idx]
-        batch = len(idx)
-        step_space = list(
-            itertools.product(range(self.model.n_modules), repeat=self.model.n_slots)
+        return _enumerate_and_score(
+            self, idx, incumbent, SEQ_ENUM_BUDGET, lambda c: self.model.score(tokens, targets, c)
         )
-        cands = [np.asarray(incumbent)]
-        for seq in itertools.product(step_space, repeat=steps):
-            arr = np.asarray(seq, dtype=np.int64)
-            cands.append(np.broadcast_to(arr, (batch, *arr.shape)))
-        stacked = np.stack(cands)
-        scores = np.stack([self.model.score(tokens, targets, c) for c in stacked])
-        return stacked, scores
 
     def objective(self, idx, comps, with_ctrl: bool = True) -> Tensor:
         res = self.model.rollout(
@@ -253,11 +221,9 @@ class SequenceTask:
 
     def sample_comps(self, idx, rng):
         # the draw never feeds a loss, so it stays off any active tape
+        # and without targets the unroll skips the output head
         with paused():
-            res = self.model.rollout(
-                self.data.tokens[idx], self.data.targets[idx], rng=rng
-            )
-        return res.comps
+            return self.model.rollout(self.data.tokens[idx], rng=rng).comps
 
     def reinforce_surrogate(self, idx, comps, baseline):
         res = self.model.rollout(
@@ -399,33 +365,15 @@ def _effective_clip(cfg: ExperimentConfig) -> float | None:
 
 
 def build_trainer(cfg: ExperimentConfig, task, streams: SeedStreams):
-    tr = cfg.trainer
-    clip = _effective_clip(cfg)
-    if tr.kind == "em":
-        em_cfg = EMConfig(
-            n_samples=tr.n_samples,
-            m_steps=tr.m_steps,
-            e_batch=tr.e_batch,
-            m_batch=tr.batch,
-            lr=tr.lr,
-            clip_norm=clip,
-        )
-        return EMTrainer(task, em_cfg, streams)
-    base = BaselineConfig(
-        m_steps=tr.m_steps,
-        batch=tr.batch,
-        lr=tr.lr,
-        clip_norm=clip,
-        samples_per_example=tr.samples_per_example,
-        ema_decay=tr.ema_decay,
-    )
-    if tr.kind == "reinforce":
-        return ReinforceTrainer(task, base, streams)
-    if tr.kind == "noisy-topk":
-        return NoisyTopKTrainer(task, base, streams)
-    if tr.kind == "static":
-        return StaticTrainer(task, base, streams)
-    raise ConfigError(f"trainer.kind: unknown trainer {tr.kind!r}")
+    trainer = {
+        "em": EMTrainer,
+        "reinforce": ReinforceTrainer,
+        "noisy-topk": NoisyTopKTrainer,
+        "static": StaticTrainer,
+    }.get(cfg.trainer.kind)
+    if trainer is None:
+        raise ConfigError(f"trainer.kind: unknown trainer {cfg.trainer.kind!r}")
+    return trainer(task, cfg.trainer, streams, _effective_clip(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -463,18 +411,21 @@ def _restore_into(trainer, task, streams, ckpt: CheckpointData) -> None:
                 f"model expects {p.data.shape}"
             )
         p.data[...] = saved
-    trainer.restore(
-        {
-            "arrays": ckpt.trainer_arrays,
-            "opt": {
-                "t": ckpt.opt_t,
-                "m": [ckpt.opt_m[p.name] for p in params],
-                "v": [ckpt.opt_v[p.name] for p in params],
-            },
-            "scalars": ckpt.trainer_scalars,
-        }
-    )
-    streams.restore(ckpt.streams_state)
+    try:
+        trainer.restore(
+            {
+                "arrays": ckpt.trainer_arrays,
+                "opt": {
+                    "t": ckpt.opt_t,
+                    "m": [ckpt.opt_m[p.name] for p in params],
+                    "v": [ckpt.opt_v[p.name] for p in params],
+                },
+                "scalars": ckpt.trainer_scalars,
+            }
+        )
+        streams.restore(ckpt.streams_state)
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"trainer or random-stream state does not restore: {exc!r}") from exc
 
 
 def _save(trainer, task, streams, cfg, iteration, path) -> None:
@@ -615,11 +566,6 @@ def execute_run(
     return record
 
 
-def run_from_config(cfg: ExperimentConfig, out_root: str) -> dict:
-    out_dir = resolve_out_dir(cfg, out_root)
-    return execute_run(cfg, out_dir)
-
-
 def resolve_out_dir(cfg: ExperimentConfig, out_root: str, tag: str = "") -> str:
     if cfg.out_dir:
         base = cfg.out_dir
@@ -651,7 +597,10 @@ def resume_run(checkpoint_path: str, overrides: list[str], out_root: str) -> dic
         out_dir = resolve_out_dir(cfg, out_root, tag="-resume")
     else:
         out_dir = resolve_out_dir(cfg, out_root)
-    return execute_run(cfg, out_dir, resume_from=ckpt)
+    try:
+        return execute_run(cfg, out_dir, resume_from=ckpt)
+    except ConfigError as exc:
+        raise ConfigError(f"{checkpoint_path}: {exc}") from exc
 
 
 def emit_sweep(grid_path: str, out_root: str) -> dict:

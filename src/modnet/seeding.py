@@ -55,6 +55,9 @@ class SeedStreams:
         for name, st in snapshot["streams"].items():
             gen = self[name]
             full = gen.bit_generator.state
+            # the generator indexes its buffer with this unchecked
+            if not 0 <= st["buffer_pos"] <= full["buffer"].size:
+                raise ValueError(f"stream {name!r}: buffer_pos {st['buffer_pos']!r} out of range")
             full["state"]["counter"] = np.array(st["counter"], dtype=np.uint64)
             full["state"]["key"] = np.array(st["key"], dtype=np.uint64)
             full["buffer"] = np.array(st["buffer"], dtype=np.uint64)

@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from modnet.autodiff import Parameter, Tape, mean_all
-from modnet.baselines import (
-    BaselineConfig,
-    NoisyTopKTrainer,
-    ReinforceTrainer,
-    StaticTrainer,
-    static_baseline_forward,
-)
-from modnet.config import from_dict
-from modnet.modular import ModulePool
+from modnet.baselines import NoisyTopKTrainer, ReinforceTrainer, StaticTrainer
+from modnet.config import TrainerConfig, from_dict
 from modnet.runner import build_dataset, build_model, build_task, build_trainer
 from modnet.seeding import SeedStreams
 
@@ -36,21 +29,6 @@ def make(cfg):
     model = build_model(cfg, data, streams)
     task = build_task(cfg, model, data)
     return build_trainer(cfg, task, streams), task, model, data
-
-
-# ---------------------------------------------------------------------------
-# config
-
-
-def test_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        BaselineConfig(m_steps=0).validate()
-    with pytest.raises(ValueError):
-        BaselineConfig(samples_per_example=0).validate()
-    with pytest.raises(ValueError):
-        BaselineConfig(ema_decay=1.0).validate()
-    with pytest.raises(ValueError):
-        BaselineConfig(ema_decay=0.0).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +63,7 @@ class EmaProbeTask:
 
 def test_ema_updates_after_each_step():
     task = EmaProbeTask()
-    cfg = BaselineConfig(m_steps=3, batch=4, ema_decay=0.9)
+    cfg = TrainerConfig(m_steps=3, batch=4, ema_decay=0.9)
     tr = ReinforceTrainer(task, cfg, SeedStreams(0))
     out = tr.iteration()
     e1 = 0.9 * 0.0 + 0.1 * 1.0
@@ -99,10 +77,10 @@ def test_ema_updates_after_each_step():
 
 def test_ema_survives_state_roundtrip():
     task = EmaProbeTask()
-    tr = ReinforceTrainer(task, BaselineConfig(m_steps=2, batch=4), SeedStreams(0))
+    tr = ReinforceTrainer(task, TrainerConfig(m_steps=2, batch=4), SeedStreams(0))
     tr.iteration()
     saved = tr.state()
-    other = ReinforceTrainer(EmaProbeTask(), BaselineConfig(m_steps=2, batch=4),
+    other = ReinforceTrainer(EmaProbeTask(), TrainerConfig(m_steps=2, batch=4),
                              SeedStreams(0))
     other.restore(saved)
     assert other.ema == pytest.approx(tr.ema)
@@ -227,15 +205,6 @@ def test_static_pattern_round_robin_and_override():
     cfg = toy_cfg(seed=1, kind="static", trainer={"static_indices": [1]})
     _, task, _, _ = make(cfg)
     assert np.array_equal(task.static_comps(np.arange(3))[0], [[1]])
-
-
-def test_static_forward_helper_matches_manual_combine():
-    rng = np.random.default_rng(9)
-    pool = ModulePool(rng, 3, 4, 2, "linear", "p")
-    x = rng.standard_normal((6, 4))
-    out = static_baseline_forward(x, pool, [0, 2], combine="sum")
-    want = sum(x @ pool.modules[j].w.data + pool.modules[j].b.data for j in (0, 2))
-    assert np.allclose(out, want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

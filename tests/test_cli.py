@@ -4,8 +4,11 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modnet.cli import main
 
@@ -144,6 +147,83 @@ def test_malformed_checkpoint_is_exit_2(tmp_path, capsys, monkeypatch, command, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(bad) in err
+
+
+def rewrite_header(src, dst, **fields):
+    """Copy a checkpoint with some top-level header fields replaced."""
+    blob = open(src, "rb").read()
+    (n,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + n])
+    header.update(fields)
+    head = json.dumps(header, sort_keys=True).encode()
+    with open(dst, "wb") as fh:
+        fh.write(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + n :])
+    return header
+
+
+@pytest.fixture(scope="module")
+def mid_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mid")
+    cfg = write_config(root, diagnostics={"probe_size": 32, "checkpoint_interval": 2})
+    assert main(["run", cfg, "--set", f"out_dir={root / 'out'}"]) == 0
+    return str(root / "out" / "checkpoints" / "step-000002.ckpt")
+
+
+@pytest.mark.parametrize(
+    "field,value", [("rng", {"seed": 0}), ("scalars", {})], ids=["rng-no-streams", "scalars-empty"]
+)
+def test_resume_with_malformed_nested_header_is_exit_2(
+    tmp_path, capsys, mid_checkpoint, field, value
+):
+    bad = str(tmp_path / "bad.ckpt")
+    rewrite_header(mid_checkpoint, bad, **{field: value})
+    assert main(["resume", bad, "--set", f"out_dir={tmp_path / 'resumed'}"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and bad in err
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def entry_paths(node, prefix=()):
+    """Key paths to every entry of the nested dicts and lists in ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from entry_paths(child, prefix + (key,))
+
+
+def replaced(node, path, value):
+    node = json.loads(json.dumps(node))
+    parent = node
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return node
+
+
+@settings(max_examples=25, deadline=None)
+@given(field=st.sampled_from(["rng", "scalars"]), data=st.data())
+def test_resume_on_any_rng_or_scalars_object_exits_0_or_2(mid_checkpoint, field, data):
+    real = rewrite_header(mid_checkpoint, os.devnull)[field]
+    # arbitrary objects, and the real one with a single entry replaced
+    mutant = st.builds(
+        replaced, st.just(real), st.sampled_from(list(entry_paths(real))), JSON_VALUES
+    )
+    value = data.draw(st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4) | mutant)
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = os.path.join(tmp, "bad.ckpt")
+        rewrite_header(mid_checkpoint, bad, **{field: value})
+        assert main(["resume", bad, "--set", f"out_dir={os.path.join(tmp, 'out')}"]) in (0, 2)
 
 
 def test_resume_rejects_non_schedule_overrides(tmp_path, capsys):

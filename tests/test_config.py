@@ -83,6 +83,9 @@ def test_type_errors_are_rejected_with_path():
         ({"trainer": {"static_indices": [5]}}, "static_indices"),
         ({"diagnostics": {"interval": 0}}, "diagnostics"),
         ({"diagnostics": {"checkpoint_interval": -2}}, "checkpoint_interval"),
+        ({"trainer": {"n_samples": 0}}, "must be >= 1"),
+        ({"trainer": {"m_steps": 0}}, "must be >= 1"),
+        ({"trainer": {"ema_decay": 0.0}}, "ema_decay"),
     ],
 )
 def test_validation_rejects_bad_combinations(patch, needle):

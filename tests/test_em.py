@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from modnet.config import from_dict
+from modnet.config import TrainerConfig, from_dict
 from modnet.em import (
     AssignmentBuffer,
-    EMConfig,
     EMTrainer,
     NumericAbort,
     StepGuard,
@@ -69,13 +68,6 @@ def test_guard_state_roundtrip():
 
 # ---------------------------------------------------------------------------
 # config and buffer init
-
-
-def test_config_rejects_bad_counts():
-    with pytest.raises(ValueError):
-        EMConfig(n_samples=0).validate()
-    with pytest.raises(ValueError):
-        EMConfig(m_steps=0).validate()
 
 
 def test_buffer_init_deterministic():
@@ -144,7 +136,7 @@ class ScriptedTask:
 
 def scripted_trainer(script, incumbent_scores, n_samples=2):
     task = ScriptedTask(script, incumbent_scores)
-    cfg = EMConfig(n_samples=n_samples, m_steps=1, e_batch=4, m_batch=4)
+    cfg = TrainerConfig(n_samples=n_samples, m_steps=1, e_batch=4, batch=4)
     return EMTrainer(task, cfg, SeedStreams(0))
 
 
@@ -285,8 +277,7 @@ def test_stored_objective_bounded_by_marginal():
         trainer.iteration()
     idx = np.arange(task.n_examples)
     trainer.partial_e_step(idx=idx, exhaustive=True)
-    comps = np.transpose(trainer.buffer.comps[idx], (1, 0, 2))
-    joint = model.score_compositions(data.x[idx], data.y[idx], comps)
+    joint = model.score_compositions(data.x[idx], data.y[idx], trainer.buffer.comps[idx])
     marginal = model.marginal_log_lik(data.x[idx], data.y[idx])
     assert np.all(joint <= marginal + 1e-9)
 
@@ -310,8 +301,7 @@ def test_frozen_assignments_monotone_early_mse():
     trainer.buffer.comps[:, 0, 0] = data.cluster
     mses = []
     for _ in range(101):
-        comps = np.transpose(trainer.buffer.comps, (1, 0, 2))
-        pred, _ = model.forward(data.x, comps, with_ctrl=False)
+        pred, _ = model.forward(data.x, trainer.buffer.comps, with_ctrl=False)
         mses.append(float(((pred.data - data.y) ** 2).mean()))
         trainer.partial_m_step()
     assert all(b <= a + 1e-12 for a, b in zip(mses, mses[1:]))

@@ -15,6 +15,7 @@ from modnet.modular import (
     NoisyTopKLayer,
     NoisyTopKNet,
     OutputHead,
+    enumerate_compositions,
     sample_rows,
 )
 
@@ -43,6 +44,22 @@ def np_softmax(z):
 def np_gauss_ll(y, mean):
     d = y.shape[-1]
     return -0.5 * ((y - mean) ** 2).sum(-1) - 0.5 * d * math.log(2 * math.pi)
+
+
+def forward_per_example(layer, x, train=False, rng=None):
+    """Noisy top-k reference path: loop rows, run only that row's survivors.
+
+    Value-only.  Pass an rng in the same state as the batched call to
+    reproduce its noise draw.
+    """
+    xv = np.asarray(x, dtype=np.float64)
+    w, mask = layer.gate.weights(Tensor(xv), train=train, rng=rng)
+    out = np.zeros((xv.shape[0], layer.pool.out_dim))
+    for b in range(xv.shape[0]):
+        row = Tensor(xv[b : b + 1])
+        for j in np.nonzero(mask[b])[0]:
+            out[b] += w.data[b, j] * layer.pool.apply(int(j), row).data[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +158,7 @@ def test_forward_selected_sum_matches_numpy():
 def test_forward_selected_duplicate_slots_scale_by_multiplicity():
     rng = np.random.default_rng(22)
     pool = ModulePool(rng, 2, 2, 2, kind="linear")
-    layer = ModularLayer(pool, None, combine="sum", n_slots=3)
+    layer = ModularLayer(pool, Controller(rng, 2, 2, 3), combine="sum")
     x = RNG.standard_normal((1, 2))
     sel = np.array([[1, 1, 1]])
     out = layer.forward_selected(Tensor(x), sel).data
@@ -152,7 +169,7 @@ def test_forward_selected_duplicate_slots_scale_by_multiplicity():
 def test_forward_selected_concat_order():
     rng = np.random.default_rng(23)
     pool = ModulePool(rng, 2, 2, 3, kind="linear")
-    layer = ModularLayer(pool, None, combine="concat", n_slots=2)
+    layer = ModularLayer(pool, Controller(rng, 2, 2, 2), combine="concat")
     x = RNG.standard_normal((2, 2))
     sel = np.array([[1, 0], [0, 0]])
     out = layer.forward_selected(Tensor(x), sel).data
@@ -178,7 +195,7 @@ def test_forward_selected_rejects_bad_selection():
 def test_layer_gradients_flow_only_through_selected():
     rng = np.random.default_rng(25)
     pool = ModulePool(rng, 3, 2, 2, kind="linear")
-    layer = ModularLayer(pool, None, combine="sum", n_slots=1)
+    layer = ModularLayer(pool, Controller(rng, 2, 3, 1), combine="sum")
     x = RNG.standard_normal((4, 2))
     sel = np.array([[0], [0], [0], [0]])
     params = pool.parameters()
@@ -195,13 +212,6 @@ def test_layer_gradients_flow_only_through_selected():
     assert np.array_equal(g2, np.zeros_like(g2))
 
 
-def test_controller_free_layer_needs_slots():
-    rng = np.random.default_rng(26)
-    pool = ModulePool(rng, 2, 2, 2, kind="linear")
-    with pytest.raises(ValueError, match="n_slots"):
-        ModularLayer(pool, None)
-
-
 # ---------------------------------------------------------------------------
 # full net
 
@@ -211,7 +221,7 @@ def test_joint_log_prob_is_cond_plus_ctrl():
     x = RNG.standard_normal((5, 2))
     y = RNG.standard_normal((5, 2))
     comps = np.stack(
-        [RNG.integers(0, 3, size=(5, 2)), RNG.integers(0, 3, size=(5, 2))]
+        [RNG.integers(0, 3, size=(5, 2)), RNG.integers(0, 3, size=(5, 2))], axis=1
     ).astype(np.int64)
     joint = net.joint_log_prob(x, y, comps).data
     cond = net.cond_log_lik(x, y, comps).data
@@ -221,8 +231,8 @@ def test_joint_log_prob_is_cond_plus_ctrl():
         dist = layer.controller.distribution(h)
         rows = np.arange(5)
         for k in range(layer.n_slots):
-            ctrl = ctrl + np.log(dist[rows, k, comps[l][:, k]])
-        h = layer.forward_selected(Tensor(h), comps[l]).data
+            ctrl = ctrl + np.log(dist[rows, k, comps[:, l, k]])
+        h = layer.forward_selected(Tensor(h), comps[:, l]).data
     assert np.allclose(joint, cond + ctrl, atol=1e-10)
 
 
@@ -273,41 +283,59 @@ def test_marginal_upper_bounds_every_joint():
     y = RNG.standard_normal((6, 2))
     marg = net.marginal_log_lik(x, y)
     for slots in itertools.product(range(3), repeat=2):
-        sel = np.broadcast_to(np.array(slots, dtype=np.int64), (6, 2))
-        joint = net.joint_log_prob(x, y, [sel]).data
+        sel = np.broadcast_to(np.array(slots, dtype=np.int64), (6, 1, 2))
+        joint = net.joint_log_prob(x, y, sel).data
         assert np.all(marg >= joint - 1e-12)
 
 
-def test_best_joint_score_is_max():
-    net = small_net(n_layers=1, n_modules=3, n_slots=1)
-    x = RNG.standard_normal((5, 2))
-    y = RNG.standard_normal((5, 2))
-    best = net.best_joint_score(x, y)
-    scores = np.stack(
-        [
-            net.joint_log_prob(
-                x, y, [np.full((5, 1), j, dtype=np.int64)]
-            ).data
-            for j in range(3)
-        ]
-    )
-    assert np.allclose(best, scores.max(axis=0), atol=1e-12)
+def nested_layer_oracle(n_modules, layers, slots):
+    """Per-layer slot spaces, then their product: the regression order."""
+    spaces = [list(itertools.product(range(n_modules), repeat=slots))] * layers
+    return np.array(list(itertools.product(*spaces)), dtype=np.int64)
 
 
-def test_num_and_iter_compositions_agree():
-    net = small_net(n_layers=2, n_modules=3, n_slots=2)
-    comps = list(net.iter_compositions())
-    assert net.num_compositions() == 3 ** 4 == len(comps)
-    assert len(set(comps)) == len(comps)
+def nested_step_oracle(n_modules, steps, slots):
+    """One per-step slot space, repeated over steps: the sequence order."""
+    step_space = list(itertools.product(range(n_modules), repeat=slots))
+    return np.array(list(itertools.product(step_space, repeat=steps)), dtype=np.int64)
+
+
+@pytest.mark.parametrize("oracle", [nested_layer_oracle, nested_step_oracle])
+@pytest.mark.parametrize("n_modules,units,slots", [(3, 2, 2), (2, 3, 1), (1, 2, 3)])
+def test_enumerator_order_matches_nested_product(oracle, n_modules, units, slots):
+    got = enumerate_compositions(n_modules, units, slots, budget=10_000)
+    want = oracle(n_modules, units, slots)
+    assert got.shape == (n_modules ** (units * slots), units, slots)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+def test_enumerator_refuses_past_budget():
+    assert len(enumerate_compositions(3, 2, 2, budget=81)) == 81
+    with pytest.raises(ValueError, match="81 compositions exceed enumeration budget 80"):
+        enumerate_compositions(3, 2, 2, budget=80)
+
+
+def test_net_rejects_layers_of_different_shape():
+    rng = np.random.default_rng(27)
+    layers = [
+        ModularLayer(ModulePool(rng, 2, 2, 2), Controller(rng, 2, 2, 1)),
+        ModularLayer(ModulePool(rng, 3, 2, 2), Controller(rng, 2, 3, 1)),
+    ]
+    with pytest.raises(ValueError, match="share one"):
+        ModularNet(layers, OutputHead("gaussian"))
+    net = small_net(n_layers=2)
+    with pytest.raises(ShapeError, match="composition shape"):
+        net.forward(np.zeros((3, 2)), np.zeros((2, 3, 1), dtype=np.int64))
 
 
 def test_trace_greedy_picks_argmax():
     net = small_net(n_layers=2, n_modules=3, n_slots=1)
     x = RNG.standard_normal((4, 2))
     comps, probs = net.trace(x, greedy=True)
-    assert comps.shape == (2, 4, 1)
+    assert comps.shape == (4, 2, 1)
     for l in range(2):
-        assert np.array_equal(comps[l][:, 0], probs[l][:, 0].argmax(-1))
+        assert np.array_equal(comps[:, l, 0], probs[l][:, 0].argmax(-1))
 
 
 def test_trace_sampling_needs_rng():
@@ -321,7 +349,7 @@ def test_full_net_grad_check():
     x = RNG.standard_normal((3, 2))
     y = RNG.standard_normal((3, 2))
     comps = np.stack(
-        [RNG.integers(0, 2, size=(3, 2)), RNG.integers(0, 2, size=(3, 2))]
+        [RNG.integers(0, 2, size=(3, 2)), RNG.integers(0, 2, size=(3, 2))], axis=1
     ).astype(np.int64)
 
     def fn():
@@ -430,11 +458,11 @@ def test_topk_batched_equals_per_example_path():
     layer = NoisyTopKLayer(pool, gate)
     x = RNG.standard_normal((9, 3))
     out, _, _ = layer.forward(Tensor(x), train=False)
-    ref = layer.forward_per_example(x, train=False)
+    ref = forward_per_example(layer, x, train=False)
     assert np.allclose(out.data, ref, atol=1e-12)
     # train mode with twinned rng states
     out_t, _, _ = layer.forward(Tensor(x), train=True, rng=np.random.default_rng(3))
-    ref_t = layer.forward_per_example(x, train=True, rng=np.random.default_rng(3))
+    ref_t = forward_per_example(layer, x, train=True, rng=np.random.default_rng(3))
     assert np.allclose(out_t.data, ref_t, atol=1e-12)
 
 

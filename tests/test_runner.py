@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 
@@ -8,7 +9,7 @@ from modnet.autodiff import Tape, mean_all
 from modnet.baselines import NoisyTopKTrainer, ReinforceTrainer, StaticTrainer
 from modnet.config import from_dict
 from modnet.em import EMTrainer
-from modnet.modular import ModularNet, NoisyTopKNet
+from modnet.modular import ModularNet, NoisyTopKNet, enumerate_compositions
 from modnet.gru import ModularGruLM
 from modnet.runner import (
     _static_pattern,
@@ -100,6 +101,64 @@ def test_sample_comps_records_nothing_on_an_active_tape(task):
         got = task.sample_comps(idx, np.random.default_rng(12))
         assert before > 0 and len(tape) == before
     assert np.array_equal(got, want)
+
+
+def test_sequence_sample_comps_skips_the_output_head():
+    cfg, streams, data, model, task = build_all({
+        "task": {"kind": "two-regime-lm", "n_windows": 8, "unroll": 4},
+        "trainer": {"kind": "reinforce"},
+    })
+    idx = np.array([1, 2, 2, 6])
+    want = model.rollout(data.tokens[idx], data.targets[idx], rng=np.random.default_rng(4)).comps
+    head, calls = model.out, []
+    model.out = lambda h: calls.append(1) or head(h)
+    got = task.sample_comps(idx, np.random.default_rng(4))
+    assert calls == [] and np.array_equal(got, want)
+    res = model.rollout(data.tokens[idx], rng=np.random.default_rng(4))
+    assert res.cond_ll is None and res.token_ll is None
+    with Tape(), pytest.raises(ValueError, match="needs targets"):
+        model.rollout(data.tokens[idx], rng=np.random.default_rng(4))
+
+
+@pytest.mark.parametrize(
+    "overrides,unit_shape",
+    [
+        ({"task": {"kind": "toy-regression", "n": 16},
+          "architecture": {"n_layers": 2, "n_slots": 2, "n_modules": 3, "hidden": 4}}, (2, 2)),
+        ({"task": {"kind": "two-regime-lm", "n_windows": 8, "unroll": 3},
+          "architecture": {"n_slots": 1, "n_modules": 2, "hidden": 4, "embed_dim": 4}}, (3, 1)),
+    ],
+    ids=["regression", "sequence"],
+)
+def test_enumerate_and_score_is_incumbent_then_every_composition(overrides, unit_shape):
+    cfg, streams, data, model, task = build_all(overrides)
+    assert task.unit_shape == unit_shape
+    idx = np.array([0, 5, 5])
+    incumbent = np.random.default_rng(3).integers(0, task.n_choices, size=(3, *unit_shape))
+    cands, scores = task.enumerate_and_score(idx, incumbent)
+    space = enumerate_compositions(task.n_choices, *unit_shape, budget=100)
+    assert cands.shape == (1 + len(space), 3, *unit_shape)
+    assert np.array_equal(cands[0], incumbent)
+    assert np.array_equal(cands[1:], np.broadcast_to(space[:, None], cands[1:].shape))
+    for c, row in zip(cands[[0, 1, -1]], scores[[0, 1, -1]]):
+        rescored = task.propose_and_score(idx, c, 0, np.random.default_rng(0))[1][0]
+        assert np.array_equal(rescored, row)
+
+
+def test_benchmark_tracer_targets_exist():
+    """perfbench/tracer.py wraps these by name in their owners' __dict__."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [t for ts in tracer.SPANS.values() for t in ts] + list(tracer.COUNTS.values())
+    missing = [f"{getattr(o, '__name__', o)}.{a}" for o, a in targets if a not in vars(o)]
+    assert missing == []
+    t = tracer.Tracer()
+    try:
+        t.install(full=True)
+    finally:
+        t.uninstall()
 
 
 def test_resolve_out_dir_explicit_and_collision(tmp_path):
