@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from modnet.autodiff import Tape
+from modnet.autodiff import Tape, Tensor
 from modnet.config import TrainerConfig
 from modnet.optim import Adam
 
@@ -54,16 +54,74 @@ class StepGuard:
         self.total = int(state["total"])
 
 
+class AscentTrainer:
+    """The guarded Adam loop under every trainer: ``m_steps`` ascent steps,
+    each on a fresh minibatch.
+
+    A step whose objective or gradient is not finite is skipped, and
+    ``StepGuard`` aborts the run after a streak of them.  Subclasses build
+    each step's objective in ``step_objective`` and may act on a taken
+    step in ``after_step``.  ``config`` is the run's trainer section and
+    ``clip_norm`` the effective gradient clip.
+    """
+
+    def __init__(self, task, config: TrainerConfig, streams, clip_norm: float | None = None):
+        self.task = task
+        self.cfg = config
+        self.streams = streams
+        self.opt = Adam(task.parameters(), lr=config.lr, clip_norm=clip_norm)
+        self.guard = StepGuard()
+
+    def step_objective(self, idx: np.ndarray) -> tuple[Tensor, float | None]:
+        """(scalar objective, value to report or None for the objective's
+        own), built under the active tape."""
+        raise NotImplementedError
+
+    def after_step(self, report: float) -> None:
+        pass
+
+    def ascend(self) -> dict:
+        rng = self.streams["mstep"]
+        values = []
+        skipped = 0
+        for _ in range(self.cfg.m_steps):
+            idx = rng.integers(0, self.task.n_examples, size=self.cfg.batch)
+            with Tape() as tape:
+                obj, report = self.step_objective(idx)
+            value = float(obj.data)
+            if not np.isfinite(value):
+                skipped += 1
+                self.guard.record_skip("non-finite objective")
+                continue
+            grads = tape.parameter_grads(tape.backward(obj), self.opt.params)
+            if any(not np.isfinite(g).all() for g in grads.values()):
+                skipped += 1
+                self.guard.record_skip("non-finite gradient")
+                continue
+            self.guard.record_ok()
+            self.opt.step(grads)
+            report = value if report is None else report
+            self.after_step(report)
+            values.append(report)
+        return {
+            "objective": float(np.mean(values)) if values else float("nan"),
+            "skipped_steps": skipped,
+        }
+
+    def state(self) -> dict:
+        return {"arrays": {}, "opt": self.opt.state(), "scalars": self.guard.state()}
+
+    def restore(self, state: dict) -> None:
+        self.opt.restore(state["opt"])
+        self.guard.restore(state["scalars"])
+
+
 @dataclass
 class AssignmentBuffer:
     """Best-known composition and its last joint score, per example."""
 
     comps: np.ndarray
     scores: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.comps.shape[0]
 
 
 def init_assignment_buffer(
@@ -77,7 +135,7 @@ def init_assignment_buffer(
     return AssignmentBuffer(comps, scores)
 
 
-class EMTrainer:
+class EMTrainer(AscentTrainer):
     """Drives the search/ascent alternation over a task adapter.
 
     The adapter supplies: ``n_examples``, ``unit_shape``, ``n_choices``,
@@ -87,19 +145,18 @@ class EMTrainer:
     tape).  Compositions are example-major: ``unit_shape`` is (units,
     slots), a unit being a layer or a timestep; the buffer holds
     (n_examples, units, slots) and candidates stack to (candidates, batch,
-    units, slots).  ``config`` is the run's trainer section and
-    ``clip_norm`` the effective gradient clip.
+    units, slots).
+
+    ``partial_e_step`` is the search step and ``partial_m_step`` the
+    ascent step, run on ``AscentTrainer``'s guarded loop; the buffer
+    travels in ``state()`` next to the optimizer and the guard.
     """
 
     def __init__(self, task, config: TrainerConfig, streams, clip_norm: float | None = None):
-        self.task = task
-        self.cfg = config
-        self.streams = streams
+        super().__init__(task, config, streams, clip_norm)
         self.buffer = init_assignment_buffer(
             streams["buffer"], task.n_examples, task.unit_shape, task.n_choices
         )
-        self.opt = Adam(task.parameters(), lr=config.lr, clip_norm=clip_norm)
-        self.guard = StepGuard()
 
     def partial_e_step(
         self, idx: np.ndarray | None = None, exhaustive: bool = False
@@ -150,31 +207,10 @@ class EMTrainer:
 
     def partial_m_step(self) -> dict:
         """Ascend the buffered-composition objective on fresh minibatches."""
-        rng = self.streams["mstep"]
-        values = []
-        skipped = 0
-        for _ in range(self.cfg.m_steps):
-            idx = rng.integers(0, self.task.n_examples, size=self.cfg.batch)
-            comps = self.buffer.comps[idx]
-            with Tape() as tape:
-                obj = self.task.objective(idx, comps)
-            value = float(obj.data)
-            if not np.isfinite(value):
-                skipped += 1
-                self.guard.record_skip("non-finite objective")
-                continue
-            grads = tape.parameter_grads(tape.backward(obj), self.opt.params)
-            if any(not np.isfinite(g).all() for g in grads.values()):
-                skipped += 1
-                self.guard.record_skip("non-finite gradient")
-                continue
-            self.guard.record_ok()
-            self.opt.step(grads)
-            values.append(value)
-        return {
-            "objective": float(np.mean(values)) if values else float("nan"),
-            "skipped_steps": skipped,
-        }
+        return self.ascend()
+
+    def step_objective(self, idx):
+        return self.task.objective(idx, self.buffer.comps[idx]), None
 
     def iteration(self) -> dict:
         e_stats = self.partial_e_step()
@@ -187,14 +223,11 @@ class EMTrainer:
         }
 
     def state(self) -> dict:
-        return {
-            "arrays": {
-                "buffer_comps": self.buffer.comps.astype(np.float64),
-                "buffer_scores": self.buffer.scores.copy(),
-            },
-            "opt": self.opt.state(),
-            "scalars": self.guard.state(),
+        arrays = {
+            "buffer_comps": self.buffer.comps.astype(np.float64),
+            "buffer_scores": self.buffer.scores.copy(),
         }
+        return dict(super().state(), arrays=arrays)
 
     def restore(self, state: dict) -> None:
         comps = state["arrays"]["buffer_comps"]
@@ -205,5 +238,4 @@ class EMTrainer:
             )
         self.buffer.comps = np.asarray(comps).astype(np.int64)
         self.buffer.scores = np.asarray(state["arrays"]["buffer_scores"]).copy()
-        self.opt.restore(state["opt"])
-        self.guard.restore(state["scalars"])
+        super().restore(state)

@@ -10,8 +10,8 @@ taped unroll costs about three records per timestep (embedding, [h, x],
 cell step).  Under a tape the output head and the controller heads then
 score all steps at once on the stacked per-step rows: every step's
 activations are kept for the backward sweep anyway, so stacking them
-adds only one copy.  Without a tape (E-step, probe, evaluation) each
-step is scored as it goes and only the running state is kept; batching
+adds only one copy.  Without a tape (E-step, evaluation) each step
+is scored as it goes and only the running state is kept; batching
 there would hold the states of every window and step at once (evaluation
 scores all windows in one unroll).
 """
@@ -42,13 +42,14 @@ from modnet.autodiff import (
     stack_rows,
     sum_over_axis,
 )
+from modnet.diagnostics import SelectionSnapshot
 from modnet.modular import (
     Controller,
     Linear,
     ModularLayer,
     ModulePool,
     NoisyTopKGate,
-    enumerate_compositions,
+    enumerate_and_score,
     log_sum_exp,
     sample_rows,
 )
@@ -193,6 +194,15 @@ class NoisyTopKGruCell:
         return add(mul(keep, h), mul(z, cand)), w, mask
 
 
+def _step_snapshot(probs: np.ndarray, comps: np.ndarray) -> SelectionSnapshot:
+    """(batch, steps, slots, modules) distributions and (batch, steps,
+    slots) choices, with every timestep a routing decision of its own."""
+    batch, steps, k, m = probs.shape
+    return SelectionSnapshot(
+        [probs.reshape(batch * steps, k, m)], [comps.reshape(batch * steps, k)]
+    )
+
+
 @dataclass
 class RolloutResult:
     cond_ll: Tensor | None
@@ -334,10 +344,29 @@ class ModularGruLM:
                 ctrl = sum_over_axis(reshape(term, (steps, batch)), axis=0)
         return RolloutResult(cond, ctrl, chosen, token_ll, probs_out)
 
+    def log_liks(self, tokens, targets, comps, with_ctrl=False, detach_ctrl_inputs=False):
+        """Per-window (conditional, controller) log-likelihoods; the model
+        protocol is described on ``modular.ModularNet``."""
+        res = self.rollout(
+            tokens, targets, comps=comps, with_ctrl=with_ctrl, detach_ctrl_inputs=detach_ctrl_inputs
+        )
+        return res.cond_ll, res.ctrl_ll
+
     def score(self, tokens, targets, comps) -> np.ndarray:
         """Joint log p(targets, comps | tokens) per window, value only."""
-        res = self.rollout(tokens, targets, comps=comps, with_ctrl=True)
-        return (add(res.cond_ll, res.ctrl_ll)).data
+        return add(*self.log_liks(tokens, targets, comps, with_ctrl=True)).data
+
+    def sample(self, tokens, rng: np.random.Generator) -> np.ndarray:
+        # off any tape, and without targets the unroll skips the output head
+        with paused():
+            return self.rollout(tokens, rng=rng).comps
+
+    def probe(self, tokens, rng: np.random.Generator, comps=None):
+        res = self.rollout(tokens, comps=comps, rng=rng, collect_probs=True)
+        return _step_snapshot(res.probs, res.comps), res.comps
+
+    def evaluate(self, tokens, targets, comps=None) -> tuple[None, np.ndarray]:
+        return None, self.rollout(tokens, targets, comps=comps, greedy=True).token_ll
 
     def propose_and_score(
         self,
@@ -366,18 +395,13 @@ class ModularGruLM:
         cands = res.comps.reshape(tile, batch, steps, self.n_slots)
         return cands, scores
 
-    def marginal_log_lik(
-        self, tokens, targets, budget: int = 4096
-    ) -> np.ndarray:
+    def marginal_log_lik(self, tokens, targets, budget: int = 4096) -> np.ndarray:
         """Exact log p(targets | tokens): enumerate selection sequences.
 
         The count grows as (modules**slots)**steps; guarded by ``budget``.
         """
-        tokens = np.asarray(tokens)
-        batch, steps = tokens.shape
-        space = enumerate_compositions(self.n_modules, steps, self.n_slots, budget)
-        scores = [self.score(tokens, targets, np.broadcast_to(c, (batch, *c.shape))) for c in space]
-        return log_sum_exp(np.stack(scores))
+        steps = np.shape(tokens)[1]
+        return log_sum_exp(enumerate_and_score(self, tokens, targets, steps, budget)[1])
 
 
 class NoisyTopKGruLM:
@@ -408,22 +432,27 @@ class NoisyTopKGruLM:
     def rollout(
         self,
         tokens: np.ndarray,
-        targets: np.ndarray,
+        targets: np.ndarray | None = None,
         train: bool = False,
         rng: np.random.Generator | None = None,
         collect_weights: bool = False,
     ) -> RolloutResult:
+        """Unroll over a (batch, steps) token block, scoring next tokens.
+
+        Without ``targets`` the output head is skipped and ``cond_ll`` and
+        ``token_ll`` come back None.
+        """
         tokens = np.asarray(tokens)
-        targets = np.asarray(targets)
-        if tokens.shape != targets.shape or tokens.ndim != 2:
+        scored = targets is not None
+        if tokens.ndim != 2 or (scored and np.shape(targets) != tokens.shape):
             raise ValueError(
-                f"tokens {tokens.shape} and targets {targets.shape} must be "
+                f"tokens {tokens.shape} and targets {np.shape(targets)} must be "
                 "equal 2-D shapes"
             )
         batch, steps = tokens.shape
         h: Tensor = Tensor(np.zeros((batch, self.cell.hidden)))
         cond: Tensor | None = None
-        token_ll = np.empty((batch, steps))
+        token_ll = np.empty((batch, steps)) if scored else None
         weights = np.empty((batch, steps, self.n_modules)) if collect_weights else None
         chosen = np.empty((batch, steps, 0), dtype=np.int64)
         for t in range(steps):
@@ -431,7 +460,24 @@ class NoisyTopKGruLM:
             h, w, _ = self.cell.step(h, x, train=train, rng=rng)
             if collect_weights:
                 weights[:, t] = w.data
-            ll = categorical_log_prob(self.out(h), targets[:, t])
-            token_ll[:, t] = ll.data
-            cond = ll if cond is None else add(cond, ll)
+            if scored:
+                ll = categorical_log_prob(self.out(h), targets[:, t])
+                token_ll[:, t] = ll.data
+                cond = ll if cond is None else add(cond, ll)
         return RolloutResult(cond, None, chosen, token_ll, None, weights)
+
+    def cond_log_lik(self, tokens, targets, train: bool = False, rng=None) -> Tensor:
+        return self.rollout(tokens, targets, train=train, rng=rng).cond_ll
+
+    def probe(self, tokens, rng=None, comps=None):
+        """Noise-free gate weights as one-head distributions; the path is
+        the heaviest module.  ``rng`` and ``comps`` are unused."""
+        weights = self.rollout(tokens, collect_weights=True).weights[:, :, None]
+        paths = weights.argmax(axis=-1)
+        return _step_snapshot(weights, paths), paths
+
+    def evaluate(self, tokens, targets, comps=None) -> tuple[None, np.ndarray]:
+        return None, self.rollout(tokens, targets).token_ll
+
+    def marginal_log_lik(self, tokens, targets, budget: int = 0) -> np.ndarray:
+        raise ValueError("mixture gating has no compositions to enumerate")

@@ -26,11 +26,13 @@ from modnet.autodiff import (
     gaussian_log_density,
     matmul,
     mul,
+    paused,
     relu,
     row_softmax,
     softplus,
     sum_over_axis,
 )
+from modnet.diagnostics import SelectionSnapshot
 
 
 class Linear:
@@ -122,6 +124,14 @@ def enumerate_compositions(n_modules: int, units: int, slots: int, budget: int) 
         raise ValueError(f"{n} compositions exceed enumeration budget {budget}")
     flat = list(itertools.product(range(n_modules), repeat=units * slots))
     return np.asarray(flat, dtype=np.int64).reshape(n, units, slots)
+
+
+def enumerate_and_score(model, x, y, units: int, budget: int):
+    """Every batch-shared composition of ``model``, shape (N, batch, units,
+    slots), and its joint scores (N, batch)."""
+    space = enumerate_compositions(model.n_modules, units, model.n_slots, budget)
+    shared = np.broadcast_to(space[:, None], (len(space), len(x), *space.shape[1:]))
+    return shared, np.stack([model.score(x, y, c) for c in shared])
 
 
 def log_sum_exp(scores: np.ndarray) -> np.ndarray:
@@ -258,38 +268,10 @@ class ModularLayer:
 
 
 class OutputHead:
-    """Maps final activations to a predictive log-likelihood.
-
-    ``gaussian`` scores targets under a unit-variance normal centred on the
-    (optionally projected) activations; ``categorical`` treats them as
-    logits over classes.
-    """
-
-    KINDS = ("gaussian", "categorical")
-
-    def __init__(self, kind: str, proj: Linear | None = None):
-        if kind not in self.KINDS:
-            raise ValueError(f"head kind must be one of {self.KINDS}, got {kind!r}")
-        self.kind = kind
-        self.proj = proj
-
-    def parameters(self) -> list[Parameter]:
-        return [] if self.proj is None else self.proj.parameters()
-
-    def transform(self, h) -> Tensor:
-        return h if self.proj is None else self.proj(h)
+    """Scores targets under a unit-variance normal centred on the activations."""
 
     def log_prob(self, h, y) -> Tensor:
-        z = self.transform(h)
-        if self.kind == "gaussian":
-            return gaussian_log_density(constant(np.asarray(y, dtype=np.float64)), z)
-        return categorical_log_prob(z, np.asarray(y))
-
-    def predict(self, h) -> np.ndarray:
-        z = self.transform(h)
-        if self.kind == "gaussian":
-            return z.data
-        return row_softmax(constant(z)).data
+        return gaussian_log_density(constant(np.asarray(y, dtype=np.float64)), h)
 
 
 class ModularNet:
@@ -298,6 +280,24 @@ class ModularNet:
     A composition is an integer array of shape (batch, layers, slots):
     ``comps[b, l]`` holds the modules that example b runs at layer l.
     Every layer shares one pool size and one slot count.
+
+    Model protocol, shared with ``gru.ModularGruLM``; inputs and targets
+    are arrays, and ``comps=None`` lets the controller choose:
+
+    - ``log_liks(inputs, targets, comps, with_ctrl, detach_ctrl_inputs)``
+      gives the per-example conditional and controller log-likelihood
+      tensors, the second None without ``with_ctrl``;
+    - ``score`` and ``propose_and_score`` give joint log-probabilities as
+      values, ``sample`` draws compositions off any tape, and
+      ``marginal_log_lik`` sums the joint over every composition;
+    - ``probe(inputs, rng, comps=None)`` gives a ``SelectionSnapshot`` of
+      the controller along sampled (or forced) paths, and those paths;
+    - ``evaluate(inputs, targets, comps=None)`` gives (predictions or
+      None, conditional log-likelihoods) along the greedy (or forced) path.
+
+    The mixture models answer ``probe`` and ``evaluate`` too, and
+    ``cond_log_lik(inputs, targets, train, rng)`` in place of ``log_liks``;
+    their ``marginal_log_lik`` raises ValueError.
     """
 
     def __init__(self, layers: list[ModularLayer], head: OutputHead):
@@ -311,8 +311,7 @@ class ModularNet:
         self.head = head
 
     def parameters(self) -> list[Parameter]:
-        params = [p for layer in self.layers for p in layer.parameters()]
-        return params + self.head.parameters()
+        return [p for layer in self.layers for p in layer.parameters()]
 
     @property
     def n_layers(self) -> int:
@@ -347,70 +346,74 @@ class ModularNet:
             h = layer.forward_selected(h, comps[:, l])
         return h, ctrl_ll
 
-    def cond_log_lik(self, x, y, comps) -> Tensor:
-        h, _ = self.forward(x, comps)
-        return self.head.log_prob(h, y)
+    def log_liks(
+        self, x, y, comps, with_ctrl: bool = False, detach_ctrl_inputs: bool = False
+    ) -> tuple[Tensor, Tensor | None]:
+        h, ctrl_ll = self.forward(x, comps, with_ctrl, detach_ctrl_inputs)
+        return self.head.log_prob(h, y), ctrl_ll
 
-    def joint_log_prob(
-        self, x, y, comps, detach_ctrl_inputs: bool = False
-    ) -> Tensor:
-        """Per-example log p(y, composition | x) as a (batch,) tensor."""
-        h, ctrl_ll = self.forward(
-            x, comps, with_ctrl=True, detach_ctrl_inputs=detach_ctrl_inputs
-        )
-        return add(self.head.log_prob(h, y), ctrl_ll)
-
-    def score_compositions(self, x, y, comps) -> np.ndarray:
-        return self.joint_log_prob(x, y, comps).data
+    def score(self, x, y, comps) -> np.ndarray:
+        """Joint log p(y, comps | x) per example, value only."""
+        return add(*self.log_liks(x, y, comps, with_ctrl=True)).data
 
     def trace(
-        self, x, rng: np.random.Generator | None = None, greedy: bool = False
+        self,
+        x,
+        rng: np.random.Generator | None = None,
+        greedy: bool = False,
+        comps: np.ndarray | None = None,
     ):
-        """Walk the stack choosing selections on the fly.
+        """Walk the stack choosing selections on the fly, off any tape.
 
-        Returns (comps, probs): the chosen composition, shape (batch,
-        layers, slots), and each controller's distribution along the
-        realized path, a list of (batch, slots, modules) arrays.
+        Selections are ``comps[:, l]`` when forced, else greedy or sampled.
+        Returns (comps, probs): the realized composition, shape (batch,
+        layers, slots), and each controller's distribution along it, a
+        list of (batch, slots, modules) arrays.
         """
-        if not greedy and rng is None:
+        if comps is None and not greedy and rng is None:
             raise ValueError("sampling trace needs an rng")
         h = np.asarray(x, dtype=np.float64)
-        comps, probs = [], []
-        for layer in self.layers:
-            p = layer.controller.distribution(h)
-            sel = (
-                p.argmax(axis=-1).astype(np.int64)
-                if greedy
-                else sample_rows(p, rng.random(p.shape[:2])).astype(np.int64)
-            )
-            comps.append(sel)
-            probs.append(p)
-            h = layer.forward_selected(Tensor(h), sel).data
-        return np.stack(comps, axis=1), probs
+        chosen, probs = [], []
+        with paused():
+            for l, layer in enumerate(self.layers):
+                p = layer.controller.distribution(h)
+                if comps is not None:
+                    sel = np.asarray(comps[:, l])
+                elif greedy:
+                    sel = p.argmax(axis=-1).astype(np.int64)
+                else:
+                    sel = sample_rows(p, rng.random(p.shape[:2])).astype(np.int64)
+                chosen.append(sel)
+                probs.append(p)
+                h = layer.forward_selected(Tensor(h), sel).data
+        return np.stack(chosen, axis=1), probs
 
-    def sample_compositions(self, x, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, x, rng: np.random.Generator) -> np.ndarray:
         return self.trace(x, rng=rng)[0]
 
-    def greedy_compositions(self, x) -> np.ndarray:
-        return self.trace(x, greedy=True)[0]
+    def propose_and_score(self, x, y, incumbent, n_samples: int, rng: np.random.Generator):
+        """The incumbent, then ``n_samples`` controller draws, and their scores.
 
-    def predict(self, x, comps=None) -> np.ndarray:
+        Returns (candidates, scores) of shapes (n_samples+1, batch, layers,
+        slots) and (n_samples+1, batch); index 0 is the incumbent.
+        """
+        cands = np.stack([np.asarray(incumbent)] + [self.sample(x, rng) for _ in range(n_samples)])
+        return cands, np.stack([self.score(x, y, c) for c in cands])
+
+    def probe(self, x, rng: np.random.Generator, comps=None):
+        comps, probs = self.trace(x, rng=rng, comps=comps)
+        return SelectionSnapshot(probs, list(comps.transpose(1, 0, 2))), comps
+
+    def evaluate(self, x, y, comps=None) -> tuple[np.ndarray, np.ndarray]:
         if comps is None:
-            comps = self.greedy_compositions(x)
+            comps = self.trace(x, greedy=True)[0]
         h, _ = self.forward(x, comps)
-        return self.head.predict(h)
+        return h.data, self.head.log_prob(h, y).data
 
     def marginal_log_lik(self, x, y, budget: int = 100_000) -> np.ndarray:
-        """Exact log p(y | x) by enumerating every composition.
-
-        Cost is linear in the composition count; refuses to run past
-        ``budget``.  Returns one value per example.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        space = enumerate_compositions(self.n_modules, self.n_layers, self.n_slots, budget)
-        batch = x.shape[0]
-        scores = [self.score_compositions(x, y, np.broadcast_to(c, (batch, *c.shape))) for c in space]
-        return log_sum_exp(np.stack(scores))
+        """Exact log p(y | x) per example, summing the joint over every
+        composition; refuses past ``budget`` compositions."""
+        return log_sum_exp(enumerate_and_score(self, x, y, self.n_layers, budget)[1])
 
 
 class NoisyTopKGate:
@@ -491,8 +494,7 @@ class NoisyTopKNet:
         self.head = head
 
     def parameters(self) -> list[Parameter]:
-        params = [p for layer in self.layers for p in layer.parameters()]
-        return params + self.head.parameters()
+        return [p for layer in self.layers for p in layer.parameters()]
 
     def forward(
         self, x, train: bool = False, rng: np.random.Generator | None = None
@@ -511,6 +513,17 @@ class NoisyTopKNet:
         h, _, _ = self.forward(x, train=train, rng=rng)
         return self.head.log_prob(h, y)
 
-    def predict(self, x) -> np.ndarray:
-        h, _, _ = self.forward(x, train=False)
-        return self.head.predict(h)
+    def probe(self, x, rng=None, comps=None):
+        """Noise-free gate weights as one-head distributions; the path is
+        each layer's heaviest module.  ``rng`` and ``comps`` are unused."""
+        _, weights, _ = self.forward(x)
+        probs = [w[:, None, :] for w in weights]
+        paths = np.stack([w.argmax(axis=-1)[:, None] for w in weights], axis=1)
+        return SelectionSnapshot(probs, list(paths.transpose(1, 0, 2))), paths
+
+    def evaluate(self, x, y, comps=None) -> tuple[np.ndarray, np.ndarray]:
+        h, _, _ = self.forward(x)
+        return h.data, self.head.log_prob(h, y).data
+
+    def marginal_log_lik(self, x, y, budget: int = 0) -> np.ndarray:
+        raise ValueError("mixture gating has no compositions to enumerate")

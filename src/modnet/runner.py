@@ -4,7 +4,7 @@ A task adapter binds a model to a dataset behind the trainer protocol
 (index-based minibatches, composition proposals, objectives, probes).
 ``execute_run`` drives any trainer through the shared loop and leaves a
 self-describing run directory: metrics stream, wall-clock sidecar,
-checkpoints, optional exports, dataset cache, and a run record.
+checkpoints, optional exports, and a run record.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 import modnet
-from modnet.autodiff import Tensor, add, constant, mean_all, mul, paused
+from modnet.autodiff import Tensor, add, constant, mean_all, mul
 from modnet.baselines import NoisyTopKTrainer, ReinforceTrainer, StaticTrainer
 from modnet.config import (
     ConfigError,
@@ -35,7 +35,7 @@ from modnet.datasets import (
     gen_two_regime_sequences,
     load_text_data,
 )
-from modnet.diagnostics import SelectionSnapshot, export_path_trace, selection_image, write_pgm
+from modnet.diagnostics import export_path_trace, selection_image, write_pgm
 from modnet.em import EMTrainer, NumericAbort
 from modnet.gru import ModularGruLM, NoisyTopKGruLM
 from modnet.modular import (
@@ -47,14 +47,13 @@ from modnet.modular import (
     NoisyTopKLayer,
     NoisyTopKNet,
     OutputHead,
-    enumerate_compositions,
+    enumerate_and_score,
 )
 from modnet.seeding import SeedStreams
 from modnet.serialize import (
     CheckpointData,
     MetricsWriter,
     read_checkpoint,
-    save_array_bundle,
     write_checkpoint,
     write_json_atomic,
 )
@@ -72,12 +71,48 @@ def _static_pattern(cfg: ExperimentConfig) -> np.ndarray:
     return np.asarray([k % a.n_modules for k in range(a.n_slots)], dtype=np.int64)
 
 
-def _enumerate_and_score(task, idx, incumbent, budget: int, score):
+def _forced_path(task, idx) -> np.ndarray | None:
+    """The compositions probes and evaluation follow: the static trainer's
+    fixed pattern, else None for the controller's own choice."""
+    return task.static_comps(idx) if task.cfg.trainer.kind == "static" else None
+
+
+def _enumerate_and_score(task, idx, incumbent, budget: int):
     """The incumbent and every batch-shared composition, then their scores."""
-    space = enumerate_compositions(task.n_choices, *task.unit_shape, budget)
-    shared = np.broadcast_to(space[:, None], (len(space), len(idx), *space.shape[1:]))
-    cands = np.concatenate([np.asarray(incumbent)[None], shared])
-    return cands, np.stack([score(c) for c in cands])
+    x, y, inc = task.inputs[idx], task.targets[idx], np.asarray(incumbent)
+    space, scores = enumerate_and_score(task.model, x, y, task.unit_shape[0], budget)
+    return np.concatenate([inc[None], space]), np.vstack([task.model.score(x, y, inc), scores])
+
+
+def _objective(model, x, y, comps, with_ctrl: bool) -> Tensor:
+    cond, ctrl = model.log_liks(x, y, comps, with_ctrl)
+    return mean_all(add(cond, ctrl) if with_ctrl else cond)
+
+
+def _surrogate(model, x, y, comps, baseline):
+    """Score-function surrogate: the conditional log-likelihood plus the
+    controller log-probability weighted by the detached advantage."""
+    cond, ctrl = model.log_liks(x, y, comps, with_ctrl=True, detach_ctrl_inputs=True)
+    rewards = cond.data.copy()
+    obj = add(mean_all(cond), mean_all(mul(ctrl, constant(rewards - baseline))))
+    return obj, rewards
+
+
+def _evaluate(task, mode: str, budget: int, units: int):
+    """(predictions or None, nll per unit) over the whole dataset; the
+    enumerate-marginal mode takes the nll from the exact marginal."""
+    inputs, targets = task.inputs, task.targets
+    pred, ll = task.model.evaluate(inputs, targets, _forced_path(task, np.arange(task.n_examples)))
+    if mode != "enumerate-marginal":
+        return pred, -float(ll.mean())
+    try:
+        return pred, -float(task.model.marginal_log_lik(inputs, targets, budget).mean()) / units
+    except ValueError as exc:
+        raise ConfigError(f"mode: {exc}") from exc
+
+
+# Each adapter keeps its trainer-facing methods in its own class body:
+# perfbench/tracer.py wraps them there by name.
 
 
 class RegressionTask:
@@ -85,102 +120,43 @@ class RegressionTask:
 
     def __init__(self, model, data: ToyRegression, cfg: ExperimentConfig):
         self.model = model
-        self.data = data
         self.cfg = cfg
+        self.inputs, self.targets = data.x, data.y
         self.n_examples = data.n
         self.n_choices = cfg.architecture.n_modules
-        if isinstance(model, ModularNet):
-            self.unit_shape = (model.n_layers, model.n_slots)
+        self.unit_shape = (cfg.architecture.n_layers, cfg.architecture.n_slots)
 
     def parameters(self):
         return self.model.parameters()
 
     def propose_and_score(self, idx, incumbent, n_samples, rng):
-        x, y = self.data.x[idx], self.data.y[idx]
-        cands = [np.asarray(incumbent)]
-        for _ in range(n_samples):
-            cands.append(self.model.sample_compositions(x, rng))
-        stacked = np.stack(cands)
-        scores = np.stack([self.model.score_compositions(x, y, c) for c in stacked])
-        return stacked, scores
+        x, y = self.inputs[idx], self.targets[idx]
+        return self.model.propose_and_score(x, y, incumbent, n_samples, rng)
 
     def enumerate_and_score(self, idx, incumbent):
-        x, y = self.data.x[idx], self.data.y[idx]
-        return _enumerate_and_score(
-            self, idx, incumbent, ENUM_BUDGET, lambda c: self.model.score_compositions(x, y, c)
-        )
+        return _enumerate_and_score(self, idx, incumbent, ENUM_BUDGET)
 
     def objective(self, idx, comps, with_ctrl: bool = True) -> Tensor:
-        x, y = self.data.x[idx], self.data.y[idx]
-        if with_ctrl:
-            ll = self.model.joint_log_prob(x, y, comps)
-        else:
-            ll = self.model.cond_log_lik(x, y, comps)
-        return mean_all(ll)
+        return _objective(self.model, self.inputs[idx], self.targets[idx], comps, with_ctrl)
 
     def sample_comps(self, idx, rng):
-        # the draw never feeds a loss, so it stays off any active tape
-        with paused():
-            return self.model.sample_compositions(self.data.x[idx], rng)
+        return self.model.sample(self.inputs[idx], rng)
 
     def reinforce_surrogate(self, idx, comps, baseline):
-        x, y = self.data.x[idx], self.data.y[idx]
-        h, ctrl_ll = self.model.forward(x, comps, with_ctrl=True, detach_ctrl_inputs=True)
-        cond = self.model.head.log_prob(h, y)
-        rewards = cond.data.copy()
-        advantage = rewards - baseline
-        obj = add(mean_all(cond), mean_all(mul(ctrl_ll, constant(advantage))))
-        return obj, rewards
+        return _surrogate(self.model, self.inputs[idx], self.targets[idx], comps, baseline)
 
     def noisy_objective(self, idx, train, rng) -> Tensor:
-        x, y = self.data.x[idx], self.data.y[idx]
-        return mean_all(self.model.cond_log_lik(x, y, train=train, rng=rng))
+        return mean_all(self.model.cond_log_lik(self.inputs[idx], self.targets[idx], train, rng))
 
     def static_comps(self, idx):
-        pattern = _static_pattern(self.cfg)
-        layers = self.cfg.architecture.n_layers
-        return np.broadcast_to(pattern, (len(idx), layers, pattern.size))
+        return np.broadcast_to(_static_pattern(self.cfg), (len(idx), *self.unit_shape))
 
     def probe(self, idx, rng):
-        x = self.data.x[idx]
-        if isinstance(self.model, NoisyTopKNet):
-            _, weights, _ = self.model.forward(x, train=False)
-            probs = [w[:, None, :] for w in weights]
-            comps = np.stack([w.argmax(axis=-1)[:, None] for w in weights], axis=1)
-        elif self.cfg.trainer.kind == "static":
-            comps = self.static_comps(idx)
-            probs = []
-            h = x
-            for l, layer in enumerate(self.model.layers):
-                probs.append(layer.controller.distribution(h))
-                h = layer.forward_selected(Tensor(h), comps[:, l]).data
-        else:
-            comps, probs = self.model.trace(x, rng=rng)
-        chosen = [comps[:, l] for l in range(comps.shape[1])]
-        return SelectionSnapshot(probs, chosen), comps
+        return self.model.probe(self.inputs[idx], rng, _forced_path(self, idx))
 
     def eval_metrics(self, mode: str = "most-likely-composition") -> dict:
-        x, y = self.data.x, self.data.y
-        if isinstance(self.model, NoisyTopKNet):
-            if mode == "enumerate-marginal":
-                raise ConfigError("mode: mixture gating has no compositions to enumerate")
-            pred = self.model.predict(x)
-            nll = -float(self.model.cond_log_lik(x, y, train=False).data.mean())
-            mse = float(np.mean((pred - y) ** 2))
-            return {"mode": mode, "mse": mse, "nll": nll}
-        if self.cfg.trainer.kind == "static":
-            comps = self.static_comps(np.arange(self.data.n))
-        else:
-            comps = self.model.greedy_compositions(x)
-        pred = self.model.predict(x, comps)
-        mse = float(np.mean((pred - y) ** 2))
-        out = {"mode": mode, "mse": mse, "nll": -float(self.model.cond_log_lik(x, y, comps).data.mean())}
-        if mode == "enumerate-marginal":
-            try:
-                out["nll"] = -float(self.model.marginal_log_lik(x, y, ENUM_BUDGET).mean())
-            except ValueError as exc:
-                raise ConfigError(f"mode: {exc}") from exc
-        return out
+        pred, nll = _evaluate(self, mode, ENUM_BUDGET, units=1)
+        return {"mode": mode, "mse": float(np.mean((pred - self.targets) ** 2)), "nll": nll}
 
 
 class SequenceTask:
@@ -188,109 +164,42 @@ class SequenceTask:
 
     def __init__(self, model, data, cfg: ExperimentConfig):
         self.model = model
-        self.data = data
         self.cfg = cfg
+        self.inputs, self.targets = data.tokens, data.targets
         self.n_examples = data.n
         self.n_choices = cfg.architecture.n_modules
-        if isinstance(model, ModularGruLM):
-            self.unit_shape = (data.tokens.shape[1], model.n_slots)
+        self.unit_shape = (data.tokens.shape[1], cfg.architecture.n_slots)
 
     def parameters(self):
         return self.model.parameters()
 
     def propose_and_score(self, idx, incumbent, n_samples, rng):
-        return self.model.propose_and_score(
-            self.data.tokens[idx], self.data.targets[idx], incumbent, n_samples, rng
-        )
+        x, y = self.inputs[idx], self.targets[idx]
+        return self.model.propose_and_score(x, y, incumbent, n_samples, rng)
 
     def enumerate_and_score(self, idx, incumbent):
-        tokens, targets = self.data.tokens[idx], self.data.targets[idx]
-        return _enumerate_and_score(
-            self, idx, incumbent, SEQ_ENUM_BUDGET, lambda c: self.model.score(tokens, targets, c)
-        )
+        return _enumerate_and_score(self, idx, incumbent, SEQ_ENUM_BUDGET)
 
     def objective(self, idx, comps, with_ctrl: bool = True) -> Tensor:
-        res = self.model.rollout(
-            self.data.tokens[idx],
-            self.data.targets[idx],
-            comps=np.asarray(comps),
-            with_ctrl=with_ctrl,
-        )
-        ll = add(res.cond_ll, res.ctrl_ll) if with_ctrl else res.cond_ll
-        return mean_all(ll)
+        return _objective(self.model, self.inputs[idx], self.targets[idx], comps, with_ctrl)
 
     def sample_comps(self, idx, rng):
-        # the draw never feeds a loss, so it stays off any active tape
-        # and without targets the unroll skips the output head
-        with paused():
-            return self.model.rollout(self.data.tokens[idx], rng=rng).comps
+        return self.model.sample(self.inputs[idx], rng)
 
     def reinforce_surrogate(self, idx, comps, baseline):
-        res = self.model.rollout(
-            self.data.tokens[idx],
-            self.data.targets[idx],
-            comps=np.asarray(comps),
-            with_ctrl=True,
-            detach_ctrl_inputs=True,
-        )
-        rewards = res.cond_ll.data.copy()
-        advantage = rewards - baseline
-        obj = add(mean_all(res.cond_ll), mean_all(mul(res.ctrl_ll, constant(advantage))))
-        return obj, rewards
+        return _surrogate(self.model, self.inputs[idx], self.targets[idx], comps, baseline)
 
     def noisy_objective(self, idx, train, rng) -> Tensor:
-        res = self.model.rollout(
-            self.data.tokens[idx], self.data.targets[idx], train=train, rng=rng
-        )
-        return mean_all(res.cond_ll)
+        return mean_all(self.model.cond_log_lik(self.inputs[idx], self.targets[idx], train, rng))
 
     def static_comps(self, idx):
-        pattern = _static_pattern(self.cfg)
-        steps = self.data.tokens.shape[1]
-        return np.broadcast_to(pattern, (len(idx), steps, pattern.size))
+        return np.broadcast_to(_static_pattern(self.cfg), (len(idx), *self.unit_shape))
 
     def probe(self, idx, rng):
-        tokens, targets = self.data.tokens[idx], self.data.targets[idx]
-        batch, steps = tokens.shape
-        if isinstance(self.model, NoisyTopKGruLM):
-            res = self.model.rollout(tokens, targets, train=False, collect_weights=True)
-            flat = res.weights.reshape(batch * steps, 1, -1)
-            snap = SelectionSnapshot([flat], [flat.argmax(axis=-1)])
-            paths = res.weights.argmax(axis=-1)[:, :, None]
-            return snap, paths
-        if self.cfg.trainer.kind == "static":
-            comps = np.ascontiguousarray(self.static_comps(idx))
-            res = self.model.rollout(tokens, targets, comps=comps, collect_probs=True)
-        else:
-            res = self.model.rollout(tokens, targets, rng=rng, collect_probs=True)
-        k, m = res.probs.shape[2], res.probs.shape[3]
-        snap = SelectionSnapshot(
-            [res.probs.reshape(batch * steps, k, m)],
-            [res.comps.reshape(batch * steps, k)],
-        )
-        return snap, res.comps
+        return self.model.probe(self.inputs[idx], rng, _forced_path(self, idx))
 
     def eval_metrics(self, mode: str = "most-likely-composition") -> dict:
-        tokens, targets = self.data.tokens, self.data.targets
-        if isinstance(self.model, NoisyTopKGruLM):
-            if mode == "enumerate-marginal":
-                raise ConfigError("mode: mixture gating has no compositions to enumerate")
-            res = self.model.rollout(tokens, targets, train=False)
-            nll = -float(res.token_ll.mean())
-            return {"mode": mode, "nll": nll, "perplexity": float(np.exp(nll))}
-        if mode == "enumerate-marginal":
-            try:
-                marg = self.model.marginal_log_lik(tokens, targets, SEQ_ENUM_BUDGET)
-            except ValueError as exc:
-                raise ConfigError(f"mode: {exc}") from exc
-            nll = -float(marg.mean()) / tokens.shape[1]
-        elif self.cfg.trainer.kind == "static":
-            comps = np.ascontiguousarray(self.static_comps(np.arange(self.data.n)))
-            res = self.model.rollout(tokens, targets, comps=comps)
-            nll = -float(res.token_ll.mean())
-        else:
-            res = self.model.rollout(tokens, targets, greedy=True)
-            nll = -float(res.token_ll.mean())
+        _, nll = _evaluate(self, mode, SEQ_ENUM_BUDGET, units=self.unit_shape[0])
         return {"mode": mode, "nll": nll, "perplexity": float(np.exp(nll))}
 
 
@@ -337,13 +246,13 @@ def build_model(cfg: ExperimentConfig, data, streams: SeedStreams):
                 pool = ModulePool(rng, a.n_modules, din, dout, a.module_kind, f"l{l}.pool")
                 gate = NoisyTopKGate(rng, din, a.n_modules, a.topk, f"l{l}.gate")
                 layers.append(NoisyTopKLayer(pool, gate))
-            return NoisyTopKNet(layers, OutputHead("gaussian"))
+            return NoisyTopKNet(layers, OutputHead())
         layers = []
         for l, (din, dout) in enumerate(_toy_dims(cfg)):
             pool = ModulePool(rng, a.n_modules, din, dout, a.module_kind, f"l{l}.pool")
             ctrl = Controller(rng, din, a.n_modules, a.n_slots, f"l{l}.ctrl")
             layers.append(ModularLayer(pool, ctrl, a.combine))
-        return ModularNet(layers, OutputHead("gaussian"))
+        return ModularNet(layers, OutputHead())
     vocab = data.vocab if isinstance(data, TwoRegimeData) else data.vocab_size
     if cfg.trainer.kind == "noisy-topk":
         return NoisyTopKGruLM(rng, vocab, a.embed_dim, a.hidden, a.n_modules, a.topk)
@@ -380,27 +289,14 @@ def build_trainer(cfg: ExperimentConfig, task, streams: SeedStreams):
 # run orchestration
 
 
-def _dataset_cache_arrays(data) -> dict[str, np.ndarray] | None:
-    if isinstance(data, ToyRegression):
-        return {
-            "x": data.x,
-            "y": data.y,
-            "cluster": data.cluster,
-            "rotation": data.rotation,
-            "scale": data.scale,
-        }
-    if isinstance(data, TwoRegimeData):
-        return {
-            "tokens": data.tokens,
-            "targets": data.targets,
-            "regimes": data.regimes,
-            "tables": data.tables,
-        }
-    return None
-
-
-def _restore_into(trainer, task, streams, ckpt: CheckpointData) -> None:
-    params = task.parameters()
+def _load_params(params, ckpt: CheckpointData) -> None:
+    """Copy a checkpoint's parameters into ``params``, refusing another
+    library version or any missing or wrongly shaped parameter."""
+    if ckpt.version != modnet.__version__:
+        raise ConfigError(
+            f"checkpoint version {ckpt.version} does not match "
+            f"library version {modnet.__version__}"
+        )
     for p in params:
         if p.name not in ckpt.params:
             raise ConfigError(f"checkpoint missing parameter {p.name!r}")
@@ -411,6 +307,11 @@ def _restore_into(trainer, task, streams, ckpt: CheckpointData) -> None:
                 f"model expects {p.data.shape}"
             )
         p.data[...] = saved
+
+
+def _restore_into(trainer, task, streams, ckpt: CheckpointData) -> None:
+    params = task.parameters()
+    _load_params(params, ckpt)
     try:
         trainer.restore(
             {
@@ -465,18 +366,8 @@ def execute_run(
 
     start = 0
     if resume_from is not None:
-        if resume_from.version != modnet.__version__:
-            raise ConfigError(
-                f"checkpoint version {resume_from.version} does not match "
-                f"library version {modnet.__version__}"
-            )
         _restore_into(trainer, task, streams, resume_from)
         start = resume_from.iteration
-    else:
-        cache = _dataset_cache_arrays(data)
-        if cache is not None:
-            meta = {"task": cfg.to_dict()["task"], "seed": cfg.seed}
-            save_array_bundle(os.path.join(out_dir, "dataset"), cache, meta)
 
     exports_dir = os.path.join(out_dir, "exports")
     if cfg.diagnostics.export_images or cfg.diagnostics.export_traces:
@@ -667,11 +558,6 @@ def evaluate_checkpoint(
             f"mode: expected most-likely-composition or enumerate-marginal, got {mode!r}"
         )
     ckpt = read_checkpoint(checkpoint_path)
-    if ckpt.version != modnet.__version__:
-        raise ConfigError(
-            f"checkpoint version {ckpt.version} does not match library "
-            f"version {modnet.__version__}"
-        )
     cfg = from_dict(ckpt.config)
     streams = SeedStreams(cfg.seed)
     if dataset_spec == "train":
@@ -686,10 +572,7 @@ def evaluate_checkpoint(
         data = build_dataset(eval_cfg, eval_streams)
     model = build_model(cfg, data, streams)
     task = build_task(cfg, model, data)
-    for p in task.parameters():
-        if p.name not in ckpt.params:
-            raise ConfigError(f"checkpoint missing parameter {p.name!r}")
-        p.data[...] = ckpt.params[p.name]
+    _load_params(task.parameters(), ckpt)
     out = task.eval_metrics(mode)
     out["iteration"] = ckpt.iteration
     return out

@@ -1,4 +1,4 @@
-"""On-disk formats: checkpoints, metrics streams, JSON records, caches.
+"""On-disk formats: checkpoints, metrics streams, JSON records.
 
 Checkpoint layout: 8 magic bytes, an 8-byte little-endian header length,
 a UTF-8 JSON header, then one contiguous block of little-endian float64
@@ -204,23 +204,3 @@ def _parse_checkpoint(blob: bytes) -> CheckpointData:
         trainer_arrays=state,
         trainer_scalars=header["scalars"],
     )
-
-
-def save_array_bundle(base_path: str, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Flat binary of doubles plus a JSON sidecar (dataset cache format)."""
-    entries = []
-    for name in sorted(arrays):
-        arr = np.asarray(arrays[name])
-        dtype = "int64" if arr.dtype.kind in "iu" else "float64"
-        entries.append((name, arr, dtype))
-    manifest, payload = _pack_arrays(entries)
-    _atomic_write(base_path + ".bin", payload)
-    write_json_atomic(base_path + ".json", {"arrays": manifest, "meta": meta})
-
-
-def load_array_bundle(base_path: str) -> tuple[dict[str, np.ndarray], dict]:
-    with open(base_path + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    with open(base_path + ".bin", "rb") as fh:
-        payload = fh.read()
-    return _unpack_arrays(sidecar["arrays"], payload), sidecar["meta"]

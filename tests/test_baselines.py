@@ -236,6 +236,6 @@ def test_iteration_report_shape():
     cfg = toy_cfg(seed=0, kind="static")
     trainer, _, _, _ = make(cfg)
     out = trainer.iteration()
-    assert set(out) == {"objective", "e_step_improved_fraction", "skipped_steps"}
-    assert out["e_step_improved_fraction"] == 0.0
+    # the runner, not the trainer, reports a baseline's improved fraction as 0
+    assert set(out) == {"objective", "skipped_steps"}
     assert math.isfinite(out["objective"])

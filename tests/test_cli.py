@@ -56,7 +56,6 @@ def test_run_trains_and_writes_artifacts(tmp_path, capsys):
     record = json.loads((out / "run_record.json").read_text())
     assert record["status"] == "completed"
     assert (out / "checkpoints" / "final.ckpt").exists()
-    assert (out / "dataset.bin").exists()
 
 
 def test_env_var_moves_output_root(tmp_path, capsys, monkeypatch):
@@ -180,6 +179,40 @@ def test_resume_with_malformed_nested_header_is_exit_2(
     assert main(["resume", bad, "--set", f"out_dir={tmp_path / 'resumed'}"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and bad in err
+
+
+def test_eval_with_wrongly_shaped_parameter_is_exit_2(tmp_path, capsys, mid_checkpoint):
+    # the header still parses: the payload holds more than the one value read
+    arrays = rewrite_header(mid_checkpoint, os.devnull)["arrays"]
+    arrays = [dict(e, shape=[1]) if e["name"] == "param:l0.pool.m0.b" else e for e in arrays]
+    bad = str(tmp_path / "bad.ckpt")
+    rewrite_header(mid_checkpoint, bad, arrays=arrays)
+    assert main(["eval", bad, "train"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "l0.pool.m0.b" in err
+
+
+@pytest.fixture(scope="module")
+def reinforce_checkpoint(tmp_path_factory):
+    # enough iterations after the checkpoint for 10 skipped steps in a row
+    root = tmp_path_factory.mktemp("reinforce")
+    cfg = write_config(
+        root,
+        trainer={"kind": "reinforce", "iterations": 8, "m_steps": 2, "batch": 16},
+        diagnostics={"probe_size": 32, "checkpoint_interval": 2},
+    )
+    assert main(["run", cfg, "--set", f"out_dir={root / 'out'}"]) == 0
+    return str(root / "out" / "checkpoints" / "step-000002.ckpt")
+
+
+@pytest.mark.parametrize("ema", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+def test_resume_with_non_finite_ema_is_exit_2(tmp_path, capsys, reinforce_checkpoint, ema):
+    scalars = rewrite_header(reinforce_checkpoint, os.devnull)["scalars"]
+    bad = str(tmp_path / "bad.ckpt")
+    rewrite_header(reinforce_checkpoint, bad, scalars=dict(scalars, ema=ema))
+    assert main(["resume", bad, "--set", f"out_dir={tmp_path / 'resumed'}"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "ema" in err and bad in err
 
 
 JSON_VALUES = st.recursive(

@@ -277,7 +277,7 @@ def test_stored_objective_bounded_by_marginal():
         trainer.iteration()
     idx = np.arange(task.n_examples)
     trainer.partial_e_step(idx=idx, exhaustive=True)
-    joint = model.score_compositions(data.x[idx], data.y[idx], trainer.buffer.comps[idx])
+    joint = model.score(data.x[idx], data.y[idx], trainer.buffer.comps[idx])
     marginal = model.marginal_log_lik(data.x[idx], data.y[idx])
     assert np.all(joint <= marginal + 1e-9)
 

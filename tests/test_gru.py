@@ -322,6 +322,49 @@ def test_sample_mask_keeps_forced_rows():
     assert np.array_equal(res.comps[~mask], forced[~mask])
 
 
+def count_head_calls(lm):
+    """Route the output head through a counter; returns the call list."""
+    head, calls = lm.out, []
+    lm.out = lambda h: calls.append(1) or head(h)
+    return calls
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["sampled", "forced"])
+def test_probe_skips_the_output_head(forced):
+    lm = make_lm(n_modules=3, n_slots=2, seed=204)
+    tokens = RNG.integers(0, 5, size=(4, 3))
+    targets = RNG.integers(0, 5, size=(4, 3))
+    comps = RNG.integers(0, 3, size=(4, 3, 2)) if forced else None
+    # oracle: the scored unroll a probe used to run
+    want = lm.rollout(
+        tokens, targets, comps=comps, rng=np.random.default_rng(8), collect_probs=True
+    )
+    calls = count_head_calls(lm)
+    snap, paths = lm.probe(tokens, np.random.default_rng(8), comps)
+    assert calls == []
+    assert np.array_equal(paths, want.comps)
+    assert len(snap.probs) == len(snap.chosen) == 1
+    assert np.array_equal(snap.probs[0], want.probs.reshape(12, 2, 3))
+    assert np.array_equal(snap.chosen[0], want.comps.reshape(12, 2))
+
+
+def test_topk_probe_skips_the_output_head():
+    lm = NoisyTopKGruLM(np.random.default_rng(63), vocab=5, embed_dim=3, hidden=4, n_modules=3, k=2)
+    tokens = RNG.integers(0, 5, size=(4, 3))
+    targets = RNG.integers(0, 5, size=(4, 3))
+    # oracle: the scored unroll a probe used to run
+    weights = lm.rollout(tokens, targets, train=False, collect_weights=True).weights
+    calls = count_head_calls(lm)
+    snap, paths = lm.probe(tokens)
+    assert calls == []
+    flat = weights.reshape(12, 1, 3)
+    assert np.array_equal(snap.probs[0], flat)
+    assert np.array_equal(snap.chosen[0], flat.argmax(axis=-1))
+    assert np.array_equal(paths, weights.argmax(axis=-1)[:, :, None])
+    res = lm.rollout(tokens)
+    assert res.cond_ll is None and res.token_ll is None
+
+
 def test_sample_mask_requires_comps():
     lm = make_lm()
     with pytest.raises(ValueError, match="sample_mask"):

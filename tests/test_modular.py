@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from modnet.autodiff import Parameter, ShapeError, Tape, Tensor, grad_check, mean_all
+from modnet.autodiff import Parameter, ShapeError, Tape, Tensor, add, grad_check, mean_all
 from modnet.modular import (
     Controller,
     Linear,
@@ -23,7 +23,7 @@ RNG = np.random.default_rng(7)
 
 
 def small_net(n_layers=1, n_modules=2, n_slots=1, dim=2, combine="sum",
-              kind="linear", head_kind="gaussian", rng=None):
+              kind="linear", rng=None):
     rng = rng or np.random.default_rng(123)
     layers = []
     for l in range(n_layers):
@@ -32,7 +32,7 @@ def small_net(n_layers=1, n_modules=2, n_slots=1, dim=2, combine="sum",
         layers.append(ModularLayer(pool, ctrl, combine=combine))
         if combine == "concat":
             dim = dim * n_slots
-    return ModularNet(layers, OutputHead(head_kind))
+    return ModularNet(layers, OutputHead())
 
 
 def np_softmax(z):
@@ -223,8 +223,10 @@ def test_joint_log_prob_is_cond_plus_ctrl():
     comps = np.stack(
         [RNG.integers(0, 3, size=(5, 2)), RNG.integers(0, 3, size=(5, 2))], axis=1
     ).astype(np.int64)
-    joint = net.joint_log_prob(x, y, comps).data
-    cond = net.cond_log_lik(x, y, comps).data
+    joint = net.score(x, y, comps)
+    cond, ctrl_ll = net.log_liks(x, y, comps, with_ctrl=True)
+    assert net.log_liks(x, y, comps)[1] is None
+    cond = cond.data
     ctrl = 0.0
     h = x
     for l, layer in enumerate(net.layers):
@@ -233,6 +235,7 @@ def test_joint_log_prob_is_cond_plus_ctrl():
         for k in range(layer.n_slots):
             ctrl = ctrl + np.log(dist[rows, k, comps[:, l, k]])
         h = layer.forward_selected(Tensor(h), comps[:, l]).data
+    assert np.allclose(ctrl_ll.data, ctrl, atol=1e-10)
     assert np.allclose(joint, cond + ctrl, atol=1e-10)
 
 
@@ -284,7 +287,7 @@ def test_marginal_upper_bounds_every_joint():
     marg = net.marginal_log_lik(x, y)
     for slots in itertools.product(range(3), repeat=2):
         sel = np.broadcast_to(np.array(slots, dtype=np.int64), (6, 1, 2))
-        joint = net.joint_log_prob(x, y, sel).data
+        joint = net.score(x, y, sel)
         assert np.all(marg >= joint - 1e-12)
 
 
@@ -323,7 +326,7 @@ def test_net_rejects_layers_of_different_shape():
         ModularLayer(ModulePool(rng, 3, 2, 2), Controller(rng, 2, 3, 1)),
     ]
     with pytest.raises(ValueError, match="share one"):
-        ModularNet(layers, OutputHead("gaussian"))
+        ModularNet(layers, OutputHead())
     net = small_net(n_layers=2)
     with pytest.raises(ShapeError, match="composition shape"):
         net.forward(np.zeros((3, 2)), np.zeros((2, 3, 1), dtype=np.int64))
@@ -353,22 +356,9 @@ def test_full_net_grad_check():
     ).astype(np.int64)
 
     def fn():
-        return mean_all(net.joint_log_prob(x, y, comps))
+        return mean_all(add(*net.log_liks(x, y, comps, with_ctrl=True)))
 
     assert grad_check(fn, net.parameters(), step=1e-5) < 1e-4
-
-
-def test_categorical_head_with_projection():
-    rng = np.random.default_rng(31)
-    head = OutputHead("categorical", proj=Linear(rng, 3, 5, "out"))
-    h = RNG.standard_normal((4, 3))
-    y = np.array([0, 4, 2, 2])
-    lp = head.log_prob(Tensor(h), y).data
-    logits = h @ head.proj.w.data + head.proj.b.data
-    want = np.log(np_softmax(logits)[np.arange(4), y])
-    assert np.allclose(lp, want, atol=1e-12)
-    pred = head.predict(Tensor(h))
-    assert np.allclose(pred.sum(-1), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +463,7 @@ def test_topk_layer_grad_check():
     layer = NoisyTopKLayer(pool, gate)
     x = RNG.standard_normal((4, 2))
     y = RNG.standard_normal((4, 2))
-    head = OutputHead("gaussian")
+    head = OutputHead()
 
     def fn():
         out, _, _ = layer.forward(Tensor(x), train=False)
@@ -493,7 +483,7 @@ def test_topk_net_stacks():
         )
         for _ in range(2)
     ]
-    net = NoisyTopKNet(layers, OutputHead("gaussian"))
+    net = NoisyTopKNet(layers, OutputHead())
     x = RNG.standard_normal((6, 2))
     h, weights, masks = net.forward(x)
     assert h.data.shape == (6, 2)

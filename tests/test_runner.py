@@ -21,6 +21,7 @@ from modnet.runner import (
     emit_sweep,
     execute_run,
     resolve_out_dir,
+    resume_run,
 )
 from modnet.seeding import SeedStreams
 
@@ -205,6 +206,37 @@ def test_export_artifacts_written_when_enabled(tmp_path):
     assert "it000002_layer0.pgm" in exports
     assert "it000002_paths.dot" in exports
     assert not any(name.startswith("it000001") for name in exports)
+
+
+@pytest.mark.parametrize("trainer", ["em", "reinforce", "noisy-topk", "static"])
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"kind": "toy-regression", "n": 32},
+        {"kind": "two-regime-lm", "n_windows": 16, "unroll": 4},
+    ],
+    ids=["regression", "sequence"],
+)
+def test_resume_from_first_checkpoint_stitches_byte_for_byte(tmp_path, task, trainer):
+    # out_dir stays unset, so the resumed run's config equals the original's
+    cfg = from_dict({
+        "task": task,
+        "architecture": {"n_modules": 2, "topk": 1, "hidden": 4, "embed_dim": 4},
+        "trainer": {"kind": trainer, "iterations": 5, "m_steps": 2, "batch": 8,
+                    "e_batch": 8, "n_samples": 2},
+        "diagnostics": {"probe_size": 8, "checkpoint_interval": 2},
+    })
+    full = execute_run(cfg, str(tmp_path / "full"))
+    first = full["checkpoints"][0]
+    assert os.path.basename(first) == "step-000002.ckpt"
+    resumed = resume_run(first, [], str(tmp_path))
+    with open(full["metrics_path"], "rb") as fh:
+        rows = fh.read().splitlines(keepends=True)
+    with open(resumed["metrics_path"], "rb") as fh:
+        tail = fh.read().splitlines(keepends=True)
+    assert len(rows) == 5 and tail == rows[2:]
+    with open(full["checkpoints"][-1], "rb") as a, open(resumed["checkpoints"][-1], "rb") as b:
+        assert os.path.basename(b.name) == "final.ckpt" and a.read() == b.read()
 
 
 def test_default_sweep_grid_covers_all_trainers(tmp_path):

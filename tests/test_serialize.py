@@ -8,9 +8,7 @@ import pytest
 from modnet.autodiff import Parameter
 from modnet.serialize import (
     MetricsWriter,
-    load_array_bundle,
     read_checkpoint,
-    save_array_bundle,
     write_checkpoint,
     write_json_atomic,
 )
@@ -153,31 +151,3 @@ def test_metrics_writer_emits_one_json_object_per_line(tmp_path):
     assert row == {"iteration": 1, "objective": -1.0, "h_a": 0.2}
     # insertion order is preserved verbatim
     assert lines[1].index("iteration") < lines[1].index("objective")
-
-
-def test_array_bundle_roundtrip(tmp_path):
-    base = str(tmp_path / "cache")
-    arrays = {
-        "x": np.random.default_rng(1).standard_normal((5, 2)),
-        "labels": np.array([0, 1, 1, 0, 1], dtype=np.int64),
-        "scalar": np.float64(3.25),
-    }
-    save_array_bundle(base, arrays, {"kind": "toy", "seed": 9})
-    back, meta = load_array_bundle(base)
-    assert meta == {"kind": "toy", "seed": 9}
-    assert back["x"].tobytes() == arrays["x"].tobytes()
-    assert back["labels"].dtype == np.int64
-    assert np.array_equal(back["labels"], arrays["labels"])
-    assert back["scalar"] == 3.25
-    assert os.path.exists(base + ".bin") and os.path.exists(base + ".json")
-
-
-def test_array_bundle_sidecar_is_plain_json(tmp_path):
-    base = str(tmp_path / "cache")
-    save_array_bundle(base, {"a": np.ones((2, 2))}, {})
-    with open(base + ".json") as fh:
-        sidecar = json.load(fh)
-    entry = sidecar["arrays"][0]
-    assert entry["name"] == "a"
-    assert entry["shape"] == [2, 2]
-    assert entry["dtype"] == "float64"
