@@ -404,6 +404,22 @@ def concat_last(*xs) -> Tensor:
     return _emit("concat-last-axis", out, ts, [make_pull(i) for i in range(len(ts))])
 
 
+def slice_last(x, lo: int, hi: int) -> Tensor:
+    """Columns ``lo:hi`` of the last axis (a view of the input's values)."""
+    x = _as_tensor(x)
+    width = x.shape[-1] if x.ndim else 0
+    if not 0 <= lo < hi <= width:
+        raise ShapeError(f"slice-last-axis: [{lo}, {hi}) is not a slice of shape {x.shape}")
+    shape = x.shape
+
+    def pull(g):
+        full = np.zeros(shape, dtype=np.float64)
+        full[..., lo:hi] = g
+        return full
+
+    return _emit("slice-last-axis", x.data[..., lo:hi], [x], [pull])
+
+
 def stack_rows(xs) -> Tensor:
     """Join tensors along the first axis; trailing shapes must agree."""
     ts = [_as_tensor(x) for x in xs]
@@ -471,10 +487,15 @@ def embedding_lookup(table, ids) -> Tensor:
         )
     out = table.data[idx]
     tshape = table.shape
+    # rows of one id are summed by one segmented reduction over the ids
+    # in sorted order, not scattered one at a time
+    order = np.argsort(idx.reshape(-1), kind="stable")
+    present, starts = np.unique(idx.reshape(-1)[order], return_index=True)
 
     def pull(g):
         dt = np.zeros(tshape, dtype=np.float64)
-        np.add.at(dt, idx.reshape(-1), g.reshape(-1, tshape[1]))
+        if order.size:
+            dt[present] = np.add.reduceat(g.reshape(-1, tshape[1])[order], starts, axis=0)
         return dt
 
     return _emit("embedding-lookup", out, [table], [pull])

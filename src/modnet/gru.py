@@ -5,15 +5,17 @@ is produced by a pool of modules: a controller (or a noisy top-k gate)
 decides per timestep which modules contribute.  Parameters are shared
 across timesteps; the selection is free to change at every step.
 
-A modular-GRU step is one tape record with a closed-form pullback, so a
-taped unroll costs about three records per timestep (embedding, [h, x],
-cell step).  Under a tape the output head and the controller heads then
-score all steps at once on the stacked per-step rows: every step's
-activations are kept for the backward sweep anyway, so stacking them
-adds only one copy.  Without a tape (E-step, evaluation) each step
-is scored as it goes and only the running state is kept; batching
-there would hold the states of every window and step at once (evaluation
-scores all windows in one unroll).
+Every modular-GRU rollout runs one raw-numpy forward loop
+(``ModularGruCell.unroll``): the E-step, sampling, probes, evaluation and
+the taped objectives alike.  Under a tape the whole unroll is a single
+``modular-gru-unroll`` record whose pullback is hand-written
+backpropagation through time, so a taped rollout records a fixed number
+of ops however many steps it has: one embedding lookup over all steps,
+the unroll, then the output head and the controller heads scoring all
+steps at once on the stacked per-step rows.  Without a tape each step is
+scored as it goes and only the running state and one step's embeddings
+are kept; evaluation scores all windows in one unroll, so anything held
+per step and window would grow with the whole dataset.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from modnet.autodiff import (
     Parameter,
+    ShapeError,
     Tensor,
     active_tape,
     add,
@@ -38,8 +41,8 @@ from modnet.autodiff import (
     relu,
     reshape,
     sigmoid,
+    slice_last,
     stable_sigmoid,
-    stack_rows,
     sum_over_axis,
 )
 from modnet.diagnostics import SelectionSnapshot
@@ -87,59 +90,125 @@ class ModularGruCell:
     def parameters(self) -> list[Parameter]:
         return self.update.parameters() + self.reset.parameters() + self.layer.parameters()
 
-    def step(self, h: Tensor, x: Tensor, selection: np.ndarray, hx: Tensor | None = None) -> Tensor:
-        """One gated update, recorded as a single ``modular-gru-step``.
+    def unroll(self, xs, steps: int, select, h0: np.ndarray, visit=None) -> Tensor | None:
+        """Run the gated recurrence for ``steps`` timesteps from state ``h0``.
 
-        The forward runs with the tape paused; the pullback returns the
-        gradients of h, x, [h, x], both gates and every used module.
+        ``xs`` is either the inputs as time-major rows (row ``t * batch +
+        b``, shape (steps * batch, in_dim)) or a function ``t -> (batch,
+        in_dim)``.  ``select(t, hx)`` returns step t's (batch, slots)
+        selection and its (batch, modules) slot counts; ``visit(t, h)``,
+        if given, sees each new state.
+
+        With rows, every step's activations are kept, and the stacked
+        ``[h_t | hx_t]`` rows come back as one ``modular-gru-unroll``
+        record (a plain tensor off the tape).  With a function only the
+        running state is kept and the result is None.
         """
-        if hx is None:
-            hx = concat_last(h, x)
-        pool = self.layer.pool
-        sel = self.layer._validate(selection, h.shape[0])
-        used = [int(j) for j in np.unique(sel)]
-        # a module picked by several slots of a row counts once per slot
-        counts = [(sel == j).sum(axis=1).astype(np.float64)[:, None] for j in used]
-        hd, xd, hxd = h.data, x.data, hx.data
+        hid, pool = self.hidden, self.layer.pool
+        batch = h0.shape[0]
+        gate_w = np.concatenate([self.update.w.data, self.reset.w.data], axis=1)
+        gate_b = np.concatenate([self.update.b.data, self.reset.b.data])
+        cache = not callable(xs)
+        if cache:
+            xd = xs.data if isinstance(xs, (Tensor, Parameter)) else np.asarray(xs, dtype=np.float64)
+            if xd.shape != (steps * batch, self.in_dim):
+                raise ShapeError(
+                    f"unroll inputs {xd.shape}, expected {(steps * batch, self.in_dim)}"
+                )
+            n = steps * batch
+            out = np.empty((n, 2 * hid + self.in_dim))
+            gates = np.empty((n, 2 * hid))
+            px_rows = np.empty((n, hid + self.in_dim))
+            cand_rows = np.empty((n, hid))
+            count_rows = np.empty((n, pool.n_modules))
+        h = h0
         with paused():
-            z = stable_sigmoid(self.update(hx).data)
-            r = stable_sigmoid(self.reset(hx).data)
-            px = np.concatenate([r * hd, xd], axis=-1)
-            pre = None
-            for j, c in zip(used, counts):
-                term = pool.apply(j, px).data * c
-                pre = term if pre is None else pre + term
-            cand = relu(Tensor(pre)).data
-        keep = z * -1.0 + 1.0
-        out = keep * hd + z * cand
-        modules = [pool.modules[j] for j in used]
+            for t in range(steps):
+                rows = slice(t * batch, (t + 1) * batch)
+                x = xd[rows] if cache else xs(t)
+                hx = np.concatenate([h, x], axis=-1)
+                sel, counts = select(t, hx)
+                zr = stable_sigmoid(hx @ gate_w + gate_b)
+                z, r = zr[:, :hid], zr[:, hid:]
+                px = np.concatenate([r * h, x], axis=-1)
+                pre = None
+                # a module picked by several slots of a row counts once per slot
+                for j in np.flatnonzero(counts.any(axis=0)):
+                    term = pool.apply(int(j), px).data * counts[:, j : j + 1]
+                    pre = term if pre is None else pre + term
+                cand = relu(Tensor(pre)).data
+                h_new = (z * -1.0 + 1.0) * h + z * cand
+                if cache:
+                    out[rows, :hid], out[rows, hid:] = h_new, hx
+                    gates[rows], px_rows[rows] = zr, px
+                    cand_rows[rows], count_rows[rows] = cand, counts
+                h = h_new
+                if visit is not None:
+                    visit(t, h)
+        if not cache:
+            return None
+        return self._record(xs, out, gates, px_rows, cand_rows, count_rows, gate_w, batch)
+
+    def _record(self, xs, out, gates, px_rows, cand_rows, count_rows, gate_w, batch):
+        """One tape record for a kept unroll; its pullback is BPTT.
+
+        Only the state recurrence runs step by step.  The gate and module
+        parameter gradients, and the input gradients, are each one matmul
+        over all steps * batch rows.
+        """
+        hid, modules = self.hidden, self.layer.pool.modules
+        n_mod = len(modules)
+        n, steps = out.shape[0], out.shape[0] // batch
+        # the state part of [gates | modules] weights, and all of it for inputs
+        mod_w = np.concatenate([m.w.data for m in modules], axis=1)
+        gate_wh_t = gate_w[:hid].T
+        mod_wh_t = mod_w[:hid].T
+        all_wx_t = np.concatenate([gate_w, mod_w], axis=1)[hid:].T
 
         def pullback(g):
-            gpre = g * z * (pre > 0)
-            mod_grads = []
-            gpx = None
-            for m, c in zip(modules, counts):
-                gt = gpre * c
-                mod_grads += [px.T @ gt, gt.sum(axis=0)]
-                term = gt @ m.w.data.T
-                gpx = term if gpx is None else gpx + term
-            grh = gpx[:, : self.hidden]
-            gz = (g * cand - g * hd) * z * (1.0 - z)
-            gr = grh * hd * r * (1.0 - r)
-            return [
-                g * keep + grh * r,
-                gpx[:, self.hidden :],
-                gz @ self.update.w.data.T + gr @ self.reset.w.data.T,
-                hxd.T @ gz,
-                gz.sum(axis=0),
-                hxd.T @ gr,
-                gr.sum(axis=0),
-                *mod_grads,
+            g_h, g_hx = g[:, :hid], g[:, hid:]
+            # per row: [d update-gate pre-activation | d reset | d module output per module]
+            g_pre = np.empty((n, 2 * hid + n_mod * hid))
+            carry = np.zeros((batch, hid))
+            for t in reversed(range(steps)):
+                rows = slice(t * batch, (t + 1) * batch)
+                z, r = gates[rows, :hid], gates[rows, hid:]
+                h_prev, cand = out[rows, hid : 2 * hid], cand_rows[rows]
+                gh = g_h[rows] + carry
+                gcand = gh * z * (cand > 0)
+                g_mod = (gcand[:, None, :] * count_rows[rows][:, :, None]).reshape(batch, -1)
+                g_rh = g_mod @ mod_wh_t
+                g_gates = np.concatenate(
+                    [(gh * cand - gh * h_prev) * z * (1.0 - z), g_rh * h_prev * r * (1.0 - r)],
+                    axis=-1,
+                )
+                g_pre[rows, : 2 * hid], g_pre[rows, 2 * hid :] = g_gates, g_mod
+                carry = gh * (z * -1.0 + 1.0) + g_rh * r + g_gates @ gate_wh_t + g_hx[rows, :hid]
+            g_gate_w = out[:, hid:].T @ g_pre[:, : 2 * hid]
+            g_gate_b = g_pre[:, : 2 * hid].sum(axis=0)
+            g_mod_w = px_rows.T @ g_pre[:, 2 * hid :]
+            g_mod_b = g_pre[:, 2 * hid :].sum(axis=0)
+            grads = [
+                g_hx[:, hid:] + g_pre @ all_wx_t,
+                g_gate_w[:, :hid],
+                g_gate_b[:hid],
+                g_gate_w[:, hid:],
+                g_gate_b[hid:],
             ]
+            for j in range(n_mod):
+                cols = slice(j * hid, (j + 1) * hid)
+                grads += [g_mod_w[:, cols], g_mod_b[cols]]
+            return grads
 
-        inputs = [h, x, hx, *self.update.parameters(), *self.reset.parameters()]
-        inputs += [p for m in modules for p in m.parameters()]
-        return record_joint("modular-gru-step", out, inputs, pullback)
+        inputs = [xs, *self.update.parameters(), *self.reset.parameters(), *self.layer.pool.parameters()]
+        return record_joint("modular-gru-unroll", out, inputs, pullback)
+
+
+def slot_counts(selection: np.ndarray, n_modules: int) -> np.ndarray:
+    """How many slots of each row pick each module: (..., slots) ints to
+    (..., modules) floats."""
+    picks = np.asarray(selection)[..., None] == np.arange(n_modules)
+    return picks.sum(axis=-2).astype(np.float64)
 
 
 class NoisyTopKGruCell:
@@ -287,23 +356,39 @@ class ModularGruLM:
                     f"{(batch, steps, self.n_slots)}"
                 )
 
-        h: Tensor = Tensor(np.zeros((batch, self.cell.hidden)))
-        cond: Tensor | None = None
-        ctrl: Tensor | None = None
-        states: list[Tensor] = []
-        ctrl_inputs: list[Tensor] = []
+        n_mod, hid = self.n_modules, self.cell.hidden
+        if comps is not None:
+            comps = np.asarray(comps)
+            if comps.shape != (batch, steps, self.n_slots):
+                raise ValueError(
+                    f"comps shape {comps.shape}, expected "
+                    f"{(batch, steps, self.n_slots)}"
+                )
+            if comps.size and (comps.min() < 0 or comps.max() >= n_mod):
+                raise ShapeError(f"module index out of range [0, {n_mod})")
+        if tokens.dtype.kind not in "iu":
+            raise ShapeError("token ids must be integers")
+        if tokens.size and (tokens.min() < 0 or tokens.max() >= self.vocab):
+            raise ShapeError(
+                f"token id out of range [0, {self.vocab}): "
+                f"min={tokens.min()}, max={tokens.max()}"
+            )
+
+        ctrl_model = self.cell.controller
         chosen = np.empty((batch, steps, self.n_slots), dtype=np.int64)
         token_ll = np.empty((batch, steps)) if scored else None
-        probs_out = (
-            np.empty((batch, steps, self.n_slots, self.cell.controller.n_modules))
-            if collect_probs
+        probs_out = np.empty((batch, steps, self.n_slots, n_mod)) if collect_probs else None
+        need_probs = collect_probs or comps is None or sample_mask is not None
+        # fully forced selections: every step's slot counts at once, time-major
+        forced_counts = (
+            slot_counts(comps.transpose(1, 0, 2), n_mod)
+            if comps is not None and sample_mask is None
             else None
         )
-        ctrl_model = self.cell.controller
-        for t in range(steps):
-            x = embedding_lookup(self.embed, tokens[:, t])
-            hx = concat_last(h, x)
-            need_probs = collect_probs or comps is None or sample_mask is not None
+        # untaped sums of the per-step log-likelihoods (cond, ctrl)
+        sums: list = [None, None]
+
+        def select(t, hx):
             p = ctrl_model.distribution(hx) if need_probs else None
             if comps is None:
                 if greedy:
@@ -318,30 +403,43 @@ class ModularGruLM:
             chosen[:, t] = sel
             if collect_probs:
                 probs_out[:, t] = p
-            if with_ctrl:
-                cin = constant(hx) if detach_ctrl_inputs else hx
-                if taped:
-                    ctrl_inputs.append(cin)
-                else:
-                    term = ctrl_model.log_prob(cin, sel)
-                    ctrl = term if ctrl is None else add(ctrl, term)
-            h = self.cell.step(h, x, sel, hx=hx)
-            if taped:
-                states.append(h)
-            elif scored:
-                ll = categorical_log_prob(self.out(h), targets[:, t])
-                token_ll[:, t] = ll.data
-                cond = ll if cond is None else add(cond, ll)
-        if taped:
-            # rows are time-major (t * batch + b); summing the (steps, batch)
-            # view over axis 0 adds the steps in the same order as above
-            ll = categorical_log_prob(self.out(stack_rows(states)), targets.T.reshape(-1))
-            token_ll[...] = ll.data.reshape(steps, batch).T
-            cond = sum_over_axis(reshape(ll, (steps, batch)), axis=0)
-            if with_ctrl:
-                sel_rows = chosen.transpose(1, 0, 2).reshape(-1, self.n_slots)
-                term = ctrl_model.log_prob(stack_rows(ctrl_inputs), sel_rows)
-                ctrl = sum_over_axis(reshape(term, (steps, batch)), axis=0)
+            if with_ctrl and not taped:
+                term = ctrl_model.log_prob(hx, sel).data
+                sums[1] = term if sums[1] is None else sums[1] + term
+            counts = forced_counts[t] if forced_counts is not None else slot_counts(sel, n_mod)
+            return sel, counts
+
+        def visit(t, h):
+            ll = categorical_log_prob(self.out(h), targets[:, t]).data
+            token_ll[:, t] = ll
+            sums[0] = ll if sums[0] is None else sums[0] + ll
+
+        h0 = np.zeros((batch, hid))
+        if not taped:
+            # one step's embeddings at a time: evaluation unrolls every window at once
+            self.cell.unroll(
+                lambda t: self.embed.data[tokens[:, t]], steps, select, h0,
+                visit if scored else None,
+            )
+            cond, ctrl = (None if v is None else Tensor(v) for v in sums)
+            return RolloutResult(cond, ctrl, chosen, token_ll, probs_out)
+
+        # rows are time-major (t * batch + b); summing the (steps, batch)
+        # view over axis 0 adds the steps in the same order as above
+        x_rows = embedding_lookup(self.embed, tokens.T.reshape(-1))
+        rows = self.cell.unroll(x_rows, steps, select, h0)
+        ll = categorical_log_prob(self.out(slice_last(rows, 0, hid)), targets.T.reshape(-1))
+        token_ll[...] = ll.data.reshape(steps, batch).T
+        cond = sum_over_axis(reshape(ll, (steps, batch)), axis=0)
+        ctrl = None
+        if with_ctrl:
+            if detach_ctrl_inputs:
+                hx_rows = constant(rows.data[:, hid:])
+            else:
+                hx_rows = slice_last(rows, hid, rows.shape[1])
+            sel_rows = chosen.transpose(1, 0, 2).reshape(-1, self.n_slots)
+            term = ctrl_model.log_prob(hx_rows, sel_rows)
+            ctrl = sum_over_axis(reshape(term, (steps, batch)), axis=0)
         return RolloutResult(cond, ctrl, chosen, token_ll, probs_out)
 
     def log_liks(self, tokens, targets, comps, with_ctrl=False, detach_ctrl_inputs=False):

@@ -15,10 +15,8 @@ import json
 import math
 import os
 import re
-import time
 
 import numpy as np
-import pytest
 
 from conftest import record_verdict
 
@@ -40,13 +38,13 @@ from modnet.autodiff import (
     relu,
     row_softmax,
     sigmoid,
+    slice_last,
     softplus,
     sum_over_axis,
     tanh,
 )
 from modnet.cli import main as cli_main
-from modnet.config import from_dict, load_config
-from modnet.datasets import entropy_rate
+from modnet.config import from_dict
 from modnet.diagnostics import (
     SelectionSnapshot,
     export_path_trace,
@@ -54,15 +52,13 @@ from modnet.diagnostics import (
     selection_image,
     write_pgm,
 )
-from modnet.em import init_assignment_buffer
-from modnet.gru import ModularGruLM
+from modnet.gru import ModularGruCell, slot_counts
 from modnet.runner import (
     build_dataset,
     build_model,
     build_task,
     build_trainer,
     execute_run,
-    resume_run,
 )
 from modnet.seeding import SeedStreams
 
@@ -165,9 +161,11 @@ def primitive_checks():
     table = Parameter(rng.standard_normal((5, 3)), "table")
     logits = Parameter(rng.standard_normal((4, 5)), "logits")
     ids = np.array([0, 4, 2])
+    repeated = np.array([4, 0, 4, 2, 4, 0])
     targets = np.array([1, 0, 4, 2])
     ymat = rng.standard_normal((3, 4))
     wmat = constant(rng.standard_normal((3, 4)))
+    rows6 = rng.standard_normal((6, 3))
 
     return [
         ("matmul", lambda: mean_all(matmul(a, b)), [a, b]),
@@ -180,10 +178,47 @@ def primitive_checks():
         ("row-softmax", lambda: mean_all(mul(row_softmax(a), wmat)), [a]),
         ("concat-last-axis", lambda: mean_all(mul(concat_last(a, a), constant(np.ones((3, 8))))), [a]),
         ("sum-over-axis", lambda: mean_all(sum_over_axis(mul(a, a), axis=0)), [a]),
+        ("slice-last-axis", lambda: mean_all(mul(slice_last(a, 1, 3), constant(ymat[:, :2]))), [a]),
         ("embedding-lookup", lambda: mean_all(mul(embedding_lookup(table, ids), constant(ymat[:, :3]))), [table]),
+        ("embedding-lookup, repeated ids", lambda: mean_all(mul(embedding_lookup(table, repeated), constant(rows6))), [table]),
         ("gaussian-log-density", lambda: mean_all(gaussian_log_density(constant(ymat), a)), [a]),
         ("categorical-log-prob", lambda: mean_all(categorical_log_prob(logits, targets)), [logits]),
+        unroll_check(rng),
     ]
+
+
+def unroll_check(rng):
+    """The recurrent unroll over 3 steps of 2 rows: 2 slots, one row picking
+    a module twice, module 1 unused at step 0.  Random biases keep every
+    candidate pre-activation off the relu kink (checked here)."""
+    cell = ModularGruCell(rng, in_dim=2, hidden=3, n_modules=3, n_slots=2)
+    for p in cell.parameters():
+        if p.name.endswith(".b"):
+            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    xs = Parameter(rng.standard_normal((6, 2)), "xs")
+    h0 = rng.standard_normal((2, 3))
+    sels = np.array([[[2, 2], [0, 2]], [[1, 0], [2, 1]], [[0, 1], [1, 1]]])
+    weight = constant(rng.standard_normal((6, 3 + 3 + 2)))
+
+    def select(t, hx):
+        return sels[t], slot_counts(sels[t], 3)
+
+    def fn():
+        return mean_all(mul(cell.unroll(xs, 3, select, h0), weight))
+
+    true_relu, pre_mins = gru_mod.relu, []
+
+    def relu_spy(x):
+        pre_mins.append(np.abs(x.data).min())
+        return true_relu(x)
+
+    gru_mod.relu = relu_spy
+    try:
+        fn()
+    finally:
+        gru_mod.relu = true_relu
+    assert min(pre_mins) > 1e-3, "unroll check sits too close to a relu kink"
+    return "modular-gru-unroll", fn, [xs] + cell.parameters()
 
 
 def test_criterion_03_gradients_match_finite_differences(monkeypatch):

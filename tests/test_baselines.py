@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modnet.autodiff import Parameter, Tape, mean_all
-from modnet.baselines import NoisyTopKTrainer, ReinforceTrainer, StaticTrainer
+from modnet.baselines import ReinforceTrainer
 from modnet.config import TrainerConfig, from_dict
 from modnet.runner import build_dataset, build_model, build_task, build_trainer
 from modnet.seeding import SeedStreams

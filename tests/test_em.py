@@ -5,7 +5,6 @@ import pytest
 
 from modnet.config import TrainerConfig, from_dict
 from modnet.em import (
-    AssignmentBuffer,
     EMTrainer,
     NumericAbort,
     StepGuard,

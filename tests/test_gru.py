@@ -1,23 +1,32 @@
 import itertools
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import modnet.gru as gru_mod
 from modnet.autodiff import (
     Parameter,
     Tape,
     Tensor,
     add,
     concat_last,
+    constant,
     grad_check,
     mean_all,
     mul,
     relu,
     sigmoid,
+    stack_rows,
     sum_over_axis,
 )
-from modnet.gru import ModularGruCell, ModularGruLM, NoisyTopKGruCell, NoisyTopKGruLM
+from modnet.gru import (
+    ModularGruCell,
+    ModularGruLM,
+    NoisyTopKGruCell,
+    NoisyTopKGruLM,
+    slot_counts,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -50,8 +59,8 @@ def reference_cell_step(cell, h, x, sel):
 def composed_cell_step(cell, h, x, selection, hx=None):
     """The cell update built from generic primitives, one record per op.
 
-    Reference for the fused ``modular-gru-step``: same arithmetic in the
-    same order, so forward values must match bit for bit.
+    Reference for each step of ``modular-gru-unroll``: same arithmetic in
+    the same order, so forward values must match bit for bit.
     """
     if hx is None:
         hx = concat_last(h, x)
@@ -89,15 +98,31 @@ def make_lm(vocab=5, embed=3, hidden=4, n_modules=2, n_slots=1, seed=200):
 # cell equations
 
 
+def forced(sels, n_modules):
+    """``select`` for ``ModularGruCell.unroll`` from (steps, batch, slots)
+    selections fixed in advance."""
+    return lambda t, hx: (sels[t], slot_counts(sels[t], n_modules))
+
+
+def unroll_states(cell, h0, xs, sels):
+    """States after each step of ``cell.unroll`` from ``h0`` over (steps,
+    batch, in) inputs: an array (steps, batch, hidden)."""
+    steps, batch = sels.shape[:2]
+    n_modules = cell.layer.pool.n_modules
+    rows = cell.unroll(xs.reshape(steps * batch, -1), steps, forced(sels, n_modules), h0)
+    return rows.data[:, : cell.hidden].reshape(steps, batch, cell.hidden)
+
+
 def test_cell_step_matches_reference():
     rng = np.random.default_rng(50)
     cell = ModularGruCell(rng, in_dim=3, hidden=4, n_modules=3, n_slots=2)
     h = RNG.standard_normal((5, 4))
-    x = RNG.standard_normal((5, 3))
-    sel = RNG.integers(0, 3, size=(5, 2)).astype(np.int64)
-    out = cell.step(Tensor(h), Tensor(x), sel).data
-    want = reference_cell_step(cell, h, x, sel)
-    assert np.allclose(out, want, atol=1e-12)
+    xs = RNG.standard_normal((3, 5, 3))
+    sels = RNG.integers(0, 3, size=(3, 5, 2)).astype(np.int64)
+    out = unroll_states(cell, h, xs, sels)
+    for t in range(3):
+        h = reference_cell_step(cell, h, xs[t], sels[t])
+        assert np.allclose(out[t], h, atol=1e-12)
 
 
 def test_cell_zero_update_gate_freezes_state():
@@ -106,9 +131,9 @@ def test_cell_zero_update_gate_freezes_state():
     cell.update.w.data[:] = 0.0
     cell.update.b.data[:] = -60.0  # sigmoid -> ~0, so h must pass through
     h = RNG.standard_normal((4, 3))
-    x = RNG.standard_normal((4, 2))
-    sel = np.zeros((4, 1), dtype=np.int64)
-    out = cell.step(Tensor(h), Tensor(x), sel).data
+    xs = RNG.standard_normal((2, 4, 2))
+    sels = np.zeros((2, 4, 1), dtype=np.int64)
+    out = unroll_states(cell, h, xs, sels)
     assert np.allclose(out, h, atol=1e-12)
 
 
@@ -119,8 +144,8 @@ def test_cell_full_update_gate_emits_candidate():
     cell.update.b.data[:] = 60.0  # sigmoid -> ~1
     h = RNG.standard_normal((4, 3))
     x = RNG.standard_normal((4, 2))
-    sel = np.ones((4, 1), dtype=np.int64)
-    out = cell.step(Tensor(h), Tensor(x), sel).data
+    sels = np.ones((1, 4, 1), dtype=np.int64)
+    out = unroll_states(cell, h, x[None], sels)[0]
     r = np_sigmoid(
         np.concatenate([h, x], -1) @ cell.reset.w.data + cell.reset.b.data
     )
@@ -142,23 +167,38 @@ def test_cell_candidate_rectified_after_sum():
     cell.update.b.data[:] = 60.0
     h = RNG.standard_normal((3, 2))
     x = RNG.standard_normal((3, 2))
-    sel = np.tile([0, 1], (3, 1)).astype(np.int64)
-    out = cell.step(Tensor(h), Tensor(x), sel).data
+    sels = np.tile([0, 1], (1, 3, 1)).astype(np.int64)
+    out = unroll_states(cell, h, x[None], sels)
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
-def step_grads(step_fn, cell, h, x, sel, weight):
-    """Gradients of sum(weight * step(h, x, sel, hx=[h, x])) for every input."""
-    hp, xp = Parameter(h, "h"), Parameter(x, "x")
+def composed_unroll(cell, h0, xs, sels):
+    """``modular-gru-unroll`` rebuilt from ``composed_cell_step``: the
+    stacked [h_t | hx_t] rows, time-major."""
+    h, rows = constant(h0), []
+    for t, x in enumerate(xs):
+        hx = concat_last(h, x)
+        h = composed_cell_step(cell, h, x, sels[t], hx=hx)
+        rows.append(concat_last(h, hx))
+    return stack_rows(rows)
+
+
+def unroll_grads(unroll_fn, cell, h0, xs, sels, weight):
+    """Rows of ``unroll_fn`` and the gradients of sum(weight * rows) with
+    respect to every step's inputs and every cell parameter."""
+    x_params = [Parameter(x, f"x{t}") for t, x in enumerate(xs)]
     with Tape() as tape:
-        ht, xt = tape.watch(hp), tape.watch(xp)
-        hx = concat_last(ht, xt)
-        out = step_fn(cell, ht, xt, sel, hx=hx)
-        loss = sum_over_axis(mul(out, weight))
+        x_steps = [tape.watch(p) for p in x_params]
+        rows = unroll_fn(cell, h0, x_steps, sels)
+        loss = sum_over_axis(mul(rows, weight))
         n_records = len(tape)
     grads = tape.backward(loss)
-    wrt = [hp, xp] + cell.parameters()
-    return out.data, [tape.grad(grads, p) for p in wrt], n_records
+    return rows.data, [tape.grad(grads, p) for p in x_params + cell.parameters()], n_records
+
+
+def fused_unroll(cell, h0, x_steps, sels):
+    n_modules = cell.layer.pool.n_modules
+    return cell.unroll(stack_rows(x_steps), len(x_steps), forced(sels, n_modules), h0)
 
 
 @pytest.mark.parametrize(
@@ -171,33 +211,40 @@ def step_grads(step_fn, cell, h, x, sel, weight):
         (2, [[1, 1], [0, 2], [2, 0], [2, 2], [0, 1], [1, 0]]),
     ],
 )
-def test_fused_step_matches_composed_step(n_slots, sel_rows):
+def test_unroll_matches_composed_steps(n_slots, sel_rows, monkeypatch):
     rng = np.random.default_rng(70 + n_slots)
     cell = ModularGruCell(rng, in_dim=3, hidden=4, n_modules=3, n_slots=n_slots)
     for p in cell.parameters():
         if p.name.endswith(".b"):
             p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
-    h = rng.standard_normal((6, 4))
-    x = rng.standard_normal((6, 3))
-    sel = np.array(sel_rows, dtype=np.int64)
-    weight = rng.standard_normal((6, 4))
+    steps = 4
+    h0 = rng.standard_normal((6, 4))
+    xs = rng.standard_normal((steps, 6, 3))
+    # every step permutes the rows' selections, so each row sees several modules
+    sels = np.stack([np.roll(np.array(sel_rows, dtype=np.int64), t, axis=0) for t in range(steps)])
+    weight = rng.standard_normal((steps * 6, 4 + 4 + 3))
 
-    got, got_g, fused_records = step_grads(ModularGruCell.step, cell, h, x, sel, weight)
-    want, want_g, composed_records = step_grads(composed_cell_step, cell, h, x, sel, weight)
+    pre = []
+    true_relu = gru_mod.relu
+
+    def relu_spy(x):
+        pre.append(x.data.copy())
+        return true_relu(x)
+
+    monkeypatch.setattr(gru_mod, "relu", relu_spy)
+    got, got_g, fused_records = unroll_grads(fused_unroll, cell, h0, xs, sels, weight)
+    monkeypatch.setattr(gru_mod, "relu", true_relu)
+    pre = np.concatenate(pre)
+    want, want_g, composed_records = unroll_grads(composed_unroll, cell, h0, xs, sels, weight)
     assert np.array_equal(got, want)
-    # [h, x] concat, one fused step, then the loss's mul and sum
-    assert fused_records == 4 and composed_records > 20
+    # input stack, one unroll record, then the loss's mul and sum
+    assert fused_records == 4 and composed_records > 20 * steps
 
-    hx = np.concatenate([h, x], axis=-1)
-    r = np_sigmoid(hx @ cell.reset.w.data + cell.reset.b.data)
-    px = np.concatenate([r * h, x], axis=-1)
-    pre = np.zeros_like(h)
-    for b in range(6):
-        for k in range(n_slots):
-            m = cell.layer.pool.modules[sel[b, k]]
-            pre[b] += px[b] @ m.w.data + m.b.data
     # rows on both sides of the kink, so the relu mask is exercised
     assert (pre < 0).any() and (pre > 0).any()
+    if not (sels == 1).any():
+        for p in cell.layer.pool.modules[1].parameters():
+            assert not got_g[steps + cell.parameters().index(p)].any()
 
     for g, w in zip(got_g, want_g):
         np.testing.assert_allclose(g, w, rtol=1e-10, atol=0.0)
@@ -241,25 +288,55 @@ def test_taped_rollout_scores_equal_untaped(detach, masked):
     # under a tape the head and controller score all steps in one batch;
     # the values must not differ by a single bit from step-by-step scoring
     lm = make_lm(n_modules=3, n_slots=2, seed=208)
-    batch, steps = 5, 6
-    tokens = RNG.integers(0, 5, size=(batch, steps))
-    targets = RNG.integers(0, 5, size=(batch, steps))
-    comps = RNG.integers(0, 3, size=(batch, steps, 2)).astype(np.int64)
-    extra = {}
-    if masked:
-        extra = {"sample_mask": np.array([True, False, True, True, False]), "rng_seed": 9}
-    plain, taped, n_records = taped_and_untaped(
-        lm, tokens, targets, comps=comps, with_ctrl=True,
-        detach_ctrl_inputs=detach, **extra,
-    )
-    assert np.array_equal(plain.comps, taped.comps)
-    assert np.array_equal(plain.token_ll, taped.token_ll)
-    assert np.array_equal(plain.cond_ll.data, taped.cond_ll.data)
-    assert np.array_equal(plain.ctrl_ll.data, taped.ctrl_ll.data)
-    # embedding, [h, x] and the cell step per timestep; the head stacks,
-    # projects (2), scores, reshapes and sums; the controller does the same
-    # with 2 heads joined by one add, and detached inputs stack unrecorded
-    assert n_records == 3 * steps + 6 + (9 if detach else 10)
+    batch = 5
+    counts = []
+    for steps in (6, 12):
+        tokens = RNG.integers(0, 5, size=(batch, steps))
+        targets = RNG.integers(0, 5, size=(batch, steps))
+        comps = RNG.integers(0, 3, size=(batch, steps, 2)).astype(np.int64)
+        extra = {}
+        if masked:
+            extra = {"sample_mask": np.array([True, False, True, True, False]), "rng_seed": 9}
+        plain, taped, n_records = taped_and_untaped(
+            lm, tokens, targets, comps=comps, with_ctrl=True,
+            detach_ctrl_inputs=detach, **extra,
+        )
+        assert np.array_equal(plain.comps, taped.comps)
+        assert np.array_equal(plain.token_ll, taped.token_ll)
+        assert np.array_equal(plain.cond_ll.data, taped.cond_ll.data)
+        assert np.array_equal(plain.ctrl_ll.data, taped.ctrl_ll.data)
+        counts.append(n_records)
+    # one embedding lookup and one unroll for all steps; the head slices
+    # out the states, projects (2), scores, reshapes and sums; the
+    # controller slices out [h, x] (unless detached), then 2 heads joined
+    # by one add, a reshape and a sum
+    assert counts == [8 + (9 if detach else 10)] * 2
+
+
+def test_untaped_evaluate_memory_does_not_grow_per_step():
+    # evaluation unrolls every window at once, so an untaped unroll may keep
+    # only its outputs per step: token_ll and the chosen comps (one slot),
+    # which from 20 to 40 steps grow by as many bytes as the 40-step
+    # token_ll holds.  A kept state or embedding per step and window would
+    # add at least 20 * batch * 8 bytes more; 1 KiB covers interpreter objects.
+    lm = make_lm(seed=210)
+    batch = 400
+
+    def peak(steps):
+        tokens = RNG.integers(0, 5, size=(batch, steps))
+        targets = RNG.integers(0, 5, size=(batch, steps))
+        tracemalloc.start()
+        try:
+            _, token_ll = lm.evaluate(tokens, targets)
+            return tracemalloc.get_traced_memory()[1], token_ll
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # first-call allocations out of the way
+    p20, _ = peak(20)
+    p40, token_ll = peak(40)
+    assert token_ll.shape == (batch, 40)
+    assert p40 - p20 <= token_ll.nbytes + 1024
 
 
 def test_lm_grad_check_two_slots():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from modnet.autodiff import Parameter, ShapeError, Tape, Tensor, add, grad_check, mean_all
+from modnet.autodiff import ShapeError, Tape, Tensor, add, grad_check, mean_all
 from modnet.modular import (
     Controller,
     Linear,
