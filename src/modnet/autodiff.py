@@ -352,12 +352,6 @@ def sigmoid(x) -> Tensor:
     return _emit("sigmoid", out, [x], [lambda g: g * out * (1.0 - out)])
 
 
-def tanh(x) -> Tensor:
-    x = _as_tensor(x)
-    out = np.tanh(x.data)
-    return _emit("tanh", out, [x], [lambda g: g * (1.0 - out * out)])
-
-
 def softplus(x) -> Tensor:
     x = _as_tensor(x)
     xd = x.data
@@ -418,27 +412,6 @@ def slice_last(x, lo: int, hi: int) -> Tensor:
         return full
 
     return _emit("slice-last-axis", x.data[..., lo:hi], [x], [pull])
-
-
-def stack_rows(xs) -> Tensor:
-    """Join tensors along the first axis; trailing shapes must agree."""
-    ts = [_as_tensor(x) for x in xs]
-    if not ts:
-        raise ShapeError("row-stack: no inputs")
-    tail = ts[0].shape[1:]
-    for t in ts:
-        if t.ndim < 1 or t.shape[1:] != tail:
-            raise ShapeError(
-                f"row-stack: trailing shapes differ: {[t.shape for t in ts]}"
-            )
-    out = np.concatenate([t.data for t in ts], axis=0)
-    offsets = np.cumsum([0] + [t.shape[0] for t in ts])
-
-    def make_pull(i):
-        lo, hi = offsets[i], offsets[i + 1]
-        return lambda g: g[lo:hi]
-
-    return _emit("row-stack", out, ts, [make_pull(i) for i in range(len(ts))])
 
 
 def reshape(x, shape) -> Tensor:

@@ -130,7 +130,10 @@ def _coerce(value, ftype, path: str):
     if ft == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: {value!r} is out of range") from None
     if ft == "bool":
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected true/false, got {value!r}")
@@ -139,12 +142,15 @@ def _coerce(value, ftype, path: str):
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
         return value
-    # optional / union fields: accept None, numbers, strings, int lists
-    if value is None or isinstance(value, (int, float, str)):
+    if ft == "list[int]":
+        if not isinstance(value, list) or any(
+            isinstance(v, bool) or not isinstance(v, int) for v in value
+        ):
+            raise ConfigError(f"{path}: expected a list of integers, got {value!r}")
         return value
-    if isinstance(value, list) and all(isinstance(v, int) for v in value):
-        return value
-    raise ConfigError(f"{path}: unsupported value {value!r}")
+    if ft.endswith(" | None"):
+        return None if value is None else _coerce(value, ft[: -len(" | None")], path)
+    raise TypeError(f"{path}: no rule for field type {ft!r}")
 
 
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -230,7 +236,7 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if overrides:
         data = apply_overrides(data, overrides)
@@ -248,7 +254,7 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
         dotted, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError, or an integer past Python's digit limit
             value = raw
         node = out
         parts = dotted.split(".")

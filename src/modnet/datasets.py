@@ -76,13 +76,6 @@ def noisy_permutation_table(
     return table
 
 
-def entropy_rate(table: np.ndarray) -> float:
-    """Average next-state entropy under the uniform stationary law."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(table > 0, table * np.log(table), 0.0)
-    return float(-terms.sum(axis=1).mean())
-
-
 @dataclass
 class TwoRegimeData:
     """Windows of symbol chains, each opened by its regime's marker token.

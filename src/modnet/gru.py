@@ -5,6 +5,11 @@ is produced by a pool of modules: a controller (or a noisy top-k gate)
 decides per timestep which modules contribute.  Parameters are shared
 across timesteps; the selection is free to change at every step.
 
+``ModularGruLM`` answers the model protocol of ``modular.ModularModel``
+through its one ``rollout``; the protocol methods themselves live in
+that base, shared with the feedforward ``ModularNet``, and both
+rollouts pick each unit's selection through ``modular.choose``.
+
 Every modular-GRU rollout runs one raw-numpy forward loop
 (``ModularGruCell.unroll``): the E-step, sampling, probes, evaluation and
 the taped objectives alike.  Under a tape the whole unroll is a single
@@ -21,7 +26,6 @@ per step and window would grow with the whole dataset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,12 +53,11 @@ from modnet.diagnostics import SelectionSnapshot
 from modnet.modular import (
     Controller,
     Linear,
-    ModularLayer,
+    ModularModel,
     ModulePool,
     NoisyTopKGate,
-    enumerate_and_score,
-    log_sum_exp,
-    sample_rows,
+    RolloutResult,
+    choose,
 )
 
 
@@ -81,14 +84,17 @@ class ModularGruCell:
         self.in_dim = in_dim
         self.update = Linear(rng, cat, hidden, f"{name}.update")
         self.reset = Linear(rng, cat, hidden, f"{name}.reset")
-        pool = ModulePool(rng, n_modules, cat, hidden, kind="linear", name=f"{name}.pool")
-        controller = Controller(rng, cat, n_modules, n_slots, name=f"{name}.ctrl")
-        self.layer = ModularLayer(pool, controller, combine="sum")
-        self.controller = controller
+        self.pool = ModulePool(rng, n_modules, cat, hidden, kind="linear", name=f"{name}.pool")
+        self.controller = Controller(rng, cat, n_modules, n_slots, name=f"{name}.ctrl")
         self.name = name
 
     def parameters(self) -> list[Parameter]:
-        return self.update.parameters() + self.reset.parameters() + self.layer.parameters()
+        return (
+            self.update.parameters()
+            + self.reset.parameters()
+            + self.pool.parameters()
+            + self.controller.parameters()
+        )
 
     def unroll(self, xs, steps: int, select, h0: np.ndarray, visit=None) -> Tensor | None:
         """Run the gated recurrence for ``steps`` timesteps from state ``h0``.
@@ -104,7 +110,7 @@ class ModularGruCell:
         record (a plain tensor off the tape).  With a function only the
         running state is kept and the result is None.
         """
-        hid, pool = self.hidden, self.layer.pool
+        hid, pool = self.hidden, self.pool
         batch = h0.shape[0]
         gate_w = np.concatenate([self.update.w.data, self.reset.w.data], axis=1)
         gate_b = np.concatenate([self.update.b.data, self.reset.b.data])
@@ -156,7 +162,7 @@ class ModularGruCell:
         parameter gradients, and the input gradients, are each one matmul
         over all steps * batch rows.
         """
-        hid, modules = self.hidden, self.layer.pool.modules
+        hid, modules = self.hidden, self.pool.modules
         n_mod = len(modules)
         n, steps = out.shape[0], out.shape[0] // batch
         # the state part of [gates | modules] weights, and all of it for inputs
@@ -200,7 +206,7 @@ class ModularGruCell:
                 grads += [g_mod_w[:, cols], g_mod_b[cols]]
             return grads
 
-        inputs = [xs, *self.update.parameters(), *self.reset.parameters(), *self.layer.pool.parameters()]
+        inputs = [xs, *self.update.parameters(), *self.reset.parameters(), *self.pool.parameters()]
         return record_joint("modular-gru-unroll", out, inputs, pullback)
 
 
@@ -272,18 +278,11 @@ def _step_snapshot(probs: np.ndarray, comps: np.ndarray) -> SelectionSnapshot:
     )
 
 
-@dataclass
-class RolloutResult:
-    cond_ll: Tensor | None
-    ctrl_ll: Tensor | None
-    comps: np.ndarray
-    token_ll: np.ndarray | None
-    probs: np.ndarray | None = None
-    weights: np.ndarray | None = None
-
-
-class ModularGruLM:
+class ModularGruLM(ModularModel):
     """Character/word model: embedding, modular GRU, vocab projection."""
+
+    # the count grows as (modules**slots)**steps
+    ENUM_BUDGET = 4096
 
     def __init__(
         self,
@@ -308,6 +307,9 @@ class ModularGruLM:
     def parameters(self) -> list[Parameter]:
         return [self.embed] + self.cell.parameters() + self.out.parameters()
 
+    def n_units(self, tokens) -> int:
+        return np.shape(tokens)[1]
+
     def rollout(
         self,
         tokens: np.ndarray,
@@ -327,7 +329,7 @@ class ModularGruLM:
         ``sample_mask``, masked rows resample while the rest stay forced;
         this lets one unroll score an incumbent and fresh proposals side
         by side on tiled rows.  Without ``targets`` an untaped unroll only
-        chooses selections: ``cond_ll`` and ``token_ll`` come back None.
+        chooses selections: ``cond_ll`` and ``pred_ll`` come back None.
         """
         tokens = np.asarray(tokens)
         targets = None if targets is None else np.asarray(targets)
@@ -341,20 +343,8 @@ class ModularGruLM:
         if taped and not scored:
             raise ValueError("a taped rollout needs targets")
         batch, steps = tokens.shape
-        needs_sampling = comps is None and not greedy
-        if sample_mask is not None:
-            if comps is None:
-                raise ValueError("sample_mask requires forced comps for unmasked rows")
-            needs_sampling = True
-        if needs_sampling and rng is None:
-            raise ValueError("sampling rollout needs an rng")
-        if comps is not None:
-            comps = np.asarray(comps)
-            if comps.shape != (batch, steps, self.n_slots):
-                raise ValueError(
-                    f"comps shape {comps.shape}, expected "
-                    f"{(batch, steps, self.n_slots)}"
-                )
+        if sample_mask is not None and comps is None:
+            raise ValueError("sample_mask requires forced comps for unmasked rows")
 
         n_mod, hid = self.n_modules, self.cell.hidden
         if comps is not None:
@@ -376,7 +366,7 @@ class ModularGruLM:
 
         ctrl_model = self.cell.controller
         chosen = np.empty((batch, steps, self.n_slots), dtype=np.int64)
-        token_ll = np.empty((batch, steps)) if scored else None
+        pred_ll = np.empty((batch, steps)) if scored else None
         probs_out = np.empty((batch, steps, self.n_slots, n_mod)) if collect_probs else None
         need_probs = collect_probs or comps is None or sample_mask is not None
         # fully forced selections: every step's slot counts at once, time-major
@@ -390,16 +380,7 @@ class ModularGruLM:
 
         def select(t, hx):
             p = ctrl_model.distribution(hx) if need_probs else None
-            if comps is None:
-                if greedy:
-                    sel = p.argmax(axis=-1).astype(np.int64)
-                else:
-                    sel = sample_rows(p, rng.random(p.shape[:2])).astype(np.int64)
-            else:
-                sel = comps[:, t]
-                if sample_mask is not None:
-                    drawn = sample_rows(p, rng.random(p.shape[:2])).astype(np.int64)
-                    sel = np.where(sample_mask[:, None], drawn, sel)
+            sel = choose(p, None if comps is None else comps[:, t], greedy, rng, sample_mask)
             chosen[:, t] = sel
             if collect_probs:
                 probs_out[:, t] = p
@@ -411,7 +392,7 @@ class ModularGruLM:
 
         def visit(t, h):
             ll = categorical_log_prob(self.out(h), targets[:, t]).data
-            token_ll[:, t] = ll
+            pred_ll[:, t] = ll
             sums[0] = ll if sums[0] is None else sums[0] + ll
 
         h0 = np.zeros((batch, hid))
@@ -422,14 +403,14 @@ class ModularGruLM:
                 visit if scored else None,
             )
             cond, ctrl = (None if v is None else Tensor(v) for v in sums)
-            return RolloutResult(cond, ctrl, chosen, token_ll, probs_out)
+            return RolloutResult(cond, ctrl, chosen, pred_ll, probs_out)
 
         # rows are time-major (t * batch + b); summing the (steps, batch)
         # view over axis 0 adds the steps in the same order as above
         x_rows = embedding_lookup(self.embed, tokens.T.reshape(-1))
         rows = self.cell.unroll(x_rows, steps, select, h0)
         ll = categorical_log_prob(self.out(slice_last(rows, 0, hid)), targets.T.reshape(-1))
-        token_ll[...] = ll.data.reshape(steps, batch).T
+        pred_ll[...] = ll.data.reshape(steps, batch).T
         cond = sum_over_axis(reshape(ll, (steps, batch)), axis=0)
         ctrl = None
         if with_ctrl:
@@ -440,31 +421,11 @@ class ModularGruLM:
             sel_rows = chosen.transpose(1, 0, 2).reshape(-1, self.n_slots)
             term = ctrl_model.log_prob(hx_rows, sel_rows)
             ctrl = sum_over_axis(reshape(term, (steps, batch)), axis=0)
-        return RolloutResult(cond, ctrl, chosen, token_ll, probs_out)
-
-    def log_liks(self, tokens, targets, comps, with_ctrl=False, detach_ctrl_inputs=False):
-        """Per-window (conditional, controller) log-likelihoods; the model
-        protocol is described on ``modular.ModularNet``."""
-        res = self.rollout(
-            tokens, targets, comps=comps, with_ctrl=with_ctrl, detach_ctrl_inputs=detach_ctrl_inputs
-        )
-        return res.cond_ll, res.ctrl_ll
-
-    def score(self, tokens, targets, comps) -> np.ndarray:
-        """Joint log p(targets, comps | tokens) per window, value only."""
-        return add(*self.log_liks(tokens, targets, comps, with_ctrl=True)).data
-
-    def sample(self, tokens, rng: np.random.Generator) -> np.ndarray:
-        # off any tape, and without targets the unroll skips the output head
-        with paused():
-            return self.rollout(tokens, rng=rng).comps
+        return RolloutResult(cond, ctrl, chosen, pred_ll, probs_out)
 
     def probe(self, tokens, rng: np.random.Generator, comps=None):
         res = self.rollout(tokens, comps=comps, rng=rng, collect_probs=True)
         return _step_snapshot(res.probs, res.comps), res.comps
-
-    def evaluate(self, tokens, targets, comps=None) -> tuple[None, np.ndarray]:
-        return None, self.rollout(tokens, targets, comps=comps, greedy=True).token_ll
 
     def propose_and_score(
         self,
@@ -492,14 +453,6 @@ class ModularGruLM:
         scores = add(res.cond_ll, res.ctrl_ll).data.reshape(tile, batch)
         cands = res.comps.reshape(tile, batch, steps, self.n_slots)
         return cands, scores
-
-    def marginal_log_lik(self, tokens, targets, budget: int = 4096) -> np.ndarray:
-        """Exact log p(targets | tokens): enumerate selection sequences.
-
-        The count grows as (modules**slots)**steps; guarded by ``budget``.
-        """
-        steps = np.shape(tokens)[1]
-        return log_sum_exp(enumerate_and_score(self, tokens, targets, steps, budget)[1])
 
 
 class NoisyTopKGruLM:
@@ -538,7 +491,7 @@ class NoisyTopKGruLM:
         """Unroll over a (batch, steps) token block, scoring next tokens.
 
         Without ``targets`` the output head is skipped and ``cond_ll`` and
-        ``token_ll`` come back None.
+        ``pred_ll`` come back None.
         """
         tokens = np.asarray(tokens)
         scored = targets is not None
@@ -550,7 +503,7 @@ class NoisyTopKGruLM:
         batch, steps = tokens.shape
         h: Tensor = Tensor(np.zeros((batch, self.cell.hidden)))
         cond: Tensor | None = None
-        token_ll = np.empty((batch, steps)) if scored else None
+        pred_ll = np.empty((batch, steps)) if scored else None
         weights = np.empty((batch, steps, self.n_modules)) if collect_weights else None
         chosen = np.empty((batch, steps, 0), dtype=np.int64)
         for t in range(steps):
@@ -560,9 +513,9 @@ class NoisyTopKGruLM:
                 weights[:, t] = w.data
             if scored:
                 ll = categorical_log_prob(self.out(h), targets[:, t])
-                token_ll[:, t] = ll.data
+                pred_ll[:, t] = ll.data
                 cond = ll if cond is None else add(cond, ll)
-        return RolloutResult(cond, None, chosen, token_ll, None, weights)
+        return RolloutResult(cond, None, chosen, pred_ll, None, weights)
 
     def cond_log_lik(self, tokens, targets, train: bool = False, rng=None) -> Tensor:
         return self.rollout(tokens, targets, train=train, rng=rng).cond_ll
@@ -575,7 +528,7 @@ class NoisyTopKGruLM:
         return _step_snapshot(weights, paths), paths
 
     def evaluate(self, tokens, targets, comps=None) -> tuple[None, np.ndarray]:
-        return None, self.rollout(tokens, targets).token_ll
+        return None, self.rollout(tokens, targets).pred_ll
 
     def marginal_log_lik(self, tokens, targets, budget: int = 0) -> np.ndarray:
         raise ValueError("mixture gating has no compositions to enumerate")

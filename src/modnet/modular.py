@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,6 +114,24 @@ def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, probs.shape[-1] - 1)
 
 
+def choose(probs, forced=None, greedy: bool = False, rng=None, resample=None) -> np.ndarray:
+    """One unit's (batch, slots) selection, a unit being a layer or a timestep.
+
+    ``forced`` when given, except the rows flagged in the boolean
+    ``resample``, which draw afresh; without ``forced``, the argmax of the
+    (batch, slots, modules) ``probs`` when ``greedy``, else a draw with
+    ``rng``.
+    """
+    if forced is not None and resample is None:
+        return forced
+    if greedy and forced is None:
+        return probs.argmax(axis=-1).astype(np.int64)
+    if rng is None:
+        raise ValueError("sampling rollout needs an rng")
+    drawn = sample_rows(probs, rng.random(probs.shape[:2])).astype(np.int64)
+    return drawn if forced is None else np.where(resample[:, None], drawn, forced)
+
+
 def enumerate_compositions(n_modules: int, units: int, slots: int, budget: int) -> np.ndarray:
     """Every composition shared by a whole batch, shape (N, units, slots).
 
@@ -126,14 +145,6 @@ def enumerate_compositions(n_modules: int, units: int, slots: int, budget: int) 
     return np.asarray(flat, dtype=np.int64).reshape(n, units, slots)
 
 
-def enumerate_and_score(model, x, y, units: int, budget: int):
-    """Every batch-shared composition of ``model``, shape (N, batch, units,
-    slots), and its joint scores (N, batch)."""
-    space = enumerate_compositions(model.n_modules, units, model.n_slots, budget)
-    shared = np.broadcast_to(space[:, None], (len(space), len(x), *space.shape[1:]))
-    return shared, np.stack([model.score(x, y, c) for c in shared])
-
-
 def log_sum_exp(scores: np.ndarray) -> np.ndarray:
     """Stable log of the sum of exp(scores) over axis 0."""
     m = scores.max(axis=0)
@@ -143,8 +154,8 @@ def log_sum_exp(scores: np.ndarray) -> np.ndarray:
 class Controller:
     """Independent selection heads, each a linear-softmax over the pool.
 
-    The joint selection probability factorizes across slots, so sampling,
-    argmax, and log-probabilities all decompose head by head.
+    The joint selection probability factorizes across slots, so
+    distributions and log-probabilities both decompose head by head.
     """
 
     def __init__(
@@ -194,14 +205,6 @@ class Controller:
             term = categorical_log_prob(head(x), sel[:, k])
             total = term if total is None else add(total, term)
         return total
-
-    def sample(self, x, rng: np.random.Generator) -> np.ndarray:
-        probs = self.distribution(x)
-        u = rng.random(probs.shape[:2])
-        return sample_rows(probs, u).astype(np.int64)
-
-    def greedy(self, x) -> np.ndarray:
-        return self.distribution(x).argmax(axis=-1).astype(np.int64)
 
 
 class ModularLayer:
@@ -274,30 +277,89 @@ class OutputHead:
         return gaussian_log_density(constant(np.asarray(y, dtype=np.float64)), h)
 
 
-class ModularNet:
-    """Feedforward stack of modular layers with one output head.
+@dataclass
+class RolloutResult:
+    """One choose-and-score walk.  ``pred_ll`` holds the values evaluation
+    reports: per token, (batch, steps), for a sequence model and per
+    example, (batch,), for the net; ``outputs`` the net's final
+    activations; ``probs`` the (batch, units, slots, modules) controller
+    distributions along the walk; ``weights`` a mixture's gate weights."""
 
-    A composition is an integer array of shape (batch, layers, slots):
-    ``comps[b, l]`` holds the modules that example b runs at layer l.
-    Every layer shares one pool size and one slot count.
+    cond_ll: Tensor | None
+    ctrl_ll: Tensor | None
+    comps: np.ndarray
+    pred_ll: np.ndarray | None
+    probs: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    outputs: np.ndarray | None = None
 
-    Model protocol, shared with ``gru.ModularGruLM``; inputs and targets
-    are arrays, and ``comps=None`` lets the controller choose:
 
-    - ``log_liks(inputs, targets, comps, with_ctrl, detach_ctrl_inputs)``
-      gives the per-example conditional and controller log-likelihood
-      tensors, the second None without ``with_ctrl``;
-    - ``score`` and ``propose_and_score`` give joint log-probabilities as
-      values, ``sample`` draws compositions off any tape, and
-      ``marginal_log_lik`` sums the joint over every composition;
-    - ``probe(inputs, rng, comps=None)`` gives a ``SelectionSnapshot`` of
-      the controller along sampled (or forced) paths, and those paths;
-    - ``evaluate(inputs, targets, comps=None)`` gives (predictions or
-      None, conditional log-likelihoods) along the greedy (or forced) path.
+class ModularModel:
+    """The model protocol, shared by ``ModularNet`` and ``gru.ModularGruLM``.
+
+    Inputs and targets are arrays; a composition is an integer array of
+    shape (batch, units, slots), a unit being a layer or a timestep, and
+    ``comps=None`` lets the controller choose.  Each model supplies
+    ``rollout``, one walk that picks each unit's selection (forced, greedy
+    or sampled) and scores it as it goes, plus ``propose_and_score`` (the
+    incumbent and fresh draws, with joint scores) and ``probe(inputs, rng,
+    comps=None)`` (a ``SelectionSnapshot`` along sampled or forced paths,
+    and those paths).  On ``rollout`` this base builds ``log_liks(inputs,
+    targets, comps, with_ctrl, detach_ctrl_inputs)`` (per-example
+    conditional and controller log-likelihood tensors, the second None
+    without ``with_ctrl``), ``score`` (joint values), ``sample`` (off any
+    tape), ``marginal_log_lik`` and ``evaluate(inputs, targets,
+    comps=None)`` (predictions or None, and conditional log-likelihoods
+    along the greedy or forced path).
 
     The mixture models answer ``probe`` and ``evaluate`` too, and
     ``cond_log_lik(inputs, targets, train, rng)`` in place of ``log_liks``;
     their ``marginal_log_lik`` raises ValueError.
+    """
+
+    # compositions an exhaustive sum may enumerate unless told otherwise
+    ENUM_BUDGET = 100_000
+
+    def log_liks(
+        self, x, y, comps, with_ctrl: bool = False, detach_ctrl_inputs: bool = False
+    ) -> tuple[Tensor, Tensor | None]:
+        res = self.rollout(
+            x, y, comps=comps, with_ctrl=with_ctrl, detach_ctrl_inputs=detach_ctrl_inputs
+        )
+        return res.cond_ll, res.ctrl_ll
+
+    def score(self, x, y, comps) -> np.ndarray:
+        """Joint log p(y, comps | x) per example, value only."""
+        return add(*self.log_liks(x, y, comps, with_ctrl=True)).data
+
+    def sample(self, x, rng: np.random.Generator) -> np.ndarray:
+        # off any tape, and without targets the walk skips the output head
+        with paused():
+            return self.rollout(x, rng=rng).comps
+
+    def evaluate(self, x, y, comps=None) -> tuple[np.ndarray | None, np.ndarray]:
+        res = self.rollout(x, y, comps=comps, greedy=True)
+        return res.outputs, res.pred_ll
+
+    def enumerate_and_score(self, x, y, budget: int | None = None):
+        """Every batch-shared composition, shape (N, batch, units, slots),
+        and its joint scores (N, batch); refuses past ``budget``."""
+        budget = self.ENUM_BUDGET if budget is None else budget
+        space = enumerate_compositions(self.n_modules, self.n_units(x), self.n_slots, budget)
+        shared = np.broadcast_to(space[:, None], (len(space), len(x), *space.shape[1:]))
+        return shared, np.stack([self.score(x, y, c) for c in shared])
+
+    def marginal_log_lik(self, x, y, budget: int | None = None) -> np.ndarray:
+        """Exact log p(y | x) per example: the joint summed over every
+        composition."""
+        return log_sum_exp(self.enumerate_and_score(x, y, budget)[1])
+
+
+class ModularNet(ModularModel):
+    """Feedforward stack of modular layers with one output head.
+
+    ``comps[b, l]`` holds the modules that example b runs at layer l.
+    Every layer shares one pool size and one slot count.
     """
 
     def __init__(self, layers: list[ModularLayer], head: OutputHead):
@@ -317,103 +379,71 @@ class ModularNet:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    def forward(
+    def n_units(self, x) -> int:
+        return self.n_layers
+
+    def rollout(
         self,
         x,
-        comps,
+        y=None,
+        comps: np.ndarray | None = None,
+        greedy: bool = False,
+        rng: np.random.Generator | None = None,
         with_ctrl: bool = False,
         detach_ctrl_inputs: bool = False,
-    ) -> tuple[Tensor, Tensor | None]:
-        """Run the stack under a fixed composition.
+        collect_probs: bool = False,
+    ) -> RolloutResult:
+        """Walk the stack once, choosing and scoring each layer as it goes.
 
-        Returns the final activations and, when requested, the summed
-        controller log-probability of the composition.  Each controller
-        sees the layer's realized input.  ``detach_ctrl_inputs`` blocks
-        gradient flow from controller scores back into earlier layers.
+        Layer l runs ``comps[:, l]`` when given, else the controller's
+        greedy or sampled choice on the layer's realized input.  With
+        ``with_ctrl`` the controller scores that choice on the same input;
+        ``detach_ctrl_inputs`` blocks its gradient into earlier layers.
+        The head scores ``y`` only when given.
         """
-        comps = np.asarray(comps)
-        if comps.ndim != 3 or comps.shape[1] != self.n_layers:
-            raise ShapeError(
-                f"composition shape {comps.shape}, expected (batch, {self.n_layers}, slots)"
-            )
+        if comps is not None:
+            comps = np.asarray(comps)
+            if comps.ndim != 3 or comps.shape[1] != self.n_layers:
+                raise ShapeError(
+                    f"composition shape {comps.shape}, expected (batch, {self.n_layers}, slots)"
+                )
         h: Tensor = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+        chosen = np.empty((h.shape[0], self.n_layers, self.n_slots), dtype=np.int64)
+        probs = np.empty((*chosen.shape, self.n_modules)) if collect_probs else None
         ctrl_ll: Tensor | None = None
         for l, layer in enumerate(self.layers):
+            forced = None if comps is None else comps[:, l]
+            p = layer.controller.distribution(h) if collect_probs or forced is None else None
+            sel = choose(p, forced, greedy, rng)
             if with_ctrl:
                 inp = constant(h) if detach_ctrl_inputs else h
-                term = layer.controller.log_prob(inp, comps[:, l])
+                term = layer.controller.log_prob(inp, sel)
                 ctrl_ll = term if ctrl_ll is None else add(ctrl_ll, term)
-            h = layer.forward_selected(h, comps[:, l])
-        return h, ctrl_ll
-
-    def log_liks(
-        self, x, y, comps, with_ctrl: bool = False, detach_ctrl_inputs: bool = False
-    ) -> tuple[Tensor, Tensor | None]:
-        h, ctrl_ll = self.forward(x, comps, with_ctrl, detach_ctrl_inputs)
-        return self.head.log_prob(h, y), ctrl_ll
-
-    def score(self, x, y, comps) -> np.ndarray:
-        """Joint log p(y, comps | x) per example, value only."""
-        return add(*self.log_liks(x, y, comps, with_ctrl=True)).data
-
-    def trace(
-        self,
-        x,
-        rng: np.random.Generator | None = None,
-        greedy: bool = False,
-        comps: np.ndarray | None = None,
-    ):
-        """Walk the stack choosing selections on the fly, off any tape.
-
-        Selections are ``comps[:, l]`` when forced, else greedy or sampled.
-        Returns (comps, probs): the realized composition, shape (batch,
-        layers, slots), and each controller's distribution along it, a
-        list of (batch, slots, modules) arrays.
-        """
-        if comps is None and not greedy and rng is None:
-            raise ValueError("sampling trace needs an rng")
-        h = np.asarray(x, dtype=np.float64)
-        chosen, probs = [], []
-        with paused():
-            for l, layer in enumerate(self.layers):
-                p = layer.controller.distribution(h)
-                if comps is not None:
-                    sel = np.asarray(comps[:, l])
-                elif greedy:
-                    sel = p.argmax(axis=-1).astype(np.int64)
-                else:
-                    sel = sample_rows(p, rng.random(p.shape[:2])).astype(np.int64)
-                chosen.append(sel)
-                probs.append(p)
-                h = layer.forward_selected(Tensor(h), sel).data
-        return np.stack(chosen, axis=1), probs
-
-    def sample(self, x, rng: np.random.Generator) -> np.ndarray:
-        return self.trace(x, rng=rng)[0]
+            h = layer.forward_selected(h, sel)
+            chosen[:, l] = sel
+            if collect_probs:
+                probs[:, l] = p
+        cond = None if y is None else self.head.log_prob(h, y)
+        pred_ll = None if cond is None else cond.data
+        return RolloutResult(cond, ctrl_ll, chosen, pred_ll, probs, outputs=h.data)
 
     def propose_and_score(self, x, y, incumbent, n_samples: int, rng: np.random.Generator):
-        """The incumbent, then ``n_samples`` controller draws, and their scores.
+        """The incumbent, then ``n_samples`` controller draws, each drawn and
+        scored in one walk.
 
         Returns (candidates, scores) of shapes (n_samples+1, batch, layers,
         slots) and (n_samples+1, batch); index 0 is the incumbent.
         """
-        cands = np.stack([np.asarray(incumbent)] + [self.sample(x, rng) for _ in range(n_samples)])
-        return cands, np.stack([self.score(x, y, c) for c in cands])
+        walks = [self.rollout(x, y, comps=incumbent, with_ctrl=True)]
+        walks += [self.rollout(x, y, rng=rng, with_ctrl=True) for _ in range(n_samples)]
+        cands = np.stack([w.comps for w in walks])
+        return cands, np.stack([add(w.cond_ll, w.ctrl_ll).data for w in walks])
 
     def probe(self, x, rng: np.random.Generator, comps=None):
-        comps, probs = self.trace(x, rng=rng, comps=comps)
-        return SelectionSnapshot(probs, list(comps.transpose(1, 0, 2))), comps
-
-    def evaluate(self, x, y, comps=None) -> tuple[np.ndarray, np.ndarray]:
-        if comps is None:
-            comps = self.trace(x, greedy=True)[0]
-        h, _ = self.forward(x, comps)
-        return h.data, self.head.log_prob(h, y).data
-
-    def marginal_log_lik(self, x, y, budget: int = 100_000) -> np.ndarray:
-        """Exact log p(y | x) per example, summing the joint over every
-        composition; refuses past ``budget`` compositions."""
-        return log_sum_exp(enumerate_and_score(self, x, y, self.n_layers, budget)[1])
+        res = self.rollout(x, comps=comps, rng=rng, collect_probs=True)
+        # one snapshot entry per layer
+        probs, chosen = res.probs.transpose(1, 0, 2, 3), res.comps.transpose(1, 0, 2)
+        return SelectionSnapshot(list(probs), list(chosen)), res.comps
 
 
 class NoisyTopKGate:

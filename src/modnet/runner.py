@@ -47,7 +47,6 @@ from modnet.modular import (
     NoisyTopKLayer,
     NoisyTopKNet,
     OutputHead,
-    enumerate_and_score,
 )
 from modnet.seeding import SeedStreams
 from modnet.serialize import (
@@ -59,9 +58,6 @@ from modnet.serialize import (
 )
 
 log = logging.getLogger("modnet")
-
-ENUM_BUDGET = 100_000
-SEQ_ENUM_BUDGET = 4096
 
 
 def _static_pattern(cfg: ExperimentConfig) -> np.ndarray:
@@ -77,10 +73,10 @@ def _forced_path(task, idx) -> np.ndarray | None:
     return task.static_comps(idx) if task.cfg.trainer.kind == "static" else None
 
 
-def _enumerate_and_score(task, idx, incumbent, budget: int):
+def _enumerate_and_score(task, idx, incumbent):
     """The incumbent and every batch-shared composition, then their scores."""
     x, y, inc = task.inputs[idx], task.targets[idx], np.asarray(incumbent)
-    space, scores = enumerate_and_score(task.model, x, y, task.unit_shape[0], budget)
+    space, scores = task.model.enumerate_and_score(x, y)
     return np.concatenate([inc[None], space]), np.vstack([task.model.score(x, y, inc), scores])
 
 
@@ -98,7 +94,7 @@ def _surrogate(model, x, y, comps, baseline):
     return obj, rewards
 
 
-def _evaluate(task, mode: str, budget: int, units: int):
+def _evaluate(task, mode: str, units: int):
     """(predictions or None, nll per unit) over the whole dataset; the
     enumerate-marginal mode takes the nll from the exact marginal."""
     inputs, targets = task.inputs, task.targets
@@ -106,7 +102,7 @@ def _evaluate(task, mode: str, budget: int, units: int):
     if mode != "enumerate-marginal":
         return pred, -float(ll.mean())
     try:
-        return pred, -float(task.model.marginal_log_lik(inputs, targets, budget).mean()) / units
+        return pred, -float(task.model.marginal_log_lik(inputs, targets).mean()) / units
     except ValueError as exc:
         raise ConfigError(f"mode: {exc}") from exc
 
@@ -134,7 +130,7 @@ class RegressionTask:
         return self.model.propose_and_score(x, y, incumbent, n_samples, rng)
 
     def enumerate_and_score(self, idx, incumbent):
-        return _enumerate_and_score(self, idx, incumbent, ENUM_BUDGET)
+        return _enumerate_and_score(self, idx, incumbent)
 
     def objective(self, idx, comps, with_ctrl: bool = True) -> Tensor:
         return _objective(self.model, self.inputs[idx], self.targets[idx], comps, with_ctrl)
@@ -155,7 +151,7 @@ class RegressionTask:
         return self.model.probe(self.inputs[idx], rng, _forced_path(self, idx))
 
     def eval_metrics(self, mode: str = "most-likely-composition") -> dict:
-        pred, nll = _evaluate(self, mode, ENUM_BUDGET, units=1)
+        pred, nll = _evaluate(self, mode, units=1)
         return {"mode": mode, "mse": float(np.mean((pred - self.targets) ** 2)), "nll": nll}
 
 
@@ -178,7 +174,7 @@ class SequenceTask:
         return self.model.propose_and_score(x, y, incumbent, n_samples, rng)
 
     def enumerate_and_score(self, idx, incumbent):
-        return _enumerate_and_score(self, idx, incumbent, SEQ_ENUM_BUDGET)
+        return _enumerate_and_score(self, idx, incumbent)
 
     def objective(self, idx, comps, with_ctrl: bool = True) -> Tensor:
         return _objective(self.model, self.inputs[idx], self.targets[idx], comps, with_ctrl)
@@ -199,7 +195,7 @@ class SequenceTask:
         return self.model.probe(self.inputs[idx], rng, _forced_path(self, idx))
 
     def eval_metrics(self, mode: str = "most-likely-composition") -> dict:
-        _, nll = _evaluate(self, mode, SEQ_ENUM_BUDGET, units=self.unit_shape[0])
+        _, nll = _evaluate(self, mode, units=self.unit_shape[0])
         return {"mode": mode, "nll": nll, "perplexity": float(np.exp(nll))}
 
 

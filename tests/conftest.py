@@ -1,4 +1,10 @@
-"""Collects acceptance verdict lines and prints them after the run."""
+"""Collects acceptance verdict lines and prints them after the run, and
+holds the helpers only the tests use: the ``row-stack`` tape op and the
+greyscale image reader."""
+
+import numpy as np
+
+from modnet.autodiff import ShapeError, Tensor, _as_tensor, _emit
 
 _VERDICTS: list[str] = []
 
@@ -12,3 +18,53 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance verdicts")
         for line in _VERDICTS:
             terminalreporter.write_line(line)
+
+
+def stack_rows(xs) -> Tensor:
+    """Join tensors along the first axis; trailing shapes must agree."""
+    ts = [_as_tensor(x) for x in xs]
+    if not ts:
+        raise ShapeError("row-stack: no inputs")
+    tail = ts[0].shape[1:]
+    for t in ts:
+        if t.ndim < 1 or t.shape[1:] != tail:
+            raise ShapeError(
+                f"row-stack: trailing shapes differ: {[t.shape for t in ts]}"
+            )
+    out = np.concatenate([t.data for t in ts], axis=0)
+    offsets = np.cumsum([0] + [t.shape[0] for t in ts])
+
+    def make_pull(i):
+        lo, hi = offsets[i], offsets[i + 1]
+        return lambda g: g[lo:hi]
+
+    return _emit("row-stack", out, ts, [make_pull(i) for i in range(len(ts))])
+
+
+def read_pgm(path: str) -> np.ndarray:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    fields: list[bytes] = []
+    i = 0
+    while len(fields) < 4:
+        while i < len(blob) and blob[i : i + 1].isspace():
+            i += 1
+        if blob[i : i + 1] == b"#":
+            while i < len(blob) and blob[i : i + 1] != b"\n":
+                i += 1
+            continue
+        j = i
+        while j < len(blob) and not blob[j : j + 1].isspace():
+            j += 1
+        fields.append(blob[i:j])
+        i = j
+    if fields[0] != b"P5":
+        raise ValueError(f"not a binary greyscale file: magic {fields[0]!r}")
+    cols, rows, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if maxval != 255:
+        raise ValueError(f"expected 8-bit data, maxval {maxval}")
+    start = i + 1
+    data = np.frombuffer(blob[start : start + rows * cols], dtype=np.uint8)
+    if data.size != rows * cols:
+        raise ValueError("truncated pixel data")
+    return data.reshape(rows, cols).copy()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import stack_rows
 
 from modnet.autodiff import (
     LOG_2PI,
@@ -26,9 +27,7 @@ from modnet.autodiff import (
     sigmoid,
     softplus,
     stable_sigmoid,
-    stack_rows,
     sum_over_axis,
-    tanh,
 )
 
 
@@ -69,14 +68,13 @@ def test_square_sum_gradient_is_2x():
 def test_pointwise_values_at_zero():
     z = np.zeros((1, 1))
     assert sigmoid(z).data[0, 0] == 0.5
-    assert tanh(z).data[0, 0] == 0.0
     assert softplus(z).data[0, 0] == pytest.approx(math.log(2.0), abs=1e-15)
     assert relu(z).data[0, 0] == 0.0
 
 
 def test_pointwise_gradients_at_zero():
     p = Parameter(np.zeros(1), "p")
-    for fn, want in [(sigmoid, 0.25), (tanh, 1.0), (softplus, 0.5)]:
+    for fn, want in [(sigmoid, 0.25), (softplus, 0.5)]:
         (g,) = backward_wrt(lambda fn=fn: sum_over_axis(fn(p)), p)
         assert g[0] == pytest.approx(want, abs=1e-15)
 
@@ -367,7 +365,6 @@ def _param(*shape, name="p", scale=1.0):
         "elementwise-mul",
         "relu",
         "sigmoid",
-        "tanh",
         "softplus",
         "row-softmax",
         "concat-last-axis",
@@ -401,8 +398,8 @@ def test_fd_every_primitive(name):
         )
         fn = lambda: mean_all(relu(probe))
         params = [probe]
-    elif name in ("sigmoid", "tanh", "softplus"):
-        prim = {"sigmoid": sigmoid, "tanh": tanh, "softplus": softplus}[name]
+    elif name in ("sigmoid", "softplus"):
+        prim = {"sigmoid": sigmoid, "softplus": softplus}[name]
         fn = lambda: mean_all(prim(probe))
         params = [probe]
     elif name == "row-softmax":
@@ -450,7 +447,7 @@ def test_fd_composed_expression():
     y = FD_RNG.standard_normal((5, 2))
 
     def fn():
-        h = tanh(matmul(x, w1))
+        h = sigmoid(matmul(x, w1))
         return mean_all(gaussian_log_density(y, matmul(h, w2)))
 
     assert grad_check(fn, [w1, w2], step=1e-5) < 1e-4

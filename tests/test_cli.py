@@ -77,6 +77,17 @@ def test_malformed_override_is_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "override,field", [("trainer.static_indices=1.5", "trainer.static_indices"), ("out_dir=5", "out_dir")]
+)
+def test_mistyped_optional_override_is_exit_2(tmp_path, capsys, monkeypatch, override, field):
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "runs"))
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy_em_smoke.json")
+    assert main(["run", shipped, "--set", override]) == 2
+    assert f"config error: {field}: expected" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_abort_is_exit_3_and_checkpoints(tmp_path, capsys):
     # lr this large overflows the squared residual to -inf on step two

@@ -1,14 +1,20 @@
 import json
+import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modnet.config import (
     ConfigError,
+    ExperimentConfig,
     apply_overrides,
     check_resume_overrides,
     from_dict,
     load_config,
 )
+
+TOY_EM = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy_em.json")
 
 
 def test_empty_config_yields_defaults():
@@ -86,6 +92,13 @@ def test_type_errors_are_rejected_with_path():
         ({"trainer": {"n_samples": 0}}, "must be >= 1"),
         ({"trainer": {"m_steps": 0}}, "must be >= 1"),
         ({"trainer": {"ema_decay": 0.0}}, "ema_decay"),
+        # optional fields are checked against their annotations
+        ({"trainer": {"static_indices": 1.5}}, "trainer.static_indices: expected a list"),
+        ({"trainer": {"static_indices": [True]}}, "trainer.static_indices: expected a list"),
+        ({"out_dir": 5}, "out_dir: expected a string"),
+        ({"trainer": {"clip_norm": "abc"}}, "trainer.clip_norm: expected a number"),
+        ({"trainer": {"clip_norm": [1]}}, "trainer.clip_norm: expected a number"),
+        ({"task": {"path": 3}}, "task.path: expected a string"),
     ],
 )
 def test_validation_rejects_bad_combinations(patch, needle):
@@ -131,6 +144,13 @@ def test_load_config_error_paths(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(bad))
+    # json refuses integers past Python's digit limit with a plain ValueError
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"seed": ' + "1" * 5000 + "}")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(str(huge))
+    with pytest.raises(ConfigError, match="seed: expected an integer"):
+        load_config(TOY_EM, ["seed=" + "1" * 5000])
 
 
 def test_overrides_parse_json_values_and_build_paths():
@@ -155,3 +175,37 @@ def test_resume_overrides_only_reschedule():
         check_resume_overrides(["trainer.lr=0.1"])
     with pytest.raises(ConfigError, match="resume accepts only"):
         check_resume_overrides(["seed=2"])
+
+
+def _field_paths() -> list[str]:
+    paths = []
+    for name, body in ExperimentConfig().to_dict().items():
+        paths += [f"{name}.{sub}" for sub in body] if isinstance(body, dict) else [name]
+    return paths
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# real field paths, sections and junk; "=" would split the override elsewhere
+KEYS = st.sampled_from(_field_paths()) | st.text(alphabet="abkstx._", max_size=12)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(key=KEYS, value=JSON_VALUES)
+@example(key="trainer.static_indices", value=1.5)
+@example(key="out_dir", value=5)
+@example(key="task.path", value=3)
+def test_any_single_override_validates_or_raises_config_error(key, value):
+    assert os.path.isfile(TOY_EM)  # a missing file would raise ConfigError every time
+    try:
+        cfg = load_config(TOY_EM, [f"{key}={json.dumps(value)}"])
+    except ConfigError:
+        return
+    assert from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()

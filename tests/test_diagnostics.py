@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import read_pgm
 
 from modnet.diagnostics import (
     SelectionSnapshot,
@@ -10,7 +11,6 @@ from modnet.diagnostics import (
     export_path_trace,
     module_contexts,
     path_counts,
-    read_pgm,
     selection_entropy,
     selection_image,
     write_pgm,

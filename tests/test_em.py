@@ -300,8 +300,8 @@ def test_frozen_assignments_monotone_early_mse():
     trainer.buffer.comps[:, 0, 0] = data.cluster
     mses = []
     for _ in range(101):
-        pred, _ = model.forward(data.x, trainer.buffer.comps, with_ctrl=False)
-        mses.append(float(((pred.data - data.y) ** 2).mean()))
+        pred = model.rollout(data.x, comps=trainer.buffer.comps).outputs
+        mses.append(float(((pred - data.y) ** 2).mean()))
         trainer.partial_m_step()
     assert all(b <= a + 1e-12 for a, b in zip(mses, mses[1:]))
     assert mses[-1] < mses[0]

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import stack_rows
 
 import modnet.gru as gru_mod
 from modnet.autodiff import (
@@ -17,7 +18,6 @@ from modnet.autodiff import (
     mul,
     relu,
     sigmoid,
-    stack_rows,
     sum_over_axis,
 )
 from modnet.gru import (
@@ -27,6 +27,7 @@ from modnet.gru import (
     NoisyTopKGruLM,
     slot_counts,
 )
+from modnet.modular import ModularLayer
 
 RNG = np.random.default_rng(99)
 
@@ -50,7 +51,7 @@ def reference_cell_step(cell, h, x, sel):
     cand = np.zeros_like(h)
     for b in range(h.shape[0]):
         for k in range(sel.shape[1]):
-            m = cell.layer.pool.modules[sel[b, k]]
+            m = cell.pool.modules[sel[b, k]]
             cand[b] += px[b] @ m.w.data + m.b.data
     cand = np.maximum(cand, 0.0)
     return (1.0 - z) * h + z * cand
@@ -66,7 +67,8 @@ def composed_cell_step(cell, h, x, selection, hx=None):
         hx = concat_last(h, x)
     z = sigmoid(cell.update(hx))
     r = sigmoid(cell.reset(hx))
-    cand = relu(cell.layer.forward_selected(concat_last(mul(r, h), x), selection))
+    layer = ModularLayer(cell.pool, cell.controller, combine="sum")
+    cand = relu(layer.forward_selected(concat_last(mul(r, h), x), selection))
     keep = add(mul(z, -1.0), 1.0)
     return add(mul(keep, h), mul(z, cand))
 
@@ -108,7 +110,7 @@ def unroll_states(cell, h0, xs, sels):
     """States after each step of ``cell.unroll`` from ``h0`` over (steps,
     batch, in) inputs: an array (steps, batch, hidden)."""
     steps, batch = sels.shape[:2]
-    n_modules = cell.layer.pool.n_modules
+    n_modules = cell.pool.n_modules
     rows = cell.unroll(xs.reshape(steps * batch, -1), steps, forced(sels, n_modules), h0)
     return rows.data[:, : cell.hidden].reshape(steps, batch, cell.hidden)
 
@@ -150,7 +152,7 @@ def test_cell_full_update_gate_emits_candidate():
         np.concatenate([h, x], -1) @ cell.reset.w.data + cell.reset.b.data
     )
     px = np.concatenate([r * h, x], -1)
-    m = cell.layer.pool.modules[1]
+    m = cell.pool.modules[1]
     want = np.maximum(px @ m.w.data + m.b.data, 0.0)
     assert np.allclose(out, want, atol=1e-10)
 
@@ -160,7 +162,7 @@ def test_cell_candidate_rectified_after_sum():
     # interpolates straight toward zero instead of summing rectified halves
     rng = np.random.default_rng(53)
     cell = ModularGruCell(rng, in_dim=2, hidden=2, n_modules=2, n_slots=2)
-    m0, m1 = cell.layer.pool.modules
+    m0, m1 = cell.pool.modules
     m1.w.data[:] = -m0.w.data
     m1.b.data[:] = -m0.b.data
     cell.update.w.data[:] = 0.0
@@ -197,7 +199,7 @@ def unroll_grads(unroll_fn, cell, h0, xs, sels, weight):
 
 
 def fused_unroll(cell, h0, x_steps, sels):
-    n_modules = cell.layer.pool.n_modules
+    n_modules = cell.pool.n_modules
     return cell.unroll(stack_rows(x_steps), len(x_steps), forced(sels, n_modules), h0)
 
 
@@ -243,7 +245,7 @@ def test_unroll_matches_composed_steps(n_slots, sel_rows, monkeypatch):
     # rows on both sides of the kink, so the relu mask is exercised
     assert (pre < 0).any() and (pre > 0).any()
     if not (sels == 1).any():
-        for p in cell.layer.pool.modules[1].parameters():
+        for p in cell.pool.modules[1].parameters():
             assert not got_g[steps + cell.parameters().index(p)].any()
 
     for g, w in zip(got_g, want_g):
@@ -264,7 +266,7 @@ def test_rollout_forced_comps_matches_reference():
     assert np.allclose(res.cond_ll.data, cond, atol=1e-10)
     assert np.allclose(res.ctrl_ll.data, ctrl, atol=1e-10)
     assert np.array_equal(res.comps, comps)
-    assert np.allclose(res.token_ll.sum(axis=1), cond, atol=1e-10)
+    assert np.allclose(res.pred_ll.sum(axis=1), cond, atol=1e-10)
 
 
 def taped_and_untaped(lm, tokens, targets, **kwargs):
@@ -302,7 +304,7 @@ def test_taped_rollout_scores_equal_untaped(detach, masked):
             detach_ctrl_inputs=detach, **extra,
         )
         assert np.array_equal(plain.comps, taped.comps)
-        assert np.array_equal(plain.token_ll, taped.token_ll)
+        assert np.array_equal(plain.pred_ll, taped.pred_ll)
         assert np.array_equal(plain.cond_ll.data, taped.cond_ll.data)
         assert np.array_equal(plain.ctrl_ll.data, taped.ctrl_ll.data)
         counts.append(n_records)
@@ -315,9 +317,9 @@ def test_taped_rollout_scores_equal_untaped(detach, masked):
 
 def test_untaped_evaluate_memory_does_not_grow_per_step():
     # evaluation unrolls every window at once, so an untaped unroll may keep
-    # only its outputs per step: token_ll and the chosen comps (one slot),
+    # only its outputs per step: pred_ll and the chosen comps (one slot),
     # which from 20 to 40 steps grow by as many bytes as the 40-step
-    # token_ll holds.  A kept state or embedding per step and window would
+    # pred_ll holds.  A kept state or embedding per step and window would
     # add at least 20 * batch * 8 bytes more; 1 KiB covers interpreter objects.
     lm = make_lm(seed=210)
     batch = 400
@@ -327,16 +329,16 @@ def test_untaped_evaluate_memory_does_not_grow_per_step():
         targets = RNG.integers(0, 5, size=(batch, steps))
         tracemalloc.start()
         try:
-            _, token_ll = lm.evaluate(tokens, targets)
-            return tracemalloc.get_traced_memory()[1], token_ll
+            _, pred_ll = lm.evaluate(tokens, targets)
+            return tracemalloc.get_traced_memory()[1], pred_ll
         finally:
             tracemalloc.stop()
 
     peak(20)  # first-call allocations out of the way
     p20, _ = peak(20)
-    p40, token_ll = peak(40)
-    assert token_ll.shape == (batch, 40)
-    assert p40 - p20 <= token_ll.nbytes + 1024
+    p40, pred_ll = peak(40)
+    assert pred_ll.shape == (batch, 40)
+    assert p40 - p20 <= pred_ll.nbytes + 1024
 
 
 def test_lm_grad_check_two_slots():
@@ -439,7 +441,7 @@ def test_topk_probe_skips_the_output_head():
     assert np.array_equal(snap.chosen[0], flat.argmax(axis=-1))
     assert np.array_equal(paths, weights.argmax(axis=-1)[:, :, None])
     res = lm.rollout(tokens)
-    assert res.cond_ll is None and res.token_ll is None
+    assert res.cond_ll is None and res.pred_ll is None
 
 
 def test_sample_mask_requires_comps():
@@ -564,7 +566,7 @@ def test_topk_lm_rollout_scores_and_weights():
     res = lm.rollout(tokens, targets, train=False, collect_weights=True)
     assert res.weights.shape == (4, 3, 3)
     assert np.allclose(res.weights.sum(axis=-1), 1.0, atol=1e-9)
-    assert np.allclose(res.token_ll.sum(axis=1), res.cond_ll.data, atol=1e-10)
+    assert np.allclose(res.pred_ll.sum(axis=1), res.cond_ll.data, atol=1e-10)
     assert res.ctrl_ll is None
 
 

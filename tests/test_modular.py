@@ -329,22 +329,86 @@ def test_net_rejects_layers_of_different_shape():
         ModularNet(layers, OutputHead())
     net = small_net(n_layers=2)
     with pytest.raises(ShapeError, match="composition shape"):
-        net.forward(np.zeros((3, 2)), np.zeros((2, 3, 1), dtype=np.int64))
+        net.rollout(np.zeros((3, 2)), comps=np.zeros((2, 3, 1), dtype=np.int64))
 
 
-def test_trace_greedy_picks_argmax():
+def test_rollout_greedy_picks_argmax():
     net = small_net(n_layers=2, n_modules=3, n_slots=1)
     x = RNG.standard_normal((4, 2))
-    comps, probs = net.trace(x, greedy=True)
-    assert comps.shape == (4, 2, 1)
+    res = net.rollout(x, greedy=True, collect_probs=True)
+    assert res.comps.shape == (4, 2, 1)
+    assert res.probs.shape == (4, 2, 1, 3)
     for l in range(2):
-        assert np.array_equal(comps[:, l, 0], probs[l][:, 0].argmax(-1))
+        assert np.array_equal(res.comps[:, l, 0], res.probs[:, l, 0].argmax(-1))
 
 
-def test_trace_sampling_needs_rng():
+def test_rollout_sampling_needs_rng():
     net = small_net()
-    with pytest.raises(ValueError):
-        net.trace(np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="needs an rng"):
+        net.rollout(np.zeros((1, 2)))
+
+
+def trace_then_score(net, x, y, incumbent, n_samples, rng):
+    """Oracle for ``propose_and_score``: each proposal is drawn in one
+    value-only walk of the stack, then scored in a second walk under the
+    drawn composition."""
+
+    def draw():
+        h, chosen = np.asarray(x, dtype=np.float64), []
+        for layer in net.layers:
+            p = layer.controller.distribution(h)
+            chosen.append(sample_rows(p, rng.random(p.shape[:2])).astype(np.int64))
+            h = layer.forward_selected(Tensor(h), chosen[-1]).data
+        return np.stack(chosen, axis=1)
+
+    def score(comps):
+        h, ctrl = Tensor(np.asarray(x, dtype=np.float64)), None
+        for l, layer in enumerate(net.layers):
+            term = layer.controller.log_prob(h, comps[:, l])
+            ctrl = term if ctrl is None else add(ctrl, term)
+            h = layer.forward_selected(h, comps[:, l])
+        return add(net.head.log_prob(h, y), ctrl).data
+
+    cands = np.stack([np.asarray(incumbent)] + [draw() for _ in range(n_samples)])
+    return cands, np.stack([score(c) for c in cands])
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("n_slots", [1, 2])
+def test_propose_and_score_matches_trace_then_score(n_layers, n_slots):
+    net = small_net(n_layers=n_layers, n_modules=3, n_slots=n_slots, kind="linear-relu")
+    rng = np.random.default_rng(40 + 2 * n_layers + n_slots)
+    x, y = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+    incumbent = rng.integers(0, 3, size=(6, n_layers, n_slots))
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    cands, scores = net.propose_and_score(x, y, incumbent, 10, got_rng)
+    want_cands, want_scores = trace_then_score(net, x, y, incumbent, 10, want_rng)
+    assert cands.shape == (11, 6, n_layers, n_slots)
+    assert np.array_equal(cands, want_cands)
+    assert np.array_equal(scores, want_scores)
+    # the same draws, in the same order, and no more
+    assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_each_proposal_and_evaluation_walks_the_stack_once(monkeypatch, n_layers):
+    net = small_net(n_layers=n_layers)
+    x, y = RNG.standard_normal((5, 2)), RNG.standard_normal((5, 2))
+    incumbent = np.zeros((5, n_layers, 1), dtype=np.int64)
+    calls = []
+    true_forward = ModularLayer.forward_selected
+
+    def spy(layer, h, selection):
+        calls.append(layer)
+        return true_forward(layer, h, selection)
+
+    monkeypatch.setattr(ModularLayer, "forward_selected", spy)
+    net.propose_and_score(x, y, incumbent, 10, np.random.default_rng(0))
+    assert len(calls) == 11 * n_layers
+    calls.clear()
+    pred, ll = net.evaluate(x, y)
+    assert len(calls) == n_layers
+    assert pred.shape == (5, 2) and ll.shape == (5,)
 
 
 def test_full_net_grad_check():

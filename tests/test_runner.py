@@ -116,7 +116,7 @@ def test_sequence_sample_comps_skips_the_output_head():
     got = task.sample_comps(idx, np.random.default_rng(4))
     assert calls == [] and np.array_equal(got, want)
     res = model.rollout(data.tokens[idx], rng=np.random.default_rng(4))
-    assert res.cond_ll is None and res.token_ll is None
+    assert res.cond_ll is None and res.pred_ll is None
     with Tape(), pytest.raises(ValueError, match="needs targets"):
         model.rollout(data.tokens[idx], rng=np.random.default_rng(4))
 
