@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -191,6 +192,12 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if min(tr.n_samples, tr.m_steps, tr.e_batch, tr.batch) < 1:
         raise ConfigError(
             "trainer: n_samples, m_steps, e_batch, and batch must be >= 1"
+        )
+    if not (math.isfinite(tr.lr) and tr.lr > 0):
+        raise ConfigError(f"trainer.lr: must be a finite number > 0, got {tr.lr}")
+    if tr.clip_norm is not None and not (math.isfinite(tr.clip_norm) and tr.clip_norm >= 0):
+        raise ConfigError(
+            f"trainer.clip_norm: must be a finite number >= 0 (0 disables), got {tr.clip_norm}"
         )
     if tr.samples_per_example < 1:
         raise ConfigError("trainer.samples_per_example: must be >= 1")

@@ -8,7 +8,10 @@ across timesteps; the selection is free to change at every step.
 ``ModularGruLM`` answers the model protocol of ``modular.ModularModel``
 through its one ``rollout``; the protocol methods themselves live in
 that base, shared with the feedforward ``ModularNet``, and both
-rollouts pick each unit's selection through ``modular.choose``.
+rollouts pick each unit's selection through ``modular.choose``.  The
+base's ``propose_and_score`` tiles the rows and passes a
+``sample_mask``, so the E-step scores the incumbent and every proposal
+in one unroll.
 
 Every modular-GRU rollout runs one raw-numpy forward loop
 (``ModularGruCell.unroll``): the E-step, sampling, probes, evaluation and
@@ -58,6 +61,7 @@ from modnet.modular import (
     NoisyTopKGate,
     RolloutResult,
     choose,
+    slot_counts,
 )
 
 
@@ -210,13 +214,6 @@ class ModularGruCell:
         return record_joint("modular-gru-unroll", out, inputs, pullback)
 
 
-def slot_counts(selection: np.ndarray, n_modules: int) -> np.ndarray:
-    """How many slots of each row pick each module: (..., slots) ints to
-    (..., modules) floats."""
-    picks = np.asarray(selection)[..., None] == np.arange(n_modules)
-    return picks.sum(axis=-2).astype(np.float64)
-
-
 class NoisyTopKGruCell:
     """GRU cell whose candidate transform is a sparse module mixture.
 
@@ -264,7 +261,7 @@ class NoisyTopKGruCell:
         z = sigmoid(self.update(hx))
         r = sigmoid(self.reset(hx))
         px = concat_last(mul(r, h), x)
-        cand = relu(self.pool.mix(px, w, mask))
+        cand = relu(self.pool.combine(px, w, np.flatnonzero(mask.any(axis=0))))
         keep = add(mul(z, -1.0), 1.0)
         return add(mul(keep, h), mul(z, cand)), w, mask
 
@@ -343,8 +340,6 @@ class ModularGruLM(ModularModel):
         if taped and not scored:
             raise ValueError("a taped rollout needs targets")
         batch, steps = tokens.shape
-        if sample_mask is not None and comps is None:
-            raise ValueError("sample_mask requires forced comps for unmasked rows")
 
         n_mod, hid = self.n_modules, self.cell.hidden
         if comps is not None:
@@ -426,33 +421,6 @@ class ModularGruLM(ModularModel):
     def probe(self, tokens, rng: np.random.Generator, comps=None):
         res = self.rollout(tokens, comps=comps, rng=rng, collect_probs=True)
         return _step_snapshot(res.probs, res.comps), res.comps
-
-    def propose_and_score(
-        self,
-        tokens: np.ndarray,
-        targets: np.ndarray,
-        incumbent: np.ndarray,
-        n_samples: int,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Score the incumbent and fresh controller draws in one unroll.
-
-        Returns (candidates, scores) of shapes (n_samples+1, batch, steps,
-        slots) and (n_samples+1, batch); index 0 is the incumbent.
-        """
-        batch, steps = np.asarray(tokens).shape
-        tile = n_samples + 1
-        tok = np.tile(tokens, (tile, 1))
-        tgt = np.tile(targets, (tile, 1))
-        forced = np.tile(incumbent, (tile, 1, 1))
-        mask = np.ones(tile * batch, dtype=bool)
-        mask[:batch] = False
-        res = self.rollout(
-            tok, tgt, comps=forced, sample_mask=mask, rng=rng, with_ctrl=True
-        )
-        scores = add(res.cond_ll, res.ctrl_ll).data.reshape(tile, batch)
-        cands = res.comps.reshape(tile, batch, steps, self.n_slots)
-        return cands, scores
 
 
 class NoisyTopKGruLM:

@@ -30,8 +30,8 @@ from modnet.autodiff import (
     paused,
     relu,
     row_softmax,
+    slice_last,
     softplus,
-    sum_over_axis,
 )
 from modnet.diagnostics import SelectionSnapshot
 
@@ -88,18 +88,17 @@ class ModulePool:
         h = self.modules[index](x)
         return relu(h) if self.kind == "linear-relu" else h
 
-    def mix(self, x, w: Tensor, mask: np.ndarray) -> Tensor:
-        """Outputs on x blended by the (batch, modules) weights ``w``.
+    def combine(self, x, weights, used) -> Tensor:
+        """Outputs on x of the modules ``used``, each scaled by its column
+        of the (batch, modules) ``weights`` and summed.
 
-        Modules outside every row's 0/1 ``mask`` are never evaluated; rows
-        that dropped a run module contribute exact zeros through ``w``.
+        ``weights`` holds slot counts or gate weights.  Modules outside
+        ``used`` are never evaluated; a row whose weight for a used module
+        is zero gets exact zeros from it.
         """
         out = None
-        for j in np.unique(np.nonzero(mask)[1]):
-            onehot = np.zeros(self.n_modules)
-            onehot[j] = 1.0
-            wj = sum_over_axis(mul(w, constant(onehot)), axis=-1, keepdims=True)
-            term = mul(self.apply(int(j), x), wj)
+        for j in used:
+            term = mul(self.apply(int(j), x), slice_last(weights, int(j), int(j) + 1))
             out = term if out is None else add(out, term)
         return out
 
@@ -114,22 +113,31 @@ def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, probs.shape[-1] - 1)
 
 
-def choose(probs, forced=None, greedy: bool = False, rng=None, resample=None) -> np.ndarray:
+def slot_counts(selection: np.ndarray, n_modules: int) -> np.ndarray:
+    """How many slots of each row pick each module: (..., slots) ints to
+    (..., modules) floats."""
+    picks = np.asarray(selection)[..., None] == np.arange(n_modules)
+    return picks.sum(axis=-2).astype(np.float64)
+
+
+def choose(probs, forced=None, greedy: bool = False, rng=None, sample_mask=None) -> np.ndarray:
     """One unit's (batch, slots) selection, a unit being a layer or a timestep.
 
     ``forced`` when given, except the rows flagged in the boolean
-    ``resample``, which draw afresh; without ``forced``, the argmax of the
-    (batch, slots, modules) ``probs`` when ``greedy``, else a draw with
-    ``rng``.
+    ``sample_mask``, which draw afresh; without ``forced``, the argmax of
+    the (batch, slots, modules) ``probs`` when ``greedy``, else a draw with
+    ``rng``.  Under a mask every row draws, and forced rows discard theirs.
     """
-    if forced is not None and resample is None:
+    if sample_mask is not None and forced is None:
+        raise ValueError("sample_mask requires forced comps for unmasked rows")
+    if forced is not None and sample_mask is None:
         return forced
     if greedy and forced is None:
         return probs.argmax(axis=-1).astype(np.int64)
     if rng is None:
         raise ValueError("sampling rollout needs an rng")
     drawn = sample_rows(probs, rng.random(probs.shape[:2])).astype(np.int64)
-    return drawn if forced is None else np.where(resample[:, None], drawn, forced)
+    return drawn if forced is None else np.where(sample_mask[:, None], drawn, forced)
 
 
 def enumerate_compositions(n_modules: int, units: int, slots: int, budget: int) -> np.ndarray:
@@ -252,12 +260,7 @@ class ModularLayer:
         sel = self._validate(selection, xt.shape[0])
         used = np.unique(sel)
         if self.combine == "sum":
-            out = None
-            for j in used:
-                counts = (sel == j).sum(axis=1).astype(np.float64)[:, None]
-                term = mul(self.pool.apply(int(j), xt), constant(counts))
-                out = term if out is None else add(out, term)
-            return out
+            return self.pool.combine(xt, slot_counts(sel, self.pool.n_modules), used)
         outputs = {int(j): self.pool.apply(int(j), xt) for j in used}
         slots = []
         for k in range(self.n_slots):
@@ -301,16 +304,20 @@ class ModularModel:
     shape (batch, units, slots), a unit being a layer or a timestep, and
     ``comps=None`` lets the controller choose.  Each model supplies
     ``rollout``, one walk that picks each unit's selection (forced, greedy
-    or sampled) and scores it as it goes, plus ``propose_and_score`` (the
-    incumbent and fresh draws, with joint scores) and ``probe(inputs, rng,
+    or sampled) and scores it as it goes, and ``probe(inputs, rng,
     comps=None)`` (a ``SelectionSnapshot`` along sampled or forced paths,
-    and those paths).  On ``rollout`` this base builds ``log_liks(inputs,
+    and those paths).  Given both ``comps`` and a boolean ``sample_mask``
+    over the rows, ``rollout`` keeps unmasked rows forced and lets masked
+    rows draw afresh, so one walk scores fixed and proposed compositions
+    side by side.  On ``rollout`` this base builds ``log_liks(inputs,
     targets, comps, with_ctrl, detach_ctrl_inputs)`` (per-example
     conditional and controller log-likelihood tensors, the second None
-    without ``with_ctrl``), ``score`` (joint values), ``sample`` (off any
-    tape), ``marginal_log_lik`` and ``evaluate(inputs, targets,
-    comps=None)`` (predictions or None, and conditional log-likelihoods
-    along the greedy or forced path).
+    without ``with_ctrl``), ``score`` (joint values),
+    ``propose_and_score`` (the incumbent and fresh draws with joint
+    scores, from one walk over tiled rows), ``sample`` (off any tape),
+    ``marginal_log_lik`` and ``evaluate(inputs, targets, comps=None)``
+    (predictions or None, and conditional log-likelihoods along the
+    greedy or forced path).
 
     The mixture models answer ``probe`` and ``evaluate`` too, and
     ``cond_log_lik(inputs, targets, train, rng)`` in place of ``log_liks``;
@@ -331,6 +338,20 @@ class ModularModel:
     def score(self, x, y, comps) -> np.ndarray:
         """Joint log p(y, comps | x) per example, value only."""
         return add(*self.log_liks(x, y, comps, with_ctrl=True)).data
+
+    def propose_and_score(self, x, y, incumbent, n_samples: int, rng: np.random.Generator):
+        """The incumbent, then ``n_samples`` controller draws, all drawn and
+        scored in one walk over the rows tiled ``n_samples + 1`` times.
+
+        Returns (candidates, scores) of shapes (n_samples+1, batch, units,
+        slots) and (n_samples+1, batch); index 0 is the incumbent.
+        """
+        batch, tile = len(incumbent), n_samples + 1
+        x, y, forced = (np.concatenate([np.asarray(a)] * tile) for a in (x, y, incumbent))
+        mask = np.arange(tile * batch) >= batch
+        res = self.rollout(x, y, comps=forced, sample_mask=mask, rng=rng, with_ctrl=True)
+        scores = add(res.cond_ll, res.ctrl_ll).data.reshape(tile, batch)
+        return res.comps.reshape(tile, batch, *res.comps.shape[1:]), scores
 
     def sample(self, x, rng: np.random.Generator) -> np.ndarray:
         # off any tape, and without targets the walk skips the output head
@@ -387,6 +408,7 @@ class ModularNet(ModularModel):
         x,
         y=None,
         comps: np.ndarray | None = None,
+        sample_mask: np.ndarray | None = None,
         greedy: bool = False,
         rng: np.random.Generator | None = None,
         with_ctrl: bool = False,
@@ -396,8 +418,9 @@ class ModularNet(ModularModel):
         """Walk the stack once, choosing and scoring each layer as it goes.
 
         Layer l runs ``comps[:, l]`` when given, else the controller's
-        greedy or sampled choice on the layer's realized input.  With
-        ``with_ctrl`` the controller scores that choice on the same input;
+        greedy or sampled choice on the layer's realized input; rows
+        flagged in ``sample_mask`` draw afresh.  With ``with_ctrl`` the
+        controller scores that choice on the same input;
         ``detach_ctrl_inputs`` blocks its gradient into earlier layers.
         The head scores ``y`` only when given.
         """
@@ -413,8 +436,9 @@ class ModularNet(ModularModel):
         ctrl_ll: Tensor | None = None
         for l, layer in enumerate(self.layers):
             forced = None if comps is None else comps[:, l]
-            p = layer.controller.distribution(h) if collect_probs or forced is None else None
-            sel = choose(p, forced, greedy, rng)
+            need_probs = collect_probs or forced is None or sample_mask is not None
+            p = layer.controller.distribution(h) if need_probs else None
+            sel = choose(p, forced, greedy, rng, sample_mask)
             if with_ctrl:
                 inp = constant(h) if detach_ctrl_inputs else h
                 term = layer.controller.log_prob(inp, sel)
@@ -426,18 +450,6 @@ class ModularNet(ModularModel):
         cond = None if y is None else self.head.log_prob(h, y)
         pred_ll = None if cond is None else cond.data
         return RolloutResult(cond, ctrl_ll, chosen, pred_ll, probs, outputs=h.data)
-
-    def propose_and_score(self, x, y, incumbent, n_samples: int, rng: np.random.Generator):
-        """The incumbent, then ``n_samples`` controller draws, each drawn and
-        scored in one walk.
-
-        Returns (candidates, scores) of shapes (n_samples+1, batch, layers,
-        slots) and (n_samples+1, batch); index 0 is the incumbent.
-        """
-        walks = [self.rollout(x, y, comps=incumbent, with_ctrl=True)]
-        walks += [self.rollout(x, y, rng=rng, with_ctrl=True) for _ in range(n_samples)]
-        cands = np.stack([w.comps for w in walks])
-        return cands, np.stack([add(w.cond_ll, w.ctrl_ll).data for w in walks])
 
     def probe(self, x, rng: np.random.Generator, comps=None):
         res = self.rollout(x, comps=comps, rng=rng, collect_probs=True)
@@ -511,7 +523,7 @@ class NoisyTopKLayer:
         """Returns (mixture output, weights, survivor mask)."""
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         w, mask = self.gate.weights(xt, train=train, rng=rng)
-        return self.pool.mix(xt, w, mask), w, mask
+        return self.pool.combine(xt, w, np.flatnonzero(mask.any(axis=0))), w, mask
 
 
 class NoisyTopKNet:

@@ -50,7 +50,8 @@ from modnet.diagnostics import (
     selection_image,
     write_pgm,
 )
-from modnet.gru import ModularGruCell, slot_counts
+from modnet.gru import ModularGruCell
+from modnet.modular import slot_counts
 from modnet.runner import (
     build_dataset,
     build_model,

@@ -7,7 +7,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from modnet.cli import main
@@ -85,6 +85,15 @@ def test_mistyped_optional_override_is_exit_2(tmp_path, capsys, monkeypatch, ove
     shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy_em_smoke.json")
     assert main(["run", shipped, "--set", override]) == 2
     assert f"config error: {field}: expected" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_negative_clip_norm_is_exit_2(tmp_path, capsys, monkeypatch):
+    # a negative clip scales every gradient step downhill
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "runs"))
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy_em_smoke.json")
+    assert main(["run", shipped, "--set", "trainer.clip_norm=-1"]) == 2
+    assert "config error: trainer.clip_norm: must be" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 
@@ -268,6 +277,45 @@ def test_resume_on_any_rng_or_scalars_object_exits_0_or_2(mid_checkpoint, field,
         bad = os.path.join(tmp, "bad.ckpt")
         rewrite_header(mid_checkpoint, bad, **{field: value})
         assert main(["resume", bad, "--set", f"out_dir={os.path.join(tmp, 'out')}"]) in (0, 2)
+
+
+def exit_on_corrupted(checkpoint, pos, flip, root):
+    """Exit codes of ``eval CKPT train`` and ``resume CKPT`` on a copy of
+    ``checkpoint`` whose byte ``pos`` is XORed with ``flip``."""
+    blob = bytearray(open(checkpoint, "rb").read())
+    blob[pos] ^= flip
+    bad = os.path.join(root, "bad.ckpt")
+    with open(bad, "wb") as fh:
+        fh.write(blob)
+    return main(["eval", bad, "train"]), main(["resume", bad])
+
+
+CORRUPTION = settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@CORRUPTION
+@given(data=st.data(), flip=st.integers(1, 255))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_any_single_byte_corruption_exits_0_2_or_3(tmp_path, monkeypatch, mid_checkpoint, data, flip):
+    pos = data.draw(st.integers(0, os.path.getsize(mid_checkpoint) - 1))
+    root = tempfile.mkdtemp(dir=tmp_path)
+    monkeypatch.setenv("MODNET_RUNS", root)
+    codes = exit_on_corrupted(mid_checkpoint, pos, flip, root)
+    assert set(codes) <= {0, 2, 3}
+
+
+@CORRUPTION
+@given(pos=st.integers(0, 15), flip=st.integers(1, 255))
+def test_any_corrupted_preamble_exits_2(tmp_path, monkeypatch, mid_checkpoint, pos, flip):
+    # the magic and the header length; a changed header byte may still parse
+    root = tempfile.mkdtemp(dir=tmp_path)
+    monkeypatch.setenv("MODNET_RUNS", root)
+    assert exit_on_corrupted(mid_checkpoint, pos, flip, root) == (2, 2)
 
 
 def test_resume_rejects_non_schedule_overrides(tmp_path, capsys):

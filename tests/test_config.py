@@ -13,6 +13,7 @@ from modnet.config import (
     from_dict,
     load_config,
 )
+from modnet.runner import _effective_clip
 
 TOY_EM = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy_em.json")
 
@@ -99,6 +100,14 @@ def test_type_errors_are_rejected_with_path():
         ({"trainer": {"clip_norm": "abc"}}, "trainer.clip_norm: expected a number"),
         ({"trainer": {"clip_norm": [1]}}, "trainer.clip_norm: expected a number"),
         ({"task": {"path": 3}}, "task.path: expected a string"),
+        # a non-positive step or a negative clip would train downhill
+        ({"trainer": {"lr": 0}}, "trainer.lr: must be a finite number > 0"),
+        ({"trainer": {"lr": -0.001}}, "trainer.lr: must be a finite number > 0"),
+        ({"trainer": {"lr": float("nan")}}, "trainer.lr: must be a finite number > 0"),
+        ({"trainer": {"lr": float("inf")}}, "trainer.lr: must be a finite number > 0"),
+        ({"trainer": {"clip_norm": -1}}, "trainer.clip_norm: must be a finite number >= 0"),
+        ({"trainer": {"clip_norm": float("nan")}}, "trainer.clip_norm: must be a finite"),
+        ({"trainer": {"clip_norm": float("inf")}}, "trainer.clip_norm: must be a finite"),
     ],
 )
 def test_validation_rejects_bad_combinations(patch, needle):
@@ -112,6 +121,12 @@ def test_valid_noisy_topk_and_static_indices_pass():
     assert cfg.architecture.topk == 2
     cfg = from_dict({"trainer": {"kind": "static", "static_indices": [1]}})
     assert cfg.trainer.static_indices == [1]
+
+
+def test_zero_clip_norm_validates_and_disables_clipping():
+    # recurrent tasks clip at 5.0 by default
+    cfg = from_dict({"task": {"kind": "two-regime-lm"}, "trainer": {"clip_norm": 0}})
+    assert _effective_clip(cfg) is None
 
 
 def test_load_config_reads_file_and_applies_overrides(tmp_path):

@@ -25,9 +25,8 @@ from modnet.gru import (
     ModularGruLM,
     NoisyTopKGruCell,
     NoisyTopKGruLM,
-    slot_counts,
 )
-from modnet.modular import ModularLayer
+from modnet.modular import Controller, ModularLayer, ModularNet, ModulePool, OutputHead, slot_counts
 
 RNG = np.random.default_rng(99)
 
@@ -446,13 +445,16 @@ def test_topk_probe_skips_the_output_head():
 
 def test_sample_mask_requires_comps():
     lm = make_lm()
-    with pytest.raises(ValueError, match="sample_mask"):
-        lm.rollout(
-            np.zeros((2, 3), dtype=np.int64),
-            np.zeros((2, 3), dtype=np.int64),
-            sample_mask=np.array([True, False]),
-            rng=np.random.default_rng(0),
-        )
+    rng = np.random.default_rng(0)
+    layer = ModularLayer(ModulePool(rng, 2, 2, 2), Controller(rng, 2, 2, 1))
+    net = ModularNet([layer], OutputHead())
+    # one rule in modular.choose serves both models
+    for model, inputs, targets in [
+        (lm, np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)),
+        (net, np.zeros((2, 2)), np.zeros((2, 2))),
+    ]:
+        with pytest.raises(ValueError, match="sample_mask requires forced comps"):
+            model.rollout(inputs, targets, sample_mask=np.array([True, False]), rng=rng)
 
 
 def test_propose_and_score_incumbent_first_and_consistent():

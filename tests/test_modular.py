@@ -349,17 +349,22 @@ def test_rollout_sampling_needs_rng():
 
 
 def trace_then_score(net, x, y, incumbent, n_samples, rng):
-    """Oracle for ``propose_and_score``: each proposal is drawn in one
-    value-only walk of the stack, then scored in a second walk under the
-    drawn composition."""
-
-    def draw():
-        h, chosen = np.asarray(x, dtype=np.float64), []
-        for layer in net.layers:
-            p = layer.controller.distribution(h)
-            chosen.append(sample_rows(p, rng.random(p.shape[:2])).astype(np.int64))
-            h = layer.forward_selected(Tensor(h), chosen[-1]).data
-        return np.stack(chosen, axis=1)
+    """Oracle for ``propose_and_score``: the incumbent and ``n_samples``
+    proposals walk the stack side by side, each on its own rows.  Every
+    layer draws once, ``rng.random`` over all (n_samples + 1) * batch rows
+    in candidate-major order, and the incumbent's rows discard their
+    draws.  Each candidate is then scored in a walk of its own."""
+    tile, batch = n_samples + 1, len(x)
+    hs = [np.asarray(x, dtype=np.float64)] * tile
+    chosen = []
+    for l, layer in enumerate(net.layers):
+        p = np.concatenate([layer.controller.distribution(h) for h in hs])
+        sel = sample_rows(p, rng.random((tile * batch, layer.n_slots))).astype(np.int64)
+        sel = sel.reshape(tile, batch, -1)
+        sel[0] = incumbent[:, l]
+        chosen.append(sel)
+        hs = [layer.forward_selected(Tensor(h), s).data for h, s in zip(hs, sel)]
+    cands = np.stack(chosen, axis=2)
 
     def score(comps):
         h, ctrl = Tensor(np.asarray(x, dtype=np.float64)), None
@@ -369,7 +374,6 @@ def trace_then_score(net, x, y, incumbent, n_samples, rng):
             h = layer.forward_selected(h, comps[:, l])
         return add(net.head.log_prob(h, y), ctrl).data
 
-    cands = np.stack([np.asarray(incumbent)] + [draw() for _ in range(n_samples)])
     return cands, np.stack([score(c) for c in cands])
 
 
@@ -404,7 +408,7 @@ def test_each_proposal_and_evaluation_walks_the_stack_once(monkeypatch, n_layers
 
     monkeypatch.setattr(ModularLayer, "forward_selected", spy)
     net.propose_and_score(x, y, incumbent, 10, np.random.default_rng(0))
-    assert len(calls) == 11 * n_layers
+    assert len(calls) == n_layers
     calls.clear()
     pred, ll = net.evaluate(x, y)
     assert len(calls) == n_layers
