@@ -27,10 +27,13 @@ class ReinforceTrainer(_GradientTrainer):
 
     Per step: sample one composition per example (more via
     ``samples_per_example``), ascend the conditional log-likelihood plus
-    the advantage-weighted controller log-probability.  The advantage is
-    the detached reward minus a running mean; the running mean updates
-    after the parameters move.  Controller inputs are detached so the
-    selection term trains only the controller.
+    the advantage-weighted controller log-probability.  One taped walk
+    does both: it draws each unit's selection from the controller with the
+    ``estep`` stream and scores it at the current parameters, which is all
+    the score-function estimator needs.  The advantage is the detached
+    reward minus a running mean; the running mean updates after the
+    parameters move.  Controller inputs are detached so the selection term
+    trains only the controller.
     """
 
     def __init__(self, task, config: TrainerConfig, streams, clip_norm: float | None = None):
@@ -40,8 +43,7 @@ class ReinforceTrainer(_GradientTrainer):
     def step_objective(self, idx):
         if self.cfg.samples_per_example > 1:
             idx = np.tile(idx, self.cfg.samples_per_example)
-        comps = self.task.sample_comps(idx, self.streams["estep"])
-        obj, rewards = self.task.reinforce_surrogate(idx, comps, self.ema)
+        obj, rewards = self.task.reinforce_surrogate(idx, None, self.ema, self.streams["estep"])
         return obj, float(np.mean(rewards))
 
     def after_step(self, report):

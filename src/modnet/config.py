@@ -220,10 +220,15 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
+def require_object(value, what: str) -> dict:
+    """``value`` when it is a JSON object, else a ConfigError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    return validate(_fill(ExperimentConfig, data, ""))
+    return validate(_fill(ExperimentConfig, require_object(data, "config root"), ""))
 
 
 def anchor_task_path(data: dict, anchor_dir: str) -> dict:
@@ -245,6 +250,7 @@ def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConf
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    require_object(data, f"{path}: config root")
     if overrides:
         data = apply_overrides(data, overrides)
     anchor_task_path(data, os.path.dirname(os.path.abspath(path)))

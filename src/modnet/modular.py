@@ -310,9 +310,10 @@ class ModularModel:
     over the rows, ``rollout`` keeps unmasked rows forced and lets masked
     rows draw afresh, so one walk scores fixed and proposed compositions
     side by side.  On ``rollout`` this base builds ``log_liks(inputs,
-    targets, comps, with_ctrl, detach_ctrl_inputs)`` (per-example
+    targets, comps, with_ctrl, detach_ctrl_inputs, rng)`` (per-example
     conditional and controller log-likelihood tensors, the second None
-    without ``with_ctrl``), ``score`` (joint values),
+    without ``with_ctrl``; with ``comps`` None the same walk draws the
+    compositions with ``rng``), ``score`` (joint values),
     ``propose_and_score`` (the incumbent and fresh draws with joint
     scores, from one walk over tiled rows), ``sample`` (off any tape),
     ``marginal_log_lik`` and ``evaluate(inputs, targets, comps=None)``
@@ -328,10 +329,12 @@ class ModularModel:
     ENUM_BUDGET = 100_000
 
     def log_liks(
-        self, x, y, comps, with_ctrl: bool = False, detach_ctrl_inputs: bool = False
+        self, x, y, comps, with_ctrl: bool = False, detach_ctrl_inputs: bool = False,
+        rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, Tensor | None]:
         res = self.rollout(
-            x, y, comps=comps, with_ctrl=with_ctrl, detach_ctrl_inputs=detach_ctrl_inputs
+            x, y, comps=comps, rng=rng, with_ctrl=with_ctrl,
+            detach_ctrl_inputs=detach_ctrl_inputs,
         )
         return res.cond_ll, res.ctrl_ll
 

@@ -27,6 +27,7 @@ from modnet.config import (
     apply_overrides,
     check_resume_overrides,
     from_dict,
+    require_object,
 )
 from modnet.datasets import (
     ToyRegression,
@@ -85,10 +86,15 @@ def _objective(model, x, y, comps, with_ctrl: bool) -> Tensor:
     return mean_all(add(cond, ctrl) if with_ctrl else cond)
 
 
-def _surrogate(model, x, y, comps, baseline):
+def _surrogate(model, x, y, comps, baseline, rng=None):
     """Score-function surrogate: the conditional log-likelihood plus the
-    controller log-probability weighted by the detached advantage."""
-    cond, ctrl = model.log_liks(x, y, comps, with_ctrl=True, detach_ctrl_inputs=True)
+    controller log-probability weighted by the detached advantage.
+
+    With ``comps`` None the walk that builds the surrogate also draws the
+    compositions with ``rng``, in the order ``model.sample`` would, so one
+    rollout both samples and scores.
+    """
+    cond, ctrl = model.log_liks(x, y, comps, with_ctrl=True, detach_ctrl_inputs=True, rng=rng)
     rewards = cond.data.copy()
     obj = add(mean_all(cond), mean_all(mul(ctrl, constant(rewards - baseline))))
     return obj, rewards
@@ -138,8 +144,8 @@ class RegressionTask:
     def sample_comps(self, idx, rng):
         return self.model.sample(self.inputs[idx], rng)
 
-    def reinforce_surrogate(self, idx, comps, baseline):
-        return _surrogate(self.model, self.inputs[idx], self.targets[idx], comps, baseline)
+    def reinforce_surrogate(self, idx, comps, baseline, rng=None):
+        return _surrogate(self.model, self.inputs[idx], self.targets[idx], comps, baseline, rng)
 
     def noisy_objective(self, idx, train, rng) -> Tensor:
         return mean_all(self.model.cond_log_lik(self.inputs[idx], self.targets[idx], train, rng))
@@ -182,8 +188,8 @@ class SequenceTask:
     def sample_comps(self, idx, rng):
         return self.model.sample(self.inputs[idx], rng)
 
-    def reinforce_surrogate(self, idx, comps, baseline):
-        return _surrogate(self.model, self.inputs[idx], self.targets[idx], comps, baseline)
+    def reinforce_surrogate(self, idx, comps, baseline, rng=None):
+        return _surrogate(self.model, self.inputs[idx], self.targets[idx], comps, baseline, rng)
 
     def noisy_objective(self, idx, train, rng) -> Tensor:
         return mean_all(self.model.cond_log_lik(self.inputs[idx], self.targets[idx], train, rng))
@@ -500,14 +506,16 @@ def emit_sweep(grid_path: str, out_root: str) -> dict:
     trainers.
     """
     with open(grid_path, "r", encoding="utf-8") as fh:
-        grid = json.load(fh)
+        grid = require_object(json.load(fh), "sweep grid")
     if "base" in grid:
-        base = grid["base"]
+        base = require_object(grid["base"], "base")
         anchor_task_path(base, os.path.dirname(os.path.abspath(grid_path)))
     elif "base_path" in grid:
+        if not isinstance(grid["base_path"], str):
+            raise ConfigError(f"base_path: expected a file name, got {grid['base_path']!r}")
         rel = os.path.join(os.path.dirname(os.path.abspath(grid_path)), grid["base_path"])
         with open(rel, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
+            base = require_object(json.load(fh), f"base_path {rel}")
         anchor_task_path(base, os.path.dirname(os.path.abspath(rel)))
     else:
         raise ConfigError("sweep grid needs 'base' or 'base_path'")
@@ -521,7 +529,12 @@ def emit_sweep(grid_path: str, out_root: str) -> dict:
     )
     if not isinstance(axes, dict) or not axes:
         raise ConfigError("sweep axes must be a non-empty object")
+    for key, values in axes.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"axes.{key}: expected a non-empty list of values, got {values!r}")
     sweep_dir = grid.get("out_dir", "sweep")
+    if not isinstance(sweep_dir, str):
+        raise ConfigError(f"out_dir: expected a directory name, got {sweep_dir!r}")
     if not os.path.isabs(sweep_dir):
         sweep_dir = os.path.join(out_root, sweep_dir)
     os.makedirs(sweep_dir, exist_ok=True)
@@ -560,12 +573,21 @@ def evaluate_checkpoint(
         data = build_dataset(cfg, streams)
     else:
         with open(dataset_spec, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        eval_cfg_dict = dict(ckpt.config)
-        eval_cfg_dict["task"] = spec.get("task", ckpt.config["task"])
-        eval_cfg = from_dict(eval_cfg_dict)
-        eval_streams = SeedStreams(int(spec.get("seed", cfg.seed)))
-        data = build_dataset(eval_cfg, eval_streams)
+            spec = require_object(json.load(fh), f"dataset spec {dataset_spec}")
+        unknown = sorted(set(spec) - {"task", "seed"})
+        if unknown:
+            raise ConfigError(f"{unknown[0]}: unknown dataset spec field")
+        # the checkpoint's config with the spec's task and seed, validated as one
+        eval_cfg = from_dict(
+            dict(ckpt.config, task=spec.get("task", ckpt.config["task"]),
+                 seed=spec.get("seed", cfg.seed))
+        )
+        want, got = cfg.task, eval_cfg.task
+        if got.kind != want.kind:
+            raise ConfigError(f"task.kind: the checkpoint models {want.kind!r}, got {got.kind!r}")
+        if want.kind == "toy-regression" and got.dim != want.dim:
+            raise ConfigError(f"task.dim: the checkpoint's model takes {want.dim}, got {got.dim}")
+        data = build_dataset(eval_cfg, SeedStreams(eval_cfg.seed))
     model = build_model(cfg, data, streams)
     task = build_task(cfg, model, data)
     _load_params(task.parameters(), ckpt)

@@ -384,9 +384,8 @@ def test_criterion_06_score_function_gradient_is_unbiased():
     idx = np.repeat(np.arange(4), 250)
     rng = streams["estep"]
     for _ in range(100):
-        comps = task.sample_comps(idx, rng)
         with Tape() as tape:
-            obj, _ = task.reinforce_surrogate(idx, comps, baseline=0.0)
+            obj, _ = task.reinforce_surrogate(idx, None, 0.0, rng)
         grads = tape.backward(obj)
         draws_w.append(tape.grad(grads, head.w).reshape(-1))
         draws_b.append(tape.grad(grads, head.b))

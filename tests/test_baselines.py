@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from modnet.autodiff import Parameter, Tape, mean_all
 from modnet.baselines import ReinforceTrainer
 from modnet.config import TrainerConfig, from_dict
+from modnet.gru import ModularGruLM
+from modnet.modular import ModularLayer
 from modnet.runner import build_dataset, build_model, build_task, build_trainer
 from modnet.seeding import SeedStreams
 
@@ -51,10 +54,7 @@ class EmaProbeTask:
     def parameters(self):
         return [self.p]
 
-    def sample_comps(self, idx, rng):
-        return np.zeros((len(idx), 1, 1), dtype=np.int64)
-
-    def reinforce_surrogate(self, idx, comps, baseline):
+    def reinforce_surrogate(self, idx, comps, baseline, rng=None):
         self.seen.append(baseline)
         self.calls += 1
         rewards = np.full(len(idx), float(self.calls))
@@ -128,9 +128,8 @@ def test_reinforce_controller_gradient_is_unbiased():
     sw = np.zeros((reps,) + head.w.data.shape)
     sb = np.zeros((reps,) + head.b.data.shape)
     for r in range(reps):
-        comps = task.sample_comps(idx, rng)
         with Tape() as tape:
-            obj, _ = task.reinforce_surrogate(idx, comps, baseline)
+            obj, _ = task.reinforce_surrogate(idx, None, baseline, rng)
         grads = tape.parameter_grads(tape.backward(obj), [head.w, head.b])
         sw[r] = grads[head.w]
         sb[r] = grads[head.b]
@@ -169,13 +168,100 @@ def test_samples_per_example_tiles_the_batch():
     seen = {}
     orig = task.reinforce_surrogate
 
-    def spy(idx, comps, baseline):
+    def spy(idx, comps, baseline, rng):
         seen["n"] = len(idx)
-        return orig(idx, comps, baseline)
+        return orig(idx, comps, baseline, rng)
 
     task.reinforce_surrogate = spy
     trainer.iteration()
     assert seen["n"] == 15
+
+
+# ---------------------------------------------------------------------------
+# one walk per gradient step
+
+
+def seq_cfg(n_slots):
+    return from_dict({
+        "seed": 4,
+        "task": {"kind": "two-regime-lm", "n_windows": 16, "unroll": 4},
+        "trainer": {"kind": "reinforce", "m_steps": 1, "batch": 6},
+        "architecture": {"n_slots": n_slots, "n_modules": 3, "hidden": 4, "embed_dim": 4},
+    })
+
+
+def net_cfg(n_layers, n_slots, samples=1):
+    return toy_cfg(
+        seed=7,
+        trainer={"m_steps": 1, "batch": 6, "samples_per_example": samples},
+        architecture={"n_layers": n_layers, "n_slots": n_slots, "n_modules": 3, "hidden": 4},
+    )
+
+
+@pytest.mark.parametrize(
+    "kind,n_layers,n_slots,samples",
+    [("net", l, k, s) for l in (1, 2) for k in (1, 2) for s in (1, 3)]
+    + [("gru", 1, k, 1) for k in (1, 2)],
+)
+def test_one_walk_step_matches_sample_then_surrogate(kind, n_layers, n_slots, samples):
+    """The trainer's step draws and scores in one rollout; a two-walk
+    oracle (sample on a copy of the stream, then the forced surrogate)
+    gives bit-equal compositions, objective, rewards, gradients and
+    stream position."""
+    cfg = net_cfg(n_layers, n_slots, samples) if kind == "net" else seq_cfg(n_slots)
+    trainer, task, model, _ = make(cfg)
+    trainer.ema = 0.37
+    params = task.parameters()
+    idx = np.array([0, 3, 3, 5, 9, 2])
+    rng = trainer.streams["estep"]
+    oracle_rng = copy.deepcopy(rng)
+
+    walks, surrogates = [], []
+    rollout, surrogate = model.rollout, task.reinforce_surrogate
+    model.rollout = lambda *a, **k: walks.append(rollout(*a, **k)) or walks[-1]
+    task.reinforce_surrogate = lambda *a: surrogates.append(surrogate(*a)) or surrogates[-1]
+    with Tape() as tape:
+        obj, _ = trainer.step_objective(idx)
+    got = tape.parameter_grads(tape.backward(obj), params)
+    del model.rollout, task.reinforce_surrogate
+    assert len(walks) == 1 and len(surrogates) == 1
+    rewards = surrogates[0][1]
+
+    tiled = np.tile(idx, cfg.trainer.samples_per_example)
+    comps = task.sample_comps(tiled, oracle_rng)
+    with Tape() as tape:
+        want_obj, want_rewards = task.reinforce_surrogate(tiled, comps, 0.37)
+    want = tape.parameter_grads(tape.backward(want_obj), params)
+
+    assert np.array_equal(walks[0].comps, comps)
+    assert np.array_equal(obj.data, want_obj.data)
+    assert np.array_equal(rewards, want_rewards)
+    for p in params:
+        assert np.array_equal(got[p], want[p]), p.name
+    assert np.array_equal(rng.random(4), oracle_rng.random(4))
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_reinforce_step_walks_the_net_once(n_layers, monkeypatch):
+    trainer, _, _, _ = make(net_cfg(n_layers, 2))
+    calls = []
+    forward = ModularLayer.forward_selected
+    monkeypatch.setattr(
+        ModularLayer, "forward_selected", lambda *a: calls.append(1) or forward(*a)
+    )
+    trainer.iteration()
+    assert len(calls) == n_layers
+
+
+def test_reinforce_step_unrolls_the_gru_once(monkeypatch):
+    trainer, _, _, _ = make(seq_cfg(2))
+    calls = []
+    rollout = ModularGruLM.rollout
+    monkeypatch.setattr(
+        ModularGruLM, "rollout", lambda *a, **k: calls.append(1) or rollout(*a, **k)
+    )
+    trainer.iteration()
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,43 @@ def test_sweep_without_base_is_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+HOSTILE_JSON = {
+    "run-list-root": ("run", [1, 2], "config root"),
+    "run-list-root-with-override": ("run --set seed=1", [1, 2], "config root"),
+    "sweep-list-grid": ("sweep", [tiny_config()], "sweep grid"),
+    "sweep-string-base": ("sweep", {"base": "exp.json"}, "base"),
+    "sweep-base-path-names-a-list": ("sweep", {"base_path": "list.json"}, "base_path"),
+    "sweep-base-path-not-a-name": ("sweep", {"base_path": 5}, "base_path"),
+    "sweep-axis-not-a-list": ("sweep", {"base": tiny_config(), "axes": {"seed": 3}}, "axes.seed"),
+    "sweep-empty-axis": ("sweep", {"base": tiny_config(), "axes": {"seed": []}}, "axes.seed"),
+    "sweep-out-dir-not-a-name": ("sweep", {"base": tiny_config(), "out_dir": 7}, "out_dir"),
+    "eval-list-spec": ("eval", [1, 2], "dataset spec"),
+    "eval-list-seed": ("eval", {"seed": [1]}, "seed"),
+    "eval-unknown-field": ("eval", {"sed": 1}, "sed"),
+    "eval-other-task-kind": (
+        "eval", {"task": {"kind": "two-regime-lm", "n_windows": 8}}, "task.kind"
+    ),
+    "eval-other-dim": ("eval", {"task": {"kind": "toy-regression", "n": 8, "dim": 3}}, "task.dim"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_JSON))
+def test_hostile_json_is_exit_2_naming_the_field(
+    tmp_path, capsys, monkeypatch, mid_checkpoint, case
+):
+    command, content, field = HOSTILE_JSON[case]
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "root"))
+    (tmp_path / "list.json").write_text("[1, 2]")
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(content))
+    name, *rest = command.split()
+    argv = [name] + ([mid_checkpoint] if name == "eval" else []) + [str(path)] + rest
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not (tmp_path / "root").exists()
+
+
 def test_console_script_and_module_entry(tmp_path):
     cfg = write_config(tmp_path)
     env = dict(os.environ, MODNET_RUNS=str(tmp_path / "root"))

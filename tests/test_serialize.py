@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from modnet.autodiff import Parameter
 from modnet.serialize import (
@@ -74,6 +77,77 @@ def test_checkpoint_restores_integer_arrays_exactly(tmp_path):
     assert np.array_equal(comps, [big, -big, 0, 17])
     # non-integer score arrays stay float and keep infinities
     assert np.isneginf(back.trainer_arrays["buffer_scores"][0])
+
+
+# every float64 bit pattern class: NaN, the infinities, -0.0 and denormals included
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+# integers the double payload holds exactly (the format's documented range)
+EXACT_INTS = st.integers(-(2**53), 2**53)
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)
+
+
+@st.composite
+def checkpoint_states(draw):
+    """Parameters, then a trainer state with Adam moments of the same
+    shapes, int64 and float64 trainer arrays, and JSON scalars."""
+    def floats(shape):
+        return draw(hnp.arrays(np.float64, shape, elements=FLOATS))
+
+    shapes = draw(st.lists(SHAPES, min_size=1, max_size=3))
+    params = [Parameter(floats(shape), f"p{i}") for i, shape in enumerate(shapes)]
+    state = {
+        "opt": {
+            "t": draw(EXACT_INTS.filter(lambda t: t >= 0)),
+            "m": [floats(p.shape) for p in params],
+            "v": [floats(p.shape) for p in params],
+        },
+        "arrays": {
+            "comps": draw(hnp.arrays(np.int64, SHAPES, elements=EXACT_INTS)),
+            "scores": floats(draw(SHAPES)),
+        },
+        "scalars": draw(st.dictionaries(st.text(max_size=4), EXACT_INTS | FLOATS, max_size=3)),
+    }
+    return params, state
+
+
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.2e-308, 1e308])
+
+
+def write_state(path, params, state):
+    write_checkpoint(str(path), version="1", config={"seed": 4}, iteration=9,
+                     streams_state={"seed": 4, "streams": {}}, params=params,
+                     trainer_state=state)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(checkpoint_states())
+@example((
+    [Parameter(SPECIAL, "w")],
+    {
+        "opt": {"t": 3, "m": [SPECIAL[::-1].copy()], "v": [SPECIAL]},
+        "arrays": {"comps": np.array([[2**53, -(2**53)], [0, -1]]), "scores": SPECIAL},
+        "scalars": {"ema": float("nan"), "hi": float("inf"), "z": -0.0, "streak": 2},
+    },
+))
+def test_checkpoint_write_read_write_is_byte_identical(tmp_path, drawn):
+    params, state = drawn
+    write_state(tmp_path / "a.ckpt", params, state)
+    back = read_checkpoint(str(tmp_path / "a.ckpt"))
+    names = [p.name for p in params]
+    assert back.trainer_arrays["comps"].dtype == np.int64
+    assert np.array_equal(back.trainer_arrays["comps"], state["arrays"]["comps"])
+    again = {
+        "opt": {
+            "t": back.opt_t,
+            "m": [back.opt_m[n] for n in names],
+            "v": [back.opt_v[n] for n in names],
+        },
+        "arrays": back.trainer_arrays,
+        "scalars": back.trainer_scalars,
+    }
+    write_state(tmp_path / "b.ckpt", [Parameter(back.params[n], n) for n in names], again)
+    assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
 
 
 def test_checkpoint_rejects_duplicate_parameter_names(tmp_path):
