@@ -181,6 +181,11 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
             )
         if a.combine != "sum":
             raise ConfigError("architecture.combine: recurrent cells sum module outputs")
+    elif a.combine == "concat" and a.n_slots > 1:
+        raise ConfigError(
+            "architecture.combine: concat widens each layer by its slot count, "
+            "so the last layer's output would not match the regression targets"
+        )
     if t.kind == "text-lm" and not t.path:
         raise ConfigError("task.path: text modelling needs a corpus file")
     if t.kind == "two-regime-lm" and t.n_states < 2:

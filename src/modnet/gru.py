@@ -1,29 +1,27 @@
 """Gated recurrent cells whose candidate-state transform is modular.
 
-The update and reset gates are ordinary dense maps.  The candidate state
-is produced by a pool of modules: a controller (or a noisy top-k gate)
-decides per timestep which modules contribute.  Parameters are shared
-across timesteps; the selection is free to change at every step.
+One cell, two routers, one record.  ``ModularGruCell`` is the only GRU
+cell: dense update and reset gates, and a candidate state that is a
+rectified, per-row weighted sum of a pool of modules.  A router reads
+[h, x] at every step and sets the weights: a controller's slot counts
+(constants), or a noisy top-k gate's renormalised weights, which carry
+gradients into the state and the gate.
 
-``ModularGruLM`` answers the model protocol of ``modular.ModularModel``
-through its one ``rollout``; the protocol methods themselves live in
-that base, shared with the feedforward ``ModularNet``, and both
-rollouts pick each unit's selection through ``modular.choose``.  The
-base's ``propose_and_score`` tiles the rows and passes a
-``sample_mask``, so the E-step scores the incumbent and every proposal
-in one unroll.
+Every rollout of either language model runs the one raw-numpy forward
+loop ``ModularGruCell.unroll``, taped or not.  Under a tape the unroll
+is a single ``modular-gru-unroll`` record whose pullback is hand-written
+backpropagation through time, running the gate's own logit-level
+pullback at each step.  So a taped rollout records a fixed number of
+ops however many steps it has: the embedding lookup, the unroll, then
+the output head (and ``ModularGruLM``'s controller heads) scoring the
+stacked per-step rows at once.  Untaped, each step is scored as it goes
+and only the running state and one step's embeddings are kept, since
+evaluation unrolls every window at once.
 
-Every modular-GRU rollout runs one raw-numpy forward loop
-(``ModularGruCell.unroll``): the E-step, sampling, probes, evaluation and
-the taped objectives alike.  Under a tape the whole unroll is a single
-``modular-gru-unroll`` record whose pullback is hand-written
-backpropagation through time, so a taped rollout records a fixed number
-of ops however many steps it has: one embedding lookup over all steps,
-the unroll, then the output head and the controller heads scoring all
-steps at once on the stacked per-step rows.  Without a tape each step is
-scored as it goes and only the running state and one step's embeddings
-are kept; evaluation scores all windows in one unroll, so anything held
-per step and window would grow with the whole dataset.
+``ModularGruLM`` answers the model protocol of ``modular.ModularModel``,
+whose ``propose_and_score`` scores the incumbent and every proposal in
+one unroll over tiled rows; ``NoisyTopKGruLM`` answers the mixture
+models' calls.
 """
 
 from __future__ import annotations
@@ -37,17 +35,13 @@ from modnet.autodiff import (
     ShapeError,
     Tensor,
     active_tape,
-    add,
     categorical_log_prob,
-    concat_last,
     constant,
     embedding_lookup,
-    mul,
     paused,
     record_joint,
     relu,
     reshape,
-    sigmoid,
     slice_last,
     stable_sigmoid,
     sum_over_axis,
@@ -69,9 +63,12 @@ class ModularGruCell:
     """GRU cell with a modular candidate-state transform.
 
     Gates read the joined state [h, x].  The candidate transform applies
-    the selected modules to [reset*h, x], sums them, and rectifies.  The
-    controller also reads [h, x], so selections can react to both the
-    running state and the current input.
+    the pool's modules to [reset*h, x], sums them weighted per row, and
+    rectifies.  The router also reads [h, x], so selections can react to
+    both the running state and the current input.  It is a controller by
+    default, whose slot choices weigh each module by its slot count; with
+    ``topk`` it is a noisy top-k gate, whose renormalised weights are
+    differentiable.
     """
 
     def __init__(
@@ -80,8 +77,9 @@ class ModularGruCell:
         in_dim: int,
         hidden: int,
         n_modules: int,
-        n_slots: int,
+        n_slots: int = 1,
         name: str = "cell",
+        topk: int | None = None,
     ):
         cat = hidden + in_dim
         self.hidden = hidden
@@ -89,7 +87,12 @@ class ModularGruCell:
         self.update = Linear(rng, cat, hidden, f"{name}.update")
         self.reset = Linear(rng, cat, hidden, f"{name}.reset")
         self.pool = ModulePool(rng, n_modules, cat, hidden, kind="linear", name=f"{name}.pool")
-        self.controller = Controller(rng, cat, n_modules, n_slots, name=f"{name}.ctrl")
+        # one router, drawn last; the other stays None
+        self.controller = self.gate = None
+        if topk is None:
+            self.controller = Controller(rng, cat, n_modules, n_slots, name=f"{name}.ctrl")
+        else:
+            self.gate = NoisyTopKGate(rng, cat, n_modules, topk, name=f"{name}.gate")
         self.name = name
 
     def parameters(self) -> list[Parameter]:
@@ -97,7 +100,7 @@ class ModularGruCell:
             self.update.parameters()
             + self.reset.parameters()
             + self.pool.parameters()
-            + self.controller.parameters()
+            + (self.gate or self.controller).parameters()
         )
 
     def unroll(self, xs, steps: int, select, h0: np.ndarray, visit=None) -> Tensor | None:
@@ -105,16 +108,17 @@ class ModularGruCell:
 
         ``xs`` is either the inputs as time-major rows (row ``t * batch +
         b``, shape (steps * batch, in_dim)) or a function ``t -> (batch,
-        in_dim)``.  ``select(t, hx)`` returns step t's (batch, slots)
-        selection and its (batch, modules) slot counts; ``visit(t, h)``,
-        if given, sees each new state.
+        in_dim)``.  ``select(t, hx)`` returns step t's (batch, modules)
+        module weights and the gate's noise terms (``NoisyTopKGate.forward``),
+        None for a controller's slot counts or a noise-free gate; ``visit(t,
+        h)``, if given, sees each new state.
 
         With rows, every step's activations are kept, and the stacked
         ``[h_t | hx_t]`` rows come back as one ``modular-gru-unroll``
         record (a plain tensor off the tape).  With a function only the
         running state is kept and the result is None.
         """
-        hid, pool = self.hidden, self.pool
+        hid, pool, gated = self.hidden, self.pool, self.gate is not None
         batch = h0.shape[0]
         gate_w = np.concatenate([self.update.w.data, self.reset.w.data], axis=1)
         gate_b = np.concatenate([self.update.b.data, self.reset.b.data])
@@ -130,140 +134,98 @@ class ModularGruCell:
             gates = np.empty((n, 2 * hid))
             px_rows = np.empty((n, hid + self.in_dim))
             cand_rows = np.empty((n, hid))
-            count_rows = np.empty((n, pool.n_modules))
+            weight_rows = np.empty((n, pool.n_modules))
+            # gate weights take gradients: keep each module's output and the noise
+            mod_rows = np.zeros((n, pool.n_modules, hid)) if gated else None
+            noises = []
         h = h0
         with paused():
             for t in range(steps):
                 rows = slice(t * batch, (t + 1) * batch)
                 x = xd[rows] if cache else xs(t)
                 hx = np.concatenate([h, x], axis=-1)
-                sel, counts = select(t, hx)
+                weights, noise = select(t, hx)
                 zr = stable_sigmoid(hx @ gate_w + gate_b)
                 z, r = zr[:, :hid], zr[:, hid:]
                 px = np.concatenate([r * h, x], axis=-1)
                 pre = None
                 # a module picked by several slots of a row counts once per slot
-                for j in np.flatnonzero(counts.any(axis=0)):
-                    term = pool.apply(int(j), px).data * counts[:, j : j + 1]
+                for j in np.flatnonzero(weights.any(axis=0)):
+                    term = pool.apply(int(j), px).data
+                    if cache and gated:
+                        mod_rows[rows, j] = term
+                    term *= weights[:, j : j + 1]
                     pre = term if pre is None else pre + term
                 cand = relu(Tensor(pre)).data
                 h_new = (z * -1.0 + 1.0) * h + z * cand
                 if cache:
                     out[rows, :hid], out[rows, hid:] = h_new, hx
                     gates[rows], px_rows[rows] = zr, px
-                    cand_rows[rows], count_rows[rows] = cand, counts
+                    cand_rows[rows], weight_rows[rows] = cand, weights
+                    noises.append(noise)
                 h = h_new
                 if visit is not None:
                     visit(t, h)
         if not cache:
             return None
-        return self._record(xs, out, gates, px_rows, cand_rows, count_rows, gate_w, batch)
+        saved = (out, gates, px_rows, cand_rows, weight_rows, mod_rows, noises)
+        return self._record(xs, saved, batch)
 
-    def _record(self, xs, out, gates, px_rows, cand_rows, count_rows, gate_w, batch):
+    def _record(self, xs, saved, batch):
         """One tape record for a kept unroll; its pullback is BPTT.
 
-        Only the state recurrence runs step by step.  The gate and module
-        parameter gradients, and the input gradients, are each one matmul
-        over all steps * batch rows.
+        Only the state recurrence runs step by step.  The parameter
+        gradients of every map, a noisy top-k router's included, and the
+        input gradients are each one matmul over all steps * batch rows.
         """
-        hid, modules = self.hidden, self.pool.modules
-        n_mod = len(modules)
+        out, gates, px_rows, cand_rows, weight_rows, mod_rows, noises = saved
+        hid, modules, gate = self.hidden, self.pool.modules, self.gate
         n, steps = out.shape[0], out.shape[0] // batch
-        # the state part of [gates | modules] weights, and all of it for inputs
+        # the maps that read [h, x]: update and reset gates, then a gate
+        # router's logits and noise-scale logits; the modules read [r*h, x]
+        hx_maps = [self.update, self.reset] + ([] if gate is None else [gate.gate, gate.noise])
+        maps = hx_maps + modules
+        hx_w = np.concatenate([m.w.data for m in hx_maps], axis=1)
         mod_w = np.concatenate([m.w.data for m in modules], axis=1)
-        gate_wh_t = gate_w[:hid].T
+        n_hx = hx_w.shape[1]
+        # the state part of [hx maps | modules] weights, and all of it for inputs
+        hx_wh_t = hx_w[:hid].T
         mod_wh_t = mod_w[:hid].T
-        all_wx_t = np.concatenate([gate_w, mod_w], axis=1)[hid:].T
+        all_wx_t = np.concatenate([hx_w, mod_w], axis=1)[hid:].T
 
         def pullback(g):
             g_h, g_hx = g[:, :hid], g[:, hid:]
-            # per row: [d update-gate pre-activation | d reset | d module output per module]
-            g_pre = np.empty((n, 2 * hid + n_mod * hid))
+            # per row: [d update-gate pre-activation | d reset | d router
+            # logits, if a gate | d module output per module]
+            g_pre = np.empty((n, n_hx + len(modules) * hid))
             carry = np.zeros((batch, hid))
             for t in reversed(range(steps)):
                 rows = slice(t * batch, (t + 1) * batch)
                 z, r = gates[rows, :hid], gates[rows, hid:]
-                h_prev, cand = out[rows, hid : 2 * hid], cand_rows[rows]
+                h_prev, cand, w = out[rows, hid : 2 * hid], cand_rows[rows], weight_rows[rows]
                 gh = g_h[rows] + carry
                 gcand = gh * z * (cand > 0)
-                g_mod = (gcand[:, None, :] * count_rows[rows][:, :, None]).reshape(batch, -1)
+                g_mod = (gcand[:, None, :] * w[:, :, None]).reshape(batch, -1)
                 g_rh = g_mod @ mod_wh_t
-                g_gates = np.concatenate(
-                    [(gh * cand - gh * h_prev) * z * (1.0 - z), g_rh * h_prev * r * (1.0 - r)],
-                    axis=-1,
-                )
-                g_pre[rows, : 2 * hid], g_pre[rows, 2 * hid :] = g_gates, g_mod
-                carry = gh * (z * -1.0 + 1.0) + g_rh * r + g_gates @ gate_wh_t + g_hx[rows, :hid]
-            g_gate_w = out[:, hid:].T @ g_pre[:, : 2 * hid]
-            g_gate_b = g_pre[:, : 2 * hid].sum(axis=0)
-            g_mod_w = px_rows.T @ g_pre[:, 2 * hid :]
-            g_mod_b = g_pre[:, 2 * hid :].sum(axis=0)
-            grads = [
-                g_hx[:, hid:] + g_pre @ all_wx_t,
-                g_gate_w[:, :hid],
-                g_gate_b[:hid],
-                g_gate_w[:, hid:],
-                g_gate_b[hid:],
-            ]
-            for j in range(n_mod):
-                cols = slice(j * hid, (j + 1) * hid)
-                grads += [g_mod_w[:, cols], g_mod_b[cols]]
+                g_maps = [(gh * cand - gh * h_prev) * z * (1.0 - z), g_rh * h_prev * r * (1.0 - r)]
+                if gate is not None:
+                    g_weights = (mod_rows[rows] * gcand[:, None, :]).sum(axis=-1)
+                    g_maps += gate.pullback(w, noises[t], g_weights)
+                g_hx_pre = np.concatenate(g_maps, axis=-1)
+                g_pre[rows, :n_hx], g_pre[rows, n_hx:] = g_hx_pre, g_mod
+                carry = gh * (z * -1.0 + 1.0) + g_rh * r + g_hx_pre @ hx_wh_t + g_hx[rows, :hid]
+            g_w = np.concatenate(
+                [out[:, hid:].T @ g_pre[:, :n_hx], px_rows.T @ g_pre[:, n_hx:]], axis=1
+            )
+            g_b = g_pre.sum(axis=0)
+            grads, lo = [g_hx[:, hid:] + g_pre @ all_wx_t], 0
+            for m in maps:
+                grads += [g_w[:, lo : lo + m.out_dim], g_b[lo : lo + m.out_dim]]
+                lo += m.out_dim
             return grads
 
-        inputs = [xs, *self.update.parameters(), *self.reset.parameters(), *self.pool.parameters()]
+        inputs = [xs] + [p for m in maps for p in m.parameters()]
         return record_joint("modular-gru-unroll", out, inputs, pullback)
-
-
-class NoisyTopKGruCell:
-    """GRU cell whose candidate transform is a sparse module mixture.
-
-    The gate reads [h, x]; surviving modules' outputs on [reset*h, x] are
-    blended by the renormalized top-k weights, then rectified.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        in_dim: int,
-        hidden: int,
-        n_modules: int,
-        k: int,
-        name: str = "cell",
-    ):
-        cat = hidden + in_dim
-        self.hidden = hidden
-        self.in_dim = in_dim
-        self.update = Linear(rng, cat, hidden, f"{name}.update")
-        self.reset = Linear(rng, cat, hidden, f"{name}.reset")
-        self.pool = ModulePool(rng, n_modules, cat, hidden, kind="linear", name=f"{name}.pool")
-        self.gate = NoisyTopKGate(rng, cat, n_modules, k, name=f"{name}.gate")
-        self.name = name
-
-    def parameters(self) -> list[Parameter]:
-        return (
-            self.update.parameters()
-            + self.reset.parameters()
-            + self.pool.parameters()
-            + self.gate.parameters()
-        )
-
-    def step(
-        self,
-        h: Tensor,
-        x: Tensor,
-        train: bool,
-        rng: np.random.Generator | None,
-        hx: Tensor | None = None,
-    ) -> tuple[Tensor, Tensor, np.ndarray]:
-        if hx is None:
-            hx = concat_last(h, x)
-        w, mask = self.gate.weights(hx, train=train, rng=rng)
-        z = sigmoid(self.update(hx))
-        r = sigmoid(self.reset(hx))
-        px = concat_last(mul(r, h), x)
-        cand = relu(self.pool.combine(px, w, np.flatnonzero(mask.any(axis=0))))
-        keep = add(mul(z, -1.0), 1.0)
-        return add(mul(keep, h), mul(z, cand)), w, mask
 
 
 def _step_snapshot(probs: np.ndarray, comps: np.ndarray) -> SelectionSnapshot:
@@ -275,11 +237,9 @@ def _step_snapshot(probs: np.ndarray, comps: np.ndarray) -> SelectionSnapshot:
     )
 
 
-class ModularGruLM(ModularModel):
-    """Character/word model: embedding, modular GRU, vocab projection."""
-
-    # the count grows as (modules**slots)**steps
-    ENUM_BUDGET = 4096
+class _GruLM:
+    """Embedding, one modular GRU cell and a vocabulary projection, shared
+    by both recurrent models; ``n_slots`` and ``topk`` route the cell."""
 
     def __init__(
         self,
@@ -288,21 +248,85 @@ class ModularGruLM(ModularModel):
         embed_dim: int,
         hidden: int,
         n_modules: int,
-        n_slots: int,
+        n_slots: int = 1,
         name: str = "lm",
+        topk: int | None = None,
     ):
         bound = 1.0 / math.sqrt(embed_dim)
         self.embed = Parameter(
             rng.uniform(-bound, bound, size=(vocab, embed_dim)), f"{name}.embed"
         )
-        self.cell = ModularGruCell(rng, embed_dim, hidden, n_modules, n_slots, f"{name}.cell")
+        self.cell = ModularGruCell(rng, embed_dim, hidden, n_modules, n_slots, f"{name}.cell", topk)
         self.out = Linear(rng, hidden, vocab, f"{name}.out")
         self.vocab = vocab
-        self.n_slots = n_slots
         self.n_modules = n_modules
+        self.n_slots = n_slots
 
     def parameters(self) -> list[Parameter]:
         return [self.embed] + self.cell.parameters() + self.out.parameters()
+
+    def _checked(self, tokens, targets):
+        """Tokens and targets as arrays, refused unless they are equal 2-D
+        shapes of token ids in range."""
+        tokens = np.asarray(tokens)
+        targets = None if targets is None else np.asarray(targets)
+        if tokens.ndim != 2 or (targets is not None and targets.shape != tokens.shape):
+            raise ValueError(
+                f"tokens {tokens.shape} and targets {np.shape(targets)} must be "
+                "equal 2-D shapes"
+            )
+        if tokens.dtype.kind not in "iu":
+            raise ShapeError("token ids must be integers")
+        if tokens.size and (tokens.min() < 0 or tokens.max() >= self.vocab):
+            raise ShapeError(
+                f"token id out of range [0, {self.vocab}): "
+                f"min={tokens.min()}, max={tokens.max()}"
+            )
+        if active_tape() is not None and targets is None:
+            raise ValueError("a taped rollout needs targets")
+        return tokens, targets
+
+    def _scored_unroll(self, tokens, targets, select):
+        """Unroll the cell over a (batch, steps) token block with
+        ``select``, scoring the next tokens when ``targets`` are given.
+
+        Returns the summed log-likelihoods (batch,), the per-token ones
+        (batch, steps), both None without targets, and under a tape the
+        unroll's stacked [h | hx] rows (else None).
+        """
+        batch, steps = tokens.shape
+        hid = self.cell.hidden
+        h0 = np.zeros((batch, hid))
+        if active_tape() is None:
+            pred_ll = None if targets is None else np.empty((batch, steps))
+            total = [None]
+
+            def visit(t, h):
+                ll = categorical_log_prob(self.out(h), targets[:, t]).data
+                pred_ll[:, t] = ll
+                total[0] = ll if total[0] is None else total[0] + ll
+
+            # one step's embeddings at a time: evaluation unrolls every window at once
+            self.cell.unroll(
+                lambda t: self.embed.data[tokens[:, t]], steps, select, h0,
+                None if targets is None else visit,
+            )
+            return None if total[0] is None else Tensor(total[0]), pred_ll, None
+
+        # rows are time-major (t * batch + b); summing the (steps, batch)
+        # view over axis 0 adds the steps in the same order as above
+        x_rows = embedding_lookup(self.embed, tokens.T.reshape(-1))
+        rows = self.cell.unroll(x_rows, steps, select, h0)
+        ll = categorical_log_prob(self.out(slice_last(rows, 0, hid)), targets.T.reshape(-1))
+        cond = sum_over_axis(reshape(ll, (steps, batch)), axis=0)
+        return cond, ll.data.reshape(steps, batch).T.copy(), rows
+
+
+class ModularGruLM(_GruLM, ModularModel):
+    """Character/word model: embedding, modular GRU, vocab projection."""
+
+    # the count grows as (modules**slots)**steps
+    ENUM_BUDGET = 4096
 
     def n_units(self, tokens) -> int:
         return np.shape(tokens)[1]
@@ -328,17 +352,8 @@ class ModularGruLM(ModularModel):
         by side on tiled rows.  Without ``targets`` an untaped unroll only
         chooses selections: ``cond_ll`` and ``pred_ll`` come back None.
         """
-        tokens = np.asarray(tokens)
-        targets = None if targets is None else np.asarray(targets)
-        scored = targets is not None
-        if tokens.ndim != 2 or (scored and targets.shape != tokens.shape):
-            raise ValueError(
-                f"tokens {tokens.shape} and targets {np.shape(targets)} must be "
-                "equal 2-D shapes"
-            )
+        tokens, targets = self._checked(tokens, targets)
         taped = active_tape() is not None
-        if taped and not scored:
-            raise ValueError("a taped rollout needs targets")
         batch, steps = tokens.shape
 
         n_mod, hid = self.n_modules, self.cell.hidden
@@ -351,17 +366,9 @@ class ModularGruLM(ModularModel):
                 )
             if comps.size and (comps.min() < 0 or comps.max() >= n_mod):
                 raise ShapeError(f"module index out of range [0, {n_mod})")
-        if tokens.dtype.kind not in "iu":
-            raise ShapeError("token ids must be integers")
-        if tokens.size and (tokens.min() < 0 or tokens.max() >= self.vocab):
-            raise ShapeError(
-                f"token id out of range [0, {self.vocab}): "
-                f"min={tokens.min()}, max={tokens.max()}"
-            )
 
         ctrl_model = self.cell.controller
         chosen = np.empty((batch, steps, self.n_slots), dtype=np.int64)
-        pred_ll = np.empty((batch, steps)) if scored else None
         probs_out = np.empty((batch, steps, self.n_slots, n_mod)) if collect_probs else None
         need_probs = collect_probs or comps is None or sample_mask is not None
         # fully forced selections: every step's slot counts at once, time-major
@@ -370,8 +377,8 @@ class ModularGruLM(ModularModel):
             if comps is not None and sample_mask is None
             else None
         )
-        # untaped sums of the per-step log-likelihoods (cond, ctrl)
-        sums: list = [None, None]
+        # untaped sum of the per-step controller log-likelihoods
+        ctrl_sum = [None]
 
         def select(t, hx):
             p = ctrl_model.distribution(hx) if need_probs else None
@@ -381,34 +388,13 @@ class ModularGruLM(ModularModel):
                 probs_out[:, t] = p
             if with_ctrl and not taped:
                 term = ctrl_model.log_prob(hx, sel).data
-                sums[1] = term if sums[1] is None else sums[1] + term
+                ctrl_sum[0] = term if ctrl_sum[0] is None else ctrl_sum[0] + term
             counts = forced_counts[t] if forced_counts is not None else slot_counts(sel, n_mod)
-            return sel, counts
+            return counts, None
 
-        def visit(t, h):
-            ll = categorical_log_prob(self.out(h), targets[:, t]).data
-            pred_ll[:, t] = ll
-            sums[0] = ll if sums[0] is None else sums[0] + ll
-
-        h0 = np.zeros((batch, hid))
-        if not taped:
-            # one step's embeddings at a time: evaluation unrolls every window at once
-            self.cell.unroll(
-                lambda t: self.embed.data[tokens[:, t]], steps, select, h0,
-                visit if scored else None,
-            )
-            cond, ctrl = (None if v is None else Tensor(v) for v in sums)
-            return RolloutResult(cond, ctrl, chosen, pred_ll, probs_out)
-
-        # rows are time-major (t * batch + b); summing the (steps, batch)
-        # view over axis 0 adds the steps in the same order as above
-        x_rows = embedding_lookup(self.embed, tokens.T.reshape(-1))
-        rows = self.cell.unroll(x_rows, steps, select, h0)
-        ll = categorical_log_prob(self.out(slice_last(rows, 0, hid)), targets.T.reshape(-1))
-        pred_ll[...] = ll.data.reshape(steps, batch).T
-        cond = sum_over_axis(reshape(ll, (steps, batch)), axis=0)
-        ctrl = None
-        if with_ctrl:
+        cond, pred_ll, rows = self._scored_unroll(tokens, targets, select)
+        ctrl = None if ctrl_sum[0] is None else Tensor(ctrl_sum[0])
+        if taped and with_ctrl:
             if detach_ctrl_inputs:
                 hx_rows = constant(rows.data[:, hid:])
             else:
@@ -423,30 +409,12 @@ class ModularGruLM(ModularModel):
         return _step_snapshot(res.probs, res.comps), res.comps
 
 
-class NoisyTopKGruLM:
-    """Same backbone as the modular model with gate-mixed candidates."""
+class NoisyTopKGruLM(_GruLM):
+    """Same backbone as the modular model, its cell routed by a noisy
+    top-k gate."""
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        vocab: int,
-        embed_dim: int,
-        hidden: int,
-        n_modules: int,
-        k: int,
-        name: str = "lm",
-    ):
-        bound = 1.0 / math.sqrt(embed_dim)
-        self.embed = Parameter(
-            rng.uniform(-bound, bound, size=(vocab, embed_dim)), f"{name}.embed"
-        )
-        self.cell = NoisyTopKGruCell(rng, embed_dim, hidden, n_modules, k, f"{name}.cell")
-        self.out = Linear(rng, hidden, vocab, f"{name}.out")
-        self.vocab = vocab
-        self.n_modules = n_modules
-
-    def parameters(self) -> list[Parameter]:
-        return [self.embed] + self.cell.parameters() + self.out.parameters()
+    def __init__(self, rng, vocab, embed_dim, hidden, n_modules, k: int, name: str = "lm"):
+        super().__init__(rng, vocab, embed_dim, hidden, n_modules, name=name, topk=k)
 
     def rollout(
         self,
@@ -461,28 +429,19 @@ class NoisyTopKGruLM:
         Without ``targets`` the output head is skipped and ``cond_ll`` and
         ``pred_ll`` come back None.
         """
-        tokens = np.asarray(tokens)
-        scored = targets is not None
-        if tokens.ndim != 2 or (scored and np.shape(targets) != tokens.shape):
-            raise ValueError(
-                f"tokens {tokens.shape} and targets {np.shape(targets)} must be "
-                "equal 2-D shapes"
-            )
+        tokens, targets = self._checked(tokens, targets)
         batch, steps = tokens.shape
-        h: Tensor = Tensor(np.zeros((batch, self.cell.hidden)))
-        cond: Tensor | None = None
-        pred_ll = np.empty((batch, steps)) if scored else None
+        gate = self.cell.gate
         weights = np.empty((batch, steps, self.n_modules)) if collect_weights else None
-        chosen = np.empty((batch, steps, 0), dtype=np.int64)
-        for t in range(steps):
-            x = embedding_lookup(self.embed, tokens[:, t])
-            h, w, _ = self.cell.step(h, x, train=train, rng=rng)
+
+        def select(t, hx):
+            w, _, noise = gate.forward(hx, train, rng)
             if collect_weights:
-                weights[:, t] = w.data
-            if scored:
-                ll = categorical_log_prob(self.out(h), targets[:, t])
-                pred_ll[:, t] = ll.data
-                cond = ll if cond is None else add(cond, ll)
+                weights[:, t] = w
+            return w, noise
+
+        cond, pred_ll, _ = self._scored_unroll(tokens, targets, select)
+        chosen = np.empty((batch, steps, 0), dtype=np.int64)
         return RolloutResult(cond, None, chosen, pred_ll, None, weights)
 
     def cond_log_lik(self, tokens, targets, train: bool = False, rng=None) -> Tensor:

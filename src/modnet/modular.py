@@ -28,10 +28,10 @@ from modnet.autodiff import (
     matmul,
     mul,
     paused,
+    record_joint,
     relu,
-    row_softmax,
     slice_last,
-    softplus,
+    stable_sigmoid,
 )
 from modnet.diagnostics import SelectionSnapshot
 
@@ -467,6 +467,13 @@ class NoisyTopKGate:
     Training adds input-dependent Gaussian noise to the gate logits before
     the top-k cut; evaluation is noise-free.  Weights of dropped modules
     are exactly zero, as are their gradients.
+
+    The math is written once, in raw numpy: ``forward`` computes the
+    weights and ``pullback`` turns a gradient of the weights into
+    gradients of the two sets of logits, gate and noise scale.  ``weights``
+    records them as one ``noisy-topk-gate`` tape op for the feedforward
+    layer; the recurrent cell calls them inside its own backpropagation
+    through time.
     """
 
     def __init__(
@@ -488,21 +495,48 @@ class NoisyTopKGate:
     def parameters(self) -> list[Parameter]:
         return self.gate.parameters() + self.noise.parameters()
 
-    def weights(
-        self, x, train: bool = False, rng: np.random.Generator | None = None
-    ) -> tuple[Tensor, np.ndarray]:
-        """Mixture weights (batch, modules) and the 0/1 survivor mask."""
-        z = self.gate(x)
+    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None):
+        """Mixture weights (batch, modules), the 0/1 survivor mask, and the
+        noise terms ``pullback`` needs: the draws and the slope of the
+        softplus noise scale, or None without noise."""
+        z = x @ self.gate.w.data + self.gate.b.data
+        noise = None
         if train:
             if rng is None:
                 raise ValueError("training-mode gate needs an rng for noise")
             eps = rng.standard_normal(z.shape)
-            z = add(z, mul(constant(eps), softplus(self.noise(x))))
-        order = np.argsort(-z.data, axis=-1, kind="stable")  # ties: lower index wins
-        mask = np.zeros_like(z.data)
+            pre = x @ self.noise.w.data + self.noise.b.data
+            z = z + eps * np.logaddexp(0.0, pre)
+            noise = (eps, stable_sigmoid(pre))
+        order = np.argsort(-z, axis=-1, kind="stable")  # ties: lower index wins
+        mask = np.zeros_like(z)
         np.put_along_axis(mask, order[:, : self.k], 1.0, axis=-1)
-        w = row_softmax(add(z, constant((1.0 - mask) * NEG_MASK)))
-        return w, mask
+        z = z + (1.0 - mask) * NEG_MASK
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True), mask, noise
+
+    @staticmethod
+    def pullback(w: np.ndarray, noise, g_w: np.ndarray):
+        """Gradients of the gate logits and of the noise-scale logits (zero
+        without noise), given the weights ``w`` and their gradient ``g_w``."""
+        g = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True))
+        return g, np.zeros_like(g) if noise is None else g * noise[0] * noise[1]
+
+    def weights(
+        self, x, train: bool = False, rng: np.random.Generator | None = None
+    ) -> tuple[Tensor, np.ndarray]:
+        """Mixture weights (batch, modules) as one tape record, and the 0/1
+        survivor mask."""
+        xd = x.data if isinstance(x, (Tensor, Parameter)) else np.asarray(x, dtype=np.float64)
+        w, mask, noise = self.forward(xd, train, rng)
+        gw, nw = self.gate.w.data, self.noise.w.data
+
+        def pullback(g):
+            g_gate, g_noise = self.pullback(w, noise, g)
+            g_x = g_gate @ gw.T + g_noise @ nw.T
+            return [g_x, xd.T @ g_gate, g_gate.sum(axis=0), xd.T @ g_noise, g_noise.sum(axis=0)]
+
+        return record_joint("noisy-topk-gate", w, [x, *self.parameters()], pullback), mask
 
 
 class NoisyTopKLayer:

@@ -225,17 +225,9 @@ def build_dataset(cfg: ExperimentConfig, streams: SeedStreams):
 
 
 def _toy_dims(cfg: ExperimentConfig) -> list[tuple[int, int]]:
-    a = cfg.architecture
-    d = cfg.task.dim
-    if a.n_layers == 1:
-        return [(d, d)]
-    dims = []
-    width = d
-    for l in range(a.n_layers):
-        out = a.hidden if l < a.n_layers - 1 else d
-        dims.append((width, out))
-        width = out * (a.n_slots if a.combine == "concat" else 1)
-    return dims
+    a, d = cfg.architecture, cfg.task.dim
+    widths = [d] + [a.hidden] * (a.n_layers - 1) + [d]
+    return list(zip(widths[:-1], widths[1:]))
 
 
 def build_model(cfg: ExperimentConfig, data, streams: SeedStreams):
@@ -577,6 +569,8 @@ def evaluate_checkpoint(
         unknown = sorted(set(spec) - {"task", "seed"})
         if unknown:
             raise ConfigError(f"{unknown[0]}: unknown dataset spec field")
+        # a relative corpus path is read against the spec's own directory
+        anchor_task_path(spec, os.path.dirname(os.path.abspath(dataset_spec)))
         # the checkpoint's config with the spec's task and seed, validated as one
         eval_cfg = from_dict(
             dict(ckpt.config, task=spec.get("task", ckpt.config["task"]),

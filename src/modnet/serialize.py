@@ -3,8 +3,9 @@
 Checkpoint layout: 8 magic bytes, an 8-byte little-endian header length,
 a UTF-8 JSON header, then one contiguous block of little-endian float64
 values.  The header lists every array's name, shape, element offset, and
-logical dtype; integer arrays are stored as doubles (exact below 2**53)
-and cast back on load.  Writes go through a temp file and an atomic
+logical dtype; integer arrays are stored as doubles and cast back on
+load, so ``write_checkpoint`` refuses any integer past +-2**53, the
+range doubles hold exactly.  Writes go through a temp file and an atomic
 rename so a crash never leaves a half-written file.
 """
 
@@ -131,6 +132,8 @@ def write_checkpoint(
     for key, arr in trainer_state.get("arrays", {}).items():
         arr = np.asarray(arr)
         dtype = "int64" if arr.dtype.kind in "iu" else "float64"
+        if dtype == "int64" and arr.size and (arr.min() < -(2**53) or arr.max() > 2**53):
+            raise ValueError(f"trainer array {key!r} holds integers past +-2**53")
         entries.append((f"state:{key}", arr, dtype))
     manifest, payload = _pack_arrays(entries)
     header = {

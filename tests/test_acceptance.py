@@ -51,7 +51,7 @@ from modnet.diagnostics import (
     write_pgm,
 )
 from modnet.gru import ModularGruCell
-from modnet.modular import slot_counts
+from modnet.modular import ModulePool, NoisyTopKGate, slot_counts
 from modnet.runner import (
     build_dataset,
     build_model,
@@ -182,7 +182,42 @@ def primitive_checks():
         ("gaussian-log-density", lambda: mean_all(gaussian_log_density(constant(ymat), a)), [a]),
         ("categorical-log-prob", lambda: mean_all(categorical_log_prob(logits, targets)), [logits]),
         unroll_check(rng),
+        *gate_checks(rng),
+        gated_unroll_check(rng),
     ]
+
+
+def min_relu_input(module, fn) -> float:
+    """Smallest |relu input| while ``fn`` runs with ``module.relu`` spied."""
+    true_relu, seen = module.relu, []
+
+    def relu_spy(x):
+        seen.append(np.abs(x.data).min())
+        return true_relu(x)
+
+    module.relu = relu_spy
+    try:
+        fn()
+    finally:
+        module.relu = true_relu
+    return min(seen)
+
+
+def topk_margin(x, gate, eps=None) -> float:
+    """Smallest gap over rows between the k-th and (k+1)-th noisy gate
+    logits, in plain numpy: the top-k cut is the gate's kink."""
+    z = x @ gate.gate.w.data + gate.gate.b.data
+    if eps is not None:
+        z = z + eps * np.log1p(np.exp(x @ gate.noise.w.data + gate.noise.b.data))
+    z = -np.sort(-z, axis=-1)
+    return float((z[:, gate.k - 1] - z[:, gate.k]).min())
+
+
+def random_biases(params, rng):
+    # zero-init biases can park rows exactly on a kink
+    for p in params:
+        if p.name.endswith(".b"):
+            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
 
 
 def unroll_check(rng):
@@ -190,33 +225,73 @@ def unroll_check(rng):
     a module twice, module 1 unused at step 0.  Random biases keep every
     candidate pre-activation off the relu kink (checked here)."""
     cell = ModularGruCell(rng, in_dim=2, hidden=3, n_modules=3, n_slots=2)
-    for p in cell.parameters():
-        if p.name.endswith(".b"):
-            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    random_biases(cell.parameters(), rng)
     xs = Parameter(rng.standard_normal((6, 2)), "xs")
     h0 = rng.standard_normal((2, 3))
     sels = np.array([[[2, 2], [0, 2]], [[1, 0], [2, 1]], [[0, 1], [1, 1]]])
     weight = constant(rng.standard_normal((6, 3 + 3 + 2)))
 
     def select(t, hx):
-        return sels[t], slot_counts(sels[t], 3)
+        return slot_counts(sels[t], 3), None
 
     def fn():
         return mean_all(mul(cell.unroll(xs, 3, select, h0), weight))
 
-    true_relu, pre_mins = gru_mod.relu, []
-
-    def relu_spy(x):
-        pre_mins.append(np.abs(x.data).min())
-        return true_relu(x)
-
-    gru_mod.relu = relu_spy
-    try:
-        fn()
-    finally:
-        gru_mod.relu = true_relu
-    assert min(pre_mins) > 1e-3, "unroll check sits too close to a relu kink"
+    assert min_relu_input(gru_mod, fn) > 1e-3, "unroll check sits too close to a relu kink"
     return "modular-gru-unroll", fn, [xs] + cell.parameters()
+
+
+def gate_checks(rng):
+    """The noisy top-k gate record, in training and in evaluation, mixing a
+    rectified pool as the feedforward layer does; kept off the relu kink
+    and the top-k cut (both checked here)."""
+    pool = ModulePool(rng, 4, 3, 2, kind="linear-relu")
+    gate = NoisyTopKGate(rng, 3, 4, 2)
+    random_biases(pool.parameters() + gate.parameters(), rng)
+    xp = Parameter(rng.standard_normal((5, 3)), "gate_x")
+    wout = constant(rng.standard_normal((5, 2)))
+    checks = []
+    for train in (True, False):
+        def fn(train=train):
+            w, mask = gate.weights(xp, train, np.random.default_rng(21))
+            return mean_all(mul(pool.combine(xp, w, np.flatnonzero(mask.any(axis=0))), wout))
+
+        eps = np.random.default_rng(21).standard_normal((5, 4)) if train else None
+        mode = "train" if train else "eval"
+        assert min_relu_input(modular_mod, fn) > 1e-3, f"gate {mode} check sits on a relu kink"
+        assert topk_margin(xp.data, gate, eps) > 1e-3, f"gate {mode} check sits on the top-k cut"
+        checks.append((f"noisy-topk-gate, {mode}", fn, [xp] + pool.parameters() + gate.parameters()))
+    return checks
+
+
+def gated_unroll_check(rng):
+    """The unroll routed by a noisy top-2 gate over 4 modules in training,
+    3 steps of 2 rows, so BPTT carries the gate weights' gradient; kept
+    off the relu kink and the top-k cut (both checked here)."""
+    cell = ModularGruCell(rng, in_dim=2, hidden=3, n_modules=4, topk=2)
+    random_biases(cell.parameters(), rng)
+    xs = Parameter(rng.standard_normal((6, 2)), "gated_xs")
+    h0 = rng.standard_normal((2, 3))
+    weight = constant(rng.standard_normal((6, 3 + 3 + 2)))
+
+    def rows():
+        noise = np.random.default_rng(23)
+
+        def select(t, hx):
+            w, _, eps = cell.gate.forward(hx, True, noise)
+            return w, eps
+
+        return cell.unroll(xs, 3, select, h0)
+
+    def fn():
+        return mean_all(mul(rows(), weight))
+
+    assert min_relu_input(gru_mod, fn) > 1e-3, "gated unroll check sits on a relu kink"
+    noise = np.random.default_rng(23)
+    eps = np.concatenate([noise.standard_normal((2, 4)) for _ in range(3)])
+    margin = topk_margin(rows().data[:, 3:], cell.gate, eps)
+    assert margin > 1e-3, "gated unroll check sits on the top-k cut"
+    return "modular-gru-unroll, noisy top-k", fn, [xs] + cell.parameters()
 
 
 def test_criterion_03_gradients_match_finite_differences(monkeypatch):

@@ -135,6 +135,33 @@ def test_eval_on_train_and_external_dataset(tmp_path, capsys):
     assert other["mse"] != pytest.approx(scores["mse"])  # different draw
 
 
+def test_eval_spec_reads_a_relative_corpus_path_from_its_own_directory(
+    tmp_path, capsys, monkeypatch
+):
+    specs = tmp_path / "specs"
+    specs.mkdir()
+    (specs / "corpus.txt").write_text("the tide comes in and the tide goes out\n" * 4)
+    task = {"kind": "text-lm", "path": "corpus.txt", "unroll": 5}
+    cfg = specs / "exp.json"
+    cfg.write_text(json.dumps(tiny_config(
+        task=task, architecture={"n_modules": 2, "n_slots": 1, "hidden": 4, "embed_dim": 4}
+    )))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--set", f"out_dir={out}"]) == 0
+    capsys.readouterr()
+    ckpt = str(out / "checkpoints" / "final.ckpt")
+    assert main(["eval", ckpt, "train"]) == 0
+    on_train = json.loads(capsys.readouterr().out)
+
+    spec = specs / "spec.json"
+    spec.write_text(json.dumps({"task": task}))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["eval", ckpt, str(spec)]) == 0
+    assert json.loads(capsys.readouterr().out) == on_train
+
+
 def test_eval_missing_checkpoint_is_exit_2(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "gone.ckpt"), "train"]) == 2
     assert "config error" in capsys.readouterr().err
@@ -388,6 +415,11 @@ HOSTILE_JSON = {
     "sweep-axis-not-a-list": ("sweep", {"base": tiny_config(), "axes": {"seed": 3}}, "axes.seed"),
     "sweep-empty-axis": ("sweep", {"base": tiny_config(), "axes": {"seed": []}}, "axes.seed"),
     "sweep-out-dir-not-a-name": ("sweep", {"base": tiny_config(), "out_dir": 7}, "out_dir"),
+    "run-concat-several-slots": (
+        "run",
+        tiny_config(architecture={"n_modules": 2, "n_slots": 2, "combine": "concat"}),
+        "architecture.combine",
+    ),
     "eval-list-spec": ("eval", [1, 2], "dataset spec"),
     "eval-list-seed": ("eval", {"seed": [1]}, "seed"),
     "eval-unknown-field": ("eval", {"sed": 1}, "sed"),

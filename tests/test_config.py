@@ -108,6 +108,8 @@ def test_type_errors_are_rejected_with_path():
         ({"trainer": {"clip_norm": -1}}, "trainer.clip_norm: must be a finite number >= 0"),
         ({"trainer": {"clip_norm": float("nan")}}, "trainer.clip_norm: must be a finite"),
         ({"trainer": {"clip_norm": float("inf")}}, "trainer.clip_norm: must be a finite"),
+        # concat widens each layer by its slot count, past the regression targets
+        ({"architecture": {"n_slots": 2, "combine": "concat"}}, "architecture.combine"),
     ],
 )
 def test_validation_rejects_bad_combinations(patch, needle):

@@ -7,9 +7,9 @@ from conftest import stack_rows
 
 import modnet.gru as gru_mod
 from modnet.autodiff import (
+    NEG_MASK,
     Parameter,
     Tape,
-    Tensor,
     add,
     concat_last,
     constant,
@@ -17,16 +17,21 @@ from modnet.autodiff import (
     mean_all,
     mul,
     relu,
+    row_softmax,
     sigmoid,
+    softplus,
     sum_over_axis,
 )
-from modnet.gru import (
-    ModularGruCell,
-    ModularGruLM,
-    NoisyTopKGruCell,
-    NoisyTopKGruLM,
+from modnet.gru import ModularGruCell, ModularGruLM, NoisyTopKGruLM
+from modnet.modular import (
+    Controller,
+    ModularLayer,
+    ModularNet,
+    ModulePool,
+    NoisyTopKGate,
+    OutputHead,
+    slot_counts,
 )
-from modnet.modular import Controller, ModularLayer, ModularNet, ModulePool, OutputHead, slot_counts
 
 RNG = np.random.default_rng(99)
 
@@ -72,6 +77,34 @@ def composed_cell_step(cell, h, x, selection, hx=None):
     return add(mul(keep, h), mul(z, cand))
 
 
+def composed_topk_weights(gate, x, train, rng):
+    """The noisy top-k gate built from generic primitives, one record per
+    op: the reference for ``NoisyTopKGate.forward`` and its pullback."""
+    z = gate.gate(x)
+    if train:
+        eps = rng.standard_normal(z.shape)
+        z = add(z, mul(constant(eps), softplus(gate.noise(x))))
+    order = np.argsort(-z.data, axis=-1, kind="stable")
+    mask = np.zeros_like(z.data)
+    np.put_along_axis(mask, order[:, : gate.k], 1.0, axis=-1)
+    return row_softmax(add(z, constant((1.0 - mask) * NEG_MASK))), mask
+
+
+def composed_topk_step(cell, h, x, train, rng, hx=None):
+    """One step of the gate-routed cell from generic primitives: the
+    reference for ``modular-gru-unroll`` with a noisy top-k router, same
+    arithmetic in the same order, noise drawn first."""
+    if hx is None:
+        hx = concat_last(h, x)
+    w, mask = composed_topk_weights(cell.gate, hx, train, rng)
+    z = sigmoid(cell.update(hx))
+    r = sigmoid(cell.reset(hx))
+    px = concat_last(mul(r, h), x)
+    cand = relu(cell.pool.combine(px, w, np.flatnonzero(mask.any(axis=0))))
+    keep = add(mul(z, -1.0), 1.0)
+    return add(mul(keep, h), mul(z, cand)), mask
+
+
 def reference_lm_rollout(lm, tokens, targets, comps):
     """Full value-level reimplementation of the unroll in plain numpy."""
     batch, steps = tokens.shape
@@ -102,7 +135,7 @@ def make_lm(vocab=5, embed=3, hidden=4, n_modules=2, n_slots=1, seed=200):
 def forced(sels, n_modules):
     """``select`` for ``ModularGruCell.unroll`` from (steps, batch, slots)
     selections fixed in advance."""
-    return lambda t, hx: (sels[t], slot_counts(sels[t], n_modules))
+    return lambda t, hx: (slot_counts(sels[t], n_modules), None)
 
 
 def unroll_states(cell, h0, xs, sels):
@@ -247,6 +280,102 @@ def test_unroll_matches_composed_steps(n_slots, sel_rows, monkeypatch):
         for p in cell.pool.modules[1].parameters():
             assert not got_g[steps + cell.parameters().index(p)].any()
 
+    for g, w in zip(got_g, want_g):
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+def test_topk_gate_record_matches_composed_weights(train):
+    # one noisy-topk-gate record against the gate built op by op: same
+    # arithmetic, so weights, mask and every gradient agree bit for bit
+    rng = np.random.default_rng(90)
+    gate = NoisyTopKGate(rng, 3, 5, 2)
+    x = Parameter(rng.standard_normal((7, 3)), "x")
+    weight = rng.standard_normal((7, 5))
+
+    def run(weights):
+        with Tape() as tape:
+            w, mask = weights(tape.watch(x), train, np.random.default_rng(6))
+            loss = sum_over_axis(mul(w, weight))
+            n_records = len(tape)
+        grads = tape.backward(loss)
+        return w.data, mask, [tape.grad(grads, p) for p in [x] + gate.parameters()], n_records
+
+    got_w, got_mask, got_g, n_records = run(gate.weights)
+    want_w, want_mask, want_g, _ = run(lambda x, *a: composed_topk_weights(gate, x, *a))
+    # the gate, the product and the sum
+    assert n_records == 3
+    assert np.array_equal(got_w, want_w) and np.array_equal(got_mask, want_mask)
+    assert any(g.any() for g in got_g[3:]) == train
+    for g, w in zip(got_g, want_g):
+        assert np.array_equal(g, w)
+
+
+def topk_unrolls(train, seed):
+    """``unroll_fn``s for a gate-routed cell, fused and composed; each draws
+    its noise from a fresh stream of one seed, and the composed one
+    appends each step's survivor mask to the list passed in its place."""
+
+    def fused(cell, h0, x_steps, _):
+        rng = np.random.default_rng(seed)
+
+        def select(t, hx):
+            w, _, noise = cell.gate.forward(hx, train, rng)
+            return w, noise
+
+        return cell.unroll(stack_rows(x_steps), len(x_steps), select, h0)
+
+    def composed(cell, h0, x_steps, masks):
+        rng = np.random.default_rng(seed)
+        h, rows = constant(h0), []
+        for x in x_steps:
+            hx = concat_last(h, x)
+            h, mask = composed_topk_step(cell, h, x, train, rng, hx=hx)
+            masks.append(mask)
+            rows.append(concat_last(h, hx))
+        return stack_rows(rows)
+
+    return fused, composed
+
+
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_topk_unroll_matches_composed_steps(k, train, monkeypatch):
+    rng = np.random.default_rng(80 + k)
+    cell = ModularGruCell(rng, in_dim=3, hidden=4, n_modules=4, topk=k)
+    for p in cell.parameters():
+        if p.name.endswith(".b"):
+            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    steps, batch = 4, 3
+    h0 = rng.standard_normal((batch, 4))
+    xs = rng.standard_normal((steps, batch, 3))
+    weight = rng.standard_normal((steps * batch, 4 + 4 + 3))
+    fused, composed = topk_unrolls(train, seed=5)
+
+    pre = []
+    true_relu = gru_mod.relu
+
+    def relu_spy(x):
+        pre.append(x.data.copy())
+        return true_relu(x)
+
+    monkeypatch.setattr(gru_mod, "relu", relu_spy)
+    got, got_g, fused_records = unroll_grads(fused, cell, h0, xs, None, weight)
+    monkeypatch.setattr(gru_mod, "relu", true_relu)
+    pre = np.concatenate(pre)
+    masks = []
+    want, want_g, _ = unroll_grads(composed, cell, h0, xs, masks, weight)
+    assert np.array_equal(got, want)
+    assert fused_records == 4
+    assert (pre < 0).any() and (pre > 0).any()
+    # some module sits out a whole step, so the unroll skips it there
+    assert not np.stack([m.any(axis=0) for m in masks]).all()
+
+    gate_g = [got_g[steps + cell.parameters().index(p)] for p in cell.gate.parameters()]
+    # top-1 weights are exactly 1, so only top-2 carries a gate gradient;
+    # the noise scale has one only in training
+    assert any(g.any() for g in gate_g[:2]) == (k > 1)
+    assert any(g.any() for g in gate_g[2:]) == (k > 1 and train)
     for g, w in zip(got_g, want_g):
         np.testing.assert_allclose(g, w, rtol=1e-10, atol=0.0)
 
@@ -540,12 +669,20 @@ def test_parameter_sharing_across_time():
 
 def test_topk_cell_blends_survivors():
     rng = np.random.default_rng(60)
-    cell = NoisyTopKGruCell(rng, in_dim=2, hidden=3, n_modules=4, k=2)
+    cell = ModularGruCell(rng, in_dim=2, hidden=3, n_modules=4, topk=2)
     h = RNG.standard_normal((5, 3))
     x = RNG.standard_normal((5, 2))
-    out, w, mask = cell.step(Tensor(h), Tensor(x), train=False, rng=None)
+    routed = []
+
+    def select(t, hx):
+        w, mask, noise = cell.gate.forward(hx)
+        routed.append((w, mask))
+        return w, noise
+
+    out = cell.unroll(x, 1, select, h).data[:, :3]
+    (w, mask), = routed
     assert np.all(mask.sum(axis=1) == 2)
-    assert np.allclose(w.data.sum(axis=1), 1.0, atol=1e-9)
+    assert np.allclose(w.sum(axis=1), 1.0, atol=1e-9)
 
     hx = np.concatenate([h, x], -1)
     z = np_sigmoid(hx @ cell.update.w.data + cell.update.b.data)
@@ -555,9 +692,9 @@ def test_topk_cell_blends_survivors():
     for b in range(5):
         for j in np.nonzero(mask[b])[0]:
             m = cell.pool.modules[j]
-            mix[b] += w.data[b, j] * (px[b] @ m.w.data + m.b.data)
+            mix[b] += w[b, j] * (px[b] @ m.w.data + m.b.data)
     want = (1.0 - z) * h + z * np.maximum(mix, 0.0)
-    assert np.allclose(out.data, want, atol=1e-10)
+    assert np.allclose(out, want, atol=1e-10)
 
 
 def test_topk_lm_rollout_scores_and_weights():
@@ -578,7 +715,10 @@ def test_topk_lm_grad_check():
     tokens = np.array([[0, 1], [2, 3]])
     targets = np.array([[1, 0], [3, 2]])
 
-    def fn():
-        return mean_all(lm.rollout(tokens, targets, train=False).cond_ll)
+    for train in (False, True):
+        def fn():
+            # the same noise draws at every probe
+            noise = np.random.default_rng(4)
+            return mean_all(lm.rollout(tokens, targets, train=train, rng=noise).cond_ll)
 
-    assert grad_check(fn, lm.parameters(), step=1e-5) < 1e-4
+        assert grad_check(fn, lm.parameters(), step=1e-5) < 1e-4

@@ -1,4 +1,5 @@
-"""Source hygiene checks over the package and its tests."""
+"""Source hygiene checks over the package, its tests and the benchmark
+harness (read only: the harness is never edited from here)."""
 
 import ast
 import glob
@@ -8,6 +9,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCES = sorted(
     glob.glob(os.path.join(ROOT, "src", "modnet", "*.py"))
     + glob.glob(os.path.join(ROOT, "tests", "*.py"))
+    + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
 )
 
 
@@ -45,4 +47,5 @@ def test_no_unused_imports():
         if names:
             found[os.path.relpath(path, ROOT)] = names
     assert len(SOURCES) > 20
+    assert any(os.sep + "perfbench" + os.sep in path for path in SOURCES)
     assert found == {}

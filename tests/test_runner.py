@@ -43,12 +43,6 @@ def test_toy_layer_dims():
                      "architecture": {"n_layers": 3, "hidden": 8}})
     assert _toy_dims(cfg) == [(2, 8), (8, 8), (8, 2)]
 
-    # concat multiplies the width fed to the next layer by the slot count
-    cfg = from_dict({"task": {"dim": 2},
-                     "architecture": {"n_layers": 2, "hidden": 4,
-                                      "n_slots": 3, "combine": "concat"}})
-    assert _toy_dims(cfg) == [(2, 4), (12, 2)]
-
 
 def test_static_pattern_defaults_to_round_robin():
     cfg = from_dict({"architecture": {"n_slots": 3, "n_modules": 2}})
@@ -218,10 +212,21 @@ def test_export_artifacts_written_when_enabled(tmp_path):
     ids=["regression", "sequence"],
 )
 def test_resume_from_first_checkpoint_stitches_byte_for_byte(tmp_path, task, trainer):
+    assert_resume_stitches(tmp_path, task, trainer, {"n_modules": 2, "topk": 1})
+
+
+def test_resume_stitches_noisy_topk_sequence_at_top_2(tmp_path):
+    # at top-1 every gate weight is exactly 1 and the gate's gradient is
+    # zero; top-2 of 4 trains the gate through the unroll's pullback
+    task = {"kind": "two-regime-lm", "n_windows": 16, "unroll": 4}
+    assert_resume_stitches(tmp_path, task, "noisy-topk", {"n_modules": 4, "topk": 2})
+
+
+def assert_resume_stitches(tmp_path, task, trainer, arch):
     # out_dir stays unset, so the resumed run's config equals the original's
     cfg = from_dict({
         "task": task,
-        "architecture": {"n_modules": 2, "topk": 1, "hidden": 4, "embed_dim": 4},
+        "architecture": {**arch, "hidden": 4, "embed_dim": 4},
         "trainer": {"kind": trainer, "iterations": 5, "m_steps": 2, "batch": 8,
                     "e_batch": 8, "n_samples": 2},
         "diagnostics": {"probe_size": 8, "checkpoint_interval": 2},

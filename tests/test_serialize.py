@@ -79,6 +79,20 @@ def test_checkpoint_restores_integer_arrays_exactly(tmp_path):
     assert np.isneginf(back.trainer_arrays["buffer_scores"][0])
 
 
+@pytest.mark.parametrize("value", [2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)])
+def test_checkpoint_refuses_integers_doubles_cannot_hold(tmp_path, value):
+    p = Parameter(np.zeros(2), "p")
+    state = sample_state([p])
+    path = tmp_path / "a.ckpt"
+    state["arrays"]["buffer_comps"] = np.array([2**53], dtype=np.int64)
+    write_state(path, [p], state)
+    assert read_checkpoint(str(path)).trainer_arrays["buffer_comps"].tolist() == [2**53]
+    state["arrays"]["buffer_comps"] = np.array([value], dtype=np.int64)
+    with pytest.raises(ValueError, match="buffer_comps"):
+        write_state(tmp_path / "b.ckpt", [p], state)
+    assert not (tmp_path / "b.ckpt").exists()
+
+
 # every float64 bit pattern class: NaN, the infinities, -0.0 and denormals included
 FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 # integers the double payload holds exactly (the format's documented range)
