@@ -197,12 +197,12 @@ class Tape:
         """Look up the gradient of a watched Parameter or a node-bound Tensor."""
         if isinstance(ref, Parameter):
             entry = self._watched.get(id(ref))
-            if entry is None:
-                return np.zeros_like(ref.data)
-            return grads.get(entry[0], np.zeros_like(ref.data))
-        if isinstance(ref, Tensor) and ref.node is not None:
-            return grads.get(ref.node, np.zeros_like(ref.data))
-        raise KeyError("grad: reference is not tracked on this tape")
+            g = None if entry is None else grads.get(entry[0])
+        elif isinstance(ref, Tensor) and ref.node is not None:
+            g = grads.get(ref.node)
+        else:
+            raise KeyError("grad: reference is not tracked on this tape")
+        return np.zeros_like(ref.data) if g is None else g
 
     def parameter_grads(
         self, grads: dict[int, np.ndarray], params=None

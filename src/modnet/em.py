@@ -58,8 +58,10 @@ class AscentTrainer:
     """The guarded Adam loop under every trainer: ``m_steps`` ascent steps,
     each on a fresh minibatch.
 
-    A step whose objective or gradient is not finite is skipped, and
-    ``StepGuard`` aborts the run after a streak of them.  Subclasses build
+    Each step's gradients are flattened once into ``Adam``'s layout; one
+    finiteness check runs on that vector, and the same vector feeds the
+    update.  A step whose objective or gradient is not finite is skipped,
+    and ``StepGuard`` aborts the run after a streak of them.  Subclasses build
     each step's objective in ``step_objective`` and may act on a taken
     step in ``after_step``.  ``config`` is the run's trainer section and
     ``clip_norm`` the effective gradient clip.
@@ -94,12 +96,13 @@ class AscentTrainer:
                 self.guard.record_skip("non-finite objective")
                 continue
             grads = tape.parameter_grads(tape.backward(obj), self.opt.params)
-            if any(not np.isfinite(g).all() for g in grads.values()):
+            flat = self.opt.flatten(grads)
+            if not np.isfinite(flat).all():
                 skipped += 1
                 self.guard.record_skip("non-finite gradient")
                 continue
             self.guard.record_ok()
-            self.opt.step(grads)
+            self.opt.step(flat)
             report = value if report is None else report
             self.after_step(report)
             values.append(report)

@@ -324,10 +324,12 @@ def _restore_into(trainer, task, streams, ckpt: CheckpointData) -> None:
 
 
 def _save(trainer, task, streams, cfg, iteration, path) -> None:
+    # the run's location stays out of the header: a resume picks its own,
+    # and two runs of one config write the same bytes wherever they ran
     write_checkpoint(
         path,
         version=modnet.__version__,
-        config=cfg.to_dict(),
+        config=dict(cfg.to_dict(), out_dir=None),
         iteration=iteration,
         streams_state=streams.state(),
         params=task.parameters(),

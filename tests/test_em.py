@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from modnet.autodiff import Parameter, record_joint
 from modnet.config import TrainerConfig, from_dict
 from modnet.em import (
+    AscentTrainer,
     EMTrainer,
     NumericAbort,
     StepGuard,
@@ -337,3 +339,48 @@ def test_guard_aborts_training_on_poisoned_parameters():
     with pytest.raises(NumericAbort):
         for _ in range(20):
             trainer.partial_m_step()
+
+
+class FiniteObjectiveTask:
+    """Two parameters under a finite objective; ``poison`` turns the first
+    parameter's gradient to NaN."""
+
+    n_examples = 4
+
+    def __init__(self):
+        self.a = Parameter(np.arange(6.0).reshape(2, 3), "a")
+        self.b = Parameter(np.ones(2), "b")
+        self.poison = False
+
+    def parameters(self):
+        return [self.a, self.b]
+
+
+class FiniteObjectiveTrainer(AscentTrainer):
+    def step_objective(self, idx):
+        task = self.task
+
+        def pullback(g):
+            ga = np.full(task.a.data.shape, np.nan if task.poison else 0.5)
+            return [ga * g, np.ones(task.b.data.shape) * g]
+
+        return record_joint("stub", np.asarray(1.0), task.parameters(), pullback), None
+
+
+def test_guard_skips_a_non_finite_gradient_under_a_finite_objective():
+    task = FiniteObjectiveTask()
+    trainer = FiniteObjectiveTrainer(
+        task, TrainerConfig(m_steps=1, batch=2, lr=0.1), {"mstep": np.random.default_rng(0)}
+    )
+    assert trainer.ascend()["skipped_steps"] == 0
+    before = trainer.state()["opt"]
+    params = [p.data.copy() for p in task.parameters()]
+    task.poison = True
+    out = trainer.ascend()
+    assert out["skipped_steps"] == 1 and math.isnan(out["objective"])
+    assert trainer.guard.total == 1
+    after = trainer.state()["opt"]
+    assert after["t"] == before["t"] == 1
+    for key in ("m", "v"):
+        assert all(np.array_equal(x, y) for x, y in zip(before[key], after[key]))
+    assert all(np.array_equal(p.data, q) for p, q in zip(task.parameters(), params))

@@ -1,0 +1,139 @@
+import math
+
+import numpy as np
+import pytest
+
+from modnet.autodiff import Parameter
+from modnet.optim import Adam
+
+
+class LoopAdam:
+    """The per-parameter Adam update, one array at a time: the oracle that
+    the flat-vector ``Adam.step`` must match bit for bit."""
+
+    def __init__(self, datas, lr, clip_norm, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.datas = [d.copy() for d in datas]
+        self.lr, self.clip_norm = lr, clip_norm
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(d) for d in self.datas]
+        self.v = [np.zeros_like(d) for d in self.datas]
+
+    def step(self, grads):
+        scale = 1.0
+        if self.clip_norm is not None:
+            total = 0.0
+            for g in grads:
+                total += float(np.sum(g * g))
+            norm = math.sqrt(total)
+            if norm > self.clip_norm:
+                scale = self.clip_norm / norm
+        self.t += 1
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+        for data, m, v, grad in zip(self.datas, self.m, self.v, grads):
+            g = grad * scale
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            data += self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+SHAPES = [(3, 4), (4,), (), (2, 3, 2), (1, 5)]
+
+
+def make_params(rng):
+    return [Parameter(rng.normal(size=s), f"p{i}") for i, s in enumerate(SHAPES)]
+
+
+def random_grads(rng, params, scale):
+    return {p: scale * rng.normal(size=p.data.shape) for p in params}
+
+
+@pytest.mark.parametrize(
+    "clip_norm,grad_scale",
+    [(None, 1.0), (100.0, 0.1), (0.5, 3.0)],
+    ids=["no-clip", "clip-inactive", "clip-active"],
+)
+def test_flat_step_matches_the_per_parameter_loop(clip_norm, grad_scale):
+    rng = np.random.default_rng(5)
+    params = make_params(rng)
+    opt = Adam(params, lr=0.01, clip_norm=clip_norm)
+    oracle = LoopAdam([p.data for p in params], lr=0.01, clip_norm=clip_norm)
+    clipped = []
+    for _ in range(6):
+        grads = random_grads(rng, params, grad_scale)
+        if clip_norm is not None:
+            norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            clipped.append(norm > clip_norm)
+        opt.step(opt.flatten(grads))
+        oracle.step([grads[p] for p in params])
+    if clip_norm is not None:
+        assert all(clipped) if grad_scale > 1 else not any(clipped)
+    state = opt.state()
+    assert opt.t == oracle.t == state["t"] == 6
+    for p, data, m, v, sm, sv in zip(params, oracle.datas, oracle.m, oracle.v,
+                                     state["m"], state["v"]):
+        assert np.array_equal(p.data, data)
+        assert np.array_equal(sm, m) and np.array_equal(sv, v)
+
+
+def test_missing_gradient_raises_key_error():
+    params = make_params(np.random.default_rng(0))
+    grads = {p: np.zeros_like(p.data) for p in params[1:]}
+    with pytest.raises(KeyError, match="p0"):
+        Adam(params).flatten(grads)
+
+
+def test_wrongly_shaped_gradient_is_refused():
+    params = make_params(np.random.default_rng(0))
+    grads = {p: np.zeros_like(p.data) for p in params}
+    grads[params[0]] = np.zeros(12)  # right size, wrong shape
+    with pytest.raises(ValueError, match="p0"):
+        Adam(params).flatten(grads)
+
+
+def test_state_returns_copies_not_views():
+    rng = np.random.default_rng(1)
+    params = make_params(rng)
+    opt = Adam(params, lr=0.1)
+    opt.step(opt.flatten(random_grads(rng, params, 1.0)))
+    state = opt.state()
+    before = [m.copy() for m in state["m"]] + [v.copy() for v in state["v"]]
+    opt.step(opt.flatten(random_grads(rng, params, 1.0)))
+    after = state["m"] + state["v"]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    for m in state["m"]:
+        m[...] = 7.0
+    assert not any(np.any(m == 7.0) for m in opt.state()["m"])
+
+
+def test_restore_rejects_a_wrong_shape():
+    params = make_params(np.random.default_rng(0))
+    opt = Adam(params)
+    state = opt.state()
+    state["v"][3] = np.zeros((3, 4))
+    with pytest.raises(ValueError, match="p3"):
+        opt.restore(state)
+
+
+def test_steps_after_restore_move_the_reported_moments():
+    rng = np.random.default_rng(2)
+    params = make_params(rng)
+    a = Adam(params, lr=0.1)
+    for _ in range(3):
+        a.step(a.flatten(random_grads(rng, params, 1.0)))
+    saved = a.state()
+    twin = [Parameter(p.data.copy(), p.name) for p in params]
+    b = Adam(twin, lr=0.1)
+    b.restore(saved)
+    grads = random_grads(rng, params, 1.0)
+    a.step(a.flatten(grads))
+    b.step(b.flatten({q: grads[p] for p, q in zip(params, twin)}))
+    sa, sb = a.state(), b.state()
+    assert sb["t"] == 4
+    for m0, ma, mb, va, vb in zip(saved["m"], sa["m"], sb["m"], sa["v"], sb["v"]):
+        assert not np.array_equal(mb, m0)
+        assert np.array_equal(ma, mb) and np.array_equal(va, vb)
+    assert all(np.array_equal(p.data, q.data) for p, q in zip(params, twin))

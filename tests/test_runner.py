@@ -7,7 +7,7 @@ import pytest
 
 from modnet.autodiff import Tape, mean_all
 from modnet.baselines import NoisyTopKTrainer, ReinforceTrainer, StaticTrainer
-from modnet.config import from_dict
+from modnet.config import from_dict, load_config
 from modnet.em import EMTrainer
 from modnet.modular import ModularNet, NoisyTopKNet, enumerate_compositions
 from modnet.gru import ModularGruLM
@@ -24,6 +24,7 @@ from modnet.runner import (
     resume_run,
 )
 from modnet.seeding import SeedStreams
+from modnet.serialize import read_checkpoint
 
 
 def build_all(overrides):
@@ -168,6 +169,19 @@ def test_resolve_out_dir_explicit_and_collision(tmp_path):
     stem.mkdir()
     (stem / "junk").write_text("x")
     assert resolve_out_dir(cfg, str(tmp_path)) == str(tmp_path / "toy-regression-em-s3-1")
+
+
+def test_checkpoint_bytes_do_not_depend_on_out_dir(tmp_path):
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy_em_smoke.json")
+    blobs = []
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        cfg = load_config(shipped, [f"out_dir={out}", "trainer.iterations=3"])
+        record = execute_run(cfg, out)
+        with open(record["checkpoints"][-1], "rb") as fh:
+            blobs.append(fh.read())
+        assert read_checkpoint(record["checkpoints"][-1]).config["out_dir"] is None
+    assert blobs[0] == blobs[1]
 
 
 def test_execute_run_timing_rows_are_monotonic(tmp_path):
