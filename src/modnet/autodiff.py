@@ -299,13 +299,18 @@ def matmul(a, b) -> Tensor:
     )
 
 
+def _check_broadcast(kind: str, ash, bsh) -> None:
+    if ash != bsh:
+        try:
+            np.broadcast_shapes(ash, bsh)
+        except ValueError:
+            raise ShapeError(f"{kind}: shapes {ash} and {bsh} do not broadcast") from None
+
+
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
     ash, bsh = a.shape, b.shape
+    _check_broadcast("add", ash, bsh)
     return _emit(
         "add",
         a.data + b.data,
@@ -316,12 +321,7 @@ def add(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(
-            f"elementwise-mul: shapes {a.shape} and {b.shape} do not broadcast"
-        )
+    _check_broadcast("elementwise-mul", a.shape, b.shape)
     ad, bd = a.data, b.data
     return _emit(
         "elementwise-mul",
@@ -334,7 +334,11 @@ def mul(a, b) -> Tensor:
     )
 
 
-def relu(x) -> Tensor:
+def relu(x):
+    """max(x, 0), with subgradient 0 at the kink.  A plain array in gives
+    ``x * (x > 0)`` as a plain array, with no ``Tensor`` built."""
+    if isinstance(x, np.ndarray):
+        return x * (x > 0)
     x = _as_tensor(x)
     mask = (x.data > 0).astype(np.float64)  # subgradient at 0 is 0
     return _emit("relu", x.data * mask, [x], [lambda g: g * mask])
@@ -343,7 +347,8 @@ def relu(x) -> Tensor:
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: exp only ever sees -|x|."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(x) -> Tensor:
@@ -491,10 +496,26 @@ def gaussian_log_density(y, mean) -> Tensor:
         out,
         [y, mean],
         [
-            lambda g: -np.expand_dims(g, -1) * diff,
-            lambda g: np.expand_dims(g, -1) * diff,
+            lambda g: -g[..., None] * diff,
+            lambda g: g[..., None] * diff,
         ],
     )
+
+
+def _log_softmax_at(logits: np.ndarray, idx: np.ndarray):
+    """The stabilized log softmax of ``logits`` along the last axis, its
+    entries at the integer ``idx`` (shape ``logits.shape[:-1]``), and their
+    flat positions in it."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    at = np.arange(idx.size) * logp.shape[-1] + idx.reshape(-1)
+    return logp, logp.reshape(-1)[at].reshape(idx.shape), at
+
+
+def log_softmax_pick(logits: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The value of ``categorical_log_prob`` on plain arrays: unchecked,
+    never recorded, and no ``Tensor`` built."""
+    return _log_softmax_at(logits, idx)[1]
 
 
 def categorical_log_prob(logits, targets) -> Tensor:
@@ -514,16 +535,13 @@ def categorical_log_prob(logits, targets) -> Tensor:
             f"categorical-log-prob: target out of range [0, {n}): "
             f"min={idx.min()}, max={idx.max()}"
         )
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - lse
-    out = np.take_along_axis(logp, idx[..., None], axis=-1)[..., 0]
+    logp, out, at = _log_softmax_at(logits.data, idx)
 
     def pull(g):
         p = np.exp(logp)
         onehot = np.zeros_like(p)
-        np.put_along_axis(onehot, idx[..., None], 1.0, axis=-1)
-        return np.expand_dims(g, -1) * (onehot - p)
+        onehot.reshape(-1)[at] = 1.0
+        return g[..., None] * (onehot - p)
 
     return _emit("categorical-log-prob", out, [logits], [pull])
 

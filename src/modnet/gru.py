@@ -18,6 +18,12 @@ stacked per-step rows at once.  Untaped, each step is scored as it goes
 and only the running state and one step's embeddings are kept, since
 evaluation unrolls every window at once.
 
+No step builds a ``Tensor``: module dispatch, the candidate's rectifier,
+the BPTT loop and an untaped rollout's per-step scoring (one log-softmax
+gather per head, on logits computed once per step) all run on plain
+arrays, with the same float operations in the same order as the
+``Tensor`` primitives, so values agree bit for bit.
+
 ``ModularGruLM`` answers the model protocol of ``modular.ModularModel``,
 whose ``propose_and_score`` scores the incumbent and every proposal in
 one unroll over tiled rows; ``NoisyTopKGruLM`` answers the mixture
@@ -38,6 +44,7 @@ from modnet.autodiff import (
     categorical_log_prob,
     constant,
     embedding_lookup,
+    log_softmax_pick,
     paused,
     record_joint,
     relu,
@@ -130,9 +137,11 @@ class ModularGruCell:
                     f"unroll inputs {xd.shape}, expected {(steps * batch, self.in_dim)}"
                 )
             n = steps * batch
+            # each step writes its [h, x] and [r*h, x] into these rows; x once
             out = np.empty((n, 2 * hid + self.in_dim))
-            gates = np.empty((n, 2 * hid))
             px_rows = np.empty((n, hid + self.in_dim))
+            out[:, 2 * hid :] = px_rows[:, hid:] = xd
+            gates = np.empty((n, 2 * hid))
             cand_rows = np.empty((n, hid))
             weight_rows = np.empty((n, pool.n_modules))
             # gate weights take gradients: keep each module's output and the noise
@@ -142,28 +151,33 @@ class ModularGruCell:
         with paused():
             for t in range(steps):
                 rows = slice(t * batch, (t + 1) * batch)
-                x = xd[rows] if cache else xs(t)
-                hx = np.concatenate([h, x], axis=-1)
+                if cache:
+                    out[rows, hid : 2 * hid] = h
+                    hx = out[rows, hid:]
+                else:
+                    hx = np.concatenate([h, xs(t)], axis=-1)
                 weights, noise = select(t, hx)
                 zr = stable_sigmoid(hx @ gate_w + gate_b)
                 z, r = zr[:, :hid], zr[:, hid:]
-                px = np.concatenate([r * h, x], axis=-1)
+                if cache:
+                    px_rows[rows, :hid] = r * h
+                    px = px_rows[rows]
+                else:
+                    px = np.concatenate([r * h, hx[:, hid:]], axis=-1)
                 pre = None
                 # a module picked by several slots of a row counts once per slot
                 for j in np.flatnonzero(weights.any(axis=0)):
-                    term = pool.apply(int(j), px).data
+                    term = pool.apply(int(j), px)
                     if cache and gated:
                         mod_rows[rows, j] = term
                     term *= weights[:, j : j + 1]
                     pre = term if pre is None else pre + term
-                cand = relu(Tensor(pre)).data
-                h_new = (z * -1.0 + 1.0) * h + z * cand
+                cand = relu(pre)
+                h = (1.0 - z) * h + z * cand
                 if cache:
-                    out[rows, :hid], out[rows, hid:] = h_new, hx
-                    gates[rows], px_rows[rows] = zr, px
-                    cand_rows[rows], weight_rows[rows] = cand, weights
+                    out[rows, :hid] = h
+                    gates[rows], cand_rows[rows], weight_rows[rows] = zr, cand, weights
                     noises.append(noise)
-                h = h_new
                 if visit is not None:
                     visit(t, h)
         if not cache:
@@ -198,22 +212,26 @@ class ModularGruCell:
             # per row: [d update-gate pre-activation | d reset | d router
             # logits, if a gate | d module output per module]
             g_pre = np.empty((n, n_hx + len(modules) * hid))
+            # every row's 1 - z | 1 - r, and z where the candidate is active
+            flip = 1.0 - gates
+            z_live = gates[:, :hid] * (cand_rows > 0)
             carry = np.zeros((batch, hid))
             for t in reversed(range(steps)):
                 rows = slice(t * batch, (t + 1) * batch)
                 z, r = gates[rows, :hid], gates[rows, hid:]
+                one_z, one_r = flip[rows, :hid], flip[rows, hid:]
                 h_prev, cand, w = out[rows, hid : 2 * hid], cand_rows[rows], weight_rows[rows]
                 gh = g_h[rows] + carry
-                gcand = gh * z * (cand > 0)
+                gcand = gh * z_live[rows]
                 g_mod = (gcand[:, None, :] * w[:, :, None]).reshape(batch, -1)
                 g_rh = g_mod @ mod_wh_t
-                g_maps = [(gh * cand - gh * h_prev) * z * (1.0 - z), g_rh * h_prev * r * (1.0 - r)]
+                g_maps = [(gh * cand - gh * h_prev) * z * one_z, g_rh * h_prev * r * one_r]
                 if gate is not None:
                     g_weights = (mod_rows[rows] * gcand[:, None, :]).sum(axis=-1)
                     g_maps += gate.pullback(w, noises[t], g_weights)
                 g_hx_pre = np.concatenate(g_maps, axis=-1)
                 g_pre[rows, :n_hx], g_pre[rows, n_hx:] = g_hx_pre, g_mod
-                carry = gh * (z * -1.0 + 1.0) + g_rh * r + g_hx_pre @ hx_wh_t + g_hx[rows, :hid]
+                carry = gh * one_z + g_rh * r + g_hx_pre @ hx_wh_t + g_hx[rows, :hid]
             g_w = np.concatenate(
                 [out[:, hid:].T @ g_pre[:, :n_hx], px_rows.T @ g_pre[:, n_hx:]], axis=1
             )
@@ -302,7 +320,7 @@ class _GruLM:
             total = [None]
 
             def visit(t, h):
-                ll = categorical_log_prob(self.out(h), targets[:, t]).data
+                ll = log_softmax_pick(self.out(h), targets[:, t])
                 pred_ll[:, t] = ll
                 total[0] = ll if total[0] is None else total[0] + ll
 
@@ -378,16 +396,18 @@ class ModularGruLM(_GruLM, ModularModel):
             else None
         )
         # untaped sum of the per-step controller log-likelihoods
+        score = with_ctrl and not taped
         ctrl_sum = [None]
 
         def select(t, hx):
-            p = ctrl_model.distribution(hx) if need_probs else None
+            logits = ctrl_model.logits(hx) if need_probs or score else None
+            p = ctrl_model.distribution(hx, logits) if need_probs else None
             sel = choose(p, None if comps is None else comps[:, t], greedy, rng, sample_mask)
             chosen[:, t] = sel
             if collect_probs:
                 probs_out[:, t] = p
-            if with_ctrl and not taped:
-                term = ctrl_model.log_prob(hx, sel).data
+            if score:
+                term = ctrl_model.log_prob_values(logits, sel)
                 ctrl_sum[0] = term if ctrl_sum[0] is None else ctrl_sum[0] + term
             counts = forced_counts[t] if forced_counts is not None else slot_counts(sel, n_mod)
             return counts, None

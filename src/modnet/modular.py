@@ -25,6 +25,7 @@ from modnet.autodiff import (
     concat_last,
     constant,
     gaussian_log_density,
+    log_softmax_pick,
     matmul,
     mul,
     paused,
@@ -47,7 +48,12 @@ class Linear:
         self.out_dim = out_dim
         self.name = name
 
-    def __call__(self, x) -> Tensor:
+    def __call__(self, x):
+        """``x @ w + b``.  A plain array in gives a plain array out, with no
+        ``Tensor`` built; anything else gives a ``Tensor``, recorded under
+        an active tape."""
+        if isinstance(x, np.ndarray):
+            return x @ self.w.data + self.b.data
         return add(matmul(x, self.w), self.b)
 
     def parameters(self) -> list[Parameter]:
@@ -84,7 +90,10 @@ class ModulePool:
     def n_modules(self) -> int:
         return len(self.modules)
 
-    def apply(self, index: int, x) -> Tensor:
+    def apply(self, index: int, x):
+        """Module ``index`` on x, rectified for ``linear-relu``.  As with
+        ``Linear``, a plain array in gives a plain array out and a
+        ``Tensor`` in gives a ``Tensor`` out."""
         h = self.modules[index](x)
         return relu(h) if self.kind == "linear-relu" else h
 
@@ -187,19 +196,32 @@ class Controller:
     def parameters(self) -> list[Parameter]:
         return [p for h in self.heads for p in h.parameters()]
 
-    def distribution(self, x) -> np.ndarray:
-        """Per-slot selection probabilities, shape (batch, slots, modules).
+    def logits(self, x) -> list[np.ndarray]:
+        """Each head's (batch, modules) logits on x, as plain arrays."""
+        xv = x.data if isinstance(x, (Tensor, Parameter)) else np.asarray(x, dtype=np.float64)
+        return [h(xv) for h in self.heads]
+
+    def distribution(self, x, logits: list[np.ndarray] | None = None) -> np.ndarray:
+        """Per-slot selection probabilities, shape (batch, slots, modules),
+        from the heads' ``logits`` on x when given.
 
         Value path: never recorded, even inside an active tape.
         """
-        xv = x.data if isinstance(x, (Tensor, Parameter)) else np.asarray(x, dtype=np.float64)
         cols = []
-        for h in self.heads:
-            z = xv @ h.w.data + h.b.data
-            z -= z.max(axis=-1, keepdims=True)
+        for z in self.logits(x) if logits is None else logits:
+            z = z - z.max(axis=-1, keepdims=True)
             e = np.exp(z)
             cols.append(e / e.sum(axis=-1, keepdims=True))
         return np.stack(cols, axis=1)
+
+    @staticmethod
+    def log_prob_values(logits: list[np.ndarray], selection: np.ndarray) -> np.ndarray:
+        """The value of ``log_prob`` from the heads' logits, on plain arrays."""
+        total = None
+        for k, z in enumerate(logits):
+            term = log_softmax_pick(z, selection[:, k])
+            total = term if total is None else total + term
+        return total
 
     def log_prob(self, x, selection: np.ndarray) -> Tensor:
         """log p(selection | x) as a differentiable (batch,) tensor."""

@@ -17,6 +17,7 @@ from modnet.autodiff import (
     embedding_lookup,
     gaussian_log_density,
     grad_check,
+    log_softmax_pick,
     matmul,
     mean_all,
     mul,
@@ -115,6 +116,34 @@ def test_categorical_backward_is_onehot_minus_probs():
     probs = np.exp(z) / np.exp(z).sum()
     onehot = np.array([[0.0, 0.0, 1.0]])
     assert np.allclose(g, onehot - probs, atol=1e-12)
+
+
+def categorical_oracle(logits, idx, g):
+    """Value and logit gradient of categorical_log_prob, gathered and
+    scattered along the last axis, given the output gradient ``g``."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    value = np.take_along_axis(logp, idx[..., None], axis=-1)[..., 0]
+    onehot = np.zeros_like(logp)
+    np.put_along_axis(onehot, idx[..., None], 1.0, axis=-1)
+    return value, np.expand_dims(g, -1) * (onehot - np.exp(logp))
+
+
+@pytest.mark.parametrize("lead", [(), (6,), (3, 4)], ids=["1-d", "2-d", "3-d"])
+def test_categorical_log_prob_matches_along_axis_oracle(lead):
+    rng = np.random.default_rng(41)
+    logits = Parameter(rng.standard_normal((*lead, 5)) * 3.0, "logits")
+    idx = rng.integers(0, 5, size=lead)
+    g = rng.standard_normal(lead)
+    with Tape() as tape:
+        out = categorical_log_prob(logits, idx)
+        loss = sum_over_axis(mul(out, constant(g)))
+    grad = tape.grad(tape.backward(loss), logits)
+    want_value, want_grad = categorical_oracle(logits.data, idx, g)
+    assert out.shape == lead
+    assert np.array_equal(out.data, want_value)
+    assert np.array_equal(log_softmax_pick(logits.data, idx), want_value)
+    assert np.array_equal(grad, want_grad)
 
 
 def test_gaussian_log_density_hand():
@@ -280,6 +309,13 @@ def test_matmul_rejects_bad_shapes():
 def test_add_rejects_non_broadcastable():
     with pytest.raises(ShapeError):
         add(np.ones((2, 3)), np.ones((2, 4)))
+
+
+def test_mul_rejects_non_broadcastable():
+    with pytest.raises(ShapeError, match="elementwise-mul"):
+        mul(np.ones((2, 3)), np.ones((3, 2)))
+    with pytest.raises(ShapeError, match="elementwise-mul"):
+        mul(np.ones(3), np.ones(4))
 
 
 def test_embedding_rejects_out_of_range():

@@ -10,7 +10,9 @@ from modnet.autodiff import (
     NEG_MASK,
     Parameter,
     Tape,
+    Tensor,
     add,
+    categorical_log_prob,
     concat_last,
     constant,
     grad_check,
@@ -262,7 +264,7 @@ def test_unroll_matches_composed_steps(n_slots, sel_rows, monkeypatch):
     true_relu = gru_mod.relu
 
     def relu_spy(x):
-        pre.append(x.data.copy())
+        pre.append(x.copy())
         return true_relu(x)
 
     monkeypatch.setattr(gru_mod, "relu", relu_spy)
@@ -356,7 +358,7 @@ def test_topk_unroll_matches_composed_steps(k, train, monkeypatch):
     true_relu = gru_mod.relu
 
     def relu_spy(x):
-        pre.append(x.data.copy())
+        pre.append(x.copy())
         return true_relu(x)
 
     monkeypatch.setattr(gru_mod, "relu", relu_spy)
@@ -441,6 +443,84 @@ def test_taped_rollout_scores_equal_untaped(detach, masked):
     # controller slices out [h, x] (unless detached), then 2 heads joined
     # by one add, a reshape and a sum
     assert counts == [8 + (9 if detach else 10)] * 2
+
+
+def tensor_scored_rollout(lm, tokens, targets, comps):
+    """Per-token, summed conditional and summed controller log-likelihoods
+    along ``comps``: the states come from a kept unroll, and each step is
+    scored on Tensors through ``categorical_log_prob`` and
+    ``Controller.log_prob``, summed step by step as a rollout does."""
+    batch, steps = tokens.shape
+    hid = lm.cell.hidden
+    x_rows = lm.embed.data[tokens.T.reshape(-1)]
+    sels = comps.transpose(1, 0, 2)
+    rows = lm.cell.unroll(x_rows, steps, forced(sels, lm.n_modules), np.zeros((batch, hid))).data
+    pred, cond, ctrl = np.empty((batch, steps)), None, None
+    for t in range(steps):
+        step = rows[t * batch : (t + 1) * batch]
+        h, hx = np.ascontiguousarray(step[:, :hid]), np.ascontiguousarray(step[:, hid:])
+        ll = categorical_log_prob(lm.out(Tensor(h)), targets[:, t])
+        term = lm.cell.controller.log_prob(Tensor(hx), sels[t])
+        pred[:, t] = ll.data
+        cond = ll if cond is None else add(cond, ll)
+        ctrl = term if ctrl is None else add(ctrl, term)
+    return pred, cond.data, ctrl.data
+
+
+def test_untaped_rollout_scores_equal_tensor_scoring():
+    # untaped steps are scored on plain arrays; proposals on tiled rows,
+    # some forced and some drawn, must score bit for bit as on Tensors
+    lm = make_lm(n_modules=3, n_slots=2, seed=211)
+    batch, steps, tile = 4, 5, 3
+    tokens, targets = (
+        np.concatenate([RNG.integers(0, 5, size=(batch, steps))] * tile) for _ in range(2)
+    )
+    incumbent = np.concatenate([RNG.integers(0, 3, size=(batch, steps, 2))] * tile)
+    mask = np.arange(tile * batch) >= batch
+    res = lm.rollout(
+        tokens, targets, comps=incumbent, sample_mask=mask,
+        rng=np.random.default_rng(3), with_ctrl=True,
+    )
+    assert np.array_equal(res.comps[~mask], incumbent[~mask])
+    assert not np.array_equal(res.comps[mask], incumbent[mask])
+    pred, cond, ctrl = tensor_scored_rollout(lm, tokens, targets, res.comps)
+    assert np.array_equal(res.pred_ll, pred)
+    assert np.array_equal(res.cond_ll.data, cond)
+    assert np.array_equal(res.ctrl_ll.data, ctrl)
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_rollout_steps_build_no_tensors(taped, monkeypatch):
+    # the unroll's steps, its BPTT and untaped scoring run on plain arrays:
+    # the Tensors a rollout builds must not grow with its step count
+    made, init = [], Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    lm = make_lm(n_modules=3, n_slots=2, seed=212)
+    batch = 4
+
+    def count(steps):
+        tokens = RNG.integers(0, 5, size=(batch, steps))
+        targets = RNG.integers(0, 5, size=(batch, steps))
+        comps = RNG.integers(0, 3, size=(batch, steps, 2))
+        rng = np.random.default_rng(5)
+        made.clear()
+        if taped:
+            # sampled in the walk, as REINFORCE does, then backpropagated
+            with Tape() as tape:
+                res = lm.rollout(tokens, targets, rng=rng, with_ctrl=True)
+                loss = sum_over_axis(add(res.cond_ll, res.ctrl_ll))
+            tape.backward(loss)
+        else:
+            mask = np.arange(batch) % 2 == 1
+            lm.rollout(tokens, targets, comps=comps, sample_mask=mask, rng=rng, with_ctrl=True)
+        return len(made)
+
+    assert count(4) == count(8) > 0
 
 
 def test_untaped_evaluate_memory_does_not_grow_per_step():

@@ -86,6 +86,30 @@ def test_pool_kinds():
         ModulePool(rng, 2, 2, 2, kind="cubic")
 
 
+@pytest.mark.parametrize("kind", ModulePool.KINDS)
+def test_array_paths_equal_tensor_paths(kind):
+    # a plain array in gives a plain array out, bit for bit the Tensor
+    # path's values, and is never recorded, even under a tape
+    rng = np.random.default_rng(31)
+    pool = ModulePool(rng, 3, 4, 5, kind=kind)
+    for p in pool.parameters():
+        if p.name.endswith(".b"):
+            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    x = rng.standard_normal((6, 4))
+    paths = [pool.modules[0]] + [
+        lambda v, j=j: pool.apply(j, v) for j in range(pool.n_modules)
+    ]
+    for path in paths:
+        want = path(Tensor(x))
+        with Tape() as tape:
+            got = path(x)
+        assert isinstance(got, np.ndarray) and isinstance(want, Tensor)
+        assert np.array_equal(got, want.data) and len(tape) == 0
+    if kind == "linear-relu":
+        raw = pool.modules[0](x)
+        assert (raw < 0).any() and (raw > 0).any()
+
+
 def test_sample_rows_inverse_cdf():
     probs = np.array([[0.2, 0.5, 0.3]])
     # u below 0.2 -> 0; in [0.2, 0.7) -> 1; above -> 2
