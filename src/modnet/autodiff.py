@@ -348,7 +348,7 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: exp only ever sees -|x|."""
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / d
 
 
 def sigmoid(x) -> Tensor:

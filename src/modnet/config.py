@@ -174,6 +174,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(
             f"architecture.topk: must lie in [1, {a.n_modules}], got {a.topk}"
         )
+    if tr.kind == "noisy-topk" and a.combine != "sum":
+        raise ConfigError("architecture.combine: a noisy top-k gate sums its module outputs")
     if t.kind in ("two-regime-lm", "text-lm"):
         if a.n_layers != 1:
             raise ConfigError(
@@ -181,6 +183,11 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
             )
         if a.combine != "sum":
             raise ConfigError("architecture.combine: recurrent cells sum module outputs")
+        if a.module_kind != "linear":
+            raise ConfigError(
+                "architecture.module_kind: a recurrent cell's modules are linear; "
+                "it rectifies their sum"
+            )
     elif a.combine == "concat" and a.n_slots > 1:
         raise ConfigError(
             "architecture.combine: concat widens each layer by its slot count, "

@@ -24,10 +24,13 @@ gather per head, on logits computed once per step) all run on plain
 arrays, with the same float operations in the same order as the
 ``Tensor`` primitives, so values agree bit for bit.
 
-``ModularGruLM`` answers the model protocol of ``modular.ModularModel``,
-whose ``propose_and_score`` scores the incumbent and every proposal in
-one unroll over tiled rows; ``NoisyTopKGruLM`` answers the mixture
-models' calls.
+``_GruLM`` is the recurrent architecture of ``modular``'s model grid:
+``ModularGruLM`` answers the controller protocol of
+``modular.ModularModel``, whose ``propose_and_score`` scores the
+incumbent and every proposal in one unroll over tiled rows, and
+``NoisyTopKGruLM`` the mixture protocol of ``modular.MixtureModel``.
+Each writes only its ``rollout``; ``_GruLM.snapshot`` makes every
+timestep a routing decision of its own.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from modnet.diagnostics import SelectionSnapshot
 from modnet.modular import (
     Controller,
     Linear,
+    MixtureModel,
     ModularModel,
     ModulePool,
     NoisyTopKGate,
@@ -246,15 +250,6 @@ class ModularGruCell:
         return record_joint("modular-gru-unroll", out, inputs, pullback)
 
 
-def _step_snapshot(probs: np.ndarray, comps: np.ndarray) -> SelectionSnapshot:
-    """(batch, steps, slots, modules) distributions and (batch, steps,
-    slots) choices, with every timestep a routing decision of its own."""
-    batch, steps, k, m = probs.shape
-    return SelectionSnapshot(
-        [probs.reshape(batch * steps, k, m)], [comps.reshape(batch * steps, k)]
-    )
-
-
 class _GruLM:
     """Embedding, one modular GRU cell and a vocabulary projection, shared
     by both recurrent models; ``n_slots`` and ``topk`` route the cell."""
@@ -282,6 +277,15 @@ class _GruLM:
 
     def parameters(self) -> list[Parameter]:
         return [self.embed] + self.cell.parameters() + self.out.parameters()
+
+    @staticmethod
+    def snapshot(probs: np.ndarray, comps: np.ndarray) -> SelectionSnapshot:
+        """(batch, steps, slots, modules) distributions and (batch, steps,
+        slots) choices, with every timestep a routing decision of its own."""
+        batch, steps, k, m = probs.shape
+        return SelectionSnapshot(
+            [probs.reshape(batch * steps, k, m)], [comps.reshape(batch * steps, k)]
+        )
 
     def _checked(self, tokens, targets):
         """Tokens and targets as arrays, refused unless they are equal 2-D
@@ -424,12 +428,8 @@ class ModularGruLM(_GruLM, ModularModel):
             ctrl = sum_over_axis(reshape(term, (steps, batch)), axis=0)
         return RolloutResult(cond, ctrl, chosen, pred_ll, probs_out)
 
-    def probe(self, tokens, rng: np.random.Generator, comps=None):
-        res = self.rollout(tokens, comps=comps, rng=rng, collect_probs=True)
-        return _step_snapshot(res.probs, res.comps), res.comps
 
-
-class NoisyTopKGruLM(_GruLM):
+class NoisyTopKGruLM(_GruLM, MixtureModel):
     """Same backbone as the modular model, its cell routed by a noisy
     top-k gate."""
 
@@ -442,7 +442,7 @@ class NoisyTopKGruLM(_GruLM):
         targets: np.ndarray | None = None,
         train: bool = False,
         rng: np.random.Generator | None = None,
-        collect_weights: bool = False,
+        collect_probs: bool = False,
     ) -> RolloutResult:
         """Unroll over a (batch, steps) token block, scoring next tokens.
 
@@ -452,30 +452,14 @@ class NoisyTopKGruLM(_GruLM):
         tokens, targets = self._checked(tokens, targets)
         batch, steps = tokens.shape
         gate = self.cell.gate
-        weights = np.empty((batch, steps, self.n_modules)) if collect_weights else None
+        probs = np.empty((batch, steps, 1, self.n_modules)) if collect_probs else None
 
         def select(t, hx):
             w, _, noise = gate.forward(hx, train, rng)
-            if collect_weights:
-                weights[:, t] = w
+            if collect_probs:
+                probs[:, t, 0] = w
             return w, noise
 
         cond, pred_ll, _ = self._scored_unroll(tokens, targets, select)
         chosen = np.empty((batch, steps, 0), dtype=np.int64)
-        return RolloutResult(cond, None, chosen, pred_ll, None, weights)
-
-    def cond_log_lik(self, tokens, targets, train: bool = False, rng=None) -> Tensor:
-        return self.rollout(tokens, targets, train=train, rng=rng).cond_ll
-
-    def probe(self, tokens, rng=None, comps=None):
-        """Noise-free gate weights as one-head distributions; the path is
-        the heaviest module.  ``rng`` and ``comps`` are unused."""
-        weights = self.rollout(tokens, collect_weights=True).weights[:, :, None]
-        paths = weights.argmax(axis=-1)
-        return _step_snapshot(weights, paths), paths
-
-    def evaluate(self, tokens, targets, comps=None) -> tuple[None, np.ndarray]:
-        return None, self.rollout(tokens, targets).pred_ll
-
-    def marginal_log_lik(self, tokens, targets, budget: int = 0) -> np.ndarray:
-        raise ValueError("mixture gating has no compositions to enumerate")
+        return RolloutResult(cond, None, chosen, pred_ll, probs)

@@ -1,10 +1,16 @@
-"""Modular layers: pools of candidate transforms with per-input selection.
+"""Modular layers: pools of candidate transforms with per-input routing.
 
-A layer holds a pool of interchangeable modules and a controller that, for
-each input, picks which modules fill the layer's parallel slots.  Selected
-outputs are combined by summation or concatenation.  The controller's
+A layer holds a pool of interchangeable modules and one router: a
+controller that, for each input, picks which modules fill the layer's
+parallel slots, combined by summation or concatenation; or a noisy top-k
+gate that mixes the pool's outputs with sparse weights.  The controller's
 choice is a latent variable; training strategies live in ``em`` and
 ``baselines``.
+
+The models form a grid: a feedforward stack (``_Stack``) or a GRU
+language model (``gru._GruLM``), under the controller protocol
+(``ModularModel``) or the mixture protocol (``MixtureModel``).  Each
+concrete model writes only its ``rollout``.
 """
 
 from __future__ import annotations
@@ -237,252 +243,6 @@ class Controller:
         return total
 
 
-class ModularLayer:
-    """One pool plus the controller that routes inputs through it."""
-
-    COMBINES = ("sum", "concat")
-
-    def __init__(self, pool: ModulePool, controller: Controller, combine: str = "sum"):
-        if combine not in self.COMBINES:
-            raise ValueError(f"combine must be one of {self.COMBINES}, got {combine!r}")
-        if controller.n_modules != pool.n_modules:
-            raise ValueError(
-                f"controller covers {controller.n_modules} modules, "
-                f"pool has {pool.n_modules}"
-            )
-        self.pool = pool
-        self.controller = controller
-        self.combine = combine
-        self.n_slots = controller.n_slots
-        self.out_dim = pool.out_dim * (self.n_slots if combine == "concat" else 1)
-
-    def parameters(self) -> list[Parameter]:
-        return self.pool.parameters() + self.controller.parameters()
-
-    def _validate(self, selection: np.ndarray, batch: int) -> np.ndarray:
-        sel = np.asarray(selection)
-        if sel.shape != (batch, self.n_slots):
-            raise ShapeError(
-                f"selection shape {sel.shape}, expected {(batch, self.n_slots)}"
-            )
-        if sel.size and (sel.min() < 0 or sel.max() >= self.pool.n_modules):
-            raise ShapeError(
-                f"module index out of range [0, {self.pool.n_modules})"
-            )
-        return sel
-
-    def forward_selected(self, x, selection: np.ndarray) -> Tensor:
-        """Evaluate the layer under a fixed selection, shape (batch, slots).
-
-        Only modules that appear in the selection are run.  A module chosen
-        by several slots of the same input counts once per slot: under sum
-        combination its output is scaled by the multiplicity.
-        """
-        xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-        sel = self._validate(selection, xt.shape[0])
-        used = np.unique(sel)
-        if self.combine == "sum":
-            return self.pool.combine(xt, slot_counts(sel, self.pool.n_modules), used)
-        outputs = {int(j): self.pool.apply(int(j), xt) for j in used}
-        slots = []
-        for k in range(self.n_slots):
-            slot = None
-            for j in np.unique(sel[:, k]):
-                mask = (sel[:, k] == j).astype(np.float64)[:, None]
-                term = mul(outputs[int(j)], constant(mask))
-                slot = term if slot is None else add(slot, term)
-            slots.append(slot)
-        return concat_last(*slots)
-
-
-class OutputHead:
-    """Scores targets under a unit-variance normal centred on the activations."""
-
-    def log_prob(self, h, y) -> Tensor:
-        return gaussian_log_density(constant(np.asarray(y, dtype=np.float64)), h)
-
-
-@dataclass
-class RolloutResult:
-    """One choose-and-score walk.  ``pred_ll`` holds the values evaluation
-    reports: per token, (batch, steps), for a sequence model and per
-    example, (batch,), for the net; ``outputs`` the net's final
-    activations; ``probs`` the (batch, units, slots, modules) controller
-    distributions along the walk; ``weights`` a mixture's gate weights."""
-
-    cond_ll: Tensor | None
-    ctrl_ll: Tensor | None
-    comps: np.ndarray
-    pred_ll: np.ndarray | None
-    probs: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    outputs: np.ndarray | None = None
-
-
-class ModularModel:
-    """The model protocol, shared by ``ModularNet`` and ``gru.ModularGruLM``.
-
-    Inputs and targets are arrays; a composition is an integer array of
-    shape (batch, units, slots), a unit being a layer or a timestep, and
-    ``comps=None`` lets the controller choose.  Each model supplies
-    ``rollout``, one walk that picks each unit's selection (forced, greedy
-    or sampled) and scores it as it goes, and ``probe(inputs, rng,
-    comps=None)`` (a ``SelectionSnapshot`` along sampled or forced paths,
-    and those paths).  Given both ``comps`` and a boolean ``sample_mask``
-    over the rows, ``rollout`` keeps unmasked rows forced and lets masked
-    rows draw afresh, so one walk scores fixed and proposed compositions
-    side by side.  On ``rollout`` this base builds ``log_liks(inputs,
-    targets, comps, with_ctrl, detach_ctrl_inputs, rng)`` (per-example
-    conditional and controller log-likelihood tensors, the second None
-    without ``with_ctrl``; with ``comps`` None the same walk draws the
-    compositions with ``rng``), ``score`` (joint values),
-    ``propose_and_score`` (the incumbent and fresh draws with joint
-    scores, from one walk over tiled rows), ``sample`` (off any tape),
-    ``marginal_log_lik`` and ``evaluate(inputs, targets, comps=None)``
-    (predictions or None, and conditional log-likelihoods along the
-    greedy or forced path).
-
-    The mixture models answer ``probe`` and ``evaluate`` too, and
-    ``cond_log_lik(inputs, targets, train, rng)`` in place of ``log_liks``;
-    their ``marginal_log_lik`` raises ValueError.
-    """
-
-    # compositions an exhaustive sum may enumerate unless told otherwise
-    ENUM_BUDGET = 100_000
-
-    def log_liks(
-        self, x, y, comps, with_ctrl: bool = False, detach_ctrl_inputs: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor, Tensor | None]:
-        res = self.rollout(
-            x, y, comps=comps, rng=rng, with_ctrl=with_ctrl,
-            detach_ctrl_inputs=detach_ctrl_inputs,
-        )
-        return res.cond_ll, res.ctrl_ll
-
-    def score(self, x, y, comps) -> np.ndarray:
-        """Joint log p(y, comps | x) per example, value only."""
-        return add(*self.log_liks(x, y, comps, with_ctrl=True)).data
-
-    def propose_and_score(self, x, y, incumbent, n_samples: int, rng: np.random.Generator):
-        """The incumbent, then ``n_samples`` controller draws, all drawn and
-        scored in one walk over the rows tiled ``n_samples + 1`` times.
-
-        Returns (candidates, scores) of shapes (n_samples+1, batch, units,
-        slots) and (n_samples+1, batch); index 0 is the incumbent.
-        """
-        batch, tile = len(incumbent), n_samples + 1
-        x, y, forced = (np.concatenate([np.asarray(a)] * tile) for a in (x, y, incumbent))
-        mask = np.arange(tile * batch) >= batch
-        res = self.rollout(x, y, comps=forced, sample_mask=mask, rng=rng, with_ctrl=True)
-        scores = add(res.cond_ll, res.ctrl_ll).data.reshape(tile, batch)
-        return res.comps.reshape(tile, batch, *res.comps.shape[1:]), scores
-
-    def sample(self, x, rng: np.random.Generator) -> np.ndarray:
-        # off any tape, and without targets the walk skips the output head
-        with paused():
-            return self.rollout(x, rng=rng).comps
-
-    def evaluate(self, x, y, comps=None) -> tuple[np.ndarray | None, np.ndarray]:
-        res = self.rollout(x, y, comps=comps, greedy=True)
-        return res.outputs, res.pred_ll
-
-    def enumerate_and_score(self, x, y, budget: int | None = None):
-        """Every batch-shared composition, shape (N, batch, units, slots),
-        and its joint scores (N, batch); refuses past ``budget``."""
-        budget = self.ENUM_BUDGET if budget is None else budget
-        space = enumerate_compositions(self.n_modules, self.n_units(x), self.n_slots, budget)
-        shared = np.broadcast_to(space[:, None], (len(space), len(x), *space.shape[1:]))
-        return shared, np.stack([self.score(x, y, c) for c in shared])
-
-    def marginal_log_lik(self, x, y, budget: int | None = None) -> np.ndarray:
-        """Exact log p(y | x) per example: the joint summed over every
-        composition."""
-        return log_sum_exp(self.enumerate_and_score(x, y, budget)[1])
-
-
-class ModularNet(ModularModel):
-    """Feedforward stack of modular layers with one output head.
-
-    ``comps[b, l]`` holds the modules that example b runs at layer l.
-    Every layer shares one pool size and one slot count.
-    """
-
-    def __init__(self, layers: list[ModularLayer], head: OutputHead):
-        if not layers:
-            raise ValueError("need at least one modular layer")
-        shapes = {(layer.pool.n_modules, layer.n_slots) for layer in layers}
-        if len(shapes) != 1:
-            raise ValueError(f"layers must share one (n_modules, n_slots), got {sorted(shapes)}")
-        ((self.n_modules, self.n_slots),) = shapes
-        self.layers = layers
-        self.head = head
-
-    def parameters(self) -> list[Parameter]:
-        return [p for layer in self.layers for p in layer.parameters()]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
-    def n_units(self, x) -> int:
-        return self.n_layers
-
-    def rollout(
-        self,
-        x,
-        y=None,
-        comps: np.ndarray | None = None,
-        sample_mask: np.ndarray | None = None,
-        greedy: bool = False,
-        rng: np.random.Generator | None = None,
-        with_ctrl: bool = False,
-        detach_ctrl_inputs: bool = False,
-        collect_probs: bool = False,
-    ) -> RolloutResult:
-        """Walk the stack once, choosing and scoring each layer as it goes.
-
-        Layer l runs ``comps[:, l]`` when given, else the controller's
-        greedy or sampled choice on the layer's realized input; rows
-        flagged in ``sample_mask`` draw afresh.  With ``with_ctrl`` the
-        controller scores that choice on the same input;
-        ``detach_ctrl_inputs`` blocks its gradient into earlier layers.
-        The head scores ``y`` only when given.
-        """
-        if comps is not None:
-            comps = np.asarray(comps)
-            if comps.ndim != 3 or comps.shape[1] != self.n_layers:
-                raise ShapeError(
-                    f"composition shape {comps.shape}, expected (batch, {self.n_layers}, slots)"
-                )
-        h: Tensor = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-        chosen = np.empty((h.shape[0], self.n_layers, self.n_slots), dtype=np.int64)
-        probs = np.empty((*chosen.shape, self.n_modules)) if collect_probs else None
-        ctrl_ll: Tensor | None = None
-        for l, layer in enumerate(self.layers):
-            forced = None if comps is None else comps[:, l]
-            need_probs = collect_probs or forced is None or sample_mask is not None
-            p = layer.controller.distribution(h) if need_probs else None
-            sel = choose(p, forced, greedy, rng, sample_mask)
-            if with_ctrl:
-                inp = constant(h) if detach_ctrl_inputs else h
-                term = layer.controller.log_prob(inp, sel)
-                ctrl_ll = term if ctrl_ll is None else add(ctrl_ll, term)
-            h = layer.forward_selected(h, sel)
-            chosen[:, l] = sel
-            if collect_probs:
-                probs[:, l] = p
-        cond = None if y is None else self.head.log_prob(h, y)
-        pred_ll = None if cond is None else cond.data
-        return RolloutResult(cond, ctrl_ll, chosen, pred_ll, probs, outputs=h.data)
-
-    def probe(self, x, rng: np.random.Generator, comps=None):
-        res = self.rollout(x, comps=comps, rng=rng, collect_probs=True)
-        # one snapshot entry per layer
-        probs, chosen = res.probs.transpose(1, 0, 2, 3), res.comps.transpose(1, 0, 2)
-        return SelectionSnapshot(list(probs), list(chosen)), res.comps
-
-
 class NoisyTopKGate:
     """Per-input mixture weights over a pool, sparsified to the top k.
 
@@ -561,70 +321,318 @@ class NoisyTopKGate:
         return record_joint("noisy-topk-gate", w, [x, *self.parameters()], pullback), mask
 
 
-class NoisyTopKLayer:
-    """Sparse mixture layer: pool outputs blended by a noisy top-k gate."""
+class ModularLayer:
+    """One pool plus its router: a ``Controller``, whose slot choices
+    ``forward_selected`` runs, or a ``NoisyTopKGate``, whose sparse mixture
+    ``forward_mixed`` runs.  The layer sets ``controller`` or ``gate`` and
+    leaves the other None; a gated layer sums, with one slot."""
 
-    def __init__(self, pool: ModulePool, gate: NoisyTopKGate):
-        if gate.n_modules != pool.n_modules:
+    COMBINES = ("sum", "concat")
+
+    def __init__(self, pool: ModulePool, router, combine: str = "sum"):
+        if combine not in self.COMBINES:
+            raise ValueError(f"combine must be one of {self.COMBINES}, got {combine!r}")
+        if router.n_modules != pool.n_modules:
             raise ValueError(
-                f"gate covers {gate.n_modules} modules, pool has {pool.n_modules}"
+                f"router covers {router.n_modules} modules, pool has {pool.n_modules}"
             )
+        gated = isinstance(router, NoisyTopKGate)
+        if gated and combine != "sum":
+            raise ValueError("a noisy top-k gate sums its weighted module outputs")
         self.pool = pool
-        self.gate = gate
-        self.out_dim = pool.out_dim
+        self.controller, self.gate = (None, router) if gated else (router, None)
+        self.combine = combine
+        self.n_slots = 1 if gated else router.n_slots
+        self.out_dim = pool.out_dim * (self.n_slots if combine == "concat" else 1)
 
     def parameters(self) -> list[Parameter]:
-        return self.pool.parameters() + self.gate.parameters()
+        return self.pool.parameters() + (self.gate or self.controller).parameters()
 
-    def forward(
+    def _validate(self, selection: np.ndarray, batch: int) -> np.ndarray:
+        sel = np.asarray(selection)
+        if sel.shape != (batch, self.n_slots):
+            raise ShapeError(
+                f"selection shape {sel.shape}, expected {(batch, self.n_slots)}"
+            )
+        if sel.size and (sel.min() < 0 or sel.max() >= self.pool.n_modules):
+            raise ShapeError(
+                f"module index out of range [0, {self.pool.n_modules})"
+            )
+        return sel
+
+    def forward_selected(self, x, selection: np.ndarray) -> Tensor:
+        """Evaluate the layer under a fixed selection, shape (batch, slots).
+
+        Only modules that appear in the selection are run.  A module chosen
+        by several slots of the same input counts once per slot: under sum
+        combination its output is scaled by the multiplicity; under concat
+        each slot is its own one-hot combination.
+        """
+        xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+        sel = self._validate(selection, xt.shape[0])
+        n = self.pool.n_modules
+        if self.combine == "sum":
+            return self.pool.combine(xt, slot_counts(sel, n), np.unique(sel))
+        return concat_last(*(
+            self.pool.combine(xt, slot_counts(sel[:, k : k + 1], n), np.unique(sel[:, k]))
+            for k in range(self.n_slots)
+        ))
+
+    def forward_mixed(
         self, x, train: bool = False, rng: np.random.Generator | None = None
     ) -> tuple[Tensor, Tensor, np.ndarray]:
-        """Returns (mixture output, weights, survivor mask)."""
+        """The gate's mixture of the pool on x: (output, weights, survivor
+        mask).  Modules that no row keeps are never run."""
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         w, mask = self.gate.weights(xt, train=train, rng=rng)
         return self.pool.combine(xt, w, np.flatnonzero(mask.any(axis=0))), w, mask
 
 
-class NoisyTopKNet:
-    """Feedforward stack of sparse mixture layers with one output head."""
+class OutputHead:
+    """Scores targets under a unit-variance normal centred on the activations."""
 
-    def __init__(self, layers: list[NoisyTopKLayer], head: OutputHead):
+    def log_prob(self, h, y) -> Tensor:
+        return gaussian_log_density(constant(np.asarray(y, dtype=np.float64)), h)
+
+
+@dataclass
+class RolloutResult:
+    """One choose-and-score walk.  ``pred_ll`` holds the values evaluation
+    reports: per token, (batch, steps), for a sequence model and per
+    example, (batch,), for a net; ``outputs`` a net's final activations;
+    ``probs`` the (batch, units, slots, modules) routing distributions
+    along the walk: a controller's, or a mixture's gate weights as
+    one-head distributions.  A mixture's ``comps`` have no slots."""
+
+    cond_ll: Tensor | None
+    ctrl_ll: Tensor | None
+    comps: np.ndarray
+    pred_ll: np.ndarray | None
+    probs: np.ndarray | None = None
+    outputs: np.ndarray | None = None
+
+
+class ModularModel:
+    """The controller protocol, shared by ``ModularNet`` and
+    ``gru.ModularGruLM``.
+
+    Inputs and targets are arrays; a composition is an integer array of
+    shape (batch, units, slots), a unit being a layer or a timestep, and
+    ``comps=None`` lets the controller choose.  Each model supplies
+    ``rollout``, one walk that picks each unit's selection (forced, greedy
+    or sampled) and scores it as it goes, and its architecture supplies
+    ``snapshot``.  Given both ``comps`` and a boolean ``sample_mask``
+    over the rows, ``rollout`` keeps unmasked rows forced and lets masked
+    rows draw afresh, so one walk scores fixed and proposed compositions
+    side by side.  On ``rollout`` this base builds ``log_liks(inputs,
+    targets, comps, with_ctrl, detach_ctrl_inputs, rng)`` (per-example
+    conditional and controller log-likelihood tensors, the second None
+    without ``with_ctrl``; with ``comps`` None the same walk draws the
+    compositions with ``rng``), ``score`` (joint values),
+    ``propose_and_score`` (the incumbent and fresh draws with joint
+    scores, from one walk over tiled rows), ``sample`` (off any tape),
+    ``probe(inputs, rng, comps=None)`` (a ``SelectionSnapshot`` along
+    sampled or forced paths, and those paths), ``marginal_log_lik`` and
+    ``evaluate(inputs, targets, comps=None)`` (predictions or None, and
+    conditional log-likelihoods along the greedy or forced path).
+    """
+
+    # compositions an exhaustive sum may enumerate unless told otherwise
+    ENUM_BUDGET = 100_000
+
+    def log_liks(
+        self, x, y, comps, with_ctrl: bool = False, detach_ctrl_inputs: bool = False,
+        rng: np.random.Generator | None = None,
+    ) -> tuple[Tensor, Tensor | None]:
+        res = self.rollout(
+            x, y, comps=comps, rng=rng, with_ctrl=with_ctrl,
+            detach_ctrl_inputs=detach_ctrl_inputs,
+        )
+        return res.cond_ll, res.ctrl_ll
+
+    def score(self, x, y, comps) -> np.ndarray:
+        """Joint log p(y, comps | x) per example, value only."""
+        return add(*self.log_liks(x, y, comps, with_ctrl=True)).data
+
+    def propose_and_score(self, x, y, incumbent, n_samples: int, rng: np.random.Generator):
+        """The incumbent, then ``n_samples`` controller draws, all drawn and
+        scored in one walk over the rows tiled ``n_samples + 1`` times.
+
+        Returns (candidates, scores) of shapes (n_samples+1, batch, units,
+        slots) and (n_samples+1, batch); index 0 is the incumbent.
+        """
+        batch, tile = len(incumbent), n_samples + 1
+        x, y, forced = (np.concatenate([np.asarray(a)] * tile) for a in (x, y, incumbent))
+        mask = np.arange(tile * batch) >= batch
+        res = self.rollout(x, y, comps=forced, sample_mask=mask, rng=rng, with_ctrl=True)
+        scores = add(res.cond_ll, res.ctrl_ll).data.reshape(tile, batch)
+        return res.comps.reshape(tile, batch, *res.comps.shape[1:]), scores
+
+    def sample(self, x, rng: np.random.Generator) -> np.ndarray:
+        # off any tape, and without targets the walk skips the output head
+        with paused():
+            return self.rollout(x, rng=rng).comps
+
+    def probe(self, x, rng: np.random.Generator, comps=None):
+        res = self.rollout(x, comps=comps, rng=rng, collect_probs=True)
+        return self.snapshot(res.probs, res.comps), res.comps
+
+    def evaluate(self, x, y, comps=None) -> tuple[np.ndarray | None, np.ndarray]:
+        res = self.rollout(x, y, comps=comps, greedy=True)
+        return res.outputs, res.pred_ll
+
+    def enumerate_and_score(self, x, y, budget: int | None = None):
+        """Every batch-shared composition, shape (N, batch, units, slots),
+        and its joint scores (N, batch); refuses past ``budget``."""
+        budget = self.ENUM_BUDGET if budget is None else budget
+        space = enumerate_compositions(self.n_modules, self.n_units(x), self.n_slots, budget)
+        shared = np.broadcast_to(space[:, None], (len(space), len(x), *space.shape[1:]))
+        return shared, np.stack([self.score(x, y, c) for c in shared])
+
+    def marginal_log_lik(self, x, y, budget: int | None = None) -> np.ndarray:
+        """Exact log p(y | x) per example: the joint summed over every
+        composition."""
+        return log_sum_exp(self.enumerate_and_score(x, y, budget)[1])
+
+
+class MixtureModel:
+    """The mixture protocol, shared by ``NoisyTopKNet`` and
+    ``gru.NoisyTopKGruLM``.  Each model supplies ``rollout(inputs,
+    targets=None, train=False, rng=None, collect_probs=False)``, one walk
+    that mixes each unit's modules by its gate (noisy with ``rng`` when
+    ``train``); its ``probs`` hold the gate weights as one-head
+    distributions.  On it this base builds ``cond_log_lik(inputs, targets,
+    train, rng)``, ``probe`` and ``evaluate``; ``marginal_log_lik`` raises
+    ValueError, as there are no compositions to enumerate."""
+
+    def cond_log_lik(
+        self, x, y, train: bool = False, rng: np.random.Generator | None = None
+    ) -> Tensor:
+        return self.rollout(x, y, train=train, rng=rng).cond_ll
+
+    def probe(self, x, rng=None, comps=None):
+        """Noise-free gate weights as one-head distributions; the path is
+        each unit's heaviest module.  ``rng`` and ``comps`` are unused."""
+        probs = self.rollout(x, collect_probs=True).probs
+        paths = probs.argmax(axis=-1)
+        return self.snapshot(probs, paths), paths
+
+    def evaluate(self, x, y, comps=None) -> tuple[np.ndarray | None, np.ndarray]:
+        res = self.rollout(x, y)
+        return res.outputs, res.pred_ll
+
+    def marginal_log_lik(self, x, y, budget: int | None = None) -> np.ndarray:
+        raise ValueError("mixture gating has no compositions to enumerate")
+
+
+class _Stack:
+    """Feedforward stack of modular layers with one output head, shared by
+    both feedforward models.
+
+    ``comps[b, l]`` holds the modules that example b runs at layer l.
+    Every layer shares one pool size and one slot count.
+    """
+
+    def __init__(self, layers: list[ModularLayer], head: OutputHead):
         if not layers:
-            raise ValueError("need at least one layer")
+            raise ValueError("need at least one modular layer")
+        shapes = {(layer.pool.n_modules, layer.n_slots) for layer in layers}
+        if len(shapes) != 1:
+            raise ValueError(f"layers must share one (n_modules, n_slots), got {sorted(shapes)}")
+        ((self.n_modules, self.n_slots),) = shapes
         self.layers = layers
         self.head = head
 
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.parameters()]
 
-    def forward(
-        self, x, train: bool = False, rng: np.random.Generator | None = None
-    ) -> tuple[Tensor, list[np.ndarray], list[np.ndarray]]:
+    def n_units(self, x) -> int:
+        return len(self.layers)
+
+    @staticmethod
+    def snapshot(probs: np.ndarray, comps: np.ndarray) -> SelectionSnapshot:
+        """(batch, layers, slots, modules) distributions and (batch, layers,
+        slots) choices, one snapshot entry per layer."""
+        return SelectionSnapshot(
+            list(probs.transpose(1, 0, 2, 3)), list(comps.transpose(1, 0, 2))
+        )
+
+
+class ModularNet(_Stack, ModularModel):
+    """Feedforward stack whose layers are routed by controllers."""
+
+    def rollout(
+        self,
+        x,
+        y=None,
+        comps: np.ndarray | None = None,
+        sample_mask: np.ndarray | None = None,
+        greedy: bool = False,
+        rng: np.random.Generator | None = None,
+        with_ctrl: bool = False,
+        detach_ctrl_inputs: bool = False,
+        collect_probs: bool = False,
+    ) -> RolloutResult:
+        """Walk the stack once, choosing and scoring each layer as it goes.
+
+        Layer l runs ``comps[:, l]`` when given, else the controller's
+        greedy or sampled choice on the layer's realized input; rows
+        flagged in ``sample_mask`` draw afresh.  With ``with_ctrl`` the
+        controller scores that choice on the same input;
+        ``detach_ctrl_inputs`` blocks its gradient into earlier layers.
+        The head scores ``y`` only when given.
+        """
+        n_layers = len(self.layers)
+        if comps is not None:
+            comps = np.asarray(comps)
+            if comps.ndim != 3 or comps.shape[1] != n_layers:
+                raise ShapeError(
+                    f"composition shape {comps.shape}, expected (batch, {n_layers}, slots)"
+                )
         h: Tensor = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-        weights, masks = [], []
-        for layer in self.layers:
-            h, w, m = layer.forward(h, train=train, rng=rng)
-            weights.append(w.data)
-            masks.append(m)
-        return h, weights, masks
+        chosen = np.empty((h.shape[0], n_layers, self.n_slots), dtype=np.int64)
+        probs = np.empty((*chosen.shape, self.n_modules)) if collect_probs else None
+        ctrl_ll: Tensor | None = None
+        for l, layer in enumerate(self.layers):
+            forced = None if comps is None else comps[:, l]
+            need_probs = collect_probs or forced is None or sample_mask is not None
+            p = layer.controller.distribution(h) if need_probs else None
+            sel = choose(p, forced, greedy, rng, sample_mask)
+            if with_ctrl:
+                inp = constant(h) if detach_ctrl_inputs else h
+                term = layer.controller.log_prob(inp, sel)
+                ctrl_ll = term if ctrl_ll is None else add(ctrl_ll, term)
+            h = layer.forward_selected(h, sel)
+            chosen[:, l] = sel
+            if collect_probs:
+                probs[:, l] = p
+        cond = None if y is None else self.head.log_prob(h, y)
+        pred_ll = None if cond is None else cond.data
+        return RolloutResult(cond, ctrl_ll, chosen, pred_ll, probs, outputs=h.data)
 
-    def cond_log_lik(
-        self, x, y, train: bool = False, rng: np.random.Generator | None = None
-    ) -> Tensor:
-        h, _, _ = self.forward(x, train=train, rng=rng)
-        return self.head.log_prob(h, y)
 
-    def probe(self, x, rng=None, comps=None):
-        """Noise-free gate weights as one-head distributions; the path is
-        each layer's heaviest module.  ``rng`` and ``comps`` are unused."""
-        _, weights, _ = self.forward(x)
-        probs = [w[:, None, :] for w in weights]
-        paths = np.stack([w.argmax(axis=-1)[:, None] for w in weights], axis=1)
-        return SelectionSnapshot(probs, list(paths.transpose(1, 0, 2))), paths
+class NoisyTopKNet(_Stack, MixtureModel):
+    """Feedforward stack whose layers are sparse mixtures under noisy
+    top-k gates."""
 
-    def evaluate(self, x, y, comps=None) -> tuple[np.ndarray, np.ndarray]:
-        h, _, _ = self.forward(x)
-        return h.data, self.head.log_prob(h, y).data
-
-    def marginal_log_lik(self, x, y, budget: int = 0) -> np.ndarray:
-        raise ValueError("mixture gating has no compositions to enumerate")
+    def rollout(
+        self,
+        x,
+        y=None,
+        train: bool = False,
+        rng: np.random.Generator | None = None,
+        collect_probs: bool = False,
+    ) -> RolloutResult:
+        """Walk the stack once, mixing each layer by its gate; the head
+        scores ``y`` only when given."""
+        h: Tensor = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+        batch, n_layers = h.shape[0], len(self.layers)
+        probs = np.empty((batch, n_layers, 1, self.n_modules)) if collect_probs else None
+        for l, layer in enumerate(self.layers):
+            h, w, _ = layer.forward_mixed(h, train=train, rng=rng)
+            if collect_probs:
+                probs[:, l, 0] = w.data
+        cond = None if y is None else self.head.log_prob(h, y)
+        pred_ll = None if cond is None else cond.data
+        chosen = np.empty((batch, n_layers, 0), dtype=np.int64)
+        return RolloutResult(cond, None, chosen, pred_ll, probs, outputs=h.data)

@@ -45,7 +45,6 @@ from modnet.modular import (
     ModularNet,
     ModulePool,
     NoisyTopKGate,
-    NoisyTopKLayer,
     NoisyTopKNet,
     OutputHead,
 )
@@ -233,22 +232,20 @@ def _toy_dims(cfg: ExperimentConfig) -> list[tuple[int, int]]:
 def build_model(cfg: ExperimentConfig, data, streams: SeedStreams):
     a = cfg.architecture
     rng = streams["init"]
+    gated = cfg.trainer.kind == "noisy-topk"
     if cfg.task.kind == "toy-regression":
-        if cfg.trainer.kind == "noisy-topk":
-            layers = []
-            for l, (din, dout) in enumerate(_toy_dims(cfg)):
-                pool = ModulePool(rng, a.n_modules, din, dout, a.module_kind, f"l{l}.pool")
-                gate = NoisyTopKGate(rng, din, a.n_modules, a.topk, f"l{l}.gate")
-                layers.append(NoisyTopKLayer(pool, gate))
-            return NoisyTopKNet(layers, OutputHead())
         layers = []
         for l, (din, dout) in enumerate(_toy_dims(cfg)):
+            # each layer draws its pool, then its router
             pool = ModulePool(rng, a.n_modules, din, dout, a.module_kind, f"l{l}.pool")
-            ctrl = Controller(rng, din, a.n_modules, a.n_slots, f"l{l}.ctrl")
-            layers.append(ModularLayer(pool, ctrl, a.combine))
-        return ModularNet(layers, OutputHead())
+            if gated:
+                router = NoisyTopKGate(rng, din, a.n_modules, a.topk, f"l{l}.gate")
+            else:
+                router = Controller(rng, din, a.n_modules, a.n_slots, f"l{l}.ctrl")
+            layers.append(ModularLayer(pool, router, a.combine))
+        return (NoisyTopKNet if gated else ModularNet)(layers, OutputHead())
     vocab = data.vocab if isinstance(data, TwoRegimeData) else data.vocab_size
-    if cfg.trainer.kind == "noisy-topk":
+    if gated:
         return NoisyTopKGruLM(rng, vocab, a.embed_dim, a.hidden, a.n_modules, a.topk)
     return ModularGruLM(rng, vocab, a.embed_dim, a.hidden, a.n_modules, a.n_slots)
 

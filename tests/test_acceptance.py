@@ -485,10 +485,10 @@ def test_criterion_07_sparse_gate_keeps_exactly_k():
         seed=1,
     )
     x = data.x
-    _, weights, masks = model.forward(x, train=True, rng=streams["noise"])
-    w = weights[0]
+    _, w, mask = model.layers[0].forward_mixed(x, train=True, rng=streams["noise"])
+    w = w.data
     active_ok = bool(np.all((w > 0).sum(axis=1) == 2)
-                     and np.all(masks[0].sum(axis=1) == 2))
+                     and np.all(mask.sum(axis=1) == 2))
     sum_err = float(np.abs(w.sum(axis=1) - 1.0).max())
 
     layer = model.layers[0]
@@ -505,9 +505,9 @@ def test_criterion_07_sparse_gate_keeps_exactly_k():
         mod = layer.pool.modules[j]
         oracle_out += oracle_w[:, j:j + 1] * (x @ mod.w.data + mod.b.data)
 
-    out_eval, weights_eval, _ = model.forward(x, train=False)
-    eval_err = float(np.abs(out_eval.data - oracle_out).max())
-    weight_err = float(np.abs(weights_eval[0] - oracle_w).max())
+    res = model.rollout(x, collect_probs=True)
+    eval_err = float(np.abs(res.outputs - oracle_out).max())
+    weight_err = float(np.abs(res.probs[:, 0, 0] - oracle_w).max())
 
     ok = active_ok and sum_err < 1e-9 and eval_err < 1e-9 and weight_err < 1e-9
     verdict(7, ok,

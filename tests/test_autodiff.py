@@ -372,6 +372,25 @@ def test_stable_sigmoid_is_bit_identical_to_masked_formula():
     assert g.tobytes() == want.tobytes()
 
 
+def two_division_sigmoid(x):
+    """The stable helper's former body: both quotients over every element."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def test_stable_sigmoid_divides_once_with_the_same_bits():
+    rng = np.random.default_rng(6)
+    tiny = np.nextafter(0.0, 1.0)  # 5e-324, the smallest subnormal
+    special = [0.0, -0.0, tiny, -tiny, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan]
+    # arbitrary bit patterns cover subnormals, huge magnitudes and NaN payloads
+    bits = rng.integers(0, 2**64, size=50_000, dtype=np.uint64).view(np.float64)
+    x = np.concatenate([special, bits, rng.standard_normal(50_000) * 40.0])
+    with np.errstate(all="ignore"):
+        got, want = stable_sigmoid(x), two_division_sigmoid(x)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_paused_tape_records_nothing_and_resumes():
     p = Parameter(np.ones(3), "p")
     with Tape() as tape:

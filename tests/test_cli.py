@@ -420,6 +420,18 @@ HOSTILE_JSON = {
         tiny_config(architecture={"n_modules": 2, "n_slots": 2, "combine": "concat"}),
         "architecture.combine",
     ),
+    "run-noisy-topk-concat": (
+        "run",
+        tiny_config(architecture={"n_modules": 2, "topk": 1, "combine": "concat"},
+                    trainer={"kind": "noisy-topk", "iterations": 3}),
+        "architecture.combine",
+    ),
+    "run-recurrent-relu-modules": (
+        "run",
+        tiny_config(task={"kind": "two-regime-lm", "n_windows": 8},
+                    architecture={"module_kind": "linear-relu"}),
+        "architecture.module_kind",
+    ),
     "eval-list-spec": ("eval", [1, 2], "dataset spec"),
     "eval-list-seed": ("eval", {"seed": [1]}, "seed"),
     "eval-unknown-field": ("eval", {"sed": 1}, "sed"),

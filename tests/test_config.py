@@ -110,6 +110,11 @@ def test_type_errors_are_rejected_with_path():
         ({"trainer": {"clip_norm": float("inf")}}, "trainer.clip_norm: must be a finite"),
         # concat widens each layer by its slot count, past the regression targets
         ({"architecture": {"n_slots": 2, "combine": "concat"}}, "architecture.combine"),
+        # settings the built model would otherwise ignore without a word
+        ({"trainer": {"kind": "noisy-topk"}, "architecture": {"topk": 1, "combine": "concat"}},
+         "architecture.combine"),
+        ({"task": {"kind": "two-regime-lm"}, "architecture": {"module_kind": "linear-relu"}},
+         "architecture.module_kind"),
     ],
 )
 def test_validation_rejects_bad_combinations(patch, needle):

@@ -640,7 +640,7 @@ def test_topk_probe_skips_the_output_head():
     tokens = RNG.integers(0, 5, size=(4, 3))
     targets = RNG.integers(0, 5, size=(4, 3))
     # oracle: the scored unroll a probe used to run
-    weights = lm.rollout(tokens, targets, train=False, collect_weights=True).weights
+    weights = lm.rollout(tokens, targets, train=False, collect_probs=True).probs[:, :, 0]
     calls = count_head_calls(lm)
     snap, paths = lm.probe(tokens)
     assert calls == []
@@ -782,9 +782,9 @@ def test_topk_lm_rollout_scores_and_weights():
     lm = NoisyTopKGruLM(rng, vocab=5, embed_dim=3, hidden=4, n_modules=3, k=2)
     tokens = RNG.integers(0, 5, size=(4, 3))
     targets = RNG.integers(0, 5, size=(4, 3))
-    res = lm.rollout(tokens, targets, train=False, collect_weights=True)
-    assert res.weights.shape == (4, 3, 3)
-    assert np.allclose(res.weights.sum(axis=-1), 1.0, atol=1e-9)
+    res = lm.rollout(tokens, targets, train=False, collect_probs=True)
+    assert res.probs.shape == (4, 3, 1, 3)
+    assert np.allclose(res.probs.sum(axis=-1), 1.0, atol=1e-9)
     assert np.allclose(res.pred_ll.sum(axis=1), res.cond_ll.data, atol=1e-10)
     assert res.ctrl_ll is None
 

@@ -49,3 +49,56 @@ def test_no_unused_imports():
     assert len(SOURCES) > 20
     assert any(os.sep + "perfbench" + os.sep in path for path in SOURCES)
     assert found == {}
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    """Names a tree reads, bare (``f``) or as an attribute (``m.f``)."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def unread_definitions(sources: dict[str, str], defining: list[str]) -> list[str]:
+    """Top-level functions and classes of the ``defining`` files that no
+    top-level statement of ``sources`` reads, their own definitions aside."""
+    readers: dict[str, int] = {}  # name -> statements that read it
+    defs = []
+    for path, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = read_names(stmt)
+            for name in names:
+                readers[name] = readers.get(name, 0) + 1
+            if path in defining and isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                defs.append((path, stmt, stmt.name in names))
+    return [
+        f"{path}: {stmt.name} (line {stmt.lineno})"
+        for path, stmt, self_read in defs
+        if readers.get(stmt.name, 0) == self_read
+    ]
+
+
+def test_dead_name_scan_flags_only_unread_definitions():
+    lib = (
+        "def used(): pass\n"
+        "def by_attr(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class Dead: pass\n"
+        "dead = 1\n"
+    )
+    user = "import lib\nused()\nlib.by_attr\nDead = 2\n"
+    found = unread_definitions({"lib.py": lib, "user.py": user}, ["lib.py"])
+    assert found == ["lib.py: recursive (line 3)", "lib.py: Dead (line 4)"]
+
+
+def test_every_package_definition_is_read_somewhere():
+    sources = {}
+    for path in SOURCES:
+        with open(path) as fh:
+            sources[os.path.relpath(path, ROOT)] = fh.read()
+    package = [p for p in sources if p.startswith(os.path.join("src", "modnet"))]
+    assert len(package) > 10
+    assert unread_definitions(sources, package) == []

@@ -4,7 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from modnet.autodiff import ShapeError, Tape, Tensor, add, grad_check, mean_all
+from modnet.autodiff import (
+    Parameter,
+    ShapeError,
+    Tape,
+    Tensor,
+    add,
+    concat_last,
+    constant,
+    gaussian_log_density,
+    grad_check,
+    mean_all,
+    mul,
+)
 from modnet.modular import (
     Controller,
     Linear,
@@ -12,7 +24,6 @@ from modnet.modular import (
     ModularNet,
     ModulePool,
     NoisyTopKGate,
-    NoisyTopKLayer,
     NoisyTopKNet,
     OutputHead,
     enumerate_compositions,
@@ -202,6 +213,41 @@ def test_forward_selected_concat_order():
     assert np.allclose(out[0, :3], pool.apply(1, xt).data[0], atol=1e-12)
     assert np.allclose(out[0, 3:], pool.apply(0, xt).data[0], atol=1e-12)
     assert np.allclose(out[1, :3], pool.apply(0, xt).data[1], atol=1e-12)
+
+    # three slots, module 1 chosen by two slots of row 0: each slot is its
+    # own one-hot combination, equal to a per-slot masked sum
+    pool = ModulePool(rng, 3, 2, 3, kind="linear-relu")
+    layer = ModularLayer(pool, Controller(rng, 2, 3, 3), combine="concat")
+    for p in pool.parameters():
+        p.data[...] = rng.uniform(-1.0, 1.0, size=p.data.shape)
+    x = Parameter(RNG.standard_normal((4, 2)), "x")
+    sel = np.array([[1, 0, 1], [0, 0, 2], [2, 1, 0], [1, 2, 2]])
+    g_out = constant(RNG.standard_normal((4, 9)))
+
+    def oracle(xt):
+        slots = []
+        for k in range(3):
+            slot = None
+            for j in np.unique(sel[:, k]):
+                mask = constant((sel[:, k] == j).astype(np.float64)[:, None])
+                term = mul(pool.apply(int(j), xt), mask)
+                slot = term if slot is None else add(slot, term)
+            slots.append(slot)
+        return concat_last(*slots)
+
+    results = []
+    for forward in (lambda xt: layer.forward_selected(xt, sel), oracle):
+        with Tape() as tape:
+            xt = tape.watch(x)
+            for p in pool.parameters():
+                tape.watch(p)
+            out = forward(xt)
+            grads = tape.backward(mean_all(mul(out, g_out)))
+        results.append((out.data, [tape.grad(grads, p) for p in [x] + pool.parameters()]))
+    (got, got_g), (want, want_g) = results
+    assert got.shape == (4, 9) and np.array_equal(got, want)
+    for g, w in zip(got_g, want_g):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 def test_forward_selected_rejects_bad_selection():
@@ -515,14 +561,14 @@ def test_topk_dropped_modules_get_zero_gradient():
     rng = np.random.default_rng(45)
     pool = ModulePool(rng, 4, 2, 2, kind="linear")
     gate = NoisyTopKGate(rng, 2, 4, 1)
-    layer = NoisyTopKLayer(pool, gate)
+    layer = ModularLayer(pool, gate)
     # bias module 0 to always win
     gate.gate.b.data[:] = [100.0, 0.0, 0.0, 0.0]
     x = RNG.standard_normal((5, 2))
     with Tape() as tape:
         for p in layer.parameters():
             tape.watch(p)
-        out, w, mask = layer.forward(Tensor(x), train=False)
+        out, w, mask = layer.forward_mixed(Tensor(x), train=False)
         loss = mean_all(out)
     grads = tape.backward(loss)
     assert np.all(mask[:, 0] == 1.0)
@@ -537,13 +583,13 @@ def test_topk_batched_equals_per_example_path():
     rng = np.random.default_rng(46)
     pool = ModulePool(rng, 5, 3, 2, kind="linear-relu")
     gate = NoisyTopKGate(rng, 3, 5, 2)
-    layer = NoisyTopKLayer(pool, gate)
+    layer = ModularLayer(pool, gate)
     x = RNG.standard_normal((9, 3))
-    out, _, _ = layer.forward(Tensor(x), train=False)
+    out, _, _ = layer.forward_mixed(Tensor(x), train=False)
     ref = forward_per_example(layer, x, train=False)
     assert np.allclose(out.data, ref, atol=1e-12)
     # train mode with twinned rng states
-    out_t, _, _ = layer.forward(Tensor(x), train=True, rng=np.random.default_rng(3))
+    out_t, _, _ = layer.forward_mixed(Tensor(x), train=True, rng=np.random.default_rng(3))
     ref_t = forward_per_example(layer, x, train=True, rng=np.random.default_rng(3))
     assert np.allclose(out_t.data, ref_t, atol=1e-12)
 
@@ -552,13 +598,13 @@ def test_topk_layer_grad_check():
     rng = np.random.default_rng(47)
     pool = ModulePool(rng, 3, 2, 2, kind="linear")
     gate = NoisyTopKGate(rng, 2, 3, 2)
-    layer = NoisyTopKLayer(pool, gate)
+    layer = ModularLayer(pool, gate)
     x = RNG.standard_normal((4, 2))
     y = RNG.standard_normal((4, 2))
     head = OutputHead()
 
     def fn():
-        out, _, _ = layer.forward(Tensor(x), train=False)
+        out, _, _ = layer.forward_mixed(Tensor(x), train=False)
         return mean_all(head.log_prob(out, y))
 
     # top-k membership is locally constant away from logit ties, so the
@@ -569,7 +615,7 @@ def test_topk_layer_grad_check():
 def test_topk_net_stacks():
     rng = np.random.default_rng(48)
     layers = [
-        NoisyTopKLayer(
+        ModularLayer(
             ModulePool(rng, 4, 2, 2, kind="linear-relu"),
             NoisyTopKGate(rng, 2, 4, 2),
         )
@@ -577,12 +623,61 @@ def test_topk_net_stacks():
     ]
     net = NoisyTopKNet(layers, OutputHead())
     x = RNG.standard_normal((6, 2))
-    h, weights, masks = net.forward(x)
-    assert h.data.shape == (6, 2)
-    assert len(weights) == 2 and len(masks) == 2
-    for w, m in zip(weights, masks):
+    res = net.rollout(x, collect_probs=True)
+    assert res.outputs.shape == (6, 2) and res.probs.shape == (6, 2, 1, 4)
+    h = x
+    for l, layer in enumerate(net.layers):
+        h, w, m = layer.forward_mixed(h)
+        assert np.array_equal(w.data, res.probs[:, l, 0])
         assert np.all(m.sum(axis=1) == 2)
-        assert np.allclose(w.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(w.data.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_topk_net_protocol_matches_layer_walk_oracle():
+    rng = np.random.default_rng(50)
+    layers = [
+        ModularLayer(ModulePool(rng, 4, 2, 2, kind="linear-relu"), NoisyTopKGate(rng, 2, 4, 2))
+        for _ in range(3)
+    ]
+    net = NoisyTopKNet(layers, OutputHead())
+    x = RNG.standard_normal((7, 2))
+    y = RNG.standard_normal((7, 2))
+
+    def oracle(train, seed=None):
+        # walk the layers' mixtures, then score the last activations
+        noise = None if seed is None else np.random.default_rng(seed)
+        h, weights = Tensor(x), []
+        for layer in net.layers:
+            h, w, _ = layer.forward_mixed(h, train=train, rng=noise)
+            weights.append(w.data)
+        ll = gaussian_log_density(constant(y), h).data
+        return h.data, ll, np.stack(weights, axis=1)[:, :, None]
+
+    out, ll, probs = oracle(False)
+    res = net.rollout(x, y, collect_probs=True)
+    assert np.array_equal(res.outputs, out) and np.array_equal(res.probs, probs)
+    assert np.array_equal(res.cond_ll.data, ll) and np.array_equal(res.pred_ll, ll)
+    assert res.ctrl_ll is None and res.comps.shape == (7, 3, 0)
+    assert np.array_equal(net.cond_log_lik(x, y).data, ll)
+    pred, got_ll = net.evaluate(x, y)
+    assert np.array_equal(pred, out) and np.array_equal(got_ll, ll)
+    snap, paths = net.probe(x)
+    assert paths.shape == (7, 3, 1) and np.array_equal(paths, probs.argmax(axis=-1))
+    assert len(snap.probs) == len(snap.chosen) == 3
+    for l in range(3):
+        assert np.array_equal(snap.probs[l], probs[:, l])
+        assert np.array_equal(snap.chosen[l], paths[:, l])
+
+    # train mode: twinned rngs draw the same noise
+    out_t, ll_t, probs_t = oracle(True, seed=5)
+    assert not np.array_equal(probs_t, probs)
+    res = net.rollout(x, y, train=True, rng=np.random.default_rng(5), collect_probs=True)
+    assert np.array_equal(res.outputs, out_t) and np.array_equal(res.probs, probs_t)
+    assert np.array_equal(res.cond_ll.data, ll_t)
+    got = net.cond_log_lik(x, y, train=True, rng=np.random.default_rng(5))
+    assert np.array_equal(got.data, ll_t)
+    with pytest.raises(ValueError, match="no compositions"):
+        net.marginal_log_lik(x, y)
 
 
 def test_gate_rejects_bad_k():
@@ -591,3 +686,10 @@ def test_gate_rejects_bad_k():
         NoisyTopKGate(rng, 2, 4, 0)
     with pytest.raises(ValueError):
         NoisyTopKGate(rng, 2, 4, 5)
+    # a layer refuses a gate under concat, and a router of another width
+    pool = ModulePool(rng, 4, 2, 2)
+    with pytest.raises(ValueError, match="noisy top-k gate sums"):
+        ModularLayer(pool, NoisyTopKGate(rng, 2, 4, 2), combine="concat")
+    for router in (NoisyTopKGate(rng, 2, 3, 2), Controller(rng, 2, 3, 1)):
+        with pytest.raises(ValueError, match="covers 3 modules, pool has 4"):
+            ModularLayer(pool, router)
