@@ -176,6 +176,10 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         )
     if tr.kind == "noisy-topk" and a.combine != "sum":
         raise ConfigError("architecture.combine: a noisy top-k gate sums its module outputs")
+    if tr.kind == "noisy-topk" and a.n_slots != 1:
+        raise ConfigError(
+            f"architecture.n_slots: a noisy top-k gate routes a single slot, got {a.n_slots}"
+        )
     if t.kind in ("two-regime-lm", "text-lm"):
         if a.n_layers != 1:
             raise ConfigError(

@@ -94,7 +94,7 @@ class TwoRegimeData:
     bayes_nll: float = field(default=0.0)
 
     @property
-    def vocab(self) -> int:
+    def vocab_size(self) -> int:
         return self.n_states + 2
 
     @property

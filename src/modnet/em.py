@@ -139,16 +139,9 @@ def init_assignment_buffer(
 
 
 class EMTrainer(AscentTrainer):
-    """Drives the search/ascent alternation over a task adapter.
-
-    The adapter supplies: ``n_examples``, ``unit_shape``, ``n_choices``,
-    ``parameters()``, ``propose_and_score(idx, incumbent, n_samples,
-    rng)``, ``enumerate_and_score(idx, incumbent)``, and ``objective(idx,
-    comps)`` (a scalar mean joint log-probability built under the active
-    tape).  Compositions are example-major: ``unit_shape`` is (units,
-    slots), a unit being a layer or a timestep; the buffer holds
-    (n_examples, units, slots) and candidates stack to (candidates, batch,
-    units, slots).
+    """Drives the search/ascent alternation over a task adapter, the
+    protocol of ``runner.Task``.  The buffer holds one (units, slots)
+    composition per example.
 
     ``partial_e_step`` is the search step and ``partial_m_step`` the
     ascent step, run on ``AscentTrainer``'s guarded loop; the buffer

@@ -278,6 +278,9 @@ class _GruLM:
     def parameters(self) -> list[Parameter]:
         return [self.embed] + self.cell.parameters() + self.out.parameters()
 
+    def n_units(self, tokens) -> int:
+        return np.shape(tokens)[1]
+
     @staticmethod
     def snapshot(probs: np.ndarray, comps: np.ndarray) -> SelectionSnapshot:
         """(batch, steps, slots, modules) distributions and (batch, steps,
@@ -349,9 +352,6 @@ class ModularGruLM(_GruLM, ModularModel):
 
     # the count grows as (modules**slots)**steps
     ENUM_BUDGET = 4096
-
-    def n_units(self, tokens) -> int:
-        return np.shape(tokens)[1]
 
     def rollout(
         self,

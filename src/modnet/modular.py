@@ -420,8 +420,8 @@ class ModularModel:
     shape (batch, units, slots), a unit being a layer or a timestep, and
     ``comps=None`` lets the controller choose.  Each model supplies
     ``rollout``, one walk that picks each unit's selection (forced, greedy
-    or sampled) and scores it as it goes, and its architecture supplies
-    ``snapshot``.  Given both ``comps`` and a boolean ``sample_mask``
+    or sampled) and scores it as it goes; its architecture supplies
+    ``snapshot`` and ``n_units``.  Given both ``comps`` and a boolean ``sample_mask``
     over the rows, ``rollout`` keeps unmasked rows forced and lets masked
     rows draw afresh, so one walk scores fixed and proposed compositions
     side by side.  On ``rollout`` this base builds ``log_liks(inputs,

@@ -1,10 +1,10 @@
 """Experiment orchestration: build, train, evaluate, persist, resume.
 
-A task adapter binds a model to a dataset behind the trainer protocol
-(index-based minibatches, composition proposals, objectives, probes).
-``execute_run`` drives any trainer through the shared loop and leaves a
-self-describing run directory: metrics stream, wall-clock sidecar,
-checkpoints, optional exports, and a run record.
+``Task`` binds a model to a dataset behind the one protocol every
+trainer uses, listed in its docstring.  ``execute_run`` drives any
+trainer through the shared loop and leaves a self-describing run
+directory: metrics stream, wall-clock sidecar, checkpoints, optional
+exports, and a run record.
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ from modnet.config import (
     from_dict,
     require_object,
 )
-from modnet.datasets import (
-    ToyRegression,
-    TwoRegimeData,
-    gen_toy_regression,
-    gen_two_regime_sequences,
-    load_text_data,
-)
+from modnet.datasets import gen_toy_regression, gen_two_regime_sequences, load_text_data
 from modnet.diagnostics import export_path_trace, selection_image, write_pgm
 from modnet.em import EMTrainer, NumericAbort
 from modnet.gru import ModularGruLM, NoisyTopKGruLM
@@ -67,65 +61,29 @@ def _static_pattern(cfg: ExperimentConfig) -> np.ndarray:
     return np.asarray([k % a.n_modules for k in range(a.n_slots)], dtype=np.int64)
 
 
-def _forced_path(task, idx) -> np.ndarray | None:
-    """The compositions probes and evaluation follow: the static trainer's
-    fixed pattern, else None for the controller's own choice."""
-    return task.static_comps(idx) if task.cfg.trainer.kind == "static" else None
+class Task:
+    """A model bound to one dataset behind the trainer protocol.
 
-
-def _enumerate_and_score(task, idx, incumbent):
-    """The incumbent and every batch-shared composition, then their scores."""
-    x, y, inc = task.inputs[idx], task.targets[idx], np.asarray(incumbent)
-    space, scores = task.model.enumerate_and_score(x, y)
-    return np.concatenate([inc[None], space]), np.vstack([task.model.score(x, y, inc), scores])
-
-
-def _objective(model, x, y, comps, with_ctrl: bool) -> Tensor:
-    cond, ctrl = model.log_liks(x, y, comps, with_ctrl)
-    return mean_all(add(cond, ctrl) if with_ctrl else cond)
-
-
-def _surrogate(model, x, y, comps, baseline, rng=None):
-    """Score-function surrogate: the conditional log-likelihood plus the
-    controller log-probability weighted by the detached advantage.
-
-    With ``comps`` None the walk that builds the surrogate also draws the
-    compositions with ``rng``, in the order ``model.sample`` would, so one
-    rollout both samples and scores.
+    Trainers address examples by index arrays ``idx`` and see
+    ``n_examples``, ``n_choices`` (modules per slot), ``unit_shape``
+    (units, slots; a unit is a layer or a timestep) and ``parameters()``;
+    the search steps ``propose_and_score`` and ``enumerate_and_score``
+    (candidates (candidates, batch, units, slots), the incumbent first,
+    and their joint scores); the objectives ``objective``,
+    ``reinforce_surrogate`` and ``noisy_objective``, built under the
+    active tape; ``sample_comps`` (off any tape) and ``static_comps``;
+    ``probe``; and ``eval_metrics``, which each kind reports its own way.
+    The static trainer's fixed pattern also steers probes and evaluation.
     """
-    cond, ctrl = model.log_liks(x, y, comps, with_ctrl=True, detach_ctrl_inputs=True, rng=rng)
-    rewards = cond.data.copy()
-    obj = add(mean_all(cond), mean_all(mul(ctrl, constant(rewards - baseline))))
-    return obj, rewards
 
-
-def _evaluate(task, mode: str, units: int):
-    """(predictions or None, nll per unit) over the whole dataset; the
-    enumerate-marginal mode takes the nll from the exact marginal."""
-    inputs, targets = task.inputs, task.targets
-    pred, ll = task.model.evaluate(inputs, targets, _forced_path(task, np.arange(task.n_examples)))
-    if mode != "enumerate-marginal":
-        return pred, -float(ll.mean())
-    try:
-        return pred, -float(task.model.marginal_log_lik(inputs, targets).mean()) / units
-    except ValueError as exc:
-        raise ConfigError(f"mode: {exc}") from exc
-
-
-# Each adapter keeps its trainer-facing methods in its own class body:
-# perfbench/tracer.py wraps them there by name.
-
-
-class RegressionTask:
-    """Two-cluster regression behind the trainer protocol."""
-
-    def __init__(self, model, data: ToyRegression, cfg: ExperimentConfig):
+    def __init__(self, model, inputs, targets, cfg: ExperimentConfig):
         self.model = model
-        self.cfg = cfg
-        self.inputs, self.targets = data.x, data.y
-        self.n_examples = data.n
+        self.inputs, self.targets = inputs, targets
+        self.n_examples = len(inputs)
         self.n_choices = cfg.architecture.n_modules
-        self.unit_shape = (cfg.architecture.n_layers, cfg.architecture.n_slots)
+        self.unit_shape = (model.n_units(inputs), cfg.architecture.n_slots)
+        self._pattern = _static_pattern(cfg)
+        self._fixed_path = cfg.trainer.kind == "static"
 
     def parameters(self):
         return self.model.parameters()
@@ -135,72 +93,81 @@ class RegressionTask:
         return self.model.propose_and_score(x, y, incumbent, n_samples, rng)
 
     def enumerate_and_score(self, idx, incumbent):
-        return _enumerate_and_score(self, idx, incumbent)
+        """The incumbent and every batch-shared composition, then their scores."""
+        x, y, inc = self.inputs[idx], self.targets[idx], np.asarray(incumbent)
+        space, scores = self.model.enumerate_and_score(x, y)
+        return np.concatenate([inc[None], space]), np.vstack([self.model.score(x, y, inc), scores])
 
     def objective(self, idx, comps, with_ctrl: bool = True) -> Tensor:
-        return _objective(self.model, self.inputs[idx], self.targets[idx], comps, with_ctrl)
+        cond, ctrl = self.model.log_liks(self.inputs[idx], self.targets[idx], comps, with_ctrl)
+        return mean_all(add(cond, ctrl) if with_ctrl else cond)
 
     def sample_comps(self, idx, rng):
         return self.model.sample(self.inputs[idx], rng)
 
     def reinforce_surrogate(self, idx, comps, baseline, rng=None):
-        return _surrogate(self.model, self.inputs[idx], self.targets[idx], comps, baseline, rng)
+        """Score-function surrogate: the conditional log-likelihood plus the
+        controller log-probability weighted by the detached advantage.
+
+        With ``comps`` None the walk that builds the surrogate also draws the
+        compositions with ``rng``, in the order ``sample_comps`` would, so one
+        rollout both samples and scores.
+        """
+        x, y = self.inputs[idx], self.targets[idx]
+        cond, ctrl = self.model.log_liks(x, y, comps, True, detach_ctrl_inputs=True, rng=rng)
+        rewards = cond.data.copy()
+        obj = add(mean_all(cond), mean_all(mul(ctrl, constant(rewards - baseline))))
+        return obj, rewards
 
     def noisy_objective(self, idx, train, rng) -> Tensor:
         return mean_all(self.model.cond_log_lik(self.inputs[idx], self.targets[idx], train, rng))
 
     def static_comps(self, idx):
-        return np.broadcast_to(_static_pattern(self.cfg), (len(idx), *self.unit_shape))
+        return np.broadcast_to(self._pattern, (len(idx), *self.unit_shape))
+
+    def _path(self, idx) -> np.ndarray | None:
+        return self.static_comps(idx) if self._fixed_path else None
 
     def probe(self, idx, rng):
-        return self.model.probe(self.inputs[idx], rng, _forced_path(self, idx))
+        return self.model.probe(self.inputs[idx], rng, self._path(idx))
+
+    def _evaluate(self, mode: str, units: int):
+        """(predictions or None, nll) over the whole dataset.  The nll is the
+        mean of the model's reported log-likelihoods, or in the
+        enumerate-marginal mode the exact marginal per example over ``units``."""
+        inputs, targets = self.inputs, self.targets
+        pred, ll = self.model.evaluate(inputs, targets, self._path(np.arange(self.n_examples)))
+        if mode != "enumerate-marginal":
+            return pred, -float(ll.mean())
+        try:
+            return pred, -float(self.model.marginal_log_lik(inputs, targets).mean()) / units
+        except ValueError as exc:
+            raise ConfigError(f"mode: {exc}") from exc
+
+
+class RegressionTask(Task):
+    """Two-cluster regression: mse and the nll per example."""
+
+    # perfbench/tracer.py wraps these by name in each kind's own class dict
+    objective, probe, sample_comps = Task.objective, Task.probe, Task.sample_comps
+    propose_and_score, noisy_objective = Task.propose_and_score, Task.noisy_objective
+    reinforce_surrogate = Task.reinforce_surrogate
 
     def eval_metrics(self, mode: str = "most-likely-composition") -> dict:
-        pred, nll = _evaluate(self, mode, units=1)
+        pred, nll = self._evaluate(mode, units=1)
         return {"mode": mode, "mse": float(np.mean((pred - self.targets) ** 2)), "nll": nll}
 
 
-class SequenceTask:
-    """Windowed next-token modelling behind the trainer protocol."""
+class SequenceTask(Task):
+    """Windowed next-token modelling: the nll per token and its perplexity."""
 
-    def __init__(self, model, data, cfg: ExperimentConfig):
-        self.model = model
-        self.cfg = cfg
-        self.inputs, self.targets = data.tokens, data.targets
-        self.n_examples = data.n
-        self.n_choices = cfg.architecture.n_modules
-        self.unit_shape = (data.tokens.shape[1], cfg.architecture.n_slots)
-
-    def parameters(self):
-        return self.model.parameters()
-
-    def propose_and_score(self, idx, incumbent, n_samples, rng):
-        x, y = self.inputs[idx], self.targets[idx]
-        return self.model.propose_and_score(x, y, incumbent, n_samples, rng)
-
-    def enumerate_and_score(self, idx, incumbent):
-        return _enumerate_and_score(self, idx, incumbent)
-
-    def objective(self, idx, comps, with_ctrl: bool = True) -> Tensor:
-        return _objective(self.model, self.inputs[idx], self.targets[idx], comps, with_ctrl)
-
-    def sample_comps(self, idx, rng):
-        return self.model.sample(self.inputs[idx], rng)
-
-    def reinforce_surrogate(self, idx, comps, baseline, rng=None):
-        return _surrogate(self.model, self.inputs[idx], self.targets[idx], comps, baseline, rng)
-
-    def noisy_objective(self, idx, train, rng) -> Tensor:
-        return mean_all(self.model.cond_log_lik(self.inputs[idx], self.targets[idx], train, rng))
-
-    def static_comps(self, idx):
-        return np.broadcast_to(_static_pattern(self.cfg), (len(idx), *self.unit_shape))
-
-    def probe(self, idx, rng):
-        return self.model.probe(self.inputs[idx], rng, _forced_path(self, idx))
+    # perfbench/tracer.py wraps these by name in each kind's own class dict
+    objective, probe, sample_comps = Task.objective, Task.probe, Task.sample_comps
+    propose_and_score, noisy_objective = Task.propose_and_score, Task.noisy_objective
+    reinforce_surrogate = Task.reinforce_surrogate
 
     def eval_metrics(self, mode: str = "most-likely-composition") -> dict:
-        _, nll = _evaluate(self, mode, units=self.unit_shape[0])
+        _, nll = self._evaluate(mode, units=self.unit_shape[0])
         return {"mode": mode, "nll": nll, "perplexity": float(np.exp(nll))}
 
 
@@ -244,16 +211,15 @@ def build_model(cfg: ExperimentConfig, data, streams: SeedStreams):
                 router = Controller(rng, din, a.n_modules, a.n_slots, f"l{l}.ctrl")
             layers.append(ModularLayer(pool, router, a.combine))
         return (NoisyTopKNet if gated else ModularNet)(layers, OutputHead())
-    vocab = data.vocab if isinstance(data, TwoRegimeData) else data.vocab_size
     if gated:
-        return NoisyTopKGruLM(rng, vocab, a.embed_dim, a.hidden, a.n_modules, a.topk)
-    return ModularGruLM(rng, vocab, a.embed_dim, a.hidden, a.n_modules, a.n_slots)
+        return NoisyTopKGruLM(rng, data.vocab_size, a.embed_dim, a.hidden, a.n_modules, a.topk)
+    return ModularGruLM(rng, data.vocab_size, a.embed_dim, a.hidden, a.n_modules, a.n_slots)
 
 
 def build_task(cfg: ExperimentConfig, model, data):
     if cfg.task.kind == "toy-regression":
-        return RegressionTask(model, data, cfg)
-    return SequenceTask(model, data, cfg)
+        return RegressionTask(model, data.x, data.y, cfg)
+    return SequenceTask(model, data.tokens, data.targets, cfg)
 
 
 def _effective_clip(cfg: ExperimentConfig) -> float | None:
@@ -493,8 +459,9 @@ def emit_sweep(grid_path: str, out_root: str) -> dict:
     Grid file keys: ``base`` (inline config object) or ``base_path``
     (relative to the grid file), optional ``axes`` mapping dotted config
     keys to value lists, optional ``out_dir``.  Without ``axes`` the
-    default comparison grid is 5 or 15 modules, 1 or 3 slots, all four
-    trainers.
+    default comparison grid is 5 or 15 modules with EM, REINFORCE and
+    static at 1 or 3 slots, and noisy top-k, whose gate routes one slot,
+    at 1.
     """
     with open(grid_path, "r", encoding="utf-8") as fh:
         grid = require_object(json.load(fh), "sweep grid")
@@ -510,36 +477,41 @@ def emit_sweep(grid_path: str, out_root: str) -> dict:
         anchor_task_path(base, os.path.dirname(os.path.abspath(rel)))
     else:
         raise ConfigError("sweep grid needs 'base' or 'base_path'")
-    axes = grid.get(
-        "axes",
-        {
-            "architecture.n_modules": [5, 15],
-            "architecture.n_slots": [1, 3],
-            "trainer.kind": ["em", "reinforce", "noisy-topk", "static"],
-        },
-    )
-    if not isinstance(axes, dict) or not axes:
-        raise ConfigError("sweep axes must be a non-empty object")
-    for key, values in axes.items():
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"axes.{key}: expected a non-empty list of values, got {values!r}")
+    modules = {"architecture.n_modules": [5, 15]}
+    default = [
+        {**modules, "architecture.n_slots": [1, 3], "trainer.kind": ["em", "reinforce", "static"]},
+        {**modules, "architecture.n_slots": [1], "trainer.kind": ["noisy-topk"]},
+    ]
+    grids = [grid["axes"]] if "axes" in grid else default
+    for axes in grids:
+        if not isinstance(axes, dict) or not axes:
+            raise ConfigError("sweep axes must be a non-empty object")
+        for key, values in axes.items():
+            if not isinstance(values, list) or not values:
+                raise ConfigError(
+                    f"axes.{key}: expected a non-empty list of values, got {values!r}"
+                )
     sweep_dir = grid.get("out_dir", "sweep")
     if not isinstance(sweep_dir, str):
         raise ConfigError(f"out_dir: expected a directory name, got {sweep_dir!r}")
     if not os.path.isabs(sweep_dir):
         sweep_dir = os.path.join(out_root, sweep_dir)
-    os.makedirs(sweep_dir, exist_ok=True)
-    keys = sorted(axes)
-    combos = list(itertools.product(*[axes[k] for k in keys]))
-    entries = []
-    for i, combo in enumerate(combos):
-        sets = [f"{k}={json.dumps(v)}" for k, v in zip(keys, combo)]
-        data = apply_overrides(base, sets)
+    settings = []
+    for axes in grids:
+        keys = sorted(axes)
+        settings += [dict(zip(keys, c)) for c in itertools.product(*[axes[k] for k in keys])]
+    configs = []
+    for i, combo in enumerate(settings):
+        data = apply_overrides(base, [f"{k}={json.dumps(v)}" for k, v in combo.items()])
         data["out_dir"] = os.path.join(sweep_dir, f"combo-{i:03d}")
-        from_dict(data)  # validate before writing
+        from_dict(data)  # every combination validates before any is written
+        configs.append(data)
+    os.makedirs(sweep_dir, exist_ok=True)
+    entries = []
+    for i, (data, combo) in enumerate(zip(configs, settings)):
         path = os.path.join(sweep_dir, f"combo-{i:03d}.json")
         write_json_atomic(path, data)
-        entries.append({"path": path, "settings": dict(zip(keys, combo))})
+        entries.append({"path": path, "settings": combo})
     manifest = {"grid": grid_path, "configs": entries}
     write_json_atomic(os.path.join(sweep_dir, "manifest.json"), manifest)
     return manifest

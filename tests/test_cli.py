@@ -426,6 +426,18 @@ HOSTILE_JSON = {
                     trainer={"kind": "noisy-topk", "iterations": 3}),
         "architecture.combine",
     ),
+    "run-noisy-topk-several-slots": (
+        "run",
+        tiny_config(architecture={"n_modules": 2, "topk": 1, "n_slots": 3},
+                    trainer={"kind": "noisy-topk", "iterations": 3}),
+        "architecture.n_slots",
+    ),
+    "sweep-noisy-topk-several-slots": (
+        "sweep",
+        {"base": tiny_config(architecture={"n_modules": 2, "topk": 1}),
+         "axes": {"trainer.kind": ["em", "noisy-topk"], "architecture.n_slots": [1, 3]}},
+        "architecture.n_slots",
+    ),
     "run-recurrent-relu-modules": (
         "run",
         tiny_config(task={"kind": "two-regime-lm", "n_windows": 8},

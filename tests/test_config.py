@@ -115,6 +115,8 @@ def test_type_errors_are_rejected_with_path():
          "architecture.combine"),
         ({"task": {"kind": "two-regime-lm"}, "architecture": {"module_kind": "linear-relu"}},
          "architecture.module_kind"),
+        ({"trainer": {"kind": "noisy-topk"}, "architecture": {"topk": 1, "n_slots": 3}},
+         "architecture.n_slots"),
     ],
 )
 def test_validation_rejects_bad_combinations(patch, needle):

@@ -112,7 +112,7 @@ def test_two_regime_layout():
     data = gen_two_regime_sequences(np.random.default_rng(10), 40, unroll=12)
     assert data.tokens.shape == (40, 12)
     assert data.targets.shape == (40, 12)
-    assert data.vocab == 8
+    assert data.vocab_size == 8
     # alternating regimes, marker token starts each window
     assert np.array_equal(data.regimes, np.arange(40) % 2)
     assert np.array_equal(data.tokens[:, 0], 6 + data.regimes)

@@ -12,6 +12,9 @@ from modnet.em import EMTrainer
 from modnet.modular import ModularNet, NoisyTopKNet, enumerate_compositions
 from modnet.gru import ModularGruLM
 from modnet.runner import (
+    RegressionTask,
+    SequenceTask,
+    Task,
     _static_pattern,
     _toy_dims,
     build_dataset,
@@ -141,6 +144,27 @@ def test_enumerate_and_score_is_incumbent_then_every_composition(overrides, unit
         assert np.array_equal(rescored, row)
 
 
+@pytest.mark.parametrize(
+    "overrides,per_token",
+    [
+        ({"task": {"kind": "toy-regression", "n": 16},
+          "architecture": {"n_layers": 2, "n_modules": 2, "hidden": 4}}, False),
+        ({"task": {"kind": "two-regime-lm", "n_windows": 8, "unroll": 3},
+          "architecture": {"n_modules": 2, "hidden": 4, "embed_dim": 4}}, True),
+    ],
+    ids=["regression", "sequence"],
+)
+def test_enumerate_marginal_nll_is_per_example_or_per_token(overrides, per_token):
+    """Regression reports the marginal nll per example, not per layer;
+    sequences report it per token."""
+    cfg, streams, data, model, task = build_all(overrides)
+    x, y = (data.tokens, data.targets) if per_token else (data.x, data.y)
+    want = -float(np.mean(model.marginal_log_lik(x, y)))
+    if per_token:
+        want /= cfg.task.unroll
+    assert task.eval_metrics("enumerate-marginal")["nll"] == want
+
+
 def test_benchmark_tracer_targets_exist():
     """perfbench/tracer.py wraps these by name in their owners' __dict__."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
@@ -150,6 +174,15 @@ def test_benchmark_tracer_targets_exist():
     targets = [t for ts in tracer.SPANS.values() for t in ts] + list(tracer.COUNTS.values())
     missing = [f"{getattr(o, '__name__', o)}.{a}" for o, a in targets if a not in vars(o)]
     assert missing == []
+    # no attribute is wrapped twice, and each kind of task is its own owner
+    assert len(set(targets)) == len(targets)
+    task_targets = [(o, a) for o, a in targets if isinstance(o, type) and issubclass(o, Task)]
+    assert {o for o, _ in task_targets} == {RegressionTask, SequenceTask}
+    # both kinds run the one Task method under every traced name but eval_metrics
+    shared = {a for _, a in task_targets} - {"eval_metrics"}
+    assert len(shared) == 6
+    for name in shared:
+        assert vars(RegressionTask)[name] is vars(SequenceTask)[name] is vars(Task)[name]
     t = tracer.Tracer()
     try:
         t.install(full=True)
@@ -265,8 +298,13 @@ def test_default_sweep_grid_covers_all_trainers(tmp_path):
                  "trainer": {"iterations": 2}},
     }))
     manifest = emit_sweep(str(grid), str(tmp_path / "root"))
-    assert len(manifest["configs"]) == 16
+    # noisy top-k's gate routes one slot, so it runs at 1 slot only
+    assert len(manifest["configs"]) == 14
     kinds = {e["settings"]["trainer.kind"] for e in manifest["configs"]}
     assert kinds == {"em", "reinforce", "noisy-topk", "static"}
+    emitted = []
     for entry in manifest["configs"]:
-        from_dict(json.loads(open(entry["path"]).read()))
+        data = json.loads(open(entry["path"]).read())
+        from_dict(data)
+        emitted.append(json.dumps(dict(data, out_dir=None), sort_keys=True))
+    assert len(set(emitted)) == len(emitted)
