@@ -20,9 +20,14 @@ evaluation unrolls every window at once.
 
 No step builds a ``Tensor``: module dispatch, the candidate's rectifier,
 the BPTT loop and an untaped rollout's per-step scoring (one log-softmax
-gather per head, on logits computed once per step) all run on plain
+gather per head, on logits normalised once per step) all run on plain
 arrays, with the same float operations in the same order as the
-``Tensor`` primitives, so values agree bit for bit.
+``Tensor`` primitives, so values agree bit for bit.  A step costs a fixed
+number of numpy calls whatever the pool size: the whole pool runs in one
+stacked ``ModulePool.apply`` call, its weighted outputs are summed over
+the module axis, and the gates are written in place into the kept rows.
+Selections forced in advance reach the unroll as one array of slot
+counts, with no per-step callback.
 
 ``_GruLM`` is the recurrent architecture of ``modular``'s model grid:
 ``ModularGruLM`` answers the controller protocol of
@@ -119,20 +124,32 @@ class ModularGruCell:
 
         ``xs`` is either the inputs as time-major rows (row ``t * batch +
         b``, shape (steps * batch, in_dim)) or a function ``t -> (batch,
-        in_dim)``.  ``select(t, hx)`` returns step t's (batch, modules)
-        module weights and the gate's noise terms (``NoisyTopKGate.forward``),
-        None for a controller's slot counts or a noise-free gate; ``visit(t,
-        h)``, if given, sees each new state.
+        in_dim)``.  ``select`` sets each step's (batch, modules) module
+        weights: either an array (steps, batch, modules) of them fixed in
+        advance, such as forced slot counts, or a function ``select(t, hx)``
+        returning step t's weights and the gate's noise terms
+        (``NoisyTopKGate.forward``), None for a controller's slot counts or
+        a noise-free gate.  ``visit(t, h)``, if given, sees each new state.
+
+        Each step runs the whole pool in one ``ModulePool.apply`` call and
+        sums the weighted outputs over the module axis; a module weighted
+        zero adds exact zeros.
 
         With rows, every step's activations are kept, and the stacked
         ``[h_t | hx_t]`` rows come back as one ``modular-gru-unroll``
         record (a plain tensor off the tape).  With a function only the
-        running state is kept and the result is None.
+        running state and one step's buffers are kept, and the result is
+        None.
         """
         hid, pool, gated = self.hidden, self.pool, self.gate is not None
-        batch = h0.shape[0]
+        batch, cat = h0.shape[0], hid + self.in_dim
         gate_w = np.concatenate([self.update.w.data, self.reset.w.data], axis=1)
         gate_b = np.concatenate([self.update.b.data, self.reset.b.data])
+        fixed = not callable(select)
+        if fixed and np.shape(select) != (steps, batch, pool.n_modules):
+            raise ShapeError(
+                f"unroll weights {np.shape(select)}, expected {(steps, batch, pool.n_modules)}"
+            )
         cache = not callable(xs)
         if cache:
             xd = xs.data if isinstance(xs, (Tensor, Parameter)) else np.asarray(xs, dtype=np.float64)
@@ -140,53 +157,56 @@ class ModularGruCell:
                 raise ShapeError(
                     f"unroll inputs {xd.shape}, expected {(steps * batch, self.in_dim)}"
                 )
-            n = steps * batch
-            # each step writes its [h, x] and [r*h, x] into these rows; x once
-            out = np.empty((n, 2 * hid + self.in_dim))
-            px_rows = np.empty((n, hid + self.in_dim))
-            out[:, 2 * hid :] = px_rows[:, hid:] = xd
-            gates = np.empty((n, 2 * hid))
-            cand_rows = np.empty((n, hid))
-            weight_rows = np.empty((n, pool.n_modules))
+            # each step writes its [h, x] and [r*h, x] into these, x once;
+            # all are time-major (steps, batch, .)
+            out = np.empty((steps, batch, hid + cat))
+            px_rows = np.empty((steps, batch, cat))
+            out[..., 2 * hid :] = px_rows[..., hid:] = xd.reshape(steps, batch, -1)
+            gates = np.empty((steps, batch, 2 * hid))
+            cand_rows = np.empty((steps, batch, hid))
+            weight_rows = select if fixed else np.empty((steps, batch, pool.n_modules))
             # gate weights take gradients: keep each module's output and the noise
-            mod_rows = np.zeros((n, pool.n_modules, hid)) if gated else None
+            mod_rows = np.empty((steps, batch, pool.n_modules, hid)) if gated else None
             noises = []
+        else:
+            # one step's [h, x], gates and [r*h, x], rewritten every step
+            hx_step, px_step = np.empty((batch, cat)), np.empty((batch, cat))
+            zr_step = np.empty((batch, 2 * hid))
         h = h0
         with paused():
             for t in range(steps):
-                rows = slice(t * batch, (t + 1) * batch)
                 if cache:
-                    out[rows, hid : 2 * hid] = h
-                    hx = out[rows, hid:]
+                    hx, zr, px = out[t, :, hid:], gates[t], px_rows[t]
                 else:
-                    hx = np.concatenate([h, xs(t)], axis=-1)
-                weights, noise = select(t, hx)
-                zr = stable_sigmoid(hx @ gate_w + gate_b)
+                    hx, zr, px = hx_step, zr_step, px_step
+                    hx[:, hid:] = px[:, hid:] = xs(t)
+                hx[:, :hid] = h
+                weights, noise = (select[t], None) if fixed else select(t, hx)
+                np.matmul(hx, gate_w, out=zr)
+                zr += gate_b
+                stable_sigmoid(zr, out=zr)
                 z, r = zr[:, :hid], zr[:, hid:]
-                if cache:
-                    px_rows[rows, :hid] = r * h
-                    px = px_rows[rows]
-                else:
-                    px = np.concatenate([r * h, hx[:, hid:]], axis=-1)
-                pre = None
+                np.multiply(r, h, out=px[:, :hid])
+                terms = pool.apply(None, px)
+                if cache and gated:
+                    mod_rows[t] = terms.transpose(1, 0, 2)
                 # a module picked by several slots of a row counts once per slot
-                for j in np.flatnonzero(weights.any(axis=0)):
-                    term = pool.apply(int(j), px)
-                    if cache and gated:
-                        mod_rows[rows, j] = term
-                    term *= weights[:, j : j + 1]
-                    pre = term if pre is None else pre + term
-                cand = relu(pre)
+                terms *= weights.T[:, :, None]
+                cand = relu(terms.sum(axis=0))
                 h = (1.0 - z) * h + z * cand
                 if cache:
-                    out[rows, :hid] = h
-                    gates[rows], cand_rows[rows], weight_rows[rows] = zr, cand, weights
+                    out[t, :, :hid] = h
+                    cand_rows[t] = cand
+                    if not fixed:
+                        weight_rows[t] = weights
                     noises.append(noise)
                 if visit is not None:
                     visit(t, h)
         if not cache:
             return None
-        saved = (out, gates, px_rows, cand_rows, weight_rows, mod_rows, noises)
+        n = steps * batch
+        saved = [a.reshape(n, *a.shape[2:]) for a in (out, gates, px_rows, cand_rows, weight_rows)]
+        saved += [None if mod_rows is None else mod_rows.reshape(n, *mod_rows.shape[2:]), noises]
         return self._record(xs, saved, batch)
 
     def _record(self, xs, saved, batch):
@@ -404,18 +424,22 @@ class ModularGruLM(_GruLM, ModularModel):
         ctrl_sum = [None]
 
         def select(t, hx):
-            logits = ctrl_model.logits(hx) if need_probs or score else None
-            p = ctrl_model.distribution(hx, logits) if need_probs else None
+            parts = ctrl_model.parts(hx) if need_probs or score else None
+            p = ctrl_model.distribution(hx, parts) if need_probs else None
             sel = choose(p, None if comps is None else comps[:, t], greedy, rng, sample_mask)
             chosen[:, t] = sel
             if collect_probs:
                 probs_out[:, t] = p
             if score:
-                term = ctrl_model.log_prob_values(logits, sel)
+                term = ctrl_model.log_prob_values(parts, sel)
                 ctrl_sum[0] = term if ctrl_sum[0] is None else ctrl_sum[0] + term
             counts = forced_counts[t] if forced_counts is not None else slot_counts(sel, n_mod)
             return counts, None
 
+        if forced_counts is not None and not (need_probs or score):
+            # nothing to compute per step: the unroll reads the counts directly
+            chosen[...] = comps
+            select = forced_counts
         cond, pred_ll, rows = self._scored_unroll(tokens, targets, select)
         ctrl = None if ctrl_sum[0] is None else Tensor(ctrl_sum[0])
         if taped and with_ctrl:

@@ -31,13 +31,14 @@ from modnet.autodiff import (
     concat_last,
     constant,
     gaussian_log_density,
-    log_softmax_pick,
     matmul,
     mul,
     paused,
+    pick_log_prob,
     record_joint,
     relu,
     slice_last,
+    softmax_parts,
     stable_sigmoid,
 )
 from modnet.diagnostics import SelectionSnapshot
@@ -67,7 +68,15 @@ class Linear:
 
 
 class ModulePool:
-    """Candidate transforms sharing one input/output signature."""
+    """Candidate transforms sharing one input/output signature.
+
+    The modules' weights live in one module-major (modules, in, out)
+    buffer and their biases in one (modules, out) buffer; each module's
+    ``Parameter.data`` is a view into them, so updates in place (an
+    optimizer's ``p.data += ...``, a checkpoint load's ``p.data[...] =``)
+    reach the stacked buffers too.  Names, order and initial draws stay
+    per module.
+    """
 
     KINDS = ("linear", "linear-relu")
 
@@ -90,17 +99,31 @@ class ModulePool:
         self.modules = [
             Linear(rng, in_dim, out_dim, f"{name}.m{i}") for i in range(n_modules)
         ]
+        self.weights = np.stack([m.w.data for m in self.modules])
+        self.biases = np.stack([m.b.data for m in self.modules])
+        for m, w, b in zip(self.modules, self.weights, self.biases):
+            m.w.data, m.b.data = w, b
         self.name = name
 
     @property
     def n_modules(self) -> int:
         return len(self.modules)
 
-    def apply(self, index: int, x):
+    def apply(self, index: int | None, x):
         """Module ``index`` on x, rectified for ``linear-relu``.  As with
         ``Linear``, a plain array in gives a plain array out and a
-        ``Tensor`` in gives a ``Tensor`` out."""
-        h = self.modules[index](x)
+        ``Tensor`` in gives a ``Tensor`` out.
+
+        With ``index`` None, every module on the plain (batch, in) array x
+        at once, as a (modules, batch, out) array: one batched matmul runs
+        each module's own product, so each slice has the bits of that
+        module's single call.
+        """
+        if index is None:
+            h = np.matmul(x, self.weights)
+            h += self.biases[:, None, :]
+        else:
+            h = self.modules[index](x)
         return relu(h) if self.kind == "linear-relu" else h
 
     def combine(self, x, weights, used) -> Tensor:
@@ -207,25 +230,29 @@ class Controller:
         xv = x.data if isinstance(x, (Tensor, Parameter)) else np.asarray(x, dtype=np.float64)
         return [h(xv) for h in self.heads]
 
-    def distribution(self, x, logits: list[np.ndarray] | None = None) -> np.ndarray:
+    def parts(self, x) -> list[tuple]:
+        """Each head's ``softmax_parts`` on x: what ``distribution`` and
+        ``log_prob_values`` share, so a step that draws and scores
+        normalises its logits once."""
+        return [softmax_parts(z) for z in self.logits(x)]
+
+    def distribution(self, x, parts: list[tuple] | None = None) -> np.ndarray:
         """Per-slot selection probabilities, shape (batch, slots, modules),
-        from the heads' ``logits`` on x when given.
+        from the heads' ``parts`` on x when given.
 
         Value path: never recorded, even inside an active tape.
         """
-        cols = []
-        for z in self.logits(x) if logits is None else logits:
-            z = z - z.max(axis=-1, keepdims=True)
-            e = np.exp(z)
-            cols.append(e / e.sum(axis=-1, keepdims=True))
-        return np.stack(cols, axis=1)
+        if parts is None:
+            parts = self.parts(x)
+        return np.stack([e / s for _, e, s in parts], axis=1)
 
     @staticmethod
-    def log_prob_values(logits: list[np.ndarray], selection: np.ndarray) -> np.ndarray:
-        """The value of ``log_prob`` from the heads' logits, on plain arrays."""
+    def log_prob_values(parts: list[tuple], selection: np.ndarray) -> np.ndarray:
+        """The value of ``log_prob`` from the heads' ``parts``, on plain
+        arrays."""
         total = None
-        for k, z in enumerate(logits):
-            term = log_softmax_pick(z, selection[:, k])
+        for k, head in enumerate(parts):
+            term = pick_log_prob(head, selection[:, k])
             total = term if total is None else total + term
         return total
 
@@ -241,6 +268,22 @@ class Controller:
             term = categorical_log_prob(head(x), sel[:, k])
             total = term if total is None else add(total, term)
         return total
+
+
+def top_k_mask(z: np.ndarray, k: int) -> np.ndarray:
+    """0/1 mask of the k largest entries of each row of z; among equal
+    values the lower index wins, as in a stable descending argsort.
+
+    Entry j of a row becomes the complex key ``-z_j + i*j``.  numpy sorts
+    and compares complex numbers by real part, then imaginary part, so the
+    keys are distinct and come in exactly that order; an entry survives
+    iff its key is at most the row's k-th smallest key.  One value sort
+    and one comparison replace the argsort and the scatter.  A row with a
+    NaN logit may keep another set of modules than the argsort would;
+    its weights are all NaN either way.
+    """
+    key = 1j * np.arange(z.shape[-1]) - z
+    return (key <= np.sort(key, axis=-1)[..., k - 1 : k]).astype(np.float64)
 
 
 class NoisyTopKGate:
@@ -290,12 +333,10 @@ class NoisyTopKGate:
             pre = x @ self.noise.w.data + self.noise.b.data
             z = z + eps * np.logaddexp(0.0, pre)
             noise = (eps, stable_sigmoid(pre))
-        order = np.argsort(-z, axis=-1, kind="stable")  # ties: lower index wins
-        mask = np.zeros_like(z)
-        np.put_along_axis(mask, order[:, : self.k], 1.0, axis=-1)
+        mask = top_k_mask(z, self.k)
         z = z + (1.0 - mask) * NEG_MASK
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True), mask, noise
+        _, e, s = softmax_parts(z)
+        return e / s, mask, noise
 
     @staticmethod
     def pullback(w: np.ndarray, noise, g_w: np.ndarray):

@@ -19,6 +19,7 @@ from modnet.autodiff import (
     grad_check,
     log_softmax_pick,
     matmul,
+    max_last,
     mean_all,
     mul,
     paused,
@@ -26,6 +27,8 @@ from modnet.autodiff import (
     reshape,
     row_softmax,
     sigmoid,
+    slice_last,
+    softmax_parts,
     softplus,
     stable_sigmoid,
     sum_over_axis,
@@ -522,3 +525,109 @@ def test_grad_check_rejects_bad_step():
     p = Parameter([1.0], "p")
     with pytest.raises(ValueError):
         grad_check(lambda: sum_over_axis(p * p), [p], step=0.0)
+
+
+# ---------------------------------------------------------------------------
+# exactness of the fast paths
+
+
+@pytest.mark.parametrize("lead", [(300,), (20, 16), (4, 9, 10), (3,), (2, 5)])
+def test_max_last_is_bit_equal_to_row_major_max(lead):
+    # many short rows take the column-major path, few rows the row-major
+    # one; both must give x.max(axis=-1, keepdims=True) to the bit,
+    # through ties, signed zeros, infinities and NaN
+    rng = np.random.default_rng(11)
+    nan = np.float64(np.nan)
+    for width in range(1, 65):
+        x = rng.integers(-3, 3, size=(*lead, width)).astype(np.float64)
+        flat = x.reshape(-1, width)
+        flat[::2] = rng.standard_normal(flat[::2].shape)
+        flat[rng.random(flat.shape) < 0.3] *= -0.0
+        flat[1::5] = rng.choice([0.0, -0.0], size=flat[1::5].shape)
+        flat[2::7, 0] = np.inf
+        flat[3::11, -1] = -np.inf
+        flat[4::9] = -np.inf
+        flat[5::13, width // 2] = nan
+        flat[6::17, :] = nan
+        got, want = max_last(x), x.max(axis=-1, keepdims=True)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), width
+
+
+def test_softmax_parts_keep_the_softmax_and_log_softmax_bits():
+    rng = np.random.default_rng(12)
+    for shape in [(5, 3), (700, 2), (300, 8)]:
+        x = rng.standard_normal(shape) * 4.0
+        z = x - x.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        s = e.sum(axis=-1, keepdims=True)
+        idx = rng.integers(0, shape[-1], size=shape[0])
+        got_z, got_e, got_s = softmax_parts(x)
+        assert got_z.tobytes() == z.tobytes() and got_s.tobytes() == s.tobytes()
+        assert row_softmax(x).data.tobytes() == (e / s).tobytes()
+        logp = z - np.log(s)
+        assert log_softmax_pick(x, idx).tobytes() == logp[np.arange(shape[0]), idx].tobytes()
+
+
+def unique_oracle_grad(vocab, ids, g):
+    """The embedding gradient as the segmented sum over ``np.unique``'s
+    runs of the sorted ids."""
+    order = np.argsort(ids, kind="stable")
+    present, starts = np.unique(ids[order], return_index=True)
+    dt = np.zeros((vocab, g.shape[-1]))
+    dt[present] = np.add.reduceat(g[order], starts, axis=0)
+    return dt
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [[3, 1, 3, 3, 0, 1, 5, 3], [2], [4, 2, 0, 1, 5, 3], [1, 1, 1, 1]],
+    ids=["repeated", "single", "distinct", "one-id"],
+)
+def test_embedding_gradient_runs_match_the_unique_oracle(ids):
+    rng = np.random.default_rng(13)
+    ids = np.array(ids)
+    table = Parameter(rng.standard_normal((6, 3)), "emb")
+    g = rng.standard_normal((len(ids), 3))
+    (grad,) = backward_wrt(
+        lambda: sum_over_axis(mul(embedding_lookup(table, ids), constant(g))), table
+    )
+    assert grad.tobytes() == unique_oracle_grad(6, ids, g).tobytes()
+    scattered = np.zeros((6, 3))
+    np.add.at(scattered, ids, g)
+    np.testing.assert_allclose(grad, scattered, rtol=1e-15)
+
+
+def test_two_slices_of_one_tensor_get_one_gradient():
+    # both slices' gradients land in one array, with the bits of adding
+    # the two dense zero-padded arrays as before
+    rng = np.random.default_rng(14)
+    x = Parameter(rng.standard_normal((7, 5)), "x")
+    wa, wb = rng.standard_normal((7, 2)), rng.standard_normal((7, 3))
+    wb[0] = -0.0
+    (got,) = backward_wrt(
+        lambda: add(
+            sum_over_axis(mul(slice_last(x, 0, 2), constant(wa))),
+            sum_over_axis(mul(slice_last(x, 2, 5), constant(wb))),
+        ),
+        x,
+    )
+    full_a, full_b = np.zeros((7, 5)), np.zeros((7, 5))
+    full_a[:, :2], full_b[:, 2:] = wa, wb
+    assert got.tobytes() == (full_b + full_a).tobytes()
+    # overlapping slices, and a slice read twice, still add densely
+    (got,) = backward_wrt(
+        lambda: add(
+            sum_over_axis(mul(slice_last(x, 0, 3), constant(wb))),
+            sum_over_axis(mul(slice_last(x, 1, 4), constant(wb))),
+        ),
+        x,
+    )
+    want = np.zeros((7, 5))
+    want[:, 0:3] += wb
+    want[:, 1:4] += wb
+    np.testing.assert_array_equal(got, want)
+    (alone,) = backward_wrt(lambda: sum_over_axis(mul(slice_last(x, 1, 3), constant(wa))), x)
+    want = np.zeros((7, 5))
+    want[:, 1:3] = wa
+    assert alone.tobytes() == want.tobytes()

@@ -9,6 +9,7 @@ import modnet.gru as gru_mod
 from modnet.autodiff import (
     NEG_MASK,
     Parameter,
+    ShapeError,
     Tape,
     Tensor,
     add,
@@ -802,3 +803,147 @@ def test_topk_lm_grad_check():
             return mean_all(lm.rollout(tokens, targets, train=train, rng=noise).cond_ll)
 
         assert grad_check(fn, lm.parameters(), step=1e-5) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# stacked dispatch
+
+
+def random_biased_cell(rng, n_modules, router):
+    """A cell of ``n_modules`` routed by a two-slot controller or a top-2
+    (top-1 for one module) gate, with nonzero biases."""
+    topk = None if router == "controller" else min(2, n_modules)
+    n_slots = 2 if router == "controller" else 1
+    cell = ModularGruCell(rng, in_dim=3, hidden=4, n_modules=n_modules, n_slots=n_slots, topk=topk)
+    for p in cell.parameters():
+        if p.name.endswith(".b"):
+            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    return cell
+
+
+@pytest.mark.parametrize("router", ["controller", "gate"])
+@pytest.mark.parametrize("n_modules", [1, 2, 8])
+def test_fixed_weights_and_select_function_unroll_alike(n_modules, router):
+    # the same per-step weights given as one array, returned step by step
+    # by a function, or composed op by op: equal states, taped and untaped,
+    # and equal gradients
+    rng = np.random.default_rng(300 + n_modules)
+    cell = random_biased_cell(rng, n_modules, router)
+    steps, batch = 4, 5
+    h0 = rng.standard_normal((batch, 4))
+    xs = rng.standard_normal((steps, batch, 3))
+    loss_w = rng.standard_normal((steps * batch, 4 + 4 + 3))
+    if router == "controller":
+        sels = rng.integers(0, n_modules, size=(steps, batch, 2))
+        select, composed = forced(sels, n_modules), composed_unroll
+        fixed = slot_counts(sels, n_modules)
+    else:
+        sels = None
+        weights = []
+
+        def select(t, hx):
+            w, _, noise = cell.gate.forward(hx)
+            weights.append(w)
+            return w, noise
+
+        cell.unroll(lambda t: xs[t], steps, select, h0)
+        fixed = np.stack(weights)
+        composed = topk_unrolls(False, seed=0)[1]
+
+    def by_array(cell, h0, x_steps, _):
+        return cell.unroll(stack_rows(x_steps), len(x_steps), fixed, h0)
+
+    def by_function(cell, h0, x_steps, _):
+        return cell.unroll(stack_rows(x_steps), len(x_steps), select, h0)
+
+    got, got_g, _ = unroll_grads(by_array, cell, h0, xs, sels, loss_w)
+    fn_rows, fn_g, _ = unroll_grads(by_function, cell, h0, xs, sels, loss_w)
+    want, want_g, _ = unroll_grads(composed, cell, h0, xs, sels if sels is not None else [], loss_w)
+    assert got.tobytes() == fn_rows.tobytes()
+    assert np.array_equal(got, want)
+    for g, f, w in zip(got_g, fn_g, want_g):
+        assert g.tobytes() == f.tobytes()
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=0.0)
+
+    states = got[:, :4].reshape(steps, batch, 4)
+    for sel in (fixed, select):
+        seen = []
+        assert cell.unroll(lambda t: xs[t], steps, sel, h0, lambda t, h: seen.append(h)) is None
+        assert np.stack(seen).tobytes() == states.tobytes()
+
+
+def test_unroll_refuses_misshapen_fixed_weights():
+    cell = random_biased_cell(np.random.default_rng(310), 3, "controller")
+    with pytest.raises(ShapeError, match="unroll weights"):
+        cell.unroll(np.zeros((8, 3)), 4, np.zeros((4, 2, 2)), np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("n_modules", [2, 8])
+def test_one_pool_apply_call_per_gru_step(n_modules, monkeypatch):
+    calls, apply = [], ModulePool.apply
+
+    def counting_apply(self, index, x):
+        calls.append(index)
+        return apply(self, index, x)
+
+    monkeypatch.setattr(ModulePool, "apply", counting_apply)
+    batch, steps = 4, 6
+    tokens = RNG.integers(0, 5, size=(batch, steps))
+    targets = RNG.integers(0, 5, size=(batch, steps))
+    comps = RNG.integers(0, n_modules, size=(batch, steps, 2))
+    lm = make_lm(n_modules=n_modules, n_slots=2, seed=213)
+    gated = NoisyTopKGruLM(np.random.default_rng(214), 5, 3, 4, n_modules, k=2)
+
+    def taped(run):
+        with Tape():
+            run()
+
+    runs = {
+        "forced objective": lambda: taped(lambda: lm.rollout(tokens, targets, comps=comps, with_ctrl=True)),
+        "sampled surrogate": lambda: taped(
+            lambda: lm.rollout(tokens, targets, rng=np.random.default_rng(1), with_ctrl=True)
+        ),
+        "proposals": lambda: lm.propose_and_score(tokens, targets, comps, 3, np.random.default_rng(2)),
+        "evaluate": lambda: lm.evaluate(tokens, targets),
+        "gated training": lambda: taped(
+            lambda: gated.rollout(tokens, targets, train=True, rng=np.random.default_rng(3))
+        ),
+        "gated probe": lambda: gated.probe(tokens),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls == [None] * steps, name
+
+
+def test_both_slices_of_the_unroll_rows_reach_it_as_one_gradient(monkeypatch):
+    # the head reads the states and the controller the [h, x] rows of one
+    # unroll record: the gradient reaching it is [head grad | controller
+    # grad], with the bits of adding the two zero-padded arrays
+    seen, true_record = [], gru_mod.record_joint
+
+    def spy(kind, out, inputs, pullback):
+        def watched(g):
+            seen.append(np.array(g))
+            return pullback(g)
+
+        return true_record(kind, out, inputs, watched)
+
+    monkeypatch.setattr(gru_mod, "record_joint", spy)
+    lm = make_lm(n_modules=3, n_slots=2, seed=215)
+    tokens = RNG.integers(0, 5, size=(4, 5))
+    targets = RNG.integers(0, 5, size=(4, 5))
+    comps = RNG.integers(0, 3, size=(4, 5, 2))
+    for terms in ("cond", "ctrl", "both"):
+        with Tape() as tape:
+            res = lm.rollout(tokens, targets, comps=comps, with_ctrl=True)
+            parts = {"cond": [res.cond_ll], "ctrl": [res.ctrl_ll]}
+            parts["both"] = parts["cond"] + parts["ctrl"]
+            loss = sum_over_axis(add(*parts[terms]) if terms == "both" else parts[terms][0])
+        tape.backward(loss)
+    g_head, g_ctrl, g_both = seen
+    hid = lm.cell.hidden
+    assert not g_head[:, hid:].any() and not g_ctrl[:, :hid].any()
+    assert g_head[:, :hid].any() and g_ctrl[:, hid:].any()
+    assert np.array_equal(g_both, np.concatenate([g_head[:, :hid], g_ctrl[:, hid:]], axis=1))
+    assert g_both.tobytes() == (g_ctrl + g_head).tobytes()

@@ -28,6 +28,7 @@ from modnet.modular import (
     OutputHead,
     enumerate_compositions,
     sample_rows,
+    top_k_mask,
 )
 
 RNG = np.random.default_rng(7)
@@ -693,3 +694,47 @@ def test_gate_rejects_bad_k():
     for router in (NoisyTopKGate(rng, 2, 3, 2), Controller(rng, 2, 3, 1)):
         with pytest.raises(ValueError, match="covers 3 modules, pool has 4"):
             ModularLayer(pool, router)
+
+
+def argsort_topk_mask(z, k):
+    """The top-k cut as the gate first wrote it: a stable argsort of the
+    negated logits, so among equal logits the lower index wins."""
+    order = np.argsort(-z, axis=-1, kind="stable")
+    mask = np.zeros_like(z)
+    np.put_along_axis(mask, order[:, :k], 1.0, axis=-1)
+    return mask
+
+
+@pytest.mark.parametrize("n_modules", [2, 4, 8])
+def test_top_k_mask_matches_the_stable_argsort(n_modules):
+    rng = np.random.default_rng(51)
+    for k in range(1, n_modules + 1):
+        for trial in range(20):
+            if trial % 2:
+                # heavily tied: a few distinct values, signed zeros and infinities
+                z = rng.choice([-1.0, -0.0, 0.0, 2.0, np.inf, -np.inf], size=(40, n_modules))
+            else:
+                z = rng.standard_normal((40, n_modules))
+                z[::5] = z[::5, :1]  # whole rows of one value
+            got = top_k_mask(z, k)
+            assert got.tobytes() == argsort_topk_mask(z, k).tobytes(), (k, trial)
+            assert np.all(got.sum(axis=-1) == k)
+
+
+def test_pool_modules_are_views_of_the_stacked_buffers():
+    rng = np.random.default_rng(52)
+    pool = ModulePool(rng, 3, 4, 2, kind="linear")
+    # initial draws are per module, in order, as from separate Linears
+    again = np.random.default_rng(52)
+    for j, m in enumerate(pool.modules):
+        want = Linear(again, 4, 2, f"pool.m{j}")
+        assert m.w.name == want.w.name and np.array_equal(m.w.data, want.w.data)
+        assert m.w.data.base is pool.weights and m.b.data.base is pool.biases
+    pool.modules[1].w.data += 1.0
+    pool.modules[2].b.data[...] = 7.0
+    assert np.array_equal(pool.weights[1], pool.modules[1].w.data)
+    assert np.all(pool.biases[2] == 7.0)
+    x = RNG.standard_normal((5, 4))
+    stacked = pool.apply(None, x)
+    for j in range(3):
+        assert stacked[j].tobytes() == pool.apply(j, x).tobytes()

@@ -11,10 +11,12 @@ from modnet.config import from_dict, load_config
 from modnet.em import EMTrainer
 from modnet.modular import ModularNet, NoisyTopKNet, enumerate_compositions
 from modnet.gru import ModularGruLM
+from modnet.optim import Adam
 from modnet.runner import (
     RegressionTask,
     SequenceTask,
     Task,
+    _load_params,
     _static_pattern,
     _toy_dims,
     build_dataset,
@@ -308,3 +310,34 @@ def test_default_sweep_grid_covers_all_trainers(tmp_path):
         from_dict(data)
         emitted.append(json.dumps(dict(data, out_dir=None), sort_keys=True))
     assert len(set(emitted)) == len(emitted)
+
+
+def assert_pool_aliases_its_stack(pool):
+    for m, w, b in zip(pool.modules, pool.weights, pool.biases):
+        assert m.w.data.base is pool.weights and m.b.data.base is pool.biases
+        assert np.array_equal(m.w.data, w) and np.array_equal(m.b.data, b)
+
+
+def test_pool_stacks_follow_adam_steps_and_checkpoint_loads(tmp_path):
+    # each module's parameters are views into its pool's stacked buffers,
+    # and both in-place writers keep them so
+    cfg = from_dict({
+        "task": {"kind": "two-regime-lm", "n_windows": 16, "unroll": 4},
+        "architecture": {"n_modules": 3, "hidden": 4, "embed_dim": 4},
+        "trainer": {"kind": "em", "iterations": 2, "m_steps": 2, "batch": 8,
+                    "e_batch": 8, "n_samples": 2},
+        "diagnostics": {"probe_size": 8},
+    })
+    record = execute_run(cfg, str(tmp_path / "run"))
+    ckpt = read_checkpoint(record["checkpoints"][-1])
+    _, _, _, model, task = build_all(dict(cfg.to_dict(), seed=cfg.seed + 1))
+    pool = model.cell.pool
+    before = pool.weights.copy()
+    opt = Adam(task.parameters(), lr=0.1)
+    opt.step(np.ones(sum(p.size for p in task.parameters())))
+    assert_pool_aliases_its_stack(pool)
+    np.testing.assert_allclose(pool.weights, before + 0.1, rtol=0.0, atol=1e-8)
+    _load_params(task.parameters(), ckpt)
+    assert_pool_aliases_its_stack(pool)
+    for m in pool.modules:
+        assert np.array_equal(m.w.data, ckpt.params[m.w.name])
