@@ -24,6 +24,10 @@ NEG_MASK = -1e30
 MAX_COLUMN_ROWS = 256
 MAX_COLUMN_WIDTH = 16
 
+# numpy sums a contiguous row of at least this many entries pairwise, in
+# another order than one running sum down axis 0
+PAIRWISE_WIDTH = 8
+
 
 class ShapeError(ValueError):
     """Operands do not conform to a primitive's signature."""
@@ -553,20 +557,30 @@ def max_last(x: np.ndarray) -> np.ndarray:
     """``x.max(axis=-1, keepdims=True)``, bit for bit.
 
     Row by row, numpy spends about 50 ns on each short row, so many short
-    rows are reduced column-major instead: one elementwise maximum per
-    column over a transposed copy, about 5x faster on (1280, 8).  The two
-    orders may keep a different zero's sign or NaN, so a row whose
-    maximum is zero or NaN is redone row-major.
+    rows are reduced column-major instead, by ``max_first`` on a
+    transposed copy: about 5x faster on (1280, 8).
     """
     width = x.shape[-1]
     if width > MAX_COLUMN_WIDTH or x.size < MAX_COLUMN_ROWS * width or not x.flags.c_contiguous:
         return x.max(axis=-1, keepdims=True)
-    rows = x.reshape(-1, width)
-    m = np.ascontiguousarray(rows.T).max(axis=0)
-    if not np.abs(m).min() > 0.0:
-        redo = ~(np.abs(m) > 0.0)
-        m[redo] = rows[redo].max(axis=-1)
+    m = max_first(np.ascontiguousarray(x.reshape(-1, width).T))
     return m.reshape(x.shape[:-1] + (1,))
+
+
+def max_first(cols: np.ndarray) -> np.ndarray:
+    """``cols.max(axis=0)`` with the bits of the row-major maximum
+    ``np.ascontiguousarray(cols.T).max(axis=-1).T``.
+
+    On a C-contiguous block the reduction is one elementwise maximum per
+    index of axis 0, over long contiguous runs.  The two orders may keep a
+    different zero's sign or NaN, so an entry whose maximum is zero or NaN
+    is redone row-major.
+    """
+    m = cols.max(axis=0)
+    if m.size and not np.abs(m).min() > 0.0:
+        redo = ~(np.abs(m) > 0.0)
+        m[redo] = np.ascontiguousarray(cols[:, redo].T).max(axis=-1)
+    return m
 
 
 def softmax_parts(logits: np.ndarray):
@@ -576,6 +590,23 @@ def softmax_parts(logits: np.ndarray):
     z = logits - max_last(logits)
     e = np.exp(z)
     return z, e, e.sum(axis=-1, keepdims=True)
+
+
+def softmax_parts_first(logits: np.ndarray):
+    """``softmax_parts`` along axis 0 of a C-contiguous block: each of the
+    shifted logits, ``exp`` and sums (no kept axis) has the bits of the
+    row-major parts of ``logits.T``, transposed back.
+
+    Each call runs along the long trailing axes.  Down axis 0 numpy adds
+    in a row sum's order only below ``PAIRWISE_WIDTH`` entries; from there
+    on it sums a contiguous row pairwise, so wider blocks sum a row-major
+    copy.
+    """
+    z = logits - max_first(logits)
+    e = np.exp(z)
+    if len(e) < PAIRWISE_WIDTH:
+        return z, e, e.sum(axis=0)
+    return z, e, np.ascontiguousarray(e.T).sum(axis=-1).T
 
 
 def _log_softmax_at(logits: np.ndarray, idx: np.ndarray):

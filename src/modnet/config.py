@@ -164,6 +164,14 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         )
     if a.n_modules < 1 or a.n_slots < 1 or a.n_layers < 1:
         raise ConfigError("architecture: layers, modules, and slots must be >= 1")
+    for name, size in (
+        ("architecture.hidden", a.hidden),
+        ("architecture.embed_dim", a.embed_dim),
+        ("task.unroll", t.unroll),
+        ("task.dim", t.dim),
+    ):
+        if size < 1:
+            raise ConfigError(f"{name}: must be >= 1, got {size}")
     if a.combine not in ("sum", "concat"):
         raise ConfigError(f"architecture.combine: 'sum' or 'concat', got {a.combine!r}")
     if a.module_kind not in ("linear", "linear-relu"):

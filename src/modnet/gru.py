@@ -29,6 +29,17 @@ the module axis, and the gates are written in place into the kept rows.
 Selections forced in advance reach the unroll as one array of slot
 counts, with no per-step callback.
 
+Per-step operands are laid out so that numpy's inner loop runs along the
+long axis, not once per short row.  A controller step is module-major:
+``Controller.parts`` keeps every head's logits in one (modules, slots,
+rows) block, and the draw, the log-probabilities and the slot counts
+read it along the rows; its sums over modules run down the module axis
+below 8 modules and over a row-major copy from 8 on, where numpy would
+sum each row pairwise.  BPTT first copies the strided halves of the kept
+rows (z and r, the previous state, the state gradients) into contiguous
+time-major (steps, batch, hidden) blocks.  Both keep every operation and
+its order, so the bits are those of the row-major steps.
+
 ``_GruLM`` is the recurrent architecture of ``modular``'s model grid:
 ``ModularGruLM`` answers the controller protocol of
 ``modular.ModularModel``, whose ``propose_and_score`` scores the
@@ -232,35 +243,51 @@ class ModularGruCell:
         all_wx_t = np.concatenate([hx_w, mod_w], axis=1)[hid:].T
 
         def pullback(g):
-            g_h, g_hx = g[:, :hid], g[:, hid:]
+            # time-major contiguous (steps, batch, .) copies of the strided
+            # operands, so that each step's ufuncs run one inner loop, not
+            # one per row: z and 1 - z, r and 1 - r, the previous state,
+            # the candidate, z where it is active, the mixing weights and
+            # the two state gradients
+            def by_step(a):
+                return np.ascontiguousarray(a).reshape(steps, batch, -1)
+
+            zs, rs = by_step(gates[:, :hid]), by_step(gates[:, hid:])
+            one_zs, one_rs = 1.0 - zs, 1.0 - rs
+            h_prevs, cands = by_step(out[:, hid : 2 * hid]), by_step(cand_rows)
+            ws = by_step(weight_rows)
+            z_lives = zs * (cands > 0)
+            g_hs, g_states = by_step(g[:, :hid]), by_step(g[:, hid : 2 * hid])
+            mods = None if gate is None else mod_rows.reshape(steps, batch, len(modules), hid)
             # per row: [d update-gate pre-activation | d reset | d router
-            # logits, if a gate | d module output per module]
+            # logits, if a gate | d module output per module]; the first
+            # block is built per step in g_hx_pres, the module block in the
+            # reused g_mod and copied into g_pre
             g_pre = np.empty((n, n_hx + len(modules) * hid))
-            # every row's 1 - z | 1 - r, and z where the candidate is active
-            flip = 1.0 - gates
-            z_live = gates[:, :hid] * (cand_rows > 0)
+            g_hx_pres = np.empty((steps, batch, n_hx))
+            g_mod = np.empty((batch, len(modules), hid))
+            g_mod_rows = g_mod.reshape(batch, -1)
             carry = np.zeros((batch, hid))
             for t in reversed(range(steps)):
-                rows = slice(t * batch, (t + 1) * batch)
-                z, r = gates[rows, :hid], gates[rows, hid:]
-                one_z, one_r = flip[rows, :hid], flip[rows, hid:]
-                h_prev, cand, w = out[rows, hid : 2 * hid], cand_rows[rows], weight_rows[rows]
-                gh = g_h[rows] + carry
-                gcand = gh * z_live[rows]
-                g_mod = (gcand[:, None, :] * w[:, :, None]).reshape(batch, -1)
-                g_rh = g_mod @ mod_wh_t
-                g_maps = [(gh * cand - gh * h_prev) * z * one_z, g_rh * h_prev * r * one_r]
+                z, r, h_prev, w = zs[t], rs[t], h_prevs[t], ws[t]
+                gh = g_hs[t] + carry
+                gcand = gh * z_lives[t]
+                np.multiply(gcand[:, None, :], w[:, :, None], out=g_mod)
+                g_rh = g_mod_rows @ mod_wh_t
+                g_maps = [
+                    (gh * cands[t] - gh * h_prev) * z * one_zs[t], g_rh * h_prev * r * one_rs[t]
+                ]
                 if gate is not None:
-                    g_weights = (mod_rows[rows] * gcand[:, None, :]).sum(axis=-1)
+                    g_weights = (mods[t] * gcand[:, None, :]).sum(axis=-1)
                     g_maps += gate.pullback(w, noises[t], g_weights)
-                g_hx_pre = np.concatenate(g_maps, axis=-1)
-                g_pre[rows, :n_hx], g_pre[rows, n_hx:] = g_hx_pre, g_mod
-                carry = gh * one_z + g_rh * r + g_hx_pre @ hx_wh_t + g_hx[rows, :hid]
+                np.concatenate(g_maps, axis=-1, out=g_hx_pres[t])
+                g_pre[t * batch : (t + 1) * batch, n_hx:] = g_mod_rows
+                carry = gh * one_zs[t] + g_rh * r + g_hx_pres[t] @ hx_wh_t + g_states[t]
+            g_pre[:, :n_hx] = g_hx_pres.reshape(n, n_hx)
             g_w = np.concatenate(
                 [out[:, hid:].T @ g_pre[:, :n_hx], px_rows.T @ g_pre[:, n_hx:]], axis=1
             )
             g_b = g_pre.sum(axis=0)
-            grads, lo = [g_hx[:, hid:] + g_pre @ all_wx_t], 0
+            grads, lo = [g[:, 2 * hid :] + g_pre @ all_wx_t], 0
             for m in maps:
                 grads += [g_w[:, lo : lo + m.out_dim], g_b[lo : lo + m.out_dim]]
                 lo += m.out_dim
@@ -414,8 +441,9 @@ class ModularGruLM(_GruLM, ModularModel):
         probs_out = np.empty((batch, steps, self.n_slots, n_mod)) if collect_probs else None
         need_probs = collect_probs or comps is None or sample_mask is not None
         # fully forced selections: every step's slot counts at once, time-major
+        # and contiguous, as the unroll keeps them for BPTT
         forced_counts = (
-            slot_counts(comps.transpose(1, 0, 2), n_mod)
+            np.ascontiguousarray(slot_counts(comps.transpose(1, 0, 2), n_mod))
             if comps is not None and sample_mask is None
             else None
         )

@@ -34,11 +34,11 @@ from modnet.autodiff import (
     matmul,
     mul,
     paused,
-    pick_log_prob,
     record_joint,
     relu,
     slice_last,
     softmax_parts,
+    softmax_parts_first,
     stable_sigmoid,
 )
 from modnet.diagnostics import SelectionSnapshot
@@ -145,17 +145,27 @@ class ModulePool:
 
 
 def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw along the last axis; u has probs.shape[:-1]."""
-    cum = np.cumsum(probs, axis=-1)
-    idx = (u[..., None] >= cum).sum(axis=-1)
-    return np.minimum(idx, probs.shape[-1] - 1)
+    """Inverse-CDF draw along the last axis; u has probs.shape[:-1].
+
+    It runs down axis 0 of the module-first block ``probs.T``, in long
+    contiguous runs, with each row's additions in the row's order.  The
+    view ``Controller.distribution`` returns is read in place; anything
+    else is copied into that layout first.
+    """
+    cum = np.cumsum(np.ascontiguousarray(probs.T), axis=0)
+    idx = (u.T >= cum).sum(axis=0)
+    return np.minimum(idx, len(cum) - 1).T
 
 
 def slot_counts(selection: np.ndarray, n_modules: int) -> np.ndarray:
     """How many slots of each row pick each module: (..., slots) ints to
-    (..., modules) floats."""
-    picks = np.asarray(selection)[..., None] == np.arange(n_modules)
-    return picks.sum(axis=-2).astype(np.float64)
+    (..., modules) floats.  One comparison against every module index and
+    one sum over the slots fill a module-major block, returned as a view:
+    for a (batch, slots) selection, ``counts.T`` is a contiguous (modules,
+    batch) array."""
+    sel = np.asarray(selection).T
+    picks = sel == np.arange(n_modules).reshape(-1, *(1,) * sel.ndim)
+    return picks.sum(axis=1, dtype=np.float64).T
 
 
 def choose(probs, forced=None, greedy: bool = False, rng=None, sample_mask=None) -> np.ndarray:
@@ -165,6 +175,12 @@ def choose(probs, forced=None, greedy: bool = False, rng=None, sample_mask=None)
     ``sample_mask``, which draw afresh; without ``forced``, the argmax of
     the (batch, slots, modules) ``probs`` when ``greedy``, else a draw with
     ``rng``.  Under a mask every row draws, and forced rows discard theirs.
+
+    ``probs`` is best the view of a module-major (modules, slots, batch)
+    block that ``Controller.distribution`` returns: ``sample_rows`` then
+    draws on the block in place.  The uniforms are one (batch, slots)
+    draw whatever the layout.  The argmax is numpy's, which copies the
+    module axis last in either layout.
     """
     if sample_mask is not None and forced is None:
         raise ValueError("sample_mask requires forced comps for unmasked rows")
@@ -174,7 +190,7 @@ def choose(probs, forced=None, greedy: bool = False, rng=None, sample_mask=None)
         return probs.argmax(axis=-1).astype(np.int64)
     if rng is None:
         raise ValueError("sampling rollout needs an rng")
-    drawn = sample_rows(probs, rng.random(probs.shape[:2])).astype(np.int64)
+    drawn = sample_rows(probs, rng.random(probs.shape[:2])).astype(np.int64, copy=False)
     return drawn if forced is None else np.where(sample_mask[:, None], drawn, forced)
 
 
@@ -202,6 +218,16 @@ class Controller:
 
     The joint selection probability factorizes across slots, so
     distributions and log-probabilities both decompose head by head.
+
+    Off the tape a step works module-major: every head's logits,
+    shifted logits and exponentials live in one C-contiguous (modules,
+    slots, rows) block, so each numpy call runs along the long rows axis
+    instead of once per short row of ``n_modules`` entries.  The values
+    keep the row-major bits: each head's product ``x @ w`` is formed
+    row-major before the bias is added module-major, and
+    ``softmax_parts_first`` normalises the block, its sums over modules
+    taking a row-major copy from 8 modules on, where numpy sums a row
+    pairwise.
     """
 
     def __init__(
@@ -225,34 +251,38 @@ class Controller:
     def parameters(self) -> list[Parameter]:
         return [p for h in self.heads for p in h.parameters()]
 
-    def logits(self, x) -> list[np.ndarray]:
-        """Each head's (batch, modules) logits on x, as plain arrays."""
+    def parts(self, x) -> tuple:
+        """The pieces of every head's stabilized softmax on x: the shifted
+        logits ``z`` and ``exp(z)``, both (modules, slots, rows), and the
+        sums of ``exp(z)`` over modules, (slots, rows).  ``distribution``
+        and ``log_prob_values`` share them, so a step that draws and
+        scores normalises its logits once."""
         xv = x.data if isinstance(x, (Tensor, Parameter)) else np.asarray(x, dtype=np.float64)
-        return [h(xv) for h in self.heads]
+        logits = np.empty((self.n_modules, self.n_slots, len(xv)))
+        for k, h in enumerate(self.heads):
+            np.add((xv @ h.w.data).T, h.b.data[:, None], out=logits[:, k])
+        return softmax_parts_first(logits)
 
-    def parts(self, x) -> list[tuple]:
-        """Each head's ``softmax_parts`` on x: what ``distribution`` and
-        ``log_prob_values`` share, so a step that draws and scores
-        normalises its logits once."""
-        return [softmax_parts(z) for z in self.logits(x)]
-
-    def distribution(self, x, parts: list[tuple] | None = None) -> np.ndarray:
+    def distribution(self, x, parts: tuple | None = None) -> np.ndarray:
         """Per-slot selection probabilities, shape (batch, slots, modules),
-        from the heads' ``parts`` on x when given.
+        from the heads' ``parts`` on x when given: a view of a
+        module-major block, which ``choose`` draws on in place.
 
         Value path: never recorded, even inside an active tape.
         """
-        if parts is None:
-            parts = self.parts(x)
-        return np.stack([e / s for _, e, s in parts], axis=1)
+        _, e, s = self.parts(x) if parts is None else parts
+        return (e / s).T
 
     @staticmethod
-    def log_prob_values(parts: list[tuple], selection: np.ndarray) -> np.ndarray:
+    def log_prob_values(parts: tuple, selection: np.ndarray) -> np.ndarray:
         """The value of ``log_prob`` from the heads' ``parts``, on plain
-        arrays."""
+        arrays: each head's picked shifted logit less the log of its sum,
+        added head by head."""
+        z, _, s = parts
+        rows, log_s = np.arange(z.shape[-1]), np.log(s)
         total = None
-        for k, head in enumerate(parts):
-            term = pick_log_prob(head, selection[:, k])
+        for k in range(z.shape[1]):
+            term = z[selection[:, k], k, rows] - log_s[k]
             total = term if total is None else total + term
         return total
 

@@ -97,6 +97,24 @@ def test_negative_clip_norm_is_exit_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "config,override",
+    [
+        ("two_regime_em_smoke", "architecture.hidden=0"),
+        ("text_char_em", "task.unroll=0"),
+        ("toy_em_smoke", "task.dim=0"),
+    ],
+)
+def test_zero_dimension_is_exit_2(tmp_path, capsys, monkeypatch, config, override):
+    # each used to fail inside the model with a traceback
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "runs"))
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{config}.json")
+    assert main(["run", shipped, "--set", override]) == 2
+    field = override.split("=")[0]
+    assert f"config error: {field}: must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_abort_is_exit_3_and_checkpoints(tmp_path, capsys):
     # lr this large overflows the squared residual to -inf on step two

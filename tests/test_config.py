@@ -117,6 +117,16 @@ def test_type_errors_are_rejected_with_path():
          "architecture.module_kind"),
         ({"trainer": {"kind": "noisy-topk"}, "architecture": {"topk": 1, "n_slots": 3}},
          "architecture.n_slots"),
+        # dimensions below 1 fail later with a division by zero or an index error
+        ({"architecture": {"hidden": 0}}, "architecture.hidden: must be >= 1, got 0"),
+        ({"task": {"kind": "two-regime-lm"}, "architecture": {"hidden": 0}},
+         "architecture.hidden: must be >= 1"),
+        ({"task": {"kind": "two-regime-lm"}, "architecture": {"embed_dim": 0}},
+         "architecture.embed_dim: must be >= 1"),
+        ({"task": {"kind": "two-regime-lm", "unroll": 0}}, "task.unroll: must be >= 1"),
+        ({"task": {"kind": "text-lm", "path": "c.txt", "unroll": -3}},
+         "task.unroll: must be >= 1, got -3"),
+        ({"task": {"dim": 0}}, "task.dim: must be >= 1"),
     ],
 )
 def test_validation_rejects_bad_combinations(patch, needle):

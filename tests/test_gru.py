@@ -947,3 +947,102 @@ def test_both_slices_of_the_unroll_rows_reach_it_as_one_gradient(monkeypatch):
     assert g_head[:, :hid].any() and g_ctrl[:, hid:].any()
     assert np.array_equal(g_both, np.concatenate([g_head[:, :hid], g_ctrl[:, hid:]], axis=1))
     assert g_both.tobytes() == (g_ctrl + g_head).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# backpropagation through time against the strided-operand oracle
+
+
+def strided_pullback(cell, saved, batch):
+    """The unroll record's pullback as it read its operands in place,
+    strided, step by step: the oracle for the contiguous copies."""
+    out, gates, px_rows, cand_rows, weight_rows, mod_rows, noises = saved
+    hid, modules, gate = cell.hidden, cell.pool.modules, cell.gate
+    n, steps = out.shape[0], out.shape[0] // batch
+    hx_maps = [cell.update, cell.reset] + ([] if gate is None else [gate.gate, gate.noise])
+    maps = hx_maps + modules
+    hx_w = np.concatenate([m.w.data for m in hx_maps], axis=1)
+    mod_w = np.concatenate([m.w.data for m in modules], axis=1)
+    n_hx = hx_w.shape[1]
+    hx_wh_t = hx_w[:hid].T
+    mod_wh_t = mod_w[:hid].T
+    all_wx_t = np.concatenate([hx_w, mod_w], axis=1)[hid:].T
+
+    def pullback(g):
+        g_h, g_hx = g[:, :hid], g[:, hid:]
+        g_pre = np.empty((n, n_hx + len(modules) * hid))
+        flip = 1.0 - gates
+        z_live = gates[:, :hid] * (cand_rows > 0)
+        carry = np.zeros((batch, hid))
+        for t in reversed(range(steps)):
+            rows = slice(t * batch, (t + 1) * batch)
+            z, r = gates[rows, :hid], gates[rows, hid:]
+            one_z, one_r = flip[rows, :hid], flip[rows, hid:]
+            h_prev, cand, w = out[rows, hid : 2 * hid], cand_rows[rows], weight_rows[rows]
+            gh = g_h[rows] + carry
+            gcand = gh * z_live[rows]
+            g_mod = (gcand[:, None, :] * w[:, :, None]).reshape(batch, -1)
+            g_rh = g_mod @ mod_wh_t
+            g_maps = [(gh * cand - gh * h_prev) * z * one_z, g_rh * h_prev * r * one_r]
+            if gate is not None:
+                g_weights = (mod_rows[rows] * gcand[:, None, :]).sum(axis=-1)
+                g_maps += gate.pullback(w, noises[t], g_weights)
+            g_hx_pre = np.concatenate(g_maps, axis=-1)
+            g_pre[rows, :n_hx], g_pre[rows, n_hx:] = g_hx_pre, g_mod
+            carry = gh * one_z + g_rh * r + g_hx_pre @ hx_wh_t + g_hx[rows, :hid]
+        g_w = np.concatenate(
+            [out[:, hid:].T @ g_pre[:, :n_hx], px_rows.T @ g_pre[:, n_hx:]], axis=1
+        )
+        g_b = g_pre.sum(axis=0)
+        grads, lo = [g_hx[:, hid:] + g_pre @ all_wx_t], 0
+        for m in maps:
+            grads += [g_w[:, lo : lo + m.out_dim], g_b[lo : lo + m.out_dim]]
+            lo += m.out_dim
+        return grads
+
+    return pullback
+
+
+@pytest.mark.parametrize("router", ["controller", "gate"])
+@pytest.mark.parametrize("n_modules", [1, 2, 8])
+@pytest.mark.parametrize("steps", [1, 3, 20])
+@pytest.mark.parametrize("n_slots", [1, 2])
+def test_bptt_keeps_the_strided_oracle_bits(router, n_modules, steps, n_slots, monkeypatch):
+    # n_slots is the controller's slot count, or the gate's top-k width
+    # (capped at the pool); the gate runs in training mode, with noise
+    rng = np.random.default_rng(400 + 10 * n_modules + steps + n_slots)
+    hid, in_dim, batch = 8, 3, 16
+    topk = None if router == "controller" else min(n_slots, n_modules)
+    cell = ModularGruCell(rng, in_dim, hid, n_modules, n_slots, topk=topk)
+    for p in cell.parameters():
+        if p.name.endswith(".b"):
+            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    if topk is None:
+        sels = rng.integers(0, n_modules, size=(steps, batch, n_slots))
+        select = forced(sels, n_modules)
+    else:
+        noise = np.random.default_rng(5)
+
+        def select(t, hx):
+            w, _, eps = cell.gate.forward(hx, True, noise)
+            return w, eps
+
+    caught, record = {}, ModularGruCell._record
+
+    def spy(self, xs, saved, batch):
+        caught["saved"] = saved
+        return record(self, xs, saved, batch)
+
+    monkeypatch.setattr(ModularGruCell, "_record", spy)
+    monkeypatch.setattr(
+        gru_mod, "record_joint", lambda kind, out, inputs, pullback: caught.update(pullback=pullback)
+    )
+    xs = rng.standard_normal((steps * batch, in_dim))
+    cell.unroll(xs, steps, select, rng.standard_normal((batch, hid)))
+    g = rng.standard_normal((steps * batch, 2 * hid + in_dim))
+    g[rng.random(g.shape) < 0.1] = 0.0
+    got = caught["pullback"](g)
+    want = strided_pullback(cell, caught["saved"], batch)(g)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

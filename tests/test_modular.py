@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import modnet.datasets as datasets_mod
 from modnet.autodiff import (
     Parameter,
     ShapeError,
@@ -16,7 +17,9 @@ from modnet.autodiff import (
     grad_check,
     mean_all,
     mul,
+    softmax_parts_first,
 )
+from modnet.datasets import gen_two_regime_sequences
 from modnet.modular import (
     Controller,
     Linear,
@@ -26,8 +29,10 @@ from modnet.modular import (
     NoisyTopKGate,
     NoisyTopKNet,
     OutputHead,
+    choose,
     enumerate_compositions,
     sample_rows,
+    slot_counts,
     top_k_mask,
 )
 
@@ -169,6 +174,143 @@ def test_controller_distribution_never_recorded():
     with Tape() as tape:
         ctrl.distribution(x)
         assert len(tape) == 0
+
+
+# ---------------------------------------------------------------------------
+# the module-major controller step against its row-major oracle
+
+
+def oracle_softmax_parts(logits):
+    """One head's row-major softmax pieces: z, exp(z) and its row sums."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return z, e, e.sum(axis=-1, keepdims=True)
+
+
+def oracle_parts(ctrl, x):
+    return [oracle_softmax_parts(x @ h.w.data + h.b.data) for h in ctrl.heads]
+
+
+def oracle_distribution(parts):
+    return np.stack([e / s for _, e, s in parts], axis=1)
+
+
+def oracle_sample_rows(probs, u):
+    cum = np.cumsum(probs, axis=-1)
+    idx = (u[..., None] >= cum).sum(axis=-1)
+    return np.minimum(idx, probs.shape[-1] - 1)
+
+
+def oracle_slot_counts(selection, n_modules):
+    picks = np.asarray(selection)[..., None] == np.arange(n_modules)
+    return picks.sum(axis=-2).astype(np.float64)
+
+
+def oracle_pick_log_prob(parts, idx):
+    z, _, s = parts
+    at = np.arange(idx.size) * z.shape[-1] + idx.reshape(-1)
+    return (z.reshape(-1)[at] - np.log(s).reshape(-1)).reshape(idx.shape)
+
+
+def oracle_log_prob_values(parts, selection):
+    total = None
+    for k, head in enumerate(parts):
+        term = oracle_pick_log_prob(head, selection[:, k])
+        total = term if total is None else total + term
+    return total
+
+
+def special_logits(rng, rows, n_slots, n_modules):
+    """(rows, slots, modules) logits: normal draws, small-integer rows full
+    of ties, rows of signed zeros, and rows with +-inf and NaN."""
+    x = rng.standard_normal((rows, n_slots, n_modules)) * 4.0
+    flat = x.reshape(-1, n_modules)
+    flat[::5] = rng.integers(-2, 2, size=flat[::5].shape)
+    flat[1::7] = rng.choice([0.0, -0.0], size=flat[1::7].shape)
+    flat[rng.random(flat.shape) < 0.05] *= -0.0
+    flat[2::11, 0] = np.inf
+    flat[3::13, -1] = -np.inf
+    flat[4::17] = -np.inf
+    flat[5::19, n_modules // 2] = np.nan
+    flat[6::23] = np.nan
+    flat[8::31] = np.inf
+    return x
+
+
+def assert_step_matches_oracle(ctrl, parts, want_parts, rng_seed, forced=None, mask=None):
+    """Distribution, draw, greedy choice, log-probabilities and slot counts
+    of a module-major step from ``parts``, each bit for bit against the
+    oracle."""
+    z, e, s = parts
+    for k, (wz, we, ws) in enumerate(want_parts):
+        assert z[:, k].T.tobytes() == wz.tobytes()
+        assert e[:, k].T.tobytes() == we.tobytes()
+        assert s[k].tobytes() == ws[:, 0].tobytes()
+    p, want_p = ctrl.distribution(None, parts), oracle_distribution(want_parts)
+    assert p.shape == want_p.shape and p.tobytes() == want_p.tobytes()
+    n_modules = want_p.shape[-1]
+    greedy = choose(p, greedy=True)
+    assert np.array_equal(greedy, want_p.argmax(axis=-1))
+    drawn = choose(p, forced, rng=np.random.default_rng(rng_seed), sample_mask=mask)
+    u = np.random.default_rng(rng_seed).random(want_p.shape[:2])
+    want = oracle_sample_rows(want_p, u)
+    if mask is not None:
+        want = np.where(mask[:, None], want, forced)
+    assert drawn.dtype == np.int64 and np.array_equal(drawn, want)
+    for sel in (greedy, drawn):
+        got_lp = ctrl.log_prob_values(parts, sel)
+        assert got_lp.tobytes() == oracle_log_prob_values(want_parts, sel).tobytes()
+        counts = slot_counts(sel, n_modules)
+        assert counts.tobytes() == oracle_slot_counts(sel, n_modules).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("n_modules", [1, 2, 3, 7, 8, 9, 32])
+@pytest.mark.parametrize("n_slots", [1, 2])
+@pytest.mark.parametrize("rows", [1, 64, 704])
+def test_module_major_step_keeps_the_row_major_bits(n_modules, n_slots, rows):
+    # below 8 modules the sums run down the module axis, from 8 on over a
+    # row-major copy; either way every value keeps the oracle's bits,
+    # through ties, signed zeros, infinities and NaN
+    rng = np.random.default_rng(1000 + 10 * n_modules + n_slots)
+    logits = special_logits(rng, rows, n_slots, n_modules)
+    parts = softmax_parts_first(np.ascontiguousarray(logits.T))
+    want = [oracle_softmax_parts(logits[:, k]) for k in range(n_slots)]
+    # the recurrent controller's input width: [h | x] at hidden 8, embed 8
+    ctrl = Controller(rng, 16, n_modules, n_slots)
+    assert_step_matches_oracle(ctrl, parts, want, rows)
+
+    for h in ctrl.heads:
+        h.b.data[...] = rng.integers(-1, 2, size=n_modules)
+    x = rng.standard_normal((rows, 16))
+    x[::3] = 0.0  # logits equal to the biases: ties
+    parts, want = ctrl.parts(x), oracle_parts(ctrl, x)
+    assert ctrl.distribution(x).tobytes() == oracle_distribution(want).tobytes()
+    forced = rng.integers(0, n_modules, size=(rows, n_slots))
+    mask = rng.random(rows) < 0.5
+    assert_step_matches_oracle(ctrl, parts, want, rows + 1)
+    assert_step_matches_oracle(ctrl, parts, want, rows + 2, forced, mask)
+
+
+def test_slot_counts_keep_leading_axes_and_come_module_major():
+    rng = np.random.default_rng(3)
+    sel = rng.integers(0, 4, size=(5, 6, 3))
+    got = slot_counts(sel, 4)
+    assert got.shape == (5, 6, 4)
+    assert got.tobytes() == oracle_slot_counts(sel, 4).tobytes()
+    # one step's counts: the (modules, batch) block the unroll reads
+    for n_slots in (1, 2):
+        assert slot_counts(rng.integers(0, 4, size=(7, n_slots)), 4).T.flags.c_contiguous
+
+
+def test_two_regime_draws_match_the_row_major_oracle(monkeypatch):
+    for seed in (0, 29):
+        got = gen_two_regime_sequences(np.random.default_rng(seed), 300, unroll=20)
+        monkeypatch.setattr(datasets_mod, "sample_rows", oracle_sample_rows)
+        want = gen_two_regime_sequences(np.random.default_rng(seed), 300, unroll=20)
+        monkeypatch.undo()
+        assert got.tokens.tobytes() == want.tokens.tobytes()
+        assert got.targets.tobytes() == want.targets.tobytes()
 
 
 # ---------------------------------------------------------------------------
