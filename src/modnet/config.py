@@ -164,14 +164,17 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         )
     if a.n_modules < 1 or a.n_slots < 1 or a.n_layers < 1:
         raise ConfigError("architecture: layers, modules, and slots must be >= 1")
-    for name, size in (
-        ("architecture.hidden", a.hidden),
-        ("architecture.embed_dim", a.embed_dim),
-        ("task.unroll", t.unroll),
-        ("task.dim", t.dim),
+    for name, size, least in (
+        ("seed", cfg.seed, 0),
+        ("architecture.hidden", a.hidden, 1),
+        ("architecture.embed_dim", a.embed_dim, 1),
+        ("task.unroll", t.unroll, 1),
+        ("task.dim", t.dim, 1),
+        ("task.n", t.n, 1),
+        ("task.n_windows", t.n_windows, 1),
     ):
-        if size < 1:
-            raise ConfigError(f"{name}: must be >= 1, got {size}")
+        if size < least:
+            raise ConfigError(f"{name}: must be >= {least}, got {size}")
     if a.combine not in ("sum", "concat"):
         raise ConfigError(f"architecture.combine: 'sum' or 'concat', got {a.combine!r}")
     if a.module_kind not in ("linear", "linear-relu"):

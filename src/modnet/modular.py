@@ -26,9 +26,9 @@ from modnet.autodiff import (
     Parameter,
     ShapeError,
     Tensor,
+    active_tape,
     add,
     categorical_log_prob,
-    concat_last,
     constant,
     gaussian_log_density,
     matmul,
@@ -76,6 +76,11 @@ class ModulePool:
     optimizer's ``p.data += ...``, a checkpoint load's ``p.data[...] =``)
     reach the stacked buffers too.  Names, order and initial draws stay
     per module.
+
+    A controller-routed layer runs its used modules through ``select``,
+    one ``pool-combine`` tape record per layer; the gated layer runs
+    ``combine``, taped op by op; a recurrent step runs every module in
+    one ``apply(None, x)`` call.
     """
 
     KINDS = ("linear", "linear-relu")
@@ -128,17 +133,85 @@ class ModulePool:
 
     def combine(self, x, weights, used) -> Tensor:
         """Outputs on x of the modules ``used``, each scaled by its column
-        of the (batch, modules) ``weights`` and summed.
+        of the (batch, modules) ``weights`` and summed, taped op by op: a
+        ``matmul``, ``add`` and ``elementwise-mul`` per used module and an
+        ``add`` to join each term.
 
         ``weights`` holds slot counts or gate weights.  Modules outside
         ``used`` are never evaluated; a row whose weight for a used module
-        is zero gets exact zeros from it.
+        is zero gets exact zeros from it.  It serves the gated
+        ``ModularLayer.forward_mixed`` and the tests' oracles for
+        ``select``.  Those records are the only ``matmul`` and ``add`` of
+        the gated perfbench workload, whose per-layer list requires both,
+        so fusing the gated layer waits for a benchmark that makes them
+        optional.
         """
         out = None
         for j in used:
             term = mul(self.apply(int(j), x), slice_last(weights, int(j), int(j) + 1))
             out = term if out is None else add(out, term)
         return out
+
+    def select(self, x, counts) -> Tensor:
+        """``combine`` under slot counts as one ``pool-combine`` record,
+        with the taped loop's bits.
+
+        ``counts`` holds blocks of (batch, modules) slot counts: one block
+        for a summing layer, one per slot for a concatenating one.  Each
+        block's weighted sum over its used modules, those with a nonzero
+        count, fills the next ``out_dim`` columns.  The forward runs
+        on plain arrays: term by term ``apply(j, x) * counts[:, j:j+1]``,
+        used modules ascending, added left to right.  The pullback walks
+        the terms backwards, blocks and modules descending, as the tape's
+        reverse sweep would: a term's gradient is the block's gradient
+        times its counts, masked by ``output > 0`` for ``linear-relu``,
+        and the x-gradients of all terms join in that order, as one sum
+        ``((g_last + ...) + g_first)``.  So x's gradient has the loop's
+        bits when no later record reads x, as in every model here: a
+        controller reads its layer's input before the layer runs.  Only
+        the used modules' parameters are inputs, so an unused module gets
+        no gradient.
+        """
+        xd = x.data if isinstance(x, (Tensor, Parameter)) else np.asarray(x, dtype=np.float64)
+        relu_kind = self.kind == "linear-relu"
+        blocks, outs = [], []
+        for c in counts:
+            terms, out = [], None
+            for j in np.flatnonzero(c.any(axis=0)):
+                h, cj = self.apply(int(j), xd), c[:, j : j + 1]
+                terms.append((int(j), h, cj))
+                term = h * cj
+                out = term if out is None else out + term
+            blocks.append(terms)
+            outs.append(np.zeros((len(xd), self.out_dim)) if out is None else out)
+        value = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-1)
+        tape = active_tape()
+        if tape is None:
+            return Tensor(value)
+        used = sorted({j for terms in blocks for j, _, _ in terms})
+        need_x = isinstance(x, Parameter) or (
+            isinstance(x, Tensor) and x.node is not None and x.tape is tape
+        )
+        d = self.out_dim
+
+        def pullback(g):
+            gx, grads = None, {}
+            for k in range(len(blocks) - 1, -1, -1):
+                gk = g if len(blocks) == 1 else g[..., k * d : (k + 1) * d]
+                for j, h, cj in reversed(blocks[k]):
+                    gh = gk * cj
+                    if relu_kind:
+                        gh = gh * (h > 0)
+                    if need_x:
+                        gj = gh @ self.weights[j].T
+                        gx = gj if gx is None else gx + gj
+                    gw, gb = xd.T @ gh, gh.sum(axis=0)
+                    prev = grads.get(j)
+                    grads[j] = (gw, gb) if prev is None else (prev[0] + gw, prev[1] + gb)
+            return [gx] + [gp for j in used for gp in grads[j]]
+
+        params = [p for j in used for p in self.modules[j].parameters()]
+        return record_joint("pool-combine", value, [x, *params], pullback)
 
     def parameters(self) -> list[Parameter]:
         return [p for m in self.modules for p in m.parameters()]
@@ -432,22 +505,20 @@ class ModularLayer:
         return sel
 
     def forward_selected(self, x, selection: np.ndarray) -> Tensor:
-        """Evaluate the layer under a fixed selection, shape (batch, slots).
+        """Evaluate the layer under a fixed selection, shape (batch, slots),
+        as one ``pool-combine`` record (``ModulePool.select``).
 
         Only modules that appear in the selection are run.  A module chosen
         by several slots of the same input counts once per slot: under sum
         combination its output is scaled by the multiplicity; under concat
-        each slot is its own one-hot combination.
+        each slot is its own one-hot combination, one block of counts.
         """
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         sel = self._validate(selection, xt.shape[0])
         n = self.pool.n_modules
         if self.combine == "sum":
-            return self.pool.combine(xt, slot_counts(sel, n), np.unique(sel))
-        return concat_last(*(
-            self.pool.combine(xt, slot_counts(sel[:, k : k + 1], n), np.unique(sel[:, k]))
-            for k in range(self.n_slots)
-        ))
+            return self.pool.select(xt, (slot_counts(sel, n),))
+        return self.pool.select(xt, slot_counts(sel.T[..., None], n))
 
     def forward_mixed(
         self, x, train: bool = False, rng: np.random.Generator | None = None

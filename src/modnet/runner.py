@@ -186,7 +186,10 @@ def build_dataset(cfg: ExperimentConfig, streams: SeedStreams):
             streams["data"], t.n_windows, t.unroll, t.n_states, t.noise
         )
     if t.kind == "text-lm":
-        return load_text_data(t.path, t.mode, t.unroll, t.vocab_cap)
+        try:
+            return load_text_data(t.path, t.mode, t.unroll, t.vocab_cap)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"task.path: cannot read corpus {t.path!r}: {exc}") from exc
     raise ConfigError(f"task.kind: unknown task {t.kind!r}")
 
 
@@ -310,10 +313,6 @@ def execute_run(
     the resumed segment holds exactly the rows an uninterrupted run would
     have produced for those iterations.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt_dir = os.path.join(out_dir, "checkpoints")
-    os.makedirs(ckpt_dir, exist_ok=True)
-
     streams = SeedStreams(cfg.seed)
     data = build_dataset(cfg, streams)
     model = build_model(cfg, data, streams)
@@ -327,6 +326,10 @@ def execute_run(
     if resume_from is not None:
         _restore_into(trainer, task, streams, resume_from)
         start = resume_from.iteration
+
+    # directories only once everything that can refuse the config has run
+    ckpt_dir = os.path.join(out_dir, "checkpoints")
+    os.makedirs(ckpt_dir, exist_ok=True)
 
     exports_dir = os.path.join(out_dir, "exports")
     if cfg.diagnostics.export_images or cfg.diagnostics.export_traces:

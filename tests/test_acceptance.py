@@ -184,6 +184,7 @@ def primitive_checks():
         unroll_check(rng),
         *gate_checks(rng),
         gated_unroll_check(rng),
+        pool_combine_check(rng),
     ]
 
 
@@ -239,6 +240,24 @@ def unroll_check(rng):
 
     assert min_relu_input(gru_mod, fn) > 1e-3, "unroll check sits too close to a relu kink"
     return "modular-gru-unroll", fn, [xs] + cell.parameters()
+
+
+def pool_combine_check(rng):
+    """The controller-routed layer's fused record: a rectified pool of 4
+    modules under 2 slots, row 0 picking module 2 twice and module 1
+    unused, so the input's gradient joins three terms.  Random biases keep
+    every module pre-activation off the relu kink (checked here)."""
+    pool = ModulePool(rng, 4, 3, 2, kind="linear-relu")
+    random_biases(pool.parameters(), rng)
+    xp = Parameter(rng.standard_normal((5, 3)), "combine_x")
+    counts = slot_counts(np.array([[2, 2], [0, 3], [3, 0], [0, 0], [2, 3]]), 4)
+    wout = constant(rng.standard_normal((5, 2)))
+
+    def fn():
+        return mean_all(mul(pool.select(xp, (counts,)), wout))
+
+    assert min_relu_input(modular_mod, fn) > 1e-3, "pool-combine check sits on a relu kink"
+    return "pool-combine", fn, [xp] + pool.parameters()
 
 
 def gate_checks(rng):

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -113,6 +114,43 @@ def test_zero_dimension_is_exit_2(tmp_path, capsys, monkeypatch, config, overrid
     field = override.split("=")[0]
     assert f"config error: {field}: must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "config,override,field",
+    [
+        ("toy_em_smoke", "seed=-1", "seed"),
+        ("toy_em_smoke", "task.n=0", "task.n"),
+        ("two_regime_em_smoke", "task.n_windows=0", "task.n_windows"),
+        ("text_char_em", "task.path={tmp}/missing.txt", "task.path"),
+    ],
+)
+def test_bad_data_field_is_exit_2_before_any_run_directory(
+    tmp_path, capsys, monkeypatch, config, override, field
+):
+    # each used to exit 2 without naming the field, most after creating
+    # the run's checkpoint directory
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "runs"))
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{config}.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", shipped, "--set", override.format(tmp=tmp_path)])
+    assert code == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("spec,field", [({"seed": -1}, "seed"), ({"task": {"n": 0}}, "task.n")])
+def test_eval_spec_with_bad_data_field_is_exit_2(tmp_path, capsys, spec, field):
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path), "--set", f"out_dir={out}"]) == 0
+    capsys.readouterr()
+    if "task" in spec:
+        spec = {"task": dict(tiny_config()["task"], **spec["task"])}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["eval", str(out / "checkpoints" / "final.ckpt"), str(path)]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -127,6 +127,10 @@ def test_type_errors_are_rejected_with_path():
         ({"task": {"kind": "text-lm", "path": "c.txt", "unroll": -3}},
          "task.unroll: must be >= 1, got -3"),
         ({"task": {"dim": 0}}, "task.dim: must be >= 1"),
+        # a negative seed failed inside numpy, an empty dataset inside the trainer
+        ({"seed": -1}, "seed: must be >= 0, got -1"),
+        ({"task": {"n": 0}}, "task.n: must be >= 1, got 0"),
+        ({"task": {"kind": "two-regime-lm", "n_windows": 0}}, "task.n_windows: must be >= 1"),
     ],
 )
 def test_validation_rejects_bad_combinations(patch, needle):

@@ -74,8 +74,9 @@ def composed_cell_step(cell, h, x, selection, hx=None):
         hx = concat_last(h, x)
     z = sigmoid(cell.update(hx))
     r = sigmoid(cell.reset(hx))
-    layer = ModularLayer(cell.pool, cell.controller, combine="sum")
-    cand = relu(layer.forward_selected(concat_last(mul(r, h), x), selection))
+    px = concat_last(mul(r, h), x)
+    sel = np.asarray(selection)
+    cand = relu(cell.pool.combine(px, slot_counts(sel, cell.pool.n_modules), np.unique(sel)))
     keep = add(mul(z, -1.0), 1.0)
     return add(mul(keep, h), mul(z, cand))
 

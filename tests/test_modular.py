@@ -425,6 +425,73 @@ def test_layer_gradients_flow_only_through_selected():
     assert np.array_equal(g2, np.zeros_like(g2))
 
 
+def taped_forward_selected(layer, x, selection):
+    """``forward_selected`` as the taped ``combine`` loop: one matmul, add
+    and product per used module and slot, joined by adds (and a concat)."""
+    xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    sel, n = np.asarray(selection), layer.pool.n_modules
+    if layer.combine == "sum":
+        return layer.pool.combine(xt, slot_counts(sel, n), np.unique(sel))
+    return concat_last(*(
+        layer.pool.combine(xt, slot_counts(sel[:, k : k + 1], n), np.unique(sel[:, k]))
+        for k in range(layer.n_slots)
+    ))
+
+
+@pytest.mark.parametrize("combine", ["sum", "concat"])
+@pytest.mark.parametrize("kind", ModulePool.KINDS)
+@pytest.mark.parametrize("n_slots", [1, 2, 3])
+@pytest.mark.parametrize("n_modules", [1, 2, 3, 8])
+def test_pool_combine_keeps_the_taped_bits(monkeypatch, n_modules, n_slots, kind, combine):
+    # the fused record against the taped loop: outputs, controller scores
+    # and every gradient, the input's included, bit for bit; stacked
+    # layers let each layer's input gradient join its controller's
+    for n_layers, detach in itertools.product([1, 2, 3], [False, True]):
+        rng = np.random.default_rng(1000 * n_modules + 10 * n_slots + n_layers)
+        net = small_net(n_layers, n_modules, n_slots, dim=2, combine=combine, kind=kind, rng=rng)
+        for p in net.parameters():
+            if p.name.endswith(".b"):
+                p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+        width = net.layers[-1].out_dim
+        x = Parameter(rng.standard_normal((6, 2)), "x")
+        y = rng.standard_normal((6, width))
+        # module 1 unused from 3 modules on; row 0 picks its last module twice
+        choices = [j for j in range(n_modules) if n_modules < 3 or j != 1]
+        comps = rng.choice(choices, size=(6, n_layers, n_slots))
+        comps[0, :, :2] = n_modules - 1
+        results = []
+        for forward in (ModularLayer.forward_selected, taped_forward_selected):
+            monkeypatch.setattr(ModularLayer, "forward_selected", forward)
+            with Tape() as tape:
+                res = net.rollout(tape.watch(x), y, comps, with_ctrl=True,
+                                  detach_ctrl_inputs=detach)
+                cond, ctrl = res.cond_ll, res.ctrl_ll
+                grads = tape.backward(mean_all(add(cond, ctrl)))
+            results.append([cond.data, ctrl.data]
+                           + [tape.grad(grads, p) for p in [x] + net.parameters()])
+        monkeypatch.undo()
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
+        if n_modules >= 3:
+            for p in net.layers[0].pool.modules[1].parameters():
+                g = results[0][3 + net.parameters().index(p)]
+                assert not g.any()
+
+
+@pytest.mark.parametrize("combine,n_slots", [("sum", 1), ("sum", 3), ("concat", 2)])
+def test_one_pool_combine_record_per_forward_selected(combine, n_slots):
+    rng = np.random.default_rng(26)
+    pool = ModulePool(rng, 4, 3, 2, kind="linear-relu")
+    layer = ModularLayer(pool, Controller(rng, 3, 4, n_slots), combine=combine)
+    x = Parameter(rng.standard_normal((5, 3)), "x")
+    sel = rng.integers(0, 4, size=(5, n_slots))
+    with Tape() as tape:
+        out = layer.forward_selected(tape.watch(x), sel)
+        assert [r.kind for r in tape._records] == ["pool-combine"]
+    untaped = layer.forward_selected(x.data, sel)
+    assert untaped.node is None and np.array_equal(untaped.data, out.data)
+
+
 # ---------------------------------------------------------------------------
 # full net
 
