@@ -175,6 +175,13 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     ):
         if size < least:
             raise ConfigError(f"{name}: must be >= {least}, got {size}")
+    for name in ("center", "spread", "scale_lo", "scale_hi"):
+        if not math.isfinite(getattr(t, name)):
+            raise ConfigError(f"task.{name}: must be a finite number, got {getattr(t, name)}")
+    if t.scale_lo > t.scale_hi:
+        raise ConfigError(
+            f"task.scale_lo: must be <= task.scale_hi ({t.scale_hi}), got {t.scale_lo}"
+        )
     if a.combine not in ("sum", "concat"):
         raise ConfigError(f"architecture.combine: 'sum' or 'concat', got {a.combine!r}")
     if a.module_kind not in ("linear", "linear-relu"):

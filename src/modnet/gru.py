@@ -45,7 +45,10 @@ its order, so the bits are those of the row-major steps.
 ``modular.ModularModel``, whose ``propose_and_score`` scores the
 incumbent and every proposal in one unroll over tiled rows, and
 ``NoisyTopKGruLM`` the mixture protocol of ``modular.MixtureModel``.
-Each writes only its ``rollout``; ``_GruLM.snapshot`` makes every
+Each writes only its ``rollout``; ``ModularGruLM``'s takes one
+``modular.Routing`` step per timestep, as the feedforward stack takes
+one per layer, and under a tape scores the stacked rows with the
+controller heads after the unroll.  ``_GruLM.snapshot`` makes every
 timestep a routing decision of its own.
 """
 
@@ -81,7 +84,7 @@ from modnet.modular import (
     ModulePool,
     NoisyTopKGate,
     RolloutResult,
-    choose,
+    Routing,
     slot_counts,
 )
 
@@ -422,63 +425,39 @@ class ModularGruLM(_GruLM, ModularModel):
         chooses selections: ``cond_ll`` and ``pred_ll`` come back None.
         """
         tokens, targets = self._checked(tokens, targets)
-        taped = active_tape() is not None
         batch, steps = tokens.shape
-
-        n_mod, hid = self.n_modules, self.cell.hidden
-        if comps is not None:
-            comps = np.asarray(comps)
-            if comps.shape != (batch, steps, self.n_slots):
-                raise ValueError(
-                    f"comps shape {comps.shape}, expected "
-                    f"{(batch, steps, self.n_slots)}"
-                )
-            if comps.size and (comps.min() < 0 or comps.max() >= n_mod):
-                raise ShapeError(f"module index out of range [0, {n_mod})")
-
-        ctrl_model = self.cell.controller
-        chosen = np.empty((batch, steps, self.n_slots), dtype=np.int64)
-        probs_out = np.empty((batch, steps, self.n_slots, n_mod)) if collect_probs else None
-        need_probs = collect_probs or comps is None or sample_mask is not None
+        walk = Routing(
+            self, batch, steps, comps, sample_mask, greedy, rng, with_ctrl, collect_probs
+        )
+        ctrl_model, n_mod, hid = self.cell.controller, self.n_modules, self.cell.hidden
         # fully forced selections: every step's slot counts at once, time-major
         # and contiguous, as the unroll keeps them for BPTT
         forced_counts = (
-            np.ascontiguousarray(slot_counts(comps.transpose(1, 0, 2), n_mod))
+            np.ascontiguousarray(slot_counts(walk.comps.transpose(1, 0, 2), n_mod))
             if comps is not None and sample_mask is None
             else None
         )
-        # untaped sum of the per-step controller log-likelihoods
-        score = with_ctrl and not taped
-        ctrl_sum = [None]
 
         def select(t, hx):
-            parts = ctrl_model.parts(hx) if need_probs or score else None
-            p = ctrl_model.distribution(hx, parts) if need_probs else None
-            sel = choose(p, None if comps is None else comps[:, t], greedy, rng, sample_mask)
-            chosen[:, t] = sel
-            if collect_probs:
-                probs_out[:, t] = p
-            if score:
-                term = ctrl_model.log_prob_values(parts, sel)
-                ctrl_sum[0] = term if ctrl_sum[0] is None else ctrl_sum[0] + term
-            counts = forced_counts[t] if forced_counts is not None else slot_counts(sel, n_mod)
+            sel = walk.step(t, ctrl_model, hx)
+            counts = slot_counts(sel, n_mod) if forced_counts is None else forced_counts[t]
             return counts, None
 
-        if forced_counts is not None and not (need_probs or score):
+        if forced_counts is not None and not walk.need_parts:
             # nothing to compute per step: the unroll reads the counts directly
-            chosen[...] = comps
+            walk.chosen[...] = walk.comps
             select = forced_counts
         cond, pred_ll, rows = self._scored_unroll(tokens, targets, select)
-        ctrl = None if ctrl_sum[0] is None else Tensor(ctrl_sum[0])
-        if taped and with_ctrl:
+        ctrl = None
+        if walk.taped and with_ctrl:
             if detach_ctrl_inputs:
                 hx_rows = constant(rows.data[:, hid:])
             else:
                 hx_rows = slice_last(rows, hid, rows.shape[1])
-            sel_rows = chosen.transpose(1, 0, 2).reshape(-1, self.n_slots)
+            sel_rows = walk.chosen.transpose(1, 0, 2).reshape(-1, self.n_slots)
             term = ctrl_model.log_prob(hx_rows, sel_rows)
             ctrl = sum_over_axis(reshape(term, (steps, batch)), axis=0)
-        return RolloutResult(cond, ctrl, chosen, pred_ll, probs_out)
+        return walk.result(cond, ctrl, pred_ll)
 
 
 class NoisyTopKGruLM(_GruLM, MixtureModel):

@@ -10,7 +10,8 @@ choice is a latent variable; training strategies live in ``em`` and
 The models form a grid: a feedforward stack (``_Stack``) or a GRU
 language model (``gru._GruLM``), under the controller protocol
 (``ModularModel``) or the mixture protocol (``MixtureModel``).  Each
-concrete model writes only its ``rollout``.
+concrete model writes only its ``rollout``; both controller-routed ones
+take the same ``Routing`` step at every unit, a layer or a timestep.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from modnet.autodiff import (
     gaussian_log_density,
     matmul,
     mul,
-    paused,
     record_joint,
     relu,
     slice_last,
@@ -554,47 +554,81 @@ class RolloutResult:
     outputs: np.ndarray | None = None
 
 
+class Routing:
+    """One rollout's controller step at every unit, a layer of ``ModularNet``
+    or a timestep of ``gru.ModularGruLM``.  It checks forced ``comps`` once;
+    each ``step`` forms the controller's ``parts`` only when needed, selects
+    through ``choose`` and off the tape with ``with_ctrl`` adds to ``ctrl_sum``
+    the ``Controller.log_prob_values``, with the taped ``log_prob``'s bits.
+    Under a tape (``taped``) the model scores with ``log_prob`` itself."""
+
+    def __init__(
+        self, model, batch, units, comps, sample_mask, greedy, rng, with_ctrl, collect_probs
+    ):
+        shape = (batch, units, model.n_slots)
+        if comps is not None:
+            comps = np.asarray(comps)
+            if comps.shape != shape:
+                raise ShapeError(f"composition shape {comps.shape}, expected {shape}")
+            if comps.size and (comps.min() < 0 or comps.max() >= model.n_modules):
+                raise ShapeError(f"module index out of range [0, {model.n_modules})")
+        self.comps, self.sample_mask, self.greedy, self.rng = comps, sample_mask, greedy, rng
+        self.chosen = np.empty(shape, dtype=np.int64)
+        self.probs = np.empty((*shape, model.n_modules)) if collect_probs else None
+        self.need_probs = collect_probs or comps is None or sample_mask is not None
+        self.taped = active_tape() is not None
+        self.score = with_ctrl and not self.taped
+        self.need_parts = self.need_probs or self.score
+        self.ctrl_sum = None
+
+    def step(self, u: int, controller: Controller, x) -> np.ndarray:
+        """Unit u's (batch, slots) selection on its input x."""
+        parts = controller.parts(x) if self.need_parts else None
+        p = controller.distribution(x, parts) if self.need_probs else None
+        forced = None if self.comps is None else self.comps[:, u]
+        sel = choose(p, forced, self.greedy, self.rng, self.sample_mask)
+        self.chosen[:, u] = sel
+        if self.probs is not None:
+            self.probs[:, u] = p
+        if self.score:
+            term = controller.log_prob_values(parts, sel)
+            self.ctrl_sum = term if self.ctrl_sum is None else self.ctrl_sum + term
+        return sel
+
+    def result(self, cond, taped_ctrl, pred_ll, outputs=None) -> RolloutResult:
+        """The walk's ``RolloutResult``; its controller log-likelihood is
+        ``taped_ctrl`` under a tape, else the off-tape sum."""
+        ctrl = taped_ctrl if self.ctrl_sum is None else Tensor(self.ctrl_sum)
+        return RolloutResult(cond, ctrl, self.chosen, pred_ll, self.probs, outputs)
+
+
 class ModularModel:
     """The controller protocol, shared by ``ModularNet`` and
     ``gru.ModularGruLM``.
 
-    Inputs and targets are arrays; a composition is an integer array of
-    shape (batch, units, slots), a unit being a layer or a timestep, and
-    ``comps=None`` lets the controller choose.  Each model supplies
-    ``rollout``, one walk that picks each unit's selection (forced, greedy
-    or sampled) and scores it as it goes; its architecture supplies
-    ``snapshot`` and ``n_units``.  Given both ``comps`` and a boolean ``sample_mask``
-    over the rows, ``rollout`` keeps unmasked rows forced and lets masked
-    rows draw afresh, so one walk scores fixed and proposed compositions
-    side by side.  On ``rollout`` this base builds ``log_liks(inputs,
-    targets, comps, with_ctrl, detach_ctrl_inputs, rng)`` (per-example
-    conditional and controller log-likelihood tensors, the second None
-    without ``with_ctrl``; with ``comps`` None the same walk draws the
-    compositions with ``rng``), ``score`` (joint values),
-    ``propose_and_score`` (the incumbent and fresh draws with joint
-    scores, from one walk over tiled rows), ``sample`` (off any tape),
-    ``probe(inputs, rng, comps=None)`` (a ``SelectionSnapshot`` along
-    sampled or forced paths, and those paths), ``marginal_log_lik`` and
-    ``evaluate(inputs, targets, comps=None)`` (predictions or None, and
-    conditional log-likelihoods along the greedy or forced path).
+    A composition is an integer array (batch, units, slots), a unit being
+    a layer or a timestep.  Each model supplies ``rollout``, one walk that
+    takes a ``Routing`` step per unit (``comps`` forced, else greedy, else
+    sampled with ``rng``) and scores as it goes: the targets when given,
+    and with ``with_ctrl`` the controller, whose gradient
+    ``detach_ctrl_inputs`` keeps out of earlier units.  With both
+    ``comps`` and a boolean ``sample_mask`` masked rows draw afresh, so
+    one walk scores fixed and proposed compositions side by side.  Its
+    architecture supplies ``snapshot`` and ``n_units``.  On ``rollout``
+    this base builds ``score`` (joint values), ``propose_and_score`` (the
+    incumbent and fresh draws, scored in one walk over tiled rows),
+    ``probe`` (a ``SelectionSnapshot`` along sampled or forced paths),
+    ``evaluate`` (along the greedy or forced path) and
+    ``marginal_log_lik``.
     """
 
     # compositions an exhaustive sum may enumerate unless told otherwise
     ENUM_BUDGET = 100_000
 
-    def log_liks(
-        self, x, y, comps, with_ctrl: bool = False, detach_ctrl_inputs: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor, Tensor | None]:
-        res = self.rollout(
-            x, y, comps=comps, rng=rng, with_ctrl=with_ctrl,
-            detach_ctrl_inputs=detach_ctrl_inputs,
-        )
-        return res.cond_ll, res.ctrl_ll
-
     def score(self, x, y, comps) -> np.ndarray:
         """Joint log p(y, comps | x) per example, value only."""
-        return add(*self.log_liks(x, y, comps, with_ctrl=True)).data
+        res = self.rollout(x, y, comps=comps, with_ctrl=True)
+        return add(res.cond_ll, res.ctrl_ll).data
 
     def propose_and_score(self, x, y, incumbent, n_samples: int, rng: np.random.Generator):
         """The incumbent, then ``n_samples`` controller draws, all drawn and
@@ -609,11 +643,6 @@ class ModularModel:
         res = self.rollout(x, y, comps=forced, sample_mask=mask, rng=rng, with_ctrl=True)
         scores = add(res.cond_ll, res.ctrl_ll).data.reshape(tile, batch)
         return res.comps.reshape(tile, batch, *res.comps.shape[1:]), scores
-
-    def sample(self, x, rng: np.random.Generator) -> np.ndarray:
-        # off any tape, and without targets the walk skips the output head
-        with paused():
-            return self.rollout(x, rng=rng).comps
 
     def probe(self, x, rng: np.random.Generator, comps=None):
         res = self.rollout(x, comps=comps, rng=rng, collect_probs=True)
@@ -642,15 +671,11 @@ class MixtureModel:
     ``gru.NoisyTopKGruLM``.  Each model supplies ``rollout(inputs,
     targets=None, train=False, rng=None, collect_probs=False)``, one walk
     that mixes each unit's modules by its gate (noisy with ``rng`` when
-    ``train``); its ``probs`` hold the gate weights as one-head
-    distributions.  On it this base builds ``cond_log_lik(inputs, targets,
-    train, rng)``, ``probe`` and ``evaluate``; ``marginal_log_lik`` raises
-    ValueError, as there are no compositions to enumerate."""
-
-    def cond_log_lik(
-        self, x, y, train: bool = False, rng: np.random.Generator | None = None
-    ) -> Tensor:
-        return self.rollout(x, y, train=train, rng=rng).cond_ll
+    ``train``) and scores the targets when given; its ``probs`` hold the
+    gate weights as one-head distributions, and it has no controller
+    log-likelihood.  On it this base builds ``probe`` and ``evaluate``;
+    ``marginal_log_lik`` raises ValueError, as there are no compositions
+    to enumerate."""
 
     def probe(self, x, rng=None, comps=None):
         """Noise-free gate weights as one-head distributions; the path is
@@ -724,33 +749,21 @@ class ModularNet(_Stack, ModularModel):
         ``detach_ctrl_inputs`` blocks its gradient into earlier layers.
         The head scores ``y`` only when given.
         """
-        n_layers = len(self.layers)
-        if comps is not None:
-            comps = np.asarray(comps)
-            if comps.ndim != 3 or comps.shape[1] != n_layers:
-                raise ShapeError(
-                    f"composition shape {comps.shape}, expected (batch, {n_layers}, slots)"
-                )
         h: Tensor = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-        chosen = np.empty((h.shape[0], n_layers, self.n_slots), dtype=np.int64)
-        probs = np.empty((*chosen.shape, self.n_modules)) if collect_probs else None
+        batch, n_layers = h.shape[0], len(self.layers)
+        walk = Routing(
+            self, batch, n_layers, comps, sample_mask, greedy, rng, with_ctrl, collect_probs
+        )
         ctrl_ll: Tensor | None = None
         for l, layer in enumerate(self.layers):
-            forced = None if comps is None else comps[:, l]
-            need_probs = collect_probs or forced is None or sample_mask is not None
-            p = layer.controller.distribution(h) if need_probs else None
-            sel = choose(p, forced, greedy, rng, sample_mask)
-            if with_ctrl:
-                inp = constant(h) if detach_ctrl_inputs else h
-                term = layer.controller.log_prob(inp, sel)
+            sel = walk.step(l, layer.controller, h)
+            if with_ctrl and walk.taped:
+                term = layer.controller.log_prob(constant(h) if detach_ctrl_inputs else h, sel)
                 ctrl_ll = term if ctrl_ll is None else add(ctrl_ll, term)
             h = layer.forward_selected(h, sel)
-            chosen[:, l] = sel
-            if collect_probs:
-                probs[:, l] = p
         cond = None if y is None else self.head.log_prob(h, y)
         pred_ll = None if cond is None else cond.data
-        return RolloutResult(cond, ctrl_ll, chosen, pred_ll, probs, outputs=h.data)
+        return walk.result(cond, ctrl_ll, pred_ll, outputs=h.data)
 
 
 class NoisyTopKNet(_Stack, MixtureModel):

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 import modnet
-from modnet.autodiff import Tensor, add, constant, mean_all, mul
+from modnet.autodiff import Tensor, add, constant, mean_all, mul, paused
 from modnet.baselines import NoisyTopKTrainer, ReinforceTrainer, StaticTrainer
 from modnet.config import (
     ConfigError,
@@ -99,11 +99,14 @@ class Task:
         return np.concatenate([inc[None], space]), np.vstack([self.model.score(x, y, inc), scores])
 
     def objective(self, idx, comps, with_ctrl: bool = True) -> Tensor:
-        cond, ctrl = self.model.log_liks(self.inputs[idx], self.targets[idx], comps, with_ctrl)
-        return mean_all(add(cond, ctrl) if with_ctrl else cond)
+        x, y = self.inputs[idx], self.targets[idx]
+        res = self.model.rollout(x, y, comps=comps, with_ctrl=with_ctrl)
+        return mean_all(add(res.cond_ll, res.ctrl_ll) if with_ctrl else res.cond_ll)
 
     def sample_comps(self, idx, rng):
-        return self.model.sample(self.inputs[idx], rng)
+        # off any tape, and without targets the walk skips the output head
+        with paused():
+            return self.model.rollout(self.inputs[idx], rng=rng).comps
 
     def reinforce_surrogate(self, idx, comps, baseline, rng=None):
         """Score-function surrogate: the conditional log-likelihood plus the
@@ -114,13 +117,14 @@ class Task:
         rollout both samples and scores.
         """
         x, y = self.inputs[idx], self.targets[idx]
-        cond, ctrl = self.model.log_liks(x, y, comps, True, detach_ctrl_inputs=True, rng=rng)
-        rewards = cond.data.copy()
-        obj = add(mean_all(cond), mean_all(mul(ctrl, constant(rewards - baseline))))
+        res = self.model.rollout(x, y, comps, rng=rng, with_ctrl=True, detach_ctrl_inputs=True)
+        rewards = res.cond_ll.data.copy()
+        obj = add(mean_all(res.cond_ll), mean_all(mul(res.ctrl_ll, constant(rewards - baseline))))
         return obj, rewards
 
     def noisy_objective(self, idx, train, rng) -> Tensor:
-        return mean_all(self.model.cond_log_lik(self.inputs[idx], self.targets[idx], train, rng))
+        x, y = self.inputs[idx], self.targets[idx]
+        return mean_all(self.model.rollout(x, y, train=train, rng=rng).cond_ll)
 
     def static_comps(self, idx):
         return np.broadcast_to(self._pattern, (len(idx), *self.unit_shape))

@@ -123,6 +123,14 @@ def test_zero_dimension_is_exit_2(tmp_path, capsys, monkeypatch, config, overrid
         ("toy_em_smoke", "task.n=0", "task.n"),
         ("two_regime_em_smoke", "task.n_windows=0", "task.n_windows"),
         ("text_char_em", "task.path={tmp}/missing.txt", "task.path"),
+        # an infinite scale bound overflowed the uniform draw with a traceback,
+        # a NaN centre or spread trained into a numeric abort, and crossed
+        # scale bounds failed in numpy without naming either field
+        ("toy_em_smoke", "task.scale_lo=Infinity", "task.scale_lo"),
+        ("toy_em_smoke", "task.scale_hi=-Infinity", "task.scale_hi"),
+        ("toy_em_smoke", "task.center=NaN", "task.center"),
+        ("toy_em_smoke", "task.spread=NaN", "task.spread"),
+        ("toy_em_smoke", "task.scale_lo=3.0", "task.scale_lo"),
     ],
 )
 def test_bad_data_field_is_exit_2_before_any_run_directory(

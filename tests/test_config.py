@@ -131,6 +131,12 @@ def test_type_errors_are_rejected_with_path():
         ({"seed": -1}, "seed: must be >= 0, got -1"),
         ({"task": {"n": 0}}, "task.n: must be >= 1, got 0"),
         ({"task": {"kind": "two-regime-lm", "n_windows": 0}}, "task.n_windows: must be >= 1"),
+        # toy-task floats: non-finite values and crossed scale bounds
+        ({"task": {"center": float("nan")}}, "task.center: must be a finite number"),
+        ({"task": {"spread": float("inf")}}, "task.spread: must be a finite number"),
+        ({"task": {"scale_lo": float("inf")}}, "task.scale_lo: must be a finite number"),
+        ({"task": {"scale_hi": float("-inf")}}, "task.scale_hi: must be a finite number"),
+        ({"task": {"scale_lo": 3.0}}, r"task.scale_lo: must be <= task.scale_hi \(2.0\), got 3.0"),
     ],
 )
 def test_validation_rejects_bad_combinations(patch, needle):

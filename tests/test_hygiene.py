@@ -4,6 +4,7 @@ harness (read only: the harness is never edited from here)."""
 import ast
 import glob
 import os
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCES = sorted(
@@ -102,3 +103,60 @@ def test_every_package_definition_is_read_somewhere():
     package = [p for p in sources if p.startswith(os.path.join("src", "modnet"))]
     assert len(package) > 10
     assert unread_definitions(sources, package) == []
+
+
+def method_reads(tree: ast.AST) -> Counter:
+    """How often a tree reads each name: bare or attribute loads, and
+    string constants, since a tracer names the attributes it wraps."""
+    return Counter(
+        n.value if isinstance(n, ast.Constant) else n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if (isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+        or (isinstance(n, ast.Constant) and isinstance(n.value, str))
+    )
+
+
+def unread_methods(sources: dict[str, str], defining: list[str]) -> list[str]:
+    """Methods of the top-level classes of the ``defining`` files, dunders
+    aside, whose name nothing reads outside the method's own body."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    reads = sum((method_reads(tree) for tree in trees.values()), Counter())
+    dead = []
+    for path in defining:
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if fn.name.startswith("__") and fn.name.endswith("__"):
+                    continue
+                if reads[fn.name] == method_reads(fn)[fn.name]:
+                    dead.append(f"{path}: {cls.name}.{fn.name} (line {fn.lineno})")
+    return dead
+
+
+def test_method_scan_flags_only_unread_methods():
+    lib = (
+        "class A:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def by_name(self): pass\n"
+        "    def recursive(self): return self.recursive()\n"
+        "    def dead(self): pass\n"
+        "    @property\n"
+        "    def prop(self): return 1\n"
+    )
+    user = "a = A()\na.used()\nsetattr(A, 'by_name', None)\nprint(a.prop)\na.dead = 2\n"
+    found = unread_methods({"lib.py": lib, "user.py": user}, ["lib.py"])
+    assert found == ["lib.py: A.recursive (line 5)", "lib.py: A.dead (line 6)"]
+
+
+def test_every_package_method_is_read_somewhere():
+    sources = {}
+    for path in SOURCES:
+        with open(path) as fh:
+            sources[os.path.relpath(path, ROOT)] = fh.read()
+    package = [p for p in sources if p.startswith(os.path.join("src", "modnet"))]
+    assert len(package) > 10
+    assert unread_methods(sources, package) == []

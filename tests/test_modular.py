@@ -20,6 +20,7 @@ from modnet.autodiff import (
     softmax_parts_first,
 )
 from modnet.datasets import gen_two_regime_sequences
+from modnet.gru import ModularGruLM
 from modnet.modular import (
     Controller,
     Linear,
@@ -504,9 +505,9 @@ def test_joint_log_prob_is_cond_plus_ctrl():
         [RNG.integers(0, 3, size=(5, 2)), RNG.integers(0, 3, size=(5, 2))], axis=1
     ).astype(np.int64)
     joint = net.score(x, y, comps)
-    cond, ctrl_ll = net.log_liks(x, y, comps, with_ctrl=True)
-    assert net.log_liks(x, y, comps)[1] is None
-    cond = cond.data
+    res = net.rollout(x, y, comps=comps, with_ctrl=True)
+    assert net.rollout(x, y, comps=comps).ctrl_ll is None
+    cond, ctrl_ll = res.cond_ll.data, res.ctrl_ll
     ctrl = 0.0
     h = x
     for l, layer in enumerate(net.layers):
@@ -674,6 +675,45 @@ def test_propose_and_score_matches_trace_then_score(n_layers, n_slots):
     assert got_rng.random() == want_rng.random()
 
 
+def taped_joint(net, x, y, comps) -> np.ndarray:
+    """The joint scores of a rollout under a tape, where each layer's
+    controller scores its choice with the taped ``Controller.log_prob``."""
+    with Tape():
+        res = net.rollout(x, y, comps=comps, with_ctrl=True)
+    return add(res.cond_ll, res.ctrl_ll).data
+
+
+# from 8 modules softmax_parts_first sums a row-major copy
+@pytest.mark.parametrize("n_modules", [2, 3, 8, 9, 16])
+@pytest.mark.parametrize("n_slots", [1, 2, 3])
+def test_off_tape_scores_keep_the_taped_bits(n_modules, n_slots):
+    # off the tape the walk adds Controller.log_prob_values head by head
+    for rows, scale in ((1, 1.0), (7, 1.0), (64, 1.0), (64, 1000.0)):
+        rng = np.random.default_rng(100 * n_modules + 10 * n_slots + rows)
+        net = small_net(n_layers=2, n_modules=n_modules, n_slots=n_slots, rng=rng)
+        x, y = scale * rng.standard_normal((rows, 2)), rng.standard_normal((rows, 2))
+        comps = rng.integers(0, n_modules, size=(rows, 2, n_slots))
+        assert net.score(x, y, comps).tobytes() == taped_joint(net, x, y, comps).tobytes()
+        cands, scores = net.propose_and_score(x, y, comps, 3, rng)
+        tiled = [np.concatenate([a] * 4) for a in (x, y)]
+        want = taped_joint(net, *tiled, cands.reshape(4 * rows, 2, n_slots))
+        assert scores.reshape(-1).tobytes() == want.tobytes()
+
+
+def test_both_controller_models_refuse_bad_compositions():
+    net = small_net(n_layers=2, n_modules=3, n_slots=2)
+    lm = ModularGruLM(np.random.default_rng(3), 5, 3, 4, 3, 2)
+    for model, inputs in ((net, np.zeros((4, 2))), (lm, np.zeros((4, 2), dtype=np.int64))):
+        for shape in ((4, 2, 1), (4, 3, 2), (3, 2, 2), (4, 2)):
+            with pytest.raises(ShapeError, match="composition shape"):
+                model.rollout(inputs, comps=np.zeros(shape, dtype=np.int64))
+        for bad in (-1, 3):
+            comps = np.zeros((4, 2, 2), dtype=np.int64)
+            comps[1, 1, 1] = bad
+            with pytest.raises(ShapeError, match=r"module index out of range \[0, 3\)"):
+                model.rollout(inputs, comps=comps)
+
+
 @pytest.mark.parametrize("n_layers", [1, 2])
 def test_each_proposal_and_evaluation_walks_the_stack_once(monkeypatch, n_layers):
     net = small_net(n_layers=n_layers)
@@ -704,7 +744,8 @@ def test_full_net_grad_check():
     ).astype(np.int64)
 
     def fn():
-        return mean_all(add(*net.log_liks(x, y, comps, with_ctrl=True)))
+        res = net.rollout(x, y, comps=comps, with_ctrl=True)
+        return mean_all(add(res.cond_ll, res.ctrl_ll))
 
     assert grad_check(fn, net.parameters(), step=1e-5) < 1e-4
 
@@ -868,7 +909,7 @@ def test_topk_net_protocol_matches_layer_walk_oracle():
     assert np.array_equal(res.outputs, out) and np.array_equal(res.probs, probs)
     assert np.array_equal(res.cond_ll.data, ll) and np.array_equal(res.pred_ll, ll)
     assert res.ctrl_ll is None and res.comps.shape == (7, 3, 0)
-    assert np.array_equal(net.cond_log_lik(x, y).data, ll)
+    assert np.array_equal(net.rollout(x, y).cond_ll.data, ll)
     pred, got_ll = net.evaluate(x, y)
     assert np.array_equal(pred, out) and np.array_equal(got_ll, ll)
     snap, paths = net.probe(x)
@@ -884,7 +925,7 @@ def test_topk_net_protocol_matches_layer_walk_oracle():
     res = net.rollout(x, y, train=True, rng=np.random.default_rng(5), collect_probs=True)
     assert np.array_equal(res.outputs, out_t) and np.array_equal(res.probs, probs_t)
     assert np.array_equal(res.cond_ll.data, ll_t)
-    got = net.cond_log_lik(x, y, train=True, rng=np.random.default_rng(5))
+    got = net.rollout(x, y, train=True, rng=np.random.default_rng(5)).cond_ll
     assert np.array_equal(got.data, ll_t)
     with pytest.raises(ValueError, match="no compositions"):
         net.marginal_log_lik(x, y)
