@@ -2,7 +2,10 @@
 
 Unknown keys and invalid values fail fast with the offending field path,
 so a typo in a sweep file surfaces immediately instead of training the
-wrong thing.
+wrong thing.  Each leaf field states its own rule with ``rule(default,
+least=, above=, below=, choices=)``; a float must also be finite, and a
+bare ``rule(default)`` checks the type alone.  ``validate`` applies every
+field's rule in one loop, then the few rules that tie fields together.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field, fields
 
@@ -18,77 +22,97 @@ class ConfigError(Exception):
     """Bad experiment configuration; message names the field path."""
 
 
-TASK_KINDS = ("toy-regression", "two-regime-lm", "text-lm")
-TRAINER_KINDS = ("em", "reinforce", "noisy-topk", "static")
-
 # accepted spellings for fields whose common shorthand differs
-ALIASES = {
-    "S": "n_samples",
-    "max_iterations": "iterations",
-    "m_batch": "batch",
-}
+ALIASES = {"S": "n_samples", "max_iterations": "iterations", "m_batch": "batch"}
+
+_OPS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One field's own constraint: ``(op, bound)`` limits, allowed choices."""
+
+    limits: tuple[tuple[str, float], ...] = ()
+    choices: tuple[str, ...] | None = None
+
+    def check(self, value, path: str) -> None:
+        if self.choices is not None and value not in self.choices:
+            raise ConfigError(f"{path}: must be one of {self.choices}, got {value!r}")
+        ok = all(_OPS[op](value, bound) for op, bound in self.limits)
+        text = " and ".join(f"{op} {bound}" for op, bound in self.limits)
+        if isinstance(value, float) and not (math.isfinite(value) and ok):
+            raise ConfigError(f"{path}: must be a finite number {text}".rstrip() + f", got {value}")
+        if not ok:
+            raise ConfigError(f"{path}: must be {text}, got {value}")
+
+
+def rule(default, least=None, above=None, below=None, choices=None):
+    """A field with ``default`` that must be >= least, > above, < below, in choices."""
+    limits = tuple((op, b) for op, b in zip(_OPS, (least, above, below)) if b is not None)
+    return field(default=default, metadata={"rule": Rule(limits, choices)})
 
 
 @dataclass
 class ArchitectureConfig:
-    n_layers: int = 1
-    n_modules: int = 2
-    n_slots: int = 1
-    hidden: int = 8
-    combine: str = "sum"
-    module_kind: str = "linear"
-    embed_dim: int = 32
-    topk: int = 4
+    n_layers: int = rule(1, least=1)
+    n_modules: int = rule(2, least=1)
+    n_slots: int = rule(1, least=1)
+    hidden: int = rule(8, least=1)
+    combine: str = rule("sum", choices=("sum", "concat"))
+    module_kind: str = rule("linear", choices=("linear", "linear-relu"))
+    embed_dim: int = rule(32, least=1)
+    topk: int = rule(4, least=1)
 
 
 @dataclass
 class TrainerConfig:
-    kind: str = "em"
-    iterations: int = 1000
-    lr: float = 1e-3
-    n_samples: int = 10
-    m_steps: int = 15
-    e_batch: int = 64
-    batch: int = 64
-    clip_norm: float | None = None
-    samples_per_example: int = 1
-    ema_decay: float = 0.99
-    static_indices: list[int] | None = None
+    kind: str = rule("em", choices=("em", "reinforce", "noisy-topk", "static"))
+    iterations: int = rule(1000, least=0)
+    lr: float = rule(1e-3, above=0)
+    n_samples: int = rule(10, least=1)
+    m_steps: int = rule(15, least=1)
+    e_batch: int = rule(64, least=1)
+    batch: int = rule(64, least=1)
+    clip_norm: float | None = rule(None, least=0)  # 0 disables clipping
+    samples_per_example: int = rule(1, least=1)
+    ema_decay: float = rule(0.99, above=0, below=1)
+    static_indices: list[int] | None = rule(None)
 
 
 @dataclass
 class TaskConfig:
-    kind: str = "toy-regression"
+    kind: str = rule("toy-regression", choices=("toy-regression", "two-regime-lm", "text-lm"))
     # two-cluster regression
-    n: int = 2000
-    dim: int = 2
-    center: float = 2.0
-    spread: float = 0.5
-    scale_lo: float = 0.5
-    scale_hi: float = 2.0
+    n: int = rule(2000, least=1)
+    dim: int = rule(2, least=1)
+    center: float = rule(2.0)
+    spread: float = rule(0.5)
+    scale_lo: float = rule(0.5)
+    scale_hi: float = rule(2.0)
     # symbol-chain and text modelling
-    n_windows: int = 2000
-    unroll: int = 20
-    n_states: int = 6
-    noise: float = 0.1
-    path: str | None = None
-    mode: str = "char"
-    vocab_cap: int = 10_000
+    n_windows: int = rule(2000, least=1)
+    unroll: int = rule(20, least=1)
+    n_states: int = rule(6, least=2)
+    noise: float = rule(0.1, least=0, below=1)
+    path: str | None = rule(None)
+    mode: str = rule("char", choices=("char", "word"))
+    # word mode keeps <unk>, <eos> and at least one word
+    vocab_cap: int = rule(10_000, least=3)
 
 
 @dataclass
 class DiagnosticsConfig:
-    interval: int = 1
-    probe_size: int = 256
-    export_images: bool = False
-    export_traces: bool = False
-    checkpoint_interval: int = 0
+    interval: int = rule(1, least=1)
+    probe_size: int = rule(256, least=1)
+    export_images: bool = rule(False)
+    export_traces: bool = rule(False)
+    checkpoint_interval: int = rule(0, least=0)
 
 
 @dataclass
 class ExperimentConfig:
-    seed: int = 0
-    out_dir: str | None = None
+    seed: int = rule(0, least=0)
+    out_dir: str | None = rule(None)
     task: TaskConfig = field(default_factory=TaskConfig)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     architecture: ArchitectureConfig = field(default_factory=ArchitectureConfig)
@@ -154,44 +178,24 @@ def _coerce(value, ftype, path: str):
     raise TypeError(f"{path}: no rule for field type {ft!r}")
 
 
+def _check_fields(obj, prefix: str = "") -> None:
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in _SECTIONS:
+            _check_fields(value, f"{prefix}{f.name}.")
+        elif value is not None:
+            f.metadata["rule"].check(value, prefix + f.name)
+
+
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    t, tr, a, d = cfg.task, cfg.trainer, cfg.architecture, cfg.diagnostics
-    if t.kind not in TASK_KINDS:
-        raise ConfigError(f"task.kind: must be one of {TASK_KINDS}, got {t.kind!r}")
-    if tr.kind not in TRAINER_KINDS:
-        raise ConfigError(
-            f"trainer.kind: must be one of {TRAINER_KINDS}, got {tr.kind!r}"
-        )
-    if a.n_modules < 1 or a.n_slots < 1 or a.n_layers < 1:
-        raise ConfigError("architecture: layers, modules, and slots must be >= 1")
-    for name, size, least in (
-        ("seed", cfg.seed, 0),
-        ("architecture.hidden", a.hidden, 1),
-        ("architecture.embed_dim", a.embed_dim, 1),
-        ("task.unroll", t.unroll, 1),
-        ("task.dim", t.dim, 1),
-        ("task.n", t.n, 1),
-        ("task.n_windows", t.n_windows, 1),
-    ):
-        if size < least:
-            raise ConfigError(f"{name}: must be >= {least}, got {size}")
-    for name in ("center", "spread", "scale_lo", "scale_hi"):
-        if not math.isfinite(getattr(t, name)):
-            raise ConfigError(f"task.{name}: must be a finite number, got {getattr(t, name)}")
+    _check_fields(cfg)
+    t, tr, a = cfg.task, cfg.trainer, cfg.architecture
     if t.scale_lo > t.scale_hi:
         raise ConfigError(
             f"task.scale_lo: must be <= task.scale_hi ({t.scale_hi}), got {t.scale_lo}"
         )
-    if a.combine not in ("sum", "concat"):
-        raise ConfigError(f"architecture.combine: 'sum' or 'concat', got {a.combine!r}")
-    if a.module_kind not in ("linear", "linear-relu"):
-        raise ConfigError(
-            f"architecture.module_kind: 'linear' or 'linear-relu', got {a.module_kind!r}"
-        )
-    if tr.kind == "noisy-topk" and not 1 <= a.topk <= a.n_modules:
-        raise ConfigError(
-            f"architecture.topk: must lie in [1, {a.n_modules}], got {a.topk}"
-        )
+    if tr.kind == "noisy-topk" and a.topk > a.n_modules:
+        raise ConfigError(f"architecture.topk: must lie in [1, {a.n_modules}], got {a.topk}")
     if tr.kind == "noisy-topk" and a.combine != "sum":
         raise ConfigError("architecture.combine: a noisy top-k gate sums its module outputs")
     if tr.kind == "noisy-topk" and a.n_slots != 1:
@@ -200,9 +204,7 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         )
     if t.kind in ("two-regime-lm", "text-lm"):
         if a.n_layers != 1:
-            raise ConfigError(
-                "architecture.n_layers: recurrent tasks use a single modular cell"
-            )
+            raise ConfigError("architecture.n_layers: recurrent tasks use a single modular cell")
         if a.combine != "sum":
             raise ConfigError("architecture.combine: recurrent cells sum module outputs")
         if a.module_kind != "linear":
@@ -217,26 +219,12 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         )
     if t.kind == "text-lm" and not t.path:
         raise ConfigError("task.path: text modelling needs a corpus file")
-    if t.kind == "two-regime-lm" and t.n_states < 2:
-        raise ConfigError("task.n_states: need at least two states")
-    if not 0.0 <= t.noise < 1.0:
-        raise ConfigError(f"task.noise: must lie in [0, 1), got {t.noise}")
-    if tr.iterations < 0:
-        raise ConfigError("trainer.iterations: must be >= 0")
-    if min(tr.n_samples, tr.m_steps, tr.e_batch, tr.batch) < 1:
+    # the generator needs each state's likeliest successor to be its permutation's
+    if t.kind == "two-regime-lm" and not 1.0 - t.noise > t.noise / (t.n_states - 1):
         raise ConfigError(
-            "trainer: n_samples, m_steps, e_batch, and batch must be >= 1"
+            f"task.noise: must be < (n_states - 1) / n_states = "
+            f"{(t.n_states - 1) / t.n_states:.4g} for two-regime-lm, got {t.noise}"
         )
-    if not (math.isfinite(tr.lr) and tr.lr > 0):
-        raise ConfigError(f"trainer.lr: must be a finite number > 0, got {tr.lr}")
-    if tr.clip_norm is not None and not (math.isfinite(tr.clip_norm) and tr.clip_norm >= 0):
-        raise ConfigError(
-            f"trainer.clip_norm: must be a finite number >= 0 (0 disables), got {tr.clip_norm}"
-        )
-    if tr.samples_per_example < 1:
-        raise ConfigError("trainer.samples_per_example: must be >= 1")
-    if not 0.0 < tr.ema_decay < 1.0:
-        raise ConfigError("trainer.ema_decay: must lie in (0, 1)")
     if tr.static_indices is not None:
         if len(tr.static_indices) != a.n_slots:
             raise ConfigError(
@@ -244,13 +232,7 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
                 f"got {len(tr.static_indices)}"
             )
         if any(not 0 <= i < a.n_modules for i in tr.static_indices):
-            raise ConfigError(
-                f"trainer.static_indices: indices must lie in [0, {a.n_modules})"
-            )
-    if d.interval < 1 or d.probe_size < 1:
-        raise ConfigError("diagnostics: interval and probe_size must be >= 1")
-    if d.checkpoint_interval < 0:
-        raise ConfigError("diagnostics.checkpoint_interval: must be >= 0")
+            raise ConfigError(f"trainer.static_indices: indices must lie in [0, {a.n_modules})")
     return cfg
 
 
@@ -328,7 +310,5 @@ def check_resume_overrides(overrides: list[str]) -> None:
     for item in overrides:
         dotted = item.split("=", 1)[0]
         if dotted not in RESUME_OVERRIDABLE:
-            raise ConfigError(
-                f"override {dotted!r}: resume accepts only "
-                f"{sorted(RESUME_OVERRIDABLE)}"
-            )
+            allowed = sorted(RESUME_OVERRIDABLE)
+            raise ConfigError(f"override {dotted!r}: resume accepts only {allowed}")

@@ -189,12 +189,11 @@ def build_dataset(cfg: ExperimentConfig, streams: SeedStreams):
         return gen_two_regime_sequences(
             streams["data"], t.n_windows, t.unroll, t.n_states, t.noise
         )
-    if t.kind == "text-lm":
-        try:
-            return load_text_data(t.path, t.mode, t.unroll, t.vocab_cap)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"task.path: cannot read corpus {t.path!r}: {exc}") from exc
-    raise ConfigError(f"task.kind: unknown task {t.kind!r}")
+    # text-lm, the only kind left once the config has validated
+    try:
+        return load_text_data(t.path, t.mode, t.unroll, t.vocab_cap)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"task.path: cannot read corpus {t.path!r}: {exc}") from exc
 
 
 def _toy_dims(cfg: ExperimentConfig) -> list[tuple[int, int]]:
@@ -243,9 +242,7 @@ def build_trainer(cfg: ExperimentConfig, task, streams: SeedStreams):
         "reinforce": ReinforceTrainer,
         "noisy-topk": NoisyTopKTrainer,
         "static": StaticTrainer,
-    }.get(cfg.trainer.kind)
-    if trainer is None:
-        raise ConfigError(f"trainer.kind: unknown trainer {cfg.trainer.kind!r}")
+    }[cfg.trainer.kind]
     return trainer(task, cfg.trainer, streams, _effective_clip(cfg))
 
 

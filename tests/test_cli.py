@@ -131,6 +131,13 @@ def test_zero_dimension_is_exit_2(tmp_path, capsys, monkeypatch, config, overrid
         ("toy_em_smoke", "task.center=NaN", "task.center"),
         ("toy_em_smoke", "task.spread=NaN", "task.spread"),
         ("toy_em_smoke", "task.scale_lo=3.0", "task.scale_lo"),
+        # too much noise hung the two-regime generator, a word vocabulary of
+        # two symbols trained on <unk> and <eos> alone, and an unknown text
+        # mode failed in the corpus reader without naming the field
+        ("two_regime_em_smoke", "task.noise=0.9", "task.noise"),
+        ("text_char_em", "task.vocab_cap=2", "task.vocab_cap"),
+        ("text_char_em", "task.vocab_cap=0", "task.vocab_cap"),
+        ("text_char_em", "task.mode=xyz", "task.mode"),
     ],
 )
 def test_bad_data_field_is_exit_2_before_any_run_directory(
@@ -146,6 +153,15 @@ def test_bad_data_field_is_exit_2_before_any_run_directory(
     assert code == 2
     assert f"config error: {field}: " in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_word_mode_trains_at_the_smallest_vocab_cap(tmp_path, capsys):
+    # <unk>, <eos> and one word
+    out = tmp_path / "out"
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "text_char_em.json")
+    overrides = ["task.mode=word", "task.vocab_cap=3", "trainer.iterations=1", f"out_dir={out}"]
+    assert main(["run", shipped] + [a for o in overrides for a in ("--set", o)]) == 0
+    assert json.loads(capsys.readouterr().out)["iterations"] == 1
 
 
 @pytest.mark.parametrize("spec,field", [({"seed": -1}, "seed"), ({"task": {"n": 0}}, "task.n")])

@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import os
+from dataclasses import fields
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from modnet.cli import main
 from modnet.config import (
     ConfigError,
     ExperimentConfig,
+    Rule,
     apply_overrides,
     check_resume_overrides,
     from_dict,
@@ -16,6 +20,7 @@ from modnet.config import (
 from modnet.runner import _effective_clip
 
 TOY_EM = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy_em.json")
+TIDES = os.path.join(os.path.dirname(__file__), os.pardir, "data", "tides.txt")
 
 
 def test_empty_config_yields_defaults():
@@ -137,6 +142,9 @@ def test_type_errors_are_rejected_with_path():
         ({"task": {"scale_lo": float("inf")}}, "task.scale_lo: must be a finite number"),
         ({"task": {"scale_hi": float("-inf")}}, "task.scale_hi: must be a finite number"),
         ({"task": {"scale_lo": 3.0}}, r"task.scale_lo: must be <= task.scale_hi \(2.0\), got 3.0"),
+        # past (n_states - 1) / n_states the two-regime generator redrew its tables forever
+        ({"task": {"kind": "two-regime-lm", "noise": 0.9}}, "task.noise: must be < "),
+        ({"task": {"kind": "two-regime-lm", "n_states": 2, "noise": 0.5}}, "task.noise"),
     ],
 )
 def test_validation_rejects_bad_combinations(patch, needle):
@@ -221,11 +229,19 @@ def test_resume_overrides_only_reschedule():
         check_resume_overrides(["seed=2"])
 
 
-def _field_paths() -> list[str]:
-    paths = []
-    for name, body in ExperimentConfig().to_dict().items():
-        paths += [f"{name}.{sub}" for sub in body] if isinstance(body, dict) else [name]
-    return paths
+def _leaves() -> list[tuple[str, dataclasses.Field]]:
+    """(dotted path, field) for every leaf of the config schema."""
+    out, root = [], ExperimentConfig()
+    for f in fields(root):
+        section = getattr(root, f.name)
+        if dataclasses.is_dataclass(section):
+            out += [(f"{f.name}.{g.name}", g) for g in fields(section)]
+        else:
+            out.append((f.name, f))
+    return out
+
+
+LEAVES = dict(_leaves())
 
 
 JSON_VALUES = st.recursive(
@@ -238,7 +254,7 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 # real field paths, sections and junk; "=" would split the override elsewhere
-KEYS = st.sampled_from(_field_paths()) | st.text(alphabet="abkstx._", max_size=12)
+KEYS = st.sampled_from(list(LEAVES)) | st.text(alphabet="abkstx._", max_size=12)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -253,3 +269,116 @@ def test_any_single_override_validates_or_raises_config_error(key, value):
     except ConfigError:
         return
     assert from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the schema: every leaf field states its rule, and the rules are complete
+
+
+def test_every_leaf_field_declares_its_rule():
+    # a field added without rule() would skip validation
+    for path, f in LEAVES.items():
+        assert isinstance(f.metadata.get("rule"), Rule), path
+        if f.type == "int":
+            assert f.metadata["rule"].limits, f"{path}: an int field needs a least value"
+
+
+def _outside(f: dataclasses.Field) -> st.SearchStrategy:
+    """Values that break ``f``'s rule: a wrong JSON type, a choice not
+    offered, a bound crossed, or a non-finite float."""
+    r, is_float = f.metadata["rule"], f.type.startswith("float")
+    bad = [st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)]
+    if r.choices is not None:
+        bad.append(st.text(max_size=8).filter(lambda s: s not in r.choices))
+    if is_float:
+        bad.append(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    for op, b in r.limits:
+        if op == ">=" and not is_float:
+            bad.append(st.integers(max_value=b - 1))
+        elif op in (">=", ">"):
+            bad.append(st.floats(max_value=b, exclude_max=op == ">="))
+        else:
+            bad.append(st.floats(min_value=b))
+    return st.one_of(bad)
+
+
+@pytest.mark.parametrize("path", sorted(LEAVES))
+@settings(max_examples=6, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_value_outside_a_field_rule_is_exit_2_naming_the_field(
+    tmp_path, capsys, monkeypatch, path, data
+):
+    value = data.draw(_outside(LEAVES[path]))
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "runs"))
+    # one iteration, so a hole shows as a quick exit 0 rather than a long run
+    argv = ["run", TOY_EM, "--set", "trainer.iterations=1", "--set", f"{path}={json.dumps(value)}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}: " in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+def _smallest(path: str, f: dataclasses.Field):
+    """A small value that keeps ``f``'s rule."""
+    if path == "task.path":
+        return TIDES
+    return f.metadata["rule"].limits[0][1] if f.type == "int" else f.default
+
+
+def _inside(path: str, f: dataclasses.Field) -> st.SearchStrategy:
+    """Other small values that keep ``f``'s rule."""
+    r = f.metadata["rule"]
+    if path == "task.path":
+        return st.none()
+    if r.choices is not None:
+        return st.sampled_from(r.choices)
+    if f.type == "int":
+        least = r.limits[0][1]
+        return st.integers(least, least + 3)
+    if f.type.startswith("float"):
+        lo = max([b for op, b in r.limits if op != "<"], default=-10.0)
+        hi = min([b for op, b in r.limits if op == "<"], default=10.0)
+        return st.floats(lo, hi, exclude_min=(">", lo) in r.limits,
+                         exclude_max=("<", hi) in r.limits)
+    if path == "trainer.static_indices":
+        return st.lists(st.integers(0, 3), min_size=1, max_size=3)
+    if f.type == "bool":
+        return st.booleans()
+    return st.none()  # out_dir: the run root decides
+
+
+@st.composite
+def _small_configs(draw, task_kind, trainer_kind):
+    """Each field keeps its smallest value or, one time in four, draws
+    another within its rule, so most draws pass the cross-field rules;
+    training is one iteration of one M-step."""
+    cfg = {"task": {"kind": task_kind}, "trainer": {"kind": trainer_kind}}
+    for path, f in LEAVES.items():
+        if path in ("task.kind", "trainer.kind"):
+            continue
+        value = draw(_inside(path, f)) if draw(st.integers(0, 3)) == 3 else _smallest(path, f)
+        section, _, name = path.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[name] = value
+    cfg["trainer"].update(iterations=1, m_steps=1)
+    return cfg
+
+
+@pytest.mark.parametrize("trainer_kind", LEAVES["trainer.kind"].metadata["rule"].choices)
+@pytest.mark.parametrize("task_kind", LEAVES["task.kind"].metadata["rule"].choices)
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_config_within_the_field_rules_is_refused_or_runs(
+    tmp_path, capsys, monkeypatch, task_kind, trainer_kind, data
+):
+    cfg = data.draw(_small_configs(task_kind, trainer_kind))
+    try:
+        from_dict(cfg)
+    except ConfigError:
+        return  # every field keeps its rule, so a cross-field rule refused it
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "runs"))
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) in (0, 3), capsys.readouterr().err
+    capsys.readouterr()
