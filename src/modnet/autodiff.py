@@ -94,24 +94,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, node={self.node})"
 

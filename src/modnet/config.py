@@ -22,9 +22,6 @@ class ConfigError(Exception):
     """Bad experiment configuration; message names the field path."""
 
 
-# accepted spellings for fields whose common shorthand differs
-ALIASES = {"S": "n_samples", "max_iterations": "iterations", "m_batch": "batch"}
-
 _OPS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
 
 
@@ -58,7 +55,6 @@ class ArchitectureConfig:
     n_modules: int = rule(2, least=1)
     n_slots: int = rule(1, least=1)
     hidden: int = rule(8, least=1)
-    combine: str = rule("sum", choices=("sum", "concat"))
     module_kind: str = rule("linear", choices=("linear", "linear-relu"))
     embed_dim: int = rule(32, least=1)
     topk: int = rule(4, least=1)
@@ -126,17 +122,16 @@ def _fill(dc_type, data: dict, path: str):
     allowed = {f.name: f for f in fields(dc_type)}
     kwargs = {}
     for key, value in data.items():
-        name = ALIASES.get(key, key)
-        here = f"{path}.{name}" if path else name
-        if name not in allowed:
+        here = f"{path}.{key}" if path else key
+        if key not in allowed:
             raise ConfigError(f"{here}: unknown field")
-        ftype = allowed[name].type
+        ftype = allowed[key].type
         if ftype in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"{here}: expected an object")
-            kwargs[name] = _fill(_SECTIONS[ftype], value, here)
+            kwargs[key] = _fill(_SECTIONS[ftype], value, here)
         else:
-            kwargs[name] = _coerce(value, ftype, here)
+            kwargs[key] = _coerce(value, ftype, here)
     return dc_type(**kwargs)
 
 
@@ -196,8 +191,6 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         )
     if tr.kind == "noisy-topk" and a.topk > a.n_modules:
         raise ConfigError(f"architecture.topk: must lie in [1, {a.n_modules}], got {a.topk}")
-    if tr.kind == "noisy-topk" and a.combine != "sum":
-        raise ConfigError("architecture.combine: a noisy top-k gate sums its module outputs")
     if tr.kind == "noisy-topk" and a.n_slots != 1:
         raise ConfigError(
             f"architecture.n_slots: a noisy top-k gate routes a single slot, got {a.n_slots}"
@@ -205,18 +198,11 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if t.kind in ("two-regime-lm", "text-lm"):
         if a.n_layers != 1:
             raise ConfigError("architecture.n_layers: recurrent tasks use a single modular cell")
-        if a.combine != "sum":
-            raise ConfigError("architecture.combine: recurrent cells sum module outputs")
         if a.module_kind != "linear":
             raise ConfigError(
                 "architecture.module_kind: a recurrent cell's modules are linear; "
                 "it rectifies their sum"
             )
-    elif a.combine == "concat" and a.n_slots > 1:
-        raise ConfigError(
-            "architecture.combine: concat widens each layer by its slot count, "
-            "so the last layer's output would not match the regression targets"
-        )
     if t.kind == "text-lm" and not t.path:
         raise ConfigError("task.path: text modelling needs a corpus file")
     # the generator needs each state's likeliest successor to be its permutation's

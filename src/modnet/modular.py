@@ -2,10 +2,9 @@
 
 A layer holds a pool of interchangeable modules and one router: a
 controller that, for each input, picks which modules fill the layer's
-parallel slots, combined by summation or concatenation; or a noisy top-k
-gate that mixes the pool's outputs with sparse weights.  The controller's
-choice is a latent variable; training strategies live in ``em`` and
-``baselines``.
+parallel slots and sums their outputs; or a noisy top-k gate that mixes
+the pool's outputs with sparse weights.  The controller's choice is a
+latent variable; training strategies live in ``em`` and ``baselines``.
 
 The models form a grid: a feedforward stack (``_Stack``) or a GRU
 language model (``gru._GruLM``), under the controller protocol
@@ -77,10 +76,12 @@ class ModulePool:
     reach the stacked buffers too.  Names, order and initial draws stay
     per module.
 
-    A controller-routed layer runs its used modules through ``select``,
-    one ``pool-combine`` tape record per layer; the gated layer runs
-    ``combine``, taped op by op; a recurrent step runs every module in
-    one ``apply(None, x)`` call.
+    Both feedforward layers weight each row's module outputs by one
+    (batch, modules) array and sum them.  A controller-routed layer passes
+    its slot counts to ``select``, one ``pool-combine`` tape record per
+    layer; the gated layer passes its gate weights to ``combine``, taped
+    op by op.  A recurrent step runs every module in one ``apply(None, x)``
+    call.
     """
 
     KINDS = ("linear", "linear-relu")
@@ -153,62 +154,49 @@ class ModulePool:
         return out
 
     def select(self, x, counts) -> Tensor:
-        """``combine`` under slot counts as one ``pool-combine`` record,
-        with the taped loop's bits.
+        """``combine`` under the (batch, modules) slot ``counts`` as one
+        ``pool-combine`` record, with the taped loop's bits.
 
-        ``counts`` holds blocks of (batch, modules) slot counts: one block
-        for a summing layer, one per slot for a concatenating one.  Each
-        block's weighted sum over its used modules, those with a nonzero
-        count, fills the next ``out_dim`` columns.  The forward runs
+        The used modules are those with a nonzero count.  The forward runs
         on plain arrays: term by term ``apply(j, x) * counts[:, j:j+1]``,
         used modules ascending, added left to right.  The pullback walks
-        the terms backwards, blocks and modules descending, as the tape's
-        reverse sweep would: a term's gradient is the block's gradient
-        times its counts, masked by ``output > 0`` for ``linear-relu``,
-        and the x-gradients of all terms join in that order, as one sum
-        ``((g_last + ...) + g_first)``.  So x's gradient has the loop's
-        bits when no later record reads x, as in every model here: a
-        controller reads its layer's input before the layer runs.  Only
-        the used modules' parameters are inputs, so an unused module gets
-        no gradient.
+        the terms backwards, as the tape's reverse sweep would: a term's
+        gradient is the output's gradient times its counts, masked by
+        ``output > 0`` for ``linear-relu``, and the x-gradients of all
+        terms join in that order, as one sum ``((g_last + ...) + g_first)``.
+        So x's gradient has the loop's bits when no later record reads x,
+        as in every model here: a controller reads its layer's input before
+        the layer runs.  Only the used modules' parameters are inputs, so
+        an unused module gets no gradient.
         """
         xd = x.data if isinstance(x, (Tensor, Parameter)) else np.asarray(x, dtype=np.float64)
         relu_kind = self.kind == "linear-relu"
-        blocks, outs = [], []
-        for c in counts:
-            terms, out = [], None
-            for j in np.flatnonzero(c.any(axis=0)):
-                h, cj = self.apply(int(j), xd), c[:, j : j + 1]
-                terms.append((int(j), h, cj))
-                term = h * cj
-                out = term if out is None else out + term
-            blocks.append(terms)
-            outs.append(np.zeros((len(xd), self.out_dim)) if out is None else out)
-        value = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=-1)
+        used = np.flatnonzero(counts.any(axis=0))
+        terms, out = [], None
+        for j in used:
+            h, cj = self.apply(int(j), xd), counts[:, j : j + 1]
+            terms.append((int(j), h, cj))
+            term = h * cj
+            out = term if out is None else out + term
+        value = np.zeros((len(xd), self.out_dim)) if out is None else out
         tape = active_tape()
         if tape is None:
             return Tensor(value)
-        used = sorted({j for terms in blocks for j, _, _ in terms})
         need_x = isinstance(x, Parameter) or (
             isinstance(x, Tensor) and x.node is not None and x.tape is tape
         )
-        d = self.out_dim
 
         def pullback(g):
-            gx, grads = None, {}
-            for k in range(len(blocks) - 1, -1, -1):
-                gk = g if len(blocks) == 1 else g[..., k * d : (k + 1) * d]
-                for j, h, cj in reversed(blocks[k]):
-                    gh = gk * cj
-                    if relu_kind:
-                        gh = gh * (h > 0)
-                    if need_x:
-                        gj = gh @ self.weights[j].T
-                        gx = gj if gx is None else gx + gj
-                    gw, gb = xd.T @ gh, gh.sum(axis=0)
-                    prev = grads.get(j)
-                    grads[j] = (gw, gb) if prev is None else (prev[0] + gw, prev[1] + gb)
-            return [gx] + [gp for j in used for gp in grads[j]]
+            gx, grads = None, []
+            for j, h, cj in reversed(terms):
+                gh = g * cj
+                if relu_kind:
+                    gh = gh * (h > 0)
+                if need_x:
+                    gj = gh @ self.weights[j].T
+                    gx = gj if gx is None else gx + gj
+                grads[:0] = [xd.T @ gh, gh.sum(axis=0)]
+            return [gx] + grads
 
         params = [p for j in used for p in self.modules[j].parameters()]
         return record_joint("pool-combine", value, [x, *params], pullback)
@@ -469,25 +457,17 @@ class ModularLayer:
     """One pool plus its router: a ``Controller``, whose slot choices
     ``forward_selected`` runs, or a ``NoisyTopKGate``, whose sparse mixture
     ``forward_mixed`` runs.  The layer sets ``controller`` or ``gate`` and
-    leaves the other None; a gated layer sums, with one slot."""
+    leaves the other None; a gated layer has one slot."""
 
-    COMBINES = ("sum", "concat")
-
-    def __init__(self, pool: ModulePool, router, combine: str = "sum"):
-        if combine not in self.COMBINES:
-            raise ValueError(f"combine must be one of {self.COMBINES}, got {combine!r}")
+    def __init__(self, pool: ModulePool, router):
         if router.n_modules != pool.n_modules:
             raise ValueError(
                 f"router covers {router.n_modules} modules, pool has {pool.n_modules}"
             )
         gated = isinstance(router, NoisyTopKGate)
-        if gated and combine != "sum":
-            raise ValueError("a noisy top-k gate sums its weighted module outputs")
         self.pool = pool
         self.controller, self.gate = (None, router) if gated else (router, None)
-        self.combine = combine
         self.n_slots = 1 if gated else router.n_slots
-        self.out_dim = pool.out_dim * (self.n_slots if combine == "concat" else 1)
 
     def parameters(self) -> list[Parameter]:
         return self.pool.parameters() + (self.gate or self.controller).parameters()
@@ -508,17 +488,14 @@ class ModularLayer:
         """Evaluate the layer under a fixed selection, shape (batch, slots),
         as one ``pool-combine`` record (``ModulePool.select``).
 
-        Only modules that appear in the selection are run.  A module chosen
-        by several slots of the same input counts once per slot: under sum
-        combination its output is scaled by the multiplicity; under concat
-        each slot is its own one-hot combination, one block of counts.
+        The slots' module outputs are summed, and only modules that appear
+        in the selection are run.  A module chosen by several slots of the
+        same input counts once per slot: its output is scaled by the
+        multiplicity.
         """
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         sel = self._validate(selection, xt.shape[0])
-        n = self.pool.n_modules
-        if self.combine == "sum":
-            return self.pool.select(xt, (slot_counts(sel, n),))
-        return self.pool.select(xt, slot_counts(sel.T[..., None], n))
+        return self.pool.select(xt, slot_counts(sel, self.pool.n_modules))
 
     def forward_mixed(
         self, x, train: bool = False, rng: np.random.Generator | None = None

@@ -215,7 +215,7 @@ def build_model(cfg: ExperimentConfig, data, streams: SeedStreams):
                 router = NoisyTopKGate(rng, din, a.n_modules, a.topk, f"l{l}.gate")
             else:
                 router = Controller(rng, din, a.n_modules, a.n_slots, f"l{l}.ctrl")
-            layers.append(ModularLayer(pool, router, a.combine))
+            layers.append(ModularLayer(pool, router))
         return (NoisyTopKNet if gated else ModularNet)(layers, OutputHead())
     if gated:
         return NoisyTopKGruLM(rng, data.vocab_size, a.embed_dim, a.hidden, a.n_modules, a.topk)

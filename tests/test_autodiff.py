@@ -289,15 +289,6 @@ def test_backward_linearity():
     assert np.allclose(gab, ga + gb, atol=1e-15)
 
 
-def test_operator_sugar_matches_primitives():
-    a = Tensor([1.0, 2.0])
-    b = Tensor([3.0, 4.0])
-    assert np.array_equal((a + b).data, [4.0, 6.0])
-    assert np.array_equal((a - b).data, [-2.0, -2.0])
-    assert np.array_equal((a * b).data, [3.0, 8.0])
-    assert np.array_equal((-a).data, [-1.0, -2.0])
-
-
 # ---------------------------------------------------------------------------
 # rejection
 

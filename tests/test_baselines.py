@@ -285,7 +285,7 @@ def test_static_trainer_never_touches_selection_parameters():
 
 def test_static_pattern_round_robin_and_override():
     cfg = toy_cfg(seed=1, kind="static",
-                  architecture={"n_slots": 2, "combine": "sum"})
+                  architecture={"n_slots": 2})
     _, task, _, _ = make(cfg)
     assert np.array_equal(task.static_comps(np.arange(3))[0], [[0, 1]])
     cfg = toy_cfg(seed=1, kind="static", trainer={"static_indices": [1]})

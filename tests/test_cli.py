@@ -319,6 +319,24 @@ def test_eval_with_wrongly_shaped_parameter_is_exit_2(tmp_path, capsys, mid_chec
     assert "config error" in err and "l0.pool.m0.b" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_checkpoint_with_a_combine_field_is_exit_2(
+    tmp_path, capsys, monkeypatch, mid_checkpoint, command
+):
+    # checkpoints written while the config had architecture.combine
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "root"))
+    config = rewrite_header(mid_checkpoint, os.devnull)["config"]
+    config["architecture"]["combine"] = "sum"
+    old = str(tmp_path / "old.ckpt")
+    rewrite_header(mid_checkpoint, old, config=config)
+    argv = [command, old] + (["train"] if command == "eval" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "architecture.combine: unknown field" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "root").exists()
+
+
 @pytest.fixture(scope="module")
 def reinforce_checkpoint(tmp_path_factory):
     # enough iterations after the checkpoint for 10 skipped steps in a row

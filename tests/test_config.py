@@ -39,11 +39,16 @@ def test_to_dict_round_trips_through_from_dict():
     assert again.to_dict() == cfg.to_dict()
 
 
-def test_shorthand_spellings_map_to_canonical_fields():
-    cfg = from_dict({"trainer": {"S": 4, "max_iterations": 50, "m_batch": 8}})
-    assert cfg.trainer.n_samples == 4
-    assert cfg.trainer.iterations == 50
-    assert cfg.trainer.batch == 8
+def test_shorthand_spellings_are_unknown_fields(tmp_path, capsys, monkeypatch):
+    # a shorthand beside its field would silently override it
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "runs"))
+    for alias in ("S", "max_iterations", "m_batch"):
+        assert main(["run", TOY_EM, "--set", f"trainer.{alias}=3"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: trainer.{alias}: unknown field" in err and "Traceback" not in err
+    with pytest.raises(ConfigError, match="trainer.S: unknown field"):
+        from_dict({"trainer": {"n_samples": 10, "S": 3}})
+    assert not (tmp_path / "runs").exists()
 
 
 def test_unknown_field_names_the_full_path():
@@ -113,11 +118,11 @@ def test_type_errors_are_rejected_with_path():
         ({"trainer": {"clip_norm": -1}}, "trainer.clip_norm: must be a finite number >= 0"),
         ({"trainer": {"clip_norm": float("nan")}}, "trainer.clip_norm: must be a finite"),
         ({"trainer": {"clip_norm": float("inf")}}, "trainer.clip_norm: must be a finite"),
-        # concat widens each layer by its slot count, past the regression targets
+        # configs that still set the deleted combine field
         ({"architecture": {"n_slots": 2, "combine": "concat"}}, "architecture.combine"),
-        # settings the built model would otherwise ignore without a word
         ({"trainer": {"kind": "noisy-topk"}, "architecture": {"topk": 1, "combine": "concat"}},
          "architecture.combine"),
+        # settings the built model would otherwise ignore without a word
         ({"task": {"kind": "two-regime-lm"}, "architecture": {"module_kind": "linear-relu"}},
          "architecture.module_kind"),
         ({"trainer": {"kind": "noisy-topk"}, "architecture": {"topk": 1, "n_slots": 3}},

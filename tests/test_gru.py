@@ -561,7 +561,7 @@ def test_lm_grad_check_two_slots():
 
     def fn():
         res = lm.rollout(tokens, targets, comps=comps, with_ctrl=True)
-        return mean_all(res.cond_ll + res.ctrl_ll)
+        return mean_all(add(res.cond_ll, res.ctrl_ll))
 
     assert grad_check(fn, lm.parameters(), step=1e-5) < 1e-4
 
@@ -711,7 +711,7 @@ def test_lm_grad_check_through_time():
 
     def fn():
         res = lm.rollout(tokens, targets, comps=comps, with_ctrl=True)
-        return mean_all(res.cond_ll + res.ctrl_ll)
+        return mean_all(add(res.cond_ll, res.ctrl_ll))
 
     assert grad_check(fn, lm.parameters(), step=1e-5) < 1e-4
 

@@ -11,12 +11,10 @@ from modnet.autodiff import (
     Tape,
     Tensor,
     add,
-    concat_last,
     constant,
     gaussian_log_density,
     grad_check,
     mean_all,
-    mul,
     softmax_parts_first,
 )
 from modnet.datasets import gen_two_regime_sequences
@@ -40,16 +38,13 @@ from modnet.modular import (
 RNG = np.random.default_rng(7)
 
 
-def small_net(n_layers=1, n_modules=2, n_slots=1, dim=2, combine="sum",
-              kind="linear", rng=None):
+def small_net(n_layers=1, n_modules=2, n_slots=1, dim=2, kind="linear", rng=None):
     rng = rng or np.random.default_rng(123)
     layers = []
     for l in range(n_layers):
         pool = ModulePool(rng, n_modules, dim, dim, kind=kind, name=f"L{l}")
         ctrl = Controller(rng, dim, n_modules, n_slots, name=f"C{l}")
-        layers.append(ModularLayer(pool, ctrl, combine=combine))
-        if combine == "concat":
-            dim = dim * n_slots
+        layers.append(ModularLayer(pool, ctrl))
     return ModularNet(layers, OutputHead())
 
 
@@ -322,7 +317,7 @@ def test_forward_selected_sum_matches_numpy():
     rng = np.random.default_rng(21)
     pool = ModulePool(rng, 3, 2, 2, kind="linear")
     ctrl = Controller(rng, 2, 3, 2)
-    layer = ModularLayer(pool, ctrl, combine="sum")
+    layer = ModularLayer(pool, ctrl)
     x = RNG.standard_normal((6, 2))
     sel = np.array([[0, 1], [2, 2], [1, 0], [0, 0], [1, 2], [2, 1]])
     out = layer.forward_selected(Tensor(x), sel).data
@@ -337,61 +332,12 @@ def test_forward_selected_sum_matches_numpy():
 def test_forward_selected_duplicate_slots_scale_by_multiplicity():
     rng = np.random.default_rng(22)
     pool = ModulePool(rng, 2, 2, 2, kind="linear")
-    layer = ModularLayer(pool, Controller(rng, 2, 2, 3), combine="sum")
+    layer = ModularLayer(pool, Controller(rng, 2, 2, 3))
     x = RNG.standard_normal((1, 2))
     sel = np.array([[1, 1, 1]])
     out = layer.forward_selected(Tensor(x), sel).data
     single = pool.apply(1, Tensor(x)).data
     assert np.allclose(out, 3.0 * single, atol=1e-12)
-
-
-def test_forward_selected_concat_order():
-    rng = np.random.default_rng(23)
-    pool = ModulePool(rng, 2, 2, 3, kind="linear")
-    layer = ModularLayer(pool, Controller(rng, 2, 2, 2), combine="concat")
-    x = RNG.standard_normal((2, 2))
-    sel = np.array([[1, 0], [0, 0]])
-    out = layer.forward_selected(Tensor(x), sel).data
-    assert out.shape == (2, 6)
-    xt = Tensor(x)
-    assert np.allclose(out[0, :3], pool.apply(1, xt).data[0], atol=1e-12)
-    assert np.allclose(out[0, 3:], pool.apply(0, xt).data[0], atol=1e-12)
-    assert np.allclose(out[1, :3], pool.apply(0, xt).data[1], atol=1e-12)
-
-    # three slots, module 1 chosen by two slots of row 0: each slot is its
-    # own one-hot combination, equal to a per-slot masked sum
-    pool = ModulePool(rng, 3, 2, 3, kind="linear-relu")
-    layer = ModularLayer(pool, Controller(rng, 2, 3, 3), combine="concat")
-    for p in pool.parameters():
-        p.data[...] = rng.uniform(-1.0, 1.0, size=p.data.shape)
-    x = Parameter(RNG.standard_normal((4, 2)), "x")
-    sel = np.array([[1, 0, 1], [0, 0, 2], [2, 1, 0], [1, 2, 2]])
-    g_out = constant(RNG.standard_normal((4, 9)))
-
-    def oracle(xt):
-        slots = []
-        for k in range(3):
-            slot = None
-            for j in np.unique(sel[:, k]):
-                mask = constant((sel[:, k] == j).astype(np.float64)[:, None])
-                term = mul(pool.apply(int(j), xt), mask)
-                slot = term if slot is None else add(slot, term)
-            slots.append(slot)
-        return concat_last(*slots)
-
-    results = []
-    for forward in (lambda xt: layer.forward_selected(xt, sel), oracle):
-        with Tape() as tape:
-            xt = tape.watch(x)
-            for p in pool.parameters():
-                tape.watch(p)
-            out = forward(xt)
-            grads = tape.backward(mean_all(mul(out, g_out)))
-        results.append((out.data, [tape.grad(grads, p) for p in [x] + pool.parameters()]))
-    (got, got_g), (want, want_g) = results
-    assert got.shape == (4, 9) and np.array_equal(got, want)
-    for g, w in zip(got_g, want_g):
-        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 def test_forward_selected_rejects_bad_selection():
@@ -409,7 +355,7 @@ def test_forward_selected_rejects_bad_selection():
 def test_layer_gradients_flow_only_through_selected():
     rng = np.random.default_rng(25)
     pool = ModulePool(rng, 3, 2, 2, kind="linear")
-    layer = ModularLayer(pool, Controller(rng, 2, 3, 1), combine="sum")
+    layer = ModularLayer(pool, Controller(rng, 2, 3, 1))
     x = RNG.standard_normal((4, 2))
     sel = np.array([[0], [0], [0], [0]])
     params = pool.parameters()
@@ -428,34 +374,27 @@ def test_layer_gradients_flow_only_through_selected():
 
 def taped_forward_selected(layer, x, selection):
     """``forward_selected`` as the taped ``combine`` loop: one matmul, add
-    and product per used module and slot, joined by adds (and a concat)."""
+    and product per used module, joined by adds."""
     xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    sel, n = np.asarray(selection), layer.pool.n_modules
-    if layer.combine == "sum":
-        return layer.pool.combine(xt, slot_counts(sel, n), np.unique(sel))
-    return concat_last(*(
-        layer.pool.combine(xt, slot_counts(sel[:, k : k + 1], n), np.unique(sel[:, k]))
-        for k in range(layer.n_slots)
-    ))
+    sel = np.asarray(selection)
+    return layer.pool.combine(xt, slot_counts(sel, layer.pool.n_modules), np.unique(sel))
 
 
-@pytest.mark.parametrize("combine", ["sum", "concat"])
 @pytest.mark.parametrize("kind", ModulePool.KINDS)
 @pytest.mark.parametrize("n_slots", [1, 2, 3])
 @pytest.mark.parametrize("n_modules", [1, 2, 3, 8])
-def test_pool_combine_keeps_the_taped_bits(monkeypatch, n_modules, n_slots, kind, combine):
+def test_pool_combine_keeps_the_taped_bits(monkeypatch, n_modules, n_slots, kind):
     # the fused record against the taped loop: outputs, controller scores
     # and every gradient, the input's included, bit for bit; stacked
     # layers let each layer's input gradient join its controller's
     for n_layers, detach in itertools.product([1, 2, 3], [False, True]):
         rng = np.random.default_rng(1000 * n_modules + 10 * n_slots + n_layers)
-        net = small_net(n_layers, n_modules, n_slots, dim=2, combine=combine, kind=kind, rng=rng)
+        net = small_net(n_layers, n_modules, n_slots, dim=2, kind=kind, rng=rng)
         for p in net.parameters():
             if p.name.endswith(".b"):
                 p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
-        width = net.layers[-1].out_dim
         x = Parameter(rng.standard_normal((6, 2)), "x")
-        y = rng.standard_normal((6, width))
+        y = rng.standard_normal((6, 2))
         # module 1 unused from 3 modules on; row 0 picks its last module twice
         choices = [j for j in range(n_modules) if n_modules < 3 or j != 1]
         comps = rng.choice(choices, size=(6, n_layers, n_slots))
@@ -479,11 +418,11 @@ def test_pool_combine_keeps_the_taped_bits(monkeypatch, n_modules, n_slots, kind
                 assert not g.any()
 
 
-@pytest.mark.parametrize("combine,n_slots", [("sum", 1), ("sum", 3), ("concat", 2)])
-def test_one_pool_combine_record_per_forward_selected(combine, n_slots):
+@pytest.mark.parametrize("n_slots", [1, 3])
+def test_one_pool_combine_record_per_forward_selected(n_slots):
     rng = np.random.default_rng(26)
     pool = ModulePool(rng, 4, 3, 2, kind="linear-relu")
-    layer = ModularLayer(pool, Controller(rng, 3, 4, n_slots), combine=combine)
+    layer = ModularLayer(pool, Controller(rng, 3, 4, n_slots))
     x = Parameter(rng.standard_normal((5, 3)), "x")
     sel = rng.integers(0, 4, size=(5, n_slots))
     with Tape() as tape:
@@ -937,10 +876,8 @@ def test_gate_rejects_bad_k():
         NoisyTopKGate(rng, 2, 4, 0)
     with pytest.raises(ValueError):
         NoisyTopKGate(rng, 2, 4, 5)
-    # a layer refuses a gate under concat, and a router of another width
+    # a layer refuses a router of another width
     pool = ModulePool(rng, 4, 2, 2)
-    with pytest.raises(ValueError, match="noisy top-k gate sums"):
-        ModularLayer(pool, NoisyTopKGate(rng, 2, 4, 2), combine="concat")
     for router in (NoisyTopKGate(rng, 2, 3, 2), Controller(rng, 2, 3, 1)):
         with pytest.raises(ValueError, match="covers 3 modules, pool has 4"):
             ModularLayer(pool, router)

@@ -22,11 +22,11 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 PINNED = {
     "toy_em_smoke": (
         "e98c8503daf975d39da1692fb9377046720c58066b49154f48bb64b1004d3665",
-        "1241452c550488dfab7c5fe72a8a176cc763abd3b608f3980210031fcc2ddd00",
+        "cd717cc18e921c12285add0cc575f8114a47a0b39158f175aa33e97eecff9d6e",
     ),
     "two_regime_em_smoke": (
         "a37294a49fe2072460ce2190c83540f24d60446b6341f9f69d6d1063a972f426",
-        "053c2c8a7a0cb58a3e291fead509e9498e807f05e28f8e3faa9a224132701977",
+        "d217935dfb927b4bb04fd2fe408d6443bdc0581328fe7b7f490ce9f0da38b52a",
     ),
 }
 
@@ -39,32 +39,32 @@ SHORT_RUNS = {
     "toy_reinforce": (
         20,
         "1ef9e39f72644b7187505f17280d8c2a865fb91a1486449245af9430faa7b5a9",
-        "1dd43d04056c6357bcd4e8d3ca89daf06977b0724779a7d2cbb146aead376bf7",
+        "337124edc7adfd14b8b42b783fedda5758298ce8973f82fcf4b3d2b4261bd847",
     ),
     "toy_static": (
         20,
         "76dda18179c1fb992d509078ecf0687fcb69f67f64d84c1e0a436114392390ee",
-        "e01535eda13f211e002d947ff1491ab7324b229565693d73222ea71a3b3b4eed",
+        "fd3736004153d4addfa25a02d1e8f94b423f90146dcb628105232db0a8ce1cbe",
     ),
     "toy_noisy_topk": (
         20,
         "841db87e2394623db320a7f86dca8a642f1422601c66927b8069a0f8c52964ac",
-        "f7de53c7b649415928db2945e2eb7d2fc03ff7a6ae99f2fa8b1870644d161e12",
+        "4431462eccbf46adcddcb540133843f8b7947d6ed57c801960fa7d816b2a654c",
     ),
     "two_regime_reinforce": (
         3,
         "eaa9d9390e0213c2a725c9eff7796b4befb59f8844fdf22e8d2ded7583317678",
-        "5f41d92459db81b3bccdee13bd451b38e02051b4bf805f94a61fda0a93c39023",
+        "26267ca3d359de169abc8b881f0b09b74bcc2776b92d5209ec1f31a6a104925c",
     ),
     "two_regime_static": (
         3,
         "05d5874d32a07fff09b7cbb5d28be6d41c7a0467732c708868b3951192f56f33",
-        "bf69d34c14330edfad70c53f052ca9616a958f24b186aa375cec68d81b10a3e4",
+        "6781ced11828b1f19a7a72197b211a2be95ad5206395cc2369778d0600df454a",
     ),
     "two_regime_noisy_topk": (
         3,
         "badbda20483238a9638111305ec86dca8d7a5148a8e5ce965b06ba6b5b53e202",
-        "538d499fcd26983598068c4803f7be231a7af6303a0285341e10d002bfd18711",
+        "43d2925ccfc2dfab3fbaca43a517932259b70a29298f96e68724f6b7f95fccf6",
     ),
 }
 
