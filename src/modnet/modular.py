@@ -77,11 +77,13 @@ class ModulePool:
     per module.
 
     Both feedforward layers weight each row's module outputs by one
-    (batch, modules) array and sum them.  A controller-routed layer passes
-    its slot counts to ``select``, one ``pool-combine`` tape record per
-    layer; the gated layer passes its gate weights to ``combine``, taped
-    op by op.  A recurrent step runs every module in one ``apply(None, x)``
-    call.
+    (batch, modules) array and sum them.  Two rules compute that sum.  The
+    stacked rule runs every module in one ``apply(None, x)`` call and sums
+    the weighted outputs module by module; it serves a controller-routed
+    layer, whose slot counts ``select`` records as one ``pool-combine``
+    tape op per layer, and the recurrent step.  The per-module rule,
+    ``combine``, runs only the modules some row uses, taped op by op; it
+    serves only the gated layer, under its gate weights.
     """
 
     KINDS = ("linear", "linear-relu")
@@ -123,7 +125,8 @@ class ModulePool:
         With ``index`` None, every module on the plain (batch, in) array x
         at once, as a (modules, batch, out) array: one batched matmul runs
         each module's own product, so each slice has the bits of that
-        module's single call.
+        module's single call.  ``select`` and the recurrent step call it
+        so; the per-index call serves only ``combine``.
         """
         if index is None:
             h = np.matmul(x, self.weights)
@@ -157,28 +160,18 @@ class ModulePool:
         """``combine`` under the (batch, modules) slot ``counts`` as one
         ``pool-combine`` record, with the taped loop's bits.
 
-        The used modules are those with a nonzero count.  The forward runs
-        on plain arrays: term by term ``apply(j, x) * counts[:, j:j+1]``,
-        used modules ascending, added left to right.  The pullback walks
-        the terms backwards, as the tape's reverse sweep would: a term's
-        gradient is the output's gradient times its counts, masked by
-        ``output > 0`` for ``linear-relu``, and the x-gradients of all
-        terms join in that order, as one sum ``((g_last + ...) + g_first)``.
-        So x's gradient has the loop's bits when no later record reads x,
-        as in every model here: a controller reads its layer's input before
-        the layer runs.  Only the used modules' parameters are inputs, so
-        an unused module gets no gradient.
+        Every module runs in one ``apply(None, x)`` call, and the outputs,
+        weighted by their counts, are summed module by module, as a
+        recurrent step does; the pullback sums the x-gradients in reverse
+        module order, as the tape's reverse sweep joins the loop's terms.
+        An unused module adds exact zeros and gets exact zero gradients, so
+        the bits are the loop's when no later record reads x, as in every
+        model here: a controller reads its layer's input before the layer
+        runs.
         """
         xd = x.data if isinstance(x, (Tensor, Parameter)) else np.asarray(x, dtype=np.float64)
-        relu_kind = self.kind == "linear-relu"
-        used = np.flatnonzero(counts.any(axis=0))
-        terms, out = [], None
-        for j in used:
-            h, cj = self.apply(int(j), xd), counts[:, j : j + 1]
-            terms.append((int(j), h, cj))
-            term = h * cj
-            out = term if out is None else out + term
-        value = np.zeros((len(xd), self.out_dim)) if out is None else out
+        h, c = self.apply(None, xd), counts.T[:, :, None]
+        value = (h * c).sum(axis=0)
         tape = active_tape()
         if tape is None:
             return Tensor(value)
@@ -187,19 +180,16 @@ class ModulePool:
         )
 
         def pullback(g):
-            gx, grads = None, []
-            for j, h, cj in reversed(terms):
-                gh = g * cj
-                if relu_kind:
-                    gh = gh * (h > 0)
-                if need_x:
-                    gj = gh @ self.weights[j].T
-                    gx = gj if gx is None else gx + gj
-                grads[:0] = [xd.T @ gh, gh.sum(axis=0)]
-            return [gx] + grads
+            gh = g * c
+            if self.kind == "linear-relu":
+                gh = gh * (h > 0)
+            gx = None
+            if need_x:
+                gx = np.matmul(gh, self.weights.transpose(0, 2, 1))[::-1].sum(axis=0)
+            gw, gb = np.matmul(xd.T, gh), gh.sum(axis=1)
+            return [gx, *itertools.chain.from_iterable(zip(gw, gb))]
 
-        params = [p for j in used for p in self.modules[j].parameters()]
-        return record_joint("pool-combine", value, [x, *params], pullback)
+        return record_joint("pool-combine", value, [x, *self.parameters()], pullback)
 
     def parameters(self) -> list[Parameter]:
         return [p for m in self.modules for p in m.parameters()]
@@ -216,6 +206,16 @@ def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     cum = np.cumsum(np.ascontiguousarray(probs.T), axis=0)
     idx = (u.T >= cum).sum(axis=0)
     return np.minimum(idx, len(cum) - 1).T
+
+
+def module_indices(a: np.ndarray, n_modules: int) -> np.ndarray:
+    """``a``, refused with ``ShapeError`` unless it holds integer module
+    indices in [0, n_modules)."""
+    if a.dtype.kind not in "iu":
+        raise ShapeError(f"module indices must be integers, got {a.dtype}")
+    if a.size and (a.min() < 0 or a.max() >= n_modules):
+        raise ShapeError(f"module index out of range [0, {n_modules})")
+    return a
 
 
 def slot_counts(selection: np.ndarray, n_modules: int) -> np.ndarray:
@@ -478,11 +478,7 @@ class ModularLayer:
             raise ShapeError(
                 f"selection shape {sel.shape}, expected {(batch, self.n_slots)}"
             )
-        if sel.size and (sel.min() < 0 or sel.max() >= self.pool.n_modules):
-            raise ShapeError(
-                f"module index out of range [0, {self.pool.n_modules})"
-            )
-        return sel
+        return module_indices(sel, self.pool.n_modules)
 
     def forward_selected(self, x, selection: np.ndarray) -> Tensor:
         """Evaluate the layer under a fixed selection, shape (batch, slots),
@@ -547,8 +543,7 @@ class Routing:
             comps = np.asarray(comps)
             if comps.shape != shape:
                 raise ShapeError(f"composition shape {comps.shape}, expected {shape}")
-            if comps.size and (comps.min() < 0 or comps.max() >= model.n_modules):
-                raise ShapeError(f"module index out of range [0, {model.n_modules})")
+            module_indices(comps, model.n_modules)
         self.comps, self.sample_mask, self.greedy, self.rng = comps, sample_mask, greedy, rng
         self.chosen = np.empty(shape, dtype=np.int64)
         self.probs = np.empty((*shape, model.n_modules)) if collect_probs else None

@@ -194,6 +194,8 @@ def build_dataset(cfg: ExperimentConfig, streams: SeedStreams):
         return load_text_data(t.path, t.mode, t.unroll, t.vocab_cap)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"task.path: cannot read corpus {t.path!r}: {exc}") from exc
+    except ValueError as exc:  # a validated config leaves one cause: too short a corpus
+        raise ConfigError(f"task.unroll: {t.path!r}: {exc}") from exc
 
 
 def _toy_dims(cfg: ExperimentConfig) -> list[tuple[int, int]]:

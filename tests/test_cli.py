@@ -1,7 +1,7 @@
+import importlib
 import json
 import struct
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -542,6 +542,9 @@ HOSTILE_JSON = {
                     architecture={"module_kind": "linear-relu"}),
         "architecture.module_kind",
     ),
+    "run-corpus-shorter-than-a-window": (
+        "run", tiny_config(task={"kind": "text-lm", "path": "list.json"}), "task.unroll"
+    ),
     "eval-list-spec": ("eval", [1, 2], "dataset spec"),
     "eval-list-seed": ("eval", {"seed": [1]}, "seed"),
     "eval-unknown-field": ("eval", {"sed": 1}, "sed"),
@@ -579,8 +582,12 @@ def test_console_script_and_module_entry(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["iterations"] == 3
 
-    exe = shutil.which("modnet")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "run", cfg], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    # the console script, read from the project's metadata rather than PATH;
+    # tomllib is imported here as it needs Python 3.11
+    import tomllib
+
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["modnet"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main

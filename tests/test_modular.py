@@ -350,6 +350,9 @@ def test_forward_selected_rejects_bad_selection():
         layer.forward_selected(Tensor(x), np.array([[0], [1]]))  # batch mismatch
     with pytest.raises(ShapeError):
         layer.forward_selected(Tensor(x), np.array([[0], [1], [2]]))  # index range
+    for bad in (np.full((3, 1), 0.5), np.zeros((3, 1)), np.zeros((3, 1), dtype=bool)):
+        with pytest.raises(ShapeError, match="module indices must be integers"):
+            layer.forward_selected(Tensor(x), bad)
 
 
 def test_layer_gradients_flow_only_through_selected():
@@ -382,7 +385,7 @@ def taped_forward_selected(layer, x, selection):
 
 @pytest.mark.parametrize("kind", ModulePool.KINDS)
 @pytest.mark.parametrize("n_slots", [1, 2, 3])
-@pytest.mark.parametrize("n_modules", [1, 2, 3, 8])
+@pytest.mark.parametrize("n_modules", [1, 2, 3, 8, 32])
 def test_pool_combine_keeps_the_taped_bits(monkeypatch, n_modules, n_slots, kind):
     # the fused record against the taped loop: outputs, controller scores
     # and every gradient, the input's included, bit for bit; stacked
@@ -651,6 +654,13 @@ def test_both_controller_models_refuse_bad_compositions():
             comps[1, 1, 1] = bad
             with pytest.raises(ShapeError, match=r"module index out of range \[0, 3\)"):
                 model.rollout(inputs, comps=comps)
+        # 0.5 would run no module and report module 0; integral floats are
+        # refused too, as token ids are
+        for comps, with_ctrl in itertools.product(
+            (np.full((4, 2, 2), 0.5), np.zeros((4, 2, 2))), (False, True)
+        ):
+            with pytest.raises(ShapeError, match="module indices must be integers"):
+                model.rollout(inputs, np.zeros_like(inputs), comps=comps, with_ctrl=with_ctrl)
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])

@@ -31,15 +31,28 @@ PINNED = {
 }
 
 
-# short runs of the other shipped trainers: config -> (iterations, sha256
-# of metrics.jsonl, sha256 of checkpoints/final.ckpt), without interval
-# checkpoints.  text_char_em is left out: its checkpoint header stores the
-# corpus's absolute task.path, so that digest moves with the checkout.
+# short runs of the other shipped trainers: name -> (iterations, sha256 of
+# metrics.jsonl, sha256 of checkpoints/final.ckpt, *overrides), without
+# interval checkpoints.  A name is a config, or a config and a label after
+# "/" when the entry carries overrides.  text_char_em is left out: its
+# checkpoint header stores the corpus's absolute task.path, so that digest
+# moves with the checkout.
 SHORT_RUNS = {
     "toy_reinforce": (
         20,
         "1ef9e39f72644b7187505f17280d8c2a865fb91a1486449245af9430faa7b5a9",
         "337124edc7adfd14b8b42b783fedda5758298ce8973f82fcf4b3d2b4261bd847",
+    ),
+    # unused modules, a module picked by both slots of a row, and the relu
+    # mask, through two layers of ModulePool.select
+    "toy_em/m8_two_slots_relu": (
+        20,
+        "6226955d02be55df7a31372249e67cc7263d296108b05676bd615ca6ad85acd5",
+        "762a03f11fe1236a2f038989d87e41435819fe74ed502dc1341c55efa0d64b17",
+        "architecture.n_modules=8",
+        "architecture.n_slots=2",
+        "architecture.n_layers=2",
+        "architecture.module_kind=linear-relu",
     ),
     "toy_static": (
         20,
@@ -90,7 +103,7 @@ def test_smoke_run_keeps_its_pinned_bytes(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(SHORT_RUNS))
 def test_short_run_keeps_its_pinned_bytes(tmp_path, name):
-    iterations, *pinned = SHORT_RUNS[name]
-    overrides = [f"trainer.iterations={iterations}", "diagnostics.checkpoint_interval=0"]
-    cfg = load_config(os.path.join(CONFIGS, f"{name}.json"), overrides)
-    check_run(cfg, tmp_path, name, pinned)
+    iterations, metrics, ckpt, *extra = SHORT_RUNS[name]
+    overrides = [f"trainer.iterations={iterations}", "diagnostics.checkpoint_interval=0", *extra]
+    cfg = load_config(os.path.join(CONFIGS, f"{name.split('/')[0]}.json"), overrides)
+    check_run(cfg, tmp_path, name, (metrics, ckpt))
