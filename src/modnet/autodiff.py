@@ -180,9 +180,6 @@ class Tape:
         for node, param in self._watched.values():
             g = grads.get(node)
             out[node] = np.zeros_like(param.data) if g is None else np.asarray(_dense(g))
-        # expose surviving non-leaf grads too (inputs watched as Tensors)
-        for node, g in grads.items():
-            out.setdefault(node, np.asarray(_dense(g)))
         return out
 
     def grad(self, grads: dict[int, np.ndarray], ref) -> np.ndarray:

@@ -201,7 +201,7 @@ class ModularGruCell:
                 stable_sigmoid(zr, out=zr)
                 z, r = zr[:, :hid], zr[:, hid:]
                 np.multiply(r, h, out=px[:, :hid])
-                terms = pool.apply(None, px)
+                terms = pool.apply(px)
                 if cache and gated:
                     mod_rows[t] = terms.transpose(1, 0, 2)
                 # a module picked by several slots of a row counts once per slot
@@ -342,7 +342,7 @@ class _GruLM:
 
     def _checked(self, tokens, targets):
         """Tokens and targets as arrays, refused unless they are equal 2-D
-        shapes of token ids in range."""
+        shapes of integer ids in the vocabulary."""
         tokens = np.asarray(tokens)
         targets = None if targets is None else np.asarray(targets)
         if tokens.ndim != 2 or (targets is not None and targets.shape != tokens.shape):
@@ -350,13 +350,16 @@ class _GruLM:
                 f"tokens {tokens.shape} and targets {np.shape(targets)} must be "
                 "equal 2-D shapes"
             )
-        if tokens.dtype.kind not in "iu":
-            raise ShapeError("token ids must be integers")
-        if tokens.size and (tokens.min() < 0 or tokens.max() >= self.vocab):
-            raise ShapeError(
-                f"token id out of range [0, {self.vocab}): "
-                f"min={tokens.min()}, max={tokens.max()}"
-            )
+        for what, ids in (("token", tokens), ("target", targets)):
+            if ids is None:
+                continue
+            if ids.dtype.kind not in "iu":
+                raise ShapeError(f"{what} ids must be integers")
+            if ids.size and (ids.min() < 0 or ids.max() >= self.vocab):
+                raise ShapeError(
+                    f"{what} id out of range [0, {self.vocab}): "
+                    f"min={ids.min()}, max={ids.max()}"
+                )
         if active_tape() is not None and targets is None:
             raise ValueError("a taped rollout needs targets")
         return tokens, targets

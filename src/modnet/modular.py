@@ -15,6 +15,7 @@ take the same ``Routing`` step at every unit, a layer or a timestep.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,10 +33,8 @@ from modnet.autodiff import (
     constant,
     gaussian_log_density,
     matmul,
-    mul,
     record_joint,
     relu,
-    slice_last,
     softmax_parts,
     softmax_parts_first,
     stable_sigmoid,
@@ -76,14 +75,12 @@ class ModulePool:
     reach the stacked buffers too.  Names, order and initial draws stay
     per module.
 
-    Both feedforward layers weight each row's module outputs by one
-    (batch, modules) array and sum them.  Two rules compute that sum.  The
-    stacked rule runs every module in one ``apply(None, x)`` call and sums
-    the weighted outputs module by module; it serves a controller-routed
-    layer, whose slot counts ``select`` records as one ``pool-combine``
-    tape op per layer, and the recurrent step.  The per-module rule,
-    ``combine``, runs only the modules some row uses, taped op by op; it
-    serves only the gated layer, under its gate weights.
+    One rule dispatches the pool under either router: ``apply`` runs every
+    module on a batch in one stacked call, and each row's outputs are
+    weighted by one (batch, modules) array and summed.  The weights are a
+    controller's slot counts or a gate's mixture weights; ``select`` records
+    a feedforward layer's sum as one ``pool-combine`` tape op, and the
+    recurrent step sums inside its own unroll.
     """
 
     KINDS = ("linear", "linear-relu")
@@ -117,60 +114,35 @@ class ModulePool:
     def n_modules(self) -> int:
         return len(self.modules)
 
-    def apply(self, index: int | None, x):
-        """Module ``index`` on x, rectified for ``linear-relu``.  As with
-        ``Linear``, a plain array in gives a plain array out and a
-        ``Tensor`` in gives a ``Tensor`` out.
-
-        With ``index`` None, every module on the plain (batch, in) array x
-        at once, as a (modules, batch, out) array: one batched matmul runs
-        each module's own product, so each slice has the bits of that
-        module's single call.  ``select`` and the recurrent step call it
-        so; the per-index call serves only ``combine``.
-        """
-        if index is None:
-            h = np.matmul(x, self.weights)
-            h += self.biases[:, None, :]
-        else:
-            h = self.modules[index](x)
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Every module on the plain (batch, in) array x at once, rectified
+        for ``linear-relu``, as a (modules, batch, out) array: one batched
+        matmul runs each module's own product, so each slice has the bits
+        of that module's single ``Linear`` call."""
+        h = np.matmul(x, self.weights)
+        h += self.biases[:, None, :]
         return relu(h) if self.kind == "linear-relu" else h
 
-    def combine(self, x, weights, used) -> Tensor:
-        """Outputs on x of the modules ``used``, each scaled by its column
-        of the (batch, modules) ``weights`` and summed, taped op by op: a
-        ``matmul``, ``add`` and ``elementwise-mul`` per used module and an
-        ``add`` to join each term.
+    def select(self, x, weights) -> Tensor:
+        """The pool's outputs on x, weighted per row by the (batch, modules)
+        ``weights`` and summed, as one ``pool-combine`` record.
 
-        ``weights`` holds slot counts or gate weights.  Modules outside
-        ``used`` are never evaluated; a row whose weight for a used module
-        is zero gets exact zeros from it.  It serves the gated
-        ``ModularLayer.forward_mixed`` and the tests' oracles for
-        ``select``.  Those records are the only ``matmul`` and ``add`` of
-        the gated perfbench workload, whose per-layer list requires both,
-        so fusing the gated layer waits for a benchmark that makes them
-        optional.
-        """
-        out = None
-        for j in used:
-            term = mul(self.apply(int(j), x), slice_last(weights, int(j), int(j) + 1))
-            out = term if out is None else add(out, term)
-        return out
-
-    def select(self, x, counts) -> Tensor:
-        """``combine`` under the (batch, modules) slot ``counts`` as one
-        ``pool-combine`` record, with the taped loop's bits.
-
-        Every module runs in one ``apply(None, x)`` call, and the outputs,
-        weighted by their counts, are summed module by module, as a
-        recurrent step does; the pullback sums the x-gradients in reverse
-        module order, as the tape's reverse sweep joins the loop's terms.
-        An unused module adds exact zeros and gets exact zero gradients, so
-        the bits are the loop's when no later record reads x, as in every
-        model here: a controller reads its layer's input before the layer
-        runs.
+        ``weights`` are constants, such as a controller's slot counts, as
+        an array, or a gate's mixture weights as a ``Tensor``, whose
+        gradient the record then returns too.  The weighted outputs are
+        summed module by module, as a recurrent step does, and the pullback
+        sums the x-gradients in reverse module order, as the tape's reverse
+        sweep joins the terms of the op-by-op loop over the used modules
+        that the tests keep as the oracle.  An unused module adds exact
+        zeros and gets exact zero gradients, so the bits are the loop's
+        when no later record reads x, as in every model here: a router
+        reads its layer's input before the layer runs.
         """
         xd = x.data if isinstance(x, (Tensor, Parameter)) else np.asarray(x, dtype=np.float64)
-        h, c = self.apply(None, xd), counts.T[:, :, None]
+        # a flag, not the Tensor: a pullback holding a Tensor holds its tape
+        gated = isinstance(weights, Tensor)
+        h = self.apply(xd)
+        c = (weights.data if gated else weights).T[:, :, None]
         value = (h * c).sum(axis=0)
         tape = active_tape()
         if tape is None:
@@ -180,16 +152,17 @@ class ModulePool:
         )
 
         def pullback(g):
+            gw = (g * h).sum(axis=-1).T if gated else None
             gh = g * c
             if self.kind == "linear-relu":
                 gh = gh * (h > 0)
             gx = None
             if need_x:
                 gx = np.matmul(gh, self.weights.transpose(0, 2, 1))[::-1].sum(axis=0)
-            gw, gb = np.matmul(xd.T, gh), gh.sum(axis=1)
-            return [gx, *itertools.chain.from_iterable(zip(gw, gb))]
+            g_mw, g_mb = np.matmul(xd.T, gh), gh.sum(axis=1)
+            return [gx, gw, *itertools.chain.from_iterable(zip(g_mw, g_mb))]
 
-        return record_joint("pool-combine", value, [x, *self.parameters()], pullback)
+        return record_joint("pool-combine", value, [x, weights, *self.parameters()], pullback)
 
     def parameters(self) -> list[Parameter]:
         return [p for m in self.modules for p in m.parameters()]
@@ -384,12 +357,14 @@ class NoisyTopKGate:
     the top-k cut; evaluation is noise-free.  Weights of dropped modules
     are exactly zero, as are their gradients.
 
-    The math is written once, in raw numpy: ``forward`` computes the
-    weights and ``pullback`` turns a gradient of the weights into
-    gradients of the two sets of logits, gate and noise scale.  ``weights``
-    records them as one ``noisy-topk-gate`` tape op for the feedforward
-    layer; the recurrent cell calls them inside its own backpropagation
-    through time.
+    The rule starts from logits and is written once, in raw numpy: ``mix``
+    turns the logits of the ``gate`` map and of the ``noise`` scale map
+    into the weights, and ``pullback`` turns a gradient of the weights into
+    gradients of both logits.  The recurrent cell runs them on plain arrays
+    (``forward``) inside its own backpropagation through time.  The
+    feedforward layer (``weights``) records the two maps as plain
+    ``Linear`` calls and the rule as one ``noisy-topk-gate`` op on their
+    logits.
     """
 
     def __init__(
@@ -411,23 +386,26 @@ class NoisyTopKGate:
     def parameters(self) -> list[Parameter]:
         return self.gate.parameters() + self.noise.parameters()
 
-    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None):
+    def mix(self, z: np.ndarray, pre: np.ndarray | None, rng: np.random.Generator | None):
         """Mixture weights (batch, modules), the 0/1 survivor mask, and the
-        noise terms ``pullback`` needs: the draws and the slope of the
-        softplus noise scale, or None without noise."""
-        z = x @ self.gate.w.data + self.gate.b.data
+        noise terms ``pullback`` needs, from the gate logits ``z`` and, in
+        training, the noise-scale logits ``pre`` (None in evaluation): the
+        draws and the slope of the softplus noise scale, or None."""
         noise = None
-        if train:
+        if pre is not None:
             if rng is None:
                 raise ValueError("training-mode gate needs an rng for noise")
             eps = rng.standard_normal(z.shape)
-            pre = x @ self.noise.w.data + self.noise.b.data
             z = z + eps * np.logaddexp(0.0, pre)
             noise = (eps, stable_sigmoid(pre))
         mask = top_k_mask(z, self.k)
         z = z + (1.0 - mask) * NEG_MASK
         _, e, s = softmax_parts(z)
         return e / s, mask, noise
+
+    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None):
+        """``mix`` on the maps' logits for the plain (batch, in) array x."""
+        return self.mix(self.gate(x), self.noise(x) if train else None, rng)
 
     @staticmethod
     def pullback(w: np.ndarray, noise, g_w: np.ndarray):
@@ -439,25 +417,22 @@ class NoisyTopKGate:
     def weights(
         self, x, train: bool = False, rng: np.random.Generator | None = None
     ) -> tuple[Tensor, np.ndarray]:
-        """Mixture weights (batch, modules) as one tape record, and the 0/1
-        survivor mask."""
-        xd = x.data if isinstance(x, (Tensor, Parameter)) else np.asarray(x, dtype=np.float64)
-        w, mask, noise = self.forward(xd, train, rng)
-        gw, nw = self.gate.w.data, self.noise.w.data
-
-        def pullback(g):
-            g_gate, g_noise = self.pullback(w, noise, g)
-            g_x = g_gate @ gw.T + g_noise @ nw.T
-            return [g_x, xd.T @ g_gate, g_gate.sum(axis=0), xd.T @ g_noise, g_noise.sum(axis=0)]
-
-        return record_joint("noisy-topk-gate", w, [x, *self.parameters()], pullback), mask
+        """Mixture weights (batch, modules) as a tape record, and the 0/1
+        survivor mask, for a ``Tensor`` x.  The maps' logits are recorded
+        as ``Linear`` calls, and ``mix`` on them as one ``noisy-topk-gate``
+        op whose pullback is ``pullback``."""
+        logits = [self.gate(x)] + ([self.noise(x)] if train else [])
+        w, mask, noise = self.mix(logits[0].data, logits[1].data if train else None, rng)
+        pull = functools.partial(self.pullback, w, noise)
+        return record_joint("noisy-topk-gate", w, logits, pull), mask
 
 
 class ModularLayer:
     """One pool plus its router: a ``Controller``, whose slot choices
     ``forward_selected`` runs, or a ``NoisyTopKGate``, whose sparse mixture
-    ``forward_mixed`` runs.  The layer sets ``controller`` or ``gate`` and
-    leaves the other None; a gated layer has one slot."""
+    ``forward_mixed`` runs.  Both weigh the pool's outputs through the one
+    ``ModulePool.select`` record.  The layer sets ``controller`` or
+    ``gate`` and leaves the other None; a gated layer has one slot."""
 
     def __init__(self, pool: ModulePool, router):
         if router.n_modules != pool.n_modules:
@@ -484,10 +459,10 @@ class ModularLayer:
         """Evaluate the layer under a fixed selection, shape (batch, slots),
         as one ``pool-combine`` record (``ModulePool.select``).
 
-        The slots' module outputs are summed, and only modules that appear
-        in the selection are run.  A module chosen by several slots of the
-        same input counts once per slot: its output is scaled by the
-        multiplicity.
+        The slots' module outputs are summed.  A module chosen by several
+        slots of the same input counts once per slot: its output is scaled
+        by the multiplicity.  The selection is checked here; a rollout,
+        whose ``Routing`` has checked it already, calls ``select`` itself.
         """
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         sel = self._validate(selection, xt.shape[0])
@@ -497,10 +472,10 @@ class ModularLayer:
         self, x, train: bool = False, rng: np.random.Generator | None = None
     ) -> tuple[Tensor, Tensor, np.ndarray]:
         """The gate's mixture of the pool on x: (output, weights, survivor
-        mask).  Modules that no row keeps are never run."""
+        mask), the output being ``ModulePool.select`` under the weights."""
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         w, mask = self.gate.weights(xt, train=train, rng=rng)
-        return self.pool.combine(xt, w, np.flatnonzero(mask.any(axis=0))), w, mask
+        return self.pool.select(xt, w), w, mask
 
 
 class OutputHead:
@@ -732,7 +707,7 @@ class ModularNet(_Stack, ModularModel):
             if with_ctrl and walk.taped:
                 term = layer.controller.log_prob(constant(h) if detach_ctrl_inputs else h, sel)
                 ctrl_ll = term if ctrl_ll is None else add(ctrl_ll, term)
-            h = layer.forward_selected(h, sel)
+            h = layer.pool.select(h, slot_counts(sel, self.n_modules))
         cond = None if y is None else self.head.log_prob(h, y)
         pred_ll = None if cond is None else cond.data
         return walk.result(cond, ctrl_ll, pred_ll, outputs=h.data)

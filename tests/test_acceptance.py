@@ -286,8 +286,9 @@ def pool_combine_check(rng):
 
 def gate_checks(rng):
     """The noisy top-k gate record, in training and in evaluation, mixing a
-    rectified pool as the feedforward layer does; kept off the relu kink
-    and the top-k cut (both checked here)."""
+    rectified pool through ``ModulePool.select`` as the feedforward layer
+    does, so the pool's record takes the weights' gradient; kept off the
+    relu kink and the top-k cut (both checked here)."""
     pool = ModulePool(rng, 4, 3, 2, kind="linear-relu")
     gate = NoisyTopKGate(rng, 3, 4, 2)
     random_biases(pool.parameters() + gate.parameters(), rng)
@@ -297,7 +298,7 @@ def gate_checks(rng):
     for train in (True, False):
         def fn(train=train):
             w, mask = gate.weights(xp, train, np.random.default_rng(21))
-            return mean_all(mul(pool.combine(xp, w, np.flatnonzero(mask.any(axis=0))), wout))
+            return mean_all(mul(pool.select(xp, w), wout))
 
         eps = np.random.default_rng(21).standard_normal((5, 4)) if train else None
         mode = "train" if train else "eval"

@@ -8,7 +8,7 @@ from modnet.autodiff import Parameter, Tape, mean_all
 from modnet.baselines import ReinforceTrainer
 from modnet.config import TrainerConfig, from_dict
 from modnet.gru import ModularGruLM
-from modnet.modular import ModularLayer
+from modnet.modular import ModulePool
 from modnet.runner import build_dataset, build_model, build_task, build_trainer
 from modnet.seeding import SeedStreams
 
@@ -245,10 +245,8 @@ def test_one_walk_step_matches_sample_then_surrogate(kind, n_layers, n_slots, sa
 def test_reinforce_step_walks_the_net_once(n_layers, monkeypatch):
     trainer, _, _, _ = make(net_cfg(n_layers, 2))
     calls = []
-    forward = ModularLayer.forward_selected
-    monkeypatch.setattr(
-        ModularLayer, "forward_selected", lambda *a: calls.append(1) or forward(*a)
-    )
+    select = ModulePool.select
+    monkeypatch.setattr(ModulePool, "select", lambda *a: calls.append(1) or select(*a))
     trainer.iteration()
     assert len(calls) == n_layers
 

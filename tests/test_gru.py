@@ -1,9 +1,10 @@
+import contextlib
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import stack_rows
+from conftest import pool_combine, stack_rows
 
 import modnet.gru as gru_mod
 from modnet.autodiff import (
@@ -76,7 +77,7 @@ def composed_cell_step(cell, h, x, selection, hx=None):
     r = sigmoid(cell.reset(hx))
     px = concat_last(mul(r, h), x)
     sel = np.asarray(selection)
-    cand = relu(cell.pool.combine(px, slot_counts(sel, cell.pool.n_modules), np.unique(sel)))
+    cand = relu(pool_combine(cell.pool, px, slot_counts(sel, cell.pool.n_modules), np.unique(sel)))
     keep = add(mul(z, -1.0), 1.0)
     return add(mul(keep, h), mul(z, cand))
 
@@ -104,7 +105,7 @@ def composed_topk_step(cell, h, x, train, rng, hx=None):
     z = sigmoid(cell.update(hx))
     r = sigmoid(cell.reset(hx))
     px = concat_last(mul(r, h), x)
-    cand = relu(cell.pool.combine(px, w, np.flatnonzero(mask.any(axis=0))))
+    cand = relu(pool_combine(cell.pool, px, w, np.flatnonzero(mask.any(axis=0))))
     keep = add(mul(z, -1.0), 1.0)
     return add(mul(keep, h), mul(z, cand)), mask
 
@@ -307,8 +308,9 @@ def test_topk_gate_record_matches_composed_weights(train):
 
     got_w, got_mask, got_g, n_records = run(gate.weights)
     want_w, want_mask, want_g, _ = run(lambda x, *a: composed_topk_weights(gate, x, *a))
-    # the gate, the product and the sum
-    assert n_records == 3
+    # the gate map (and the noise map in training), each a matmul and an
+    # add, the gate's record, the product and the sum
+    assert n_records == (7 if train else 5)
     assert np.array_equal(got_w, want_w) and np.array_equal(got_mask, want_mask)
     assert any(g.any() for g in got_g[3:]) == train
     for g, w in zip(got_g, want_g):
@@ -883,9 +885,9 @@ def test_unroll_refuses_misshapen_fixed_weights():
 def test_one_pool_apply_call_per_gru_step(n_modules, monkeypatch):
     calls, apply = [], ModulePool.apply
 
-    def counting_apply(self, index, x):
-        calls.append(index)
-        return apply(self, index, x)
+    def counting_apply(self, x):
+        calls.append(x.ndim)
+        return apply(self, x)
 
     monkeypatch.setattr(ModulePool, "apply", counting_apply)
     batch, steps = 4, 6
@@ -914,7 +916,7 @@ def test_one_pool_apply_call_per_gru_step(n_modules, monkeypatch):
     for name, run in runs.items():
         calls.clear()
         run()
-        assert calls == [None] * steps, name
+        assert calls == [2] * steps, name
 
 
 def test_both_slices_of_the_unroll_rows_reach_it_as_one_gradient(monkeypatch):
@@ -1047,3 +1049,26 @@ def test_bptt_keeps_the_strided_oracle_bits(router, n_modules, steps, n_slots, m
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bad", [7, 5, -1])
+@pytest.mark.parametrize("row", [0, 2])
+def test_lm_refuses_targets_outside_the_vocabulary(bad, row):
+    # untaped scoring reads one logit per target, so an id out of range
+    # would read a neighbouring row's logit, or fail on the last row
+    lm = make_lm(vocab=5)
+    tokens = RNG.integers(0, 5, size=(3, 4))
+    targets = RNG.integers(0, 5, size=(3, 4))
+    targets[row, 1] = bad
+    comps = np.zeros((3, 4, 1), dtype=np.int64)
+    runs = {
+        "evaluate": lambda: lm.evaluate(tokens, targets),
+        "score": lambda: lm.score(tokens, targets, comps),
+        "taped rollout": lambda: lm.rollout(tokens, targets, comps=comps),
+    }
+    for name, run in runs.items():
+        with Tape() if name.startswith("taped") else contextlib.nullcontext():
+            with pytest.raises(ShapeError, match=r"target id out of range \[0, 5\)"):
+                run()
+    with pytest.raises(ShapeError, match="target ids must be integers"):
+        lm.evaluate(tokens, targets.astype(np.float64))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import pool_combine, pool_module
 
 import modnet.datasets as datasets_mod
 from modnet.autodiff import (
@@ -71,7 +72,7 @@ def forward_per_example(layer, x, train=False, rng=None):
     for b in range(xv.shape[0]):
         row = Tensor(xv[b : b + 1])
         for j in np.nonzero(mask[b])[0]:
-            out[b] += w.data[b, j] * layer.pool.apply(int(j), row).data[0]
+            out[b] += w.data[b, j] * pool_module(layer.pool, int(j), row).data[0]
     return out
 
 
@@ -89,11 +90,11 @@ def test_linear_init_ranges():
 
 def test_pool_kinds():
     rng = np.random.default_rng(0)
-    x = Tensor([[1.0, -1.0]])
+    x = np.array([[1.0, -1.0]])
     pool = ModulePool(rng, 2, 2, 2, kind="linear")
-    raw = pool.apply(0, x).data
+    raw = pool.apply(x)
     pool2 = ModulePool(np.random.default_rng(0), 2, 2, 2, kind="linear-relu")
-    clipped = pool2.apply(0, x).data
+    clipped = pool2.apply(x)
     assert np.array_equal(clipped, np.maximum(raw, 0.0))
     with pytest.raises(ValueError):
         ModulePool(rng, 2, 2, 2, kind="cubic")
@@ -110,7 +111,7 @@ def test_array_paths_equal_tensor_paths(kind):
             p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
     x = rng.standard_normal((6, 4))
     paths = [pool.modules[0]] + [
-        lambda v, j=j: pool.apply(j, v) for j in range(pool.n_modules)
+        lambda v, j=j: pool_module(pool, j, v) for j in range(pool.n_modules)
     ]
     for path in paths:
         want = path(Tensor(x))
@@ -336,7 +337,7 @@ def test_forward_selected_duplicate_slots_scale_by_multiplicity():
     x = RNG.standard_normal((1, 2))
     sel = np.array([[1, 1, 1]])
     out = layer.forward_selected(Tensor(x), sel).data
-    single = pool.apply(1, Tensor(x)).data
+    single = pool_module(pool, 1, Tensor(x)).data
     assert np.allclose(out, 3.0 * single, atol=1e-12)
 
 
@@ -375,12 +376,12 @@ def test_layer_gradients_flow_only_through_selected():
     assert np.array_equal(g2, np.zeros_like(g2))
 
 
-def taped_forward_selected(layer, x, selection):
-    """``forward_selected`` as the taped ``combine`` loop: one matmul, add
-    and product per used module, joined by adds."""
-    xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    sel = np.asarray(selection)
-    return layer.pool.combine(xt, slot_counts(sel, layer.pool.n_modules), np.unique(sel))
+def taped_select(pool, x, weights):
+    """``ModulePool.select`` as the taped oracle loop over the modules that
+    some row weighs: one matmul, add and product per module, joined by
+    adds."""
+    w = weights.data if isinstance(weights, Tensor) else weights
+    return pool_combine(pool, x, weights, np.flatnonzero(w.any(axis=0)))
 
 
 @pytest.mark.parametrize("kind", ModulePool.KINDS)
@@ -403,8 +404,8 @@ def test_pool_combine_keeps_the_taped_bits(monkeypatch, n_modules, n_slots, kind
         comps = rng.choice(choices, size=(6, n_layers, n_slots))
         comps[0, :, :2] = n_modules - 1
         results = []
-        for forward in (ModularLayer.forward_selected, taped_forward_selected):
-            monkeypatch.setattr(ModularLayer, "forward_selected", forward)
+        for select in (ModulePool.select, taped_select):
+            monkeypatch.setattr(ModulePool, "select", select)
             with Tape() as tape:
                 res = net.rollout(tape.watch(x), y, comps, with_ctrl=True,
                                   detach_ctrl_inputs=detach)
@@ -419,6 +420,49 @@ def test_pool_combine_keeps_the_taped_bits(monkeypatch, n_modules, n_slots, kind
             for p in net.layers[0].pool.modules[1].parameters():
                 g = results[0][3 + net.parameters().index(p)]
                 assert not g.any()
+
+
+@pytest.mark.parametrize("kind", ModulePool.KINDS)
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("n_modules", [1, 2, 3, 8, 32])
+def test_gated_select_keeps_the_taped_bits(monkeypatch, n_modules, train, kind):
+    # the gated layer's record, which also returns the gate weights'
+    # gradient, against the taped loop over the modules some row keeps:
+    # outputs, weights and every gradient, the input's included, bit for
+    # bit; stacked layers let each layer's input gradient join the pool's
+    # term with both gate maps'
+    for n_layers in (1, 2, 3):
+        rng = np.random.default_rng(2000 * n_modules + 10 * n_layers + train)
+        k = min(n_layers, n_modules)
+        layers = [
+            ModularLayer(
+                ModulePool(rng, n_modules, 2, 2, kind=kind, name=f"L{l}"),
+                NoisyTopKGate(rng, 2, n_modules, k, name=f"G{l}"),
+            )
+            for l in range(n_layers)
+        ]
+        net = NoisyTopKNet(layers, OutputHead())
+        for p in net.parameters():
+            if p.name.endswith(".b"):
+                p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+        x = Parameter(rng.standard_normal((6, 2)), "x")
+        y = rng.standard_normal((6, 2))
+        results = []
+        for select in (ModulePool.select, taped_select):
+            monkeypatch.setattr(ModulePool, "select", select)
+            with Tape() as tape:
+                res = net.rollout(tape.watch(x), y, train=train, rng=np.random.default_rng(5),
+                                  collect_probs=True)
+                grads = tape.backward(mean_all(res.cond_ll))
+            results.append([res.cond_ll.data, res.probs]
+                           + [tape.grad(grads, p) for p in [x] + net.parameters()])
+        monkeypatch.undo()
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
+        kept = results[0][1][:, 0, 0] > 0
+        for j in np.flatnonzero(~kept.any(axis=0)):
+            for p in net.layers[0].pool.modules[j].parameters():
+                assert not results[0][3 + net.parameters().index(p)].any()
 
 
 @pytest.mark.parametrize("n_slots", [1, 3])
@@ -669,13 +713,13 @@ def test_each_proposal_and_evaluation_walks_the_stack_once(monkeypatch, n_layers
     x, y = RNG.standard_normal((5, 2)), RNG.standard_normal((5, 2))
     incumbent = np.zeros((5, n_layers, 1), dtype=np.int64)
     calls = []
-    true_forward = ModularLayer.forward_selected
+    true_select = ModulePool.select
 
-    def spy(layer, h, selection):
-        calls.append(layer)
-        return true_forward(layer, h, selection)
+    def spy(pool, h, counts):
+        calls.append(pool)
+        return true_select(pool, h, counts)
 
-    monkeypatch.setattr(ModularLayer, "forward_selected", spy)
+    monkeypatch.setattr(ModulePool, "select", spy)
     net.propose_and_score(x, y, incumbent, 10, np.random.default_rng(0))
     assert len(calls) == n_layers
     calls.clear()
@@ -932,6 +976,6 @@ def test_pool_modules_are_views_of_the_stacked_buffers():
     assert np.array_equal(pool.weights[1], pool.modules[1].w.data)
     assert np.all(pool.biases[2] == 7.0)
     x = RNG.standard_normal((5, 4))
-    stacked = pool.apply(None, x)
+    stacked = pool.apply(x)
     for j in range(3):
-        assert stacked[j].tobytes() == pool.apply(j, x).tobytes()
+        assert stacked[j].tobytes() == pool_module(pool, j, x).tobytes()

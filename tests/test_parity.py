@@ -64,6 +64,16 @@ SHORT_RUNS = {
         "841db87e2394623db320a7f86dca8a642f1422601c66927b8069a0f8c52964ac",
         "4431462eccbf46adcddcb540133843f8b7947d6ed57c801960fa7d816b2a654c",
     ),
+    # three gated layers of rectified modules: each layer's input gradient
+    # joins the pool's term with both gate maps' through ModulePool.select
+    "toy_noisy_topk/three_layers_relu": (
+        20,
+        "4c777573b24c474b53d82e640777e9181ff6e8e1a61bbf33936f591e5323c467",
+        "05aeb35ae33cf5c9f906c1b641df27963755a5d587ad512c0b315a29aa79c533",
+        "architecture.n_layers=3",
+        "architecture.hidden=4",
+        "architecture.module_kind=linear-relu",
+    ),
     "two_regime_reinforce": (
         3,
         "eaa9d9390e0213c2a725c9eff7796b4befb59f8844fdf22e8d2ded7583317678",

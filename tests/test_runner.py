@@ -1,6 +1,8 @@
+import gc
 import importlib.util
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +32,13 @@ from modnet.runner import (
 )
 from modnet.seeding import SeedStreams
 from modnet.serialize import read_checkpoint
+
+
+TRAINER_CONFIGS = sorted(
+    name[: -len(".json")]
+    for name in os.listdir(os.path.join(os.path.dirname(__file__), os.pardir, "configs"))
+    if name.endswith(".json") and not name.startswith("sweep") and "_smoke" not in name
+)
 
 
 def build_all(overrides):
@@ -341,3 +350,30 @@ def test_pool_stacks_follow_adam_steps_and_checkpoint_loads(tmp_path):
     assert_pool_aliases_its_stack(pool)
     for m in pool.modules:
         assert np.array_equal(m.w.data, ckpt.params[m.w.name])
+
+
+@pytest.mark.parametrize("name", TRAINER_CONFIGS)
+def test_an_iteration_frees_every_tape_it_made(monkeypatch, name):
+    # a pullback that holds a Tensor holds its tape, in a cycle that only
+    # the cycle collector frees: with it off, every tape must be gone once
+    # the iteration returns
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.json")
+    cfg = load_config(path, ["task.n=128", "task.n_windows=32"])
+    streams = SeedStreams(cfg.seed)
+    data = build_dataset(cfg, streams)
+    trainer = build_trainer(cfg, build_task(cfg, build_model(cfg, data, streams), data), streams)
+    tapes, true_init = [], Tape.__init__
+
+    def init(tape):
+        true_init(tape)
+        tapes.append(weakref.ref(tape))
+
+    monkeypatch.setattr(Tape, "__init__", init)
+    gc.collect()
+    gc.disable()
+    try:
+        trainer.iteration()
+        alive = sum(ref() is not None for ref in tapes)
+    finally:
+        gc.enable()
+    assert tapes and alive == 0, f"{alive} of {len(tapes)} tapes outlive the iteration"
