@@ -1,9 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The primitive set is intentionally small: enough to express modular layers,
-gated recurrent cells, and the Gaussian / categorical output likelihoods.
-A computation is recorded on a ``Tape`` (a context manager); tensors built
-while no tape is active are plain values and cost no bookkeeping.
+The package holds only the primitives that a run records: enough to
+express modular layers, gated recurrent cells, and the Gaussian /
+categorical output likelihoods.  The taped references that the fused
+records are checked against (sigmoid, softplus, softmax, concatenation,
+a taped relu) live with the tests' oracles.  A computation is recorded on
+a ``Tape`` (a context manager); tensors built while no tape is active are
+plain values and cost no bookkeeping.
 """
 
 from __future__ import annotations
@@ -90,9 +93,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, node={self.node})"
@@ -193,12 +193,9 @@ class Tape:
             raise KeyError("grad: reference is not tracked on this tape")
         return np.zeros_like(ref.data) if g is None else g
 
-    def parameter_grads(
-        self, grads: dict[int, np.ndarray], params=None
-    ) -> dict[Parameter, np.ndarray]:
-        """Per-parameter gradient dict; zero-filled for unused params."""
-        if params is None:
-            return {p: grads[node] for node, p in self._watched.values()}
+    def parameter_grads(self, grads: dict[int, np.ndarray], params) -> dict[Parameter, np.ndarray]:
+        """The gradient of each of ``params``, keyed by parameter; zeros for
+        a parameter the loss never reached."""
         return {p: self.grad(grads, p) for p in params}
 
 
@@ -360,14 +357,10 @@ def mul(a, b) -> Tensor:
     )
 
 
-def relu(x):
-    """max(x, 0), with subgradient 0 at the kink.  A plain array in gives
-    ``x * (x > 0)`` as a plain array, with no ``Tensor`` built."""
-    if isinstance(x, np.ndarray):
-        return x * (x > 0)
-    x = _as_tensor(x)
-    mask = (x.data > 0).astype(np.float64)  # subgradient at 0 is 0
-    return _emit("relu", x.data * mask, [x], [lambda g: g * mask])
+def relu(x: np.ndarray) -> np.ndarray:
+    """max(x, 0) on a plain array, as ``x * (x > 0)``: never recorded.  The
+    taped layers rectify inside their own fused records."""
+    return x * (x > 0)
 
 
 def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -378,57 +371,6 @@ def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     num = np.maximum(e, x >= 0)
     e += 1.0
     return np.divide(num, e, out=out)
-
-
-def sigmoid(x) -> Tensor:
-    x = _as_tensor(x)
-    out = stable_sigmoid(x.data)
-    return _emit("sigmoid", out, [x], [lambda g: g * out * (1.0 - out)])
-
-
-def softplus(x) -> Tensor:
-    x = _as_tensor(x)
-    xd = x.data
-    return _emit(
-        "softplus", np.logaddexp(0.0, xd), [x], [lambda g: g * stable_sigmoid(xd)]
-    )
-
-
-def row_softmax(x) -> Tensor:
-    """Stabilized softmax along the last axis."""
-    x = _as_tensor(x)
-    if x.ndim < 1:
-        raise ShapeError(f"row-softmax: needs at least 1 axis, got shape {x.shape}")
-    _, e, s = softmax_parts(x.data)
-    p = e / s
-    return _emit(
-        "row-softmax",
-        p,
-        [x],
-        [lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True))],
-    )
-
-
-def concat_last(*xs) -> Tensor:
-    ts = [_as_tensor(x) for x in xs]
-    if not ts:
-        raise ShapeError("concat-last-axis: no inputs")
-    lead = ts[0].shape[:-1]
-    for t in ts[1:]:
-        if t.shape[:-1] != lead:
-            raise ShapeError(
-                "concat-last-axis: leading shapes differ: "
-                f"{[t.shape for t in ts]}"
-            )
-    out = np.concatenate([t.data for t in ts], axis=-1)
-    widths = [t.shape[-1] for t in ts]
-    offsets = np.cumsum([0] + widths)
-
-    def make_pull(i):
-        lo, hi = offsets[i], offsets[i + 1]
-        return lambda g: g[..., lo:hi]
-
-    return _emit("concat-last-axis", out, ts, [make_pull(i) for i in range(len(ts))])
 
 
 def slice_last(x, lo: int, hi: int) -> Tensor:
@@ -453,7 +395,7 @@ def reshape(x, shape) -> Tensor:
     return _emit("reshape", out, [x], [lambda g: g.reshape(src)])
 
 
-def sum_over_axis(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def sum_over_axis(x, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
     shape = x.shape
     if axis is None:
@@ -464,14 +406,10 @@ def sum_over_axis(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
     ax = axis if axis >= 0 else x.ndim + axis
     if not 0 <= ax < x.ndim:
         raise ShapeError(f"sum-over-axis: axis {axis} invalid for shape {shape}")
-    out = x.data.sum(axis=ax, keepdims=keepdims)
-
-    def pull(g):
-        if not keepdims:
-            g = np.expand_dims(g, ax)
-        return np.broadcast_to(g, shape)
-
-    return _emit("sum-over-axis", out, [x], [pull])
+    out = x.data.sum(axis=ax)
+    return _emit(
+        "sum-over-axis", out, [x], [lambda g: np.broadcast_to(np.expand_dims(g, ax), shape)]
+    )
 
 
 def embedding_lookup(table, ids) -> Tensor:

@@ -53,14 +53,6 @@ class SelectionSnapshot:
     def h_batch(self) -> float:
         return float(np.mean([batch_entropy(p) for p in self.probs]))
 
-    def usage(self, layer: int = 0) -> np.ndarray:
-        """How many (input, slot) decisions picked each module."""
-        p = self.probs[layer]
-        counts = np.bincount(
-            np.asarray(self.chosen[layer]).reshape(-1), minlength=p.shape[-1]
-        )
-        return counts
-
 
 # ---------------------------------------------------------------------------
 # heatmap export (binary greyscale, one row per routing decision)
@@ -149,29 +141,3 @@ def export_path_trace(chosen: np.ndarray, n_modules: int, path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def module_contexts(
-    tokens: np.ndarray,
-    chosen: np.ndarray,
-    context: int = 3,
-    top: int = 5,
-) -> dict[int, list[tuple[tuple[int, ...], int]]]:
-    """For each module, the most frequent recent-token contexts at its
-    selection points.  ``chosen`` is (batch, steps, slots) aligned with
-    ``tokens`` (batch, steps)."""
-    tokens = np.asarray(tokens)
-    sel = np.asarray(chosen)
-    counts: dict[int, dict[tuple[int, ...], int]] = {}
-    batch, steps, slots = sel.shape
-    for b in range(batch):
-        for t in range(steps):
-            ctx = tuple(int(v) for v in tokens[b, max(0, t - context + 1) : t + 1])
-            for k in range(slots):
-                j = int(sel[b, t, k])
-                bucket = counts.setdefault(j, {})
-                bucket[ctx] = bucket.get(ctx, 0) + 1
-    out: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for j, bucket in sorted(counts.items()):
-        ranked = sorted(bucket.items(), key=lambda kv: (-kv[1], kv[0]))
-        out[j] = ranked[:top]
-    return out

@@ -52,6 +52,13 @@ class SeedStreams:
                 f"stream snapshot was taken under seed {snapshot['seed']}, "
                 f"not {self.seed}"
             )
+        # a stream the snapshot leaves out would resume from its seed
+        theirs, ours = set(snapshot["streams"]), set(self.names)
+        if theirs != ours:
+            raise ValueError(
+                f"stream snapshot lacks {sorted(ours - theirs)} "
+                f"and has unknown streams {sorted(theirs - ours)}"
+            )
         for name, st in snapshot["streams"].items():
             gen = self[name]
             full = gen.bit_generator.state

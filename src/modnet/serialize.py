@@ -78,18 +78,28 @@ def _pack_arrays(entries: list[tuple[str, np.ndarray, str]]) -> tuple[list[dict]
 
 
 def _unpack_arrays(manifest: list[dict], payload: bytes) -> dict[str, np.ndarray]:
+    """The arrays as ``_pack_arrays`` lays them out: each starts where the
+    one before it ends, and the last ends the payload."""
     out = {}
+    offset, last = 0, "the header"
     for entry in manifest:
+        if entry["offset"] != offset:
+            raise ValueError(
+                f"array {entry['name']!r} at offset {entry['offset']!r}, "
+                f"not at {offset}, where {last} ends"
+            )
         shape = tuple(entry["shape"])
         size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"] * 8
-        flat = np.frombuffer(payload[start : start + size * 8], dtype="<f8")
+        flat = np.frombuffer(payload[offset * 8 : (offset + size) * 8], dtype="<f8")
         if flat.size != size:
             raise ValueError(f"array {entry['name']!r}: truncated payload")
         arr = flat.reshape(shape).astype(np.float64)
         if entry["dtype"] == "int64":
             arr = np.round(arr).astype(np.int64)
         out[entry["name"]] = arr
+        offset, last = offset + size, f"array {entry['name']!r}"
+    if len(payload) != offset * 8:
+        raise ValueError(f"{len(payload) - offset * 8} payload bytes past the end of {last}")
     return out
 
 

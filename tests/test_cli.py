@@ -308,6 +308,49 @@ def test_resume_with_malformed_nested_header_is_exit_2(
     assert "config error" in err and bad in err
 
 
+@pytest.mark.parametrize("command", ["eval", "resume"])
+@pytest.mark.parametrize("case", ["overlapping", "negative-offset", "trailing-bytes"])
+def test_checkpoint_with_misplaced_arrays_is_exit_2(
+    tmp_path, capsys, monkeypatch, mid_checkpoint, command, case
+):
+    # each of these loaded wrong values without complaint while the reader
+    # trusted the manifest's offsets and ignored the payload's end
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "root"))
+    arrays = rewrite_header(mid_checkpoint, os.devnull)["arrays"]
+    if case == "overlapping":  # the second array read over the first
+        arrays[1] = dict(arrays[1], offset=0)
+    elif case == "negative-offset":  # a two-value array read from the payload's tail
+        i = next(i for i, e in enumerate(arrays) if e["shape"] == [2])
+        arrays[i] = dict(arrays[i], offset=-4)
+    bad = str(tmp_path / "bad.ckpt")
+    rewrite_header(mid_checkpoint, bad, arrays=arrays)
+    if case == "trailing-bytes":
+        with open(bad, "ab") as fh:
+            fh.write(bytes(8))
+    argv = [command, bad] + (["train"] if command == "eval" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "malformed checkpoint" in err and bad in err
+
+
+@pytest.mark.parametrize("change", ["missing", "unknown"])
+def test_resume_with_other_rng_streams_is_exit_2(tmp_path, capsys, mid_checkpoint, change):
+    # a stream left out of the snapshot would resume from its seed
+    rng = rewrite_header(mid_checkpoint, os.devnull)["rng"]
+    streams = dict(rng["streams"])
+    if change == "missing":
+        name = "noise"
+        del streams[name]
+    else:
+        name = "spare"
+        streams[name] = streams["noise"]
+    bad = str(tmp_path / "bad.ckpt")
+    rewrite_header(mid_checkpoint, bad, rng=dict(rng, streams=streams))
+    assert main(["resume", bad, "--set", f"out_dir={tmp_path / 'resumed'}"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{name}'" in err and bad in err
+
+
 def test_eval_with_wrongly_shaped_parameter_is_exit_2(tmp_path, capsys, mid_checkpoint):
     # the header still parses: the payload holds more than the one value read
     arrays = rewrite_header(mid_checkpoint, os.devnull)["arrays"]

@@ -9,7 +9,6 @@ from modnet.diagnostics import (
     batch_entropy,
     dist_entropy,
     export_path_trace,
-    module_contexts,
     path_counts,
     selection_entropy,
     selection_image,
@@ -91,13 +90,6 @@ def test_snapshot_layer_averaging():
     snap = SelectionSnapshot([layer0, layer1], [chosen0, chosen1])
     assert snap.h_selection == pytest.approx(LN2 / 2.0, abs=1e-12)
     assert snap.h_batch == pytest.approx(LN2 / 2.0, abs=1e-12)
-
-
-def test_snapshot_usage_counts():
-    probs = np.tile([[0.5, 0.5]], (6, 1))[:, None, :]
-    chosen = np.array([[0], [0], [1], [0], [1], [0]], dtype=np.int64)
-    snap = SelectionSnapshot([probs], [chosen])
-    assert np.array_equal(snap.usage(0), [4, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +190,3 @@ def test_export_path_trace_flow_conservation(tmp_path):
     # total source outflow equals total sink inflow
     assert outflow["source"] == inflow["sink"]
 
-
-def test_module_contexts_ranks_ngrams():
-    tokens = np.array(
-        [
-            [0, 1, 2, 1, 2],
-            [3, 1, 2, 1, 2],
-        ]
-    )
-    # module 0 chosen exactly after context (1, 2)
-    chosen = np.zeros((2, 5, 1), dtype=np.int64)
-    chosen[:, :, 0] = 1
-    chosen[:, 2, 0] = 0
-    chosen[:, 4, 0] = 0
-    ctx = module_contexts(tokens, chosen, context=2, top=3)
-    assert ctx[0][0][0] == (1, 2)
-    assert ctx[0][0][1] == 4

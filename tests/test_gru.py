@@ -4,26 +4,31 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import pool_combine, stack_rows
+from oracles import (
+    composed_topk_step,
+    composed_topk_weights,
+    composed_unroll,
+    concat_last,
+    np_sigmoid,
+    np_softmax,
+    reference_cell_step,
+    reference_lm_rollout,
+    stack_rows,
+    strided_pullback,
+)
 
 import modnet.gru as gru_mod
 from modnet.autodiff import (
-    NEG_MASK,
     Parameter,
     ShapeError,
     Tape,
     Tensor,
     add,
     categorical_log_prob,
-    concat_last,
     constant,
     grad_check,
     mean_all,
     mul,
-    relu,
-    row_softmax,
-    sigmoid,
-    softplus,
     sum_over_axis,
 )
 from modnet.gru import ModularGruCell, ModularGruLM, NoisyTopKGruLM
@@ -38,95 +43,6 @@ from modnet.modular import (
 )
 
 RNG = np.random.default_rng(99)
-
-
-def np_sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def np_softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def reference_cell_step(cell, h, x, sel):
-    """Independent numpy transcription of the gated update."""
-    hx = np.concatenate([h, x], axis=-1)
-    z = np_sigmoid(hx @ cell.update.w.data + cell.update.b.data)
-    r = np_sigmoid(hx @ cell.reset.w.data + cell.reset.b.data)
-    px = np.concatenate([r * h, x], axis=-1)
-    cand = np.zeros_like(h)
-    for b in range(h.shape[0]):
-        for k in range(sel.shape[1]):
-            m = cell.pool.modules[sel[b, k]]
-            cand[b] += px[b] @ m.w.data + m.b.data
-    cand = np.maximum(cand, 0.0)
-    return (1.0 - z) * h + z * cand
-
-
-def composed_cell_step(cell, h, x, selection, hx=None):
-    """The cell update built from generic primitives, one record per op.
-
-    Reference for each step of ``modular-gru-unroll``: same arithmetic in
-    the same order, so forward values must match bit for bit.
-    """
-    if hx is None:
-        hx = concat_last(h, x)
-    z = sigmoid(cell.update(hx))
-    r = sigmoid(cell.reset(hx))
-    px = concat_last(mul(r, h), x)
-    sel = np.asarray(selection)
-    cand = relu(pool_combine(cell.pool, px, slot_counts(sel, cell.pool.n_modules), np.unique(sel)))
-    keep = add(mul(z, -1.0), 1.0)
-    return add(mul(keep, h), mul(z, cand))
-
-
-def composed_topk_weights(gate, x, train, rng):
-    """The noisy top-k gate built from generic primitives, one record per
-    op: the reference for ``NoisyTopKGate.forward`` and its pullback."""
-    z = gate.gate(x)
-    if train:
-        eps = rng.standard_normal(z.shape)
-        z = add(z, mul(constant(eps), softplus(gate.noise(x))))
-    order = np.argsort(-z.data, axis=-1, kind="stable")
-    mask = np.zeros_like(z.data)
-    np.put_along_axis(mask, order[:, : gate.k], 1.0, axis=-1)
-    return row_softmax(add(z, constant((1.0 - mask) * NEG_MASK))), mask
-
-
-def composed_topk_step(cell, h, x, train, rng, hx=None):
-    """One step of the gate-routed cell from generic primitives: the
-    reference for ``modular-gru-unroll`` with a noisy top-k router, same
-    arithmetic in the same order, noise drawn first."""
-    if hx is None:
-        hx = concat_last(h, x)
-    w, mask = composed_topk_weights(cell.gate, hx, train, rng)
-    z = sigmoid(cell.update(hx))
-    r = sigmoid(cell.reset(hx))
-    px = concat_last(mul(r, h), x)
-    cand = relu(pool_combine(cell.pool, px, w, np.flatnonzero(mask.any(axis=0))))
-    keep = add(mul(z, -1.0), 1.0)
-    return add(mul(keep, h), mul(z, cand)), mask
-
-
-def reference_lm_rollout(lm, tokens, targets, comps):
-    """Full value-level reimplementation of the unroll in plain numpy."""
-    batch, steps = tokens.shape
-    h = np.zeros((batch, lm.cell.hidden))
-    cond = np.zeros(batch)
-    ctrl = np.zeros(batch)
-    for t in range(steps):
-        x = lm.embed.data[tokens[:, t]]
-        hx = np.concatenate([h, x], axis=-1)
-        for k, head in enumerate(lm.cell.controller.heads):
-            p = np_softmax(hx @ head.w.data + head.b.data)
-            ctrl += np.log(p[np.arange(batch), comps[:, t, k]])
-        h = reference_cell_step(lm.cell, h, x, comps[:, t])
-        logits = h @ lm.out.w.data + lm.out.b.data
-        logp = np.log(np_softmax(logits))
-        cond += logp[np.arange(batch), targets[:, t]]
-    return cond, ctrl
 
 
 def make_lm(vocab=5, embed=3, hidden=4, n_modules=2, n_slots=1, seed=200):
@@ -209,17 +125,6 @@ def test_cell_candidate_rectified_after_sum():
     sels = np.tile([0, 1], (1, 3, 1)).astype(np.int64)
     out = unroll_states(cell, h, x[None], sels)
     assert np.allclose(out, 0.0, atol=1e-12)
-
-
-def composed_unroll(cell, h0, xs, sels):
-    """``modular-gru-unroll`` rebuilt from ``composed_cell_step``: the
-    stacked [h_t | hx_t] rows, time-major."""
-    h, rows = constant(h0), []
-    for t, x in enumerate(xs):
-        hx = concat_last(h, x)
-        h = composed_cell_step(cell, h, x, sels[t], hx=hx)
-        rows.append(concat_last(h, hx))
-    return stack_rows(rows)
 
 
 def unroll_grads(unroll_fn, cell, h0, xs, sels, weight):
@@ -954,56 +859,6 @@ def test_both_slices_of_the_unroll_rows_reach_it_as_one_gradient(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # backpropagation through time against the strided-operand oracle
-
-
-def strided_pullback(cell, saved, batch):
-    """The unroll record's pullback as it read its operands in place,
-    strided, step by step: the oracle for the contiguous copies."""
-    out, gates, px_rows, cand_rows, weight_rows, mod_rows, noises = saved
-    hid, modules, gate = cell.hidden, cell.pool.modules, cell.gate
-    n, steps = out.shape[0], out.shape[0] // batch
-    hx_maps = [cell.update, cell.reset] + ([] if gate is None else [gate.gate, gate.noise])
-    maps = hx_maps + modules
-    hx_w = np.concatenate([m.w.data for m in hx_maps], axis=1)
-    mod_w = np.concatenate([m.w.data for m in modules], axis=1)
-    n_hx = hx_w.shape[1]
-    hx_wh_t = hx_w[:hid].T
-    mod_wh_t = mod_w[:hid].T
-    all_wx_t = np.concatenate([hx_w, mod_w], axis=1)[hid:].T
-
-    def pullback(g):
-        g_h, g_hx = g[:, :hid], g[:, hid:]
-        g_pre = np.empty((n, n_hx + len(modules) * hid))
-        flip = 1.0 - gates
-        z_live = gates[:, :hid] * (cand_rows > 0)
-        carry = np.zeros((batch, hid))
-        for t in reversed(range(steps)):
-            rows = slice(t * batch, (t + 1) * batch)
-            z, r = gates[rows, :hid], gates[rows, hid:]
-            one_z, one_r = flip[rows, :hid], flip[rows, hid:]
-            h_prev, cand, w = out[rows, hid : 2 * hid], cand_rows[rows], weight_rows[rows]
-            gh = g_h[rows] + carry
-            gcand = gh * z_live[rows]
-            g_mod = (gcand[:, None, :] * w[:, :, None]).reshape(batch, -1)
-            g_rh = g_mod @ mod_wh_t
-            g_maps = [(gh * cand - gh * h_prev) * z * one_z, g_rh * h_prev * r * one_r]
-            if gate is not None:
-                g_weights = (mod_rows[rows] * gcand[:, None, :]).sum(axis=-1)
-                g_maps += gate.pullback(w, noises[t], g_weights)
-            g_hx_pre = np.concatenate(g_maps, axis=-1)
-            g_pre[rows, :n_hx], g_pre[rows, n_hx:] = g_hx_pre, g_mod
-            carry = gh * one_z + g_rh * r + g_hx_pre @ hx_wh_t + g_hx[rows, :hid]
-        g_w = np.concatenate(
-            [out[:, hid:].T @ g_pre[:, :n_hx], px_rows.T @ g_pre[:, n_hx:]], axis=1
-        )
-        g_b = g_pre.sum(axis=0)
-        grads, lo = [g_hx[:, hid:] + g_pre @ all_wx_t], 0
-        for m in maps:
-            grads += [g_w[:, lo : lo + m.out_dim], g_b[lo : lo + m.out_dim]]
-            lo += m.out_dim
-        return grads
-
-    return pullback
 
 
 @pytest.mark.parametrize("router", ["controller", "gate"])

@@ -1,5 +1,11 @@
 """Source hygiene checks over the package, its tests and the benchmark
-harness (read only: the harness is never edited from here)."""
+harness (read only: the harness is never edited from here).
+
+The package holds only what runs execute: a definition or method of
+``src/modnet`` stays only while the package itself or the benchmark
+harness reads it, or the package exports it in ``__all__``.  Reads from
+the tests do not count; a reference only the tests need belongs in
+``tests/oracles.py``."""
 
 import ast
 import glob
@@ -7,11 +13,21 @@ import os
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SOURCES = sorted(
-    glob.glob(os.path.join(ROOT, "src", "modnet", "*.py"))
-    + glob.glob(os.path.join(ROOT, "tests", "*.py"))
-    + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
-)
+PACKAGE = sorted(glob.glob(os.path.join(ROOT, "src", "modnet", "*.py")))
+HARNESS = sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
+SOURCES = sorted(PACKAGE + HARNESS + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+
+
+def exported(tree: ast.AST) -> set[str]:
+    """The names a tree lists in ``__all__``."""
+    return {
+        e.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for e in ast.walk(node.value)
+        if isinstance(e, ast.Constant)
+    }
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,12 +42,7 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 # "import a.b" binds "a"
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported(tree)
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
@@ -53,12 +64,13 @@ def test_no_unused_imports():
 
 
 def read_names(tree: ast.AST) -> set[str]:
-    """Names a tree reads, bare (``f``) or as an attribute (``m.f``)."""
+    """Names a tree reads, bare (``f``) or as an attribute (``m.f``), and
+    the names it exports in ``__all__``."""
     return {
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(tree)
         if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
-    }
+    } | exported(tree)
 
 
 def unread_definitions(sources: dict[str, str], defining: list[str]) -> list[str]:
@@ -89,29 +101,44 @@ def test_dead_name_scan_flags_only_unread_definitions():
         "def recursive(n): return recursive(n - 1)\n"
         "class Dead: pass\n"
         "dead = 1\n"
+        "def exported(): pass\n"
+        "def tested(): pass\n"
+        "__all__ = ['exported']\n"
     )
     user = "import lib\nused()\nlib.by_attr\nDead = 2\n"
     found = unread_definitions({"lib.py": lib, "user.py": user}, ["lib.py"])
-    assert found == ["lib.py: recursive (line 3)", "lib.py: Dead (line 4)"]
+    assert found == [
+        "lib.py: recursive (line 3)",
+        "lib.py: Dead (line 4)",
+        "lib.py: tested (line 7)",
+    ]
+
+
+def package_and_harness() -> tuple[dict[str, str], list[str]]:
+    """The sources whose reads keep a package name alive, keyed by path
+    relative to the root, and the paths of the package's own."""
+    sources = {}
+    for path in PACKAGE + HARNESS:
+        with open(path) as fh:
+            sources[os.path.relpath(path, ROOT)] = fh.read()
+    package = [os.path.relpath(p, ROOT) for p in PACKAGE]
+    assert len(package) > 10 and len(sources) > len(package)
+    return sources, package
 
 
 def test_every_package_definition_is_read_somewhere():
-    sources = {}
-    for path in SOURCES:
-        with open(path) as fh:
-            sources[os.path.relpath(path, ROOT)] = fh.read()
-    package = [p for p in sources if p.startswith(os.path.join("src", "modnet"))]
-    assert len(package) > 10
+    sources, package = package_and_harness()
     assert unread_definitions(sources, package) == []
 
 
 def method_reads(tree: ast.AST) -> Counter:
-    """How often a tree reads each name: bare or attribute loads, and
-    string constants, since a tracer names the attributes it wraps."""
+    """How often a tree reads each name as a method could be read: as an
+    attribute load, or as a string constant, since a tracer names the
+    attributes it wraps.  A bare name is a variable, never a method."""
     return Counter(
-        n.value if isinstance(n, ast.Constant) else n.id if isinstance(n, ast.Name) else n.attr
+        n.value if isinstance(n, ast.Constant) else n.attr
         for n in ast.walk(tree)
-        if (isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+        if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
         or (isinstance(n, ast.Constant) and isinstance(n.value, str))
     )
 
@@ -146,17 +173,20 @@ def test_method_scan_flags_only_unread_methods():
         "    def dead(self): pass\n"
         "    @property\n"
         "    def prop(self): return 1\n"
+        "    def item(self): pass\n"
     )
-    user = "a = A()\na.used()\nsetattr(A, 'by_name', None)\nprint(a.prop)\na.dead = 2\n"
+    user = (
+        "a = A()\na.used()\nsetattr(A, 'by_name', None)\nprint(a.prop)\na.dead = 2\n"
+        "for item in []: print(item)\n"
+    )
     found = unread_methods({"lib.py": lib, "user.py": user}, ["lib.py"])
-    assert found == ["lib.py: A.recursive (line 5)", "lib.py: A.dead (line 6)"]
+    assert found == [
+        "lib.py: A.recursive (line 5)",
+        "lib.py: A.dead (line 6)",
+        "lib.py: A.item (line 9)",
+    ]
 
 
 def test_every_package_method_is_read_somewhere():
-    sources = {}
-    for path in SOURCES:
-        with open(path) as fh:
-            sources[os.path.relpath(path, ROOT)] = fh.read()
-    package = [p for p in sources if p.startswith(os.path.join("src", "modnet"))]
-    assert len(package) > 10
+    sources, package = package_and_harness()
     assert unread_methods(sources, package) == []

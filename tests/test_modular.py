@@ -3,7 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from conftest import pool_combine, pool_module
+from oracles import (
+    np_softmax,
+    oracle_distribution,
+    oracle_log_prob_values,
+    oracle_parts,
+    oracle_sample_rows,
+    oracle_slot_counts,
+    oracle_softmax_parts,
+    pool_combine,
+    pool_module,
+)
 
 import modnet.datasets as datasets_mod
 from modnet.autodiff import (
@@ -47,12 +57,6 @@ def small_net(n_layers=1, n_modules=2, n_slots=1, dim=2, kind="linear", rng=None
         ctrl = Controller(rng, dim, n_modules, n_slots, name=f"C{l}")
         layers.append(ModularLayer(pool, ctrl))
     return ModularNet(layers, OutputHead())
-
-
-def np_softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def np_gauss_ll(y, mean):
@@ -175,46 +179,6 @@ def test_controller_distribution_never_recorded():
 
 # ---------------------------------------------------------------------------
 # the module-major controller step against its row-major oracle
-
-
-def oracle_softmax_parts(logits):
-    """One head's row-major softmax pieces: z, exp(z) and its row sums."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return z, e, e.sum(axis=-1, keepdims=True)
-
-
-def oracle_parts(ctrl, x):
-    return [oracle_softmax_parts(x @ h.w.data + h.b.data) for h in ctrl.heads]
-
-
-def oracle_distribution(parts):
-    return np.stack([e / s for _, e, s in parts], axis=1)
-
-
-def oracle_sample_rows(probs, u):
-    cum = np.cumsum(probs, axis=-1)
-    idx = (u[..., None] >= cum).sum(axis=-1)
-    return np.minimum(idx, probs.shape[-1] - 1)
-
-
-def oracle_slot_counts(selection, n_modules):
-    picks = np.asarray(selection)[..., None] == np.arange(n_modules)
-    return picks.sum(axis=-2).astype(np.float64)
-
-
-def oracle_pick_log_prob(parts, idx):
-    z, _, s = parts
-    at = np.arange(idx.size) * z.shape[-1] + idx.reshape(-1)
-    return (z.reshape(-1)[at] - np.log(s).reshape(-1)).reshape(idx.shape)
-
-
-def oracle_log_prob_values(parts, selection):
-    total = None
-    for k, head in enumerate(parts):
-        term = oracle_pick_log_prob(head, selection[:, k])
-        total = term if total is None else total + term
-    return total
 
 
 def special_logits(rng, rows, n_slots, n_modules):
