@@ -56,13 +56,18 @@ def paused():
 
 
 class Parameter:
-    """A named, persistent float64 array updated by an optimizer."""
+    """A named, persistent float64 array updated by an optimizer; one tape
+    leaf.  ``pieces`` are (name, view) pairs, made from (name, index) pairs,
+    that tile ``data`` in storage order: by default the whole array under
+    the parameter's name.  Checkpoints and the optimizer's moments and clip
+    norm go piece by piece.  ``data`` is updated in place, never rebound."""
 
-    __slots__ = ("name", "data")
+    __slots__ = ("name", "data", "pieces")
 
-    def __init__(self, data, name: str = ""):
+    def __init__(self, data, name: str = "", pieces=None):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.name = name
+        self.pieces = [(n, self.data[ix]) for n, ix in pieces or [(name, ...)]]
 
     @property
     def shape(self):

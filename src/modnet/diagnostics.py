@@ -35,7 +35,8 @@ def batch_entropy(probs: np.ndarray) -> float:
 
 @dataclass
 class SelectionSnapshot:
-    """Controller distributions and realized choices on a probe batch.
+    """Controller distributions on a probe batch; the realized choices are
+    the paths that ``probe`` returns beside it.
 
     One entry per modular layer.  For recurrent models, flatten
     (window, timestep) into the batch axis first: every timestep is an
@@ -43,7 +44,6 @@ class SelectionSnapshot:
     """
 
     probs: list[np.ndarray]
-    chosen: list[np.ndarray]
 
     @property
     def h_selection(self) -> float:

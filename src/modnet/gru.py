@@ -11,12 +11,13 @@ Every rollout of either language model runs the one raw-numpy forward
 loop ``ModularGruCell.unroll``, taped or not.  Under a tape the unroll
 is a single ``modular-gru-unroll`` record whose pullback is hand-written
 backpropagation through time, running the gate's own logit-level
-pullback at each step.  So a taped rollout records a fixed number of
-ops however many steps it has: the embedding lookup, the unroll, then
-the output head (and ``ModularGruLM``'s controller heads) scoring the
-stacked per-step rows at once.  Untaped, each step is scored as it goes
-and only the running state and one step's embeddings are kept, since
-evaluation unrolls every window at once.
+pullback at each step; the pool is one of its inputs at any size.  So a
+taped rollout records a fixed number of ops however many steps it has:
+the embedding lookup, the unroll, then the output head (and
+``ModularGruLM``'s controller heads) scoring the stacked per-step rows
+at once.  Untaped, each step is scored as it goes and only the running
+state and one step's embeddings are kept, since evaluation unrolls
+every window at once.
 
 No step builds a ``Tensor``: module dispatch, the candidate's rectifier,
 the BPTT loop and an untaped rollout's per-step scoring (one log-softmax
@@ -123,7 +124,6 @@ class ModularGruCell:
             self.controller = Controller(rng, cat, n_modules, n_slots, name=f"{name}.ctrl")
         else:
             self.gate = NoisyTopKGate(rng, cat, n_modules, topk, name=f"{name}.gate")
-        self.name = name
 
     def parameters(self) -> list[Parameter]:
         return (
@@ -229,16 +229,18 @@ class ModularGruCell:
         Only the state recurrence runs step by step.  The parameter
         gradients of every map, a noisy top-k router's included, and the
         input gradients are each one matmul over all steps * batch rows.
+        The pool is one input, ``ModulePool.param``, with one gradient.
         """
         out, gates, px_rows, cand_rows, weight_rows, mod_rows, noises = saved
-        hid, modules, gate = self.hidden, self.pool.modules, self.gate
+        hid, pool, gate = self.hidden, self.pool, self.gate
+        n_mod, cat = pool.n_modules, pool.in_dim
         n, steps = out.shape[0], out.shape[0] // batch
         # the maps that read [h, x]: update and reset gates, then a gate
         # router's logits and noise-scale logits; the modules read [r*h, x]
         hx_maps = [self.update, self.reset] + ([] if gate is None else [gate.gate, gate.noise])
-        maps = hx_maps + modules
         hx_w = np.concatenate([m.w.data for m in hx_maps], axis=1)
-        mod_w = np.concatenate([m.w.data for m in modules], axis=1)
+        # (in, modules * hidden): module j's weights in columns j*hid:(j+1)*hid
+        mod_w = pool.weights.transpose(1, 0, 2).reshape(cat, -1)
         n_hx = hx_w.shape[1]
         # the state part of [hx maps | modules] weights, and all of it for inputs
         hx_wh_t = hx_w[:hid].T
@@ -260,14 +262,14 @@ class ModularGruCell:
             ws = by_step(weight_rows)
             z_lives = zs * (cands > 0)
             g_hs, g_states = by_step(g[:, :hid]), by_step(g[:, hid : 2 * hid])
-            mods = None if gate is None else mod_rows.reshape(steps, batch, len(modules), hid)
+            mods = None if gate is None else mod_rows.reshape(steps, batch, n_mod, hid)
             # per row: [d update-gate pre-activation | d reset | d router
             # logits, if a gate | d module output per module]; the first
             # block is built per step in g_hx_pres, the module block in the
             # reused g_mod and copied into g_pre
-            g_pre = np.empty((n, n_hx + len(modules) * hid))
+            g_pre = np.empty((n, n_hx + n_mod * hid))
             g_hx_pres = np.empty((steps, batch, n_hx))
-            g_mod = np.empty((batch, len(modules), hid))
+            g_mod = np.empty((batch, n_mod, hid))
             g_mod_rows = g_mod.reshape(batch, -1)
             carry = np.zeros((batch, hid))
             for t in reversed(range(steps)):
@@ -286,17 +288,19 @@ class ModularGruCell:
                 g_pre[t * batch : (t + 1) * batch, n_hx:] = g_mod_rows
                 carry = gh * one_zs[t] + g_rh * r + g_hx_pres[t] @ hx_wh_t + g_states[t]
             g_pre[:, :n_hx] = g_hx_pres.reshape(n, n_hx)
-            g_w = np.concatenate(
-                [out[:, hid:].T @ g_pre[:, :n_hx], px_rows.T @ g_pre[:, n_hx:]], axis=1
-            )
+            g_hx_w = out[:, hid:].T @ g_pre[:, :n_hx]
             g_b = g_pre.sum(axis=0)
             grads, lo = [g[:, 2 * hid :] + g_pre @ all_wx_t], 0
-            for m in maps:
-                grads += [g_w[:, lo : lo + m.out_dim], g_b[lo : lo + m.out_dim]]
+            for m in hx_maps:
+                grads += [g_hx_w[:, lo : lo + m.out_dim], g_b[lo : lo + m.out_dim]]
                 lo += m.out_dim
-            return grads
+            g_pool = np.empty_like(pool.param.data)
+            g_mod_w = px_rows.T @ g_pre[:, n_hx:]
+            g_pool[:, :cat] = g_mod_w.reshape(cat, n_mod, hid).transpose(1, 0, 2)
+            g_pool[:, cat] = g_b[n_hx:].reshape(n_mod, hid)
+            return grads + [g_pool]
 
-        inputs = [xs] + [p for m in maps for p in m.parameters()]
+        inputs = [xs] + [p for m in hx_maps for p in m.parameters()] + [pool.param]
         return record_joint("modular-gru-unroll", out, inputs, pullback)
 
 
@@ -332,13 +336,11 @@ class _GruLM:
         return np.shape(tokens)[1]
 
     @staticmethod
-    def snapshot(probs: np.ndarray, comps: np.ndarray) -> SelectionSnapshot:
-        """(batch, steps, slots, modules) distributions and (batch, steps,
-        slots) choices, with every timestep a routing decision of its own."""
+    def snapshot(probs: np.ndarray) -> SelectionSnapshot:
+        """(batch, steps, slots, modules) distributions, with every timestep
+        a routing decision of its own."""
         batch, steps, k, m = probs.shape
-        return SelectionSnapshot(
-            [probs.reshape(batch * steps, k, m)], [comps.reshape(batch * steps, k)]
-        )
+        return SelectionSnapshot([probs.reshape(batch * steps, k, m)])
 
     def _checked(self, tokens, targets):
         """Tokens and targets as arrays, refused unless they are equal 2-D

@@ -49,9 +49,7 @@ class Linear:
         bound = 1.0 / math.sqrt(in_dim)
         self.w = Parameter(rng.uniform(-bound, bound, size=(in_dim, out_dim)), f"{name}.w")
         self.b = Parameter(np.zeros(out_dim), f"{name}.b")
-        self.in_dim = in_dim
         self.out_dim = out_dim
-        self.name = name
 
     def __call__(self, x):
         """``x @ w + b``.  A plain array in gives a plain array out, with no
@@ -66,14 +64,13 @@ class Linear:
 
 
 class ModulePool:
-    """Candidate transforms sharing one input/output signature.
-
-    The modules' weights live in one module-major (modules, in, out)
-    buffer and their biases in one (modules, out) buffer; each module's
-    ``Parameter.data`` is a view into them, so updates in place (an
-    optimizer's ``p.data += ...``, a checkpoint load's ``p.data[...] =``)
-    reach the stacked buffers too.  Names, order and initial draws stay
-    per module.
+    """Candidate transforms sharing one input/output signature, stored as
+    one ``Parameter``: a module-major (modules, in + 1, out) buffer, module
+    i's weights in rows ``[i, :in]`` and its bias in row ``[i, in]``, of
+    which ``weights`` and ``biases`` are views.  Flattened, it runs ``m0.w,
+    m0.b, m1.w, ...``, its named pieces, so checkpoints and optimizer state
+    keep one array per module weight and bias.  One draw, in module order,
+    gives the weights each module's own ``Linear`` drew; biases start at 0.
 
     One rule dispatches the pool under either router: ``apply`` runs every
     module on a batch in one stacked call, and each row's outputs are
@@ -101,24 +98,21 @@ class ModulePool:
         self.kind = kind
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.modules = [
-            Linear(rng, in_dim, out_dim, f"{name}.m{i}") for i in range(n_modules)
-        ]
-        self.weights = np.stack([m.w.data for m in self.modules])
-        self.biases = np.stack([m.b.data for m in self.modules])
-        for m, w, b in zip(self.modules, self.weights, self.biases):
-            m.w.data, m.b.data = w, b
-        self.name = name
-
-    @property
-    def n_modules(self) -> int:
-        return len(self.modules)
+        self.n_modules = n_modules
+        bound = 1.0 / math.sqrt(in_dim)
+        data = np.zeros((n_modules, in_dim + 1, out_dim))
+        data[:, :in_dim] = rng.uniform(-bound, bound, size=(n_modules, in_dim, out_dim))
+        parts = (("w", slice(in_dim)), ("b", in_dim))
+        pieces = [(f"{name}.m{i}.{k}", (i, ix)) for i in range(n_modules) for k, ix in parts]
+        self.param = Parameter(data, name, pieces)
+        self.weights = self.param.data[:, :in_dim]
+        self.biases = self.param.data[:, in_dim]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Every module on the plain (batch, in) array x at once, rectified
         for ``linear-relu``, as a (modules, batch, out) array: one batched
         matmul runs each module's own product, so each slice has the bits
-        of that module's single ``Linear`` call."""
+        of ``x @ w + b`` for that module alone."""
         h = np.matmul(x, self.weights)
         h += self.biases[:, None, :]
         return relu(h) if self.kind == "linear-relu" else h
@@ -159,13 +153,15 @@ class ModulePool:
             gx = None
             if need_x:
                 gx = np.matmul(gh, self.weights.transpose(0, 2, 1))[::-1].sum(axis=0)
-            g_mw, g_mb = np.matmul(xd.T, gh), gh.sum(axis=1)
-            return [gx, gw, *itertools.chain.from_iterable(zip(g_mw, g_mb))]
+            g_pool = np.empty_like(self.param.data)
+            g_pool[:, : self.in_dim] = np.matmul(xd.T, gh)
+            g_pool[:, self.in_dim] = gh.sum(axis=1)
+            return [gx, gw, g_pool]
 
-        return record_joint("pool-combine", value, [x, weights, *self.parameters()], pullback)
+        return record_joint("pool-combine", value, [x, weights, self.param], pullback)
 
     def parameters(self) -> list[Parameter]:
-        return [p for m in self.modules for p in m.parameters()]
+        return [self.param]
 
 
 def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -274,13 +270,11 @@ class Controller:
     ):
         if n_slots < 1:
             raise ValueError("controller needs at least one slot")
-        self.in_dim = in_dim
         self.n_modules = n_modules
         self.n_slots = n_slots
         self.heads = [
             Linear(rng, in_dim, n_modules, f"{name}.h{k}") for k in range(n_slots)
         ]
-        self.name = name
 
     def parameters(self) -> list[Parameter]:
         return [p for h in self.heads for p in h.parameters()]
@@ -381,7 +375,6 @@ class NoisyTopKGate:
         self.n_modules = n_modules
         self.gate = Linear(rng, in_dim, n_modules, f"{name}.gate")
         self.noise = Linear(rng, in_dim, n_modules, f"{name}.noise")
-        self.name = name
 
     def parameters(self) -> list[Parameter]:
         return self.gate.parameters() + self.noise.parameters()
@@ -593,7 +586,7 @@ class ModularModel:
 
     def probe(self, x, rng: np.random.Generator, comps=None):
         res = self.rollout(x, comps=comps, rng=rng, collect_probs=True)
-        return self.snapshot(res.probs, res.comps), res.comps
+        return self.snapshot(res.probs), res.comps
 
     def evaluate(self, x, y, comps=None) -> tuple[np.ndarray | None, np.ndarray]:
         res = self.rollout(x, y, comps=comps, greedy=True)
@@ -629,7 +622,7 @@ class MixtureModel:
         each unit's heaviest module.  ``rng`` and ``comps`` are unused."""
         probs = self.rollout(x, collect_probs=True).probs
         paths = probs.argmax(axis=-1)
-        return self.snapshot(probs, paths), paths
+        return self.snapshot(probs), paths
 
     def evaluate(self, x, y, comps=None) -> tuple[np.ndarray | None, np.ndarray]:
         res = self.rollout(x, y)
@@ -664,12 +657,10 @@ class _Stack:
         return len(self.layers)
 
     @staticmethod
-    def snapshot(probs: np.ndarray, comps: np.ndarray) -> SelectionSnapshot:
-        """(batch, layers, slots, modules) distributions and (batch, layers,
-        slots) choices, one snapshot entry per layer."""
-        return SelectionSnapshot(
-            list(probs.transpose(1, 0, 2, 3)), list(comps.transpose(1, 0, 2))
-        )
+    def snapshot(probs: np.ndarray) -> SelectionSnapshot:
+        """(batch, layers, slots, modules) distributions, one snapshot entry
+        per layer."""
+        return SelectionSnapshot(list(probs.transpose(1, 0, 2, 3)))
 
 
 class ModularNet(_Stack, ModularModel):

@@ -13,17 +13,18 @@ class Adam:
     """Adam ascent on a fixed parameter list, run on one flat gradient vector.
 
     The first and second moments each live in one flat float64 buffer laid
-    out in parameter order; ``_m[p]`` and ``_v[p]`` are reshaped views into
-    them, so ``state`` and ``restore`` keep one array per parameter.
-    ``flatten`` turns a complete gradient dict (zeros for untouched params,
-    so the moments advance uniformly whichever branch a step exercised) into
-    that layout, and ``step`` updates the moments as whole-vector ops before
-    adding each parameter's slice into its own ``p.data``.  Every op is
-    elementwise, so the result is bit-identical to a per-parameter loop.
+    out in parameter order, and within a parameter in the storage order of
+    its named ``Parameter.pieces``.  ``flatten`` turns a complete gradient
+    dict (zeros for untouched params, so the moments advance uniformly
+    whichever branch a step exercised) into that layout, and ``step``
+    updates the moments as whole-vector ops before adding each parameter's
+    slice into its own ``p.data``.  Every op is elementwise, so the result
+    is bit-identical to a per-piece loop.
 
-    The clip norm sums the squares with one ``np.sum`` per parameter slice
-    and adds those sums in parameter order; a single reduction over the
-    whole vector would round differently.
+    The clip norm sums the squares with one ``np.sum`` per piece and adds
+    those sums in order; a single reduction over the whole vector, or one
+    per parameter, would round differently.  ``state`` and ``restore``
+    keep one moment array per piece.
     """
 
     def __init__(
@@ -42,20 +43,15 @@ class Adam:
         self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
-        self._slices = []
-        size = 0
+        size = sum(p.size for p in self.params)
+        self._m_flat, self._v_flat, self._delta = np.zeros(size), np.zeros(size), np.zeros(size)
+        # each parameter's step, and each piece's (name, shape, flat slice)
+        self._delta_views, self._pieces, lo = [], [], 0
         for p in self.params:
-            self._slices.append(slice(size, size + p.data.size))
-            size += p.data.size
-        self._m_flat = np.zeros(size)
-        self._v_flat = np.zeros(size)
-        self._delta = np.zeros(size)
-        self._m = self._views(self._m_flat)
-        self._v = self._views(self._v_flat)
-        self._delta_views = list(self._views(self._delta).items())
-
-    def _views(self, flat: np.ndarray) -> dict[Parameter, np.ndarray]:
-        return {p: flat[s].reshape(p.data.shape) for p, s in zip(self.params, self._slices)}
+            self._delta_views.append((p, self._delta[lo : lo + p.size].reshape(p.shape)))
+            for name, view in p.pieces:
+                self._pieces.append((name, view.shape, slice(lo, lo + view.size)))
+                lo += view.size
 
     def flatten(self, grads: dict[Parameter, np.ndarray]) -> np.ndarray:
         """The gradients of every parameter, concatenated in parameter order."""
@@ -79,7 +75,7 @@ class Adam:
         if self.clip_norm is not None:
             sq = flat * flat
             total = 0.0
-            for s in self._slices:
+            for _, _, s in self._pieces:
                 total += float(np.sum(sq[s]))
             norm = math.sqrt(total)
             if norm > self.clip_norm:
@@ -101,21 +97,28 @@ class Adam:
     def state(self) -> dict:
         return {
             "t": self.t,
-            "m": [self._m[p].copy() for p in self.params],
-            "v": [self._v[p].copy() for p in self.params],
+            "m": [self._m_flat[s].reshape(shape).copy() for _, shape, s in self._pieces],
+            "v": [self._v_flat[s].reshape(shape).copy() for _, shape, s in self._pieces],
         }
 
     def restore(self, state: dict) -> None:
+        """Load what ``state`` returns, refusing moments of another count or
+        shape than the pieces."""
         ms = [np.asarray(m, dtype=np.float64) for m in state["m"]]
         vs = [np.asarray(v, dtype=np.float64) for v in state["v"]]
-        for p, m, v in zip(self.params, ms, vs):
+        if not len(ms) == len(vs) == len(self._pieces):
+            raise ValueError(
+                f"optimizer state holds {len(ms)} first and {len(vs)} second "
+                f"moments for {len(self._pieces)} parameter pieces"
+            )
+        for (name, shape, _), m, v in zip(self._pieces, ms, vs):
             for buf in (m, v):
-                if buf.shape != p.data.shape:
+                if buf.shape != shape:
                     raise ValueError(
                         f"optimizer state shape {buf.shape} does not match "
-                        f"parameter {p.name} shape {p.data.shape}"
+                        f"parameter {name} shape {shape}"
                     )
         self.t = int(state["t"])
-        for p, m, v in zip(self.params, ms, vs):
-            self._m[p][...] = m
-            self._v[p][...] = v
+        for (_, _, s), m, v in zip(self._pieces, ms, vs):
+            self._m_flat[s] = m.reshape(-1)
+            self._v_flat[s] = v.reshape(-1)

@@ -253,36 +253,48 @@ def build_trainer(cfg: ExperimentConfig, task, streams: SeedStreams):
 
 
 def _load_params(params, ckpt: CheckpointData) -> None:
-    """Copy a checkpoint's parameters into ``params``, refusing another
-    library version or any missing or wrongly shaped parameter."""
+    """Copy a checkpoint's arrays into the pieces of ``params``, refusing
+    another library version, any missing or wrongly shaped piece, and any
+    parameter or moment array that no piece names."""
     if ckpt.version != modnet.__version__:
         raise ConfigError(
             f"checkpoint version {ckpt.version} does not match "
             f"library version {modnet.__version__}"
         )
-    for p in params:
-        if p.name not in ckpt.params:
-            raise ConfigError(f"checkpoint missing parameter {p.name!r}")
-        saved = ckpt.params[p.name]
-        if saved.shape != p.data.shape:
+    pieces = [piece for p in params for piece in p.pieces]
+    known = {name for name, _ in pieces}
+    unknown = sorted(
+        f"{kind}:{name}"
+        for kind, arrays in (("param", ckpt.params), ("opt_m", ckpt.opt_m), ("opt_v", ckpt.opt_v))
+        for name in arrays
+        if name not in known
+    )
+    if unknown:
+        raise ConfigError(f"checkpoint holds arrays the model lacks: {unknown}")
+    for name, view in pieces:
+        if name not in ckpt.params:
+            raise ConfigError(f"checkpoint missing parameter {name!r}")
+        saved = ckpt.params[name]
+        if saved.shape != view.shape:
             raise ConfigError(
-                f"checkpoint parameter {p.name!r} has shape {saved.shape}, "
-                f"model expects {p.data.shape}"
+                f"checkpoint parameter {name!r} has shape {saved.shape}, "
+                f"model expects {view.shape}"
             )
-        p.data[...] = saved
+        view[...] = saved
 
 
 def _restore_into(trainer, task, streams, ckpt: CheckpointData) -> None:
     params = task.parameters()
     _load_params(params, ckpt)
+    names = [name for p in params for name, _ in p.pieces]
     try:
         trainer.restore(
             {
                 "arrays": ckpt.trainer_arrays,
                 "opt": {
                     "t": ckpt.opt_t,
-                    "m": [ckpt.opt_m[p.name] for p in params],
-                    "v": [ckpt.opt_v[p.name] for p in params],
+                    "m": [ckpt.opt_m[name] for name in names],
+                    "v": [ckpt.opt_v[name] for name in names],
                 },
                 "scalars": ckpt.trainer_scalars,
             }

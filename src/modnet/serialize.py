@@ -127,18 +127,25 @@ def write_checkpoint(
     params: list[Parameter],
     trainer_state: dict,
 ) -> None:
-    """Snapshot everything needed for a bit-exact resume."""
-    names = [p.name for p in params]
+    """Snapshot everything needed for a bit-exact resume: one array per
+    parameter piece (``Parameter.pieces``), with its two moments."""
+    pieces = [piece for p in params for piece in p.pieces]
+    names = [name for name, _ in pieces]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"duplicate parameter names: {dupes}")
-    entries: list[tuple[str, np.ndarray, str]] = []
-    for p in params:
-        entries.append((f"param:{p.name}", p.data, "float64"))
     opt = trainer_state["opt"]
-    for p, m, v in zip(params, opt["m"], opt["v"]):
-        entries.append((f"opt_m:{p.name}", m, "float64"))
-        entries.append((f"opt_v:{p.name}", v, "float64"))
+    if not len(opt["m"]) == len(opt["v"]) == len(pieces):
+        raise ValueError(
+            f"optimizer state holds {len(opt['m'])} first and {len(opt['v'])} "
+            f"second moments for {len(pieces)} parameter pieces"
+        )
+    entries: list[tuple[str, np.ndarray, str]] = []
+    for name, view in pieces:
+        entries.append((f"param:{name}", view, "float64"))
+    for name, m, v in zip(names, opt["m"], opt["v"]):
+        entries.append((f"opt_m:{name}", m, "float64"))
+        entries.append((f"opt_v:{name}", v, "float64"))
     for key, arr in trainer_state.get("arrays", {}).items():
         arr = np.asarray(arr)
         dtype = "int64" if arr.dtype.kind in "iu" else "float64"

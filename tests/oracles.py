@@ -7,8 +7,10 @@ No training run executes anything here.  Three kinds of oracle:
   one record per op through the public ``record_joint``, with the record
   kinds and pullback arithmetic the composed oracles below are built on;
 - the module pool's dispatch one module at a time (``pool_module``,
-  ``pool_combine``) and the recurrent cell and noisy top-k gate built op by
-  op from those primitives (``composed_*``): the references of the
+  ``pool_combine``), on per-module views of the pool's one parameter
+  (``pool_modules``) whose gradients ``module_grads`` lays out as the
+  pool's, and the recurrent cell and noisy top-k gate built op by op from
+  those primitives (``composed_*``): the references of the
   ``pool-combine``, ``noisy-topk-gate`` and ``modular-gru-unroll`` records,
   same arithmetic in the same order;
 - plain numpy transcriptions: the cell and the language model's rollout
@@ -17,10 +19,13 @@ No training run executes anything here.  Three kinds of oracle:
   (``strided_pullback``).
 """
 
+import weakref
+
 import numpy as np
 
 from modnet.autodiff import (
     NEG_MASK,
+    Parameter,
     ShapeError,
     Tensor,
     add,
@@ -32,7 +37,7 @@ from modnet.autodiff import (
     stable_sigmoid,
 )
 from modnet.autodiff import relu as array_relu
-from modnet.modular import slot_counts
+from modnet.modular import Linear, slot_counts
 
 # ---------------------------------------------------------------------------
 # taped primitives
@@ -100,12 +105,69 @@ def stack_rows(xs) -> Tensor:
 # the module pool, one module at a time
 
 
+class PoolModule(Linear):
+    """Module j of a pool as its own ``Linear``: its ``w`` and ``b`` are
+    Parameters on views of the pool's one buffer, under the names of the
+    pool's pieces, so writes reach the pool and the tape gives each of them
+    a gradient of its own."""
+
+    def __init__(self, pool, j):
+        (w_name, w), (b_name, b) = pool.param.pieces[2 * j : 2 * j + 2]
+        self.w, self.b = Parameter(w, w_name), Parameter(b, b_name)
+
+
+# pool -> its PoolModules, dropped with the pool
+_MODULES = weakref.WeakKeyDictionary()
+
+
+def pool_modules(pool) -> list[PoolModule]:
+    """The pool's modules, one ``PoolModule`` each; the same objects on
+    every call, so an op-by-op oracle that runs a module at several steps
+    accumulates one gradient per module weight and bias."""
+    if pool not in _MODULES:
+        _MODULES[pool] = [PoolModule(pool, j) for j in range(pool.n_modules)]
+    return _MODULES[pool]
+
+
+def module_grads(tape, grads, pool) -> np.ndarray:
+    """The gradients of the pool's ``pool_modules`` on ``tape``, laid out
+    as the pool's parameter: each module's weight and bias gradient in
+    the slices ``[j, :in]`` and ``[j, in]`` that its piece occupies."""
+    g = np.empty_like(pool.param.data)
+    for j, m in enumerate(pool_modules(pool)):
+        g[j, : pool.in_dim] = tape.grad(grads, m.w)
+        g[j, pool.in_dim] = tape.grad(grads, m.b)
+    return g
+
+
+def oracle_grads(tape, grads, params, pools):
+    """``tape.grad`` of each of ``params``, except that each of ``pools``'
+    parameter gets ``module_grads``: what a run taped through the oracles,
+    which record the modules' views, gives each parameter."""
+    by_param = {id(pool.param): pool for pool in pools}
+    return [
+        module_grads(tape, grads, by_param[id(p)]) if id(p) in by_param else tape.grad(grads, p)
+        for p in params
+    ]
+
+
+def random_biases(params, rng):
+    """Draw every bias piece of ``params`` (a piece named ``*.b``) uniform
+    in [-0.5, 0.5), in piece order: zero-init biases can park rows exactly
+    on a kink."""
+    for p in params:
+        for name, view in p.pieces:
+            if name.endswith(".b"):
+                view[...] = rng.uniform(-0.5, 0.5, size=view.shape)
+
+
 def pool_module(pool, j, x):
     """Module j of ``pool`` alone on x, rectified for ``linear-relu``, as
-    ``Linear`` computes it: a plain array in gives a plain array out, a
-    ``Tensor`` in a ``Tensor`` out.  The oracle of each slice of
-    ``ModulePool.apply``'s stacked call."""
-    h = pool.modules[j](x)
+    ``Linear`` computes it on the module's views (``pool_modules``): a
+    plain array in gives a plain array out, a ``Tensor`` in a ``Tensor``
+    out.  The oracle of each slice of ``ModulePool.apply``'s stacked
+    call."""
+    h = pool_modules(pool)[j](x)
     if pool.kind != "linear-relu":
         return h
     return array_relu(h) if isinstance(h, np.ndarray) else relu(h)
@@ -116,7 +178,8 @@ def pool_combine(pool, x, weights, used):
     the (batch, modules) ``weights`` and summed, taped op by op: a
     ``matmul``, ``add``, ``elementwise-mul`` and slice per used module and
     an ``add`` to join each term.  Modules outside ``used`` are never run.
-    The oracle of ``ModulePool.select``'s one ``pool-combine`` record."""
+    The oracle of ``ModulePool.select``'s one ``pool-combine`` record; the
+    tape gives the modules' views their gradients (``module_grads``)."""
     out = None
     for j in used:
         term = mul(pool_module(pool, int(j), x), slice_last(weights, int(j), int(j) + 1))
@@ -207,7 +270,7 @@ def reference_cell_step(cell, h, x, sel):
     cand = np.zeros_like(h)
     for b in range(h.shape[0]):
         for k in range(sel.shape[1]):
-            m = cell.pool.modules[sel[b, k]]
+            m = pool_modules(cell.pool)[sel[b, k]]
             cand[b] += px[b] @ m.w.data + m.b.data
     cand = np.maximum(cand, 0.0)
     return (1.0 - z) * h + z * cand
@@ -284,12 +347,12 @@ def strided_pullback(cell, saved, batch):
     """The unroll record's pullback as it read its operands in place,
     strided, step by step: the oracle for the contiguous copies."""
     out, gates, px_rows, cand_rows, weight_rows, mod_rows, noises = saved
-    hid, modules, gate = cell.hidden, cell.pool.modules, cell.gate
+    hid, pool, gate = cell.hidden, cell.pool, cell.gate
+    n_mod, cat = pool.n_modules, pool.in_dim
     n, steps = out.shape[0], out.shape[0] // batch
     hx_maps = [cell.update, cell.reset] + ([] if gate is None else [gate.gate, gate.noise])
-    maps = hx_maps + modules
     hx_w = np.concatenate([m.w.data for m in hx_maps], axis=1)
-    mod_w = np.concatenate([m.w.data for m in modules], axis=1)
+    mod_w = np.concatenate(list(pool.weights), axis=1)
     n_hx = hx_w.shape[1]
     hx_wh_t = hx_w[:hid].T
     mod_wh_t = mod_w[:hid].T
@@ -297,7 +360,7 @@ def strided_pullback(cell, saved, batch):
 
     def pullback(g):
         g_h, g_hx = g[:, :hid], g[:, hid:]
-        g_pre = np.empty((n, n_hx + len(modules) * hid))
+        g_pre = np.empty((n, n_hx + n_mod * hid))
         flip = 1.0 - gates
         z_live = gates[:, :hid] * (cand_rows > 0)
         carry = np.zeros((batch, hid))
@@ -322,9 +385,14 @@ def strided_pullback(cell, saved, batch):
         )
         g_b = g_pre.sum(axis=0)
         grads, lo = [g_hx[:, hid:] + g_pre @ all_wx_t], 0
-        for m in maps:
+        for m in hx_maps:
             grads += [g_w[:, lo : lo + m.out_dim], g_b[lo : lo + m.out_dim]]
             lo += m.out_dim
-        return grads
+        g_pool = np.empty_like(pool.param.data)
+        for j in range(n_mod):
+            g_pool[j, :cat] = g_w[:, lo : lo + hid]
+            g_pool[j, cat] = g_b[lo : lo + hid]
+            lo += hid
+        return grads + [g_pool]
 
     return pullback

@@ -20,7 +20,7 @@ import re
 import numpy as np
 
 from conftest import read_pgm, record_verdict
-from oracles import concat_last, relu, row_softmax, sigmoid, softplus
+from oracles import concat_last, random_biases, relu, row_softmax, sigmoid, softplus
 
 import modnet.gru as gru_mod
 import modnet.modular as modular_mod
@@ -104,8 +104,7 @@ def np_joint_scores(net, x, y):
         logp = np.zeros(h.shape[0])
         for layer, j in zip(net.layers, comp):
             logp += np_layer_ctrl_logp(layer, h, j)
-            mod = layer.pool.modules[j]
-            h = h @ mod.w.data + mod.b.data
+            h = h @ layer.pool.weights[j] + layer.pool.biases[j]
             if layer.pool.kind == "linear-relu":
                 h = np.maximum(h, 0.0)
         cond = -0.5 * ((y - h) ** 2).sum(axis=-1) - 0.5 * y.shape[1] * np.log(2 * np.pi)
@@ -131,10 +130,10 @@ def test_criterion_02_planted_parameters_fit_exactly():
     gap_mid = 0.5 * (lo + hi)
 
     pool = model.layers[0].pool
-    pool.modules[0].w.data[...] = data.rotation.T
-    pool.modules[0].b.data[...] = 0.0
-    pool.modules[1].w.data[...] = data.scale.T
-    pool.modules[1].b.data[...] = 0.0
+    pool.weights[0] = data.rotation.T
+    pool.biases[0] = 0.0
+    pool.weights[1] = data.scale.T
+    pool.biases[1] = 0.0
     head = model.layers[0].controller.heads[0]
     head.w.data[...] = 0.0
     head.w.data[0, 0] = -50.0
@@ -232,13 +231,6 @@ def topk_margin(x, gate, eps=None) -> float:
         z = z + eps * np.log1p(np.exp(x @ gate.noise.w.data + gate.noise.b.data))
     z = -np.sort(-z, axis=-1)
     return float((z[:, gate.k - 1] - z[:, gate.k]).min())
-
-
-def random_biases(params, rng):
-    # zero-init biases can park rows exactly on a kink
-    for p in params:
-        if p.name.endswith(".b"):
-            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
 
 
 def unroll_check(rng):
@@ -365,9 +357,7 @@ def test_criterion_03_gradients_match_finite_differences(monkeypatch):
         seed=5,
     )
     jig = np.random.default_rng(17)
-    for p in task.parameters():
-        if p.name.endswith(".b"):
-            p.data[...] = jig.uniform(-0.5, 0.5, size=p.data.shape)
+    random_biases(task.parameters(), jig)
     idx = np.arange(4)
     comps = task.sample_comps(idx, streams["estep"])
     monkeypatch.setattr(modular_mod, "relu", relu_spy)
@@ -385,9 +375,7 @@ def test_criterion_03_gradients_match_finite_differences(monkeypatch):
         },
         seed=3,
     )
-    for p in task.parameters():
-        if p.name.endswith(".b"):
-            p.data[...] = jig.uniform(-0.5, 0.5, size=p.data.shape)
+    random_biases(task.parameters(), jig)
     idx = np.arange(2)
     comps = task.sample_comps(idx, streams["estep"])
     relu_inputs.clear()
@@ -487,8 +475,8 @@ def test_criterion_06_score_function_gradient_is_unbiased():
     probs = model.layers[0].controller.distribution(x)[:, 0, :]
     rewards = np.empty_like(probs)
     for j in range(2):
-        mod = model.layers[0].pool.modules[j]
-        h = x @ mod.w.data + mod.b.data
+        pool = model.layers[0].pool
+        h = x @ pool.weights[j] + pool.biases[j]
         rewards[:, j] = (-0.5 * ((y - h) ** 2).sum(-1)
                         - 0.5 * y.shape[1] * np.log(2 * np.pi))
     gw = np.zeros_like(head.w.data)
@@ -549,8 +537,7 @@ def test_criterion_07_sparse_gate_keeps_exactly_k():
     oracle_w[rows, kept] = e / e.sum(axis=1, keepdims=True)
     oracle_out = np.zeros((len(x), x.shape[1]))
     for j in range(4):
-        mod = layer.pool.modules[j]
-        oracle_out += oracle_w[:, j:j + 1] * (x @ mod.w.data + mod.b.data)
+        oracle_out += oracle_w[:, j:j + 1] * (x @ layer.pool.weights[j] + layer.pool.biases[j])
 
     res = model.rollout(x, collect_probs=True)
     eval_err = float(np.abs(res.outputs - oracle_out).max())
@@ -566,19 +553,19 @@ def test_criterion_07_sparse_gate_keeps_exactly_k():
 def test_criterion_09_entropy_metrics_are_exact_and_ordered():
     m = 5
     uniform = np.full((7, 2, m), 1.0 / m)
-    snap = SelectionSnapshot([uniform], [uniform.argmax(-1)])
+    snap = SelectionSnapshot([uniform])
     err = abs(snap.h_selection - math.log(m))
     err = max(err, abs(snap.h_batch - math.log(m)))
 
     onehot = np.zeros((6, 1, 3))
     onehot[:, :, 1] = 1.0
-    snap = SelectionSnapshot([onehot], [onehot.argmax(-1)])
+    snap = SelectionSnapshot([onehot])
     err = max(err, abs(snap.h_selection), abs(snap.h_batch))
 
     split = np.zeros((8, 1, 2))
     split[:4, :, 0] = 1.0
     split[4:, :, 1] = 1.0
-    snap = SelectionSnapshot([split], [split.argmax(-1)])
+    snap = SelectionSnapshot([split])
     err = max(err, abs(snap.h_selection), abs(snap.h_batch - math.log(2)))
 
     rng = np.random.default_rng(123)
@@ -588,7 +575,7 @@ def test_criterion_09_entropy_metrics_are_exact_and_ordered():
                  int(rng.integers(2, 5)))
         p = rng.random(shape) + 1e-12
         p /= p.sum(axis=-1, keepdims=True)
-        snap = SelectionSnapshot([p], [p.argmax(-1)])
+        snap = SelectionSnapshot([p])
         if snap.h_batch < snap.h_selection - 1e-12:
             violations += 1
 

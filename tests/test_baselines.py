@@ -100,8 +100,8 @@ def ctrl_grad_exact(model, x, y, baseline):
     log2pi = math.log(2.0 * math.pi)
     rewards = np.zeros((n, m))
     for j in range(m):
-        mod = model.layers[0].pool.modules[j]
-        pred = x @ mod.w.data + mod.b.data
+        pool = model.layers[0].pool
+        pred = x @ pool.weights[j] + pool.biases[j]
         rewards[:, j] = (-0.5 * (y - pred) ** 2 - 0.5 * log2pi).sum(axis=1)
     gw = np.zeros_like(head.w.data)
     gb = np.zeros_like(head.b.data)
@@ -144,12 +144,12 @@ def test_reinforce_module_gradient_only_for_sampled_modules():
     _, task, model, _ = make(cfg)
     idx = np.arange(8)
     comps = np.zeros((8, 1, 1), dtype=np.int64)  # force module 0 everywhere
-    mods = model.layers[0].pool.modules
+    pool = model.layers[0].pool
     with Tape() as tape:
         obj, _ = task.reinforce_surrogate(idx, comps, 0.0)
-    grads = tape.parameter_grads(tape.backward(obj), [mods[0].w, mods[1].w])
-    assert np.any(grads[mods[0].w] != 0.0)
-    assert np.all(grads[mods[1].w] == 0.0)
+    g = tape.parameter_grads(tape.backward(obj), [pool.param])[pool.param]
+    assert np.any(g[0, : pool.in_dim] != 0.0)
+    assert np.all(g[1] == 0.0)
 
 
 def test_reinforce_training_improves_fit():
@@ -271,14 +271,15 @@ def test_static_trainer_never_touches_selection_parameters():
     trainer, _, model, _ = make(cfg)
     head = model.layers[0].controller.heads[0]
     ctrl_before = head.w.data.copy()
-    mod0_before = model.layers[0].pool.modules[0].w.data.copy()
-    mod1_before = model.layers[0].pool.modules[1].w.data.copy()
+    weights = model.layers[0].pool.weights
+    mod0_before = weights[0].copy()
+    mod1_before = weights[1].copy()
     for _ in range(5):
         trainer.iteration()
     assert np.array_equal(head.w.data, ctrl_before)
-    assert not np.array_equal(model.layers[0].pool.modules[0].w.data, mod0_before)
+    assert not np.array_equal(weights[0], mod0_before)
     # the fixed pattern for one slot names module 0 only
-    assert np.array_equal(model.layers[0].pool.modules[1].w.data, mod1_before)
+    assert np.array_equal(weights[1], mod1_before)
 
 
 def test_static_pattern_round_robin_and_override():
@@ -311,7 +312,7 @@ def test_noisy_topk_deterministic_across_rebuilds():
         trainer, _, model, _ = make(cfg)
         for _ in range(3):
             trainer.iteration()
-        return model.layers[0].pool.modules[0].w.data.copy()
+        return model.layers[0].pool.weights[0].copy()
 
     assert np.array_equal(run(), run())
 

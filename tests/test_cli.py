@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import struct
 import os
 import subprocess
@@ -331,6 +332,33 @@ def test_checkpoint_with_misplaced_arrays_is_exit_2(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "malformed checkpoint" in err and bad in err
+
+
+@pytest.mark.parametrize("command", ["eval", "resume"])
+@pytest.mark.parametrize(
+    "kinds", [("param", "opt_m", "opt_v"), ("opt_v",)], ids=["param-and-moments", "moment-only"]
+)
+def test_checkpoint_with_arrays_the_model_lacks_is_exit_2(
+    tmp_path, capsys, monkeypatch, mid_checkpoint, command, kinds
+):
+    # a third module's arrays, for which the two-module model has no piece,
+    # were dropped without complaint
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "root"))
+    arrays = rewrite_header(mid_checkpoint, os.devnull)["arrays"]
+    end = arrays[-1]["offset"] + math.prod(arrays[-1]["shape"])
+    extra = [
+        {"name": f"{kind}:l0.pool.m2.w", "shape": [2, 2], "offset": end + 4 * i, "dtype": "float64"}
+        for i, kind in enumerate(kinds)
+    ]
+    bad = str(tmp_path / "bad.ckpt")
+    rewrite_header(mid_checkpoint, bad, arrays=arrays + extra)
+    with open(bad, "ab") as fh:
+        fh.write(bytes(8 * 4 * len(kinds)))
+    argv = [command, bad] + (["train"] if command == "eval" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "arrays the model lacks" in err
+    assert all(f"{kind}:l0.pool.m2.w" in err for kind in kinds)
 
 
 @pytest.mark.parametrize("change", ["missing", "unknown"])

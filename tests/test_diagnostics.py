@@ -85,9 +85,7 @@ def test_batch_entropy_dominates_selection_entropy():
 def test_snapshot_layer_averaging():
     layer0 = np.tile([[0.5, 0.5]], (8, 1))[:, None, :]  # entropy ln2
     layer1 = np.tile([[1.0, 0.0]], (8, 1))[:, None, :]  # entropy 0
-    chosen0 = np.zeros((8, 1), dtype=np.int64)
-    chosen1 = np.zeros((8, 1), dtype=np.int64)
-    snap = SelectionSnapshot([layer0, layer1], [chosen0, chosen1])
+    snap = SelectionSnapshot([layer0, layer1])
     assert snap.h_selection == pytest.approx(LN2 / 2.0, abs=1e-12)
     assert snap.h_batch == pytest.approx(LN2 / 2.0, abs=1e-12)
 

@@ -232,15 +232,15 @@ def np_linear_net_scores(model, x, y):
         return e / e.sum(axis=-1, keepdims=True)
 
     log2pi = math.log(2.0 * math.pi)
-    m = len(model.layers[0].pool.modules)
+    m = model.layers[0].pool.n_modules
     out = {}
     for j0 in range(m):
         for j1 in range(m):
             l0, l1 = model.layers
             p0 = softmax(x @ l0.controller.heads[0].w.data + l0.controller.heads[0].b.data)
-            h = x @ l0.pool.modules[j0].w.data + l0.pool.modules[j0].b.data
+            h = x @ l0.pool.weights[j0] + l0.pool.biases[j0]
             p1 = softmax(h @ l1.controller.heads[0].w.data + l1.controller.heads[0].b.data)
-            pred = h @ l1.pool.modules[j1].w.data + l1.pool.modules[j1].b.data
+            pred = h @ l1.pool.weights[j1] + l1.pool.biases[j1]
             cond = (-0.5 * (y - pred) ** 2 - 0.5 * log2pi).sum(axis=1)
             out[(j0, j1)] = cond + np.log(p0[:, j0]) + np.log(p1[:, j1])
     return out
@@ -334,8 +334,7 @@ def test_trainer_state_roundtrip_resumes_identically():
 def test_guard_aborts_training_on_poisoned_parameters():
     cfg = toy_cfg(seed=17)
     trainer, task, model, _ = make_trainer(cfg)
-    model.layers[0].pool.modules[0].w.data[:] = np.nan
-    model.layers[0].pool.modules[1].w.data[:] = np.nan
+    model.layers[0].pool.weights[:2] = np.nan
     with pytest.raises(NumericAbort):
         for _ in range(20):
             trainer.partial_m_step()

@@ -11,6 +11,9 @@ from oracles import (
     concat_last,
     np_sigmoid,
     np_softmax,
+    oracle_grads,
+    pool_modules,
+    random_biases,
     reference_cell_step,
     reference_lm_rollout,
     stack_rows,
@@ -105,8 +108,7 @@ def test_cell_full_update_gate_emits_candidate():
         np.concatenate([h, x], -1) @ cell.reset.w.data + cell.reset.b.data
     )
     px = np.concatenate([r * h, x], -1)
-    m = cell.pool.modules[1]
-    want = np.maximum(px @ m.w.data + m.b.data, 0.0)
+    want = np.maximum(px @ cell.pool.weights[1] + cell.pool.biases[1], 0.0)
     assert np.allclose(out, want, atol=1e-10)
 
 
@@ -115,7 +117,7 @@ def test_cell_candidate_rectified_after_sum():
     # interpolates straight toward zero instead of summing rectified halves
     rng = np.random.default_rng(53)
     cell = ModularGruCell(rng, in_dim=2, hidden=2, n_modules=2, n_slots=2)
-    m0, m1 = cell.pool.modules
+    m0, m1 = pool_modules(cell.pool)
     m1.w.data[:] = -m0.w.data
     m1.b.data[:] = -m0.b.data
     cell.update.w.data[:] = 0.0
@@ -127,9 +129,11 @@ def test_cell_candidate_rectified_after_sum():
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
-def unroll_grads(unroll_fn, cell, h0, xs, sels, weight):
+def unroll_grads(unroll_fn, cell, h0, xs, sels, weight, composed=False):
     """Rows of ``unroll_fn`` and the gradients of sum(weight * rows) with
-    respect to every step's inputs and every cell parameter."""
+    respect to every step's inputs and every cell parameter; a
+    ``composed`` unroll runs the pool's modules one by one, so the pool's
+    gradient is its modules' (``oracle_grads``)."""
     x_params = [Parameter(x, f"x{t}") for t, x in enumerate(xs)]
     with Tape() as tape:
         x_steps = [tape.watch(p) for p in x_params]
@@ -137,7 +141,8 @@ def unroll_grads(unroll_fn, cell, h0, xs, sels, weight):
         loss = sum_over_axis(mul(rows, weight))
         n_records = len(tape)
     grads = tape.backward(loss)
-    return rows.data, [tape.grad(grads, p) for p in x_params + cell.parameters()], n_records
+    pools = [cell.pool] if composed else []
+    return rows.data, oracle_grads(tape, grads, x_params + cell.parameters(), pools), n_records
 
 
 def fused_unroll(cell, h0, x_steps, sels):
@@ -158,9 +163,7 @@ def fused_unroll(cell, h0, x_steps, sels):
 def test_unroll_matches_composed_steps(n_slots, sel_rows, monkeypatch):
     rng = np.random.default_rng(70 + n_slots)
     cell = ModularGruCell(rng, in_dim=3, hidden=4, n_modules=3, n_slots=n_slots)
-    for p in cell.parameters():
-        if p.name.endswith(".b"):
-            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    random_biases(cell.parameters(), rng)
     steps = 4
     h0 = rng.standard_normal((6, 4))
     xs = rng.standard_normal((steps, 6, 3))
@@ -179,7 +182,9 @@ def test_unroll_matches_composed_steps(n_slots, sel_rows, monkeypatch):
     got, got_g, fused_records = unroll_grads(fused_unroll, cell, h0, xs, sels, weight)
     monkeypatch.setattr(gru_mod, "relu", true_relu)
     pre = np.concatenate(pre)
-    want, want_g, composed_records = unroll_grads(composed_unroll, cell, h0, xs, sels, weight)
+    want, want_g, composed_records = unroll_grads(
+        composed_unroll, cell, h0, xs, sels, weight, composed=True
+    )
     assert np.array_equal(got, want)
     # input stack, one unroll record, then the loss's mul and sum
     assert fused_records == 4 and composed_records > 20 * steps
@@ -187,8 +192,7 @@ def test_unroll_matches_composed_steps(n_slots, sel_rows, monkeypatch):
     # rows on both sides of the kink, so the relu mask is exercised
     assert (pre < 0).any() and (pre > 0).any()
     if not (sels == 1).any():
-        for p in cell.pool.modules[1].parameters():
-            assert not got_g[steps + cell.parameters().index(p)].any()
+        assert not got_g[steps + cell.parameters().index(cell.pool.param)][1].any()
 
     for g, w in zip(got_g, want_g):
         np.testing.assert_allclose(g, w, rtol=1e-10, atol=0.0)
@@ -254,9 +258,7 @@ def topk_unrolls(train, seed):
 def test_topk_unroll_matches_composed_steps(k, train, monkeypatch):
     rng = np.random.default_rng(80 + k)
     cell = ModularGruCell(rng, in_dim=3, hidden=4, n_modules=4, topk=k)
-    for p in cell.parameters():
-        if p.name.endswith(".b"):
-            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    random_biases(cell.parameters(), rng)
     steps, batch = 4, 3
     h0 = rng.standard_normal((batch, 4))
     xs = rng.standard_normal((steps, batch, 3))
@@ -275,7 +277,7 @@ def test_topk_unroll_matches_composed_steps(k, train, monkeypatch):
     monkeypatch.setattr(gru_mod, "relu", true_relu)
     pre = np.concatenate(pre)
     masks = []
-    want, want_g, _ = unroll_grads(composed, cell, h0, xs, masks, weight)
+    want, want_g, _ = unroll_grads(composed, cell, h0, xs, masks, weight, composed=True)
     assert np.array_equal(got, want)
     assert fused_records == 4
     assert (pre < 0).any() and (pre > 0).any()
@@ -539,9 +541,8 @@ def test_probe_skips_the_output_head(forced):
     snap, paths = lm.probe(tokens, np.random.default_rng(8), comps)
     assert calls == []
     assert np.array_equal(paths, want.comps)
-    assert len(snap.probs) == len(snap.chosen) == 1
+    assert len(snap.probs) == 1
     assert np.array_equal(snap.probs[0], want.probs.reshape(12, 2, 3))
-    assert np.array_equal(snap.chosen[0], want.comps.reshape(12, 2))
 
 
 def test_topk_probe_skips_the_output_head():
@@ -555,7 +556,6 @@ def test_topk_probe_skips_the_output_head():
     assert calls == []
     flat = weights.reshape(12, 1, 3)
     assert np.array_equal(snap.probs[0], flat)
-    assert np.array_equal(snap.chosen[0], flat.argmax(axis=-1))
     assert np.array_equal(paths, weights.argmax(axis=-1)[:, :, None])
     res = lm.rollout(tokens)
     assert res.cond_ll is None and res.pred_ll is None
@@ -680,8 +680,7 @@ def test_topk_cell_blends_survivors():
     mix = np.zeros_like(h)
     for b in range(5):
         for j in np.nonzero(mask[b])[0]:
-            m = cell.pool.modules[j]
-            mix[b] += w[b, j] * (px[b] @ m.w.data + m.b.data)
+            mix[b] += w[b, j] * (px[b] @ cell.pool.weights[j] + cell.pool.biases[j])
     want = (1.0 - z) * h + z * np.maximum(mix, 0.0)
     assert np.allclose(out, want, atol=1e-10)
 
@@ -723,9 +722,7 @@ def random_biased_cell(rng, n_modules, router):
     topk = None if router == "controller" else min(2, n_modules)
     n_slots = 2 if router == "controller" else 1
     cell = ModularGruCell(rng, in_dim=3, hidden=4, n_modules=n_modules, n_slots=n_slots, topk=topk)
-    for p in cell.parameters():
-        if p.name.endswith(".b"):
-            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    random_biases(cell.parameters(), rng)
     return cell
 
 
@@ -766,7 +763,9 @@ def test_fixed_weights_and_select_function_unroll_alike(n_modules, router):
 
     got, got_g, _ = unroll_grads(by_array, cell, h0, xs, sels, loss_w)
     fn_rows, fn_g, _ = unroll_grads(by_function, cell, h0, xs, sels, loss_w)
-    want, want_g, _ = unroll_grads(composed, cell, h0, xs, sels if sels is not None else [], loss_w)
+    want, want_g, _ = unroll_grads(
+        composed, cell, h0, xs, sels if sels is not None else [], loss_w, composed=True
+    )
     assert got.tobytes() == fn_rows.tobytes()
     assert np.array_equal(got, want)
     for g, f, w in zip(got_g, fn_g, want_g):
@@ -872,9 +871,7 @@ def test_bptt_keeps_the_strided_oracle_bits(router, n_modules, steps, n_slots, m
     hid, in_dim, batch = 8, 3, 16
     topk = None if router == "controller" else min(n_slots, n_modules)
     cell = ModularGruCell(rng, in_dim, hid, n_modules, n_slots, topk=topk)
-    for p in cell.parameters():
-        if p.name.endswith(".b"):
-            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    random_biases(cell.parameters(), rng)
     if topk is None:
         sels = rng.integers(0, n_modules, size=(steps, batch, n_slots))
         select = forced(sels, n_modules)

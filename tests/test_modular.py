@@ -11,8 +11,11 @@ from oracles import (
     oracle_sample_rows,
     oracle_slot_counts,
     oracle_softmax_parts,
+    oracle_grads,
     pool_combine,
     pool_module,
+    pool_modules,
+    random_biases,
 )
 
 import modnet.datasets as datasets_mod
@@ -110,11 +113,9 @@ def test_array_paths_equal_tensor_paths(kind):
     # path's values, and is never recorded, even under a tape
     rng = np.random.default_rng(31)
     pool = ModulePool(rng, 3, 4, 5, kind=kind)
-    for p in pool.parameters():
-        if p.name.endswith(".b"):
-            p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    random_biases(pool.parameters(), rng)
     x = rng.standard_normal((6, 4))
-    paths = [pool.modules[0]] + [
+    paths = [pool_modules(pool)[0]] + [
         lambda v, j=j: pool_module(pool, j, v) for j in range(pool.n_modules)
     ]
     for path in paths:
@@ -124,7 +125,7 @@ def test_array_paths_equal_tensor_paths(kind):
         assert isinstance(got, np.ndarray) and isinstance(want, Tensor)
         assert np.array_equal(got, want.data) and len(tape) == 0
     if kind == "linear-relu":
-        raw = pool.modules[0](x)
+        raw = pool_modules(pool)[0](x)
         assert (raw < 0).any() and (raw > 0).any()
 
 
@@ -289,8 +290,7 @@ def test_forward_selected_sum_matches_numpy():
     want = np.zeros((6, 2))
     for b in range(6):
         for k in range(2):
-            m = pool.modules[sel[b, k]]
-            want[b] += x[b] @ m.w.data + m.b.data
+            want[b] += x[b] @ pool.weights[sel[b, k]] + pool.biases[sel[b, k]]
     assert np.allclose(out, want, atol=1e-12)
 
 
@@ -332,12 +332,9 @@ def test_layer_gradients_flow_only_through_selected():
             tape.watch(p)
         loss = mean_all(layer.forward_selected(Tensor(x), sel))
     grads = tape.backward(loss)
-    g0 = tape.grad(grads, pool.modules[0].w)
-    g1 = tape.grad(grads, pool.modules[1].w)
-    g2 = tape.grad(grads, pool.modules[2].w)
-    assert np.any(g0 != 0)
-    assert np.array_equal(g1, np.zeros_like(g1))
-    assert np.array_equal(g2, np.zeros_like(g2))
+    g = tape.grad(grads, pool.param)
+    assert np.any(g[0] != 0)
+    assert np.array_equal(g[1:], np.zeros_like(g[1:]))
 
 
 def taped_select(pool, x, weights):
@@ -358,9 +355,7 @@ def test_pool_combine_keeps_the_taped_bits(monkeypatch, n_modules, n_slots, kind
     for n_layers, detach in itertools.product([1, 2, 3], [False, True]):
         rng = np.random.default_rng(1000 * n_modules + 10 * n_slots + n_layers)
         net = small_net(n_layers, n_modules, n_slots, dim=2, kind=kind, rng=rng)
-        for p in net.parameters():
-            if p.name.endswith(".b"):
-                p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+        random_biases(net.parameters(), rng)
         x = Parameter(rng.standard_normal((6, 2)), "x")
         y = rng.standard_normal((6, 2))
         # module 1 unused from 3 modules on; row 0 picks its last module twice
@@ -375,15 +370,15 @@ def test_pool_combine_keeps_the_taped_bits(monkeypatch, n_modules, n_slots, kind
                                   detach_ctrl_inputs=detach)
                 cond, ctrl = res.cond_ll, res.ctrl_ll
                 grads = tape.backward(mean_all(add(cond, ctrl)))
+            pools = [l.pool for l in net.layers] if select is taped_select else []
             results.append([cond.data, ctrl.data]
-                           + [tape.grad(grads, p) for p in [x] + net.parameters()])
+                           + oracle_grads(tape, grads, [x] + net.parameters(), pools))
         monkeypatch.undo()
         for got, want in zip(*results):
             assert got.tobytes() == want.tobytes()
         if n_modules >= 3:
-            for p in net.layers[0].pool.modules[1].parameters():
-                g = results[0][3 + net.parameters().index(p)]
-                assert not g.any()
+            g = results[0][3 + net.parameters().index(net.layers[0].pool.param)]
+            assert not g[1].any()
 
 
 @pytest.mark.parametrize("kind", ModulePool.KINDS)
@@ -406,9 +401,7 @@ def test_gated_select_keeps_the_taped_bits(monkeypatch, n_modules, train, kind):
             for l in range(n_layers)
         ]
         net = NoisyTopKNet(layers, OutputHead())
-        for p in net.parameters():
-            if p.name.endswith(".b"):
-                p.data[...] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+        random_biases(net.parameters(), rng)
         x = Parameter(rng.standard_normal((6, 2)), "x")
         y = rng.standard_normal((6, 2))
         results = []
@@ -418,15 +411,16 @@ def test_gated_select_keeps_the_taped_bits(monkeypatch, n_modules, train, kind):
                 res = net.rollout(tape.watch(x), y, train=train, rng=np.random.default_rng(5),
                                   collect_probs=True)
                 grads = tape.backward(mean_all(res.cond_ll))
+            pools = [l.pool for l in net.layers] if select is taped_select else []
             results.append([res.cond_ll.data, res.probs]
-                           + [tape.grad(grads, p) for p in [x] + net.parameters()])
+                           + oracle_grads(tape, grads, [x] + net.parameters(), pools))
         monkeypatch.undo()
         for got, want in zip(*results):
             assert got.tobytes() == want.tobytes()
         kept = results[0][1][:, 0, 0] > 0
+        g = results[0][3 + net.parameters().index(net.layers[0].pool.param)]
         for j in np.flatnonzero(~kept.any(axis=0)):
-            for p in net.layers[0].pool.modules[j].parameters():
-                assert not results[0][3 + net.parameters().index(p)].any()
+            assert not g[j].any()
 
 
 @pytest.mark.parametrize("n_slots", [1, 3])
@@ -494,8 +488,7 @@ def test_marginal_matches_independent_enumeration():
                 out = np.zeros_like(h)
                 for k, j in enumerate(sel):
                     logp += np.log(dist[:, k, j])
-                    m = layer.pool.modules[j]
-                    out += h @ m.w.data + m.b.data
+                    out += h @ layer.pool.weights[j] + layer.pool.biases[j]
                 h = out
             per_comp.append(logp + np_gauss_ll(y, h))
     stacked = np.stack(per_comp)
@@ -780,11 +773,9 @@ def test_topk_dropped_modules_get_zero_gradient():
         loss = mean_all(out)
     grads = tape.backward(loss)
     assert np.all(mask[:, 0] == 1.0)
-    for j in (1, 2, 3):
-        gw = tape.grad(grads, pool.modules[j].w)
-        assert np.array_equal(gw, np.zeros_like(gw))
-    g0 = tape.grad(grads, pool.modules[0].w)
-    assert np.any(g0 != 0)
+    g = tape.grad(grads, pool.param)
+    assert np.array_equal(g[1:], np.zeros_like(g[1:]))
+    assert np.any(g[0, : pool.in_dim] != 0)
 
 
 def test_topk_batched_equals_per_example_path():
@@ -871,10 +862,9 @@ def test_topk_net_protocol_matches_layer_walk_oracle():
     assert np.array_equal(pred, out) and np.array_equal(got_ll, ll)
     snap, paths = net.probe(x)
     assert paths.shape == (7, 3, 1) and np.array_equal(paths, probs.argmax(axis=-1))
-    assert len(snap.probs) == len(snap.chosen) == 3
+    assert len(snap.probs) == 3
     for l in range(3):
         assert np.array_equal(snap.probs[l], probs[:, l])
-        assert np.array_equal(snap.chosen[l], paths[:, l])
 
     # train mode: twinned rngs draw the same noise
     out_t, ll_t, probs_t = oracle(True, seed=5)
@@ -926,18 +916,26 @@ def test_top_k_mask_matches_the_stable_argsort(n_modules):
             assert np.all(got.sum(axis=-1) == k)
 
 
-def test_pool_modules_are_views_of_the_stacked_buffers():
+def test_pool_pieces_are_views_of_its_one_parameter():
     rng = np.random.default_rng(52)
     pool = ModulePool(rng, 3, 4, 2, kind="linear")
-    # initial draws are per module, in order, as from separate Linears
+    assert pool.parameters() == [pool.param] and pool.param.shape == (3, 5, 2)
+    assert pool.weights.base is pool.param.data and pool.biases.base is pool.param.data
+    # initial draws are per module, in order, as from separate Linears, and
+    # the pieces run m0.w, m0.b, m1.w, ... through the buffer in storage order
     again = np.random.default_rng(52)
-    for j, m in enumerate(pool.modules):
+    flat = []
+    for j in range(3):
         want = Linear(again, 4, 2, f"pool.m{j}")
-        assert m.w.name == want.w.name and np.array_equal(m.w.data, want.w.data)
-        assert m.w.data.base is pool.weights and m.b.data.base is pool.biases
-    pool.modules[1].w.data += 1.0
-    pool.modules[2].b.data[...] = 7.0
-    assert np.array_equal(pool.weights[1], pool.modules[1].w.data)
+        (w_name, w), (b_name, b) = pool.param.pieces[2 * j : 2 * j + 2]
+        assert (w_name, b_name) == (want.w.name, want.b.name)
+        assert np.array_equal(w, want.w.data) and np.array_equal(b, want.b.data)
+        assert w.base is pool.param.data and b.base is pool.param.data
+        flat += [w.reshape(-1), b]
+    assert np.concatenate(flat).tobytes() == pool.param.data.tobytes()
+    pool.param.pieces[2][1][...] += 1.0
+    pool.param.pieces[5][1][...] = 7.0
+    assert np.array_equal(pool.weights[1], pool.param.pieces[2][1])
     assert np.all(pool.biases[2] == 7.0)
     x = RNG.standard_normal((5, 4))
     stacked = pool.apply(x)

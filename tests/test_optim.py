@@ -8,8 +8,9 @@ from modnet.optim import Adam
 
 
 class LoopAdam:
-    """The per-parameter Adam update, one array at a time: the oracle that
-    the flat-vector ``Adam.step`` must match bit for bit."""
+    """The per-piece Adam update, one array at a time, its clip norm one
+    ``np.sum`` per piece: the oracle that the flat-vector ``Adam.step``
+    must match bit for bit."""
 
     def __init__(self, datas, lr, clip_norm, beta1=0.9, beta2=0.999, eps=1e-8):
         self.datas = [d.copy() for d in datas]
@@ -44,7 +45,25 @@ SHAPES = [(3, 4), (4,), (), (2, 3, 2), (1, 5)]
 
 
 def make_params(rng):
-    return [Parameter(rng.normal(size=s), f"p{i}") for i, s in enumerate(SHAPES)]
+    """One parameter per shape, then one stored as pieces, as a pool of 3
+    modules with 3 inputs and 2 outputs is: module i's weights in rows
+    ``[i, :3]`` and its bias in row ``[i, 3]``."""
+    pool = Parameter(
+        rng.normal(size=(3, 4, 2)),
+        "pool",
+        [(f"pool.m{i}.{part}", (i, ix)) for i in range(3) for part, ix in (("w", slice(3)), ("b", 3))],
+    )
+    return [Parameter(rng.normal(size=s), f"p{i}") for i, s in enumerate(SHAPES)] + [pool]
+
+
+def cut(p, a):
+    """``a``, shaped as p, cut as p's pieces: consecutive runs of its flat
+    values, in storage order."""
+    out, lo = [], 0
+    for _, view in p.pieces:
+        out.append(a.reshape(-1)[lo : lo + view.size].reshape(view.shape))
+        lo += view.size
+    return out
 
 
 def random_grads(rng, params, scale):
@@ -57,10 +76,11 @@ def random_grads(rng, params, scale):
     ids=["no-clip", "clip-inactive", "clip-active"],
 )
 def test_flat_step_matches_the_per_parameter_loop(clip_norm, grad_scale):
+    # the pieced parameter's moments, state and clip sums go piece by piece
     rng = np.random.default_rng(5)
     params = make_params(rng)
     opt = Adam(params, lr=0.01, clip_norm=clip_norm)
-    oracle = LoopAdam([p.data for p in params], lr=0.01, clip_norm=clip_norm)
+    oracle = LoopAdam([a for p in params for a in cut(p, p.data)], lr=0.01, clip_norm=clip_norm)
     clipped = []
     for _ in range(6):
         grads = random_grads(rng, params, grad_scale)
@@ -68,14 +88,16 @@ def test_flat_step_matches_the_per_parameter_loop(clip_norm, grad_scale):
             norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
             clipped.append(norm > clip_norm)
         opt.step(opt.flatten(grads))
-        oracle.step([grads[p] for p in params])
+        oracle.step([g for p in params for g in cut(p, grads[p])])
     if clip_norm is not None:
         assert all(clipped) if grad_scale > 1 else not any(clipped)
     state = opt.state()
     assert opt.t == oracle.t == state["t"] == 6
-    for p, data, m, v, sm, sv in zip(params, oracle.datas, oracle.m, oracle.v,
-                                     state["m"], state["v"]):
-        assert np.array_equal(p.data, data)
+    views = [view for p in params for _, view in p.pieces]
+    assert len(views) == len(state["m"]) == len(state["v"]) == len(oracle.datas) == 11
+    for view, data, m, v, sm, sv in zip(views, oracle.datas, oracle.m, oracle.v,
+                                        state["m"], state["v"]):
+        assert np.array_equal(view, data)
         assert np.array_equal(sm, m) and np.array_equal(sv, v)
 
 
@@ -118,6 +140,20 @@ def test_restore_rejects_a_wrong_shape():
         opt.restore(state)
 
 
+@pytest.mark.parametrize("cut_m, cut_v", [(0, 0), (6, 11), (12, 12), (11, 0)])
+def test_restore_refuses_moment_lists_of_another_length(cut_m, cut_v):
+    # zip stopped at the shorter list: the step count was restored and the
+    # moments it left out stayed as they were
+    params = make_params(np.random.default_rng(0))
+    opt = Adam(params)
+    state = opt.state()
+    extra = [np.zeros(())]
+    short = {"t": 7, "m": (state["m"] + extra)[:cut_m], "v": (state["v"] + extra)[:cut_v]}
+    with pytest.raises(ValueError, match=f"{cut_m} first and {cut_v} second moments for 11 "):
+        opt.restore(short)
+    assert opt.t == 0
+
+
 def test_steps_after_restore_move_the_reported_moments():
     rng = np.random.default_rng(2)
     params = make_params(rng)
@@ -125,7 +161,10 @@ def test_steps_after_restore_move_the_reported_moments():
     for _ in range(3):
         a.step(a.flatten(random_grads(rng, params, 1.0)))
     saved = a.state()
-    twin = [Parameter(p.data.copy(), p.name) for p in params]
+    # a twin with the same pieces and values
+    twin = make_params(np.random.default_rng(0))
+    for p, q in zip(params, twin):
+        q.data[...] = p.data
     b = Adam(twin, lr=0.1)
     b.restore(saved)
     grads = random_grads(rng, params, 1.0)

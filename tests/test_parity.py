@@ -79,6 +79,15 @@ SHORT_RUNS = {
         "eaa9d9390e0213c2a725c9eff7796b4befb59f8844fdf22e8d2ded7583317678",
         "26267ca3d359de169abc8b881f0b09b74bcc2776b92d5209ec1f31a6a104925c",
     ),
+    # eight modules under two slots: the default clip norm of 5.0 fires on
+    # every gradient step, adding one sum per module weight and bias
+    "two_regime_reinforce/m8_two_slots_clipped": (
+        3,
+        "e300bbffc84f30e62bad5636e1c61c53bb3675d791b5a517fb55ecf06433297d",
+        "c61437d55f6127b63660223e14c49eea3925b211295c9d3cce0f5efdba5c0b55",
+        "architecture.n_modules=8",
+        "architecture.n_slots=2",
+    ),
     "two_regime_static": (
         3,
         "05d5874d32a07fff09b7cbb5d28be6d41c7a0467732c708868b3951192f56f33",

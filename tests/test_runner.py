@@ -2,11 +2,14 @@ import gc
 import importlib.util
 import json
 import os
+import struct
 import weakref
 
 import numpy as np
 import pytest
 
+import modnet.gru as gru_mod
+import modnet.modular as modular_mod
 from modnet.autodiff import Tape, mean_all
 from modnet.baselines import NoisyTopKTrainer, ReinforceTrainer, StaticTrainer
 from modnet.config import from_dict, load_config
@@ -89,7 +92,6 @@ def test_sequence_task_probe_shapes():
     assert task.unit_shape == (5, 1)
     snap, paths = task.probe(np.arange(8), streams["probe"])
     assert snap.probs[0].shape == (40, 1, 2)
-    assert snap.chosen[0].shape == (40, 1)
     assert paths.shape == (8, 5, 1)
     assert 0.0 <= snap.h_batch <= np.log(2) + 1e-12
 
@@ -322,14 +324,17 @@ def test_default_sweep_grid_covers_all_trainers(tmp_path):
 
 
 def assert_pool_aliases_its_stack(pool):
-    for m, w, b in zip(pool.modules, pool.weights, pool.biases):
-        assert m.w.data.base is pool.weights and m.b.data.base is pool.biases
-        assert np.array_equal(m.w.data, w) and np.array_equal(m.b.data, b)
+    data = pool.param.data
+    assert pool.weights.base is data and pool.biases.base is data
+    for j in range(pool.n_modules):
+        (_, w), (_, b) = pool.param.pieces[2 * j : 2 * j + 2]
+        assert w.base is data and b.base is data
+        assert np.array_equal(w, pool.weights[j]) and np.array_equal(b, pool.biases[j])
 
 
 def test_pool_stacks_follow_adam_steps_and_checkpoint_loads(tmp_path):
-    # each module's parameters are views into its pool's stacked buffers,
-    # and both in-place writers keep them so
+    # each module's pieces, and the pool's weights and biases, are views
+    # into the pool's one buffer, and both in-place writers keep them so
     cfg = from_dict({
         "task": {"kind": "two-regime-lm", "n_windows": 16, "unroll": 4},
         "architecture": {"n_modules": 3, "hidden": 4, "embed_dim": 4},
@@ -348,8 +353,64 @@ def test_pool_stacks_follow_adam_steps_and_checkpoint_loads(tmp_path):
     np.testing.assert_allclose(pool.weights, before + 0.1, rtol=0.0, atol=1e-8)
     _load_params(task.parameters(), ckpt)
     assert_pool_aliases_its_stack(pool)
-    for m in pool.modules:
-        assert np.array_equal(m.w.data, ckpt.params[m.w.name])
+    for name, view in pool.param.pieces:
+        assert np.array_equal(view, ckpt.params[name])
+
+
+def build_config(name, overrides):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.json")
+    cfg = load_config(path, overrides)
+    streams = SeedStreams(cfg.seed)
+    data = build_dataset(cfg, streams)
+    return cfg, streams, build_task(cfg, build_model(cfg, data, streams), data)
+
+
+@pytest.mark.parametrize("name", ["toy_em", "two_regime_em"])
+def test_a_taped_objective_has_as_many_leaves_at_any_pool_size(monkeypatch, name):
+    # a pool is one leaf: its record takes the pool's one parameter, not a
+    # weight and a bias per module
+    seen = {}
+    for n_modules in (2, 32):
+        _, streams, task = build_config(
+            name, [f"architecture.n_modules={n_modules}", "task.n=64", "task.n_windows=16"]
+        )
+        idx = np.arange(8)
+        comps = task.sample_comps(idx, streams["estep"])
+        model = task.model
+        pool = (model.layers[0] if name == "toy_em" else model.cell).pool.param
+        records = []
+        for mod in (modular_mod, gru_mod):
+            def spy(kind, out, inputs, pullback, true=mod.record_joint):
+                records.append((kind, len(inputs), sum(p is pool for p in inputs)))
+                return true(kind, out, inputs, pullback)
+
+            monkeypatch.setattr(mod, "record_joint", spy)
+        with Tape() as tape:
+            loss = task.objective(idx, comps)
+        monkeypatch.undo()
+        seen[n_modules] = (len(tape.backward(loss)), records)
+    assert seen[2] == seen[32]
+    leaves, records = seen[32]
+    assert leaves == len(task.parameters())
+    kind, n_inputs, n_pool = records[0]
+    if name == "toy_em":
+        assert (kind, n_inputs, n_pool) == ("pool-combine", 3, 1)
+    else:
+        # the inputs, the update and reset gates' weights and biases, the pool
+        assert (kind, n_inputs, n_pool) == ("modular-gru-unroll", 6, 1)
+
+
+def test_checkpoint_names_every_module_of_a_large_pool_in_order(tmp_path):
+    cfg, _, _ = build_config("toy_em", ["architecture.n_modules=32", "task.n=64"])
+    cfg = from_dict(dict(cfg.to_dict(), trainer=dict(cfg.to_dict()["trainer"], iterations=1)))
+    record = execute_run(cfg, str(tmp_path))
+    blob = open(record["checkpoints"][-1], "rb").read()
+    (n,) = struct.unpack("<Q", blob[8:16])
+    names = [e["name"] for e in json.loads(blob[16 : 16 + n])["arrays"]]
+    pieces = [f"l0.pool.m{i}.{part}" for i in range(32) for part in ("w", "b")]
+    assert [a for a in names if a.startswith("param:l0.pool.")] == [f"param:{a}" for a in pieces]
+    moments = [a for a in names if a.startswith("opt_m:l0.pool.")]
+    assert moments == [f"opt_m:{a}" for a in pieces]
 
 
 @pytest.mark.parametrize("name", TRAINER_CONFIGS)
@@ -357,11 +418,8 @@ def test_an_iteration_frees_every_tape_it_made(monkeypatch, name):
     # a pullback that holds a Tensor holds its tape, in a cycle that only
     # the cycle collector frees: with it off, every tape must be gone once
     # the iteration returns
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.json")
-    cfg = load_config(path, ["task.n=128", "task.n_windows=32"])
-    streams = SeedStreams(cfg.seed)
-    data = build_dataset(cfg, streams)
-    trainer = build_trainer(cfg, build_task(cfg, build_model(cfg, data, streams), data), streams)
+    cfg, streams, task = build_config(name, ["task.n=128", "task.n_windows=32"])
+    trainer = build_trainer(cfg, task, streams)
     tapes, true_init = [], Tape.__init__
 
     def init(tape):

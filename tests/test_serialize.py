@@ -18,11 +18,12 @@ from modnet.serialize import (
 
 
 def sample_state(params):
+    views = [view for p in params for _, view in p.pieces]
     return {
         "opt": {
             "t": 7,
-            "m": [np.full_like(p.data, 0.25) for p in params],
-            "v": [np.full_like(p.data, 0.5) for p in params],
+            "m": [np.full_like(view, 0.25) for view in views],
+            "v": [np.full_like(view, 0.5) for view in views],
         },
         "arrays": {
             "buffer_comps": np.array([[1, 0], [2, 1]], dtype=np.int64),
@@ -49,11 +50,26 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     w = Parameter(rng.standard_normal((3, 4)), "layer.w")
     # awkward values: negative zero, denormal, huge, tiny
     b = Parameter(np.array([-0.0, 5e-324, 1e308, -1e-308]), "layer.b")
+    # stored as pieces, as a module pool is: one named array per piece
+    pool = Parameter(
+        np.arange(12.0).reshape(2, 3, 2),
+        "pool",
+        [(f"pool.m{i}.{part}", (i, ix)) for i in range(2) for part, ix in (("w", slice(2)), ("b", 2))],
+    )
     path = tmp_path / "snap.ckpt"
-    write_sample(path, [w, b])
+    write_sample(path, [w, b, pool])
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<Q", blob[8:16])
+    names = [e["name"] for e in json.loads(blob[16 : 16 + n])["arrays"]]
+    pieces = ["layer.w", "layer.b", "pool.m0.w", "pool.m0.b", "pool.m1.w", "pool.m1.b"]
+    assert names[:6] == [f"param:{name}" for name in pieces]
+    assert names[6:18] == [f"{kind}:{name}" for name in pieces for kind in ("opt_m", "opt_v")]
     back = read_checkpoint(str(path))
     assert back.params["layer.w"].tobytes() == w.data.tobytes()
     assert back.params["layer.b"].tobytes() == b.data.tobytes()
+    assert back.params["pool.m1.w"].tobytes() == pool.data[1, :2].tobytes()
+    assert np.array_equal(back.params["pool.m1.b"], [10.0, 11.0])
+    assert back.opt_m["pool.m0.b"].shape == (2,)
     assert back.iteration == 123
     assert back.version == "1"
     assert back.config["trainer"]["kind"] == "em"
@@ -162,6 +178,18 @@ def test_checkpoint_write_read_write_is_byte_identical(tmp_path, drawn):
     }
     write_state(tmp_path / "b.ckpt", [Parameter(back.params[n], n) for n in names], again)
     assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("short", ["m", "v"])
+def test_checkpoint_refuses_moment_lists_of_another_length(tmp_path, short):
+    # zip stopped at the shorter list and wrote a checkpoint without the
+    # moments it left out
+    params = [Parameter(np.zeros(2), "a"), Parameter(np.ones(3), "b")]
+    state = sample_state(params)
+    state["opt"][short] = state["opt"][short][:1]
+    with pytest.raises(ValueError, match="moments for 2 parameter pieces"):
+        write_state(tmp_path / "x.ckpt", params, state)
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_checkpoint_rejects_duplicate_parameter_names(tmp_path):
