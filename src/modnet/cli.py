@@ -47,7 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument(
         "dataset",
-        help="'train' for the run's own data, or a JSON file {\"task\": ..., \"seed\": N}",
+        help="'train' for the run's own data, or a JSON file {\"task\": ..., \"seed\": N}; "
+        "a spec seed other than the run's redraws a synthetic process, two-regime "
+        "transition tables included, so it is scored on another process, not on "
+        "held-out windows of the trained one",
     )
     p.add_argument(
         "--mode",

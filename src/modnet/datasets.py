@@ -7,12 +7,9 @@ touches global random state.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from modnet.modular import sample_rows
 
 
 def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -91,7 +88,6 @@ class TwoRegimeData:
     tables: np.ndarray
     n_states: int
     noise: float
-    bayes_nll: float = field(default=0.0)
 
     @property
     def vocab_size(self) -> int:
@@ -100,27 +96,6 @@ class TwoRegimeData:
     @property
     def n(self) -> int:
         return self.tokens.shape[0]
-
-
-def exact_bayes_nll(
-    tokens: np.ndarray,
-    targets: np.ndarray,
-    regimes: np.ndarray,
-    tables: np.ndarray,
-    n_states: int,
-) -> float:
-    """Mean per-token loss of the generating process on this exact data.
-
-    The first prediction of each window is uniform over content symbols;
-    later ones score the realized transition under the true table.  No
-    model seeing only the window prefix can do better in expectation.
-    """
-    n, steps = tokens.shape
-    total = n * math.log(n_states)
-    for t in range(1, steps):
-        rows = tables[regimes, tokens[:, t]]
-        total += -np.log(rows[np.arange(n), targets[:, t]]).sum()
-    return total / (n * steps)
 
 
 def gen_two_regime_sequences(
@@ -147,15 +122,17 @@ def gen_two_regime_sequences(
     windows[:, 0] = n_states + regimes
     state = rng.integers(0, n_states, size=n_windows)
     windows[:, 1] = state
+    # Inverse-CDF draws from running sums built once, successor-first:
+    # column r * n_states + s holds regime r's cumulative row for state s.
+    cum = np.cumsum(tables, axis=-1).transpose(2, 0, 1).reshape(n_states, 2 * n_states)
+    offset = regimes * n_states
     for t in range(2, unroll + 1):
-        rows = tables[regimes, state]
-        state = sample_rows(rows, rng.random(n_windows)).astype(np.int64)
+        drawn = (rng.random(n_windows) >= np.take(cum, offset + state, axis=1)).sum(axis=0)
+        state = np.minimum(drawn, n_states - 1)
         windows[:, t] = state
     tokens = windows[:, :-1].copy()
     targets = windows[:, 1:].copy()
-    data = TwoRegimeData(tokens, targets, regimes, tables, n_states, noise)
-    data.bayes_nll = exact_bayes_nll(tokens, targets, regimes, tables, n_states)
-    return data
+    return TwoRegimeData(tokens, targets, regimes, tables, n_states, noise)
 
 
 @dataclass

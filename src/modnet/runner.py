@@ -542,6 +542,10 @@ def evaluate_checkpoint(
 
     ``dataset_spec`` is ``train`` (regenerate the run's own data) or a
     JSON file ``{"task": {...}, "seed": N}`` describing another dataset.
+    A spec ``seed`` other than the run's draws a synthetic process
+    afresh: on two-regime data it redraws the transition tables, so the
+    spec is scored on another process, not on held-out windows of the
+    trained one.
     """
     if mode not in ("most-likely-composition", "enumerate-marginal"):
         raise ConfigError(
@@ -568,8 +572,13 @@ def evaluate_checkpoint(
         want, got = cfg.task, eval_cfg.task
         if got.kind != want.kind:
             raise ConfigError(f"task.kind: the checkpoint models {want.kind!r}, got {got.kind!r}")
-        if want.kind == "toy-regression" and got.dim != want.dim:
-            raise ConfigError(f"task.dim: the checkpoint's model takes {want.dim}, got {got.dim}")
+        # the task field that sets the model's input size, where one does
+        key = {"toy-regression": "dim", "two-regime-lm": "n_states"}.get(want.kind)
+        if key and getattr(got, key) != getattr(want, key):
+            raise ConfigError(
+                f"task.{key}: the checkpoint's model takes {getattr(want, key)}, "
+                f"got {getattr(got, key)}"
+            )
         data = build_dataset(eval_cfg, SeedStreams(eval_cfg.seed))
     model = build_model(cfg, data, streams)
     task = build_task(cfg, model, data)

@@ -15,10 +15,13 @@ No training run executes anything here.  Three kinds of oracle:
   same arithmetic in the same order;
 - plain numpy transcriptions: the cell and the language model's rollout
   (``reference_*``), the controller step in row-major order
-  (``oracle_*``), and BPTT reading its operands in place
-  (``strided_pullback``).
+  (``oracle_*``), BPTT reading its operands in place
+  (``strided_pullback``), and the two-regime chains drawn step by step
+  through ``oracle_sample_rows`` (``reference_two_regime_sequences``)
+  with the generating process's loss on them (``exact_bayes_nll``).
 """
 
+import math
 import weakref
 
 import numpy as np
@@ -37,6 +40,7 @@ from modnet.autodiff import (
     stable_sigmoid,
 )
 from modnet.autodiff import relu as array_relu
+from modnet.datasets import TwoRegimeData, noisy_permutation_table
 from modnet.modular import Linear, slot_counts
 
 # ---------------------------------------------------------------------------
@@ -396,3 +400,52 @@ def strided_pullback(cell, saved, batch):
         return grads + [g_pool]
 
     return pullback
+
+
+# ---------------------------------------------------------------------------
+# the two-regime process
+
+
+def reference_two_regime_sequences(rng, n_windows, unroll, n_states=6, noise=0.1):
+    """``gen_two_regime_sequences`` as one row-major inverse-CDF draw per
+    step, each summing its rows afresh: the same generator calls in the
+    same order."""
+    table0 = noisy_permutation_table(rng, n_states, noise)
+    table1 = noisy_permutation_table(rng, n_states, noise)
+    while np.any(table0.argmax(axis=1) == table1.argmax(axis=1)):
+        table1 = noisy_permutation_table(rng, n_states, noise)
+    tables = np.stack([table0, table1])
+
+    regimes = np.arange(n_windows, dtype=np.int64) % 2
+    windows = np.empty((n_windows, unroll + 1), dtype=np.int64)
+    windows[:, 0] = n_states + regimes
+    state = rng.integers(0, n_states, size=n_windows)
+    windows[:, 1] = state
+    for t in range(2, unroll + 1):
+        rows = tables[regimes, state]
+        state = oracle_sample_rows(rows, rng.random(n_windows)).astype(np.int64)
+        windows[:, t] = state
+    tokens = windows[:, :-1].copy()
+    targets = windows[:, 1:].copy()
+    return TwoRegimeData(tokens, targets, regimes, tables, n_states, noise)
+
+
+def exact_bayes_nll(
+    tokens: np.ndarray,
+    targets: np.ndarray,
+    regimes: np.ndarray,
+    tables: np.ndarray,
+    n_states: int,
+) -> float:
+    """Mean per-token loss of the generating process on this exact data.
+
+    The first prediction of each window is uniform over content symbols;
+    later ones score the realized transition under the true table.  No
+    model seeing only the window prefix can do better in expectation.
+    """
+    n, steps = tokens.shape
+    total = n * math.log(n_states)
+    for t in range(1, steps):
+        rows = tables[regimes, tokens[:, t]]
+        total += -np.log(rows[np.arange(n), targets[:, t]]).sum()
+    return total / (n * steps)

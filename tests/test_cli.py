@@ -409,6 +409,14 @@ def test_checkpoint_with_a_combine_field_is_exit_2(
 
 
 @pytest.fixture(scope="module")
+def two_regime_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("two-regime")
+    cfg = write_config(root, task={"kind": "two-regime-lm", "n_windows": 16, "unroll": 4})
+    assert main(["run", cfg, "--set", f"out_dir={root / 'out'}"]) == 0
+    return str(root / "out" / "checkpoints" / "final.ckpt")
+
+
+@pytest.fixture(scope="module")
 def reinforce_checkpoint(tmp_path_factory):
     # enough iterations after the checkpoint for 10 skipped steps in a row
     root = tmp_path_factory.mktemp("reinforce")
@@ -623,20 +631,24 @@ HOSTILE_JSON = {
         "eval", {"task": {"kind": "two-regime-lm", "n_windows": 8}}, "task.kind"
     ),
     "eval-other-dim": ("eval", {"task": {"kind": "toy-regression", "n": 8, "dim": 3}}, "task.dim"),
+    "eval-other-n-states": (
+        "eval", {"task": {"kind": "two-regime-lm", "n_windows": 8, "n_states": 3}}, "task.n_states"
+    ),
 }
+# cases scored against a checkpoint of another task than the toy one
+HOSTILE_CHECKPOINT = {"eval-other-n-states": "two_regime_checkpoint"}
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_JSON))
-def test_hostile_json_is_exit_2_naming_the_field(
-    tmp_path, capsys, monkeypatch, mid_checkpoint, case
-):
+def test_hostile_json_is_exit_2_naming_the_field(tmp_path, capsys, monkeypatch, request, case):
     command, content, field = HOSTILE_JSON[case]
+    checkpoint = request.getfixturevalue(HOSTILE_CHECKPOINT.get(case, "mid_checkpoint"))
     monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "root"))
     (tmp_path / "list.json").write_text("[1, 2]")
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(content))
     name, *rest = command.split()
-    argv = [name] + ([mid_checkpoint] if name == "eval" else []) + [str(path)] + rest
+    argv = [name] + ([checkpoint] if name == "eval" else []) + [str(path)] + rest
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and field in err

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from oracles import exact_bayes_nll, reference_two_regime_sequences
 
 from modnet.datasets import (
     char_vocab,
     encode_text,
-    exact_bayes_nll,
     gen_toy_regression,
     gen_two_regime_sequences,
     load_text_data,
@@ -22,6 +22,11 @@ def entropy_rate(table: np.ndarray) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(table > 0, table * np.log(table), 0.0)
     return float(-terms.sum(axis=1).mean())
+
+
+def bayes_nll(data) -> float:
+    """The generating process's loss on generated two-regime data."""
+    return exact_bayes_nll(data.tokens, data.targets, data.regimes, data.tables, data.n_states)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +148,20 @@ def test_two_regime_transitions_match_tables():
             assert data.targets[w, t] == p[data.tokens[w, t]]
 
 
+def test_two_regime_draws_match_the_reference_generator():
+    # every array byte for byte against the per-step row-major draws
+    for n_states, noise in [(2, 0.0), (2, 0.3), (6, 0.1), (40, 0.2)]:
+        for n_windows in (1, 7, 2000):
+            for unroll in (1, 2, 20):
+                for seed in (0, 29, 101):
+                    args = (n_windows, unroll, n_states, noise)
+                    got = gen_two_regime_sequences(np.random.default_rng(seed), *args)
+                    want = reference_two_regime_sequences(np.random.default_rng(seed), *args)
+                    for name in ("tokens", "targets", "regimes", "tables"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, args, seed)
+
+
 def test_bayes_nll_hand_computed_tiny_case():
     # one window, 3 steps: marker -> s0 -> s1 -> s2
     # loss = [ln V + -ln T[s0,s1] + -ln T[s0->s1 row]] / 3 . Build by hand:
@@ -168,7 +187,29 @@ def test_bayes_nll_close_to_entropy_rate_prediction():
     t = 20
     predicted = (math.log(6.0) + (t - 1) * h) / t
     # realized NLL concentrates around the entropy-rate value
-    assert abs(data.bayes_nll - predicted) < 0.02
+    assert abs(bayes_nll(data) - predicted) < 0.02
+
+
+def test_bayes_nll_is_the_first_guess_alone_without_noise():
+    # every later transition has probability 1, so only the uniform first
+    # prediction of each window costs: ln(n_states) spread over the window
+    for n_states in (2, 3, 6, 40):
+        for unroll in (1, 2, 7, 20):
+            for seed in range(3):
+                data = gen_two_regime_sequences(
+                    np.random.default_rng(seed), 50, unroll, n_states, noise=0.0
+                )
+                want = math.log(n_states) / unroll
+                assert bayes_nll(data) == pytest.approx(want, rel=1e-15, abs=0)
+
+
+def test_bayes_nll_of_one_step_windows_is_ln_n_states():
+    for n_states, noise in [(2, 0.3), (6, 0.1), (40, 0.2)]:
+        for n_windows in (1, 7, 300):
+            data = gen_two_regime_sequences(
+                np.random.default_rng(n_windows), n_windows, 1, n_states, noise
+            )
+            assert bayes_nll(data) == pytest.approx(math.log(n_states), rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------

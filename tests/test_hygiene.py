@@ -10,6 +10,7 @@ the tests do not count; a reference only the tests need belongs in
 import ast
 import glob
 import os
+import sys
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -61,6 +62,31 @@ def test_no_unused_imports():
     assert len(SOURCES) > 20
     assert any(os.sep + "perfbench" + os.sep in path for path in SOURCES)
     assert found == {}
+
+
+def imported_packages(source: str) -> set[str]:
+    """The top-level packages a module imports; relative imports count as
+    the module's own package, ``modnet``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add("modnet" if node.level else node.module.split(".")[0])
+    return found
+
+
+def test_import_scan_names_top_level_packages():
+    src = "import os.path\nimport numpy as np\nfrom modnet.modular import x\nfrom . import y\n"
+    assert imported_packages(src) == {"os", "numpy", "modnet"}
+
+
+def test_data_generation_imports_only_numpy_and_the_standard_library():
+    # the generators stay free of model code, so either can change alone
+    with open(os.path.join(ROOT, "src", "modnet", "datasets.py")) as fh:
+        packages = imported_packages(fh.read())
+    assert "numpy" in packages
+    assert packages - {"numpy"} <= set(sys.stdlib_module_names)
 
 
 def read_names(tree: ast.AST) -> set[str]:

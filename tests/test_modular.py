@@ -18,7 +18,6 @@ from oracles import (
     random_biases,
 )
 
-import modnet.datasets as datasets_mod
 from modnet.autodiff import (
     Parameter,
     ShapeError,
@@ -31,7 +30,6 @@ from modnet.autodiff import (
     mean_all,
     softmax_parts_first,
 )
-from modnet.datasets import gen_two_regime_sequences
 from modnet.gru import ModularGruLM
 from modnet.modular import (
     Controller,
@@ -263,16 +261,6 @@ def test_slot_counts_keep_leading_axes_and_come_module_major():
     # one step's counts: the (modules, batch) block the unroll reads
     for n_slots in (1, 2):
         assert slot_counts(rng.integers(0, 4, size=(7, n_slots)), 4).T.flags.c_contiguous
-
-
-def test_two_regime_draws_match_the_row_major_oracle(monkeypatch):
-    for seed in (0, 29):
-        got = gen_two_regime_sequences(np.random.default_rng(seed), 300, unroll=20)
-        monkeypatch.setattr(datasets_mod, "sample_rows", oracle_sample_rows)
-        want = gen_two_regime_sequences(np.random.default_rng(seed), 300, unroll=20)
-        monkeypatch.undo()
-        assert got.tokens.tobytes() == want.tokens.tobytes()
-        assert got.targets.tobytes() == want.targets.tobytes()
 
 
 # ---------------------------------------------------------------------------
