@@ -165,16 +165,29 @@ class ModulePool:
 
 
 def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw along the last axis; u has probs.shape[:-1].
+    """Inverse-CDF draw along the last axis as int64; u has probs.shape[:-1].
 
-    It runs down axis 0 of the module-first block ``probs.T``, in long
-    contiguous runs, with each row's additions in the row's order.  The
-    view ``Controller.distribution`` returns is read in place; anything
-    else is copied into that layout first.
+    Each uniform is compared with the M - 1 inner boundaries of the
+    module-first block ``probs.T`` and the hits are counted.  Cumulative
+    sums never decrease, so a uniform at or past the last inner boundary
+    picks module M - 1, as it would against the full sum.  With one
+    boundary (M = 2) the comparison is the index.  Up to one boundary per
+    14 draws (M - 1 <= u.size / 14) the boundaries are a running sum down
+    the module axis, ``c[j] += c[j - 1]`` on a copy, in cumsum's order and
+    bits; past that crossover numpy's ``cumsum(axis=0)``, which loops once
+    per draw rather than once per module, is the cheaper one.  The view
+    ``Controller.distribution`` returns is read in place.
     """
-    cum = np.cumsum(np.ascontiguousarray(probs.T), axis=0)
-    idx = (u.T >= cum).sum(axis=0)
-    return np.minimum(idx, len(cum) - 1).T
+    p, ut = probs.T, u.T
+    if len(p) == 2:
+        return (ut >= p[0]).astype(np.int64).T
+    if 14 * (len(p) - 1) <= u.size:
+        c = np.array(p[:-1], order="C")
+        for j in range(1, len(c)):
+            c[j] += c[j - 1]
+    else:
+        c = np.cumsum(p[:-1], axis=0)
+    return (ut >= c).sum(axis=0).T
 
 
 def module_indices(a: np.ndarray, n_modules: int) -> np.ndarray:
@@ -208,9 +221,11 @@ def choose(probs, forced=None, greedy: bool = False, rng=None, sample_mask=None)
 
     ``probs`` is best the view of a module-major (modules, slots, batch)
     block that ``Controller.distribution`` returns: ``sample_rows`` then
-    draws on the block in place.  The uniforms are one (batch, slots)
-    draw whatever the layout.  The argmax is numpy's, which copies the
-    module axis last in either layout.
+    draws on the block in place, against its M - 1 inner boundaries: the
+    comparison alone at M = 2, a running sum up to one boundary per 14
+    draws, ``cumsum`` past that.  The draw comes back int64.  The uniforms
+    are one (batch, slots) draw whatever the layout.  The argmax is
+    numpy's, which copies the module axis last in either layout.
     """
     if sample_mask is not None and forced is None:
         raise ValueError("sample_mask requires forced comps for unmasked rows")
@@ -220,7 +235,7 @@ def choose(probs, forced=None, greedy: bool = False, rng=None, sample_mask=None)
         return probs.argmax(axis=-1).astype(np.int64)
     if rng is None:
         raise ValueError("sampling rollout needs an rng")
-    drawn = sample_rows(probs, rng.random(probs.shape[:2])).astype(np.int64, copy=False)
+    drawn = sample_rows(probs, rng.random(probs.shape[:2]))
     return drawn if forced is None else np.where(sample_mask[:, None], drawn, forced)
 
 

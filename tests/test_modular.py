@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from modnet.autodiff import (
     mean_all,
     softmax_parts_first,
 )
+from modnet import modular
+from modnet.config import load_config
 from modnet.gru import ModularGruLM
 from modnet.modular import (
     Controller,
@@ -46,8 +49,11 @@ from modnet.modular import (
     slot_counts,
     top_k_mask,
 )
+from modnet.runner import build_dataset, build_model, build_task, build_trainer
+from modnet.seeding import SeedStreams
 
 RNG = np.random.default_rng(7)
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def small_net(n_layers=1, n_modules=2, n_slots=1, dim=2, kind="linear", rng=None):
@@ -141,6 +147,107 @@ def test_sample_rows_distribution():
     draws = sample_rows(probs, np.random.default_rng(5).random(200_000))
     freq = np.bincount(draws, minlength=3) / draws.size
     assert np.allclose(freq, [0.1, 0.6, 0.3], atol=5e-3)
+
+
+@pytest.fixture
+def cumsum_calls(monkeypatch):
+    """The shapes handed to ``np.cumsum`` while the test runs."""
+    calls, real = [], np.cumsum
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n_modules", [3, 8])
+@pytest.mark.parametrize("n_slots", [1, 2])
+@pytest.mark.parametrize("past", [True, False])
+def test_draws_either_side_of_the_crossover_keep_the_oracle_bits(
+    cumsum_calls, n_modules, n_slots, past
+):
+    # 14 (M - 1) draws is the most the running sum takes; one row fewer
+    # goes to cumsum
+    rows = 14 * (n_modules - 1) // n_slots - past
+    rng = np.random.default_rng(40 + n_modules + 2 * n_slots + past)
+    block = rng.random((n_modules, n_slots, rows))
+    block[rng.random(block.shape) < 0.3] = 0.0  # zero-probability modules
+    block[0, :, ::3] = 0.0
+    block[-1, block.sum(axis=0) == 0.0] = 1.0
+    block /= block.sum(axis=0)
+    block[:, :, 1::4] *= 1.0 - 1e-12
+    probs = block.T  # the view Controller.distribution returns
+    # totals below 1, as rounding leaves many softmax rows: a uniform just
+    # below 1 passes every boundary there, and the oracle's clamp brings
+    # it back to M - 1
+    below_one = np.nextafter(1.0, 0.0)
+    assert (np.cumsum(probs, axis=-1)[..., -1] < below_one).any()
+    for u in (rng.random((rows, n_slots)), np.zeros((rows, n_slots)),
+              np.full((rows, n_slots), below_one)):
+        for p in (probs, np.ascontiguousarray(probs)):
+            del cumsum_calls[:]
+            got = sample_rows(p, u)
+            assert cumsum_calls == ([(n_modules - 1, n_slots, rows)] if past else [])
+            want = oracle_sample_rows(p, u)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def shipped_task(name, *overrides):
+    cfg = load_config(os.path.join(CONFIGS, f"{name}.json"), list(overrides))
+    streams = SeedStreams(cfg.seed)
+    data = build_dataset(cfg, streams)
+    task = build_task(cfg, build_model(cfg, data, streams), data)
+    return cfg, task, streams
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The (rows, slots) shapes ``choose`` drew with ``sample_rows``."""
+    shapes = []
+
+    def spy(probs, u):
+        shapes.append(u.shape)
+        return sample_rows(probs, u)
+
+    monkeypatch.setattr(modular, "sample_rows", spy)
+    return shapes
+
+
+def test_shipped_reinforce_step_and_probe_draw_without_cumsum(draws, cumsum_calls):
+    cfg, task, streams = shipped_task("two_regime_reinforce", "trainer.m_steps=1")
+    trainer = build_trainer(cfg, task, streams)
+    del cumsum_calls[:]  # the data set's cumulative rows, built once
+    trainer.ascend()
+    task.probe(np.arange(cfg.diagnostics.probe_size), np.random.default_rng(0))
+    assert draws == [(64, 1)] * 20 + [(256, 1)] * 20
+    assert cumsum_calls == []
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("two_regime_em", ()),
+    ("toy_em", ("architecture.n_modules=8", "architecture.n_slots=2",
+                "architecture.n_layers=2")),
+])
+def test_proposal_walk_of_704_rows_draws_without_cumsum(draws, cumsum_calls, name, overrides):
+    cfg, task, _ = shipped_task(name, *overrides)
+    idx = np.arange(cfg.trainer.e_batch)
+    incumbent = np.zeros((len(idx), *task.unit_shape), dtype=np.int64)
+    del cumsum_calls[:]
+    task.propose_and_score(idx, incumbent, cfg.trainer.n_samples, np.random.default_rng(0))
+    assert draws and all(shape[0] == 704 for shape in draws)
+    assert cumsum_calls == []
+
+
+def test_m32_draw_on_64_rows_takes_cumsum(cumsum_calls):
+    rng = np.random.default_rng(32)
+    ctrl = Controller(rng, 16, 32, 1)
+    p = ctrl.distribution(rng.standard_normal((64, 16)))
+    drawn = choose(p, rng=np.random.default_rng(0))
+    assert cumsum_calls == [(31, 1, 64)]
+    want = oracle_sample_rows(p, np.random.default_rng(0).random((64, 1)))
+    assert np.array_equal(drawn, want)
 
 
 def test_controller_distribution_matches_numpy():

@@ -43,6 +43,14 @@ SHORT_RUNS = {
         "1ef9e39f72644b7187505f17280d8c2a865fb91a1486449245af9430faa7b5a9",
         "337124edc7adfd14b8b42b783fedda5758298ce8973f82fcf4b3d2b4261bd847",
     ),
+    # 32 modules: the 64-row steps and 256-row probes draw against 31 inner
+    # boundaries, past one per 14 draws, so sample_rows takes its cumsum side
+    "toy_reinforce/m32": (
+        20,
+        "fe1d6b9f72d441aa83c47f434f60b6b976967c76fddf8e04fb3d03e9072e3ff9",
+        "2e5611129a39fe0bec3485d2f2c2e1635f817ac25cf682d99397499c4366e323",
+        "architecture.n_modules=32",
+    ),
     # unused modules, a module picked by both slots of a row, and the relu
     # mask, through two layers of ModulePool.select
     "toy_em/m8_two_slots_relu": (
