@@ -171,23 +171,14 @@ def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     module-first block ``probs.T`` and the hits are counted.  Cumulative
     sums never decrease, so a uniform at or past the last inner boundary
     picks module M - 1, as it would against the full sum.  With one
-    boundary (M = 2) the comparison is the index.  Up to one boundary per
-    14 draws (M - 1 <= u.size / 14) the boundaries are a running sum down
-    the module axis, ``c[j] += c[j - 1]`` on a copy, in cumsum's order and
-    bits; past that crossover numpy's ``cumsum(axis=0)``, which loops once
-    per draw rather than once per module, is the cheaper one.  The view
+    boundary (M = 2) the comparison is the index; otherwise the boundaries
+    are ``cumsum(axis=0)`` down the module axis.  The view
     ``Controller.distribution`` returns is read in place.
     """
     p, ut = probs.T, u.T
     if len(p) == 2:
         return (ut >= p[0]).astype(np.int64).T
-    if 14 * (len(p) - 1) <= u.size:
-        c = np.array(p[:-1], order="C")
-        for j in range(1, len(c)):
-            c[j] += c[j - 1]
-    else:
-        c = np.cumsum(p[:-1], axis=0)
-    return (ut >= c).sum(axis=0).T
+    return (ut >= np.cumsum(p[:-1], axis=0)).sum(axis=0).T
 
 
 def module_indices(a: np.ndarray, n_modules: int) -> np.ndarray:
@@ -221,11 +212,9 @@ def choose(probs, forced=None, greedy: bool = False, rng=None, sample_mask=None)
 
     ``probs`` is best the view of a module-major (modules, slots, batch)
     block that ``Controller.distribution`` returns: ``sample_rows`` then
-    draws on the block in place, against its M - 1 inner boundaries: the
-    comparison alone at M = 2, a running sum up to one boundary per 14
-    draws, ``cumsum`` past that.  The draw comes back int64.  The uniforms
-    are one (batch, slots) draw whatever the layout.  The argmax is
-    numpy's, which copies the module axis last in either layout.
+    draws on the block in place and returns int64.  The uniforms are one
+    (batch, slots) draw whatever the layout.  The argmax is numpy's, which
+    copies the module axis last in either layout.
     """
     if sample_mask is not None and forced is None:
         raise ValueError("sample_mask requires forced comps for unmasked rows")

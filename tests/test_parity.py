@@ -43,8 +43,8 @@ SHORT_RUNS = {
         "1ef9e39f72644b7187505f17280d8c2a865fb91a1486449245af9430faa7b5a9",
         "337124edc7adfd14b8b42b783fedda5758298ce8973f82fcf4b3d2b4261bd847",
     ),
-    # 32 modules: the 64-row steps and 256-row probes draw against 31 inner
-    # boundaries, past one per 14 draws, so sample_rows takes its cumsum side
+    # 32 modules: sample_rows draws against 31 inner boundaries built by
+    # cumsum, where the two-module runs take the single comparison
     "toy_reinforce/m32": (
         20,
         "fe1d6b9f72d441aa83c47f434f60b6b976967c76fddf8e04fb3d03e9072e3ff9",
