@@ -122,13 +122,14 @@ def gen_two_regime_sequences(
     windows[:, 0] = n_states + regimes
     state = rng.integers(0, n_states, size=n_windows)
     windows[:, 1] = state
-    # Inverse-CDF draws from running sums built once, successor-first:
-    # column r * n_states + s holds regime r's cumulative row for state s.
-    cum = np.cumsum(tables, axis=-1).transpose(2, 0, 1).reshape(n_states, 2 * n_states)
+    # Inverse-CDF draws against the n_states - 1 inner boundaries of
+    # running sums built once, successor-first: column r * n_states + s
+    # holds regime r's boundaries for state s.  A uniform past the last
+    # boundary picks the last successor, whatever the rows' rounded total.
+    cum = np.cumsum(tables[..., :-1], axis=-1).transpose(2, 0, 1).reshape(-1, 2 * n_states)
     offset = regimes * n_states
     for t in range(2, unroll + 1):
-        drawn = (rng.random(n_windows) >= np.take(cum, offset + state, axis=1)).sum(axis=0)
-        state = np.minimum(drawn, n_states - 1)
+        state = (rng.random(n_windows) >= np.take(cum, offset + state, axis=1)).sum(axis=0)
         windows[:, t] = state
     tokens = windows[:, :-1].copy()
     targets = windows[:, 1:].copy()

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def dist_entropy(p: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shannon entropy in nats along ``axis``; zero bins contribute zero."""
+def dist_entropy(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats along the last axis; zero bins contribute zero."""
     p = np.asarray(p, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * np.log(p), 0.0)
-    return -terms.sum(axis=axis)
+    return -terms.sum(axis=-1)
 
 
 def selection_entropy(probs: np.ndarray) -> float:

@@ -1,9 +1,10 @@
 """Hard-assignment EM with sampled search steps and multi-step ascent.
 
 Each training example owns a best-known composition in a persistent
-buffer.  A search step re-scores a minibatch's incumbents against fresh
-controller proposals and keeps the argmax (ties favour the incumbent, so
-stored scores never decrease within a step).  An ascent step then runs
+buffer, the only per-example state.  A search step re-scores a
+minibatch's incumbents under the current parameters against fresh
+controller proposals and keeps the argmax; ties favour the incumbent, so
+only a strictly better proposal replaces it.  An ascent step then runs
 several Adam updates on the mean joint log-probability of fresh
 minibatches under their buffered compositions.
 """
@@ -11,7 +12,6 @@ minibatches under their buffered compositions.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,29 +119,11 @@ class AscentTrainer:
         self.guard.restore(state["scalars"])
 
 
-@dataclass
-class AssignmentBuffer:
-    """Best-known composition and its last joint score, per example."""
-
-    comps: np.ndarray
-    scores: np.ndarray
-
-
-def init_assignment_buffer(
-    rng: np.random.Generator, n: int, unit_shape: tuple, n_choices: int
-) -> AssignmentBuffer:
-    """Independent uniform choices for every example and slot."""
-    if n < 1:
-        raise ValueError("buffer needs at least one example")
-    comps = rng.integers(0, n_choices, size=(n, *unit_shape), dtype=np.int64)
-    scores = np.full(n, -np.inf)
-    return AssignmentBuffer(comps, scores)
-
-
 class EMTrainer(AscentTrainer):
     """Drives the search/ascent alternation over a task adapter, the
-    protocol of ``runner.Task``.  The buffer holds one (units, slots)
-    composition per example.
+    protocol of ``runner.Task``.  ``buffer`` is one int64 (examples,
+    units, slots) array: each example's best-known composition, drawn
+    uniformly at the start, and nothing beside it.
 
     ``partial_e_step`` is the search step and ``partial_m_step`` the
     ascent step, run on ``AscentTrainer``'s guarded loop; the buffer
@@ -150,8 +132,8 @@ class EMTrainer(AscentTrainer):
 
     def __init__(self, task, config: TrainerConfig, streams, clip_norm: float | None = None):
         super().__init__(task, config, streams, clip_norm)
-        self.buffer = init_assignment_buffer(
-            streams["buffer"], task.n_examples, task.unit_shape, task.n_choices
+        self.buffer = streams["buffer"].integers(
+            0, task.n_choices, size=(task.n_examples, *task.unit_shape), dtype=np.int64
         )
 
     def partial_e_step(
@@ -168,7 +150,7 @@ class EMTrainer(AscentTrainer):
         if idx is None:
             idx = rng.integers(0, self.task.n_examples, size=self.cfg.e_batch)
         idx = np.asarray(idx)
-        incumbent = self.buffer.comps[idx]
+        incumbent = self.buffer[idx]
         if exhaustive:
             cands, scores = self.task.enumerate_and_score(idx, incumbent)
         else:
@@ -184,9 +166,7 @@ class EMTrainer(AscentTrainer):
         best = scores.argmax(axis=0)  # first max wins: index 0 is the incumbent
         best_scores = scores[best, rows]
         ok = np.isfinite(best_scores)
-        write = idx[ok]
-        self.buffer.comps[write] = cands[best[ok], rows[ok]]
-        self.buffer.scores[write] = best_scores[ok]
+        self.buffer[idx[ok]] = cands[best[ok], rows[ok]]
         improved = ok & (best != 0)
         inc_scores = scores[0]
         deltas = np.zeros(len(idx))
@@ -206,7 +186,7 @@ class EMTrainer(AscentTrainer):
         return self.ascend()
 
     def step_objective(self, idx):
-        return self.task.objective(idx, self.buffer.comps[idx]), None
+        return self.task.objective(idx, self.buffer[idx]), None
 
     def iteration(self) -> dict:
         e_stats = self.partial_e_step()
@@ -219,19 +199,19 @@ class EMTrainer(AscentTrainer):
         }
 
     def state(self) -> dict:
-        arrays = {
-            "buffer_comps": self.buffer.comps.astype(np.float64),
-            "buffer_scores": self.buffer.scores.copy(),
-        }
-        return dict(super().state(), arrays=arrays)
+        return dict(super().state(), arrays={"buffer_comps": self.buffer})
 
     def restore(self, state: dict) -> None:
-        comps = state["arrays"]["buffer_comps"]
-        if comps.shape != self.buffer.comps.shape:
+        """Load the buffer, refusing another shape or any value that is not
+        a module index; whole-valued float64 arrays, as checkpoints before
+        the int64 layout hold them, load as they are."""
+        comps = np.asarray(state["arrays"]["buffer_comps"])
+        if comps.shape != self.buffer.shape:
             raise ValueError(
-                f"buffer shape {comps.shape} does not match "
-                f"{self.buffer.comps.shape}"
+                f"buffer_comps shape {comps.shape} does not match {self.buffer.shape}"
             )
-        self.buffer.comps = np.asarray(comps).astype(np.int64)
-        self.buffer.scores = np.asarray(state["arrays"]["buffer_scores"]).copy()
+        n = self.task.n_choices
+        if not np.all((comps >= 0) & (comps < n) & (np.floor(comps) == comps)):
+            raise ValueError(f"buffer_comps holds values that are not whole numbers in [0, {n})")
+        self.buffer[...] = comps
         super().restore(state)

@@ -316,15 +316,12 @@ class _GruLM:
         hidden: int,
         n_modules: int,
         n_slots: int = 1,
-        name: str = "lm",
         topk: int | None = None,
     ):
         bound = 1.0 / math.sqrt(embed_dim)
-        self.embed = Parameter(
-            rng.uniform(-bound, bound, size=(vocab, embed_dim)), f"{name}.embed"
-        )
-        self.cell = ModularGruCell(rng, embed_dim, hidden, n_modules, n_slots, f"{name}.cell", topk)
-        self.out = Linear(rng, hidden, vocab, f"{name}.out")
+        self.embed = Parameter(rng.uniform(-bound, bound, size=(vocab, embed_dim)), "lm.embed")
+        self.cell = ModularGruCell(rng, embed_dim, hidden, n_modules, n_slots, "lm.cell", topk)
+        self.out = Linear(rng, hidden, vocab, "lm.out")
         self.vocab = vocab
         self.n_modules = n_modules
         self.n_slots = n_slots
@@ -469,8 +466,8 @@ class NoisyTopKGruLM(_GruLM, MixtureModel):
     """Same backbone as the modular model, its cell routed by a noisy
     top-k gate."""
 
-    def __init__(self, rng, vocab, embed_dim, hidden, n_modules, k: int, name: str = "lm"):
-        super().__init__(rng, vocab, embed_dim, hidden, n_modules, name=name, topk=k)
+    def __init__(self, rng, vocab, embed_dim, hidden, n_modules, k: int):
+        super().__init__(rng, vocab, embed_dim, hidden, n_modules, topk=k)
 
     def rollout(
         self,

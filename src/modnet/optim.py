@@ -8,6 +8,8 @@ import numpy as np
 
 from modnet.autodiff import Parameter
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adam ascent on a fixed parameter list, run on one flat gradient vector.
@@ -31,16 +33,10 @@ class Adam:
         self,
         params: list[Parameter],
         lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         clip_norm: float | None = None,
     ):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
         size = sum(p.size for p in self.params)
@@ -81,16 +77,16 @@ class Adam:
             if norm > self.clip_norm:
                 g = flat * (self.clip_norm / norm)
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - BETA1**self.t
+        c2 = 1.0 - BETA2**self.t
         m = self._m_flat
         v = self._v_flat
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         # ascent: objective is a log-likelihood
-        np.divide(self.lr * (m / c1), np.sqrt(v / c2) + self.eps, out=self._delta)
+        np.divide(self.lr * (m / c1), np.sqrt(v / c2) + EPS, out=self._delta)
         for p, delta in self._delta_views:
             p.data += delta
 

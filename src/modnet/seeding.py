@@ -15,21 +15,19 @@ STREAM_NAMES = ("data", "init", "buffer", "estep", "mstep", "noise", "probe")
 class SeedStreams:
     """A fixed set of named Philox generators spawned from a master seed."""
 
-    def __init__(self, seed: int, names=STREAM_NAMES):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.names = tuple(names)
-        root = np.random.SeedSequence(self.seed)
-        children = root.spawn(len(self.names))
+        children = np.random.SeedSequence(self.seed).spawn(len(STREAM_NAMES))
         self._gens = {
             name: np.random.Generator(np.random.Philox(child))
-            for name, child in zip(self.names, children)
+            for name, child in zip(STREAM_NAMES, children)
         }
 
     def __getitem__(self, name: str) -> np.random.Generator:
         try:
             return self._gens[name]
         except KeyError:
-            raise KeyError(f"unknown random stream {name!r}; have {self.names}") from None
+            raise KeyError(f"unknown random stream {name!r}; have {STREAM_NAMES}") from None
 
     def state(self) -> dict:
         """JSON-serializable snapshot of every stream's position."""
@@ -53,7 +51,7 @@ class SeedStreams:
                 f"not {self.seed}"
             )
         # a stream the snapshot leaves out would resume from its seed
-        theirs, ours = set(snapshot["streams"]), set(self.names)
+        theirs, ours = set(snapshot["streams"]), set(STREAM_NAMES)
         if theirs != ours:
             raise ValueError(
                 f"stream snapshot lacks {sorted(ours - theirs)} "

@@ -5,8 +5,9 @@ a UTF-8 JSON header, then one contiguous block of little-endian float64
 values.  The header lists every array's name, shape, element offset, and
 logical dtype; integer arrays are stored as doubles and cast back on
 load, so ``write_checkpoint`` refuses any integer past +-2**53, the
-range doubles hold exactly.  Writes go through a temp file and an atomic
-rename so a crash never leaves a half-written file.
+range doubles hold exactly, and a load refuses an ``int64`` array whose
+values are not whole numbers in that range.  Writes go through a temp
+file and an atomic rename so a crash never leaves a half-written file.
 """
 
 from __future__ import annotations
@@ -95,7 +96,12 @@ def _unpack_arrays(manifest: list[dict], payload: bytes) -> dict[str, np.ndarray
             raise ValueError(f"array {entry['name']!r}: truncated payload")
         arr = flat.reshape(shape).astype(np.float64)
         if entry["dtype"] == "int64":
-            arr = np.round(arr).astype(np.int64)
+            if not np.all((np.abs(arr) <= 2**53) & (np.floor(arr) == arr)):
+                raise ValueError(
+                    f"array {entry['name']!r}: int64 values that are not "
+                    f"whole numbers within +-2**53"
+                )
+            arr = arr.astype(np.int64)
         out[entry["name"]] = arr
         offset, last = offset + size, f"array {entry['name']!r}"
     if len(payload) != offset * 8:

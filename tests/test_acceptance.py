@@ -412,7 +412,7 @@ def test_criterion_04_selection_updates_take_the_argmax():
         want = table.argmax(axis=0)
         for b in range(6):
             expect = comp_to_buffer_layout(comps[want[b]])
-            if not np.array_equal(trainer.buffer.comps[b], expect):
+            if not np.array_equal(trainer.buffer[b], expect):
                 mismatched += 1
 
     # single-sample proposals may only ever replace a worse incumbent
@@ -437,7 +437,7 @@ def test_criterion_04_selection_updates_take_the_argmax():
     verdict(4, ok,
             f"exhaustive refresh matched the brute-force argmax on "
             f"{600 - mismatched}/600 points across 100 instances; "
-            f"{drops}/300 single-sample refreshes lowered a stored score")
+            f"{drops}/300 single-sample refreshes lowered an incumbent's score")
 
 
 def test_criterion_05_enumerated_marginal_matches_brute_force():

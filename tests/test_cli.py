@@ -8,11 +8,13 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from modnet.cli import main
+from modnet.em import EMTrainer
 
 
 def tiny_config(**extra):
@@ -379,6 +381,32 @@ def test_resume_with_other_rng_streams_is_exit_2(tmp_path, capsys, mid_checkpoin
     assert "config error" in err and f"'{name}'" in err and bad in err
 
 
+@pytest.mark.parametrize("dtype", ["int64", "float64"])
+@pytest.mark.parametrize("value", [0.5, 7.0, -1.0, math.nan, math.inf])
+def test_resume_with_buffer_compositions_that_are_not_module_indices_is_exit_2(
+    tmp_path, capsys, monkeypatch, mid_checkpoint, value, dtype
+):
+    # 0.5 used to train as module 0, and 7 (of two modules) made the resume
+    # directory, then failed at the first search step without naming the
+    # checkpoint; "float64" is the layout checkpoints had before int64
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "root"))
+    arrays = rewrite_header(mid_checkpoint, os.devnull)["arrays"]
+    entry = next(e for e in arrays if e["name"] == "state:buffer_comps")
+    entry["dtype"] = dtype
+    bad = str(tmp_path / "bad.ckpt")
+    rewrite_header(mid_checkpoint, bad, arrays=arrays)
+    blob = open(bad, "rb").read()
+    (n,) = struct.unpack("<Q", blob[8:16])
+    start, size = 16 + n + 8 * entry["offset"], math.prod(entry["shape"])
+    with open(bad, "wb") as fh:
+        fh.write(blob[:start] + np.full(size, value).astype("<f8").tobytes() + blob[start + 8 * size :])
+    assert main(["resume", bad]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "buffer_comps" in err and bad in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "root").exists()
+
+
 def test_eval_with_wrongly_shaped_parameter_is_exit_2(tmp_path, capsys, mid_checkpoint):
     # the header still parses: the payload holds more than the one value read
     arrays = rewrite_header(mid_checkpoint, os.devnull)["arrays"]
@@ -554,6 +582,48 @@ def test_resume_reproduces_the_tail_of_the_run(tmp_path, capsys, monkeypatch):
     full = read_jsonl(out / "metrics.jsonl")
     assert [r["iteration"] for r in tail] == [3, 4]
     assert tail == full[2:]
+
+
+def test_resume_from_a_checkpoint_with_float_compositions_and_scores(
+    tmp_path, capsys, monkeypatch
+):
+    # the layout before int64 compositions: the buffer as float64, beside
+    # a per-example score array that a resume does not read
+    state = EMTrainer.state
+
+    def old_layout(trainer):
+        new = state(trainer)
+        comps = new["arrays"]["buffer_comps"]
+        arrays = {
+            "buffer_comps": comps.astype(np.float64),
+            "buffer_scores": np.linspace(-3.0, 0.0, len(comps)),
+        }
+        return dict(new, arrays=arrays)
+
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "root"))
+    cfg = write_config(
+        tmp_path,
+        trainer={"kind": "em", "iterations": 4, "n_samples": 2, "m_steps": 2,
+                 "e_batch": 16, "batch": 16},
+        diagnostics={"probe_size": 32, "checkpoint_interval": 2},
+    )
+    full = tmp_path / "full"
+    assert main(["run", cfg, "--set", f"out_dir={full}"]) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(EMTrainer, "state", old_layout)
+        assert main(["run", cfg, "--set", f"out_dir={tmp_path / 'old'}"]) == 0
+    capsys.readouterr()
+    mid = str(tmp_path / "old" / "checkpoints" / "step-000002.ckpt")
+    blob = open(mid, "rb").read()
+    (n,) = struct.unpack("<Q", blob[8:16])
+    layout = {e["name"]: e["dtype"] for e in json.loads(blob[16 : 16 + n])["arrays"]}
+    assert layout["state:buffer_comps"] == "float64"
+    assert layout["state:buffer_scores"] == "float64"
+
+    assert main(["resume", mid]) == 0
+    tail = read_jsonl(tmp_path / "root" / "toy-regression-em-s0-resume" / "metrics.jsonl")
+    assert [r["iteration"] for r in tail] == [3, 4]
+    assert tail == read_jsonl(full / "metrics.jsonl")[2:]
 
 
 def test_sweep_expands_grid(tmp_path, capsys, monkeypatch):

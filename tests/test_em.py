@@ -1,17 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from modnet.autodiff import Parameter, record_joint
 from modnet.config import TrainerConfig, from_dict
-from modnet.em import (
-    AscentTrainer,
-    EMTrainer,
-    NumericAbort,
-    StepGuard,
-    init_assignment_buffer,
-)
+from modnet.em import AscentTrainer, EMTrainer, NumericAbort, StepGuard
 from modnet.runner import build_dataset, build_model, build_task, build_trainer
 from modnet.seeding import SeedStreams
 
@@ -68,33 +63,35 @@ def test_guard_state_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# config and buffer init
+# the buffer's initial draw
+
+
+def initial_buffer(seed, n, unit_shape, n_choices):
+    task = SimpleNamespace(
+        n_examples=n, unit_shape=unit_shape, n_choices=n_choices, parameters=lambda: []
+    )
+    return EMTrainer(task, TrainerConfig(), SeedStreams(seed)).buffer
 
 
 def test_buffer_init_deterministic():
-    a = init_assignment_buffer(np.random.default_rng(5), 50, (2, 1), 3)
-    b = init_assignment_buffer(np.random.default_rng(5), 50, (2, 1), 3)
-    assert np.array_equal(a.comps, b.comps)
-    assert a.comps.shape == (50, 2, 1)
-    assert np.all(np.isneginf(a.scores))
+    a = initial_buffer(5, 50, (2, 1), 3)
+    assert a.dtype == np.int64 and a.shape == (50, 2, 1)
+    assert np.array_equal(a, initial_buffer(5, 50, (2, 1), 3))
+    # one draw from the buffer stream, and nothing stored beside it
+    want = SeedStreams(5)["buffer"].integers(0, 3, size=(50, 2, 1), dtype=np.int64)
+    assert a.tobytes() == want.tobytes()
 
 
 def test_buffer_init_uniform_choices():
-    buf = init_assignment_buffer(np.random.default_rng(0), 30000, (1, 1), 3)
-    counts = np.bincount(buf.comps.reshape(-1), minlength=3)
+    buf = initial_buffer(0, 30000, (1, 1), 3)
+    counts = np.bincount(buf.reshape(-1), minlength=3)
     # binomial std for p=1/3 over 30000 draws
     sigma = math.sqrt(30000 * (1 / 3) * (2 / 3))
     assert np.all(np.abs(counts - 10000) < 3 * sigma)
 
 
 def test_buffer_init_single_choice_degenerate():
-    buf = init_assignment_buffer(np.random.default_rng(1), 20, (1, 2), 1)
-    assert np.all(buf.comps == 0)
-
-
-def test_buffer_init_rejects_empty():
-    with pytest.raises(ValueError):
-        init_assignment_buffer(np.random.default_rng(0), 0, (1, 1), 2)
+    assert np.all(initial_buffer(1, 20, (1, 2), 1) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +141,20 @@ def scripted_trainer(script, incumbent_scores, n_samples=2):
 def test_search_keeps_incumbent_on_tie():
     script = {i: [(3, 1.0), (4, 1.0)] for i in range(4)}
     tr = scripted_trainer(script, incumbent_scores=[1.0] * 4)
-    tr.buffer.comps[:] = 2
+    tr.buffer[:] = 2
     stats = tr.partial_e_step(idx=np.arange(4))
-    assert np.all(tr.buffer.comps == 2)
+    assert np.all(tr.buffer == 2)
     assert stats["improved_fraction"] == 0.0
-    assert np.array_equal(tr.buffer.scores, np.ones(4))
+    assert np.array_equal(stats["best_scores"], np.ones(4))
 
 
 def test_search_takes_strictly_better_proposal():
     script = {i: [(3, 2.0), (4, 1.5)] for i in range(4)}
     tr = scripted_trainer(script, incumbent_scores=[1.0] * 4)
-    tr.buffer.comps[:] = 2
-    tr.buffer.scores[:] = 0.0
+    tr.buffer[:] = 2
     stats = tr.partial_e_step(idx=np.arange(4))
-    assert np.all(tr.buffer.comps == 3)
-    assert np.array_equal(tr.buffer.scores, np.full(4, 2.0))
+    assert np.all(tr.buffer == 3)
+    assert np.array_equal(stats["best_scores"], np.full(4, 2.0))
     assert stats["improved_fraction"] == 1.0
     assert stats["mean_improvement"] == pytest.approx(1.0)
 
@@ -166,42 +162,42 @@ def test_search_takes_strictly_better_proposal():
 def test_search_discards_non_finite_proposals():
     script = {i: [(3, math.nan), (4, 0.5)] for i in range(4)}
     tr = scripted_trainer(script, incumbent_scores=[1.0] * 4)
-    tr.buffer.comps[:] = 2
+    tr.buffer[:] = 2
     stats = tr.partial_e_step(idx=np.arange(4))
     # the NaN proposal never wins even though argmax would favour NaN order
-    assert np.all(tr.buffer.comps == 2)
+    assert np.all(tr.buffer == 2)
     assert stats["dropped_samples"] == 4
 
 
 def test_search_leaves_row_untouched_when_everything_non_finite():
     script = {i: [(3, math.nan), (4, -math.inf)] for i in range(4)}
     tr = scripted_trainer(script, incumbent_scores=[math.nan] * 4)
-    tr.buffer.comps[:] = 2
-    tr.buffer.scores[:] = -np.inf
-    tr.partial_e_step(idx=np.arange(4))
-    assert np.all(tr.buffer.comps == 2)
-    assert np.all(np.isneginf(tr.buffer.scores))
+    tr.buffer[:] = 2
+    stats = tr.partial_e_step(idx=np.arange(4))
+    assert np.all(tr.buffer == 2)
+    assert np.all(np.isneginf(stats["best_scores"]))
+    assert stats["improved_fraction"] == 0.0
 
 
 def test_search_first_visit_improvement_not_counted_in_delta():
-    # incumbent score is fresh, but the stored score starts at -inf;
-    # deltas only accumulate over finite incumbent evaluations
+    # the incumbent scores -inf, so the win has no finite delta; deltas
+    # only accumulate over finite incumbent evaluations
     script = {i: [(3, 5.0), (4, 1.0)] for i in range(4)}
     tr = scripted_trainer(script, incumbent_scores=[-math.inf] * 4)
     stats = tr.partial_e_step(idx=np.arange(4))
     assert stats["improved_fraction"] == 1.0
     assert stats["mean_improvement"] == 0.0
-    assert np.array_equal(tr.buffer.scores, np.full(4, 5.0))
+    assert np.array_equal(stats["best_scores"], np.full(4, 5.0))
 
 
 def test_search_touches_only_requested_rows():
     script = {i: [(3, 2.0), (4, 1.0)] for i in range(4)}
     tr = scripted_trainer(script, incumbent_scores=[0.0] * 4)
-    tr.buffer.comps[:] = 2
-    tr.buffer.scores[:] = -np.inf
-    tr.partial_e_step(idx=np.array([1, 3]))
-    assert np.array_equal(tr.buffer.comps[:, 0, 0], [2, 3, 2, 3])
-    assert np.array_equal(np.isneginf(tr.buffer.scores), [True, False, True, False])
+    tr.buffer[:] = 2
+    stats = tr.partial_e_step(idx=np.array([1, 3]))
+    assert np.array_equal(tr.buffer[:, 0, 0], [2, 3, 2, 3])
+    assert np.array_equal(stats["best_scores"], [2.0, 2.0])
+    assert stats["improved_fraction"] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +246,15 @@ def test_exhaustive_search_matches_brute_force_argmax():
     cfg = toy_cfg(seed=11, layers=2, modules=2)
     trainer, task, model, data = make_trainer(cfg)
     idx = np.arange(32)
-    trainer.partial_e_step(idx=idx, exhaustive=True)
+    stats = trainer.partial_e_step(idx=idx, exhaustive=True)
     table = np_linear_net_scores(model, data.x[idx], data.y[idx])
     comps = sorted(table)
     stacked = np.stack([table[c] for c in comps])
     expect = stacked.argmax(axis=0)
-    got = trainer.buffer.comps[idx][:, :, 0]
+    got = trainer.buffer[idx][:, :, 0]
     for b in range(len(idx)):
         assert tuple(got[b]) == comps[expect[b]]
-        assert trainer.buffer.scores[b] == pytest.approx(stacked[expect[b], b], abs=1e-9)
+        assert stats["best_scores"][b] == pytest.approx(stacked[expect[b], b], abs=1e-9)
 
 
 def test_exhaustive_search_beats_any_single_sampled_step():
@@ -278,7 +274,7 @@ def test_stored_objective_bounded_by_marginal():
         trainer.iteration()
     idx = np.arange(task.n_examples)
     trainer.partial_e_step(idx=idx, exhaustive=True)
-    joint = model.score(data.x[idx], data.y[idx], trainer.buffer.comps[idx])
+    joint = model.score(data.x[idx], data.y[idx], trainer.buffer[idx])
     marginal = model.marginal_log_lik(data.x[idx], data.y[idx])
     assert np.all(joint <= marginal + 1e-9)
 
@@ -299,10 +295,10 @@ def test_frozen_assignments_monotone_early_mse():
     # every one of the first 100 full-batch steps
     cfg = toy_cfg(seed=9, m_steps=1, batch=128, e_batch=128)
     trainer, task, model, data = make_trainer(cfg)
-    trainer.buffer.comps[:, 0, 0] = data.cluster
+    trainer.buffer[:, 0, 0] = data.cluster
     mses = []
     for _ in range(101):
-        pred = model.rollout(data.x, comps=trainer.buffer.comps).outputs
+        pred = model.rollout(data.x, comps=trainer.buffer).outputs
         mses.append(float(((pred - data.y) ** 2).mean()))
         trainer.partial_m_step()
     assert all(b <= a + 1e-12 for a, b in zip(mses, mses[1:]))
@@ -325,10 +321,23 @@ def test_trainer_state_roundtrip_resumes_identically():
     for _ in range(5):
         a.iteration()
     saved = a.state()
+    assert list(saved["arrays"]) == ["buffer_comps"]
+    assert saved["arrays"]["buffer_comps"].dtype == np.int64
     b, _, _, _ = make_trainer(cfg)
     b.restore(saved)
-    assert np.array_equal(a.buffer.comps, b.buffer.comps)
-    assert np.array_equal(a.buffer.scores, b.buffer.scores)
+    assert np.array_equal(a.buffer, b.buffer)
+    # restored by value: training one leaves the other alone
+    before = b.buffer.copy()
+    for _ in range(5):
+        a.iteration()
+    assert np.array_equal(b.buffer, before)
+
+
+def test_restore_refuses_another_buffer_shape():
+    trainer, _, _, _ = make_trainer(toy_cfg(seed=13))
+    state = trainer.state()
+    with pytest.raises(ValueError, match="buffer_comps shape"):
+        trainer.restore(dict(state, arrays={"buffer_comps": trainer.buffer[:-1].copy()}))
 
 
 def test_guard_aborts_training_on_poisoned_parameters():

@@ -22,11 +22,11 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 PINNED = {
     "toy_em_smoke": (
         "e98c8503daf975d39da1692fb9377046720c58066b49154f48bb64b1004d3665",
-        "cd717cc18e921c12285add0cc575f8114a47a0b39158f175aa33e97eecff9d6e",
+        "366abf951fce057c620dc25171dae964db243ac793aa75e8f8c23dd306a7d4c7",
     ),
     "two_regime_em_smoke": (
         "a37294a49fe2072460ce2190c83540f24d60446b6341f9f69d6d1063a972f426",
-        "d217935dfb927b4bb04fd2fe408d6443bdc0581328fe7b7f490ce9f0da38b52a",
+        "0cc57646ff3912f416c54b2a3a27fc64f943f43ed9fe4be164664251b76be677",
     ),
 }
 
@@ -56,7 +56,7 @@ SHORT_RUNS = {
     "toy_em/m8_two_slots_relu": (
         20,
         "6226955d02be55df7a31372249e67cc7263d296108b05676bd615ca6ad85acd5",
-        "762a03f11fe1236a2f038989d87e41435819fe74ed502dc1341c55efa0d64b17",
+        "b723a1fa0fa0abb737c68ae4403561a27f4c533284b84f621df3e765809b4bae",
         "architecture.n_modules=8",
         "architecture.n_slots=2",
         "architecture.n_layers=2",

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 
@@ -107,6 +108,26 @@ def test_checkpoint_refuses_integers_doubles_cannot_hold(tmp_path, value):
     with pytest.raises(ValueError, match="buffer_comps"):
         write_state(tmp_path / "b.ckpt", [p], state)
     assert not (tmp_path / "b.ckpt").exists()
+
+
+@pytest.mark.parametrize("value", [0.5, -2.5, 2.0**53 + 2, math.inf, math.nan])
+def test_checkpoint_refuses_int64_payloads_that_are_not_whole(tmp_path, value):
+    # a hand-edited 0.5 used to load as 0 without a word
+    p = Parameter(np.zeros(2), "p")
+    state = sample_state([p])
+    state["arrays"]["buffer_comps"] = np.array([1, 0], dtype=np.int64)
+    path = tmp_path / "a.ckpt"
+    write_state(path, [p], state)
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<Q", blob[8:16])
+    entry = next(
+        e for e in json.loads(blob[16 : 16 + n])["arrays"] if e["name"] == "state:buffer_comps"
+    )
+    assert entry["dtype"] == "int64"
+    at = 16 + n + 8 * entry["offset"]
+    path.write_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8 :])
+    with pytest.raises(ValueError, match="malformed checkpoint.*state:buffer_comps"):
+        read_checkpoint(str(path))
 
 
 # every float64 bit pattern class: NaN, the infinities, -0.0 and denormals included
