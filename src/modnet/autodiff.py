@@ -531,16 +531,6 @@ def softmax_parts_first(logits: np.ndarray):
     return z, e, np.ascontiguousarray(e.T).sum(axis=-1).T
 
 
-def _log_softmax_at(logits: np.ndarray, idx: np.ndarray):
-    """The stabilized log softmax of ``logits`` along the last axis, its
-    entries at the integer ``idx`` (shape ``logits.shape[:-1]``), and their
-    flat positions in it."""
-    z, _, s = softmax_parts(logits)
-    logp = z - np.log(s)
-    at = np.arange(idx.size) * logp.shape[-1] + idx.reshape(-1)
-    return logp, logp.reshape(-1)[at].reshape(idx.shape), at
-
-
 def log_softmax_pick(logits: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The value of ``categorical_log_prob`` on plain arrays: unchecked,
     never recorded, and no ``Tensor`` built."""
@@ -572,13 +562,16 @@ def categorical_log_prob(logits, targets) -> Tensor:
             f"categorical-log-prob: target out of range [0, {n}): "
             f"min={idx.min()}, max={idx.max()}"
         )
-    logp, out, at = _log_softmax_at(logits.data, idx)
+    z, _, s = parts = softmax_parts(logits.data)
+    out = pick_log_prob(parts, idx)
 
     def pull(g):
-        p = np.exp(logp)
-        onehot = np.zeros_like(p)
-        onehot.reshape(-1)[at] = 1.0
-        return g[..., None] * (onehot - p)
+        # onehot - softmax, formed in place: 0 - p, then 1 added at the picks
+        d = z - np.log(s)
+        np.exp(d, out=d)
+        np.subtract(0.0, d, out=d)
+        d.reshape(-1)[np.arange(idx.size) * n + idx.reshape(-1)] += 1.0
+        return g[..., None] * d
 
     return _emit("categorical-log-prob", out, [logits], [pull])
 

@@ -7,8 +7,6 @@ methods.  Each works against the same task-adapter protocol.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from modnet.config import TrainerConfig
@@ -56,12 +54,8 @@ class ReinforceTrainer(_GradientTrainer):
         return out
 
     def restore(self, state: dict) -> None:
-        scalars = dict(state["scalars"])
-        ema = float(scalars.pop("ema"))
-        if not math.isfinite(ema):
-            raise ValueError(f"baseline ema {ema!r} is not finite")
-        super().restore({**state, "scalars": scalars})
-        self.ema = ema
+        super().restore(state)
+        self.ema = state["scalars"]["ema"]
 
 
 class NoisyTopKTrainer(_GradientTrainer):

@@ -50,8 +50,8 @@ class StepGuard:
         return {"streak": self.streak, "total": self.total}
 
     def restore(self, state: dict) -> None:
-        self.streak = int(state["streak"])
-        self.total = int(state["total"])
+        self.streak = state["streak"]
+        self.total = state["total"]
 
 
 class AscentTrainer:
@@ -202,14 +202,10 @@ class EMTrainer(AscentTrainer):
         return dict(super().state(), arrays={"buffer_comps": self.buffer})
 
     def restore(self, state: dict) -> None:
-        """Load the buffer, refusing another shape or any value that is not
-        a module index; whole-valued float64 arrays, as checkpoints before
-        the int64 layout hold them, load as they are."""
-        comps = np.asarray(state["arrays"]["buffer_comps"])
-        if comps.shape != self.buffer.shape:
-            raise ValueError(
-                f"buffer_comps shape {comps.shape} does not match {self.buffer.shape}"
-            )
+        """Load the buffer, refusing any value that is not a module index;
+        whole-valued float64 arrays, as checkpoints before the int64 layout
+        hold them, load as they are."""
+        comps = state["arrays"]["buffer_comps"]
         n = self.task.n_choices
         if not np.all((comps >= 0) & (comps < n) & (np.floor(comps) == comps)):
             raise ValueError(f"buffer_comps holds values that are not whole numbers in [0, {n})")

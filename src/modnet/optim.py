@@ -26,7 +26,7 @@ class Adam:
     The clip norm sums the squares with one ``np.sum`` per piece and adds
     those sums in order; a single reduction over the whole vector, or one
     per parameter, would round differently.  ``state`` and ``restore``
-    keep one moment array per piece.
+    keep the moments as ``{piece name: array}``, one array per piece.
     """
 
     def __init__(
@@ -93,28 +93,12 @@ class Adam:
     def state(self) -> dict:
         return {
             "t": self.t,
-            "m": [self._m_flat[s].reshape(shape).copy() for _, shape, s in self._pieces],
-            "v": [self._v_flat[s].reshape(shape).copy() for _, shape, s in self._pieces],
+            "m": {name: self._m_flat[s].reshape(shape).copy() for name, shape, s in self._pieces},
+            "v": {name: self._v_flat[s].reshape(shape).copy() for name, shape, s in self._pieces},
         }
 
     def restore(self, state: dict) -> None:
-        """Load what ``state`` returns, refusing moments of another count or
-        shape than the pieces."""
-        ms = [np.asarray(m, dtype=np.float64) for m in state["m"]]
-        vs = [np.asarray(v, dtype=np.float64) for v in state["v"]]
-        if not len(ms) == len(vs) == len(self._pieces):
-            raise ValueError(
-                f"optimizer state holds {len(ms)} first and {len(vs)} second "
-                f"moments for {len(self._pieces)} parameter pieces"
-            )
-        for (name, shape, _), m, v in zip(self._pieces, ms, vs):
-            for buf in (m, v):
-                if buf.shape != shape:
-                    raise ValueError(
-                        f"optimizer state shape {buf.shape} does not match "
-                        f"parameter {name} shape {shape}"
-                    )
-        self.t = int(state["t"])
-        for (_, _, s), m, v in zip(self._pieces, ms, vs):
-            self._m_flat[s] = m.reshape(-1)
-            self._v_flat[s] = v.reshape(-1)
+        self.t = state["t"]
+        for name, _, s in self._pieces:
+            self._m_flat[s] = state["m"][name].reshape(-1)
+            self._v_flat[s] = state["v"][name].reshape(-1)

@@ -46,6 +46,7 @@ from modnet.seeding import SeedStreams
 from modnet.serialize import (
     CheckpointData,
     MetricsWriter,
+    check_like,
     read_checkpoint,
     write_checkpoint,
     write_json_atomic,
@@ -254,51 +255,37 @@ def build_trainer(cfg: ExperimentConfig, task, streams: SeedStreams):
 
 def _load_params(params, ckpt: CheckpointData) -> None:
     """Copy a checkpoint's arrays into the pieces of ``params``, refusing
-    another library version, any missing or wrongly shaped piece, and any
-    parameter or moment array that no piece names."""
+    another library version and any parameter or moment arrays other than
+    one of each piece's shape."""
     if ckpt.version != modnet.__version__:
         raise ConfigError(
             f"checkpoint version {ckpt.version} does not match "
             f"library version {modnet.__version__}"
         )
-    pieces = [piece for p in params for piece in p.pieces]
-    known = {name for name, _ in pieces}
-    unknown = sorted(
-        f"{kind}:{name}"
-        for kind, arrays in (("param", ckpt.params), ("opt_m", ckpt.opt_m), ("opt_v", ckpt.opt_v))
-        for name in arrays
-        if name not in known
-    )
-    if unknown:
-        raise ConfigError(f"checkpoint holds arrays the model lacks: {unknown}")
-    for name, view in pieces:
-        if name not in ckpt.params:
-            raise ConfigError(f"checkpoint missing parameter {name!r}")
-        saved = ckpt.params[name]
-        if saved.shape != view.shape:
-            raise ConfigError(
-                f"checkpoint parameter {name!r} has shape {saved.shape}, "
-                f"model expects {view.shape}"
-            )
-        view[...] = saved
+    pieces = {name: view for p in params for name, view in p.pieces}
+    try:
+        for path, arrays in (("param", ckpt.params), ("opt_m", ckpt.opt_m), ("opt_v", ckpt.opt_v)):
+            check_like(arrays, pieces, path)
+    except ValueError as exc:
+        raise ConfigError(f"checkpoint arrays do not fit the model: {exc}") from exc
+    for name, view in pieces.items():
+        view[...] = ckpt.params[name]
 
 
 def _restore_into(trainer, task, streams, ckpt: CheckpointData) -> None:
-    params = task.parameters()
-    _load_params(params, ckpt)
-    names = [name for p in params for name, _ in p.pieces]
+    _load_params(task.parameters(), ckpt)
+    arrays = dict(ckpt.trainer_arrays)
+    if "buffer_comps" in arrays:  # EM checkpoints before int64 compositions kept scores too
+        arrays.pop("buffer_scores", None)
+    saved = {
+        "arrays": arrays,
+        "opt": {"t": ckpt.opt_t, "m": ckpt.opt_m, "v": ckpt.opt_v},
+        "scalars": ckpt.trainer_scalars,
+    }
     try:
-        trainer.restore(
-            {
-                "arrays": ckpt.trainer_arrays,
-                "opt": {
-                    "t": ckpt.opt_t,
-                    "m": [ckpt.opt_m[name] for name in names],
-                    "v": [ckpt.opt_v[name] for name in names],
-                },
-                "scalars": ckpt.trainer_scalars,
-            }
-        )
+        check_like(saved, trainer.state(), "trainer")
+        check_like(ckpt.streams_state, streams.state(), "rng")
+        trainer.restore(saved)
         streams.restore(ckpt.streams_state)
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"trainer or random-stream state does not restore: {exc!r}") from exc
@@ -339,8 +326,13 @@ def execute_run(
 
     start = 0
     if resume_from is not None:
-        _restore_into(trainer, task, streams, resume_from)
         start = resume_from.iteration
+        if not 0 <= start <= cfg.trainer.iterations:
+            raise ConfigError(
+                f"iteration: the checkpoint is at {start}, "
+                f"outside [0, {cfg.trainer.iterations}]"
+            )
+        _restore_into(trainer, task, streams, resume_from)
 
     # directories only once everything that can refuse the config has run
     ckpt_dir = os.path.join(out_dir, "checkpoints")

@@ -3,16 +3,26 @@
 Checkpoint layout: 8 magic bytes, an 8-byte little-endian header length,
 a UTF-8 JSON header, then one contiguous block of little-endian float64
 values.  The header lists every array's name, shape, element offset, and
-logical dtype; integer arrays are stored as doubles and cast back on
-load, so ``write_checkpoint`` refuses any integer past +-2**53, the
-range doubles hold exactly, and a load refuses an ``int64`` array whose
-values are not whole numbers in that range.  Writes go through a temp
-file and an atomic rename so a crash never leaves a half-written file.
+logical dtype, ``float64`` or ``int64`` (a load refuses any other);
+integer arrays are stored as doubles and cast back on load, so
+``write_checkpoint`` refuses any integer past +-2**53, the range doubles
+hold exactly, and a load refuses an ``int64`` array whose values are not
+whole numbers in that range.  Writes go through a temp file and an
+atomic rename so a crash never leaves a half-written file.
+
+What a load restores must have the form of the live component's
+``state()``, which is the only declaration of that form: objects with
+the same keys, lists of the same length, arrays of the same shape (of
+either dtype), and scalars of the same type, a bool being no int and 1.5
+no int, with every int >= 0 and every float finite.  ``check_like``
+applies that rule before anything is restored, so each ``restore`` is
+plain assignment.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -64,6 +74,32 @@ class MetricsWriter:
         return False
 
 
+def check_like(saved, live, path: str) -> None:
+    """Raise ``ValueError``, naming the place below ``path``, where ``saved``
+    leaves the form of ``live`` (the rule in the module docstring)."""
+    if isinstance(live, dict):
+        if not isinstance(saved, dict):
+            raise ValueError(f"{path}: expected an object, got {saved!r}")
+        missing, unknown = sorted(live.keys() - saved.keys()), sorted(saved.keys() - live.keys())
+        if missing or unknown:
+            raise ValueError(f"{path}: missing {missing}, unknown {unknown}")
+        for key in live:
+            check_like(saved[key], live[key], f"{path}.{key}")
+    elif isinstance(live, list):
+        if not isinstance(saved, list) or len(saved) != len(live):
+            raise ValueError(f"{path}: expected a list of {len(live)}, got {saved!r}")
+        for i, (s, v) in enumerate(zip(saved, live)):
+            check_like(s, v, f"{path}[{i}]")
+    elif isinstance(live, np.ndarray):
+        shape = getattr(saved, "shape", None)
+        if not isinstance(saved, np.ndarray) or shape != live.shape:
+            raise ValueError(f"{path}: expected shape {live.shape}, got {shape}")
+    elif type(saved) is not type(live):
+        raise ValueError(f"{path}: expected {type(live).__name__}, got {saved!r}")
+    elif (type(saved) is int and saved < 0) or (type(saved) is float and not math.isfinite(saved)):
+        raise ValueError(f"{path}: {saved!r} is out of range")
+
+
 def _pack_arrays(entries: list[tuple[str, np.ndarray, str]]) -> tuple[list[dict], bytes]:
     manifest = []
     chunks = []
@@ -89,6 +125,8 @@ def _unpack_arrays(manifest: list[dict], payload: bytes) -> dict[str, np.ndarray
                 f"array {entry['name']!r} at offset {entry['offset']!r}, "
                 f"not at {offset}, where {last} ends"
             )
+        if entry["dtype"] not in ("float64", "int64"):
+            raise ValueError(f"array {entry['name']!r}: unknown dtype {entry['dtype']!r}")
         shape = tuple(entry["shape"])
         size = int(np.prod(shape)) if shape else 1
         flat = np.frombuffer(payload[offset * 8 : (offset + size) * 8], dtype="<f8")
@@ -141,17 +179,12 @@ def write_checkpoint(
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"duplicate parameter names: {dupes}")
     opt = trainer_state["opt"]
-    if not len(opt["m"]) == len(opt["v"]) == len(pieces):
-        raise ValueError(
-            f"optimizer state holds {len(opt['m'])} first and {len(opt['v'])} "
-            f"second moments for {len(pieces)} parameter pieces"
-        )
     entries: list[tuple[str, np.ndarray, str]] = []
     for name, view in pieces:
         entries.append((f"param:{name}", view, "float64"))
-    for name, m, v in zip(names, opt["m"], opt["v"]):
-        entries.append((f"opt_m:{name}", m, "float64"))
-        entries.append((f"opt_v:{name}", v, "float64"))
+    for name in names:
+        entries.append((f"opt_m:{name}", opt["m"][name], "float64"))
+        entries.append((f"opt_v:{name}", opt["v"][name], "float64"))
     for key, arr in trainer_state.get("arrays", {}).items():
         arr = np.asarray(arr)
         dtype = "int64" if arr.dtype.kind in "iu" else "float64"
@@ -202,7 +235,7 @@ def _parse_checkpoint(blob: bytes) -> CheckpointData:
     (head_len,) = struct.unpack("<Q", blob[8:16])
     header = json.loads(blob[16 : 16 + head_len].decode("utf-8"))
     for key, kind in _HEADER_TYPES.items():
-        if not isinstance(header[key], kind):
+        if type(header[key]) is not kind:  # a bool is no int
             raise ValueError(f"header field {key!r} is not a JSON {kind.__name__}")
     arrays = _unpack_arrays(header["arrays"], blob[16 + head_len :])
     params, opt_m, opt_v, state = {}, {}, {}, {}
@@ -221,10 +254,10 @@ def _parse_checkpoint(blob: bytes) -> CheckpointData:
     return CheckpointData(
         version=header["version"],
         config=header["config"],
-        iteration=int(header["iteration"]),
+        iteration=header["iteration"],
         streams_state=header["rng"],
         params=params,
-        opt_t=int(header["opt_t"]),
+        opt_t=header["opt_t"],
         opt_m=opt_m,
         opt_v=opt_v,
         trainer_arrays=state,

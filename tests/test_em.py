@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 
 from modnet.autodiff import Parameter, record_joint
-from modnet.config import TrainerConfig, from_dict
+from modnet.config import ConfigError, TrainerConfig, from_dict
 from modnet.em import AscentTrainer, EMTrainer, NumericAbort, StepGuard
-from modnet.runner import build_dataset, build_model, build_task, build_trainer
+from modnet.runner import (
+    _restore_into,
+    _save,
+    build_dataset,
+    build_model,
+    build_task,
+    build_trainer,
+)
 from modnet.seeding import SeedStreams
+from modnet.serialize import read_checkpoint
 
 
 def toy_cfg(seed=0, layers=1, modules=2, **trainer):
@@ -333,11 +341,19 @@ def test_trainer_state_roundtrip_resumes_identically():
     assert np.array_equal(b.buffer, before)
 
 
-def test_restore_refuses_another_buffer_shape():
-    trainer, _, _, _ = make_trainer(toy_cfg(seed=13))
-    state = trainer.state()
-    with pytest.raises(ValueError, match="buffer_comps shape"):
-        trainer.restore(dict(state, arrays={"buffer_comps": trainer.buffer[:-1].copy()}))
+def test_restore_refuses_another_buffer_shape(tmp_path):
+    # the checkpoint boundary checks the saved form before any restore
+    cfg = toy_cfg(seed=13)
+    trainer, task, _, _ = make_trainer(cfg)
+    trainer.buffer = trainer.buffer[:-1]
+    path = str(tmp_path / "short.ckpt")
+    _save(trainer, task, trainer.streams, cfg, 0, path)
+    fresh, task, _, _ = make_trainer(cfg)
+    before = fresh.buffer.copy()
+    shapes = r"expected shape \(128, 1, 1\), got \(127, 1, 1\)"
+    with pytest.raises(ConfigError, match=rf"trainer\.arrays\.buffer_comps: {shapes}"):
+        _restore_into(fresh, task, fresh.streams, read_checkpoint(path))
+    assert np.array_equal(fresh.buffer, before)
 
 
 def test_guard_aborts_training_on_poisoned_parameters():

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from modnet.autodiff import Parameter
 from modnet.optim import Adam
+from modnet.serialize import check_like
 
 
 class LoopAdam:
@@ -93,10 +95,12 @@ def test_flat_step_matches_the_per_parameter_loop(clip_norm, grad_scale):
         assert all(clipped) if grad_scale > 1 else not any(clipped)
     state = opt.state()
     assert opt.t == oracle.t == state["t"] == 6
+    names = [name for p in params for name, _ in p.pieces]
+    assert list(state["m"]) == list(state["v"]) == names
     views = [view for p in params for _, view in p.pieces]
-    assert len(views) == len(state["m"]) == len(state["v"]) == len(oracle.datas) == 11
+    assert len(views) == len(oracle.datas) == 11
     for view, data, m, v, sm, sv in zip(views, oracle.datas, oracle.m, oracle.v,
-                                        state["m"], state["v"]):
+                                        state["m"].values(), state["v"].values()):
         assert np.array_equal(view, data)
         assert np.array_equal(sm, m) and np.array_equal(sv, v)
 
@@ -122,36 +126,40 @@ def test_state_returns_copies_not_views():
     opt = Adam(params, lr=0.1)
     opt.step(opt.flatten(random_grads(rng, params, 1.0)))
     state = opt.state()
-    before = [m.copy() for m in state["m"]] + [v.copy() for v in state["v"]]
+    before = [m.copy() for m in state["m"].values()] + [v.copy() for v in state["v"].values()]
     opt.step(opt.flatten(random_grads(rng, params, 1.0)))
-    after = state["m"] + state["v"]
+    after = [*state["m"].values(), *state["v"].values()]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
-    for m in state["m"]:
+    for m in state["m"].values():
         m[...] = 7.0
-    assert not any(np.any(m == 7.0) for m in opt.state()["m"])
+    assert not any(np.any(m == 7.0) for m in opt.state()["m"].values())
 
 
-def test_restore_rejects_a_wrong_shape():
-    params = make_params(np.random.default_rng(0))
-    opt = Adam(params)
+def test_saved_moment_of_another_shape_is_unlike_the_state():
+    # a resume checks saved moments against the live state before restoring
+    opt = Adam(make_params(np.random.default_rng(0)))
     state = opt.state()
-    state["v"][3] = np.zeros((3, 4))
-    with pytest.raises(ValueError, match="p3"):
-        opt.restore(state)
+    state["v"]["p3"] = np.zeros((3, 4))
+    shapes = r"expected shape \(2, 3, 2\), got \(3, 4\)"
+    with pytest.raises(ValueError, match=rf"^opt\.v\.p3: {shapes}$"):
+        check_like(state, opt.state(), "opt")
 
 
 @pytest.mark.parametrize("cut_m, cut_v", [(0, 0), (6, 11), (12, 12), (11, 0)])
-def test_restore_refuses_moment_lists_of_another_length(cut_m, cut_v):
-    # zip stopped at the shorter list: the step count was restored and the
-    # moments it left out stayed as they were
-    params = make_params(np.random.default_rng(0))
-    opt = Adam(params)
+def test_saved_moments_for_other_pieces_are_unlike_the_state(cut_m, cut_v):
+    # each moment keeps its first cut pieces; a 12th is one the model lacks
+    opt = Adam(make_params(np.random.default_rng(0)))
     state = opt.state()
-    extra = [np.zeros(())]
-    short = {"t": 7, "m": (state["m"] + extra)[:cut_m], "v": (state["v"] + extra)[:cut_v]}
-    with pytest.raises(ValueError, match=f"{cut_m} first and {cut_v} second moments for 11 "):
-        opt.restore(short)
-    assert opt.t == 0
+    names = [*state["m"], "extra"]
+    saved = {
+        "t": 7,
+        "m": {name: state["m"].get(name, np.zeros(())) for name in names[:cut_m]},
+        "v": {name: state["v"].get(name, np.zeros(())) for name in names[:cut_v]},
+    }
+    key, cut = ("m", cut_m) if cut_m != 11 else ("v", cut_v)
+    message = f"opt.{key}: missing {sorted(names[cut:11])}, unknown {names[11:cut]}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        check_like(saved, state, "opt")
 
 
 def test_steps_after_restore_move_the_reported_moments():
@@ -172,7 +180,8 @@ def test_steps_after_restore_move_the_reported_moments():
     b.step(b.flatten({q: grads[p] for p, q in zip(params, twin)}))
     sa, sb = a.state(), b.state()
     assert sb["t"] == 4
-    for m0, ma, mb, va, vb in zip(saved["m"], sa["m"], sb["m"], sa["v"], sb["v"]):
+    moments = (saved["m"], sa["m"], sb["m"], sa["v"], sb["v"])
+    for m0, ma, mb, va, vb in zip(*(m.values() for m in moments)):
         assert not np.array_equal(mb, m0)
         assert np.array_equal(ma, mb) and np.array_equal(va, vb)
     assert all(np.array_equal(p.data, q.data) for p, q in zip(params, twin))

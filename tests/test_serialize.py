@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from modnet.autodiff import Parameter
 from modnet.serialize import (
     MetricsWriter,
+    check_like,
     read_checkpoint,
     write_checkpoint,
     write_json_atomic,
@@ -19,12 +20,12 @@ from modnet.serialize import (
 
 
 def sample_state(params):
-    views = [view for p in params for _, view in p.pieces]
+    pieces = [piece for p in params for piece in p.pieces]
     return {
         "opt": {
             "t": 7,
-            "m": [np.full_like(view, 0.25) for view in views],
-            "v": [np.full_like(view, 0.5) for view in views],
+            "m": {name: np.full_like(view, 0.25) for name, view in pieces},
+            "v": {name: np.full_like(view, 0.5) for name, view in pieces},
         },
         "arrays": {
             "buffer_comps": np.array([[1, 0], [2, 1]], dtype=np.int64),
@@ -149,8 +150,8 @@ def checkpoint_states(draw):
     state = {
         "opt": {
             "t": draw(EXACT_INTS.filter(lambda t: t >= 0)),
-            "m": [floats(p.shape) for p in params],
-            "v": [floats(p.shape) for p in params],
+            "m": {p.name: floats(p.shape) for p in params},
+            "v": {p.name: floats(p.shape) for p in params},
         },
         "arrays": {
             "comps": draw(hnp.arrays(np.int64, SHAPES, elements=EXACT_INTS)),
@@ -176,7 +177,7 @@ def write_state(path, params, state):
 @example((
     [Parameter(SPECIAL, "w")],
     {
-        "opt": {"t": 3, "m": [SPECIAL[::-1].copy()], "v": [SPECIAL]},
+        "opt": {"t": 3, "m": {"w": SPECIAL[::-1].copy()}, "v": {"w": SPECIAL}},
         "arrays": {"comps": np.array([[2**53, -(2**53)], [0, -1]]), "scores": SPECIAL},
         "scalars": {"ema": float("nan"), "hi": float("inf"), "z": -0.0, "streak": 2},
     },
@@ -189,11 +190,7 @@ def test_checkpoint_write_read_write_is_byte_identical(tmp_path, drawn):
     assert back.trainer_arrays["comps"].dtype == np.int64
     assert np.array_equal(back.trainer_arrays["comps"], state["arrays"]["comps"])
     again = {
-        "opt": {
-            "t": back.opt_t,
-            "m": [back.opt_m[n] for n in names],
-            "v": [back.opt_v[n] for n in names],
-        },
+        "opt": {"t": back.opt_t, "m": back.opt_m, "v": back.opt_v},
         "arrays": back.trainer_arrays,
         "scalars": back.trainer_scalars,
     }
@@ -202,13 +199,12 @@ def test_checkpoint_write_read_write_is_byte_identical(tmp_path, drawn):
 
 
 @pytest.mark.parametrize("short", ["m", "v"])
-def test_checkpoint_refuses_moment_lists_of_another_length(tmp_path, short):
-    # zip stopped at the shorter list and wrote a checkpoint without the
-    # moments it left out
+def test_checkpoint_refuses_a_moment_missing_for_a_piece(tmp_path, short):
+    # moments are looked up by piece name: a missing one cannot be skipped
     params = [Parameter(np.zeros(2), "a"), Parameter(np.ones(3), "b")]
     state = sample_state(params)
-    state["opt"][short] = state["opt"][short][:1]
-    with pytest.raises(ValueError, match="moments for 2 parameter pieces"):
+    del state["opt"][short]["b"]
+    with pytest.raises(KeyError, match="b"):
         write_state(tmp_path / "x.ckpt", params, state)
     assert not (tmp_path / "x.ckpt").exists()
 
@@ -237,20 +233,80 @@ def test_checkpoint_detects_truncation(tmp_path):
         read_checkpoint(str(path))
 
 
-@pytest.mark.parametrize(
-    "key, value", [("rng", "garbage"), ("scalars", []), ("iteration", "7"), ("arrays", {})]
-)
-def test_checkpoint_rejects_wrongly_typed_header_field(tmp_path, key, value):
-    path = tmp_path / "w.ckpt"
+def edited_header(tmp_path, edit):
+    """A sample checkpoint whose header ``edit`` changed in place."""
+    path = tmp_path / "h.ckpt"
     write_sample(path, [Parameter(np.zeros(2), "p")])
     blob = path.read_bytes()
     (n,) = struct.unpack("<Q", blob[8:16])
     header = json.loads(blob[16 : 16 + n])
-    header[key] = value
+    edit(header)
     head = json.dumps(header).encode()
     path.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + n :])
-    with pytest.raises(ValueError, match=f"{key}"):
-        read_checkpoint(str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("rng", "garbage"), ("scalars", []), ("iteration", "7"), ("arrays", {}),
+     ("iteration", True), ("opt_t", True)],  # true was read as 1
+)
+def test_checkpoint_rejects_wrongly_typed_header_field(tmp_path, key, value):
+    path = edited_header(tmp_path, lambda header: header.update({key: value}))
+    with pytest.raises(ValueError, match=f"header field '{key}' is not a JSON"):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize("dtype", [-1, 1.5, True, None, "x", 1e308])
+def test_checkpoint_refuses_an_unknown_array_dtype(tmp_path, dtype):
+    # anything but "int64" was read as float64
+    def edit(header):
+        header["arrays"][0]["dtype"] = dtype
+
+    with pytest.raises(ValueError, match=r"array 'param:p': unknown dtype"):
+        read_checkpoint(edited_header(tmp_path, edit))
+
+
+LIVE = {"n": 3, "x": 0.5, "name": "a", "w": np.zeros((2, 3)), "l": [1, 2]}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({}, None),
+        ({"w": np.zeros((2, 3), dtype=np.int64)}, None),  # the shape alone counts
+        ({"n": 0, "x": -1e308, "l": [0, 2**64]}, None),
+        ({"extra": 1}, r"^s: missing \[\], unknown \['extra'\]$"),
+        ({"w": np.zeros((3, 2))}, r"^s\.w: expected shape \(2, 3\), got \(3, 2\)$"),
+        ({"w": [[0.0] * 3] * 2}, r"^s\.w: expected shape \(2, 3\), got None$"),
+        ({"l": [1]}, r"^s\.l: expected a list of 2, got \[1\]$"),
+        ({"l": {"0": 1, "1": 2}}, r"^s\.l: expected a list of 2"),
+        ({"l": [1, -2]}, r"^s\.l\[1\]: -2 is out of range$"),
+        ({"n": True}, r"^s\.n: expected int, got True$"),
+        ({"n": 3.0}, r"^s\.n: expected int, got 3\.0$"),
+        ({"n": None}, r"^s\.n: expected int, got None$"),
+        ({"x": 1}, r"^s\.x: expected float, got 1$"),
+        ({"x": math.nan}, r"^s\.x: nan is out of range$"),
+        ({"x": -math.inf}, r"^s\.x: -inf is out of range$"),
+        ({"name": 0}, r"^s\.name: expected str, got 0$"),
+    ],
+)
+def test_check_like_rule(change, message):
+    saved = dict(LIVE, **change)
+    if message is None:
+        check_like(saved, LIVE, "s")
+    else:
+        with pytest.raises(ValueError, match=message):
+            check_like(saved, LIVE, "s")
+
+
+@pytest.mark.parametrize("drop", ["n", "w"])
+def test_check_like_names_missing_keys_and_nested_paths(drop):
+    saved = {"outer": {k: v for k, v in LIVE.items() if k != drop}}
+    with pytest.raises(ValueError, match=rf"^s\.outer: missing \['{drop}'\], unknown \[\]$"):
+        check_like(saved, {"outer": LIVE}, "s")
+    with pytest.raises(ValueError, match=r"^s: expected an object, got \[\]$"):
+        check_like([], LIVE, "s")
 
 
 def test_no_temp_files_left_behind(tmp_path):
