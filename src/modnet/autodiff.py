@@ -1,10 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The package holds only the primitives that a run records: enough to
-express modular layers, gated recurrent cells, and the Gaussian /
-categorical output likelihoods.  The taped references that the fused
+express modular layers, gated recurrent cells, the Gaussian output
+likelihood and softmax heads, each head a ``matmul`` scored by one
+``categorical-head`` record.  The taped references that the fused
 records are checked against (sigmoid, softplus, softmax, concatenation,
-a taped relu) live with the tests' oracles.  A computation is recorded on
+a taped relu, reshape, a sum along one axis and one head's log softmax)
+live with the tests' oracles.  A computation is recorded on
 a ``Tape`` (a context manager); tensors built while no tape is active are
 plain values and cost no bookkeeping.
 """
@@ -176,15 +178,14 @@ class Tape:
             g = grads.pop(rec.out, None)
             if g is None:
                 continue
-            g = _dense(g)
             for node, pull in rec.pulls:
                 contrib = pull(g)
                 prev = grads.get(node)
-                grads[node] = contrib if prev is None else _accumulate(prev, contrib)
+                grads[node] = contrib if prev is None else prev + contrib
         out: dict[int, np.ndarray] = {}
         for node, param in self._watched.values():
             g = grads.get(node)
-            out[node] = np.zeros_like(param.data) if g is None else np.asarray(_dense(g))
+            out[node] = np.zeros_like(param.data) if g is None else np.asarray(g)
         return out
 
     def grad(self, grads: dict[int, np.ndarray], ref) -> np.ndarray:
@@ -202,43 +203,6 @@ class Tape:
         """The gradient of each of ``params``, keyed by parameter; zeros for
         a parameter the loss never reached."""
         return {p: self.grad(grads, p) for p in params}
-
-
-class _Columns:
-    """A gradient that is zero outside columns ``lo:hi`` of its last axis,
-    as ``slice_last``'s pullback returns it.  The tape builds the dense
-    array only when it must, so the gradients of two disjoint slices of
-    one tensor fill one array."""
-
-    __slots__ = ("shape", "lo", "hi", "g")
-
-    def __init__(self, shape, lo: int, hi: int, g: np.ndarray):
-        self.shape, self.lo, self.hi, self.g = shape, lo, hi, g
-
-    def dense(self) -> np.ndarray:
-        full = np.zeros(self.shape, dtype=np.float64)
-        full[..., self.lo : self.hi] = self.g
-        return full
-
-
-def _dense(g):
-    return g.dense() if isinstance(g, _Columns) else g
-
-
-def _accumulate(prev, contrib):
-    """``prev + contrib`` with column gradients made dense.  Two disjoint
-    column blocks go into one zero array as ``g + 0.0`` each, the bits
-    that adding their two dense arrays gives."""
-    if (
-        isinstance(prev, _Columns)
-        and isinstance(contrib, _Columns)
-        and (prev.hi <= contrib.lo or contrib.hi <= prev.lo)
-    ):
-        full = np.zeros(prev.shape, dtype=np.float64)
-        for c in (prev, contrib):
-            np.add(c.g, 0.0, out=full[..., c.lo : c.hi])
-        return full
-    return _dense(prev) + _dense(contrib)
 
 
 def _as_tensor(x) -> Tensor:
@@ -385,35 +349,21 @@ def slice_last(x, lo: int, hi: int) -> Tensor:
     if not 0 <= lo < hi <= width:
         raise ShapeError(f"slice-last-axis: [{lo}, {hi}) is not a slice of shape {x.shape}")
     shape = x.shape
-    return _emit(
-        "slice-last-axis", x.data[..., lo:hi], [x], [lambda g: _Columns(shape, lo, hi, g)]
-    )
+
+    def pull(g):
+        full = np.zeros(shape, dtype=np.float64)
+        full[..., lo:hi] = g
+        return full
+
+    return _emit("slice-last-axis", x.data[..., lo:hi], [x], [pull])
 
 
-def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    src = x.shape
-    try:
-        out = x.data.reshape(shape)
-    except ValueError:
-        raise ShapeError(f"reshape: cannot reshape {src} to {tuple(shape)}") from None
-    return _emit("reshape", out, [x], [lambda g: g.reshape(src)])
-
-
-def sum_over_axis(x, axis: int | None = None) -> Tensor:
+def sum_over_axis(x) -> Tensor:
+    """The scalar sum of every element."""
     x = _as_tensor(x)
     shape = x.shape
-    if axis is None:
-        out = x.data.sum()
-        return _emit(
-            "sum-over-axis", out, [x], [lambda g: np.full(shape, g, dtype=np.float64)]
-        )
-    ax = axis if axis >= 0 else x.ndim + axis
-    if not 0 <= ax < x.ndim:
-        raise ShapeError(f"sum-over-axis: axis {axis} invalid for shape {shape}")
-    out = x.data.sum(axis=ax)
     return _emit(
-        "sum-over-axis", out, [x], [lambda g: np.broadcast_to(np.expand_dims(g, ax), shape)]
+        "sum-over-axis", x.data.sum(), [x], [lambda g: np.full(shape, g, dtype=np.float64)]
     )
 
 
@@ -532,48 +482,70 @@ def softmax_parts_first(logits: np.ndarray):
 
 
 def log_softmax_pick(logits: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The value of ``categorical_log_prob`` on plain arrays: unchecked,
-    never recorded, and no ``Tensor`` built."""
-    return pick_log_prob(softmax_parts(logits), idx)
-
-
-def pick_log_prob(parts, idx: np.ndarray) -> np.ndarray:
-    """``log_softmax_pick`` from the logits' ``softmax_parts``: only the
-    picked entries are formed, by the full log softmax's own operation."""
-    z, _, s = parts
+    """One head's log softmax at ``idx`` on plain arrays, with the bits of
+    ``categorical_head``: only the picked entries are formed, by the full
+    log softmax's own operation.  Unchecked, never recorded, and no
+    ``Tensor`` built."""
+    z, _, s = softmax_parts(logits)
     at = np.arange(idx.size) * z.shape[-1] + idx.reshape(-1)
     return (z.reshape(-1)[at] - np.log(s).reshape(-1)).reshape(idx.shape)
 
 
-def categorical_log_prob(logits, targets) -> Tensor:
-    """log softmax(logits)[target] along the last axis, stabilized."""
-    logits = _as_tensor(logits)
+def categorical_head(products, biases, targets) -> tuple[Tensor, np.ndarray]:
+    """Log-likelihood of the targets under softmax heads, as one
+    ``categorical-head`` record, and its per-row values.
+
+    Head k's logits are ``products[k] + biases[k]``, (rows, classes), and
+    each row adds every head's log softmax at ``targets[..., k]`` in head
+    order.  (rows, heads) targets
+    give (rows,); (steps, batch, heads) targets, rows time-major, sum each
+    window's steps to (batch,).  The values and gradients are bit for bit
+    those of the op-by-op heads; the pullback keeps only each head's
+    shifted logits and the logs of their sums.
+    """
+    products, biases = [_as_tensor(p) for p in products], [_as_tensor(b) for b in biases]
     idx = np.asarray(targets)
     if idx.dtype.kind not in "iu":
-        raise ShapeError("categorical-log-prob: targets must be integers")
-    if logits.ndim < 1 or idx.shape != logits.shape[:-1]:
+        raise ShapeError("categorical-head: targets must be integers")
+    if idx.ndim not in (2, 3) or not 0 < idx.shape[-1] == len(products) == len(biases):
         raise ShapeError(
-            f"categorical-log-prob: targets shape {idx.shape} does not match "
-            f"logits shape {logits.shape}"
+            f"categorical-head: targets shape {idx.shape} does not give "
+            f"{len(products)} products and {len(biases)} biases one column each"
         )
-    n = logits.shape[-1]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ShapeError(
-            f"categorical-log-prob: target out of range [0, {n}): "
-            f"min={idx.min()}, max={idx.max()}"
-        )
-    z, _, s = parts = softmax_parts(logits.data)
-    out = pick_log_prob(parts, idx)
+    n_rows = idx.size // idx.shape[-1]
+    picks = idx.reshape(n_rows, -1)
+    kept, total = [], None
+    for k, (p, b) in enumerate(zip(products, biases)):
+        logits, ids = p.data + b.data, picks[:, k]
+        n = logits.shape[-1]
+        if logits.shape != (n_rows, n) or (ids.size and not 0 <= ids.min() <= ids.max() < n):
+            raise ShapeError(
+                f"categorical-head: head {k} logits {logits.shape} do not score "
+                f"{n_rows} rows of targets in [0, {n})"
+            )
+        z, _, s = softmax_parts(logits)
+        log_s, at = np.log(s), np.arange(n_rows) * n + ids
+        term = z.reshape(-1)[at] - log_s.reshape(-1)
+        kept.append((z, log_s, at))
+        total = term if total is None else total + term
+    per_row = total.reshape(idx.shape[:-1])
+    out = per_row.sum(axis=0) if idx.ndim == 3 else per_row
 
-    def pull(g):
-        # onehot - softmax, formed in place: 0 - p, then 1 added at the picks
-        d = z - np.log(s)
-        np.exp(d, out=d)
-        np.subtract(0.0, d, out=d)
-        d.reshape(-1)[np.arange(idx.size) * n + idx.reshape(-1)] += 1.0
-        return g[..., None] * d
+    def pullback(g):
+        g_rows = np.empty(per_row.shape)
+        g_rows[...] = g  # a window's gradient at each of its steps
+        g_rows = g_rows.reshape(n_rows, 1)
+        g_logits = []
+        for z, log_s, at in kept:
+            # onehot - softmax, formed in place: 0 - p, then 1 added at the picks
+            d = z - log_s
+            np.exp(d, out=d)
+            np.subtract(0.0, d, out=d)
+            d.reshape(-1)[at] += 1.0
+            g_logits.append(g_rows * d)
+        return g_logits + [gl.sum(axis=0) for gl in g_logits]
 
-    return _emit("categorical-log-prob", out, [logits], [pull])
+    return record_joint("categorical-head", out, products + biases, pullback), per_row
 
 
 def mean_all(x) -> Tensor:

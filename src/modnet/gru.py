@@ -15,9 +15,10 @@ pullback at each step; the pool is one of its inputs at any size.  So a
 taped rollout records a fixed number of ops however many steps it has:
 the embedding lookup, the unroll, then the output head (and
 ``ModularGruLM``'s controller heads) scoring the stacked per-step rows
-at once.  Untaped, each step is scored as it goes and only the running
-state and one step's embeddings are kept, since evaluation unrolls
-every window at once.
+at once: a ``matmul`` per head and one ``categorical-head`` record that
+also sums each window's steps.  Untaped, each step is scored as it goes
+and only the running state and one step's embeddings are kept, since
+evaluation unrolls every window at once.
 
 No step builds a ``Tensor``: module dispatch, the candidate's rectifier,
 the BPTT loop and an untaped rollout's per-step scoring (one log-softmax
@@ -64,17 +65,16 @@ from modnet.autodiff import (
     ShapeError,
     Tensor,
     active_tape,
-    categorical_log_prob,
+    categorical_head,
     constant,
     embedding_lookup,
     log_softmax_pick,
+    matmul,
     paused,
     record_joint,
     relu,
-    reshape,
     slice_last,
     stable_sigmoid,
-    sum_over_axis,
 )
 from modnet.diagnostics import SelectionSnapshot
 from modnet.modular import (
@@ -390,13 +390,13 @@ class _GruLM:
             )
             return None if total[0] is None else Tensor(total[0]), pred_ll, None
 
-        # rows are time-major (t * batch + b); summing the (steps, batch)
-        # view over axis 0 adds the steps in the same order as above
+        # rows are time-major (t * batch + b); the head sums each window's
+        # steps in the same order as above
         x_rows = embedding_lookup(self.embed, tokens.T.reshape(-1))
         rows = self.cell.unroll(x_rows, steps, select, h0)
-        ll = categorical_log_prob(self.out(slice_last(rows, 0, hid)), targets.T.reshape(-1))
-        cond = sum_over_axis(reshape(ll, (steps, batch)), axis=0)
-        return cond, ll.data.reshape(steps, batch).T.copy(), rows
+        product = matmul(slice_last(rows, 0, hid), self.out.w)
+        cond, ll = categorical_head([product], [self.out.b], targets.T[..., None])
+        return cond, ll.T.copy(), rows
 
 
 class ModularGruLM(_GruLM, ModularModel):
@@ -456,9 +456,7 @@ class ModularGruLM(_GruLM, ModularModel):
                 hx_rows = constant(rows.data[:, hid:])
             else:
                 hx_rows = slice_last(rows, hid, rows.shape[1])
-            sel_rows = walk.chosen.transpose(1, 0, 2).reshape(-1, self.n_slots)
-            term = ctrl_model.log_prob(hx_rows, sel_rows)
-            ctrl = sum_over_axis(reshape(term, (steps, batch)), axis=0)
+            ctrl = ctrl_model.log_prob(hx_rows, walk.chosen.transpose(1, 0, 2))
         return walk.result(cond, ctrl, pred_ll)
 
 

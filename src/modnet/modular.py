@@ -29,7 +29,7 @@ from modnet.autodiff import (
     Tensor,
     active_tape,
     add,
-    categorical_log_prob,
+    categorical_head,
     constant,
     gaussian_log_density,
     matmul,
@@ -319,17 +319,12 @@ class Controller:
         return total
 
     def log_prob(self, x, selection: np.ndarray) -> Tensor:
-        """log p(selection | x) as a differentiable (batch,) tensor."""
-        sel = np.asarray(selection)
-        if sel.ndim != 2 or sel.shape[1] != self.n_slots:
-            raise ShapeError(
-                f"selection shape {sel.shape} does not match {self.n_slots} slots"
-            )
-        total = None
-        for k, head in enumerate(self.heads):
-            term = categorical_log_prob(head(x), sel[:, k])
-            total = term if total is None else add(total, term)
-        return total
+        """log p(selection | x) as a differentiable tensor: one ``matmul``
+        per head, then one ``categorical-head`` record.  A (rows, slots)
+        selection gives (rows,); a (steps, batch, slots) one, whose rows
+        are time-major in x, gives each window's sum over steps, (batch,)."""
+        products = [matmul(x, h.w) for h in self.heads]
+        return categorical_head(products, [h.b for h in self.heads], selection)[0]
 
 
 def top_k_mask(z: np.ndarray, k: int) -> np.ndarray:

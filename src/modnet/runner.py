@@ -289,6 +289,27 @@ def _restore_into(trainer, task, streams, ckpt: CheckpointData) -> None:
         streams.restore(ckpt.streams_state)
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"trainer or random-stream state does not restore: {exc!r}") from exc
+    _check_step_counts(trainer, ckpt.iteration)
+
+
+def _check_step_counts(trainer, iteration: int) -> None:
+    """Refuse step counts that no run writes: each ascent step moves Adam
+    or counts as skipped, so ``opt_t + total == iteration * m_steps`` with
+    a streak below the guard's limit, except in ``abort.ckpt``, whose
+    streak is at the limit and whose count ends inside ``iteration``."""
+    t, guard, m = trainer.opt.t, trainer.guard, trainer.cfg.m_steps
+    if guard.streak > min(guard.total, guard.limit):
+        raise ConfigError(
+            f"scalars.streak: {guard.streak} is above scalars.total {guard.total} "
+            f"or the guard's limit {guard.limit}"
+        )
+    hi = iteration * m
+    lo = hi if guard.streak < guard.limit else hi - m + 1
+    if not lo <= t + guard.total <= hi:
+        raise ConfigError(
+            f"opt_t: {t} plus scalars.total {guard.total} ascent steps do not end "
+            f"iteration {iteration} at trainer.m_steps {m}"
+        )
 
 
 def _save(trainer, task, streams, cfg, iteration, path) -> None:
@@ -544,7 +565,7 @@ def evaluate_checkpoint(
             f"mode: expected most-likely-composition or enumerate-marginal, got {mode!r}"
         )
     ckpt = read_checkpoint(checkpoint_path)
-    cfg = from_dict(ckpt.config)
+    cfg = data_cfg = from_dict(ckpt.config)
     streams = SeedStreams(cfg.seed)
     if dataset_spec == "train":
         data = build_dataset(cfg, streams)
@@ -557,11 +578,11 @@ def evaluate_checkpoint(
         # a relative corpus path is read against the spec's own directory
         anchor_task_path(spec, os.path.dirname(os.path.abspath(dataset_spec)))
         # the checkpoint's config with the spec's task and seed, validated as one
-        eval_cfg = from_dict(
+        data_cfg = from_dict(
             dict(ckpt.config, task=spec.get("task", ckpt.config["task"]),
                  seed=spec.get("seed", cfg.seed))
         )
-        want, got = cfg.task, eval_cfg.task
+        want, got = cfg.task, data_cfg.task
         if got.kind != want.kind:
             raise ConfigError(f"task.kind: the checkpoint models {want.kind!r}, got {got.kind!r}")
         # the task field that sets the model's input size, where one does
@@ -571,7 +592,14 @@ def evaluate_checkpoint(
                 f"task.{key}: the checkpoint's model takes {getattr(want, key)}, "
                 f"got {getattr(got, key)}"
             )
-        data = build_dataset(eval_cfg, SeedStreams(eval_cfg.seed))
+        data = build_dataset(data_cfg, SeedStreams(data_cfg.seed))
+    # a corpus with another vocabulary would reach the model as a shape error
+    rows = np.shape(ckpt.params.get("lm.embed"))[:1]
+    if cfg.task.kind == "text-lm" and rows and rows[0] != data.vocab_size:
+        raise ConfigError(
+            f"task.path: {data_cfg.task.path!r} has a vocabulary of {data.vocab_size} "
+            f"tokens, the checkpoint's model {rows[0]}"
+        )
     model = build_model(cfg, data, streams)
     task = build_task(cfg, model, data)
     _load_params(task.parameters(), ckpt)

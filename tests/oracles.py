@@ -3,9 +3,12 @@
 No training run executes anything here.  Three kinds of oracle:
 
 - taped primitives that no run records (``sigmoid``, ``softplus``,
-  ``row_softmax``, ``concat_last``, ``stack_rows`` and a taped ``relu``),
-  one record per op through the public ``record_joint``, with the record
-  kinds and pullback arithmetic the composed oracles below are built on;
+  ``row_softmax``, ``concat_last``, ``stack_rows``, a taped ``relu``,
+  ``reshape``, ``sum_along`` one axis and one head's
+  ``categorical_log_prob``), one record per op through the public
+  ``record_joint``, with the record kinds and pullback arithmetic the
+  composed oracles below are built on; ``composed_heads`` builds the
+  ``categorical-head`` record's reference from them;
 - the module pool's dispatch one module at a time (``pool_module``,
   ``pool_combine``), on per-module views of the pool's one parameter
   (``pool_modules``) whose gradients ``module_grads`` lays out as the
@@ -33,6 +36,8 @@ from modnet.autodiff import (
     Tensor,
     add,
     constant,
+    log_softmax_pick,
+    matmul,
     mul,
     record_joint,
     slice_last,
@@ -76,6 +81,79 @@ def row_softmax(x) -> Tensor:
     return record_joint(
         "row-softmax", p, [x], lambda g: [p * (g - (g * p).sum(axis=-1, keepdims=True))]
     )
+
+
+def reshape(x, shape) -> Tensor:
+    xd = constant(x).data
+    try:
+        out = xd.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"reshape: cannot reshape {xd.shape} to {tuple(shape)}") from None
+    return record_joint("reshape", out, [x], lambda g: [g.reshape(xd.shape)])
+
+
+def sum_along(x, axis: int) -> Tensor:
+    """The sum along ``axis``, recorded as ``sum-over-axis``."""
+    xd = constant(x).data
+    shape = xd.shape
+    ax = axis if axis >= 0 else xd.ndim + axis
+    if not 0 <= ax < xd.ndim:
+        raise ShapeError(f"sum-over-axis: axis {axis} invalid for shape {shape}")
+    return record_joint(
+        "sum-over-axis",
+        xd.sum(axis=ax),
+        [x],
+        lambda g: [np.broadcast_to(np.expand_dims(g, ax), shape)],
+    )
+
+
+def categorical_log_prob(logits, targets) -> Tensor:
+    """log softmax(logits)[target] along the last axis, stabilized."""
+    xd = constant(logits).data
+    idx = np.asarray(targets)
+    if idx.dtype.kind not in "iu":
+        raise ShapeError("categorical-log-prob: targets must be integers")
+    if xd.ndim < 1 or idx.shape != xd.shape[:-1]:
+        raise ShapeError(
+            f"categorical-log-prob: targets shape {idx.shape} does not match "
+            f"logits shape {xd.shape}"
+        )
+    n = xd.shape[-1]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ShapeError(
+            f"categorical-log-prob: target out of range [0, {n}): "
+            f"min={idx.min()}, max={idx.max()}"
+        )
+    z, _, s = softmax_parts(xd)
+
+    def pull(g):
+        # onehot - softmax, formed in place: 0 - p, then 1 added at the picks
+        d = z - np.log(s)
+        np.exp(d, out=d)
+        np.subtract(0.0, d, out=d)
+        d.reshape(-1)[np.arange(idx.size) * n + idx.reshape(-1)] += 1.0
+        return [g[..., None] * d]
+
+    return record_joint("categorical-log-prob", log_softmax_pick(xd, idx), [logits], pull)
+
+
+def composed_heads(x, heads, targets):
+    """``categorical_head`` over the ``Linear`` heads on x, built op by op,
+    one record per op: each head's ``matmul`` and bias ``add``, its
+    ``categorical_log_prob`` at ``targets[..., k]``, the heads joined by
+    ``add`` in order and, for (steps, batch, heads) targets, a ``reshape``
+    to (steps, batch) and a ``sum_over_axis`` over the steps.  Returns the
+    last record and the per-row sums, as ``categorical_head`` does."""
+    idx = np.asarray(targets)
+    picks = idx.reshape(-1, idx.shape[-1])
+    total = None
+    for k, head in enumerate(heads):
+        term = categorical_log_prob(add(matmul(x, head.w), head.b), picks[:, k])
+        total = term if total is None else add(total, term)
+    if idx.ndim == 2:
+        return total, total.data
+    steps = reshape(total, idx.shape[:-1])
+    return sum_along(steps, 0), steps.data
 
 
 def _join(kind: str, xs, axis: int) -> Tensor:

@@ -20,7 +20,17 @@ import re
 import numpy as np
 
 from conftest import read_pgm, record_verdict
-from oracles import concat_last, random_biases, relu, row_softmax, sigmoid, softplus
+from oracles import (
+    categorical_log_prob,
+    concat_last,
+    random_biases,
+    relu,
+    reshape,
+    row_softmax,
+    sigmoid,
+    softplus,
+    sum_along,
+)
 
 import modnet.gru as gru_mod
 import modnet.modular as modular_mod
@@ -28,7 +38,7 @@ from modnet.autodiff import (
     Parameter,
     Tape,
     add,
-    categorical_log_prob,
+    categorical_head,
     constant,
     embedding_lookup,
     gaussian_log_density,
@@ -36,9 +46,7 @@ from modnet.autodiff import (
     matmul,
     mean_all,
     mul,
-    reshape,
     slice_last,
-    sum_over_axis,
 )
 from modnet.cli import main as cli_main
 from modnet.config import from_dict
@@ -49,7 +57,7 @@ from modnet.diagnostics import (
     write_pgm,
 )
 from modnet.gru import ModularGruCell
-from modnet.modular import ModulePool, NoisyTopKGate, slot_counts
+from modnet.modular import Linear, ModulePool, NoisyTopKGate, slot_counts
 from modnet.runner import (
     build_dataset,
     build_model,
@@ -172,7 +180,7 @@ def primitive_checks():
         ("softplus", lambda: mean_all(softplus(a)), [a]),
         ("row-softmax", lambda: mean_all(mul(row_softmax(a), wmat)), [a]),
         ("concat-last-axis", lambda: mean_all(mul(concat_last(a, a), constant(np.ones((3, 8))))), [a]),
-        ("sum-over-axis", lambda: mean_all(sum_over_axis(mul(a, a), axis=0)), [a]),
+        ("sum-over-axis", lambda: mean_all(sum_along(mul(a, a), 0)), [a]),
         ("slice-last-axis", lambda: mean_all(mul(slice_last(a, 1, 3), constant(ymat[:, :2]))), [a]),
         ("reshape", lambda: mean_all(mul(reshape(a, (2, 6)), constant(ymat.reshape(2, 6)))), [a]),
         ("embedding-lookup", lambda: mean_all(mul(embedding_lookup(table, ids), constant(ymat[:, :3]))), [table]),
@@ -183,6 +191,7 @@ def primitive_checks():
         *gate_checks(rng),
         gated_unroll_check(rng),
         pool_combine_check(rng),
+        categorical_head_check(rng),
     ]
 
 
@@ -272,6 +281,24 @@ def pool_combine_check(rng):
     return "pool-combine", fn, [xp] + pool.parameters()
 
 
+def categorical_head_check(rng):
+    """Two softmax heads on one input, as the controller scores its slots,
+    with (steps, batch, heads) targets, so the record also sums each
+    window's steps; targets at both ends of the range."""
+    x = Parameter(rng.standard_normal((6, 3)), "head_x")
+    heads = [Linear(rng, 3, 4, f"head{k}") for k in range(2)]
+    params = [x] + [p for h in heads for p in h.parameters()]
+    random_biases(params, rng)
+    targets = np.array([[[0, 3], [3, 1]], [[2, 0], [1, 3]], [[3, 3], [0, 2]]])
+    wout = constant(rng.standard_normal(2))
+
+    def fn():
+        products = [matmul(x, h.w) for h in heads]
+        return mean_all(mul(categorical_head(products, [h.b for h in heads], targets)[0], wout))
+
+    return "categorical-head", fn, params
+
+
 def gate_checks(rng):
     """The noisy top-k gate record, in training and in evaluation, mixing a
     rectified pool through ``ModulePool.select`` as the feedforward layer
@@ -335,7 +362,7 @@ def test_criterion_03_gradients_match_finite_differences(monkeypatch):
 
     # every record kind the package can emit has a check above
     kinds = emitted_kinds()
-    assert {"matmul", "reshape", "pool-combine", "modular-gru-unroll"} <= kinds
+    assert {"matmul", "categorical-head", "pool-combine", "modular-gru-unroll"} <= kinds
     uncovered = sorted(kinds - checked)
 
     relu_inputs = []

@@ -2,7 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from oracles import concat_last, relu, row_softmax, sigmoid, softplus, stack_rows
+from oracles import (
+    categorical_log_prob,
+    composed_heads,
+    concat_last,
+    relu,
+    reshape,
+    row_softmax,
+    sigmoid,
+    softplus,
+    stack_rows,
+    sum_along,
+)
 
 from modnet.autodiff import (
     LOG_2PI,
@@ -11,7 +22,7 @@ from modnet.autodiff import (
     Tape,
     Tensor,
     add,
-    categorical_log_prob,
+    categorical_head,
     constant,
     embedding_lookup,
     gaussian_log_density,
@@ -22,12 +33,12 @@ from modnet.autodiff import (
     mean_all,
     mul,
     paused,
-    reshape,
     slice_last,
     softmax_parts,
     stable_sigmoid,
     sum_over_axis,
 )
+from modnet.modular import Linear
 
 
 def backward_wrt(loss_fn, *params):
@@ -144,6 +155,40 @@ def test_categorical_log_prob_matches_along_axis_oracle(lead):
     assert np.array_equal(grad, want_grad)
 
 
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize("steps", [None, 3], ids=["rows", "steps"])
+def test_categorical_head_matches_the_op_by_op_heads(n_heads, steps):
+    # value, per-row values and every gradient bit for bit, the input's
+    # joined from both heads in the tape's order; targets at both ends
+    rng = np.random.default_rng(43)
+    batch, classes = 4, 5
+    lead = (batch,) if steps is None else (steps, batch)
+    x = Parameter(rng.standard_normal((math.prod(lead), 3)) * 2.0, "x")
+    heads = [Linear(rng, 3, classes, f"h{k}") for k in range(n_heads)]
+    for h in heads:
+        h.b.data[...] = rng.standard_normal(classes)
+    targets = rng.integers(0, classes, size=(*lead, n_heads))
+    targets.reshape(-1, n_heads)[:2] = [[0], [classes - 1]]
+    g = constant(rng.standard_normal(batch))
+    params = [x] + [p for h in heads for p in h.parameters()]
+
+    def run(score):
+        with Tape() as tape:
+            out, per_row = score()
+            loss = sum_over_axis(mul(out, g))
+        grads = tape.backward(loss)
+        return [out.data, per_row] + [tape.grad(grads, p) for p in params]
+
+    fused = run(
+        lambda: categorical_head(
+            [matmul(x, h.w) for h in heads], [h.b for h in heads], targets
+        )
+    )
+    oracle = run(lambda: composed_heads(x, heads, targets))
+    assert fused[0].shape == (batch,) and fused[1].shape == lead
+    assert [a.tobytes() for a in fused] == [a.tobytes() for a in oracle]
+
+
 def test_gaussian_log_density_hand():
     # d=2, diff=0: -log(2*pi); diff=(1,0): extra -1/2
     y = np.zeros((1, 2))
@@ -165,8 +210,8 @@ def test_embedding_lookup_accumulates_repeats():
 def test_sum_over_axis_variants():
     x = np.arange(6.0).reshape(2, 3)
     assert sum_over_axis(x).data == 15.0
-    assert np.array_equal(sum_over_axis(x, axis=0).data, [3.0, 5.0, 7.0])
-    assert np.array_equal(sum_over_axis(x, axis=-1).data, [3.0, 12.0])
+    assert np.array_equal(sum_along(x, 0).data, [3.0, 5.0, 7.0])
+    assert np.array_equal(sum_along(x, -1).data, [3.0, 12.0])
 
 
 def test_concat_last_forward_and_split_gradient():
@@ -321,6 +366,9 @@ def test_categorical_rejects_bad_targets():
         categorical_log_prob(logits, np.array([0, 3]))
     with pytest.raises(ShapeError):
         categorical_log_prob(logits, np.array([0]))
+    for bad in ([[0], [3]], [[0], [-1]], [[0.0], [1.0]], [0, 1], [[0, 1], [1, 0]], [[[0]]]):
+        with pytest.raises(ShapeError, match="categorical-head"):
+            categorical_head([logits], [np.zeros(3)], np.array(bad))
 
 
 def test_gaussian_rejects_shape_mismatch():
@@ -463,7 +511,7 @@ def test_fd_every_primitive(name):
         fn = lambda: mean_all(mul(reshape(probe, (2, 6)), sel))
         params = [probe]
     elif name == "sum-over-axis":
-        fn = lambda: mean_all(mul(sum_over_axis(probe, axis=0), np.array([1.0, -2.0, 0.5])))
+        fn = lambda: mean_all(mul(sum_along(probe, 0), np.array([1.0, -2.0, 0.5])))
         params = [probe]
     elif name == "embedding-lookup":
         ids = np.array([0, 2, 2, 1])

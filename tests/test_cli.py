@@ -196,6 +196,10 @@ def test_numeric_abort_is_exit_3_and_checkpoints(tmp_path, capsys):
     record = json.loads((out / "run_record.json").read_text())
     assert record["status"] == "aborted"
     assert "skipped" in record["failure"]
+    # its step counts end inside the aborted iteration, which a resume accepts
+    again = tmp_path / "again"
+    assert main(["resume", str(out / "checkpoints" / "abort.ckpt"), "--set", f"out_dir={again}"]) == 3
+    assert (again / "checkpoints" / "abort.ckpt").exists()
 
 
 def test_eval_on_train_and_external_dataset(tmp_path, capsys):
@@ -244,6 +248,24 @@ def test_eval_spec_reads_a_relative_corpus_path_from_its_own_directory(
     monkeypatch.chdir(elsewhere)
     assert main(["eval", ckpt, str(spec)]) == 0
     assert json.loads(capsys.readouterr().out) == on_train
+
+
+def test_eval_on_a_corpus_with_another_vocabulary_is_exit_2(tmp_path, capsys):
+    # it exited 2 naming lm.embed's shape, not the corpus
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "text_char_em.json")
+    out = tmp_path / "out"
+    assert main(["run", shipped, "--set", "trainer.iterations=2", "--set", f"out_dir={out}"]) == 0
+    header = rewrite_header(out / "checkpoints" / "final.ckpt", os.devnull)
+    corpus = tmp_path / "nine.txt"
+    corpus.write_text("abcdefgh " * 30)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"task": dict(header["config"]["task"], path=str(corpus))}))
+    capsys.readouterr()
+    assert main(["eval", str(out / "checkpoints" / "final.ckpt"), str(spec)]) == 2
+    err = capsys.readouterr().err
+    embed = next(e for e in header["arrays"] if e["name"].endswith("lm.embed"))
+    assert f"task.path: {str(corpus)!r} has a vocabulary of 9 tokens" in err
+    assert f"the checkpoint's model {embed['shape'][0]}" in err
 
 
 def test_eval_missing_checkpoint_is_exit_2(tmp_path, capsys):
@@ -577,6 +599,36 @@ def smoke_step_checkpoint(tmp_path_factory):
     schedule = ["--set", "trainer.iterations=4", "--set", "diagnostics.checkpoint_interval=2"]
     assert main(["run", shipped, "--set", f"out_dir={root / 'out'}", *schedule]) == 0
     return str(root / "out" / "checkpoints" / "step-000002.ckpt")
+
+
+@pytest.mark.parametrize(
+    "edit", ["opt_t 0", "opt_t 3", "opt_t + 1", "streak 3, total 0", "trainer.m_steps + 1"]
+)
+def test_resume_refuses_step_counts_that_no_run_writes(
+    tmp_path, capsys, monkeypatch, smoke_step_checkpoint, edit
+):
+    # each resumed with exit 0: opt_t 0 or 3 restarted Adam's bias correction
+    header = rewrite_header(smoke_step_checkpoint, os.devnull)
+    t, scalars, config = header["opt_t"], header["scalars"], header["config"]
+    assert t + scalars["total"] == 2 * config["trainer"]["m_steps"] > 3
+    field, fields = {
+        "opt_t 0": ("opt_t", {"opt_t": 0}),
+        "opt_t 3": ("opt_t", {"opt_t": 3}),
+        "opt_t + 1": ("opt_t", {"opt_t": t + 1}),
+        "streak 3, total 0": ("scalars.streak", {"scalars": dict(scalars, streak=3, total=0)}),
+        "trainer.m_steps + 1": (
+            "trainer.m_steps",
+            {"config": replaced(config, ("trainer", "m_steps"), config["trainer"]["m_steps"] + 1)},
+        ),
+    }[edit]
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "root"))
+    bad = str(tmp_path / "bad.ckpt")
+    rewrite_header(smoke_step_checkpoint, bad, **fields)
+    assert main(["resume", bad]) == 2
+    err = capsys.readouterr().err
+    assert f"{field}: " in err or f" {field} " in err
+    assert bad in err
+    assert not (tmp_path / "root").exists()
 
 
 def test_resume_refuses_every_hostile_state_leaf(

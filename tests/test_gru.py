@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import (
+    categorical_log_prob,
     composed_topk_step,
     composed_topk_weights,
     composed_unroll,
@@ -27,7 +28,6 @@ from modnet.autodiff import (
     Tape,
     Tensor,
     add,
-    categorical_log_prob,
     constant,
     grad_check,
     mean_all,
@@ -350,10 +350,11 @@ def test_taped_rollout_scores_equal_untaped(detach, masked):
         assert np.array_equal(plain.ctrl_ll.data, taped.ctrl_ll.data)
         counts.append(n_records)
     # one embedding lookup and one unroll for all steps; the head slices
-    # out the states, projects (2), scores, reshapes and sums; the
-    # controller slices out [h, x] (unless detached), then 2 heads joined
-    # by one add, a reshape and a sum
-    assert counts == [8 + (9 if detach else 10)] * 2
+    # out the states, projects, then scores and sums each window in one
+    # categorical-head record; the controller slices out [h, x] (unless
+    # detached), projects for each of its 2 heads, and scores and sums
+    # both heads in one record
+    assert counts == [5 + (3 if detach else 4)] * 2
 
 
 def tensor_scored_rollout(lm, tokens, targets, comps):

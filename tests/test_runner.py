@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -178,12 +179,18 @@ def test_enumerate_marginal_nll_is_per_example_or_per_token(overrides, per_token
     assert task.eval_metrics("enumerate-marginal")["nll"] == want
 
 
+def load_harness(name):
+    """The benchmark harness module ``perfbench/<name>.py``."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_targets_exist():
     """perfbench/tracer.py wraps these by name in their owners' __dict__."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_harness("tracer")
     targets = [t for ts in tracer.SPANS.values() for t in ts] + list(tracer.COUNTS.values())
     missing = [f"{getattr(o, '__name__', o)}.{a}" for o, a in targets if a not in vars(o)]
     assert missing == []
@@ -201,6 +208,42 @@ def test_benchmark_tracer_targets_exist():
         t.install(full=True)
     finally:
         t.uninstall()
+
+
+def test_benchmark_workloads_emit_every_counted_record_kind(monkeypatch):
+    # the benchmark reports a per-step count for each record kind it lists;
+    # a fusion that drops a workload's last record of a kind loses a metric
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        listed = [m["name"] for m in json.load(fh)["per_layer"]]
+    kinds = [n[len("autodiff.records."):] for n in listed if n.startswith("autodiff.records.")]
+    assert "matmul" in kinds
+    counts = Counter()
+    record = Tape.record
+
+    def counting(tape, kind, out_data, pulls):
+        counts[kind] += 1
+        return record(tape, kind, out_data, pulls)
+
+    monkeypatch.setattr(Tape, "record", counting)
+    per_step, missing = {}, {}
+    for name, (config, _, _) in load_harness("run").WORKLOADS.items():
+        cfg = load_config(os.path.join(root, config), ["trainer.m_steps=1"])
+        streams = SeedStreams(cfg.seed)
+        data = build_dataset(cfg, streams)
+        task = build_task(cfg, build_model(cfg, data, streams), data)
+        trainer = build_trainer(cfg, task, streams)
+        counts.clear()
+        assert trainer.ascend()["skipped_steps"] == 0
+        per_step[name] = sum(counts.values())
+        missing[name] = [k for k in kinds if not counts[k]]
+    assert missing == {name: [] for name in per_step}
+    assert per_step == {
+        "toy-em": 7,
+        "two-regime-em": 11,
+        "two-regime-reinforce": 13,
+        "toy-noisy-topk": 9,
+    }
 
 
 def test_resolve_out_dir_explicit_and_collision(tmp_path):
