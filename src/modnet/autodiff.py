@@ -497,11 +497,10 @@ def categorical_head(products, biases, targets) -> tuple[Tensor, np.ndarray]:
 
     Head k's logits are ``products[k] + biases[k]``, (rows, classes), and
     each row adds every head's log softmax at ``targets[..., k]`` in head
-    order.  (rows, heads) targets
-    give (rows,); (steps, batch, heads) targets, rows time-major, sum each
-    window's steps to (batch,).  The values and gradients are bit for bit
-    those of the op-by-op heads; the pullback keeps only each head's
-    shifted logits and the logs of their sums.
+    order.  (rows, heads) targets give (rows,); (steps, batch, heads)
+    targets, rows time-major, sum each window's steps to (batch,).  The
+    values and gradients are bit for bit those of the op-by-op heads; the
+    pullback keeps only each head's shifted logits and the logs of their sums.
     """
     products, biases = [_as_tensor(p) for p in products], [_as_tensor(b) for b in biases]
     idx = np.asarray(targets)

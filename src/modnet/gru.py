@@ -308,6 +308,8 @@ class _GruLM:
     """Embedding, one modular GRU cell and a vocabulary projection, shared
     by both recurrent models; ``n_slots`` and ``topk`` route the cell."""
 
+    EMBED = "lm.embed"  # the embedding's parameter name, one row per token
+
     def __init__(
         self,
         rng: np.random.Generator,
@@ -319,7 +321,7 @@ class _GruLM:
         topk: int | None = None,
     ):
         bound = 1.0 / math.sqrt(embed_dim)
-        self.embed = Parameter(rng.uniform(-bound, bound, size=(vocab, embed_dim)), "lm.embed")
+        self.embed = Parameter(rng.uniform(-bound, bound, size=(vocab, embed_dim)), self.EMBED)
         self.cell = ModularGruCell(rng, embed_dim, hidden, n_modules, n_slots, "lm.cell", topk)
         self.out = Linear(rng, hidden, vocab, "lm.out")
         self.vocab = vocab

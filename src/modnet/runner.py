@@ -289,19 +289,20 @@ def _restore_into(trainer, task, streams, ckpt: CheckpointData) -> None:
         streams.restore(ckpt.streams_state)
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"trainer or random-stream state does not restore: {exc!r}") from exc
-    _check_step_counts(trainer, ckpt.iteration)
+    _resume_step_counts(trainer, ckpt.iteration)
 
 
-def _check_step_counts(trainer, iteration: int) -> None:
+def _resume_step_counts(trainer, iteration: int) -> None:
     """Refuse step counts that no run writes: each ascent step moves Adam
     or counts as skipped, so ``opt_t + total == iteration * m_steps`` with
-    a streak below the guard's limit, except in ``abort.ckpt``, whose
-    streak is at the limit and whose count ends inside ``iteration``."""
+    the streak below the guard's limit, except in an ``abort.ckpt``: at the
+    limit, the count inside ``iteration``.  Resuming one counts its unrun
+    steps as skipped and starts a new streak, so its checkpoints keep this."""
     t, guard, m = trainer.opt.t, trainer.guard, trainer.cfg.m_steps
-    if guard.streak > min(guard.total, guard.limit):
+    if not 0 <= guard.streak <= min(guard.total, guard.limit):
         raise ConfigError(
-            f"scalars.streak: {guard.streak} is above scalars.total {guard.total} "
-            f"or the guard's limit {guard.limit}"
+            f"scalars.streak: {guard.streak} is negative, or above scalars.total "
+            f"{guard.total} or the guard's limit {guard.limit}"
         )
     hi = iteration * m
     lo = hi if guard.streak < guard.limit else hi - m + 1
@@ -310,6 +311,8 @@ def _check_step_counts(trainer, iteration: int) -> None:
             f"opt_t: {t} plus scalars.total {guard.total} ascent steps do not end "
             f"iteration {iteration} at trainer.m_steps {m}"
         )
+    if guard.streak == guard.limit:
+        guard.streak, guard.total = 0, hi - t
 
 
 def _save(trainer, task, streams, cfg, iteration, path) -> None:
@@ -594,11 +597,13 @@ def evaluate_checkpoint(
             )
         data = build_dataset(data_cfg, SeedStreams(data_cfg.seed))
     # a corpus with another vocabulary would reach the model as a shape error
-    rows = np.shape(ckpt.params.get("lm.embed"))[:1]
+    rows = np.shape(ckpt.params.get(ModularGruLM.EMBED))[:1]
     if cfg.task.kind == "text-lm" and rows and rows[0] != data.vocab_size:
+        got = data_cfg.task
+        field = "task.vocab_cap" if got.vocab_cap != cfg.task.vocab_cap else "task.path"
         raise ConfigError(
-            f"task.path: {data_cfg.task.path!r} has a vocabulary of {data.vocab_size} "
-            f"tokens, the checkpoint's model {rows[0]}"
+            f"{field}: {got.path!r} at vocab_cap {got.vocab_cap} has a vocabulary of "
+            f"{data.vocab_size} tokens, the checkpoint's model {rows[0]}"
         )
     model = build_model(cfg, data, streams)
     task = build_task(cfg, model, data)

@@ -196,10 +196,29 @@ def test_numeric_abort_is_exit_3_and_checkpoints(tmp_path, capsys):
     record = json.loads((out / "run_record.json").read_text())
     assert record["status"] == "aborted"
     assert "skipped" in record["failure"]
-    # its step counts end inside the aborted iteration, which a resume accepts
+    # its step counts end inside the aborted iteration, which a resume
+    # accepts; the resumed run counts that iteration's unrun steps as
+    # skipped and starts a new streak, so its own checkpoints resume too
+    first = rewrite_header(str(out / "checkpoints" / "abort.ckpt"), os.devnull)
+    assert first["opt_t"] + first["scalars"]["total"] < 2 * first["iteration"]
     again = tmp_path / "again"
-    assert main(["resume", str(out / "checkpoints" / "abort.ckpt"), "--set", f"out_dir={again}"]) == 3
-    assert (again / "checkpoints" / "abort.ckpt").exists()
+    assert main([
+        "resume", str(out / "checkpoints" / "abort.ckpt"),
+        "--set", f"out_dir={again}", "--set", "diagnostics.checkpoint_interval=1",
+    ]) == 3
+    written = sorted((again / "checkpoints").iterdir())
+    assert [p.name for p in written] == ["abort.ckpt"] + [
+        f"step-{i:06d}.ckpt" for i in range(first["iteration"] + 1, first["iteration"] + 5)
+    ]
+    for path in written:
+        header = rewrite_header(str(path), os.devnull)
+        scalars = header["scalars"]
+        assert header["opt_t"] == first["opt_t"]  # every step of the resumed run skips
+        assert header["opt_t"] + scalars["total"] == 2 * header["iteration"]
+        skipped_since = 2 * (header["iteration"] - first["iteration"])
+        assert scalars["streak"] == (10 if path.name == "abort.ckpt" else skipped_since)
+        assert main(["resume", str(path), "--set", f"out_dir={tmp_path / path.name}"]) == 3
+        assert (tmp_path / path.name / "checkpoints" / "abort.ckpt").exists()
 
 
 def test_eval_on_train_and_external_dataset(tmp_path, capsys):
@@ -250,21 +269,32 @@ def test_eval_spec_reads_a_relative_corpus_path_from_its_own_directory(
     assert json.loads(capsys.readouterr().out) == on_train
 
 
-def test_eval_on_a_corpus_with_another_vocabulary_is_exit_2(tmp_path, capsys):
-    # it exited 2 naming lm.embed's shape, not the corpus
+@pytest.mark.parametrize("change", ["corpus", "vocab_cap"])
+def test_eval_on_a_corpus_with_another_vocabulary_is_exit_2(tmp_path, capsys, change):
+    # it exited 2 naming lm.embed's shape, not the corpus or the cap
     shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "text_char_em.json")
     out = tmp_path / "out"
-    assert main(["run", shipped, "--set", "trainer.iterations=2", "--set", f"out_dir={out}"]) == 0
+    mode = "char" if change == "corpus" else "word"
+    schedule = ["--set", "trainer.iterations=2", "--set", f"task.mode={mode}"]
+    assert main(["run", shipped, *schedule, "--set", f"out_dir={out}"]) == 0
     header = rewrite_header(out / "checkpoints" / "final.ckpt", os.devnull)
-    corpus = tmp_path / "nine.txt"
-    corpus.write_text("abcdefgh " * 30)
+    task = dict(header["config"]["task"])
+    if change == "corpus":
+        corpus = tmp_path / "nine.txt"
+        corpus.write_text("abcdefgh " * 30)
+        task.update(path=str(corpus))
+        field, cap, size = "task.path", task["vocab_cap"], 9
+    else:
+        task.update(vocab_cap=5)
+        field, cap, size = "task.vocab_cap", 5, 5
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"task": dict(header["config"]["task"], path=str(corpus))}))
+    spec.write_text(json.dumps({"task": task}))
     capsys.readouterr()
     assert main(["eval", str(out / "checkpoints" / "final.ckpt"), str(spec)]) == 2
     err = capsys.readouterr().err
     embed = next(e for e in header["arrays"] if e["name"].endswith("lm.embed"))
-    assert f"task.path: {str(corpus)!r} has a vocabulary of 9 tokens" in err
+    assert embed["shape"][0] != size
+    assert f"{field}: {task['path']!r} at vocab_cap {cap} has a vocabulary of {size} tokens" in err
     assert f"the checkpoint's model {embed['shape'][0]}" in err
 
 
