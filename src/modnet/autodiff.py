@@ -5,16 +5,19 @@ express modular layers, gated recurrent cells, the Gaussian output
 likelihood and softmax heads, each head a ``matmul`` scored by one
 ``categorical-head`` record.  The taped references that the fused
 records are checked against (sigmoid, softplus, softmax, concatenation,
-a taped relu, reshape, a sum along one axis and one head's log softmax)
-live with the tests' oracles.  A computation is recorded on
+slicing, a taped relu, reshape, a sum along one axis and one head's log
+softmax) live with the tests' oracles.  A computation is recorded on
 a ``Tape`` (a context manager); tensors built while no tape is active are
-plain values and cost no bookkeeping.
+plain values and cost no bookkeeping.  A record may have several
+outputs, one node and one ``Tensor`` each, as the recurrent unroll hands
+its states and its [h, x] rows to the heads that read them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import itertools
 import math
 
 import numpy as np
@@ -105,16 +108,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, node={self.node})"
 
 
-class _Record:
-    __slots__ = ("kind", "out", "pulls")
-
-    def __init__(self, kind, out, pulls):
-        self.kind = kind
-        self.out = out
-        # pulls: list of (input node id, fn(grad_out) -> grad contribution)
-        self.pulls = pulls
-
-
 class Tape:
     """Ordered record of primitive applications for one reverse sweep.
 
@@ -124,8 +117,11 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[_Record] = []
-        self._next_node = 0
+        # (kind, output node id or a tuple of them, pulls): each pull is
+        # (input node id, fn(grad_out) -> grad contribution), and with
+        # several outputs grad_out is the list of their gradients
+        self._records: list[tuple] = []
+        self._nodes = itertools.count()
         self._watched: dict[int, tuple[int, Parameter]] = {}
         self._token = None
 
@@ -141,24 +137,22 @@ class Tape:
     def __len__(self):
         return len(self._records)
 
-    def _new_node(self) -> int:
-        node = self._next_node
-        self._next_node += 1
-        return node
-
     def watch(self, param: Parameter) -> Tensor:
         """Register a parameter as a leaf; repeated watches share one node."""
         entry = self._watched.get(id(param))
         if entry is None:
-            node = self._new_node()
-            self._watched[id(param)] = (node, param)
-        else:
-            node = entry[0]
-        return Tensor(param.data, node, self)
+            entry = self._watched[id(param)] = (next(self._nodes), param)
+        return Tensor(param.data, entry[0], self)
 
-    def record(self, kind: str, out_data, pulls) -> Tensor:
-        node = self._new_node()
-        self._records.append(_Record(kind, node, pulls))
+    def record(self, kind: str, out_data, pulls):
+        """Append one op; a tuple of output arrays makes one node and one
+        Tensor per output, returned as a tuple."""
+        if type(out_data) is tuple:
+            nodes = tuple(next(self._nodes) for _ in out_data)
+            self._records.append((kind, nodes, pulls))
+            return tuple(Tensor(d, n, self) for d, n in zip(out_data, nodes))
+        node = next(self._nodes)
+        self._records.append((kind, node, pulls))
         return Tensor(out_data, node, self)
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
@@ -170,23 +164,25 @@ class Tape:
         if loss.tape is not self or loss.node is None:
             raise ValueError("backward: loss was not produced on this tape")
         if loss.data.ndim != 0:
-            raise ValueError(
-                f"backward: loss must be a scalar, got shape {loss.data.shape}"
-            )
+            raise ValueError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
         grads: dict[int, np.ndarray] = {loss.node: np.ones((), dtype=np.float64)}
-        for rec in reversed(self._records):
-            g = grads.pop(rec.out, None)
-            if g is None:
-                continue
-            for node, pull in rec.pulls:
+        for _, out, pulls in reversed(self._records):
+            if type(out) is int:
+                g = grads.pop(out, None)
+                if g is None:
+                    continue
+            else:
+                g = [grads.pop(node, None) for node in out]
+                if all(x is None for x in g):
+                    continue
+            for node, pull in pulls:
                 contrib = pull(g)
                 prev = grads.get(node)
                 grads[node] = contrib if prev is None else prev + contrib
-        out: dict[int, np.ndarray] = {}
-        for node, param in self._watched.values():
-            g = grads.get(node)
-            out[node] = np.zeros_like(param.data) if g is None else np.asarray(g)
-        return out
+        return {
+            node: np.asarray(grads[node]) if node in grads else np.zeros_like(param.data)
+            for node, param in self._watched.values()
+        }
 
     def grad(self, grads: dict[int, np.ndarray], ref) -> np.ndarray:
         """Look up the gradient of a watched Parameter or a node-bound Tensor."""
@@ -216,37 +212,42 @@ def _as_tensor(x) -> Tensor:
 
 def constant(x) -> Tensor:
     """Detach: a value-only tensor that blocks gradient flow."""
-    if isinstance(x, Tensor):
-        return Tensor(x.data)
-    if isinstance(x, Parameter):
+    if isinstance(x, (Tensor, Parameter)):
         return Tensor(x.data)
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _emit(kind: str, out_data, inputs: list[Tensor], pull_fns) -> Tensor:
+def _values(out_data):
+    """Value-only tensors of an op's output, or a tuple of its outputs."""
+    return tuple(map(Tensor, out_data)) if type(out_data) is tuple else Tensor(out_data)
+
+
+def _emit(kind: str, out_data, inputs: list[Tensor], pull_fns):
     """Record the op if a tape is active and any input is on it."""
     tape = active_tape()
     if tape is None:
-        return Tensor(out_data)
+        return _values(out_data)
     pulls = [
         (t.node, fn)
         for t, fn in zip(inputs, pull_fns)
         if t.node is not None and t.tape is tape and fn is not None
     ]
     if not pulls:
-        return Tensor(out_data)
+        return _values(out_data)
     return tape.record(kind, out_data, pulls)
 
 
-def record_joint(kind: str, out_data, inputs, pullback) -> Tensor:
+def record_joint(kind: str, out_data, inputs, pullback):
     """Record one op whose pullback yields every input's gradient at once.
 
     ``pullback(g)`` returns gradients aligned with ``inputs`` (Parameters
     are watched on the active tape).  It runs once per incoming gradient,
-    however many of the inputs sit on the tape.
+    however many of the inputs sit on the tape.  With a tuple of output
+    arrays the op has one Tensor per output, returned as a tuple, and ``g``
+    is the list of their gradients, None for an output that no loss read.
     """
     if active_tape() is None:
-        return Tensor(out_data)
+        return _values(out_data)
     ts = [_as_tensor(x) for x in inputs]
     memo = [None, None]
 
@@ -340,22 +341,6 @@ def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     num = np.maximum(e, x >= 0)
     e += 1.0
     return np.divide(num, e, out=out)
-
-
-def slice_last(x, lo: int, hi: int) -> Tensor:
-    """Columns ``lo:hi`` of the last axis (a view of the input's values)."""
-    x = _as_tensor(x)
-    width = x.shape[-1] if x.ndim else 0
-    if not 0 <= lo < hi <= width:
-        raise ShapeError(f"slice-last-axis: [{lo}, {hi}) is not a slice of shape {x.shape}")
-    shape = x.shape
-
-    def pull(g):
-        full = np.zeros(shape, dtype=np.float64)
-        full[..., lo:hi] = g
-        return full
-
-    return _emit("slice-last-axis", x.data[..., lo:hi], [x], [pull])
 
 
 def sum_over_axis(x) -> Tensor:

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 when training
-aborted on numeric failure.  The output root defaults to ``runs/`` and
-can be moved with the MODNET_RUNS environment variable.
+aborted on numeric failure or an evaluation is not finite.  The output
+root defaults to ``runs/`` and can be moved with the MODNET_RUNS
+environment variable.
 """
 
 from __future__ import annotations

@@ -107,7 +107,7 @@ class AscentTrainer:
             self.after_step(report)
             values.append(report)
         return {
-            "objective": float(np.mean(values)) if values else float("nan"),
+            "objective": float(np.mean(values)) if values else None,  # no step taken
             "skipped_steps": skipped,
         }
 

@@ -13,12 +13,13 @@ is a single ``modular-gru-unroll`` record whose pullback is hand-written
 backpropagation through time, running the gate's own logit-level
 pullback at each step; the pool is one of its inputs at any size.  So a
 taped rollout records a fixed number of ops however many steps it has:
-the embedding lookup, the unroll, then the output head (and
-``ModularGruLM``'s controller heads) scoring the stacked per-step rows
-at once: a ``matmul`` per head and one ``categorical-head`` record that
-also sums each window's steps.  Untaped, each step is scored as it goes
-and only the running state and one step's embeddings are kept, since
-evaluation unrolls every window at once.
+the embedding lookup, the unroll, whose two outputs are the stacked
+per-step states and [h, x] rows, then the output head on the states
+(and ``ModularGruLM``'s controller heads on the [h, x] rows) scoring
+every step at once: a ``matmul`` per head and one ``categorical-head``
+record that also sums each window's steps.  Untaped, each step is scored
+as it goes and only the running state and one step's embeddings are
+kept, since evaluation unrolls every window at once.
 
 No step builds a ``Tensor``: module dispatch, the candidate's rectifier,
 the BPTT loop and an untaped rollout's per-step scoring (one log-softmax
@@ -49,9 +50,9 @@ incumbent and every proposal in one unroll over tiled rows, and
 ``NoisyTopKGruLM`` the mixture protocol of ``modular.MixtureModel``.
 Each writes only its ``rollout``; ``ModularGruLM``'s takes one
 ``modular.Routing`` step per timestep, as the feedforward stack takes
-one per layer, and under a tape scores the stacked rows with the
-controller heads after the unroll.  ``_GruLM.snapshot`` makes every
-timestep a routing decision of its own.
+one per layer, and under a tape scores the unroll's [h, x] rows with
+the controller heads.  ``_GruLM.snapshot`` makes every timestep a
+routing decision of its own.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from modnet.autodiff import (
     paused,
     record_joint,
     relu,
-    slice_last,
     stable_sigmoid,
 )
 from modnet.diagnostics import SelectionSnapshot
@@ -133,7 +133,7 @@ class ModularGruCell:
             + (self.gate or self.controller).parameters()
         )
 
-    def unroll(self, xs, steps: int, select, h0: np.ndarray, visit=None) -> Tensor | None:
+    def unroll(self, xs, steps: int, select, h0: np.ndarray, visit=None):
         """Run the gated recurrence for ``steps`` timesteps from state ``h0``.
 
         ``xs`` is either the inputs as time-major rows (row ``t * batch +
@@ -150,10 +150,10 @@ class ModularGruCell:
         zero adds exact zeros.
 
         With rows, every step's activations are kept, and the stacked
-        ``[h_t | hx_t]`` rows come back as one ``modular-gru-unroll``
-        record (a plain tensor off the tape).  With a function only the
-        running state and one step's buffers are kept, and the result is
-        None.
+        states h_t and [h_{t-1}, x_t] rows come back as the two outputs of
+        one ``modular-gru-unroll`` record (plain tensors off the tape).
+        With a function only the running state and one step's buffers are
+        kept, and the result is None.
         """
         hid, pool, gated = self.hidden, self.pool, self.gate is not None
         batch, cat = h0.shape[0], hid + self.in_dim
@@ -230,6 +230,7 @@ class ModularGruCell:
         gradients of every map, a noisy top-k router's included, and the
         input gradients are each one matmul over all steps * batch rows.
         The pool is one input, ``ModulePool.param``, with one gradient.
+        An output that no loss read counts as a gradient of zeros.
         """
         out, gates, px_rows, cand_rows, weight_rows, mod_rows, noises = saved
         hid, pool, gate = self.hidden, self.pool, self.gate
@@ -247,7 +248,8 @@ class ModularGruCell:
         mod_wh_t = mod_w[:hid].T
         all_wx_t = np.concatenate([hx_w, mod_w], axis=1)[hid:].T
 
-        def pullback(g):
+        def pullback(gs):
+            g_h, g_hx = (np.zeros((n, w)) if g is None else g for g, w in zip(gs, (hid, cat)))
             # time-major contiguous (steps, batch, .) copies of the strided
             # operands, so that each step's ufuncs run one inner loop, not
             # one per row: z and 1 - z, r and 1 - r, the previous state,
@@ -261,7 +263,7 @@ class ModularGruCell:
             h_prevs, cands = by_step(out[:, hid : 2 * hid]), by_step(cand_rows)
             ws = by_step(weight_rows)
             z_lives = zs * (cands > 0)
-            g_hs, g_states = by_step(g[:, :hid]), by_step(g[:, hid : 2 * hid])
+            g_hs, g_states = by_step(g_h), by_step(g_hx[:, :hid])
             mods = None if gate is None else mod_rows.reshape(steps, batch, n_mod, hid)
             # per row: [d update-gate pre-activation | d reset | d router
             # logits, if a gate | d module output per module]; the first
@@ -290,7 +292,7 @@ class ModularGruCell:
             g_pre[:, :n_hx] = g_hx_pres.reshape(n, n_hx)
             g_hx_w = out[:, hid:].T @ g_pre[:, :n_hx]
             g_b = g_pre.sum(axis=0)
-            grads, lo = [g[:, 2 * hid :] + g_pre @ all_wx_t], 0
+            grads, lo = [g_hx[:, hid:] + g_pre @ all_wx_t], 0
             for m in hx_maps:
                 grads += [g_hx_w[:, lo : lo + m.out_dim], g_b[lo : lo + m.out_dim]]
                 lo += m.out_dim
@@ -301,7 +303,7 @@ class ModularGruCell:
             return grads + [g_pool]
 
         inputs = [xs] + [p for m in hx_maps for p in m.parameters()] + [pool.param]
-        return record_joint("modular-gru-unroll", out, inputs, pullback)
+        return record_joint("modular-gru-unroll", (out[:, :hid], out[:, hid:]), inputs, pullback)
 
 
 class _GruLM:
@@ -371,7 +373,7 @@ class _GruLM:
 
         Returns the summed log-likelihoods (batch,), the per-token ones
         (batch, steps), both None without targets, and under a tape the
-        unroll's stacked [h | hx] rows (else None).
+        unroll's [h, x] rows (else None).
         """
         batch, steps = tokens.shape
         hid = self.cell.hidden
@@ -395,10 +397,10 @@ class _GruLM:
         # rows are time-major (t * batch + b); the head sums each window's
         # steps in the same order as above
         x_rows = embedding_lookup(self.embed, tokens.T.reshape(-1))
-        rows = self.cell.unroll(x_rows, steps, select, h0)
-        product = matmul(slice_last(rows, 0, hid), self.out.w)
+        h_rows, hx_rows = self.cell.unroll(x_rows, steps, select, h0)
+        product = matmul(h_rows, self.out.w)
         cond, ll = categorical_head([product], [self.out.b], targets.T[..., None])
-        return cond, ll.T.copy(), rows
+        return cond, ll.T.copy(), hx_rows
 
 
 class ModularGruLM(_GruLM, ModularModel):
@@ -433,7 +435,7 @@ class ModularGruLM(_GruLM, ModularModel):
         walk = Routing(
             self, batch, steps, comps, sample_mask, greedy, rng, with_ctrl, collect_probs
         )
-        ctrl_model, n_mod, hid = self.cell.controller, self.n_modules, self.cell.hidden
+        ctrl_model, n_mod = self.cell.controller, self.n_modules
         # fully forced selections: every step's slot counts at once, time-major
         # and contiguous, as the unroll keeps them for BPTT
         forced_counts = (
@@ -451,13 +453,11 @@ class ModularGruLM(_GruLM, ModularModel):
             # nothing to compute per step: the unroll reads the counts directly
             walk.chosen[...] = walk.comps
             select = forced_counts
-        cond, pred_ll, rows = self._scored_unroll(tokens, targets, select)
+        cond, pred_ll, hx_rows = self._scored_unroll(tokens, targets, select)
         ctrl = None
         if walk.taped and with_ctrl:
             if detach_ctrl_inputs:
-                hx_rows = constant(rows.data[:, hid:])
-            else:
-                hx_rows = slice_last(rows, hid, rows.shape[1])
+                hx_rows = constant(hx_rows)
             ctrl = ctrl_model.log_prob(hx_rows, walk.chosen.transpose(1, 0, 2))
         return walk.result(cond, ctrl, pred_ll)
 

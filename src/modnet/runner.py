@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 import os
 import time
 
@@ -423,7 +424,10 @@ def execute_run(
         final_path = os.path.join(ckpt_dir, "final.ckpt")
         _save(trainer, task, streams, cfg, cfg.trainer.iterations, final_path)
         checkpoints.append(final_path)
-        eval_metrics = task.eval_metrics()
+        try:
+            eval_metrics = _finite_eval(task)
+        except NumericAbort as exc:
+            status, failure, eval_metrics = "aborted", str(exc), None
     else:
         eval_metrics = None
 
@@ -448,6 +452,15 @@ def execute_run(
     if status == "aborted":
         raise NumericAbort(failure)
     return record
+
+
+def _finite_eval(task, mode: str = "most-likely-composition") -> dict:
+    """The task's evaluation; ``NumericAbort`` names each non-finite metric."""
+    out = task.eval_metrics(mode)
+    bad = [k for k, v in out.items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise NumericAbort(f"evaluation: {', '.join(bad)} not finite")
+    return out
 
 
 def resolve_out_dir(cfg: ExperimentConfig, out_root: str, tag: str = "") -> str:
@@ -608,6 +621,6 @@ def evaluate_checkpoint(
     model = build_model(cfg, data, streams)
     task = build_task(cfg, model, data)
     _load_params(task.parameters(), ckpt)
-    out = task.eval_metrics(mode)
+    out = _finite_eval(task, mode)
     out["iteration"] = ckpt.iteration
     return out

@@ -49,7 +49,8 @@ def _atomic_write(path: str, blob: bytes) -> None:
 
 
 def write_json_atomic(path: str, obj) -> None:
-    _atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    _atomic_write(path, (text + "\n").encode("utf-8"))
 
 
 class MetricsWriter:
@@ -60,7 +61,7 @@ class MetricsWriter:
         self._fh = open(path, "w", encoding="utf-8")
 
     def write(self, row: dict) -> None:
-        self._fh.write(json.dumps(row) + "\n")
+        self._fh.write(json.dumps(row, allow_nan=False) + "\n")
         self._fh.flush()
 
     def close(self) -> None:

@@ -3,8 +3,8 @@
 No training run executes anything here.  Three kinds of oracle:
 
 - taped primitives that no run records (``sigmoid``, ``softplus``,
-  ``row_softmax``, ``concat_last``, ``stack_rows``, a taped ``relu``,
-  ``reshape``, ``sum_along`` one axis and one head's
+  ``row_softmax``, ``concat_last``, ``stack_rows``, ``slice_last``, a
+  taped ``relu``, ``reshape``, ``sum_along`` one axis and one head's
   ``categorical_log_prob``), one record per op through the public
   ``record_joint``, with the record kinds and pullback arithmetic the
   composed oracles below are built on; ``composed_heads`` builds the
@@ -40,7 +40,6 @@ from modnet.autodiff import (
     matmul,
     mul,
     record_joint,
-    slice_last,
     softmax_parts,
     stable_sigmoid,
 )
@@ -90,6 +89,21 @@ def reshape(x, shape) -> Tensor:
     except ValueError:
         raise ShapeError(f"reshape: cannot reshape {xd.shape} to {tuple(shape)}") from None
     return record_joint("reshape", out, [x], lambda g: [g.reshape(xd.shape)])
+
+
+def slice_last(x, lo: int, hi: int) -> Tensor:
+    """Columns ``lo:hi`` of the last axis (a view of the input's values);
+    the gradient is zero-padded to the input's shape."""
+    xd = constant(x).data
+    if not 0 <= lo < hi <= (xd.shape[-1] if xd.ndim else 0):
+        raise ShapeError(f"slice-last-axis: [{lo}, {hi}) is not a slice of shape {xd.shape}")
+
+    def pull(g):
+        full = np.zeros(xd.shape)
+        full[..., lo:hi] = g
+        return [full]
+
+    return record_joint("slice-last-axis", xd[..., lo:hi], [x], pull)
 
 
 def sum_along(x, axis: int) -> Tensor:

@@ -28,6 +28,7 @@ from oracles import (
     reshape,
     row_softmax,
     sigmoid,
+    slice_last,
     softplus,
     sum_along,
 )
@@ -46,7 +47,6 @@ from modnet.autodiff import (
     matmul,
     mean_all,
     mul,
-    slice_last,
 )
 from modnet.cli import main as cli_main
 from modnet.config import from_dict
@@ -187,7 +187,7 @@ def primitive_checks():
         ("embedding-lookup, repeated ids", lambda: mean_all(mul(embedding_lookup(table, repeated), constant(rows6))), [table]),
         ("gaussian-log-density", lambda: mean_all(gaussian_log_density(constant(ymat), a)), [a]),
         ("categorical-log-prob", lambda: mean_all(categorical_log_prob(logits, targets)), [logits]),
-        unroll_check(rng),
+        *unroll_checks(rng),
         *gate_checks(rng),
         gated_unroll_check(rng),
         pool_combine_check(rng),
@@ -242,25 +242,42 @@ def topk_margin(x, gate, eps=None) -> float:
     return float((z[:, gate.k - 1] - z[:, gate.k]).min())
 
 
-def unroll_check(rng):
+def read_unroll(outputs, weight, read):
+    """The unroll's states and [h, x] rows, each weighted by its columns of
+    ``weight`` and averaged: ``read`` is "h", "hx" or "both" (their sum)."""
+    h, hx = outputs
+    hid = h.shape[1]
+    terms = []
+    if read in ("h", "both"):
+        terms.append(mean_all(mul(h, constant(weight[:, :hid]))))
+    if read in ("hx", "both"):
+        terms.append(mean_all(mul(hx, constant(weight[:, hid:]))))
+    return add(*terms) if read == "both" else terms[0]
+
+
+def unroll_checks(rng):
     """The recurrent unroll over 3 steps of 2 rows: 2 slots, one row picking
-    a module twice, module 1 unused at step 0.  Random biases keep every
+    a module twice, module 1 unused at step 0; a loss that reads both of
+    its outputs, and one that reads each alone.  Random biases keep every
     candidate pre-activation off the relu kink (checked here)."""
     cell = ModularGruCell(rng, in_dim=2, hidden=3, n_modules=3, n_slots=2)
     random_biases(cell.parameters(), rng)
     xs = Parameter(rng.standard_normal((6, 2)), "xs")
     h0 = rng.standard_normal((2, 3))
     sels = np.array([[[2, 2], [0, 2]], [[1, 0], [2, 1]], [[0, 1], [1, 1]]])
-    weight = constant(rng.standard_normal((6, 3 + 3 + 2)))
+    weight = rng.standard_normal((6, 3 + 3 + 2))
 
     def select(t, hx):
         return slot_counts(sels[t], 3), None
 
-    def fn():
-        return mean_all(mul(cell.unroll(xs, 3, select, h0), weight))
+    checks = []
+    for read in ("both", "h", "hx"):
+        def fn(read=read):
+            return read_unroll(cell.unroll(xs, 3, select, h0), weight, read)
 
-    assert min_relu_input(gru_mod, fn) > 1e-3, "unroll check sits too close to a relu kink"
-    return "modular-gru-unroll", fn, [xs] + cell.parameters()
+        assert min_relu_input(gru_mod, fn) > 1e-3, "unroll check sits too close to a relu kink"
+        checks.append((f"modular-gru-unroll, reading {read}", fn, [xs] + cell.parameters()))
+    return checks
 
 
 def pool_combine_check(rng):
@@ -331,7 +348,7 @@ def gated_unroll_check(rng):
     random_biases(cell.parameters(), rng)
     xs = Parameter(rng.standard_normal((6, 2)), "gated_xs")
     h0 = rng.standard_normal((2, 3))
-    weight = constant(rng.standard_normal((6, 3 + 3 + 2)))
+    weight = rng.standard_normal((6, 3 + 3 + 2))
 
     def rows():
         noise = np.random.default_rng(23)
@@ -343,12 +360,12 @@ def gated_unroll_check(rng):
         return cell.unroll(xs, 3, select, h0)
 
     def fn():
-        return mean_all(mul(rows(), weight))
+        return read_unroll(rows(), weight, "both")
 
     assert min_relu_input(gru_mod, fn) > 1e-3, "gated unroll check sits on a relu kink"
     noise = np.random.default_rng(23)
     eps = np.concatenate([noise.standard_normal((2, 4)) for _ in range(3)])
-    margin = topk_margin(rows().data[:, 3:], cell.gate, eps)
+    margin = topk_margin(rows()[1].data, cell.gate, eps)
     assert margin > 1e-3, "gated unroll check sits on the top-k cut"
     return "modular-gru-unroll, noisy top-k", fn, [xs] + cell.parameters()
 

@@ -10,6 +10,7 @@ from oracles import (
     reshape,
     row_softmax,
     sigmoid,
+    slice_last,
     softplus,
     stack_rows,
     sum_along,
@@ -33,7 +34,7 @@ from modnet.autodiff import (
     mean_all,
     mul,
     paused,
-    slice_last,
+    record_joint,
     softmax_parts,
     stable_sigmoid,
     sum_over_axis,
@@ -663,3 +664,67 @@ def test_two_slices_of_one_tensor_get_one_gradient():
     want = np.zeros((7, 5))
     want[:, 1:3] = wa
     assert alone.tobytes() == want.tobytes()
+
+
+def split_scaled(x, c, seen):
+    """x * c as one record with two outputs, columns 0:2 and 2:; its pull
+    logs the gradients it receives and zero-pads the missing ones."""
+    y = constant(x).data * c
+
+    def pull(gs):
+        seen.append(gs)
+        dense = np.zeros_like(y)
+        for g, cols in zip(gs, (slice(0, 2), slice(2, None))):
+            if g is not None:
+                dense[:, cols] = g
+        return [dense * c]
+
+    return record_joint("split-scaled", (y[:, :2], y[:, 2:]), [x], pull)
+
+
+@pytest.mark.parametrize("read", ["first", "second", "both"])
+def test_a_record_with_two_outputs_pulls_each_gradient(read):
+    rng = np.random.default_rng(15)
+    x = Parameter(rng.standard_normal((7, 5)), "x")
+    c, wa, wb = rng.standard_normal((7, 5)), rng.standard_normal((7, 2)), rng.standard_normal((7, 3))
+
+    def loss(a, b):
+        terms = {"first": [(a, wa)], "second": [(b, wb)], "both": [(a, wa), (b, wb)]}[read]
+        sums = [sum_over_axis(mul(t, constant(w))) for t, w in terms]
+        return add(*sums) if len(sums) == 2 else sums[0]
+
+    seen = []
+    with Tape() as tape:
+        a, b = split_scaled(x, c, seen)
+        assert len(tape) == 1 and a.node != b.node
+        out = loss(a, b)
+    got = tape.grad(tape.backward(out), x)
+    (gs,) = seen
+    want_gs = {"first": [wa, None], "second": [None, wb], "both": [wa, wb]}[read]
+    assert [g is None for g in gs] == [w is None for w in want_gs]
+    for g, w in zip(gs, want_gs):
+        assert g is None or g.tobytes() == w.tobytes()
+
+    # the same computation from one output and the slice oracle
+    def one_output():
+        y = record_joint("scaled", constant(x).data * c, [x], lambda g: [g * c])
+        return loss(slice_last(y, 0, 2), slice_last(y, 2, 5))
+
+    assert np.array_equal(a.data, x.data[:, :2] * c[:, :2])
+    assert np.array_equal(b.data, x.data[:, 2:] * c[:, 2:])
+    (want,) = backward_wrt(one_output, x)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_two_output_record_that_no_loss_reads_is_not_pulled():
+    rng = np.random.default_rng(16)
+    x = Parameter(rng.standard_normal((3, 4)), "x")
+    seen = []
+    with Tape() as tape:
+        split_scaled(x, np.ones((3, 4)), seen)
+        loss = sum_over_axis(x)
+    assert tape.grad(tape.backward(loss), x).tobytes() == np.ones((3, 4)).tobytes()
+    assert seen == []
+    # off the tape the outputs are plain tensors, views of the values
+    a, b = split_scaled(x, np.ones((3, 4)), seen)
+    assert a.node is None and b.node is None and a.data.base is b.data.base

@@ -221,6 +221,44 @@ def test_numeric_abort_is_exit_3_and_checkpoints(tmp_path, capsys):
         assert (tmp_path / path.name / "checkpoints" / "abort.ckpt").exists()
 
 
+def strict_json(text):
+    """JSON as its grammar has it: NaN and the infinities are refused."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "iterations, lr", [(1, "1e308"), (1, "1e200"), (3, "1e308")],
+    ids=["NaN", "Infinity", "skipped iterations"],
+)
+def test_a_run_that_ends_non_finite_is_exit_3_and_writes_only_json(tmp_path, capsys, iterations, lr):
+    # the first step's update overflows the parameters: the final evaluation
+    # is NaN or infinite, and every later step is skipped
+    out = tmp_path / "out"
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy_em_smoke.json")
+    assert main([
+        "run", shipped, "--set", f"out_dir={out}", "--set", f"trainer.iterations={iterations}",
+        "--set", "trainer.m_steps=1", "--set", f"trainer.lr={lr}",
+    ]) == 3
+    printed = capsys.readouterr()
+    assert printed.out == "" and "numeric abort: evaluation: mse, nll not finite" in printed.err
+    record = strict_json((out / "run_record.json").read_text())
+    assert record["status"] == "aborted" and record["failure"] == "evaluation: mse, nll not finite"
+    assert record["summary"]["eval"] is None
+    rows = [strict_json(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    # an iteration that took no step has no objective
+    assert [r["objective"] is None for r in rows] == [False] + [True] * (iterations - 1)
+    for line in (out / "timing.jsonl").read_text().splitlines():
+        strict_json(line)
+    assert main(["eval", str(out / "checkpoints" / "final.ckpt"), "train"]) == 3
+    printed = capsys.readouterr()
+    assert printed.out == "" and "numeric abort: evaluation: mse, nll not finite" in printed.err
+
+
 def test_eval_on_train_and_external_dataset(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path)

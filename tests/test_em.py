@@ -401,7 +401,7 @@ def test_guard_skips_a_non_finite_gradient_under_a_finite_objective():
     params = [p.data.copy() for p in task.parameters()]
     task.poison = True
     out = trainer.ascend()
-    assert out["skipped_steps"] == 1 and math.isnan(out["objective"])
+    assert out["skipped_steps"] == 1 and out["objective"] is None
     assert trainer.guard.total == 1
     after = trainer.state()["opt"]
     assert after["t"] == before["t"] == 1

@@ -67,8 +67,8 @@ def unroll_states(cell, h0, xs, sels):
     batch, in) inputs: an array (steps, batch, hidden)."""
     steps, batch = sels.shape[:2]
     n_modules = cell.pool.n_modules
-    rows = cell.unroll(xs.reshape(steps * batch, -1), steps, forced(sels, n_modules), h0)
-    return rows.data[:, : cell.hidden].reshape(steps, batch, cell.hidden)
+    h_rows, _ = cell.unroll(xs.reshape(steps * batch, -1), steps, forced(sels, n_modules), h0)
+    return h_rows.data.reshape(steps, batch, cell.hidden)
 
 
 def test_cell_step_matches_reference():
@@ -130,14 +130,17 @@ def test_cell_candidate_rectified_after_sum():
 
 
 def unroll_grads(unroll_fn, cell, h0, xs, sels, weight, composed=False):
-    """Rows of ``unroll_fn`` and the gradients of sum(weight * rows) with
-    respect to every step's inputs and every cell parameter; a
-    ``composed`` unroll runs the pool's modules one by one, so the pool's
-    gradient is its modules' (``oracle_grads``)."""
+    """Rows [h_t | h_{t-1}, x_t] of ``unroll_fn`` and the gradients of
+    sum(weight * rows) with respect to every step's inputs and every cell
+    parameter; the fused unroll's two outputs are joined by
+    ``concat_last``.  A ``composed`` unroll runs the pool's modules one by
+    one, so the pool's gradient is its modules' (``oracle_grads``)."""
     x_params = [Parameter(x, f"x{t}") for t, x in enumerate(xs)]
     with Tape() as tape:
         x_steps = [tape.watch(p) for p in x_params]
         rows = unroll_fn(cell, h0, x_steps, sels)
+        if isinstance(rows, tuple):
+            rows = concat_last(*rows)
         loss = sum_over_axis(mul(rows, weight))
         n_records = len(tape)
     grads = tape.backward(loss)
@@ -186,8 +189,9 @@ def test_unroll_matches_composed_steps(n_slots, sel_rows, monkeypatch):
         composed_unroll, cell, h0, xs, sels, weight, composed=True
     )
     assert np.array_equal(got, want)
-    # input stack, one unroll record, then the loss's mul and sum
-    assert fused_records == 4 and composed_records > 20 * steps
+    # input stack, one unroll record, the join of its two outputs, then
+    # the loss's mul and sum
+    assert fused_records == 5 and composed_records > 20 * steps
 
     # rows on both sides of the kink, so the relu mask is exercised
     assert (pre < 0).any() and (pre > 0).any()
@@ -279,7 +283,7 @@ def test_topk_unroll_matches_composed_steps(k, train, monkeypatch):
     masks = []
     want, want_g, _ = unroll_grads(composed, cell, h0, xs, masks, weight, composed=True)
     assert np.array_equal(got, want)
-    assert fused_records == 4
+    assert fused_records == 5
     assert (pre < 0).any() and (pre > 0).any()
     # some module sits out a whole step, so the unroll skips it there
     assert not np.stack([m.any(axis=0) for m in masks]).all()
@@ -349,12 +353,12 @@ def test_taped_rollout_scores_equal_untaped(detach, masked):
         assert np.array_equal(plain.cond_ll.data, taped.cond_ll.data)
         assert np.array_equal(plain.ctrl_ll.data, taped.ctrl_ll.data)
         counts.append(n_records)
-    # one embedding lookup and one unroll for all steps; the head slices
-    # out the states, projects, then scores and sums each window in one
-    # categorical-head record; the controller slices out [h, x] (unless
-    # detached), projects for each of its 2 heads, and scores and sums
-    # both heads in one record
-    assert counts == [5 + (3 if detach else 4)] * 2
+    # one embedding lookup and one unroll for all steps; the head projects
+    # the unroll's states, then scores and sums each window in one
+    # categorical-head record; the controller projects the unroll's
+    # [h, x] rows (detached or not) for each of its 2 heads, and scores and
+    # sums both heads in one record
+    assert counts == [4 + 3] * 2
 
 
 def tensor_scored_rollout(lm, tokens, targets, comps):
@@ -366,11 +370,10 @@ def tensor_scored_rollout(lm, tokens, targets, comps):
     hid = lm.cell.hidden
     x_rows = lm.embed.data[tokens.T.reshape(-1)]
     sels = comps.transpose(1, 0, 2)
-    rows = lm.cell.unroll(x_rows, steps, forced(sels, lm.n_modules), np.zeros((batch, hid))).data
+    outputs = lm.cell.unroll(x_rows, steps, forced(sels, lm.n_modules), np.zeros((batch, hid)))
     pred, cond, ctrl = np.empty((batch, steps)), None, None
     for t in range(steps):
-        step = rows[t * batch : (t + 1) * batch]
-        h, hx = np.ascontiguousarray(step[:, :hid]), np.ascontiguousarray(step[:, hid:])
+        h, hx = (np.ascontiguousarray(o.data[t * batch : (t + 1) * batch]) for o in outputs)
         ll = categorical_log_prob(lm.out(Tensor(h)), targets[:, t])
         term = lm.cell.controller.log_prob(Tensor(hx), sels[t])
         pred[:, t] = ll.data
@@ -669,7 +672,7 @@ def test_topk_cell_blends_survivors():
         routed.append((w, mask))
         return w, noise
 
-    out = cell.unroll(x, 1, select, h).data[:, :3]
+    out = cell.unroll(x, 1, select, h)[0].data
     (w, mask), = routed
     assert np.all(mask.sum(axis=1) == 2)
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-9)
@@ -824,16 +827,16 @@ def test_one_pool_apply_call_per_gru_step(n_modules, monkeypatch):
         assert calls == [2] * steps, name
 
 
-def test_both_slices_of_the_unroll_rows_reach_it_as_one_gradient(monkeypatch):
-    # the head reads the states and the controller the [h, x] rows of one
-    # unroll record: the gradient reaching it is [head grad | controller
-    # grad], with the bits of adding the two zero-padded arrays
+def test_each_head_hands_the_unroll_its_own_gradient(monkeypatch):
+    # the LM head reads the unroll's states and the controller its [h, x]
+    # rows: one backward runs BPTT once, on the gradient of each output
+    # that the loss read, and None for an output it did not
     seen, true_record = [], gru_mod.record_joint
 
     def spy(kind, out, inputs, pullback):
-        def watched(g):
-            seen.append(np.array(g))
-            return pullback(g)
+        def watched(gs):
+            seen.append(list(gs))
+            return pullback(gs)
 
         return true_record(kind, out, inputs, watched)
 
@@ -842,19 +845,22 @@ def test_both_slices_of_the_unroll_rows_reach_it_as_one_gradient(monkeypatch):
     tokens = RNG.integers(0, 5, size=(4, 5))
     targets = RNG.integers(0, 5, size=(4, 5))
     comps = RNG.integers(0, 3, size=(4, 5, 2))
+    calls = {}
     for terms in ("cond", "ctrl", "both"):
+        seen.clear()
         with Tape() as tape:
             res = lm.rollout(tokens, targets, comps=comps, with_ctrl=True)
             parts = {"cond": [res.cond_ll], "ctrl": [res.ctrl_ll]}
             parts["both"] = parts["cond"] + parts["ctrl"]
             loss = sum_over_axis(add(*parts[terms]) if terms == "both" else parts[terms][0])
         tape.backward(loss)
-    g_head, g_ctrl, g_both = seen
-    hid = lm.cell.hidden
-    assert not g_head[:, hid:].any() and not g_ctrl[:, :hid].any()
-    assert g_head[:, :hid].any() and g_ctrl[:, hid:].any()
-    assert np.array_equal(g_both, np.concatenate([g_head[:, :hid], g_ctrl[:, hid:]], axis=1))
-    assert g_both.tobytes() == (g_ctrl + g_head).tobytes()
+        (calls[terms],) = seen
+    hid, n = lm.cell.hidden, 4 * 5
+    (g_head, none_hx), (none_h, g_ctrl), (both_h, both_hx) = calls.values()
+    assert none_hx is None and none_h is None
+    assert g_head.shape == (n, hid) and g_head.any()
+    assert g_ctrl.shape == (n, hid + lm.cell.in_dim) and g_ctrl.any()
+    assert both_h.tobytes() == g_head.tobytes() and both_hx.tobytes() == g_ctrl.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -897,11 +903,17 @@ def test_bptt_keeps_the_strided_oracle_bits(router, n_modules, steps, n_slots, m
     cell.unroll(xs, steps, select, rng.standard_normal((batch, hid)))
     g = rng.standard_normal((steps * batch, 2 * hid + in_dim))
     g[rng.random(g.shape) < 0.1] = 0.0
-    got = caught["pullback"](g)
-    want = strided_pullback(cell, caught["saved"], batch)(g)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    g_h, g_hx = g[:, :hid], g[:, hid:]
+    # an output that no loss read hands BPTT None, which counts as zeros
+    for gs in ([g_h, g_hx], [g_h, None], [None, g_hx]):
+        dense = np.concatenate(
+            [np.zeros_like(part) if x is None else x for x, part in zip(gs, (g_h, g_hx))], axis=1
+        )
+        got = caught["pullback"](gs)
+        want = strided_pullback(cell, caught["saved"], batch)(dense)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("bad", [7, 5, -1])

@@ -240,8 +240,8 @@ def test_benchmark_workloads_emit_every_counted_record_kind(monkeypatch):
     assert missing == {name: [] for name in per_step}
     assert per_step == {
         "toy-em": 7,
-        "two-regime-em": 11,
-        "two-regime-reinforce": 13,
+        "two-regime-em": 9,
+        "two-regime-reinforce": 12,
         "toy-noisy-topk": 9,
     }
 

@@ -328,6 +328,11 @@ def test_json_atomic_writes_stable_readable_output(tmp_path):
     # keys are sorted so repeated writes are byte-stable
     write_json_atomic(str(path), {"a": [1, 2], "b": 2})
     assert path.read_text() == text
+    # NaN and the infinities are not JSON: refused, the file left as it was
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            write_json_atomic(str(path), {"a": bad})
+    assert path.read_text() == text
 
 
 def test_metrics_writer_emits_one_json_object_per_line(tmp_path):
@@ -344,3 +349,10 @@ def test_metrics_writer_emits_one_json_object_per_line(tmp_path):
     assert row == {"iteration": 1, "objective": -1.0, "h_a": 0.2}
     # insertion order is preserved verbatim
     assert lines[1].index("iteration") < lines[1].index("objective")
+    # NaN and the infinities are not JSON: refused, nothing written
+    with MetricsWriter(str(path)) as mw:
+        mw.write({"iteration": 0, "objective": None})
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                mw.write({"iteration": 1, "objective": bad})
+    assert path.read_text() == '{"iteration": 0, "objective": null}\n'
