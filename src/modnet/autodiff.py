@@ -8,9 +8,12 @@ records are checked against (sigmoid, softplus, softmax, concatenation,
 slicing, a taped relu, reshape, a sum along one axis and one head's log
 softmax) live with the tests' oracles.  A computation is recorded on
 a ``Tape`` (a context manager); tensors built while no tape is active are
-plain values and cost no bookkeeping.  A record may have several
-outputs, one node and one ``Tensor`` each, as the recurrent unroll hands
-its states and its [h, x] rows to the heads that read them.
+plain values and cost no bookkeeping.  Every op, generic or fused, goes
+onto the tape one way, through ``record_joint``: a record keeps its
+input nodes and one pullback that returns every input's gradient at
+once.  A record may have several outputs, one node and one ``Tensor``
+each, as the recurrent unroll hands its states and its [h, x] rows to
+the heads that read them.
 """
 
 from __future__ import annotations
@@ -117,9 +120,10 @@ class Tape:
     """
 
     def __init__(self):
-        # (kind, output node id or a tuple of them, pulls): each pull is
-        # (input node id, fn(grad_out) -> grad contribution), and with
-        # several outputs grad_out is the list of their gradients
+        # (kind, output node id or a tuple of them, (input node ids,
+        # pullback)): an input off this tape has node None, and
+        # pullback(grad_out) returns every input's gradient in input order;
+        # with several outputs grad_out is the list of their gradients
         self._records: list[tuple] = []
         self._nodes = itertools.count()
         self._watched: dict[int, tuple[int, Parameter]] = {}
@@ -145,8 +149,9 @@ class Tape:
         return Tensor(param.data, entry[0], self)
 
     def record(self, kind: str, out_data, pulls):
-        """Append one op; a tuple of output arrays makes one node and one
-        Tensor per output, returned as a tuple."""
+        """Append one op, as ``record_joint`` builds it: ``pulls`` is the
+        pair (input node ids, pullback).  A tuple of output arrays makes one
+        node and one Tensor per output, returned as a tuple."""
         if type(out_data) is tuple:
             nodes = tuple(next(self._nodes) for _ in out_data)
             self._records.append((kind, nodes, pulls))
@@ -166,7 +171,7 @@ class Tape:
         if loss.data.ndim != 0:
             raise ValueError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
         grads: dict[int, np.ndarray] = {loss.node: np.ones((), dtype=np.float64)}
-        for _, out, pulls in reversed(self._records):
+        for _, out, (nodes, pullback) in reversed(self._records):
             if type(out) is int:
                 g = grads.pop(out, None)
                 if g is None:
@@ -175,10 +180,10 @@ class Tape:
                 g = [grads.pop(node, None) for node in out]
                 if all(x is None for x in g):
                     continue
-            for node, pull in pulls:
-                contrib = pull(g)
-                prev = grads.get(node)
-                grads[node] = contrib if prev is None else prev + contrib
+            for node, contrib in zip(nodes, pullback(g), strict=True):
+                if node is not None:
+                    prev = grads.get(node)
+                    grads[node] = contrib if prev is None else prev + contrib
         return {
             node: np.asarray(grads[node]) if node in grads else np.zeros_like(param.data)
             for node, param in self._watched.values()
@@ -217,49 +222,23 @@ def constant(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _values(out_data):
-    """Value-only tensors of an op's output, or a tuple of its outputs."""
-    return tuple(map(Tensor, out_data)) if type(out_data) is tuple else Tensor(out_data)
-
-
-def _emit(kind: str, out_data, inputs: list[Tensor], pull_fns):
-    """Record the op if a tape is active and any input is on it."""
-    tape = active_tape()
-    if tape is None:
-        return _values(out_data)
-    pulls = [
-        (t.node, fn)
-        for t, fn in zip(inputs, pull_fns)
-        if t.node is not None and t.tape is tape and fn is not None
-    ]
-    if not pulls:
-        return _values(out_data)
-    return tape.record(kind, out_data, pulls)
-
-
 def record_joint(kind: str, out_data, inputs, pullback):
-    """Record one op whose pullback yields every input's gradient at once.
+    """Record one op on the active tape: the only way onto it.
 
-    ``pullback(g)`` returns gradients aligned with ``inputs`` (Parameters
-    are watched on the active tape).  It runs once per incoming gradient,
-    however many of the inputs sit on the tape.  With a tuple of output
-    arrays the op has one Tensor per output, returned as a tuple, and ``g``
-    is the list of their gradients, None for an output that no loss read.
+    ``pullback(g)`` returns every input's gradient, in the order of
+    ``inputs`` (Parameters are watched on the active tape), and runs once
+    per backward sweep that reaches the op.  An input off the tape has no
+    node and its gradient is dropped.  With no input on the tape nothing is
+    recorded.  With a tuple of output arrays the op has one Tensor per
+    output, returned as a tuple, and ``g`` is the list of their gradients,
+    None for an output that no loss read.
     """
-    if active_tape() is None:
-        return _values(out_data)
-    ts = [_as_tensor(x) for x in inputs]
-    memo = [None, None]
-
-    def make_pull(i):
-        def pull(g):
-            if memo[0] is not g:
-                memo[0], memo[1] = g, pullback(g)
-            return memo[1][i]
-
-        return pull
-
-    return _emit(kind, out_data, ts, [make_pull(i) for i in range(len(ts))])
+    tape = active_tape()
+    if tape is not None:
+        nodes = [t.node if t.tape is tape else None for t in map(_as_tensor, inputs)]
+        if nodes.count(None) < len(nodes):
+            return tape.record(kind, out_data, (nodes, pullback))
+    return tuple(map(Tensor, out_data)) if type(out_data) is tuple else Tensor(out_data)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -282,14 +261,8 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-    out = a.data @ b.data
     ad, bd = a.data, b.data
-    return _emit(
-        "matmul",
-        out,
-        [a, b],
-        [lambda g: g @ bd.T, lambda g: ad.T @ g],
-    )
+    return record_joint("matmul", ad @ bd, [a, b], lambda g: [g @ bd.T, ad.T @ g])
 
 
 def _check_broadcast(kind: str, ash, bsh) -> None:
@@ -304,11 +277,8 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     ash, bsh = a.shape, b.shape
     _check_broadcast("add", ash, bsh)
-    return _emit(
-        "add",
-        a.data + b.data,
-        [a, b],
-        [lambda g: _unbroadcast(g, ash), lambda g: _unbroadcast(g, bsh)],
+    return record_joint(
+        "add", a.data + b.data, [a, b], lambda g: [_unbroadcast(g, ash), _unbroadcast(g, bsh)]
     )
 
 
@@ -316,14 +286,11 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast("elementwise-mul", a.shape, b.shape)
     ad, bd = a.data, b.data
-    return _emit(
+    return record_joint(
         "elementwise-mul",
         ad * bd,
         [a, b],
-        [
-            lambda g: _unbroadcast(g * bd, ad.shape),
-            lambda g: _unbroadcast(g * ad, bd.shape),
-        ],
+        lambda g: [_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)],
     )
 
 
@@ -347,9 +314,7 @@ def sum_over_axis(x) -> Tensor:
     """The scalar sum of every element."""
     x = _as_tensor(x)
     shape = x.shape
-    return _emit(
-        "sum-over-axis", x.data.sum(), [x], [lambda g: np.full(shape, g, dtype=np.float64)]
-    )
+    return record_joint("sum-over-axis", x.data.sum(), [x], lambda g: [np.full(shape, g)])
 
 
 def embedding_lookup(table, ids) -> Tensor:
@@ -378,13 +343,13 @@ def embedding_lookup(table, ids) -> Tensor:
     starts = np.flatnonzero(run_start)
     present = ids_sorted[starts]
 
-    def pull(g):
+    def pullback(g):
         dt = np.zeros(tshape, dtype=np.float64)
         if order.size:
             dt[present] = np.add.reduceat(g.reshape(-1, tshape[1])[order], starts, axis=0)
-        return dt
+        return [dt]
 
-    return _emit("embedding-lookup", out, [table], [pull])
+    return record_joint("embedding-lookup", out, [table], pullback)
 
 
 def gaussian_log_density(y, mean) -> Tensor:
@@ -399,15 +364,12 @@ def gaussian_log_density(y, mean) -> Tensor:
     diff = y.data - mean.data
     d = y.shape[-1]
     out = -0.5 * (diff * diff).sum(axis=-1) - 0.5 * d * LOG_2PI
-    return _emit(
-        "gaussian-log-density",
-        out,
-        [y, mean],
-        [
-            lambda g: -g[..., None] * diff,
-            lambda g: g[..., None] * diff,
-        ],
-    )
+
+    def pullback(g):
+        g_mean = g[..., None] * diff
+        return [-g_mean, g_mean]
+
+    return record_joint("gaussian-log-density", out, [y, mean], pullback)
 
 
 def max_last(x: np.ndarray) -> np.ndarray:

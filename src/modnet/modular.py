@@ -15,7 +15,6 @@ take the same ``Routing`` step at every unit, a layer or a timestep.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -415,7 +414,10 @@ class NoisyTopKGate:
         op whose pullback is ``pullback``."""
         logits = [self.gate(x)] + ([self.noise(x)] if train else [])
         w, mask, noise = self.mix(logits[0].data, logits[1].data if train else None, rng)
-        pull = functools.partial(self.pullback, w, noise)
+
+        def pull(g):  # a noise-scale gradient only when training
+            return self.pullback(w, noise, g)[: 1 + train]
+
         return record_joint("noisy-topk-gate", w, logits, pull), mask
 
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -296,11 +297,21 @@ def test_constant_blocks_gradient():
     assert np.array_equal(g, [1.5])
 
 
+def two_outputs(a, b):
+    """a and b handed through as one record with two outputs."""
+    return list(record_joint("two-outputs", (a.data, b.data), [a, b], lambda gs: gs))
+
+
 def test_stale_tape_tensor_is_plain_value():
     p = Parameter([2.0], "p")
     with Tape() as t1:
         old = mul(p, p)
     with Tape() as t2:
+        # a record with no input on the active tape, all constants or
+        # stale, is not recorded: its outputs are plain values
+        for inputs in ([constant(p), Tensor([3.0])], [old, old], [constant(p), old]):
+            for outs in ([mul(*inputs)], two_outputs(*inputs)):
+                assert len(t2) == 0 and all(t.node is None for t in outs)
         loss = sum_over_axis(mul(old, p))
     grads = t2.backward(loss)
     # `old` came from t1, so only the direct factor differentiates
@@ -666,10 +677,11 @@ def test_two_slices_of_one_tensor_get_one_gradient():
     assert alone.tobytes() == want.tobytes()
 
 
-def split_scaled(x, c, seen):
-    """x * c as one record with two outputs, columns 0:2 and 2:; its pull
-    logs the gradients it receives and zero-pads the missing ones."""
-    y = constant(x).data * c
+def split_scaled(xs, c, seen):
+    """The sum of ``xs`` times c as one record with two outputs, columns
+    0:2 and 2:; its pull logs the gradients it receives and zero-pads the
+    missing ones."""
+    y = sum(constant(x).data for x in xs) * c
 
     def pull(gs):
         seen.append(gs)
@@ -677,16 +689,25 @@ def split_scaled(x, c, seen):
         for g, cols in zip(gs, (slice(0, 2), slice(2, None))):
             if g is not None:
                 dense[:, cols] = g
-        return [dense * c]
+        return [dense * c for _ in xs]
 
-    return record_joint("split-scaled", (y[:, :2], y[:, 2:]), [x], pull)
+    return record_joint("split-scaled", (y[:, :2], y[:, 2:]), xs, pull)
 
 
-@pytest.mark.parametrize("read", ["first", "second", "both"])
-def test_a_record_with_two_outputs_pulls_each_gradient(read):
+@pytest.mark.parametrize(
+    "read, n_inputs",
+    [
+        pytest.param(read, n, id=read if n == 1 else f"{read}, {n} inputs")
+        for n in (1, 3)
+        for read in ("first", "second", "both")
+    ],
+)
+def test_a_record_with_two_outputs_pulls_each_gradient(read, n_inputs):
     rng = np.random.default_rng(15)
-    x = Parameter(rng.standard_normal((7, 5)), "x")
+    x, q = (Parameter(rng.standard_normal((7, 5)), name) for name in "xq")
     c, wa, wb = rng.standard_normal((7, 5)), rng.standard_normal((7, 2)), rng.standard_normal((7, 3))
+    # three inputs: a constant and a second parameter join x
+    xs = [x, constant(rng.standard_normal((7, 5))), q][:n_inputs]
 
     def loss(a, b):
         terms = {"first": [(a, wa)], "second": [(b, wb)], "both": [(a, wa), (b, wb)]}[read]
@@ -695,25 +716,51 @@ def test_a_record_with_two_outputs_pulls_each_gradient(read):
 
     seen = []
     with Tape() as tape:
-        a, b = split_scaled(x, c, seen)
+        a, b = split_scaled(xs, c, seen)
         assert len(tape) == 1 and a.node != b.node
         out = loss(a, b)
-    got = tape.grad(tape.backward(out), x)
+    grads = tape.backward(out)
+    got = tape.grad(grads, x)
+    # however many inputs sit on the tape, one backward pulls once
     (gs,) = seen
     want_gs = {"first": [wa, None], "second": [None, wb], "both": [wa, wb]}[read]
     assert [g is None for g in gs] == [w is None for w in want_gs]
     for g, w in zip(gs, want_gs):
         assert g is None or g.tobytes() == w.tobytes()
+    if n_inputs == 3:
+        assert tape.grad(grads, q).tobytes() == got.tobytes()
 
     # the same computation from one output and the slice oracle
-    def one_output():
-        y = record_joint("scaled", constant(x).data * c, [x], lambda g: [g * c])
-        return loss(slice_last(y, 0, 2), slice_last(y, 2, 5))
+    y = sum(constant(t).data for t in xs) * c
 
-    assert np.array_equal(a.data, x.data[:, :2] * c[:, :2])
-    assert np.array_equal(b.data, x.data[:, 2:] * c[:, 2:])
+    def one_output():
+        z = record_joint("scaled", y, xs, lambda g: [g * c for _ in xs])
+        return loss(slice_last(z, 0, 2), slice_last(z, 2, 5))
+
+    assert np.array_equal(a.data, y[:, :2]) and np.array_equal(b.data, y[:, 2:])
     (want,) = backward_wrt(one_output, x)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_grads", [1, 3])
+def test_a_pullback_with_the_wrong_number_of_gradients_raises(n_grads):
+    x, y = Parameter(np.ones(2), "x"), Parameter(np.ones(2), "y")
+    with Tape() as tape:
+        z = record_joint("two-in", x.data + y.data, [x, y], lambda g: [g] * n_grads)
+        loss = sum_over_axis(z)
+    # no input's gradient may be dropped, nor one handed to no input
+    with pytest.raises(ValueError, match="zip"):
+        tape.backward(loss)
+
+
+def test_tape_record_keeps_the_signature_the_benchmark_tracer_wraps():
+    # perfbench/tracer.py::_wrap_record counts records by forwarding
+    # exactly (tape, kind, out_data, pulls) to Tape.record
+    params = inspect.signature(Tape.record).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+        for name in ("self", "kind", "out_data", "pulls")
+    ]
 
 
 def test_a_two_output_record_that_no_loss_reads_is_not_pulled():
@@ -721,10 +768,10 @@ def test_a_two_output_record_that_no_loss_reads_is_not_pulled():
     x = Parameter(rng.standard_normal((3, 4)), "x")
     seen = []
     with Tape() as tape:
-        split_scaled(x, np.ones((3, 4)), seen)
+        split_scaled([x], np.ones((3, 4)), seen)
         loss = sum_over_axis(x)
     assert tape.grad(tape.backward(loss), x).tobytes() == np.ones((3, 4)).tobytes()
     assert seen == []
     # off the tape the outputs are plain tensors, views of the values
-    a, b = split_scaled(x, np.ones((3, 4)), seen)
+    a, b = split_scaled([x], np.ones((3, 4)), seen)
     assert a.node is None and b.node is None and a.data.base is b.data.base

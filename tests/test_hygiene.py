@@ -13,6 +13,8 @@ import os
 import sys
 from collections import Counter
 
+from test_acceptance import emitted_kinds
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = sorted(glob.glob(os.path.join(ROOT, "src", "modnet", "*.py")))
 HARNESS = sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
@@ -216,3 +218,17 @@ def test_method_scan_flags_only_unread_methods():
 def test_every_package_method_is_read_somewhere():
     sources, package = package_and_harness()
     assert unread_methods(sources, package) == []
+
+
+def test_the_kind_scan_flags_every_way_round_record_joint(tmp_path):
+    (tmp_path / "ops.py").write_text(
+        "def record_joint(kind, out, inputs, pullback):\n"
+        "    return tape.record(kind, out, pullback)\n"
+        "def seen(x):\n"
+        "    return record_joint('seen', x, [x], None)\n"
+        "def hidden(x, kind):\n"
+        "    return record_joint(kind, x, [x], None)\n"
+        "def direct(x):\n"
+        "    return tape.record('direct', x, None)\n"
+    )
+    assert emitted_kinds(str(tmp_path)) == ({"seen"}, ["ops.py:6", "ops.py:8"])
