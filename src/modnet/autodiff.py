@@ -5,15 +5,16 @@ express modular layers, gated recurrent cells, the Gaussian output
 likelihood and softmax heads, each head a ``matmul`` scored by one
 ``categorical-head`` record.  The taped references that the fused
 records are checked against (sigmoid, softplus, softmax, concatenation,
-slicing, a taped relu, reshape, a sum along one axis and one head's log
-softmax) live with the tests' oracles.  A computation is recorded on
-a ``Tape`` (a context manager); tensors built while no tape is active are
-plain values and cost no bookkeeping.  Every op, generic or fused, goes
-onto the tape one way, through ``record_joint``: a record keeps its
-input nodes and one pullback that returns every input's gradient at
-once.  A record may have several outputs, one node and one ``Tensor``
-each, as the recurrent unroll hands its states and its [h, x] rows to
-the heads that read them.
+slicing, a taped relu, reshape, a sum along one axis, one head's log
+softmax and an embedding lookup) live with the tests' oracles.  A
+computation is recorded on a ``Tape`` (a context manager); tensors built
+while no tape is active are plain values and cost no bookkeeping.  Every
+op, generic or fused, goes onto the tape one way, through
+``record_joint``: a record keeps its input nodes and one pullback that
+returns every input's gradient at once, None for an input off the tape
+whose gradient it skips (``needs_grad``).  A record may have several
+outputs, one node and one ``Tensor`` each, as the recurrent unroll hands
+its states and its [h, x] rows to the heads that read them.
 """
 
 from __future__ import annotations
@@ -228,8 +229,9 @@ def record_joint(kind: str, out_data, inputs, pullback):
     ``pullback(g)`` returns every input's gradient, in the order of
     ``inputs`` (Parameters are watched on the active tape), and runs once
     per backward sweep that reaches the op.  An input off the tape has no
-    node and its gradient is dropped.  With no input on the tape nothing is
-    recorded.  With a tuple of output arrays the op has one Tensor per
+    node and its gradient is dropped, so the pullback may return None for
+    it.  With no input on the tape nothing is recorded.  With a tuple of
+    output arrays the op has one Tensor per
     output, returned as a tuple, and ``g`` is the list of their gradients,
     None for an output that no loss read.
     """
@@ -239,6 +241,13 @@ def record_joint(kind: str, out_data, inputs, pullback):
         if nodes.count(None) < len(nodes):
             return tape.record(kind, out_data, (nodes, pullback))
     return tuple(map(Tensor, out_data)) if type(out_data) is tuple else Tensor(out_data)
+
+
+def needs_grad(x) -> bool:
+    """Whether a record reading ``x`` forms its gradient: a tape is active
+    and x is a Parameter or a Tensor of that tape."""
+    tape = active_tape()
+    return tape is not None and (isinstance(x, Parameter) or getattr(x, "tape", None) is tape)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -262,7 +271,12 @@ def matmul(a, b) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     ad, bd = a.data, b.data
-    return record_joint("matmul", ad @ bd, [a, b], lambda g: [g @ bd.T, ad.T @ g])
+    need_a, need_b = needs_grad(a), needs_grad(b)
+
+    def pullback(g):
+        return [g @ bd.T if need_a else None, ad.T @ g if need_b else None]
+
+    return record_joint("matmul", ad @ bd, [a, b], pullback)
 
 
 def _check_broadcast(kind: str, ash, bsh) -> None:
@@ -286,12 +300,13 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast("elementwise-mul", a.shape, b.shape)
     ad, bd = a.data, b.data
-    return record_joint(
-        "elementwise-mul",
-        ad * bd,
-        [a, b],
-        lambda g: [_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)],
-    )
+    need_a, need_b = needs_grad(a), needs_grad(b)
+
+    def pullback(g):
+        ga = _unbroadcast(g * bd, ad.shape) if need_a else None
+        return [ga, _unbroadcast(g * ad, bd.shape) if need_b else None]
+
+    return record_joint("elementwise-mul", ad * bd, [a, b], pullback)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -317,41 +332,6 @@ def sum_over_axis(x) -> Tensor:
     return record_joint("sum-over-axis", x.data.sum(), [x], lambda g: [np.full(shape, g)])
 
 
-def embedding_lookup(table, ids) -> Tensor:
-    table = _as_tensor(table)
-    if table.ndim != 2:
-        raise ShapeError(f"embedding-lookup: table must be 2-D, got {table.shape}")
-    idx = np.asarray(ids)
-    if idx.dtype.kind not in "iu":
-        raise ShapeError("embedding-lookup: ids must be integers")
-    vocab = table.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= vocab):
-        raise ShapeError(
-            f"embedding-lookup: id out of range [0, {vocab}): "
-            f"min={idx.min()}, max={idx.max()}"
-        )
-    out = table.data[idx]
-    tshape = table.shape
-    # rows of one id are summed by one segmented reduction over the ids
-    # in sorted order, not scattered one at a time; each run of equal
-    # sorted ids starts where the id changes
-    order = np.argsort(idx.reshape(-1), kind="stable")
-    ids_sorted = idx.reshape(-1)[order]
-    run_start = np.empty(ids_sorted.size, dtype=bool)
-    run_start[:1] = True
-    np.not_equal(ids_sorted[1:], ids_sorted[:-1], out=run_start[1:])
-    starts = np.flatnonzero(run_start)
-    present = ids_sorted[starts]
-
-    def pullback(g):
-        dt = np.zeros(tshape, dtype=np.float64)
-        if order.size:
-            dt[present] = np.add.reduceat(g.reshape(-1, tshape[1])[order], starts, axis=0)
-        return [dt]
-
-    return record_joint("embedding-lookup", out, [table], pullback)
-
-
 def gaussian_log_density(y, mean) -> Tensor:
     """Row-wise log N(y; mean, I): -0.5*||y-mean||^2 - (d/2)*log(2*pi)."""
     y, mean = _as_tensor(y), _as_tensor(mean)
@@ -364,10 +344,11 @@ def gaussian_log_density(y, mean) -> Tensor:
     diff = y.data - mean.data
     d = y.shape[-1]
     out = -0.5 * (diff * diff).sum(axis=-1) - 0.5 * d * LOG_2PI
+    need_y, need_mean = needs_grad(y), needs_grad(mean)
 
     def pullback(g):
         g_mean = g[..., None] * diff
-        return [-g_mean, g_mean]
+        return [-g_mean if need_y else None, g_mean if need_mean else None]
 
     return record_joint("gaussian-log-density", out, [y, mean], pullback)
 

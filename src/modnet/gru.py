@@ -8,18 +8,19 @@ rectified, per-row weighted sum of a pool of modules.  A router reads
 gradients into the state and the gate.
 
 Every rollout of either language model runs the one raw-numpy forward
-loop ``ModularGruCell.unroll``, taped or not.  Under a tape the unroll
-is a single ``modular-gru-unroll`` record whose pullback is hand-written
+loop ``ModularGruCell.unroll``, taped or not, on the embedding table
+and the token ids.  Under a tape the unroll is a single
+``modular-gru-unroll`` record whose pullback is hand-written
 backpropagation through time, running the gate's own logit-level
-pullback at each step; the pool is one of its inputs at any size.  So a
-taped rollout records a fixed number of ops however many steps it has:
-the embedding lookup, the unroll, whose two outputs are the stacked
-per-step states and [h, x] rows, then the output head on the states
-(and ``ModularGruLM``'s controller heads on the [h, x] rows) scoring
-every step at once: a ``matmul`` per head and one ``categorical-head``
-record that also sums each window's steps.  Untaped, each step is scored
-as it goes and only the running state and one step's embeddings are
-kept, since evaluation unrolls every window at once.
+pullback at each step; the table and the pool are each one input at any
+size.  So a taped rollout records a fixed number of ops however many
+steps it has: the unroll, whose two outputs are the stacked per-step
+states and [h, x] rows, then the output head on the states (and
+``ModularGruLM``'s controller heads on the [h, x] rows) scoring every
+step at once: a ``matmul`` per head and one ``categorical-head`` record
+that also sums each window's steps.  Untaped, each step is scored as it
+goes and only the running state and one step's embeddings are kept,
+since evaluation unrolls every window at once.
 
 No step builds a ``Tensor``: module dispatch, the candidate's rectifier,
 the BPTT loop and an untaped rollout's per-step scoring (one log-softmax
@@ -68,9 +69,9 @@ from modnet.autodiff import (
     active_tape,
     categorical_head,
     constant,
-    embedding_lookup,
     log_softmax_pick,
     matmul,
+    needs_grad,
     paused,
     record_joint,
     relu,
@@ -88,6 +89,15 @@ from modnet.modular import (
     Routing,
     slot_counts,
 )
+
+
+def _checked_ids(ids: np.ndarray, n: int, what: str) -> np.ndarray:
+    """``ids``, refused with ``ShapeError`` unless they are integers in [0, n)."""
+    if ids.dtype.kind not in "iu":
+        raise ShapeError(f"{what} ids must be integers")
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ShapeError(f"{what} id out of range [0, {n}): min={ids.min()}, max={ids.max()}")
+    return ids
 
 
 class ModularGruCell:
@@ -133,30 +143,36 @@ class ModularGruCell:
             + (self.gate or self.controller).parameters()
         )
 
-    def unroll(self, xs, steps: int, select, h0: np.ndarray, visit=None):
-        """Run the gated recurrence for ``steps`` timesteps from state ``h0``.
+    def unroll(self, table, tokens, select, h0: np.ndarray, visit=None):
+        """Run the gated recurrence from state ``h0`` over a (batch, steps)
+        block of integer ``tokens``, step t reading the rows
+        ``table[tokens[:, t]]`` of the (ids, in_dim) ``table``; an id
+        outside the table raises ``ShapeError``.
 
-        ``xs`` is either the inputs as time-major rows (row ``t * batch +
-        b``, shape (steps * batch, in_dim)) or a function ``t -> (batch,
-        in_dim)``.  ``select`` sets each step's (batch, modules) module
-        weights: either an array (steps, batch, modules) of them fixed in
-        advance, such as forced slot counts, or a function ``select(t, hx)``
-        returning step t's weights and the gate's noise terms
-        (``NoisyTopKGate.forward``), None for a controller's slot counts or
-        a noise-free gate.  ``visit(t, h)``, if given, sees each new state.
+        ``select`` sets each step's (batch, modules) module weights: either
+        an array (steps, batch, modules) of them fixed in advance, such as
+        forced slot counts, or a function ``select(t, hx)`` returning step
+        t's weights and the gate's noise terms (``NoisyTopKGate.forward``),
+        None for a controller's slot counts or a noise-free gate.
+        ``visit(t, h)``, if given, sees each new state.
 
         Each step runs the whole pool in one ``ModulePool.apply`` call and
         sums the weighted outputs over the module axis; a module weighted
         zero adds exact zeros.
 
-        With rows, every step's activations are kept, and the stacked
-        states h_t and [h_{t-1}, x_t] rows come back as the two outputs of
-        one ``modular-gru-unroll`` record (plain tensors off the tape).
-        With a function only the running state and one step's buffers are
-        kept, and the result is None.
+        Under a tape every step's rows are gathered once, time-major (row
+        ``t * batch + b``), every step's activations are kept, and the
+        stacked states h_t and [h_{t-1}, x_t] rows are the two outputs of
+        one ``modular-gru-unroll`` record, which reads the table.  Off the
+        tape only the state and one step's rows and buffers are kept, and
+        the result is None.
         """
         hid, pool, gated = self.hidden, self.pool, self.gate is not None
         batch, cat = h0.shape[0], hid + self.in_dim
+        td, ids = constant(table).data, np.asarray(tokens)
+        if ids.ndim != 2 or len(ids) != batch or td.ndim != 2 or td.shape[1] != self.in_dim:
+            raise ShapeError(f"unroll tokens {ids.shape}, table {td.shape}, state {h0.shape}")
+        steps = _checked_ids(ids, len(td), "token").shape[1]
         gate_w = np.concatenate([self.update.w.data, self.reset.w.data], axis=1)
         gate_b = np.concatenate([self.update.b.data, self.reset.b.data])
         fixed = not callable(select)
@@ -164,18 +180,14 @@ class ModularGruCell:
             raise ShapeError(
                 f"unroll weights {np.shape(select)}, expected {(steps, batch, pool.n_modules)}"
             )
-        cache = not callable(xs)
-        if cache:
-            xd = xs.data if isinstance(xs, (Tensor, Parameter)) else np.asarray(xs, dtype=np.float64)
-            if xd.shape != (steps * batch, self.in_dim):
-                raise ShapeError(
-                    f"unroll inputs {xd.shape}, expected {(steps * batch, self.in_dim)}"
-                )
+        keep = active_tape() is not None
+        if keep:
             # each step writes its [h, x] and [r*h, x] into these, x once;
             # all are time-major (steps, batch, .)
+            rows = td[ids.T]
             out = np.empty((steps, batch, hid + cat))
             px_rows = np.empty((steps, batch, cat))
-            out[..., 2 * hid :] = px_rows[..., hid:] = xd.reshape(steps, batch, -1)
+            out[..., 2 * hid :] = px_rows[..., hid:] = rows
             gates = np.empty((steps, batch, 2 * hid))
             cand_rows = np.empty((steps, batch, hid))
             weight_rows = select if fixed else np.empty((steps, batch, pool.n_modules))
@@ -189,11 +201,11 @@ class ModularGruCell:
         h = h0
         with paused():
             for t in range(steps):
-                if cache:
+                if keep:
                     hx, zr, px = out[t, :, hid:], gates[t], px_rows[t]
                 else:
                     hx, zr, px = hx_step, zr_step, px_step
-                    hx[:, hid:] = px[:, hid:] = xs(t)
+                    hx[:, hid:] = px[:, hid:] = td[ids[:, t]]
                 hx[:, :hid] = h
                 weights, noise = (select[t], None) if fixed else select(t, hx)
                 np.matmul(hx, gate_w, out=zr)
@@ -202,13 +214,13 @@ class ModularGruCell:
                 z, r = zr[:, :hid], zr[:, hid:]
                 np.multiply(r, h, out=px[:, :hid])
                 terms = pool.apply(px)
-                if cache and gated:
+                if keep and gated:
                     mod_rows[t] = terms.transpose(1, 0, 2)
                 # a module picked by several slots of a row counts once per slot
                 terms *= weights.T[:, :, None]
                 cand = relu(terms.sum(axis=0))
                 h = (1.0 - z) * h + z * cand
-                if cache:
+                if keep:
                     out[t, :, :hid] = h
                     cand_rows[t] = cand
                     if not fixed:
@@ -216,26 +228,32 @@ class ModularGruCell:
                     noises.append(noise)
                 if visit is not None:
                     visit(t, h)
-        if not cache:
+        if not keep:
             return None
         n = steps * batch
         saved = [a.reshape(n, *a.shape[2:]) for a in (out, gates, px_rows, cand_rows, weight_rows)]
         saved += [None if mod_rows is None else mod_rows.reshape(n, *mod_rows.shape[2:]), noises]
-        return self._record(xs, saved, batch)
+        return self._record(table, ids, rows, saved, batch)
 
-    def _record(self, xs, saved, batch):
+    def _record(self, table, ids, rows, saved, batch):
         """One tape record for a kept unroll; its pullback is BPTT.
 
         Only the state recurrence runs step by step.  The parameter
         gradients of every map, a noisy top-k router's included, and the
         input gradients are each one matmul over all steps * batch rows.
-        The pool is one input, ``ModulePool.param``, with one gradient.
-        An output that no loss read counts as a gradient of zeros.
+        The pool is one input, ``ModulePool.param``, and so is the table:
+        on the tape, it takes the gathered ``rows``' gradients, formed in
+        their buffer and summed per run of equal ids.  Held for the
+        pullback, that buffer keeps the heap's layout across gradient
+        steps; freed after the forward loop, it let glibc return the heap's
+        top at every step.  An output that no loss read counts as a
+        gradient of zeros.
         """
         out, gates, px_rows, cand_rows, weight_rows, mod_rows, noises = saved
         hid, pool, gate = self.hidden, self.pool, self.gate
         n_mod, cat = pool.n_modules, pool.in_dim
         n, steps = out.shape[0], out.shape[0] // batch
+        need_table, table_shape = needs_grad(table), constant(table).shape
         # the maps that read [h, x]: update and reset gates, then a gate
         # router's logits and noise-scale logits; the modules read [r*h, x]
         hx_maps = [self.update, self.reset] + ([] if gate is None else [gate.gate, gate.noise])
@@ -247,6 +265,18 @@ class ModularGruCell:
         hx_wh_t = hx_w[:hid].T
         mod_wh_t = mod_w[:hid].T
         all_wx_t = np.concatenate([hx_w, mod_w], axis=1)[hid:].T
+
+        if need_table:
+            # the rows of one id are summed by one segmented reduction over
+            # the ids in sorted order, not scattered one at a time; each run
+            # of equal sorted ids starts where the id changes
+            flat = ids.T.reshape(-1)
+            order = np.argsort(flat, kind="stable")
+            ids_sorted = flat[order]
+            run_start = np.empty(n, dtype=bool)
+            run_start[:1] = True
+            np.not_equal(ids_sorted[1:], ids_sorted[:-1], out=run_start[1:])
+            starts = np.flatnonzero(run_start)
 
         def pullback(gs):
             g_h, g_hx = (np.zeros((n, w)) if g is None else g for g, w in zip(gs, (hid, cat)))
@@ -292,7 +322,12 @@ class ModularGruCell:
             g_pre[:, :n_hx] = g_hx_pres.reshape(n, n_hx)
             g_hx_w = out[:, hid:].T @ g_pre[:, :n_hx]
             g_b = g_pre.sum(axis=0)
-            grads, lo = [g_hx[:, hid:] + g_pre @ all_wx_t], 0
+            grads, lo = [None], 0
+            if need_table:
+                g_x = np.matmul(g_pre, all_wx_t, out=rows.reshape(n, -1))
+                g_x += g_hx[:, hid:]
+                grads[0] = np.zeros(table_shape)
+                grads[0][ids_sorted[starts]] = np.add.reduceat(g_x[order], starts, axis=0)
             for m in hx_maps:
                 grads += [g_hx_w[:, lo : lo + m.out_dim], g_b[lo : lo + m.out_dim]]
                 lo += m.out_dim
@@ -302,7 +337,7 @@ class ModularGruCell:
             g_pool[:, cat] = g_b[n_hx:].reshape(n_mod, hid)
             return grads + [g_pool]
 
-        inputs = [xs] + [p for m in hx_maps for p in m.parameters()] + [pool.param]
+        inputs = [table] + [p for m in hx_maps for p in m.parameters()] + [pool.param]
         return record_joint("modular-gru-unroll", (out[:, :hid], out[:, hid:]), inputs, pullback)
 
 
@@ -345,7 +380,7 @@ class _GruLM:
 
     def _checked(self, tokens, targets):
         """Tokens and targets as arrays, refused unless they are equal 2-D
-        shapes of integer ids in the vocabulary."""
+        shapes and the targets integer ids in the vocabulary."""
         tokens = np.asarray(tokens)
         targets = None if targets is None else np.asarray(targets)
         if tokens.ndim != 2 or (targets is not None and targets.shape != tokens.shape):
@@ -353,19 +388,9 @@ class _GruLM:
                 f"tokens {tokens.shape} and targets {np.shape(targets)} must be "
                 "equal 2-D shapes"
             )
-        for what, ids in (("token", tokens), ("target", targets)):
-            if ids is None:
-                continue
-            if ids.dtype.kind not in "iu":
-                raise ShapeError(f"{what} ids must be integers")
-            if ids.size and (ids.min() < 0 or ids.max() >= self.vocab):
-                raise ShapeError(
-                    f"{what} id out of range [0, {self.vocab}): "
-                    f"min={ids.min()}, max={ids.max()}"
-                )
         if active_tape() is not None and targets is None:
             raise ValueError("a taped rollout needs targets")
-        return tokens, targets
+        return tokens, None if targets is None else _checked_ids(targets, self.vocab, "target")
 
     def _scored_unroll(self, tokens, targets, select):
         """Unroll the cell over a (batch, steps) token block with
@@ -376,8 +401,7 @@ class _GruLM:
         unroll's [h, x] rows (else None).
         """
         batch, steps = tokens.shape
-        hid = self.cell.hidden
-        h0 = np.zeros((batch, hid))
+        h0 = np.zeros((batch, self.cell.hidden))
         if active_tape() is None:
             pred_ll = None if targets is None else np.empty((batch, steps))
             total = [None]
@@ -388,16 +412,12 @@ class _GruLM:
                 total[0] = ll if total[0] is None else total[0] + ll
 
             # one step's embeddings at a time: evaluation unrolls every window at once
-            self.cell.unroll(
-                lambda t: self.embed.data[tokens[:, t]], steps, select, h0,
-                None if targets is None else visit,
-            )
+            self.cell.unroll(self.embed, tokens, select, h0, None if targets is None else visit)
             return None if total[0] is None else Tensor(total[0]), pred_ll, None
 
         # rows are time-major (t * batch + b); the head sums each window's
         # steps in the same order as above
-        x_rows = embedding_lookup(self.embed, tokens.T.reshape(-1))
-        h_rows, hx_rows = self.cell.unroll(x_rows, steps, select, h0)
+        h_rows, hx_rows = self.cell.unroll(self.embed, tokens, select, h0)
         product = matmul(h_rows, self.out.w)
         cond, ll = categorical_head([product], [self.out.b], targets.T[..., None])
         return cond, ll.T.copy(), hx_rows

@@ -32,6 +32,7 @@ from modnet.autodiff import (
     constant,
     gaussian_log_density,
     matmul,
+    needs_grad,
     record_joint,
     relu,
     softmax_parts,
@@ -75,8 +76,8 @@ class ModulePool:
     module on a batch in one stacked call, and each row's outputs are
     weighted by one (batch, modules) array and summed.  The weights are a
     controller's slot counts or a gate's mixture weights; ``select`` records
-    a feedforward layer's sum as one ``pool-combine`` tape op, and the
-    recurrent step sums inside its own unroll.
+    a feedforward layer, its gate's rule included, as one ``pool-combine``
+    tape op, and the recurrent step sums inside its own unroll.
     """
 
     KINDS = ("linear", "linear-relu")
@@ -116,13 +117,14 @@ class ModulePool:
         h += self.biases[:, None, :]
         return relu(h) if self.kind == "linear-relu" else h
 
-    def select(self, x, weights) -> Tensor:
+    def select(self, x, weights: np.ndarray, gate=None) -> Tensor:
         """The pool's outputs on x, weighted per row by the (batch, modules)
         ``weights`` and summed, as one ``pool-combine`` record.
 
-        ``weights`` are constants, such as a controller's slot counts, as
-        an array, or a gate's mixture weights as a ``Tensor``, whose
-        gradient the record then returns too.  The weighted outputs are
+        ``weights`` are plain values: a controller's slot counts, or a
+        gate's mixture weights with ``gate``, the (logits, pull) pair of
+        ``NoisyTopKGate.route``, whose logit tensors the record also reads
+        and whose ``pull`` gives their gradients.  The weighted outputs are
         summed module by module, as a recurrent step does, and the pullback
         sums the x-gradients in reverse module order, as the tape's reverse
         sweep joins the terms of the op-by-op loop over the used modules
@@ -132,20 +134,14 @@ class ModulePool:
         reads its layer's input before the layer runs.
         """
         xd = x.data if isinstance(x, (Tensor, Parameter)) else np.asarray(x, dtype=np.float64)
-        # a flag, not the Tensor: a pullback holding a Tensor holds its tape
-        gated = isinstance(weights, Tensor)
         h = self.apply(xd)
-        c = (weights.data if gated else weights).T[:, :, None]
+        c = weights.T[:, :, None]
         value = (h * c).sum(axis=0)
-        tape = active_tape()
-        if tape is None:
+        if active_tape() is None:
             return Tensor(value)
-        need_x = isinstance(x, Parameter) or (
-            isinstance(x, Tensor) and x.node is not None and x.tape is tape
-        )
+        need_x, (logits, pull) = needs_grad(x), gate or ([], None)
 
         def pullback(g):
-            gw = (g * h).sum(axis=-1).T if gated else None
             gh = g * c
             if self.kind == "linear-relu":
                 gh = gh * (h > 0)
@@ -155,9 +151,9 @@ class ModulePool:
             g_pool = np.empty_like(self.param.data)
             g_pool[:, : self.in_dim] = np.matmul(xd.T, gh)
             g_pool[:, self.in_dim] = gh.sum(axis=1)
-            return [gx, gw, g_pool]
+            return [gx, g_pool, *(() if pull is None else pull((g * h).sum(axis=-1).T))]
 
-        return record_joint("pool-combine", value, [x, weights, self.param], pullback)
+        return record_joint("pool-combine", value, [x, self.param, *logits], pullback)
 
     def parameters(self) -> list[Parameter]:
         return [self.param]
@@ -354,9 +350,9 @@ class NoisyTopKGate:
     into the weights, and ``pullback`` turns a gradient of the weights into
     gradients of both logits.  The recurrent cell runs them on plain arrays
     (``forward``) inside its own backpropagation through time.  The
-    feedforward layer (``weights``) records the two maps as plain
-    ``Linear`` calls and the rule as one ``noisy-topk-gate`` op on their
-    logits.
+    feedforward layer (``route``) records the two maps as plain ``Linear``
+    calls, and the pool's ``pool-combine`` record runs the rule's gradient
+    on their logits: the gate has no record of its own.
     """
 
     def __init__(
@@ -405,20 +401,18 @@ class NoisyTopKGate:
         g = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True))
         return g, np.zeros_like(g) if noise is None else g * noise[0] * noise[1]
 
-    def weights(
-        self, x, train: bool = False, rng: np.random.Generator | None = None
-    ) -> tuple[Tensor, np.ndarray]:
-        """Mixture weights (batch, modules) as a tape record, and the 0/1
-        survivor mask, for a ``Tensor`` x.  The maps' logits are recorded
-        as ``Linear`` calls, and ``mix`` on them as one ``noisy-topk-gate``
-        op whose pullback is ``pullback``."""
+    def route(self, x, train: bool = False, rng: np.random.Generator | None = None):
+        """Mixture weights (batch, modules), the 0/1 survivor mask and, as
+        ``ModulePool.select``'s ``gate``, the maps' logits on a ``Tensor`` x
+        (the noise map's only when training) with ``pull(g_w)``, their
+        gradients given the weights' gradient ``g_w``."""
         logits = [self.gate(x)] + ([self.noise(x)] if train else [])
         w, mask, noise = self.mix(logits[0].data, logits[1].data if train else None, rng)
 
-        def pull(g):  # a noise-scale gradient only when training
-            return self.pullback(w, noise, g)[: 1 + train]
+        def pull(g_w):  # a noise-scale gradient only when training
+            return self.pullback(w, noise, g_w)[: 1 + train]
 
-        return record_joint("noisy-topk-gate", w, logits, pull), mask
+        return w, mask, (logits, pull)
 
 
 class ModularLayer:
@@ -464,12 +458,12 @@ class ModularLayer:
 
     def forward_mixed(
         self, x, train: bool = False, rng: np.random.Generator | None = None
-    ) -> tuple[Tensor, Tensor, np.ndarray]:
+    ) -> tuple[Tensor, np.ndarray, np.ndarray]:
         """The gate's mixture of the pool on x: (output, weights, survivor
-        mask), the output being ``ModulePool.select`` under the weights."""
+        mask), the output being ``ModulePool.select`` under the gate."""
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-        w, mask = self.gate.weights(xt, train=train, rng=rng)
-        return self.pool.select(xt, w), w, mask
+        w, mask, gate = self.gate.route(xt, train, rng)
+        return self.pool.select(xt, w, gate), w, mask
 
 
 class OutputHead:
@@ -725,7 +719,7 @@ class NoisyTopKNet(_Stack, MixtureModel):
         for l, layer in enumerate(self.layers):
             h, w, _ = layer.forward_mixed(h, train=train, rng=rng)
             if collect_probs:
-                probs[:, l, 0] = w.data
+                probs[:, l, 0] = w
         cond = None if y is None else self.head.log_prob(h, y)
         pred_ll = None if cond is None else cond.data
         chosen = np.empty((batch, n_layers, 0), dtype=np.int64)

@@ -53,9 +53,12 @@ class SeedStreams:
         for name, st in snapshot["streams"].items():
             gen = self[name]
             full = gen.bit_generator.state
-            # the generator indexes its buffer with this unchecked
+            # the generator indexes its buffer with this unchecked, and
+            # serves a buffered word under any other flag than 0 or 1
             if not 0 <= st["buffer_pos"] <= full["buffer"].size:
                 raise ValueError(f"stream {name!r}: buffer_pos {st['buffer_pos']!r} out of range")
+            if st["has_uint32"] not in (0, 1):
+                raise ValueError(f"stream {name!r}: has_uint32 {st['has_uint32']!r} is not 0 or 1")
             full["state"]["counter"] = np.array(st["counter"], dtype=np.uint64)
             full["state"]["key"] = np.array(st["key"], dtype=np.uint64)
             full["buffer"] = np.array(st["buffer"], dtype=np.uint64)

@@ -4,18 +4,20 @@ No training run executes anything here.  Three kinds of oracle:
 
 - taped primitives that no run records (``sigmoid``, ``softplus``,
   ``row_softmax``, ``concat_last``, ``stack_rows``, ``slice_last``, a
-  taped ``relu``, ``reshape``, ``sum_along`` one axis and one head's
-  ``categorical_log_prob``), one record per op through the public
-  ``record_joint``, with the record kinds and pullback arithmetic the
-  composed oracles below are built on; ``composed_heads`` builds the
-  ``categorical-head`` record's reference from them;
+  taped ``relu``, ``reshape``, ``sum_along`` one axis, one head's
+  ``categorical_log_prob`` and ``embedding_lookup``), one record per op
+  through the public ``record_joint``, with the record kinds and pullback
+  arithmetic the composed oracles below are built on; ``composed_heads``
+  builds the ``categorical-head`` record's reference from them;
 - the module pool's dispatch one module at a time (``pool_module``,
   ``pool_combine``), on per-module views of the pool's one parameter
   (``pool_modules``) whose gradients ``module_grads`` lays out as the
-  pool's, and the recurrent cell and noisy top-k gate built op by op from
-  those primitives (``composed_*``): the references of the
-  ``pool-combine``, ``noisy-topk-gate`` and ``modular-gru-unroll`` records,
-  same arithmetic in the same order;
+  pool's, the noisy top-k gate's weights as a record of their own
+  (``noisy_topk_gate``), and the recurrent cell and gate built op by op
+  from those primitives (``composed_*``): the references of the
+  ``pool-combine`` and ``modular-gru-unroll`` records, which run the
+  embedding lookup and the gate's rule inside their own pullbacks, same
+  arithmetic in the same order;
 - plain numpy transcriptions: the cell and the language model's rollout
   (``reference_*``), the controller step in row-major order
   (``oracle_*``), BPTT reading its operands in place
@@ -149,6 +151,37 @@ def categorical_log_prob(logits, targets) -> Tensor:
         return [g[..., None] * d]
 
     return record_joint("categorical-log-prob", log_softmax_pick(xd, idx), [logits], pull)
+
+
+def embedding_lookup(table, ids) -> Tensor:
+    """Rows ``table[ids]``; the rows of one id are summed onto it by one
+    segmented reduction over the ids in stable sorted order."""
+    td = constant(table).data
+    if td.ndim != 2:
+        raise ShapeError(f"embedding-lookup: table must be 2-D, got {td.shape}")
+    idx = np.asarray(ids)
+    if idx.dtype.kind not in "iu":
+        raise ShapeError("embedding-lookup: ids must be integers")
+    if idx.size and (idx.min() < 0 or idx.max() >= len(td)):
+        raise ShapeError(
+            f"embedding-lookup: id out of range [0, {len(td)}): "
+            f"min={idx.min()}, max={idx.max()}"
+        )
+    # each run of equal sorted ids starts where the id changes
+    order = np.argsort(idx.reshape(-1), kind="stable")
+    ids_sorted = idx.reshape(-1)[order]
+    run_start = np.empty(ids_sorted.size, dtype=bool)
+    run_start[:1] = True
+    np.not_equal(ids_sorted[1:], ids_sorted[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+
+    def pull(g):
+        dt = np.zeros(td.shape)
+        if order.size:
+            dt[ids_sorted[starts]] = np.add.reduceat(g.reshape(-1, td.shape[1])[order], starts, axis=0)
+        return [dt]
+
+    return record_joint("embedding-lookup", td[idx], [table], pull)
 
 
 def composed_heads(x, heads, targets):
@@ -313,6 +346,15 @@ def composed_unroll(cell, h0, xs, sels):
         h = composed_cell_step(cell, h, x, sels[t], hx=hx)
         rows.append(concat_last(h, hx))
     return stack_rows(rows)
+
+
+def noisy_topk_gate(w, gate) -> Tensor:
+    """The mixture weights ``w`` as a ``noisy-topk-gate`` record of their
+    own on the gate's logits, from ``gate``, the (logits, pull) pair that
+    ``NoisyTopKGate.route`` returns: the gated ``pool-combine`` record runs
+    this record's pullback inside its own."""
+    logits, pull = gate
+    return record_joint("noisy-topk-gate", w, logits, pull)
 
 
 def composed_topk_weights(gate, x, train, rng):

@@ -23,6 +23,8 @@ from conftest import read_pgm, record_verdict
 from oracles import (
     categorical_log_prob,
     concat_last,
+    embedding_lookup,
+    noisy_topk_gate,
     random_biases,
     relu,
     reshape,
@@ -38,10 +40,10 @@ import modnet.modular as modular_mod
 from modnet.autodiff import (
     Parameter,
     Tape,
+    active_tape,
     add,
     categorical_head,
     constant,
-    embedding_lookup,
     gaussian_log_density,
     grad_check,
     matmul,
@@ -251,6 +253,17 @@ def topk_margin(x, gate, eps=None) -> float:
     return float((z[:, gate.k - 1] - z[:, gate.k]).min())
 
 
+def kept(unroll):
+    """The outputs of ``unroll()``, a call of ``ModularGruCell.unroll``: on
+    the active tape, or with none active under a tape of their own, as
+    only a taped unroll keeps them; there they are values, as the finite
+    differences need."""
+    if active_tape() is not None:
+        return unroll()
+    with Tape():
+        return unroll()
+
+
 def read_unroll(outputs, weight, read):
     """The unroll's states and [h, x] rows, each weighted by its columns of
     ``weight`` and averaged: ``read`` is "h", "hx" or "both" (their sum)."""
@@ -266,12 +279,15 @@ def read_unroll(outputs, weight, read):
 
 def unroll_checks(rng):
     """The recurrent unroll over 3 steps of 2 rows: 2 slots, one row picking
-    a module twice, module 1 unused at step 0; a loss that reads both of
+    a module twice, module 1 unused at step 0, and its inputs read from a
+    table of 6 rows by ids that repeat within a row and across rows, so the
+    table's gradient sums several rows per id; a loss that reads both of
     its outputs, and one that reads each alone.  Random biases keep every
     candidate pre-activation off the relu kink (checked here)."""
     cell = ModularGruCell(rng, in_dim=2, hidden=3, n_modules=3, n_slots=2)
     random_biases(cell.parameters(), rng)
     xs = Parameter(rng.standard_normal((6, 2)), "xs")
+    tokens = np.array([[4, 0, 4], [1, 4, 5]])
     h0 = rng.standard_normal((2, 3))
     sels = np.array([[[2, 2], [0, 2]], [[1, 0], [2, 1]], [[0, 1], [1, 1]]])
     weight = rng.standard_normal((6, 3 + 3 + 2))
@@ -282,7 +298,7 @@ def unroll_checks(rng):
     checks = []
     for read in ("both", "h", "hx"):
         def fn(read=read):
-            return read_unroll(cell.unroll(xs, 3, select, h0), weight, read)
+            return read_unroll(kept(lambda: cell.unroll(xs, tokens, select, h0)), weight, read)
 
         assert min_relu_input(gru_mod, fn) > 1e-3, "unroll check sits too close to a relu kink"
         checks.append((f"modular-gru-unroll, reading {read}", fn, [xs] + cell.parameters()))
@@ -326,26 +342,34 @@ def categorical_head_check(rng):
 
 
 def gate_checks(rng):
-    """The noisy top-k gate record, in training and in evaluation, mixing a
-    rectified pool through ``ModulePool.select`` as the feedforward layer
-    does, so the pool's record takes the weights' gradient; kept off the
-    relu kink and the top-k cut (both checked here)."""
+    """The gated feedforward layer, in training and in evaluation: a
+    rectified pool mixed by a noisy top-k gate as one ``pool-combine``
+    record, which runs the gate's rule and returns its logits' gradients,
+    and the gate's rule as the tests' ``noisy-topk-gate`` record on its
+    own; kept off the relu kink and the top-k cut (both checked here)."""
     pool = ModulePool(rng, 4, 3, 2, kind="linear-relu")
     gate = NoisyTopKGate(rng, 3, 4, 2)
     random_biases(pool.parameters() + gate.parameters(), rng)
     xp = Parameter(rng.standard_normal((5, 3)), "gate_x")
     wout = constant(rng.standard_normal((5, 2)))
+    wmix = constant(np.linspace(-1.0, 1.0, 20).reshape(5, 4))
     checks = []
     for train in (True, False):
         def fn(train=train):
-            w, mask = gate.weights(xp, train, np.random.default_rng(21))
-            return mean_all(mul(pool.select(xp, w), wout))
+            w, _, pair = gate.route(xp, train, np.random.default_rng(21))
+            return mean_all(mul(pool.select(xp, w, pair), wout))
+
+        def gate_fn(train=train):
+            w, _, pair = gate.route(xp, train, np.random.default_rng(21))
+            return mean_all(mul(noisy_topk_gate(w, pair), wmix))
 
         eps = np.random.default_rng(21).standard_normal((5, 4)) if train else None
         mode = "train" if train else "eval"
         assert min_relu_input(modular_mod, fn) > 1e-3, f"gate {mode} check sits on a relu kink"
         assert topk_margin(xp.data, gate, eps) > 1e-3, f"gate {mode} check sits on the top-k cut"
-        checks.append((f"noisy-topk-gate, {mode}", fn, [xp] + pool.parameters() + gate.parameters()))
+        params = [xp] + pool.parameters() + gate.parameters()
+        checks.append((f"pool-combine, gated, {mode}", fn, params))
+        checks.append((f"noisy-topk-gate, {mode}", gate_fn, [xp] + gate.parameters()))
     return checks
 
 
@@ -356,6 +380,7 @@ def gated_unroll_check(rng):
     cell = ModularGruCell(rng, in_dim=2, hidden=3, n_modules=4, topk=2)
     random_biases(cell.parameters(), rng)
     xs = Parameter(rng.standard_normal((6, 2)), "gated_xs")
+    tokens = np.array([[0, 2, 4], [1, 3, 5]])  # step t of row b reads row 2t + b
     h0 = rng.standard_normal((2, 3))
     weight = rng.standard_normal((6, 3 + 3 + 2))
 
@@ -366,7 +391,7 @@ def gated_unroll_check(rng):
             w, _, eps = cell.gate.forward(hx, True, noise)
             return w, eps
 
-        return cell.unroll(xs, 3, select, h0)
+        return kept(lambda: cell.unroll(xs, tokens, select, h0))
 
     def fn():
         return read_unroll(rows(), weight, "both")
@@ -575,7 +600,6 @@ def test_criterion_07_sparse_gate_keeps_exactly_k():
     )
     x = data.x
     _, w, mask = model.layers[0].forward_mixed(x, train=True, rng=streams["noise"])
-    w = w.data
     active_ok = bool(np.all((w > 0).sum(axis=1) == 2)
                      and np.all(mask.sum(axis=1) == 2))
     sum_err = float(np.abs(w.sum(axis=1) - 1.0).max())

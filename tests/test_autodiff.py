@@ -7,6 +7,7 @@ from oracles import (
     categorical_log_prob,
     composed_heads,
     concat_last,
+    embedding_lookup,
     relu,
     reshape,
     row_softmax,
@@ -26,7 +27,6 @@ from modnet.autodiff import (
     add,
     categorical_head,
     constant,
-    embedding_lookup,
     gaussian_log_density,
     grad_check,
     log_softmax_pick,
@@ -316,6 +316,37 @@ def test_stale_tape_tensor_is_plain_value():
     grads = t2.backward(loss)
     # `old` came from t1, so only the direct factor differentiates
     assert np.array_equal(t2.grad(grads, p), [4.0])
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["matmul, constant left", "matmul, array right", "mul, array", "mul, stale",
+     "mean_all", "gaussian, constant y", "gaussian, array mean"],
+)
+def test_an_operand_off_the_tape_gets_no_gradient_formed(case):
+    # matmul, mul and the Gaussian density form the gradient only of an
+    # operand on the active tape: for a constant, an array or a tensor of
+    # another tape the pullback returns None, and its product is never formed
+    rng = np.random.default_rng(15)
+    p = Parameter(rng.standard_normal((3, 3)), "p")
+    c = rng.standard_normal((3, 3))
+    with Tape():
+        stale = mul(p, 2.0)
+    build = {
+        "matmul, constant left": lambda w: matmul(constant(c), w),
+        "matmul, array right": lambda w: matmul(w, c),
+        "mul, array": lambda w: mul(c, w),
+        "mul, stale": lambda w: mul(w, stale),
+        "mean_all": mean_all,  # the sum scaled by the constant 1/n
+        "gaussian, constant y": lambda w: gaussian_log_density(constant(c), w),
+        "gaussian, array mean": lambda w: gaussian_log_density(w, c),
+    }[case]
+    with Tape() as tape:
+        out = build(tape.watch(p))
+        _, _, (nodes, pullback) = tape._records[-1]
+    grads = pullback(np.ones_like(out.data))
+    assert nodes.count(None) == 1
+    assert [g is None for g in grads] == [n is None for n in nodes]
 
 
 def test_no_tape_is_value_only():

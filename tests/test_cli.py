@@ -660,6 +660,22 @@ def test_resume_on_any_rng_or_scalars_object_exits_0_or_2(mid_checkpoint, field,
         assert main(["resume", bad, "--set", f"out_dir={os.path.join(tmp, 'out')}"]) in (0, 2)
 
 
+@pytest.mark.parametrize("flag", [2, 3])
+def test_resume_with_a_stream_flag_other_than_0_or_1_is_exit_2(
+    tmp_path, capsys, monkeypatch, mid_checkpoint, flag
+):
+    # numpy's state setter took 3 without a word, and the stream then
+    # served a stale buffered word
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "root"))
+    rng = rewrite_header(mid_checkpoint, os.devnull)["rng"]
+    rng["streams"]["noise"]["has_uint32"] = flag
+    bad = str(tmp_path / "bad.ckpt")
+    rewrite_header(mid_checkpoint, bad, rng=rng)
+    assert main(["resume", bad]) == 2
+    assert f"stream 'noise': has_uint32 {flag} is not 0 or 1" in capsys.readouterr().err
+    assert not (tmp_path / "root").exists()
+
+
 @pytest.fixture(scope="module")
 def smoke_step_checkpoint(tmp_path_factory):
     root = tmp_path_factory.mktemp("smoke")

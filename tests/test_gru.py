@@ -10,6 +10,8 @@ from oracles import (
     composed_topk_weights,
     composed_unroll,
     concat_last,
+    embedding_lookup,
+    noisy_topk_gate,
     np_sigmoid,
     np_softmax,
     oracle_grads,
@@ -62,12 +64,22 @@ def forced(sels, n_modules):
     return lambda t, hx: (slot_counts(sels[t], n_modules), None)
 
 
+def time_major_ids(steps, batch):
+    """(batch, steps) ids under which step t of row b reads row t * batch + b
+    of the table: an unroll over them reads the table as time-major input
+    rows, and the table's gradient is the rows' own."""
+    return np.arange(steps * batch).reshape(steps, batch).T
+
+
 def unroll_states(cell, h0, xs, sels):
-    """States after each step of ``cell.unroll`` from ``h0`` over (steps,
-    batch, in) inputs: an array (steps, batch, hidden)."""
+    """States after each step of a kept ``cell.unroll`` from ``h0`` over
+    (steps, batch, in) inputs: an array (steps, batch, hidden)."""
     steps, batch = sels.shape[:2]
     n_modules = cell.pool.n_modules
-    h_rows, _ = cell.unroll(xs.reshape(steps * batch, -1), steps, forced(sels, n_modules), h0)
+    with Tape():
+        h_rows, _ = cell.unroll(
+            xs.reshape(steps * batch, -1), time_major_ids(steps, batch), forced(sels, n_modules), h0
+        )
     return h_rows.data.reshape(steps, batch, cell.hidden)
 
 
@@ -150,7 +162,8 @@ def unroll_grads(unroll_fn, cell, h0, xs, sels, weight, composed=False):
 
 def fused_unroll(cell, h0, x_steps, sels):
     n_modules = cell.pool.n_modules
-    return cell.unroll(stack_rows(x_steps), len(x_steps), forced(sels, n_modules), h0)
+    ids = time_major_ids(len(x_steps), len(h0))
+    return cell.unroll(stack_rows(x_steps), ids, forced(sels, n_modules), h0)
 
 
 @pytest.mark.parametrize(
@@ -204,10 +217,16 @@ def test_unroll_matches_composed_steps(n_slots, sel_rows, monkeypatch):
 
 @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
 def test_topk_gate_record_matches_composed_weights(train):
-    # one noisy-topk-gate record against the gate built op by op: same
-    # arithmetic, so weights, mask and every gradient agree bit for bit
+    # the gate's rule as one noisy-topk-gate record on route's logits,
+    # against the gate built op by op: same arithmetic, so weights, mask and
+    # every gradient agree bit for bit
     rng = np.random.default_rng(90)
     gate = NoisyTopKGate(rng, 3, 5, 2)
+
+    def gate_record(x, train, rng):
+        w, mask, pair = gate.route(x, train, rng)
+        return noisy_topk_gate(w, pair), mask
+
     x = Parameter(rng.standard_normal((7, 3)), "x")
     weight = rng.standard_normal((7, 5))
 
@@ -219,7 +238,7 @@ def test_topk_gate_record_matches_composed_weights(train):
         grads = tape.backward(loss)
         return w.data, mask, [tape.grad(grads, p) for p in [x] + gate.parameters()], n_records
 
-    got_w, got_mask, got_g, n_records = run(gate.weights)
+    got_w, got_mask, got_g, n_records = run(gate_record)
     want_w, want_mask, want_g, _ = run(lambda x, *a: composed_topk_weights(gate, x, *a))
     # the gate map (and the noise map in training), each a matmul and an
     # add, the gate's record, the product and the sum
@@ -242,7 +261,8 @@ def topk_unrolls(train, seed):
             w, _, noise = cell.gate.forward(hx, train, rng)
             return w, noise
 
-        return cell.unroll(stack_rows(x_steps), len(x_steps), select, h0)
+        ids = time_major_ids(len(x_steps), len(h0))
+        return cell.unroll(stack_rows(x_steps), ids, select, h0)
 
     def composed(cell, h0, x_steps, masks):
         rng = np.random.default_rng(seed)
@@ -353,12 +373,12 @@ def test_taped_rollout_scores_equal_untaped(detach, masked):
         assert np.array_equal(plain.cond_ll.data, taped.cond_ll.data)
         assert np.array_equal(plain.ctrl_ll.data, taped.ctrl_ll.data)
         counts.append(n_records)
-    # one embedding lookup and one unroll for all steps; the head projects
-    # the unroll's states, then scores and sums each window in one
+    # one unroll, which reads the embedding, for all steps; the head
+    # projects the unroll's states, then scores and sums each window in one
     # categorical-head record; the controller projects the unroll's
     # [h, x] rows (detached or not) for each of its 2 heads, and scores and
     # sums both heads in one record
-    assert counts == [4 + 3] * 2
+    assert counts == [3 + 3] * 2
 
 
 def tensor_scored_rollout(lm, tokens, targets, comps):
@@ -368,9 +388,11 @@ def tensor_scored_rollout(lm, tokens, targets, comps):
     ``Controller.log_prob``, summed step by step as a rollout does."""
     batch, steps = tokens.shape
     hid = lm.cell.hidden
-    x_rows = lm.embed.data[tokens.T.reshape(-1)]
     sels = comps.transpose(1, 0, 2)
-    outputs = lm.cell.unroll(x_rows, steps, forced(sels, lm.n_modules), np.zeros((batch, hid)))
+    with Tape():
+        outputs = lm.cell.unroll(
+            lm.embed, tokens, forced(sels, lm.n_modules), np.zeros((batch, hid))
+        )
     pred, cond, ctrl = np.empty((batch, steps)), None, None
     for t in range(steps):
         h, hx = (np.ascontiguousarray(o.data[t * batch : (t + 1) * batch]) for o in outputs)
@@ -672,7 +694,8 @@ def test_topk_cell_blends_survivors():
         routed.append((w, mask))
         return w, noise
 
-    out = cell.unroll(x, 1, select, h)[0].data
+    with Tape():
+        out = cell.unroll(x, time_major_ids(1, 5), select, h)[0].data
     (w, mask), = routed
     assert np.all(mask.sum(axis=1) == 2)
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-9)
@@ -755,15 +778,17 @@ def test_fixed_weights_and_select_function_unroll_alike(n_modules, router):
             weights.append(w)
             return w, noise
 
-        cell.unroll(lambda t: xs[t], steps, select, h0)
+        cell.unroll(xs.reshape(steps * batch, -1), time_major_ids(steps, batch), select, h0)
         fixed = np.stack(weights)
         composed = topk_unrolls(False, seed=0)[1]
 
+    ids = time_major_ids(steps, batch)
+
     def by_array(cell, h0, x_steps, _):
-        return cell.unroll(stack_rows(x_steps), len(x_steps), fixed, h0)
+        return cell.unroll(stack_rows(x_steps), ids, fixed, h0)
 
     def by_function(cell, h0, x_steps, _):
-        return cell.unroll(stack_rows(x_steps), len(x_steps), select, h0)
+        return cell.unroll(stack_rows(x_steps), ids, select, h0)
 
     got, got_g, _ = unroll_grads(by_array, cell, h0, xs, sels, loss_w)
     fn_rows, fn_g, _ = unroll_grads(by_function, cell, h0, xs, sels, loss_w)
@@ -779,14 +804,80 @@ def test_fixed_weights_and_select_function_unroll_alike(n_modules, router):
     states = got[:, :4].reshape(steps, batch, 4)
     for sel in (fixed, select):
         seen = []
-        assert cell.unroll(lambda t: xs[t], steps, sel, h0, lambda t, h: seen.append(h)) is None
+        table = xs.reshape(steps * batch, -1)
+        assert cell.unroll(table, ids, sel, h0, lambda t, h: seen.append(h)) is None
         assert np.stack(seen).tobytes() == states.tobytes()
 
 
 def test_unroll_refuses_misshapen_fixed_weights():
     cell = random_biased_cell(np.random.default_rng(310), 3, "controller")
     with pytest.raises(ShapeError, match="unroll weights"):
-        cell.unroll(np.zeros((8, 3)), 4, np.zeros((4, 2, 2)), np.zeros((2, 4)))
+        cell.unroll(np.zeros((8, 3)), time_major_ids(4, 2), np.zeros((4, 2, 2)), np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("router", ["controller", "gate"])
+def test_unroll_reads_its_table_as_a_lookup_record_then_rows_would(router):
+    # the unroll gathers table[tokens] itself and sums the rows' gradient
+    # per id onto the table: the bits of an embedding-lookup record followed
+    # by an unroll over the looked-up time-major rows, with repeated ids,
+    # one record fewer, and no table gradient formed for a table off the tape
+    rng = np.random.default_rng(320)
+    cell = random_biased_cell(rng, 3, router)
+    steps, batch, vocab = 5, 4, 6
+    table = Parameter(rng.standard_normal((vocab, 3)), "table")
+    tokens = rng.integers(0, vocab, size=(batch, steps))
+    tokens[0] = 2
+    h0 = rng.standard_normal((batch, 4))
+    loss_w = rng.standard_normal((steps * batch, 4 + 4 + 3))
+    sels = rng.integers(0, 3, size=(steps, batch, 2))
+
+    def select():
+        if router == "controller":
+            return forced(sels, 3)
+        noise = np.random.default_rng(7)
+
+        def draw(t, hx):
+            w, _, eps = cell.gate.forward(hx, True, noise)
+            return w, eps
+
+        return draw
+
+    def run(outputs):
+        with Tape() as tape:
+            loss = sum_over_axis(mul(concat_last(*outputs()), loss_w))
+            n_records = len(tape)
+        grads = tape.backward(loss)
+        return [tape.grad(grads, p) for p in [table] + cell.parameters()], loss.data, n_records
+
+    fused = run(lambda: cell.unroll(table, tokens, select(), h0))
+    looked_up = run(
+        lambda: cell.unroll(
+            embedding_lookup(table, tokens.T.reshape(-1)), time_major_ids(steps, batch),
+            select(), h0,
+        )
+    )
+    assert len(np.unique(tokens)) < vocab and fused[0][0].any()
+    assert fused[1].tobytes() == looked_up[1].tobytes()
+    assert (fused[2], looked_up[2]) == (4, 5)
+    for got, want in zip(fused[0], looked_up[0]):
+        assert got.tobytes() == want.tobytes()
+    with Tape() as tape:
+        cell.unroll(constant(table), tokens, select(), h0)
+        _, _, (nodes, pullback) = tape._records[0]
+    assert nodes[0] is None and pullback([np.ones((steps * batch, 4)), None])[0] is None
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+@pytest.mark.parametrize("bad", [-1, 6, 0.5])
+def test_unroll_refuses_ids_outside_the_table(taped, bad):
+    # a negative id would wrap to the table's last rows without a word
+    cell = random_biased_cell(np.random.default_rng(311), 2, "controller")
+    tokens = np.zeros((2, 3), dtype=np.int64 if float(bad).is_integer() else np.float64)
+    tokens[1, 2] = bad
+    what = r"token id out of range \[0, 6\)" if float(bad).is_integer() else "token ids must be integers"
+    with Tape() if taped else contextlib.nullcontext():
+        with pytest.raises(ShapeError, match=what):
+            cell.unroll(np.zeros((6, 3)), tokens, np.zeros((3, 2, 2)), np.zeros((2, 4)))
 
 
 @pytest.mark.parametrize("n_modules", [2, 8])
@@ -891,16 +982,18 @@ def test_bptt_keeps_the_strided_oracle_bits(router, n_modules, steps, n_slots, m
 
     caught, record = {}, ModularGruCell._record
 
-    def spy(self, xs, saved, batch):
+    def spy(self, table, ids, rows, saved, batch):
         caught["saved"] = saved
-        return record(self, xs, saved, batch)
+        return record(self, table, ids, rows, saved, batch)
 
     monkeypatch.setattr(ModularGruCell, "_record", spy)
     monkeypatch.setattr(
         gru_mod, "record_joint", lambda kind, out, inputs, pullback: caught.update(pullback=pullback)
     )
-    xs = rng.standard_normal((steps * batch, in_dim))
-    cell.unroll(xs, steps, select, rng.standard_normal((batch, hid)))
+    # time-major ids: the table's gradient is the input rows' own
+    xs = Parameter(rng.standard_normal((steps * batch, in_dim)), "xs")
+    with Tape():
+        cell.unroll(xs, time_major_ids(steps, batch), select, rng.standard_normal((batch, hid)))
     g = rng.standard_normal((steps * batch, 2 * hid + in_dim))
     g[rng.random(g.shape) < 0.1] = 0.0
     g_h, g_hx = g[:, :hid], g[:, hid:]

@@ -232,3 +232,14 @@ def test_the_kind_scan_flags_every_way_round_record_joint(tmp_path):
         "    return tape.record('direct', x, None)\n"
     )
     assert emitted_kinds(str(tmp_path)) == ({"seen"}, ["ops.py:6", "ops.py:8"])
+
+
+def test_the_package_emits_eight_record_kinds():
+    # the embedding lookup runs inside the unroll's record and the noisy
+    # top-k gate inside the gated layer's pool-combine record
+    kinds, unscanned = emitted_kinds()
+    assert not unscanned
+    assert kinds == {
+        "matmul", "add", "elementwise-mul", "sum-over-axis", "gaussian-log-density",
+        "categorical-head", "pool-combine", "modular-gru-unroll",
+    }

@@ -12,6 +12,7 @@ from oracles import (
     oracle_sample_rows,
     oracle_slot_counts,
     oracle_softmax_parts,
+    noisy_topk_gate,
     oracle_grads,
     pool_combine,
     pool_module,
@@ -78,12 +79,12 @@ def forward_per_example(layer, x, train=False, rng=None):
     reproduce its noise draw.
     """
     xv = np.asarray(x, dtype=np.float64)
-    w, mask = layer.gate.weights(Tensor(xv), train=train, rng=rng)
+    w, mask, _ = layer.gate.route(Tensor(xv), train, rng)
     out = np.zeros((xv.shape[0], layer.pool.out_dim))
     for b in range(xv.shape[0]):
         row = Tensor(xv[b : b + 1])
         for j in np.nonzero(mask[b])[0]:
-            out[b] += w.data[b, j] * pool_module(layer.pool, int(j), row).data[0]
+            out[b] += w[b, j] * pool_module(layer.pool, int(j), row).data[0]
     return out
 
 
@@ -420,12 +421,13 @@ def test_layer_gradients_flow_only_through_selected():
     assert np.array_equal(g[1:], np.zeros_like(g[1:]))
 
 
-def taped_select(pool, x, weights):
+def taped_select(pool, x, weights, gate=None):
     """``ModulePool.select`` as the taped oracle loop over the modules that
     some row weighs: one matmul, add and product per module, joined by
-    adds."""
-    w = weights.data if isinstance(weights, Tensor) else weights
-    return pool_combine(pool, x, weights, np.flatnonzero(w.any(axis=0)))
+    adds; a gate's weights are first their own ``noisy-topk-gate`` record
+    on the gate's logits."""
+    used = np.flatnonzero(weights.any(axis=0))
+    return pool_combine(pool, x, weights if gate is None else noisy_topk_gate(weights, gate), used)
 
 
 @pytest.mark.parametrize("kind", ModulePool.KINDS)
@@ -468,8 +470,9 @@ def test_pool_combine_keeps_the_taped_bits(monkeypatch, n_modules, n_slots, kind
 @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
 @pytest.mark.parametrize("n_modules", [1, 2, 3, 8, 32])
 def test_gated_select_keeps_the_taped_bits(monkeypatch, n_modules, train, kind):
-    # the gated layer's record, which also returns the gate weights'
-    # gradient, against the taped loop over the modules some row keeps:
+    # the gated layer's record, which also runs the gate's rule and returns
+    # the gradients of its logits, against the gate's own record and the
+    # taped loop over the modules some row keeps:
     # outputs, weights and every gradient, the input's included, bit for
     # bit; stacked layers let each layer's input gradient join the pool's
     # term with both gate maps'
@@ -518,6 +521,23 @@ def test_one_pool_combine_record_per_forward_selected(n_slots):
         assert [kind for kind, _, _ in tape._records] == ["pool-combine"]
     untaped = layer.forward_selected(x.data, sel)
     assert untaped.node is None and np.array_equal(untaped.data, out.data)
+
+
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+def test_a_gated_layer_records_its_gate_maps_and_one_pool_combine(train):
+    # the gate's rule runs inside the pool's record: a gated layer records
+    # only the gate map (and the noise map in training) beside it
+    rng = np.random.default_rng(27)
+    layer = ModularLayer(ModulePool(rng, 4, 3, 2, kind="linear-relu"), NoisyTopKGate(rng, 3, 4, 2))
+    x = Parameter(rng.standard_normal((5, 3)), "x")
+    with Tape() as tape:
+        out, w, _ = layer.forward_mixed(tape.watch(x), train, np.random.default_rng(3))
+        assert [kind for kind, _, _ in tape._records] == ["matmul", "add"] * (1 + train) + [
+            "pool-combine"
+        ]
+    untaped, w_off, _ = layer.forward_mixed(x.data, train, np.random.default_rng(3))
+    assert untaped.node is None and np.array_equal(untaped.data, out.data)
+    assert np.array_equal(w, w_off)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +811,7 @@ def test_topk_eval_matches_sort_renormalize_oracle():
     rng = np.random.default_rng(41)
     gate = NoisyTopKGate(rng, 3, 6, 2)
     x = RNG.standard_normal((8, 3))
-    w, mask = gate.weights(Tensor(x), train=False)
+    w, mask, _ = gate.route(Tensor(x), train=False)
 
     # independent oracle: sort logits, keep top 2, softmax over survivors
     z = x @ gate.gate.w.data + gate.gate.b.data
@@ -799,9 +819,9 @@ def test_topk_eval_matches_sort_renormalize_oracle():
         keep = np.argsort(-z[b], kind="stable")[:2]
         e = np.exp(z[b][keep] - z[b][keep].max())
         want = e / e.sum()
-        assert np.allclose(w.data[b][keep], want, atol=1e-9)
+        assert np.allclose(w[b][keep], want, atol=1e-9)
         dropped = np.setdiff1d(np.arange(6), keep)
-        assert np.array_equal(w.data[b][dropped], np.zeros(4))
+        assert np.array_equal(w[b][dropped], np.zeros(4))
         assert np.array_equal(np.sort(np.nonzero(mask[b])[0]), np.sort(keep))
 
 
@@ -810,13 +830,11 @@ def test_topk_exactly_k_active_and_sum_one():
     gate = NoisyTopKGate(rng, 4, 7, 3)
     x = RNG.standard_normal((50, 4))
     for train in (False, True):
-        w, mask = gate.weights(
-            Tensor(x), train=train, rng=np.random.default_rng(1)
-        )
+        w, mask, _ = gate.route(Tensor(x), train=train, rng=np.random.default_rng(1))
         assert np.all(mask.sum(axis=1) == 3)
-        assert np.all((w.data > 0).sum(axis=1) <= 3)
-        assert np.allclose(w.data.sum(axis=1), 1.0, atol=1e-9)
-        assert np.allclose(w.data * (1 - mask), 0.0, atol=0.0)
+        assert np.all((w > 0).sum(axis=1) <= 3)
+        assert np.allclose(w.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(w * (1 - mask), 0.0, atol=0.0)
 
 
 def test_topk_tie_prefers_lower_index():
@@ -825,20 +843,20 @@ def test_topk_tie_prefers_lower_index():
     # force all logits identical: zero weights, equal biases
     gate.gate.w.data[:] = 0.0
     gate.gate.b.data[:] = 1.0
-    w, mask = gate.weights(Tensor(np.zeros((3, 2))), train=False)
+    w, mask, _ = gate.route(Tensor(np.zeros((3, 2))), train=False)
     assert np.array_equal(mask, np.tile([1.0, 1.0, 0.0, 0.0], (3, 1)))
-    assert np.allclose(w.data[:, :2], 0.5, atol=1e-12)
+    assert np.allclose(w[:, :2], 0.5, atol=1e-12)
 
 
 def test_topk_train_mode_uses_noise():
     rng = np.random.default_rng(44)
     gate = NoisyTopKGate(rng, 3, 5, 2)
     x = RNG.standard_normal((6, 3))
-    w0, _ = gate.weights(Tensor(x), train=False)
-    w1, _ = gate.weights(Tensor(x), train=True, rng=np.random.default_rng(9))
-    assert not np.allclose(w0.data, w1.data)
+    w0, _, _ = gate.route(Tensor(x), train=False)
+    w1, _, _ = gate.route(Tensor(x), train=True, rng=np.random.default_rng(9))
+    assert not np.allclose(w0, w1)
     with pytest.raises(ValueError, match="rng"):
-        gate.weights(Tensor(x), train=True)
+        gate.route(Tensor(x), train=True)
 
 
 def test_topk_dropped_modules_get_zero_gradient():
@@ -910,9 +928,9 @@ def test_topk_net_stacks():
     h = x
     for l, layer in enumerate(net.layers):
         h, w, m = layer.forward_mixed(h)
-        assert np.array_equal(w.data, res.probs[:, l, 0])
+        assert np.array_equal(w, res.probs[:, l, 0])
         assert np.all(m.sum(axis=1) == 2)
-        assert np.allclose(w.data.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(w.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_topk_net_protocol_matches_layer_walk_oracle():
@@ -931,7 +949,7 @@ def test_topk_net_protocol_matches_layer_walk_oracle():
         h, weights = Tensor(x), []
         for layer in net.layers:
             h, w, _ = layer.forward_mixed(h, train=train, rng=noise)
-            weights.append(w.data)
+            weights.append(w)
         ll = gaussian_log_density(constant(y), h).data
         return h.data, ll, np.stack(weights, axis=1)[:, :, None]
 

@@ -240,9 +240,9 @@ def test_benchmark_workloads_emit_every_counted_record_kind(monkeypatch):
     assert missing == {name: [] for name in per_step}
     assert per_step == {
         "toy-em": 7,
-        "two-regime-em": 9,
-        "two-regime-reinforce": 12,
-        "toy-noisy-topk": 9,
+        "two-regime-em": 8,
+        "two-regime-reinforce": 11,
+        "toy-noisy-topk": 8,
     }
 
 
@@ -437,9 +437,11 @@ def test_a_taped_objective_has_as_many_leaves_at_any_pool_size(monkeypatch, name
     assert leaves == len(task.parameters())
     kind, n_inputs, n_pool = records[0]
     if name == "toy_em":
-        assert (kind, n_inputs, n_pool) == ("pool-combine", 3, 1)
+        # the input and the pool; a controller's slot counts are plain weights
+        assert (kind, n_inputs, n_pool) == ("pool-combine", 2, 1)
     else:
-        # the inputs, the update and reset gates' weights and biases, the pool
+        # the embedding table, the update and reset gates' weights and
+        # biases, the pool
         assert (kind, n_inputs, n_pool) == ("modular-gru-unroll", 6, 1)
 
 
