@@ -3,9 +3,11 @@
 Unknown keys and invalid values fail fast with the offending field path,
 so a typo in a sweep file surfaces immediately instead of training the
 wrong thing.  Each leaf field states its own rule with ``rule(default,
-least=, above=, below=, choices=)``; a float must also be finite, and a
-bare ``rule(default)`` checks the type alone.  ``validate`` applies every
-field's rule in one loop, then the few rules that tie fields together.
+least=, above=, below=, choices=, kinds=)``; a float must also be finite,
+and a bare ``rule(default)`` checks the type alone.  Only the task or
+trainer ``kinds`` read a tagged field: others accept just its default, and
+``to_dict`` leaves it out.  ``validate`` applies every field's rule in one
+loop, then the few rules that tie one field's value to another's.
 """
 
 from __future__ import annotations
@@ -23,14 +25,17 @@ class ConfigError(Exception):
 
 
 _OPS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+TOY, RECURRENT = ("toy-regression",), ("two-regime-lm", "text-lm")
+TASK_KINDS = TOY + RECURRENT
 
 
 @dataclass(frozen=True)
 class Rule:
-    """One field's own constraint: ``(op, bound)`` limits, allowed choices."""
+    """One field's own constraint: ``(op, bound)`` limits, choices, reading kinds."""
 
     limits: tuple[tuple[str, float], ...] = ()
     choices: tuple[str, ...] | None = None
+    kinds: tuple[str, ...] | None = None
 
     def check(self, value, path: str) -> None:
         if self.choices is not None and value not in self.choices:
@@ -42,22 +47,26 @@ class Rule:
         if not ok:
             raise ConfigError(f"{path}: must be {text}, got {value}")
 
+    def reads(self, kinds) -> bool:  # no hashing: a stored header's kind may be a list
+        return self.kinds is None or any(k in kinds for k in self.kinds)
 
-def rule(default, least=None, above=None, below=None, choices=None):
-    """A field with ``default`` that must be >= least, > above, < below, in choices."""
+
+def rule(default, least=None, above=None, below=None, choices=None, kinds=None):
+    """A ``default`` >= least, > above, < below, in choices; only ``kinds`` set another value."""
     limits = tuple((op, b) for op, b in zip(_OPS, (least, above, below)) if b is not None)
-    return field(default=default, metadata={"rule": Rule(limits, choices)})
+    return field(default=default, metadata={"rule": Rule(limits, choices, kinds)})
 
 
 @dataclass
 class ArchitectureConfig:
-    n_layers: int = rule(1, least=1)
+    n_layers: int = rule(1, least=1, kinds=TOY)
     n_modules: int = rule(2, least=1)
-    n_slots: int = rule(1, least=1)
+    # a noisy top-k gate routes one slot, and a recurrent cell's modules are linear
+    n_slots: int = rule(1, least=1, kinds=("em", "reinforce", "static"))
     hidden: int = rule(8, least=1)
-    module_kind: str = rule("linear", choices=("linear", "linear-relu"))
-    embed_dim: int = rule(32, least=1)
-    topk: int = rule(4, least=1)
+    module_kind: str = rule("linear", choices=("linear", "linear-relu"), kinds=TOY)
+    embed_dim: int = rule(32, least=1, kinds=RECURRENT)
+    topk: int = rule(4, least=1, kinds=("noisy-topk",))
 
 
 @dataclass
@@ -65,35 +74,35 @@ class TrainerConfig:
     kind: str = rule("em", choices=("em", "reinforce", "noisy-topk", "static"))
     iterations: int = rule(1000, least=0)
     lr: float = rule(1e-3, above=0)
-    n_samples: int = rule(10, least=1)
+    n_samples: int = rule(10, least=1, kinds=("em",))
     m_steps: int = rule(15, least=1)
-    e_batch: int = rule(64, least=1)
+    e_batch: int = rule(64, least=1, kinds=("em",))
     batch: int = rule(64, least=1)
     clip_norm: float | None = rule(None, least=0)  # 0 disables clipping
-    samples_per_example: int = rule(1, least=1)
-    ema_decay: float = rule(0.99, above=0, below=1)
-    static_indices: list[int] | None = rule(None)
+    samples_per_example: int = rule(1, least=1, kinds=("reinforce",))
+    ema_decay: float = rule(0.99, above=0, below=1, kinds=("reinforce",))
+    static_indices: list[int] | None = rule(None, kinds=("static",))
 
 
 @dataclass
 class TaskConfig:
-    kind: str = rule("toy-regression", choices=("toy-regression", "two-regime-lm", "text-lm"))
+    kind: str = rule("toy-regression", choices=TASK_KINDS)
     # two-cluster regression
-    n: int = rule(2000, least=1)
-    dim: int = rule(2, least=1)
-    center: float = rule(2.0)
-    spread: float = rule(0.5)
-    scale_lo: float = rule(0.5)
-    scale_hi: float = rule(2.0)
+    n: int = rule(2000, least=1, kinds=TOY)
+    dim: int = rule(2, least=1, kinds=TOY)
+    center: float = rule(2.0, kinds=TOY)
+    spread: float = rule(0.5, kinds=TOY)
+    scale_lo: float = rule(0.5, kinds=TOY)
+    scale_hi: float = rule(2.0, kinds=TOY)
     # symbol-chain and text modelling
-    n_windows: int = rule(2000, least=1)
-    unroll: int = rule(20, least=1)
-    n_states: int = rule(6, least=2)
-    noise: float = rule(0.1, least=0, below=1)
-    path: str | None = rule(None)
-    mode: str = rule("char", choices=("char", "word"))
+    n_windows: int = rule(2000, least=1, kinds=("two-regime-lm",))
+    unroll: int = rule(20, least=1, kinds=RECURRENT)
+    n_states: int = rule(6, least=2, kinds=("two-regime-lm",))
+    noise: float = rule(0.1, least=0, below=1, kinds=("two-regime-lm",))
+    path: str | None = rule(None, kinds=("text-lm",))
+    mode: str = rule("char", choices=("char", "word"), kinds=("text-lm",))
     # word mode keeps <unk>, <eos> and at least one word
-    vocab_cap: int = rule(10_000, least=3)
+    vocab_cap: int = rule(10_000, least=3, kinds=("text-lm",))
 
 
 @dataclass
@@ -114,8 +123,8 @@ class ExperimentConfig:
     architecture: ArchitectureConfig = field(default_factory=ArchitectureConfig)
     diagnostics: DiagnosticsConfig = field(default_factory=DiagnosticsConfig)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    def to_dict(self) -> dict:  # the fields that its task and trainer kinds read
+        return project(dataclasses.asdict(self))
 
 
 def _fill(dc_type, data: dict, path: str):
@@ -173,36 +182,43 @@ def _coerce(value, ftype, path: str):
     raise TypeError(f"{path}: no rule for field type {ft!r}")
 
 
-def _check_fields(obj, prefix: str = "") -> None:
+def project(data: dict) -> dict:
+    """``data`` without the known fields that its task and trainer kinds do
+    not read; unknown keys and misshapen sections are left for ``_fill``."""
+    task, trainer = data.get("task", {}), data.get("trainer", {})
+    if not (isinstance(task, dict) and isinstance(trainer, dict)):
+        return data
+    kinds = (task.get("kind", TaskConfig.kind), trainer.get("kind", TrainerConfig.kind))
+    out = dict(data)
+    for f in fields(ExperimentConfig):
+        if f.type in _SECTIONS and isinstance(out.get(f.name), dict):
+            read = {g.name: g.metadata["rule"].reads(kinds) for g in fields(_SECTIONS[f.type])}
+            out[f.name] = {k: v for k, v in out[f.name].items() if read.get(k, True)}
+    return out
+
+
+def _check_fields(obj, kinds, prefix: str = "") -> None:
+    # a section's kind is its first field: checked before the fields tagged by it
     for f in fields(obj):
-        value = getattr(obj, f.name)
+        value, path = getattr(obj, f.name), prefix + f.name
         if f.type in _SECTIONS:
-            _check_fields(value, f"{prefix}{f.name}.")
+            _check_fields(value, kinds, path + ".")
+        elif value != f.default and not (tag := f.metadata["rule"]).reads(kinds.values()):
+            sort = "task" if set(tag.kinds) <= set(TASK_KINDS) else "trainer"
+            raise ConfigError(f"{path}: not read by {sort} kind {kinds[sort]}")
         elif value is not None:
-            f.metadata["rule"].check(value, prefix + f.name)
+            f.metadata["rule"].check(value, path)
 
 
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    _check_fields(cfg)
     t, tr, a = cfg.task, cfg.trainer, cfg.architecture
+    _check_fields(cfg, {"task": t.kind, "trainer": tr.kind})
     if t.scale_lo > t.scale_hi:
         raise ConfigError(
             f"task.scale_lo: must be <= task.scale_hi ({t.scale_hi}), got {t.scale_lo}"
         )
     if tr.kind == "noisy-topk" and a.topk > a.n_modules:
         raise ConfigError(f"architecture.topk: must lie in [1, {a.n_modules}], got {a.topk}")
-    if tr.kind == "noisy-topk" and a.n_slots != 1:
-        raise ConfigError(
-            f"architecture.n_slots: a noisy top-k gate routes a single slot, got {a.n_slots}"
-        )
-    if t.kind in ("two-regime-lm", "text-lm"):
-        if a.n_layers != 1:
-            raise ConfigError("architecture.n_layers: recurrent tasks use a single modular cell")
-        if a.module_kind != "linear":
-            raise ConfigError(
-                "architecture.module_kind: a recurrent cell's modules are linear; "
-                "it rectifies their sum"
-            )
     if t.kind == "text-lm" and not t.path:
         raise ConfigError("task.path: text modelling needs a corpus file")
     # the generator needs each state's likeliest successor to be its permutation's

@@ -24,10 +24,12 @@ from modnet.baselines import NoisyTopKTrainer, ReinforceTrainer, StaticTrainer
 from modnet.config import (
     ConfigError,
     ExperimentConfig,
+    TaskConfig,
     anchor_task_path,
     apply_overrides,
     check_resume_overrides,
     from_dict,
+    project,
     require_object,
 )
 from modnet.datasets import gen_toy_regression, gen_two_regime_sequences, load_text_data
@@ -83,9 +85,8 @@ class Task:
         self.inputs, self.targets = inputs, targets
         self.n_examples = len(inputs)
         self.n_choices = cfg.architecture.n_modules
-        self.unit_shape = (model.n_units(inputs), cfg.architecture.n_slots)
-        self._pattern = _static_pattern(cfg)
-        self._fixed_path = cfg.trainer.kind == "static"
+        self.unit_shape = (model.n_units(inputs), model.n_slots)
+        self._pattern = _static_pattern(cfg) if cfg.trainer.kind == "static" else None
 
     def parameters(self):
         return self.model.parameters()
@@ -132,7 +133,7 @@ class Task:
         return np.broadcast_to(self._pattern, (len(idx), *self.unit_shape))
 
     def _path(self, idx) -> np.ndarray | None:
-        return self.static_comps(idx) if self._fixed_path else None
+        return None if self._pattern is None else self.static_comps(idx)
 
     def probe(self, idx, rng):
         return self.model.probe(self.inputs[idx], rng, self._path(idx))
@@ -487,8 +488,8 @@ def resume_run(checkpoint_path: str, overrides: list[str], out_root: str) -> dic
     """
     check_resume_overrides(overrides)
     ckpt = read_checkpoint(checkpoint_path)
-    raw = apply_overrides(ckpt.config, overrides) if overrides else ckpt.config
-    cfg = from_dict(raw)
+    # a header may hold fields its kinds never read: to_dict once kept them
+    cfg = from_dict(apply_overrides(project(ckpt.config), overrides))
     if not any(o.split("=", 1)[0] == "out_dir" for o in overrides):
         cfg.out_dir = None
         out_dir = resolve_out_dir(cfg, out_root, tag="-resume")
@@ -551,7 +552,10 @@ def emit_sweep(grid_path: str, out_root: str) -> dict:
     for i, combo in enumerate(settings):
         data = apply_overrides(base, [f"{k}={json.dumps(v)}" for k, v in combo.items()])
         data["out_dir"] = os.path.join(sweep_dir, f"combo-{i:03d}")
-        from_dict(data)  # every combination validates before any is written
+        try:  # every combination validates before any is written
+            from_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"combo-{i:03d} {json.dumps(combo)}: {exc}") from None
         configs.append(data)
     os.makedirs(sweep_dir, exist_ok=True)
     entries = []
@@ -581,7 +585,7 @@ def evaluate_checkpoint(
             f"mode: expected most-likely-composition or enumerate-marginal, got {mode!r}"
         )
     ckpt = read_checkpoint(checkpoint_path)
-    cfg = data_cfg = from_dict(ckpt.config)
+    cfg = data_cfg = from_dict(project(ckpt.config))
     streams = SeedStreams(cfg.seed)
     if dataset_spec == "train":
         data = build_dataset(cfg, streams)
@@ -593,14 +597,14 @@ def evaluate_checkpoint(
             raise ConfigError(f"{unknown[0]}: unknown dataset spec field")
         # a relative corpus path is read against the spec's own directory
         anchor_task_path(spec, os.path.dirname(os.path.abspath(dataset_spec)))
+        base = cfg.to_dict()
+        task = spec.get("task", base["task"])
+        kind = task.get("kind", TaskConfig.kind) if isinstance(task, dict) else cfg.task.kind
+        if kind != cfg.task.kind:  # before the kind's fields meet another kind's rules
+            raise ConfigError(f"task.kind: the checkpoint models {cfg.task.kind!r}, got {kind!r}")
         # the checkpoint's config with the spec's task and seed, validated as one
-        data_cfg = from_dict(
-            dict(ckpt.config, task=spec.get("task", ckpt.config["task"]),
-                 seed=spec.get("seed", cfg.seed))
-        )
+        data_cfg = from_dict(dict(base, task=task, seed=spec.get("seed", cfg.seed)))
         want, got = cfg.task, data_cfg.task
-        if got.kind != want.kind:
-            raise ConfigError(f"task.kind: the checkpoint models {want.kind!r}, got {got.kind!r}")
         # the task field that sets the model's input size, where one does
         key = {"toy-regression": "dim", "two-regime-lm": "n_states"}.get(want.kind)
         if key and getattr(got, key) != getattr(want, key):

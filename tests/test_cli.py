@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from modnet.cli import main
+from modnet.config import ExperimentConfig
 from modnet.em import EMTrainer
 
 
@@ -530,10 +532,73 @@ def test_checkpoint_with_a_combine_field_is_exit_2(
     assert not (tmp_path / "root").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "resume"])
+@pytest.mark.parametrize(
+    "path,value,message",
+    [("task", 5, "an object"), ("trainer", [1], "an object"),
+     ("task.kind", [1], "a string"), ("trainer.kind", {"em": 1}, "a string")],
+)
+def test_a_header_whose_kinds_are_misshapen_is_exit_2(
+    tmp_path, capsys, monkeypatch, mid_checkpoint, command, path, value, message
+):
+    # the header loses the fields its kinds do not read before it validates
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "root"))
+    config = rewrite_header(mid_checkpoint, os.devnull)["config"]
+    section, _, leaf = path.rpartition(".")
+    (config[section] if section else config)[leaf] = value
+    bad = str(tmp_path / "bad.ckpt")
+    rewrite_header(mid_checkpoint, bad, config=config)
+    assert main([command, bad] + (["train"] if command == "eval" else [])) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}: expected {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "root").exists()
+
+
+def test_a_header_with_fields_its_kinds_never_read_resumes_and_evaluates_alike(
+    tmp_path, capsys, monkeypatch
+):
+    # headers once held every config field, an EM run's topk among them
+    def every_field(cfg):
+        return dict(dataclasses.asdict(cfg), architecture=dict(
+            dataclasses.asdict(cfg.architecture), topk=2))
+
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "root"))
+    cfg = write_config(tmp_path, diagnostics={"probe_size": 32, "checkpoint_interval": 2})
+    seen = {}
+    for form in ("read", "every"):
+        with monkeypatch.context() as patch:
+            if form == "every":
+                patch.setattr(ExperimentConfig, "to_dict", every_field)
+            assert main(["run", cfg, "--set", f"out_dir={tmp_path / form}"]) == 0
+        mid = tmp_path / form / "checkpoints" / "step-000002.ckpt"
+        header = rewrite_header(mid, os.devnull)["config"]
+        resumed = tmp_path / f"{form}-resumed"
+        assert main(["resume", str(mid), "--set", f"out_dir={resumed}"]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(mid), "train"]) == 0
+        seen[form] = (
+            sum(len(v) if isinstance(v, dict) else 1 for v in header.values()),
+            "topk" in header["architecture"],
+            (resumed / "metrics.jsonl").read_bytes(),
+            (resumed / "checkpoints" / "final.ckpt").read_bytes(),
+            capsys.readouterr().out,
+        )
+    assert seen["every"][:2] == (39, True) and seen["read"][:2] == (27, False)
+    assert seen["every"][2:] == seen["read"][2:]
+
+
 @pytest.fixture(scope="module")
 def two_regime_checkpoint(tmp_path_factory):
     root = tmp_path_factory.mktemp("two-regime")
     cfg = write_config(root, task={"kind": "two-regime-lm", "n_windows": 16, "unroll": 4})
+    assert main(["run", cfg, "--set", f"out_dir={root / 'out'}"]) == 0
+    return str(root / "out" / "checkpoints" / "final.ckpt")
+
+
+@pytest.fixture(scope="module")
+def two_layer_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("two-layer")
+    cfg = write_config(root, architecture={"n_layers": 2, "n_modules": 2, "hidden": 3})
     assert main(["run", cfg, "--set", f"out_dir={root / 'out'}"]) == 0
     return str(root / "out" / "checkpoints" / "final.ckpt")
 
@@ -912,11 +977,22 @@ HOSTILE_JSON = {
                     trainer={"kind": "noisy-topk", "iterations": 3}),
         "architecture.n_slots",
     ),
+    # the base sets no field that only one of the swept kinds reads, so the
+    # first three combinations validate and the fourth is refused
     "sweep-noisy-topk-several-slots": (
+        "sweep",
+        {"base": tiny_config(architecture={"n_modules": 4},
+                             trainer={"iterations": 3, "m_steps": 2, "batch": 16}),
+         "axes": {"trainer.kind": ["em", "noisy-topk"], "architecture.n_slots": [1, 3]}},
+        'combo-003 {"architecture.n_slots": 3, "trainer.kind": "noisy-topk"}: '
+        "architecture.n_slots: not read by trainer kind noisy-topk",
+    ),
+    "sweep-kind-axis-over-a-field-one-kind-reads": (
         "sweep",
         {"base": tiny_config(architecture={"n_modules": 2, "topk": 1}),
          "axes": {"trainer.kind": ["em", "noisy-topk"], "architecture.n_slots": [1, 3]}},
-        "architecture.n_slots",
+        'combo-000 {"architecture.n_slots": 1, "trainer.kind": "em"}: '
+        "architecture.topk: not read by trainer kind em",
     ),
     "run-recurrent-relu-modules": (
         "run",
@@ -933,13 +1009,22 @@ HOSTILE_JSON = {
     "eval-other-task-kind": (
         "eval", {"task": {"kind": "two-regime-lm", "n_windows": 8}}, "task.kind"
     ),
+    # the kinds are compared before the checkpoint's n_layers meets the spec's kind
+    "eval-other-task-kind-two-layers": (
+        "eval",
+        {"task": {"kind": "two-regime-lm", "n_windows": 8}},
+        "task.kind: the checkpoint models 'toy-regression', got 'two-regime-lm'",
+    ),
     "eval-other-dim": ("eval", {"task": {"kind": "toy-regression", "n": 8, "dim": 3}}, "task.dim"),
     "eval-other-n-states": (
         "eval", {"task": {"kind": "two-regime-lm", "n_windows": 8, "n_states": 3}}, "task.n_states"
     ),
 }
-# cases scored against a checkpoint of another task than the toy one
-HOSTILE_CHECKPOINT = {"eval-other-n-states": "two_regime_checkpoint"}
+# cases scored against a checkpoint other than the one-layer toy one
+HOSTILE_CHECKPOINT = {
+    "eval-other-n-states": "two_regime_checkpoint",
+    "eval-other-task-kind-two-layers": "two_layer_checkpoint",
+}
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_JSON))

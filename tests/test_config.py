@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 from dataclasses import fields
 
 import pytest
@@ -16,11 +17,20 @@ from modnet.config import (
     check_resume_overrides,
     from_dict,
     load_config,
+    project,
 )
-from modnet.runner import _effective_clip
+from modnet.runner import (
+    _effective_clip,
+    build_dataset,
+    build_model,
+    build_task,
+    execute_run,
+)
+from modnet.seeding import SeedStreams
 
 TOY_EM = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "toy_em.json")
 TIDES = os.path.join(os.path.dirname(__file__), os.pardir, "data", "tides.txt")
+SHIPPED = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def test_empty_config_yields_defaults():
@@ -91,18 +101,18 @@ def test_type_errors_are_rejected_with_path():
           "architecture": {"n_layers": 2}}, "n_layers"),
         ({"task": {"kind": "text-lm"}}, "task.path"),
         ({"task": {"kind": "two-regime-lm", "n_states": 1}}, "n_states"),
-        ({"task": {"noise": 1.0}}, "task.noise"),
+        ({"task": {"kind": "two-regime-lm", "noise": 1.0}}, "task.noise"),
         ({"trainer": {"iterations": -1}}, "iterations"),
         ({"trainer": {"e_batch": 0}}, "must be >= 1"),
-        ({"trainer": {"ema_decay": 1.0}}, "ema_decay"),
-        ({"trainer": {"samples_per_example": 0}}, "samples_per_example"),
-        ({"trainer": {"static_indices": [0, 1]}}, "static_indices"),
-        ({"trainer": {"static_indices": [5]}}, "static_indices"),
+        ({"trainer": {"kind": "reinforce", "ema_decay": 1.0}}, "ema_decay"),
+        ({"trainer": {"kind": "reinforce", "samples_per_example": 0}}, "samples_per_example"),
+        ({"trainer": {"kind": "static", "static_indices": [0, 1]}}, "static_indices"),
+        ({"trainer": {"kind": "static", "static_indices": [5]}}, "static_indices"),
         ({"diagnostics": {"interval": 0}}, "diagnostics"),
         ({"diagnostics": {"checkpoint_interval": -2}}, "checkpoint_interval"),
         ({"trainer": {"n_samples": 0}}, "must be >= 1"),
         ({"trainer": {"m_steps": 0}}, "must be >= 1"),
-        ({"trainer": {"ema_decay": 0.0}}, "ema_decay"),
+        ({"trainer": {"kind": "reinforce", "ema_decay": 0.0}}, "ema_decay"),
         # optional fields are checked against their annotations
         ({"trainer": {"static_indices": 1.5}}, "trainer.static_indices: expected a list"),
         ({"trainer": {"static_indices": [True]}}, "trainer.static_indices: expected a list"),
@@ -150,6 +160,23 @@ def test_type_errors_are_rejected_with_path():
         # past (n_states - 1) / n_states the two-regime generator redrew its tables forever
         ({"task": {"kind": "two-regime-lm", "noise": 0.9}}, "task.noise: must be < "),
         ({"task": {"kind": "two-regime-lm", "n_states": 2, "noise": 0.5}}, "task.noise"),
+        # each bound under a kind that reads its field, so the bound itself refuses
+        ({"task": {"kind": "two-regime-lm", "noise": -0.1}},
+         "task.noise: must be a finite number >= 0 and < 1, got -0.1"),
+        ({"trainer": {"kind": "reinforce", "ema_decay": 1.0}},
+         "trainer.ema_decay: must be a finite number > 0 and < 1, got 1.0"),
+        ({"trainer": {"kind": "reinforce", "ema_decay": 0.0}},
+         "trainer.ema_decay: must be a finite number > 0 and < 1, got 0.0"),
+        ({"trainer": {"kind": "reinforce", "samples_per_example": 0}},
+         "trainer.samples_per_example: must be >= 1, got 0"),
+        # the three rules these tags replaced name the field and the kind
+        ({"task": {"kind": "two-regime-lm"}, "architecture": {"n_layers": 2}},
+         "architecture.n_layers: not read by task kind two-regime-lm"),
+        ({"task": {"kind": "text-lm", "path": "c.txt"},
+          "architecture": {"module_kind": "linear-relu"}},
+         "architecture.module_kind: not read by task kind text-lm"),
+        ({"trainer": {"kind": "noisy-topk"}, "architecture": {"topk": 1, "n_slots": 3}},
+         "architecture.n_slots: not read by trainer kind noisy-topk"),
     ],
 )
 def test_validation_rejects_bad_combinations(patch, needle):
@@ -173,7 +200,9 @@ def test_zero_clip_norm_validates_and_disables_clipping():
 
 def test_load_config_reads_file_and_applies_overrides(tmp_path):
     path = tmp_path / "exp.json"
-    path.write_text('{"seed": 3, "trainer": {"lr": 0.5}}')
+    path.write_text(json.dumps(
+        {"seed": 3, "task": {"kind": "text-lm", "path": "c.txt"}, "trainer": {"lr": 0.5}}
+    ))
     cfg = load_config(str(path), overrides=["trainer.lr=0.25", "seed=8",
                                             "task.mode=word"])
     assert cfg.seed == 8
@@ -307,6 +336,12 @@ def _outside(f: dataclasses.Field) -> st.SearchStrategy:
     return st.one_of(bad)
 
 
+# a shipped config whose task or trainer kind reads the fields tagged with it
+KIND_CONFIG = {"toy-regression": "toy_em", "two-regime-lm": "two_regime_em",
+               "text-lm": "text_char_em", "em": "toy_em", "reinforce": "toy_reinforce",
+               "noisy-topk": "toy_noisy_topk", "static": "toy_static"}
+
+
 @pytest.mark.parametrize("path", sorted(LEAVES))
 @settings(max_examples=6, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -316,11 +351,15 @@ def test_any_value_outside_a_field_rule_is_exit_2_naming_the_field(
 ):
     value = data.draw(_outside(LEAVES[path]))
     monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "runs"))
+    tag = LEAVES[path].metadata["rule"].kinds
+    config = os.path.join(SHIPPED, f"{KIND_CONFIG[tag[0] if tag else 'em']}.json")
     # one iteration, so a hole shows as a quick exit 0 rather than a long run
-    argv = ["run", TOY_EM, "--set", "trainer.iterations=1", "--set", f"{path}={json.dumps(value)}"]
+    argv = ["run", config, "--set", "trainer.iterations=1", "--set", f"{path}={json.dumps(value)}"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"config error: {path}: " in err and "Traceback" not in err
+    # the field's own rule refuses it, not the refusal of a field its kinds do not read
+    assert re.search(f"config error: {re.escape(path)}: (expected|must be) ", err), err
+    assert "Traceback" not in err
     assert not (tmp_path / "runs").exists()
 
 
@@ -355,9 +394,9 @@ def _inside(path: str, f: dataclasses.Field) -> st.SearchStrategy:
 
 @st.composite
 def _small_configs(draw, task_kind, trainer_kind):
-    """Each field keeps its smallest value or, one time in four, draws
-    another within its rule, so most draws pass the cross-field rules;
-    training is one iteration of one M-step."""
+    """Each field the two kinds read keeps its smallest value or, one time
+    in four, draws another within its rule, so most draws pass the
+    cross-field rules; training is one iteration of one M-step."""
     cfg = {"task": {"kind": task_kind}, "trainer": {"kind": trainer_kind}}
     for path, f in LEAVES.items():
         if path in ("task.kind", "trainer.kind"):
@@ -366,7 +405,7 @@ def _small_configs(draw, task_kind, trainer_kind):
         section, _, name = path.rpartition(".")
         (cfg.setdefault(section, {}) if section else cfg)[name] = value
     cfg["trainer"].update(iterations=1, m_steps=1)
-    return cfg
+    return project(cfg)
 
 
 @pytest.mark.parametrize("trainer_kind", LEAVES["trainer.kind"].metadata["rule"].choices)
@@ -387,3 +426,94 @@ def test_any_config_within_the_field_rules_is_refused_or_runs(
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path)]) in (0, 3), capsys.readouterr().err
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# fields by kind: a field that the run's task and trainer kinds do not read
+# takes only its default, and the stored config leaves it out
+
+TASK_KINDS = LEAVES["task.kind"].metadata["rule"].choices
+TRAINER_KINDS = LEAVES["trainer.kind"].metadata["rule"].choices
+
+
+def _other(path: str, f: dataclasses.Field):
+    """A value that keeps ``f``'s rule and is not its default."""
+    r = f.metadata["rule"]
+    if r.choices is not None:
+        return next(c for c in r.choices if c != f.default)
+    if f.default is None:
+        return TIDES if path == "task.path" else [1]
+    return f.default + 1 if f.type == "int" else f.default / 2
+
+
+@pytest.mark.parametrize("trainer_kind", TRAINER_KINDS)
+@pytest.mark.parametrize("task_kind", TASK_KINDS)
+def test_fields_left_out_of_the_stored_config_change_no_metric(tmp_path, task_kind, trainer_kind):
+    # a misspelt kind in a tag would make its field unsettable under every kind
+    for path, f in LEAVES.items():
+        tag = f.metadata["rule"].kinds
+        assert tag is None or set(tag) <= set(TASK_KINDS) or set(tag) <= set(TRAINER_KINDS), path
+    task = {"toy-regression": {"n": 16}, "two-regime-lm": {"n_windows": 8, "unroll": 4},
+            "text-lm": {"path": TIDES, "unroll": 40}}[task_kind]
+    cfg = from_dict(project({
+        "task": {"kind": task_kind, **task},
+        "architecture": {"hidden": 3, "embed_dim": 3, "topk": 1},
+        "trainer": {"kind": trainer_kind, "iterations": 2, "m_steps": 1, "batch": 4,
+                    "e_batch": 4, "n_samples": 2},
+        "diagnostics": {"probe_size": 4},
+    }))
+    stored = cfg.to_dict()
+    unread = {}
+    for path, f in LEAVES.items():
+        section, _, name = path.rpartition(".")
+        if name not in (stored[section] if section else stored):
+            unread.setdefault(section, {})[name] = _other(path, f)
+    assert unread and "" not in unread  # only section fields depend on the kinds
+    # replace() skips the refusal that from_dict applies to these values
+    changed = dataclasses.replace(cfg, **{
+        section: dataclasses.replace(getattr(cfg, section), **values)
+        for section, values in unread.items()
+    })
+    for run, c in (("defaults", cfg), ("changed", changed)):
+        execute_run(c, str(tmp_path / run))
+    metrics = [(tmp_path / run / "metrics.jsonl").read_bytes() for run in ("defaults", "changed")]
+    assert metrics[0] == metrics[1], unread
+    assert changed.to_dict() == stored
+    # a gated model routes one slot, whatever architecture.n_slots holds
+    shapes = []
+    for c in (cfg, changed):
+        streams = SeedStreams(c.seed)
+        data = build_dataset(c, streams)
+        shapes.append(build_task(c, build_model(c, data, streams), data).unit_shape)
+    assert shapes[0] == shapes[1]
+
+
+@pytest.mark.parametrize(
+    "config,override,message",
+    [
+        ("toy_em_smoke", "task.unroll=5", "task.unroll: not read by task kind toy-regression"),
+        ("two_regime_em_smoke", "task.center=3",
+         "task.center: not read by task kind two-regime-lm"),
+        ("text_char_em", "task.n_windows=8", "task.n_windows: not read by task kind text-lm"),
+        ("toy_em_smoke", "trainer.ema_decay=0.5", "trainer.ema_decay: not read by trainer kind em"),
+        ("toy_reinforce", "trainer.n_samples=3",
+         "trainer.n_samples: not read by trainer kind reinforce"),
+        ("toy_noisy_topk", "architecture.n_slots=2",
+         "architecture.n_slots: not read by trainer kind noisy-topk"),
+        ("toy_static", "architecture.topk=1", "architecture.topk: not read by trainer kind static"),
+    ],
+)
+def test_a_field_the_kinds_do_not_read_is_exit_2_naming_field_and_kind(
+    tmp_path, capsys, monkeypatch, config, override, message
+):
+    monkeypatch.setenv("MODNET_RUNS", str(tmp_path / "runs"))
+    assert main(["run", os.path.join(SHIPPED, f"{config}.json"), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+    # its default is accepted, as the shipped configs spell some out
+    name = override.split("=")[0]
+    section, _, leaf = name.rpartition(".")
+    default = LEAVES[name].default
+    cfg = load_config(os.path.join(SHIPPED, f"{config}.json"), [f"{name}={json.dumps(default)}"])
+    assert leaf not in cfg.to_dict()[section]

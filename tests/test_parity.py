@@ -22,11 +22,11 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 PINNED = {
     "toy_em_smoke": (
         "e98c8503daf975d39da1692fb9377046720c58066b49154f48bb64b1004d3665",
-        "366abf951fce057c620dc25171dae964db243ac793aa75e8f8c23dd306a7d4c7",
+        "92c8c51947181cc88a80e480ac1ee932b65c3dd067e99173aa463f77dc1cb37e",
     ),
     "two_regime_em_smoke": (
         "a37294a49fe2072460ce2190c83540f24d60446b6341f9f69d6d1063a972f426",
-        "0cc57646ff3912f416c54b2a3a27fc64f943f43ed9fe4be164664251b76be677",
+        "81b01d87cbae596d3a00d874613b5f8568b85cfbadfbfa9fd7e5198ef0fdc749",
     ),
 }
 
@@ -41,14 +41,14 @@ SHORT_RUNS = {
     "toy_reinforce": (
         20,
         "1ef9e39f72644b7187505f17280d8c2a865fb91a1486449245af9430faa7b5a9",
-        "337124edc7adfd14b8b42b783fedda5758298ce8973f82fcf4b3d2b4261bd847",
+        "d5e4b79398c347b787f4ea18926b3e28b0f297c8624105377891f81cdb9fe6d0",
     ),
     # 32 modules: sample_rows draws against 31 inner boundaries built by
     # cumsum, where the two-module runs take the single comparison
     "toy_reinforce/m32": (
         20,
         "fe1d6b9f72d441aa83c47f434f60b6b976967c76fddf8e04fb3d03e9072e3ff9",
-        "2e5611129a39fe0bec3485d2f2c2e1635f817ac25cf682d99397499c4366e323",
+        "638e62f1b68bd2ba84f76fb0e7546baa68d0e9c397548de89fe2511801437806",
         "architecture.n_modules=32",
     ),
     # unused modules, a module picked by both slots of a row, and the relu
@@ -56,7 +56,7 @@ SHORT_RUNS = {
     "toy_em/m8_two_slots_relu": (
         20,
         "6226955d02be55df7a31372249e67cc7263d296108b05676bd615ca6ad85acd5",
-        "b723a1fa0fa0abb737c68ae4403561a27f4c533284b84f621df3e765809b4bae",
+        "e646dd2237fa68396e1e645b7c4652dbc662a7e5efc684def38af6ae58159eb4",
         "architecture.n_modules=8",
         "architecture.n_slots=2",
         "architecture.n_layers=2",
@@ -65,19 +65,19 @@ SHORT_RUNS = {
     "toy_static": (
         20,
         "76dda18179c1fb992d509078ecf0687fcb69f67f64d84c1e0a436114392390ee",
-        "fd3736004153d4addfa25a02d1e8f94b423f90146dcb628105232db0a8ce1cbe",
+        "a6500b2621e3625610a0620f7a6fcee07e22d1aa9082e784446895da0b7f252c",
     ),
     "toy_noisy_topk": (
         20,
         "841db87e2394623db320a7f86dca8a642f1422601c66927b8069a0f8c52964ac",
-        "4431462eccbf46adcddcb540133843f8b7947d6ed57c801960fa7d816b2a654c",
+        "7d95a5a4fa55956423a34ec235a7d7cebfa294cf9c0cc2f69a93a7fea3866d00",
     ),
     # three gated layers of rectified modules: each layer's input gradient
     # joins the pool's term with both gate maps' through ModulePool.select
     "toy_noisy_topk/three_layers_relu": (
         20,
         "4c777573b24c474b53d82e640777e9181ff6e8e1a61bbf33936f591e5323c467",
-        "05aeb35ae33cf5c9f906c1b641df27963755a5d587ad512c0b315a29aa79c533",
+        "0579b817454d84c8107addf3acd4673066d54a2aaeba13197df38b69c7d4528c",
         "architecture.n_layers=3",
         "architecture.hidden=4",
         "architecture.module_kind=linear-relu",
@@ -85,26 +85,26 @@ SHORT_RUNS = {
     "two_regime_reinforce": (
         3,
         "eaa9d9390e0213c2a725c9eff7796b4befb59f8844fdf22e8d2ded7583317678",
-        "26267ca3d359de169abc8b881f0b09b74bcc2776b92d5209ec1f31a6a104925c",
+        "3a2251130aea8c88592658802de754fd309b1f69dc926705fa440e474e5c1f31",
     ),
     # eight modules under two slots: the default clip norm of 5.0 fires on
     # every gradient step, adding one sum per module weight and bias
     "two_regime_reinforce/m8_two_slots_clipped": (
         3,
         "e300bbffc84f30e62bad5636e1c61c53bb3675d791b5a517fb55ecf06433297d",
-        "c61437d55f6127b63660223e14c49eea3925b211295c9d3cce0f5efdba5c0b55",
+        "a9a73827683c26c493e84377ee7cf3ba5e634fb8eab2f0973940cfdf69ec478c",
         "architecture.n_modules=8",
         "architecture.n_slots=2",
     ),
     "two_regime_static": (
         3,
         "05d5874d32a07fff09b7cbb5d28be6d41c7a0467732c708868b3951192f56f33",
-        "6781ced11828b1f19a7a72197b211a2be95ad5206395cc2369778d0600df454a",
+        "c7ea19c2a87e493feda3dc1fabf6d9ab5e7f8ee52b1a22ddd3ba2441228a3bdd",
     ),
     "two_regime_noisy_topk": (
         3,
         "badbda20483238a9638111305ec86dca8d7a5148a8e5ce965b06ba6b5b53e202",
-        "43d2925ccfc2dfab3fbaca43a517932259b70a29298f96e68724f6b7f95fccf6",
+        "f04e556e501fdef00b06371db5172f967cec60676ed4d5ad3c5e53702ac234e3",
     ),
     # the only run whose unroll reads a real character vocabulary
     "text_char_em": (

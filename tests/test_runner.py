@@ -13,7 +13,7 @@ import modnet.gru as gru_mod
 import modnet.modular as modular_mod
 from modnet.autodiff import Tape, mean_all
 from modnet.baselines import NoisyTopKTrainer, ReinforceTrainer, StaticTrainer
-from modnet.config import from_dict, load_config
+from modnet.config import from_dict, load_config, project
 from modnet.em import EMTrainer
 from modnet.modular import ModularNet, NoisyTopKNet, enumerate_compositions
 from modnet.gru import ModularGruLM
@@ -326,14 +326,15 @@ def test_resume_stitches_noisy_topk_sequence_at_top_2(tmp_path):
 
 
 def assert_resume_stitches(tmp_path, task, trainer, arch):
-    # out_dir stays unset, so the resumed run's config equals the original's
-    cfg = from_dict({
+    # out_dir stays unset, so the resumed run's config equals the original's;
+    # each pair keeps only the fields its kinds read
+    cfg = from_dict(project({
         "task": task,
         "architecture": {**arch, "hidden": 4, "embed_dim": 4},
         "trainer": {"kind": trainer, "iterations": 5, "m_steps": 2, "batch": 8,
                     "e_batch": 8, "n_samples": 2},
         "diagnostics": {"probe_size": 8, "checkpoint_interval": 2},
-    })
+    }))
     full = execute_run(cfg, str(tmp_path / "full"))
     first = full["checkpoints"][0]
     assert os.path.basename(first) == "step-000002.ckpt"
@@ -414,9 +415,8 @@ def test_a_taped_objective_has_as_many_leaves_at_any_pool_size(monkeypatch, name
     # weight and a bias per module
     seen = {}
     for n_modules in (2, 32):
-        _, streams, task = build_config(
-            name, [f"architecture.n_modules={n_modules}", "task.n=64", "task.n_windows=16"]
-        )
+        size = "task.n=64" if name == "toy_em" else "task.n_windows=16"
+        _, streams, task = build_config(name, [f"architecture.n_modules={n_modules}", size])
         idx = np.arange(8)
         comps = task.sample_comps(idx, streams["estep"])
         model = task.model
@@ -463,7 +463,9 @@ def test_an_iteration_frees_every_tape_it_made(monkeypatch, name):
     # a pullback that holds a Tensor holds its tape, in a cycle that only
     # the cycle collector frees: with it off, every tape must be gone once
     # the iteration returns
-    cfg, streams, task = build_config(name, ["task.n=128", "task.n_windows=32"])
+    # each config's own dataset size field; the text corpus keeps its length
+    size = {"toy": ["task.n=128"], "two": ["task.n_windows=32"]}.get(name.split("_")[0], [])
+    cfg, streams, task = build_config(name, size)
     trainer = build_trainer(cfg, task, streams)
     tapes, true_init = [], Tape.__init__
 
