@@ -260,15 +260,21 @@ def anchor_task_path(data: dict, anchor_dir: str) -> dict:
     return data
 
 
-def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object, a ``what``, in the file at ``path``; any failure to
+    read one is a ConfigError that names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    require_object(data, f"{path}: config root")
+    return require_object(data, f"{path}: {what}")
+
+
+def load_config(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
+    data = read_json_object(path, "config root")
     if overrides:
         data = apply_overrides(data, overrides)
     anchor_task_path(data, os.path.dirname(os.path.abspath(path)))

@@ -19,8 +19,8 @@ states and [h, x] rows, then the output head on the states (and
 ``ModularGruLM``'s controller heads on the [h, x] rows) scoring every
 step at once: a ``matmul`` per head and one ``categorical-head`` record
 that also sums each window's steps.  Untaped, each step is scored as it
-goes and only the running state and one step's embeddings are kept,
-since evaluation unrolls every window at once.
+goes, into a buffer summed as the head sums, and only the running state
+and one step's embeddings are kept: evaluation unrolls every window at once.
 
 No step builds a ``Tensor``: module dispatch, the candidate's rectifier,
 the BPTT loop and an untaped rollout's per-step scoring (one log-softmax
@@ -87,17 +87,9 @@ from modnet.modular import (
     NoisyTopKGate,
     RolloutResult,
     Routing,
+    checked_ids,
     slot_counts,
 )
-
-
-def _checked_ids(ids: np.ndarray, n: int, what: str) -> np.ndarray:
-    """``ids``, refused with ``ShapeError`` unless they are integers in [0, n)."""
-    if ids.dtype.kind not in "iu":
-        raise ShapeError(f"{what} ids must be integers")
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise ShapeError(f"{what} id out of range [0, {n}): min={ids.min()}, max={ids.max()}")
-    return ids
 
 
 class ModularGruCell:
@@ -172,7 +164,7 @@ class ModularGruCell:
         td, ids = constant(table).data, np.asarray(tokens)
         if ids.ndim != 2 or len(ids) != batch or td.ndim != 2 or td.shape[1] != self.in_dim:
             raise ShapeError(f"unroll tokens {ids.shape}, table {td.shape}, state {h0.shape}")
-        steps = _checked_ids(ids, len(td), "token").shape[1]
+        steps = checked_ids(ids, len(td), "token").shape[1]
         gate_w = np.concatenate([self.update.w.data, self.reset.w.data], axis=1)
         gate_b = np.concatenate([self.update.b.data, self.reset.b.data])
         fixed = not callable(select)
@@ -390,7 +382,7 @@ class _GruLM:
             )
         if active_tape() is not None and targets is None:
             raise ValueError("a taped rollout needs targets")
-        return tokens, None if targets is None else _checked_ids(targets, self.vocab, "target")
+        return tokens, None if targets is None else checked_ids(targets, self.vocab, "target")
 
     def _scored_unroll(self, tokens, targets, select):
         """Unroll the cell over a (batch, steps) token block with
@@ -398,25 +390,24 @@ class _GruLM:
 
         Returns the summed log-likelihoods (batch,), the per-token ones
         (batch, steps), both None without targets, and under a tape the
-        unroll's [h, x] rows (else None).
+        unroll's [h, x] rows (else None).  Both ways sum each window's
+        time-major (steps, batch) values over the steps in order.
         """
         batch, steps = tokens.shape
         h0 = np.zeros((batch, self.cell.hidden))
         if active_tape() is None:
-            pred_ll = None if targets is None else np.empty((batch, steps))
-            total = [None]
+            ll = None if targets is None else np.empty((steps, batch))
 
             def visit(t, h):
-                ll = log_softmax_pick(self.out(h), targets[:, t])
-                pred_ll[:, t] = ll
-                total[0] = ll if total[0] is None else total[0] + ll
+                ll[t] = log_softmax_pick(self.out(h), targets[:, t])
 
             # one step's embeddings at a time: evaluation unrolls every window at once
-            self.cell.unroll(self.embed, tokens, select, h0, None if targets is None else visit)
-            return None if total[0] is None else Tensor(total[0]), pred_ll, None
+            self.cell.unroll(self.embed, tokens, select, h0, None if ll is None else visit)
+            if ll is None:
+                return None, None, None
+            return Tensor(ll.sum(axis=0)), ll.T.copy(), None
 
-        # rows are time-major (t * batch + b); the head sums each window's
-        # steps in the same order as above
+        # rows are time-major (t * batch + b), as the buffer above
         h_rows, hx_rows = self.cell.unroll(self.embed, tokens, select, h0)
         product = matmul(h_rows, self.out.w)
         cond, ll = categorical_head([product], [self.out.b], targets.T[..., None])
@@ -485,9 +476,6 @@ class ModularGruLM(_GruLM, ModularModel):
 class NoisyTopKGruLM(_GruLM, MixtureModel):
     """Same backbone as the modular model, its cell routed by a noisy
     top-k gate."""
-
-    def __init__(self, rng, vocab, embed_dim, hidden, n_modules, k: int):
-        super().__init__(rng, vocab, embed_dim, hidden, n_modules, topk=k)
 
     def rollout(
         self,

@@ -10,7 +10,8 @@ The models form a grid: a feedforward stack (``_Stack``) or a GRU
 language model (``gru._GruLM``), under the controller protocol
 (``ModularModel``) or the mixture protocol (``MixtureModel``).  Each
 concrete model writes only its ``rollout``; both controller-routed ones
-take the same ``Routing`` step at every unit, a layer or a timestep.
+take the same ``Routing`` step at every unit, a layer or a timestep, and
+both feedforward ones score targets with ``gaussian_log_density``.
 """
 
 from __future__ import annotations
@@ -176,13 +177,13 @@ def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (ut >= np.cumsum(p[:-1], axis=0)).sum(axis=0).T
 
 
-def module_indices(a: np.ndarray, n_modules: int) -> np.ndarray:
-    """``a``, refused with ``ShapeError`` unless it holds integer module
-    indices in [0, n_modules)."""
+def checked_ids(a: np.ndarray, n: int, what: str) -> np.ndarray:
+    """``a``, refused with ``ShapeError`` unless it holds integer ids in
+    [0, n); ``what`` names them: module, token or target."""
     if a.dtype.kind not in "iu":
-        raise ShapeError(f"module indices must be integers, got {a.dtype}")
-    if a.size and (a.min() < 0 or a.max() >= n_modules):
-        raise ShapeError(f"module index out of range [0, {n_modules})")
+        raise ShapeError(f"{what} ids must be integers, got {a.dtype}")
+    if a.size and (a.min() < 0 or a.max() >= n):
+        raise ShapeError(f"{what} id out of range [0, {n}): min={a.min()}, max={a.max()}")
     return a
 
 
@@ -195,32 +196,6 @@ def slot_counts(selection: np.ndarray, n_modules: int) -> np.ndarray:
     sel = np.asarray(selection).T
     picks = sel == np.arange(n_modules).reshape(-1, *(1,) * sel.ndim)
     return picks.sum(axis=1, dtype=np.float64).T
-
-
-def choose(probs, forced=None, greedy: bool = False, rng=None, sample_mask=None) -> np.ndarray:
-    """One unit's (batch, slots) selection, a unit being a layer or a timestep.
-
-    ``forced`` when given, except the rows flagged in the boolean
-    ``sample_mask``, which draw afresh; without ``forced``, the argmax of
-    the (batch, slots, modules) ``probs`` when ``greedy``, else a draw with
-    ``rng``.  Under a mask every row draws, and forced rows discard theirs.
-
-    ``probs`` is best the view of a module-major (modules, slots, batch)
-    block that ``Controller.distribution`` returns: ``sample_rows`` then
-    draws on the block in place and returns int64.  The uniforms are one
-    (batch, slots) draw whatever the layout.  The argmax is numpy's, which
-    copies the module axis last in either layout.
-    """
-    if sample_mask is not None and forced is None:
-        raise ValueError("sample_mask requires forced comps for unmasked rows")
-    if forced is not None and sample_mask is None:
-        return forced
-    if greedy and forced is None:
-        return probs.argmax(axis=-1).astype(np.int64)
-    if rng is None:
-        raise ValueError("sampling rollout needs an rng")
-    drawn = sample_rows(probs, rng.random(probs.shape[:2]))
-    return drawn if forced is None else np.where(sample_mask[:, None], drawn, forced)
 
 
 def enumerate_compositions(n_modules: int, units: int, slots: int, budget: int) -> np.ndarray:
@@ -293,7 +268,7 @@ class Controller:
     def distribution(self, x, parts: tuple | None = None) -> np.ndarray:
         """Per-slot selection probabilities, shape (batch, slots, modules),
         from the heads' ``parts`` on x when given: a view of a
-        module-major block, which ``choose`` draws on in place.
+        module-major block, which ``Routing.step`` draws on in place.
 
         Value path: never recorded, even inside an active tape.
         """
@@ -435,14 +410,6 @@ class ModularLayer:
     def parameters(self) -> list[Parameter]:
         return self.pool.parameters() + (self.gate or self.controller).parameters()
 
-    def _validate(self, selection: np.ndarray, batch: int) -> np.ndarray:
-        sel = np.asarray(selection)
-        if sel.shape != (batch, self.n_slots):
-            raise ShapeError(
-                f"selection shape {sel.shape}, expected {(batch, self.n_slots)}"
-            )
-        return module_indices(sel, self.pool.n_modules)
-
     def forward_selected(self, x, selection: np.ndarray) -> Tensor:
         """Evaluate the layer under a fixed selection, shape (batch, slots),
         as one ``pool-combine`` record (``ModulePool.select``).
@@ -453,7 +420,10 @@ class ModularLayer:
         whose ``Routing`` has checked it already, calls ``select`` itself.
         """
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-        sel = self._validate(selection, xt.shape[0])
+        sel, want = np.asarray(selection), (xt.shape[0], self.n_slots)
+        if sel.shape != want:
+            raise ShapeError(f"selection shape {sel.shape}, expected {want}")
+        checked_ids(sel, self.pool.n_modules, "module")
         return self.pool.select(xt, slot_counts(sel, self.pool.n_modules))
 
     def forward_mixed(
@@ -464,13 +434,6 @@ class ModularLayer:
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         w, mask, gate = self.gate.route(xt, train, rng)
         return self.pool.select(xt, w, gate), w, mask
-
-
-class OutputHead:
-    """Scores targets under a unit-variance normal centred on the activations."""
-
-    def log_prob(self, h, y) -> Tensor:
-        return gaussian_log_density(constant(np.asarray(y, dtype=np.float64)), h)
 
 
 @dataclass
@@ -492,11 +455,17 @@ class RolloutResult:
 
 class Routing:
     """One rollout's controller step at every unit, a layer of ``ModularNet``
-    or a timestep of ``gru.ModularGruLM``.  It checks forced ``comps`` once;
-    each ``step`` forms the controller's ``parts`` only when needed, selects
-    through ``choose`` and off the tape with ``with_ctrl`` adds to ``ctrl_sum``
-    the ``Controller.log_prob_values``, with the taped ``log_prob``'s bits.
-    Under a tape (``taped``) the model scores with ``log_prob`` itself."""
+    or a timestep of ``gru.ModularGruLM``; it checks the walk before the
+    first unit.  Each ``step`` forms the controller's ``parts`` only when
+    needed and selects ``comps``, but rows flagged in ``sample_mask`` draw
+    afresh (all rows draw; forced ones discard theirs); without ``comps``,
+    the argmax when ``greedy``, else a draw with ``rng``: ``sample_rows`` in
+    place on the module-major block that ``Controller.distribution`` views,
+    from one (batch, slots) draw of uniforms whatever the layout.  numpy's
+    argmax copies the module axis last.  Off the tape with ``with_ctrl`` it
+    adds the ``Controller.log_prob_values`` to ``ctrl_sum``, with the taped
+    ``log_prob``'s bits; under a tape (``taped``) the model scores with
+    ``log_prob`` itself."""
 
     def __init__(
         self, model, batch, units, comps, sample_mask, greedy, rng, with_ctrl, collect_probs
@@ -506,8 +475,13 @@ class Routing:
             comps = np.asarray(comps)
             if comps.shape != shape:
                 raise ShapeError(f"composition shape {comps.shape}, expected {shape}")
-            module_indices(comps, model.n_modules)
-        self.comps, self.sample_mask, self.greedy, self.rng = comps, sample_mask, greedy, rng
+            checked_ids(comps, model.n_modules, "module")
+        elif sample_mask is not None:
+            raise ValueError("sample_mask requires forced comps for unmasked rows")
+        self.draws = sample_mask is not None or not (greedy or comps is not None)
+        if self.draws and rng is None:
+            raise ValueError("sampling rollout needs an rng")
+        self.comps, self.sample_mask, self.rng = comps, sample_mask, rng
         self.chosen = np.empty(shape, dtype=np.int64)
         self.probs = np.empty((*shape, model.n_modules)) if collect_probs else None
         self.need_probs = collect_probs or comps is None or sample_mask is not None
@@ -520,8 +494,12 @@ class Routing:
         """Unit u's (batch, slots) selection on its input x."""
         parts = controller.parts(x) if self.need_parts else None
         p = controller.distribution(x, parts) if self.need_probs else None
-        forced = None if self.comps is None else self.comps[:, u]
-        sel = choose(p, forced, self.greedy, self.rng, self.sample_mask)
+        if self.draws:
+            sel = sample_rows(p, self.rng.random(p.shape[:2]))
+            if self.comps is not None:
+                sel = np.where(self.sample_mask[:, None], sel, self.comps[:, u])
+        else:
+            sel = p.argmax(axis=-1).astype(np.int64) if self.comps is None else self.comps[:, u]
         self.chosen[:, u] = sel
         if self.probs is not None:
             self.probs[:, u] = p
@@ -635,7 +613,7 @@ class _Stack:
     Every layer shares one pool size and one slot count.
     """
 
-    def __init__(self, layers: list[ModularLayer], head: OutputHead):
+    def __init__(self, layers: list[ModularLayer]):
         if not layers:
             raise ValueError("need at least one modular layer")
         shapes = {(layer.pool.n_modules, layer.n_slots) for layer in layers}
@@ -643,7 +621,6 @@ class _Stack:
             raise ValueError(f"layers must share one (n_modules, n_slots), got {sorted(shapes)}")
         ((self.n_modules, self.n_slots),) = shapes
         self.layers = layers
-        self.head = head
 
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.parameters()]
@@ -694,7 +671,7 @@ class ModularNet(_Stack, ModularModel):
                 term = layer.controller.log_prob(constant(h) if detach_ctrl_inputs else h, sel)
                 ctrl_ll = term if ctrl_ll is None else add(ctrl_ll, term)
             h = layer.pool.select(h, slot_counts(sel, self.n_modules))
-        cond = None if y is None else self.head.log_prob(h, y)
+        cond = None if y is None else gaussian_log_density(constant(y), h)
         pred_ll = None if cond is None else cond.data
         return walk.result(cond, ctrl_ll, pred_ll, outputs=h.data)
 
@@ -720,7 +697,7 @@ class NoisyTopKNet(_Stack, MixtureModel):
             h, w, _ = layer.forward_mixed(h, train=train, rng=rng)
             if collect_probs:
                 probs[:, l, 0] = w
-        cond = None if y is None else self.head.log_prob(h, y)
+        cond = None if y is None else gaussian_log_density(constant(y), h)
         pred_ll = None if cond is None else cond.data
         chosen = np.empty((batch, n_layers, 0), dtype=np.int64)
         return RolloutResult(cond, None, chosen, pred_ll, probs, outputs=h.data)

@@ -22,6 +22,8 @@ import modnet
 from modnet.autodiff import Tensor, add, constant, mean_all, mul, paused
 from modnet.baselines import NoisyTopKTrainer, ReinforceTrainer, StaticTrainer
 from modnet.config import (
+    RECURRENT,
+    TOY,
     ConfigError,
     ExperimentConfig,
     TaskConfig,
@@ -30,6 +32,7 @@ from modnet.config import (
     check_resume_overrides,
     from_dict,
     project,
+    read_json_object,
     require_object,
 )
 from modnet.datasets import gen_toy_regression, gen_two_regime_sequences, load_text_data
@@ -43,7 +46,6 @@ from modnet.modular import (
     ModulePool,
     NoisyTopKGate,
     NoisyTopKNet,
-    OutputHead,
 )
 from modnet.seeding import SeedStreams
 from modnet.serialize import (
@@ -211,7 +213,7 @@ def build_model(cfg: ExperimentConfig, data, streams: SeedStreams):
     a = cfg.architecture
     rng = streams["init"]
     gated = cfg.trainer.kind == "noisy-topk"
-    if cfg.task.kind == "toy-regression":
+    if cfg.task.kind in TOY:
         layers = []
         for l, (din, dout) in enumerate(_toy_dims(cfg)):
             # each layer draws its pool, then its router
@@ -221,14 +223,14 @@ def build_model(cfg: ExperimentConfig, data, streams: SeedStreams):
             else:
                 router = Controller(rng, din, a.n_modules, a.n_slots, f"l{l}.ctrl")
             layers.append(ModularLayer(pool, router))
-        return (NoisyTopKNet if gated else ModularNet)(layers, OutputHead())
+        return (NoisyTopKNet if gated else ModularNet)(layers)
     if gated:
-        return NoisyTopKGruLM(rng, data.vocab_size, a.embed_dim, a.hidden, a.n_modules, a.topk)
+        return NoisyTopKGruLM(rng, data.vocab_size, a.embed_dim, a.hidden, a.n_modules, topk=a.topk)
     return ModularGruLM(rng, data.vocab_size, a.embed_dim, a.hidden, a.n_modules, a.n_slots)
 
 
 def build_task(cfg: ExperimentConfig, model, data):
-    if cfg.task.kind == "toy-regression":
+    if cfg.task.kind in TOY:
         return RegressionTask(model, data.x, data.y, cfg)
     return SequenceTask(model, data.tokens, data.targets, cfg)
 
@@ -237,7 +239,7 @@ def _effective_clip(cfg: ExperimentConfig) -> float | None:
     # recurrent tasks clip at 5.0 unless the config says otherwise; 0 disables
     clip = cfg.trainer.clip_norm
     if clip is None:
-        return 5.0 if cfg.task.kind in ("two-regime-lm", "text-lm") else None
+        return 5.0 if cfg.task.kind in RECURRENT else None
     return None if clip == 0 else float(clip)
 
 
@@ -508,11 +510,9 @@ def emit_sweep(grid_path: str, out_root: str) -> dict:
     (relative to the grid file), optional ``axes`` mapping dotted config
     keys to value lists, optional ``out_dir``.  Without ``axes`` the
     default comparison grid is 5 or 15 modules with EM, REINFORCE and
-    static at 1 or 3 slots, and noisy top-k, whose gate routes one slot,
-    at 1.
+    static at 1 or 3 slots, and noisy top-k, whose gate reads no slot count.
     """
-    with open(grid_path, "r", encoding="utf-8") as fh:
-        grid = require_object(json.load(fh), "sweep grid")
+    grid = read_json_object(grid_path, "sweep grid")
     if "base" in grid:
         base = require_object(grid["base"], "base")
         anchor_task_path(base, os.path.dirname(os.path.abspath(grid_path)))
@@ -520,15 +520,14 @@ def emit_sweep(grid_path: str, out_root: str) -> dict:
         if not isinstance(grid["base_path"], str):
             raise ConfigError(f"base_path: expected a file name, got {grid['base_path']!r}")
         rel = os.path.join(os.path.dirname(os.path.abspath(grid_path)), grid["base_path"])
-        with open(rel, "r", encoding="utf-8") as fh:
-            base = require_object(json.load(fh), f"base_path {rel}")
+        base = read_json_object(rel, "base_path")
         anchor_task_path(base, os.path.dirname(os.path.abspath(rel)))
     else:
         raise ConfigError("sweep grid needs 'base' or 'base_path'")
     modules = {"architecture.n_modules": [5, 15]}
     default = [
         {**modules, "architecture.n_slots": [1, 3], "trainer.kind": ["em", "reinforce", "static"]},
-        {**modules, "architecture.n_slots": [1], "trainer.kind": ["noisy-topk"]},
+        {**modules, "trainer.kind": ["noisy-topk"]},
     ]
     grids = [grid["axes"]] if "axes" in grid else default
     for axes in grids:
@@ -590,8 +589,7 @@ def evaluate_checkpoint(
     if dataset_spec == "train":
         data = build_dataset(cfg, streams)
     else:
-        with open(dataset_spec, "r", encoding="utf-8") as fh:
-            spec = require_object(json.load(fh), f"dataset spec {dataset_spec}")
+        spec = read_json_object(dataset_spec, "dataset spec")
         unknown = sorted(set(spec) - {"task", "seed"})
         if unknown:
             raise ConfigError(f"{unknown[0]}: unknown dataset spec field")

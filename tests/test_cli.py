@@ -950,6 +950,38 @@ def test_sweep_without_base_is_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("role", ["sweep grid", "base_path", "dataset spec"])
+def test_malformed_json_file_is_exit_2_naming_the_file(tmp_path, capsys, mid_checkpoint, role):
+    # each used to print only the parser's message, with no file name
+    cut = tmp_path / "cut.json"
+    cut.write_text(json.dumps(tiny_config())[:44])
+    argv = {
+        "sweep grid": ["sweep", str(cut)],
+        "base_path": ["sweep", str(tmp_path / "grid.json")],
+        "dataset spec": ["eval", mid_checkpoint, str(cut)],
+    }[role]
+    (tmp_path / "grid.json").write_text(json.dumps({"base_path": "cut.json"}))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cut} is not valid JSON: ")
+    assert "Traceback" not in err
+
+
+def test_enumerate_marginal_on_a_noisy_topk_checkpoint_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path, trainer={"kind": "noisy-topk", "iterations": 2, "m_steps": 2, "batch": 16},
+        architecture={"n_modules": 2, "topk": 1},
+    )
+    assert main(["run", cfg, "--set", f"out_dir={out}"]) == 0
+    capsys.readouterr()
+    ckpt = str(out / "checkpoints" / "final.ckpt")
+    assert main(["eval", ckpt, "train", "--mode", "enumerate-marginal"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "config error: mode: mixture gating has no compositions to enumerate\n"
+
+
 HOSTILE_JSON = {
     "run-list-root": ("run", [1, 2], "config root"),
     "run-list-root-with-override": ("run --set seed=1", [1, 2], "config root"),

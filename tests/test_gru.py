@@ -43,7 +43,6 @@ from modnet.modular import (
     ModularNet,
     ModulePool,
     NoisyTopKGate,
-    OutputHead,
     slot_counts,
 )
 
@@ -572,7 +571,7 @@ def test_probe_skips_the_output_head(forced):
 
 
 def test_topk_probe_skips_the_output_head():
-    lm = NoisyTopKGruLM(np.random.default_rng(63), vocab=5, embed_dim=3, hidden=4, n_modules=3, k=2)
+    lm = NoisyTopKGruLM(np.random.default_rng(63), vocab=5, embed_dim=3, hidden=4, n_modules=3, topk=2)
     tokens = RNG.integers(0, 5, size=(4, 3))
     targets = RNG.integers(0, 5, size=(4, 3))
     # oracle: the scored unroll a probe used to run
@@ -591,8 +590,8 @@ def test_sample_mask_requires_comps():
     lm = make_lm()
     rng = np.random.default_rng(0)
     layer = ModularLayer(ModulePool(rng, 2, 2, 2), Controller(rng, 2, 2, 1))
-    net = ModularNet([layer], OutputHead())
-    # one rule in modular.choose serves both models
+    net = ModularNet([layer])
+    # one refusal in modular.Routing serves both models
     for model, inputs, targets in [
         (lm, np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)),
         (net, np.zeros((2, 2)), np.zeros((2, 2))),
@@ -714,7 +713,7 @@ def test_topk_cell_blends_survivors():
 
 def test_topk_lm_rollout_scores_and_weights():
     rng = np.random.default_rng(61)
-    lm = NoisyTopKGruLM(rng, vocab=5, embed_dim=3, hidden=4, n_modules=3, k=2)
+    lm = NoisyTopKGruLM(rng, vocab=5, embed_dim=3, hidden=4, n_modules=3, topk=2)
     tokens = RNG.integers(0, 5, size=(4, 3))
     targets = RNG.integers(0, 5, size=(4, 3))
     res = lm.rollout(tokens, targets, train=False, collect_probs=True)
@@ -726,7 +725,7 @@ def test_topk_lm_rollout_scores_and_weights():
 
 def test_topk_lm_grad_check():
     rng = np.random.default_rng(62)
-    lm = NoisyTopKGruLM(rng, vocab=4, embed_dim=2, hidden=3, n_modules=3, k=2)
+    lm = NoisyTopKGruLM(rng, vocab=4, embed_dim=2, hidden=3, n_modules=3, topk=2)
     tokens = np.array([[0, 1], [2, 3]])
     targets = np.array([[1, 0], [3, 2]])
 
@@ -894,7 +893,7 @@ def test_one_pool_apply_call_per_gru_step(n_modules, monkeypatch):
     targets = RNG.integers(0, 5, size=(batch, steps))
     comps = RNG.integers(0, n_modules, size=(batch, steps, 2))
     lm = make_lm(n_modules=n_modules, n_slots=2, seed=213)
-    gated = NoisyTopKGruLM(np.random.default_rng(214), 5, 3, 4, n_modules, k=2)
+    gated = NoisyTopKGruLM(np.random.default_rng(214), 5, 3, 4, n_modules, topk=2)
 
     def taped(run):
         with Tape():

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import os
@@ -43,8 +44,7 @@ from modnet.modular import (
     ModulePool,
     NoisyTopKGate,
     NoisyTopKNet,
-    OutputHead,
-    choose,
+    Routing,
     enumerate_compositions,
     sample_rows,
     slot_counts,
@@ -64,7 +64,7 @@ def small_net(n_layers=1, n_modules=2, n_slots=1, dim=2, kind="linear", rng=None
         pool = ModulePool(rng, n_modules, dim, dim, kind=kind, name=f"L{l}")
         ctrl = Controller(rng, dim, n_modules, n_slots, name=f"C{l}")
         layers.append(ModularLayer(pool, ctrl))
-    return ModularNet(layers, OutputHead())
+    return ModularNet(layers)
 
 
 def np_gauss_ll(y, mean):
@@ -198,7 +198,7 @@ def shipped_task(name, *overrides):
 
 @pytest.fixture
 def draws(monkeypatch):
-    """The (rows, slots) shapes ``choose`` drew with ``sample_rows``."""
+    """The (rows, slots) shapes a ``Routing`` step drew with ``sample_rows``."""
     shapes = []
 
     def spy(probs, u):
@@ -232,8 +232,9 @@ def test_proposal_walk_of_704_rows_draws_without_cumsum(draws, cumsum_calls):
 def test_m32_draw_on_64_rows_takes_cumsum(cumsum_calls):
     rng = np.random.default_rng(32)
     ctrl = Controller(rng, 16, 32, 1)
-    p = ctrl.distribution(rng.standard_normal((64, 16)))
-    drawn = choose(p, rng=np.random.default_rng(0))
+    parts = ctrl.parts(rng.standard_normal((64, 16)))
+    p = ctrl.distribution(None, parts)
+    drawn = routed(ctrl, parts, seed=0)
     assert cumsum_calls == [(31, 1, 64)]
     want = oracle_sample_rows(p, np.random.default_rng(0).random((64, 1)))
     assert np.array_equal(drawn, want)
@@ -293,6 +294,17 @@ def special_logits(rng, rows, n_slots, n_modules):
     return x
 
 
+def routed(ctrl, parts, greedy=False, seed=None, forced=None, mask=None):
+    """The selection of a one-unit ``Routing`` walk whose controller step
+    reads ``parts``; ``forced`` is the unit's (rows, slots) comps."""
+    ctrl = copy.copy(ctrl)
+    ctrl.parts = lambda x: parts
+    comps = None if forced is None else forced[:, None]
+    rng = None if seed is None else np.random.default_rng(seed)
+    walk = Routing(ctrl, parts[0].shape[-1], 1, comps, mask, greedy, rng, False, False)
+    return walk.step(0, ctrl, None)
+
+
 def assert_step_matches_oracle(ctrl, parts, want_parts, rng_seed, forced=None, mask=None):
     """Distribution, draw, greedy choice, log-probabilities and slot counts
     of a module-major step from ``parts``, each bit for bit against the
@@ -305,9 +317,9 @@ def assert_step_matches_oracle(ctrl, parts, want_parts, rng_seed, forced=None, m
     p, want_p = ctrl.distribution(None, parts), oracle_distribution(want_parts)
     assert p.shape == want_p.shape and p.tobytes() == want_p.tobytes()
     n_modules = want_p.shape[-1]
-    greedy = choose(p, greedy=True)
+    greedy = routed(ctrl, parts, greedy=True)
     assert np.array_equal(greedy, want_p.argmax(axis=-1))
-    drawn = choose(p, forced, rng=np.random.default_rng(rng_seed), sample_mask=mask)
+    drawn = routed(ctrl, parts, seed=rng_seed, forced=forced, mask=mask)
     u = np.random.default_rng(rng_seed).random(want_p.shape[:2])
     want = oracle_sample_rows(want_p, u)
     if mask is not None:
@@ -400,7 +412,7 @@ def test_forward_selected_rejects_bad_selection():
     with pytest.raises(ShapeError):
         layer.forward_selected(Tensor(x), np.array([[0], [1], [2]]))  # index range
     for bad in (np.full((3, 1), 0.5), np.zeros((3, 1)), np.zeros((3, 1), dtype=bool)):
-        with pytest.raises(ShapeError, match="module indices must be integers"):
+        with pytest.raises(ShapeError, match="module ids must be integers"):
             layer.forward_selected(Tensor(x), bad)
 
 
@@ -486,7 +498,7 @@ def test_gated_select_keeps_the_taped_bits(monkeypatch, n_modules, train, kind):
             )
             for l in range(n_layers)
         ]
-        net = NoisyTopKNet(layers, OutputHead())
+        net = NoisyTopKNet(layers)
         random_biases(net.parameters(), rng)
         x = Parameter(rng.standard_normal((6, 2)), "x")
         y = rng.standard_normal((6, 2))
@@ -653,7 +665,7 @@ def test_net_rejects_layers_of_different_shape():
         ModularLayer(ModulePool(rng, 3, 2, 2), Controller(rng, 2, 3, 1)),
     ]
     with pytest.raises(ValueError, match="share one"):
-        ModularNet(layers, OutputHead())
+        ModularNet(layers)
     net = small_net(n_layers=2)
     with pytest.raises(ShapeError, match="composition shape"):
         net.rollout(np.zeros((3, 2)), comps=np.zeros((2, 3, 1), dtype=np.int64))
@@ -669,10 +681,35 @@ def test_rollout_greedy_picks_argmax():
         assert np.array_equal(res.comps[:, l, 0], res.probs[:, l, 0].argmax(-1))
 
 
-def test_rollout_sampling_needs_rng():
+def test_rollout_sampling_needs_rng(monkeypatch):
+    # refused once per walk, before the first unit's controller step
     net = small_net()
-    with pytest.raises(ValueError, match="needs an rng"):
-        net.rollout(np.zeros((1, 2)))
+    lm = ModularGruLM(np.random.default_rng(3), 5, 3, 4, 2, 1)
+    steps = []
+    monkeypatch.setattr(Controller, "parts", lambda self, x: steps.append(x))
+    for model, inputs in ((net, np.zeros((1, 2))), (lm, np.zeros((1, 3), dtype=np.int64))):
+        with pytest.raises(ValueError, match="needs an rng"):
+            model.rollout(inputs)
+        # a masked proposal draws too
+        comps = np.zeros((1, model.n_units(inputs), 1), dtype=np.int64)
+        with pytest.raises(ValueError, match="needs an rng"):
+            model.rollout(inputs, comps=comps, sample_mask=np.ones(1, dtype=bool), greedy=True)
+    assert steps == []
+
+
+@pytest.mark.parametrize("what,n", [("module", 3), ("token", 5), ("target", 5)])
+def test_compositions_tokens_and_targets_are_refused_in_one_wording(what, n):
+    lm = ModularGruLM(np.random.default_rng(3), 5, 3, 4, 3, 1)
+    ids = {"token": np.zeros((2, 3), dtype=np.int64), "target": np.zeros((2, 3), dtype=np.int64),
+           "module": np.zeros((2, 3, 1), dtype=np.int64)}
+    for bad, message in (
+        (n, rf"^{what} id out of range \[0, {n}\): min=0, max={n}$"),
+        (0.5, rf"^{what} ids must be integers, got float64$"),
+    ):
+        args = dict(ids, **{what: ids[what].astype(type(bad))})
+        args[what][-1, -1] = bad
+        with pytest.raises(ShapeError, match=message):
+            lm.rollout(args["token"], args["target"], comps=args["module"])
 
 
 def trace_then_score(net, x, y, incumbent, n_samples, rng):
@@ -699,7 +736,7 @@ def trace_then_score(net, x, y, incumbent, n_samples, rng):
             term = layer.controller.log_prob(h, comps[:, l])
             ctrl = term if ctrl is None else add(ctrl, term)
             h = layer.forward_selected(h, comps[:, l])
-        return add(net.head.log_prob(h, y), ctrl).data
+        return add(gaussian_log_density(constant(y), h), ctrl).data
 
     return cands, np.stack([score(c) for c in cands])
 
@@ -756,14 +793,14 @@ def test_both_controller_models_refuse_bad_compositions():
         for bad in (-1, 3):
             comps = np.zeros((4, 2, 2), dtype=np.int64)
             comps[1, 1, 1] = bad
-            with pytest.raises(ShapeError, match=r"module index out of range \[0, 3\)"):
+            with pytest.raises(ShapeError, match=r"module id out of range \[0, 3\)"):
                 model.rollout(inputs, comps=comps)
         # 0.5 would run no module and report module 0; integral floats are
         # refused too, as token ids are
         for comps, with_ctrl in itertools.product(
             (np.full((4, 2, 2), 0.5), np.zeros((4, 2, 2))), (False, True)
         ):
-            with pytest.raises(ShapeError, match="module indices must be integers"):
+            with pytest.raises(ShapeError, match="module ids must be integers"):
                 model.rollout(inputs, np.zeros_like(inputs), comps=comps, with_ctrl=with_ctrl)
 
 
@@ -901,11 +938,9 @@ def test_topk_layer_grad_check():
     layer = ModularLayer(pool, gate)
     x = RNG.standard_normal((4, 2))
     y = RNG.standard_normal((4, 2))
-    head = OutputHead()
-
     def fn():
         out, _, _ = layer.forward_mixed(Tensor(x), train=False)
-        return mean_all(head.log_prob(out, y))
+        return mean_all(gaussian_log_density(constant(y), out))
 
     # top-k membership is locally constant away from logit ties, so the
     # masked softmax is differentiable where we probe
@@ -921,7 +956,7 @@ def test_topk_net_stacks():
         )
         for _ in range(2)
     ]
-    net = NoisyTopKNet(layers, OutputHead())
+    net = NoisyTopKNet(layers)
     x = RNG.standard_normal((6, 2))
     res = net.rollout(x, collect_probs=True)
     assert res.outputs.shape == (6, 2) and res.probs.shape == (6, 2, 1, 4)
@@ -939,7 +974,7 @@ def test_topk_net_protocol_matches_layer_walk_oracle():
         ModularLayer(ModulePool(rng, 4, 2, 2, kind="linear-relu"), NoisyTopKGate(rng, 2, 4, 2))
         for _ in range(3)
     ]
-    net = NoisyTopKNet(layers, OutputHead())
+    net = NoisyTopKNet(layers)
     x = RNG.standard_normal((7, 2))
     y = RNG.standard_normal((7, 2))
 

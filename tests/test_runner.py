@@ -355,10 +355,13 @@ def test_default_sweep_grid_covers_all_trainers(tmp_path):
                  "trainer": {"iterations": 2}},
     }))
     manifest = emit_sweep(str(grid), str(tmp_path / "root"))
-    # noisy top-k's gate routes one slot, so it runs at 1 slot only
+    # noisy top-k's gate reads no slot count, so its combinations set none
     assert len(manifest["configs"]) == 14
     kinds = {e["settings"]["trainer.kind"] for e in manifest["configs"]}
     assert kinds == {"em", "reinforce", "noisy-topk", "static"}
+    for entry in manifest["configs"]:
+        gated = entry["settings"]["trainer.kind"] == "noisy-topk"
+        assert ("architecture.n_slots" in entry["settings"]) != gated
     emitted = []
     for entry in manifest["configs"]:
         data = json.loads(open(entry["path"]).read())
