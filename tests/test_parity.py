@@ -129,14 +129,21 @@ def check_run(cfg, tmp_path, name, pinned) -> None:
         )
 
 
+def pinned_config(name):
+    """The config of a pinned run: a smoke config as shipped, or a short
+    run with its iteration count, its overrides and no interval checkpoints."""
+    if name in PINNED:
+        return load_config(os.path.join(CONFIGS, f"{name}.json"))
+    iterations, _, _, *extra = SHORT_RUNS[name]
+    overrides = [f"trainer.iterations={iterations}", "diagnostics.checkpoint_interval=0", *extra]
+    return load_config(os.path.join(CONFIGS, f"{name.split('/')[0]}.json"), overrides)
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_smoke_run_keeps_its_pinned_bytes(tmp_path, name):
-    check_run(load_config(os.path.join(CONFIGS, f"{name}.json")), tmp_path, name, PINNED[name])
+    check_run(pinned_config(name), tmp_path, name, PINNED[name])
 
 
 @pytest.mark.parametrize("name", sorted(SHORT_RUNS))
 def test_short_run_keeps_its_pinned_bytes(tmp_path, name):
-    iterations, metrics, ckpt, *extra = SHORT_RUNS[name]
-    overrides = [f"trainer.iterations={iterations}", "diagnostics.checkpoint_interval=0", *extra]
-    cfg = load_config(os.path.join(CONFIGS, f"{name.split('/')[0]}.json"), overrides)
-    check_run(cfg, tmp_path, name, (metrics, ckpt))
+    check_run(pinned_config(name), tmp_path, name, SHORT_RUNS[name][1:3])
