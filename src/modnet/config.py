@@ -66,7 +66,8 @@ class ArchitectureConfig:
     hidden: int = rule(8, least=1)
     module_kind: str = rule("linear", choices=("linear", "linear-relu"), kinds=TOY)
     embed_dim: int = rule(32, least=1, kinds=RECURRENT)
-    topk: int = rule(4, least=1, kinds=("noisy-topk",))
+    # at most the default n_modules, so that the defaults validate together
+    topk: int = rule(2, least=1, kinds=("noisy-topk",))
 
 
 @dataclass

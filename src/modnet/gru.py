@@ -25,11 +25,13 @@ and one step's embeddings are kept: evaluation unrolls every window at once.
 No step builds a ``Tensor``: module dispatch, the candidate's rectifier,
 the BPTT loop and an untaped rollout's per-step scoring (one log-softmax
 gather per head, on logits normalised once per step) all run on plain
-arrays, with the same float operations in the same order as the
-``Tensor`` primitives, so values agree bit for bit.  A step costs a fixed
-number of numpy calls whatever the pool size: the whole pool runs in one
-stacked ``ModulePool.apply`` call, its weighted outputs are summed over
-the module axis, and the gates are written in place into the kept rows.
+arrays.  Each map that reads [h, x] or [r*h, x] splits into a state half
+and an input half; the input halves are projected once per unroll for
+every table row, the pool's in one ``ModulePool.apply`` call, so a step
+runs two products on its state whatever the pool size.  The values agree
+with the op-by-op cell and the step-by-step BPTT of ``tests/oracles.py``
+to rounding, within 1e-12 of each array's scale; taped and untaped
+unrolls run the same arithmetic, so their scores agree bit for bit.
 Selections forced in advance reach the unroll as one array of slot
 counts, with no per-step callback.
 
@@ -39,10 +41,8 @@ long axis, not once per short row.  A controller step is module-major:
 rows) block, and the draw, the log-probabilities and the slot counts
 read it along the rows; its sums over modules run down the module axis
 below 8 modules and over a row-major copy from 8 on, where numpy would
-sum each row pairwise.  BPTT first copies the strided halves of the kept
-rows (z and r, the previous state, the state gradients) into contiguous
-time-major (steps, batch, hidden) blocks.  Both keep every operation and
-its order, so the bits are those of the row-major steps.
+sum each row pairwise.  A step of the unroll and of BPTT is
+feature-major: each operand is a contiguous (features, batch) block.
 
 ``_GruLM`` is the recurrent architecture of ``modular``'s model grid:
 ``ModularGruLM`` answers the controller protocol of
@@ -74,8 +74,6 @@ from modnet.autodiff import (
     needs_grad,
     paused,
     record_joint,
-    relu,
-    stable_sigmoid,
 )
 from modnet.diagnostics import SelectionSnapshot
 from modnet.modular import (
@@ -143,194 +141,226 @@ class ModularGruCell:
 
         ``select`` sets each step's (batch, modules) module weights: either
         an array (steps, batch, modules) of them fixed in advance, such as
-        forced slot counts, or a function ``select(t, hx)`` returning step
-        t's weights and the gate's noise terms (``NoisyTopKGate.forward``),
-        None for a controller's slot counts or a noise-free gate.
-        ``visit(t, h)``, if given, sees each new state.
+        forced slot counts, or a function ``select(t, a)`` returning step
+        t's weights and the gate's noise terms (``NoisyTopKGate.mix``),
+        None for a controller's slot counts or a noise-free gate.  ``a`` is
+        the router's input: a controller's (batch, hidden + in_dim) [h, x]
+        rows, or a gate's (batch, 2 * modules) logits of its gate map, then
+        its noise map.  ``visit(t, h)``, if given, sees each new state.
 
-        Each step runs the whole pool in one ``ModulePool.apply`` call and
-        sums the weighted outputs over the module axis; a module weighted
-        zero adds exact zeros.
+        Every map that reads [h, x] or [r*h, x] splits into a state half
+        and an input half.  The input halves, biases included, are
+        projected once per unroll for every table row, as the maps and the
+        pool (one ``ModulePool.apply`` call) on the rows [0 | table].  A
+        step multiplies its state by the state halves, one product for the
+        [h, x] maps and one for the pool, and adds its tokens' projected
+        rows.  The gates are 0.5 * tanh(a / 2) + 0.5, on halved weights;
+        the candidate is the pool's outputs weighted per row, summed over
+        the modules and rectified by ``np.maximum``; the new state is
+        h + z * (cand - h).  A module weighted zero adds exact zeros.
+        Against the op-by-op cell of ``tests/oracles.py`` the values agree
+        to rounding, within 1e-12 of each array's scale.
 
-        Under a tape every step's rows are gathered once, time-major (row
-        ``t * batch + b``), every step's activations are kept, and the
-        stacked states h_t and [h_{t-1}, x_t] rows are the two outputs of
-        one ``modular-gru-unroll`` record, which reads the table.  Off the
-        tape only the state and one step's rows and buffers are kept, and
-        the result is None.
+        A step works feature-major: its state, gates, projections and
+        module outputs are (features, batch) blocks, so that every
+        elementwise call runs one inner loop along the batch.  Under a
+        tape every step's blocks are kept time-major, and the states h_t
+        and the [h_{t-1}, x_t] rows, assembled after the loop with rows
+        ``t * batch + b``, are the two outputs of one ``modular-gru-unroll``
+        record, which reads the table.  Off the tape only the state and
+        one step's buffers are kept, each step gathers its own projected
+        columns, and the result is None.
         """
-        hid, pool, gated = self.hidden, self.pool, self.gate is not None
-        batch, cat = h0.shape[0], hid + self.in_dim
+        hid, pool, gate = self.hidden, self.pool, self.gate
+        batch, n_mod = h0.shape[0], pool.n_modules
         td, ids = constant(table).data, np.asarray(tokens)
         if ids.ndim != 2 or len(ids) != batch or td.ndim != 2 or td.shape[1] != self.in_dim:
             raise ShapeError(f"unroll tokens {ids.shape}, table {td.shape}, state {h0.shape}")
         steps = checked_ids(ids, len(td), "token").shape[1]
-        gate_w = np.concatenate([self.update.w.data, self.reset.w.data], axis=1)
-        gate_b = np.concatenate([self.update.b.data, self.reset.b.data])
         fixed = not callable(select)
-        if fixed and np.shape(select) != (steps, batch, pool.n_modules):
-            raise ShapeError(
-                f"unroll weights {np.shape(select)}, expected {(steps, batch, pool.n_modules)}"
-            )
+        if fixed and np.shape(select) != (steps, batch, n_mod):
+            raise ShapeError(f"unroll weights {np.shape(select)}, expected {(steps, batch, n_mod)}")
+        # the maps that read [h, x]: update and reset gates, then a gate
+        # router's gate and noise-scale maps; the pool's (cat, modules *
+        # hidden) weights hold module j's in columns j*hid:(j+1)*hid
+        hx_maps = [self.update, self.reset] + ([] if gate is None else [gate.gate, gate.noise])
+        hx_w = np.concatenate([m.w.data for m in hx_maps], axis=1)
+        mod_w = pool.weights.transpose(1, 0, 2).reshape(hx_w.shape[0], -1)
+        n_hx = hx_w.shape[1]
+        padded = np.zeros((len(td), hx_w.shape[0]))
+        padded[:, hid:] = td
+        # (n_hx + modules * hidden, ids): a column per table row
+        proj = np.concatenate(
+            [
+                (padded @ hx_w + np.concatenate([m.b.data for m in hx_maps])).T,
+                pool.apply(padded).transpose(0, 2, 1).reshape(-1, len(td)),
+            ]
+        )
+        hx_wh_t, mod_wh_t = hx_w[:hid].T.copy(), mod_w[:hid].T.copy()
+        hx_wh_t[: 2 * hid] *= 0.5
+        proj[: 2 * hid] *= 0.5
+        reads_hx = not fixed and gate is None
         keep = active_tape() is not None
         if keep:
-            # each step writes its [h, x] and [r*h, x] into these, x once;
-            # all are time-major (steps, batch, .)
-            rows = td[ids.T]
-            out = np.empty((steps, batch, hid + cat))
-            px_rows = np.empty((steps, batch, cat))
-            out[..., 2 * hid :] = px_rows[..., hid:] = rows
-            gates = np.empty((steps, batch, 2 * hid))
-            cand_rows = np.empty((steps, batch, hid))
-            weight_rows = select if fixed else np.empty((steps, batch, pool.n_modules))
+            xs = td[ids.T]
+            xps = np.ascontiguousarray(proj[:, ids.T].transpose(1, 0, 2))
+            hs = np.empty((steps + 1, hid, batch))
+            hs[0] = h0.T
+            zrs = np.empty((steps, 2 * hid, batch))
+            rhs, cands = np.empty((steps, hid, batch)), np.empty((steps, hid, batch))
+            ws = np.empty((steps, n_mod, batch))
+            if fixed:
+                ws[...] = select.transpose(0, 2, 1)
             # gate weights take gradients: keep each module's output and the noise
-            mod_rows = np.empty((steps, batch, pool.n_modules, hid)) if gated else None
+            mods = np.empty((steps, n_mod, hid, batch)) if gate is not None else None
             noises = []
         else:
-            # one step's [h, x], gates and [r*h, x], rewritten every step
-            hx_step, px_step = np.empty((batch, cat)), np.empty((batch, cat))
-            zr_step = np.empty((batch, 2 * hid))
-        h = h0
+            xp = np.empty((len(proj), batch))
+            zr, rh, cand = np.empty((2 * hid, batch)), np.empty((hid, batch)), np.empty((hid, batch))
+        pre, mod = np.empty((n_hx, batch)), np.empty((n_mod, hid, batch))
+        terms = np.empty((n_mod, hid, batch))
+        hx = np.empty((batch, hx_w.shape[0])) if reads_hx else None
+        h = h0.T
         with paused():
             for t in range(steps):
                 if keep:
-                    hx, zr, px = out[t, :, hid:], gates[t], px_rows[t]
+                    xp, zr, rh, cand, h_next = xps[t], zrs[t], rhs[t], cands[t], hs[t + 1]
+                    if mods is not None:
+                        mod = mods[t]
                 else:
-                    hx, zr, px = hx_step, zr_step, px_step
-                    hx[:, hid:] = px[:, hid:] = td[ids[:, t]]
-                hx[:, :hid] = h
-                weights, noise = (select[t], None) if fixed else select(t, hx)
-                np.matmul(hx, gate_w, out=zr)
-                zr += gate_b
-                stable_sigmoid(zr, out=zr)
-                z, r = zr[:, :hid], zr[:, hid:]
-                np.multiply(r, h, out=px[:, :hid])
-                terms = pool.apply(px)
-                if keep and gated:
-                    mod_rows[t] = terms.transpose(1, 0, 2)
+                    np.take(proj, ids[:, t], axis=1, out=xp)
+                    h_next = np.empty((hid, batch))
+                np.matmul(hx_wh_t, h, out=pre)
+                pre += xp[:n_hx]
+                np.tanh(pre[: 2 * hid], out=zr)
+                zr *= 0.5
+                zr += 0.5
+                z, r = zr[:hid], zr[hid:]
+                if fixed:
+                    weights, noise = select[t], None
+                elif reads_hx:
+                    hx[:, :hid], hx[:, hid:] = h.T, xs[t] if keep else td[ids[:, t]]
+                    weights, noise = select(t, hx)
+                else:
+                    weights, noise = select(t, pre[2 * hid :].T)
+                np.multiply(r, h, out=rh)
+                np.matmul(mod_wh_t, rh, out=mod.reshape(-1, batch))
+                mod += xp[n_hx:].reshape(n_mod, hid, batch)
                 # a module picked by several slots of a row counts once per slot
-                terms *= weights.T[:, :, None]
-                cand = relu(terms.sum(axis=0))
-                h = (1.0 - z) * h + z * cand
+                np.multiply(mod, weights.T[:, None, :], out=terms)
+                np.sum(terms, axis=0, out=cand)
+                np.maximum(cand, 0.0, out=cand)
+                np.subtract(cand, h, out=h_next)
+                h_next *= z
+                h_next += h
+                h = h_next
                 if keep:
-                    out[t, :, :hid] = h
-                    cand_rows[t] = cand
-                    if not fixed:
-                        weight_rows[t] = weights
                     noises.append(noise)
+                    if not fixed:
+                        ws[t] = weights.T
                 if visit is not None:
-                    visit(t, h)
+                    visit(t, h.T)
         if not keep:
             return None
-        n = steps * batch
-        saved = [a.reshape(n, *a.shape[2:]) for a in (out, gates, px_rows, cand_rows, weight_rows)]
-        saved += [None if mod_rows is None else mod_rows.reshape(n, *mod_rows.shape[2:]), noises]
-        return self._record(table, ids, rows, saved, batch)
+        kept = (hs, zrs, rhs, cands, ws, mods, noises, xs)
+        return self._record(table, ids, kept, (hx_maps, hx_w, mod_w))
 
-    def _record(self, table, ids, rows, saved, batch):
+    def _record(self, table, ids, kept, maps):
         """One tape record for a kept unroll; its pullback is BPTT.
 
-        Only the state recurrence runs step by step.  The parameter
-        gradients of every map, a noisy top-k router's included, and the
-        input gradients are each one matmul over all steps * batch rows.
-        The pool is one input, ``ModulePool.param``, and so is the table:
-        on the tape, it takes the gathered ``rows``' gradients, formed in
-        their buffer and summed per run of equal ids.  Held for the
-        pullback, that buffer keeps the heap's layout across gradient
-        steps; freed after the forward loop, it let glibc return the heap's
-        top at every step.  An output that no loss read counts as a
+        Only the state recurrence runs step by step, feature-major as the
+        forward steps: the factors of the gate gradients that do not
+        depend on the carried gradient, (cand - h_prev) * z * (1 - z) and
+        h_prev * r * (1 - r), are formed for all steps before the loop.
+        The parameter gradients of every map, a noisy top-k router's
+        included, take one product over the steps for their state rows.
+        For their table rows, every step's gradient is first summed per
+        token id, by one segmented reduction over the ids in sorted order,
+        so the products with the table, and the table's own gradient, run
+        on one row per id.  The pool is one input, ``ModulePool.param``,
+        and so is the table.  An output that no loss read counts as a
         gradient of zeros.
         """
-        out, gates, px_rows, cand_rows, weight_rows, mod_rows, noises = saved
+        hs, zrs, rhs, cands, ws, mods, noises, xs = kept
+        hx_maps, hx_w, mod_w = maps
         hid, pool, gate = self.hidden, self.pool, self.gate
         n_mod, cat = pool.n_modules, pool.in_dim
-        n, steps = out.shape[0], out.shape[0] // batch
-        need_table, table_shape = needs_grad(table), constant(table).shape
-        # the maps that read [h, x]: update and reset gates, then a gate
-        # router's logits and noise-scale logits; the modules read [r*h, x]
-        hx_maps = [self.update, self.reset] + ([] if gate is None else [gate.gate, gate.noise])
-        hx_w = np.concatenate([m.w.data for m in hx_maps], axis=1)
-        # (in, modules * hidden): module j's weights in columns j*hid:(j+1)*hid
-        mod_w = pool.weights.transpose(1, 0, 2).reshape(cat, -1)
-        n_hx = hx_w.shape[1]
-        # the state part of [hx maps | modules] weights, and all of it for inputs
-        hx_wh_t = hx_w[:hid].T
-        mod_wh_t = mod_w[:hid].T
+        steps, batch = xs.shape[:2]
+        n, n_hx = steps * batch, hx_w.shape[1]
+        hx_wh, mod_wh = hx_w[:hid], mod_w[:hid]
         all_wx_t = np.concatenate([hx_w, mod_w], axis=1)[hid:].T
-
-        if need_table:
-            # the rows of one id are summed by one segmented reduction over
-            # the ids in sorted order, not scattered one at a time; each run
-            # of equal sorted ids starts where the id changes
-            flat = ids.T.reshape(-1)
-            order = np.argsort(flat, kind="stable")
-            ids_sorted = flat[order]
-            run_start = np.empty(n, dtype=bool)
-            run_start[:1] = True
-            np.not_equal(ids_sorted[1:], ids_sorted[:-1], out=run_start[1:])
-            starts = np.flatnonzero(run_start)
+        h_prevs = hs[:-1]
+        h_rows = hs.transpose(0, 2, 1).reshape(-1, hid)
+        x_rows = xs.reshape(n, -1)
+        # each run of equal sorted ids starts where the id changes
+        flat = ids.T.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        ids_sorted = flat[order]
+        run_start = np.empty(n, dtype=bool)
+        run_start[:1] = True
+        np.not_equal(ids_sorted[1:], ids_sorted[:-1], out=run_start[1:])
+        starts = np.flatnonzero(run_start)
+        present = ids_sorted[starts]
+        step_of, row_of = np.divmod(order, batch)
+        need_table, table_data = needs_grad(table), constant(table).data
+        x_present = table_data[present]
 
         def pullback(gs):
-            g_h, g_hx = (np.zeros((n, w)) if g is None else g for g, w in zip(gs, (hid, cat)))
-            # time-major contiguous (steps, batch, .) copies of the strided
-            # operands, so that each step's ufuncs run one inner loop, not
-            # one per row: z and 1 - z, r and 1 - r, the previous state,
-            # the candidate, z where it is active, the mixing weights and
-            # the two state gradients
-            def by_step(a):
-                return np.ascontiguousarray(a).reshape(steps, batch, -1)
-
-            zs, rs = by_step(gates[:, :hid]), by_step(gates[:, hid:])
-            one_zs, one_rs = 1.0 - zs, 1.0 - rs
-            h_prevs, cands = by_step(out[:, hid : 2 * hid]), by_step(cand_rows)
-            ws = by_step(weight_rows)
+            g_h, g_hx = gs
+            # the state gradient each step starts from: its own output's,
+            # plus the next step's [h, x] row's, whose h is this state
+            g_base = np.zeros((steps, hid, batch))
+            if g_h is not None:
+                g_base += g_h.reshape(steps, batch, hid).transpose(0, 2, 1)
+            if g_hx is not None:
+                g_base[:-1] += g_hx[batch:, :hid].reshape(steps - 1, batch, hid).transpose(0, 2, 1)
+            zs, rs = zrs[:, :hid], zrs[:, hid:]
+            one_zs = 1.0 - zs
+            f_z = (cands - h_prevs) * zs * one_zs
+            f_r = h_prevs * rs * (1.0 - rs)
             z_lives = zs * (cands > 0)
-            g_hs, g_states = by_step(g_h), by_step(g_hx[:, :hid])
-            mods = None if gate is None else mod_rows.reshape(steps, batch, n_mod, hid)
-            # per row: [d update-gate pre-activation | d reset | d router
-            # logits, if a gate | d module output per module]; the first
-            # block is built per step in g_hx_pres, the module block in the
-            # reused g_mod and copied into g_pre
-            g_pre = np.empty((n, n_hx + n_mod * hid))
-            g_hx_pres = np.empty((steps, batch, n_hx))
-            g_mod = np.empty((batch, n_mod, hid))
-            g_mod_rows = g_mod.reshape(batch, -1)
-            carry = np.zeros((batch, hid))
+            # per step: [d update-gate pre-activation | d reset | d router
+            # logits, if a gate | d module output per module] by batch
+            g_pre = np.empty((steps, n_hx + n_mod * hid, batch))
+            g_mods = g_pre[:, n_hx:].reshape(steps, n_mod, hid, batch)
+            carry = np.zeros((hid, batch))
             for t in reversed(range(steps)):
-                z, r, h_prev, w = zs[t], rs[t], h_prevs[t], ws[t]
-                gh = g_hs[t] + carry
+                gh = g_base[t] + carry
                 gcand = gh * z_lives[t]
-                np.multiply(gcand[:, None, :], w[:, :, None], out=g_mod)
-                g_rh = g_mod_rows @ mod_wh_t
-                g_maps = [
-                    (gh * cands[t] - gh * h_prev) * z * one_zs[t], g_rh * h_prev * r * one_rs[t]
-                ]
+                np.multiply(gcand, ws[t][:, None, :], out=g_mods[t])
+                g_rh = mod_wh @ g_pre[t, n_hx:]
+                np.multiply(gh, f_z[t], out=g_pre[t, :hid])
+                np.multiply(g_rh, f_r[t], out=g_pre[t, hid : 2 * hid])
                 if gate is not None:
-                    g_weights = (mods[t] * gcand[:, None, :]).sum(axis=-1)
-                    g_maps += gate.pullback(w, noises[t], g_weights)
-                np.concatenate(g_maps, axis=-1, out=g_hx_pres[t])
-                g_pre[t * batch : (t + 1) * batch, n_hx:] = g_mod_rows
-                carry = gh * one_zs[t] + g_rh * r + g_hx_pres[t] @ hx_wh_t + g_states[t]
-            g_pre[:, :n_hx] = g_hx_pres.reshape(n, n_hx)
-            g_hx_w = out[:, hid:].T @ g_pre[:, :n_hx]
-            g_b = g_pre.sum(axis=0)
+                    g_weights = (mods[t] * gcand).sum(axis=1)
+                    g_logits = gate.pullback(ws[t].T, noises[t], g_weights.T)
+                    g_pre[t, 2 * hid : n_hx] = np.concatenate(g_logits, axis=-1).T
+                carry = gh * one_zs[t] + g_rh * rs[t] + hx_wh @ g_pre[t, :n_hx]
+            g_ids = np.add.reduceat(g_pre[step_of, :, row_of], starts, axis=0)
+            g_wx = x_present.T @ g_ids
+            g_b = g_ids.sum(axis=0)
+            g_wh = np.matmul(h_prevs, g_pre[:, :n_hx].transpose(0, 2, 1)).sum(axis=0)
+            g_hx_w = np.concatenate([g_wh, g_wx[:, :n_hx]])
             grads, lo = [None], 0
             if need_table:
-                g_x = np.matmul(g_pre, all_wx_t, out=rows.reshape(n, -1))
-                g_x += g_hx[:, hid:]
-                grads[0] = np.zeros(table_shape)
-                grads[0][ids_sorted[starts]] = np.add.reduceat(g_x[order], starts, axis=0)
+                g_x = g_ids @ all_wx_t
+                if g_hx is not None:
+                    g_x += np.add.reduceat(g_hx[order, hid:], starts, axis=0)
+                grads[0] = np.zeros(table_data.shape)
+                grads[0][present] = g_x
             for m in hx_maps:
                 grads += [g_hx_w[:, lo : lo + m.out_dim], g_b[lo : lo + m.out_dim]]
                 lo += m.out_dim
+            g_rh_w = np.matmul(rhs, g_pre[:, n_hx:].transpose(0, 2, 1)).sum(axis=0)
+            g_mod_w = np.concatenate([g_rh_w, g_wx[:, n_hx:]])
             g_pool = np.empty_like(pool.param.data)
-            g_mod_w = px_rows.T @ g_pre[:, n_hx:]
             g_pool[:, :cat] = g_mod_w.reshape(cat, n_mod, hid).transpose(1, 0, 2)
             g_pool[:, cat] = g_b[n_hx:].reshape(n_mod, hid)
             return grads + [g_pool]
 
+        outputs = (h_rows[batch:], np.concatenate([h_rows[:n], x_rows], axis=1))
         inputs = [table] + [p for m in hx_maps for p in m.parameters()] + [pool.param]
-        return record_joint("modular-gru-unroll", (out[:, :hid], out[:, hid:]), inputs, pullback)
+        return record_joint("modular-gru-unroll", outputs, inputs, pullback)
 
 
 class _GruLM:
@@ -450,7 +480,7 @@ class ModularGruLM(_GruLM, ModularModel):
         # fully forced selections: every step's slot counts at once, time-major
         # and contiguous, as the unroll keeps them for BPTT
         forced_counts = (
-            np.ascontiguousarray(slot_counts(walk.comps.transpose(1, 0, 2), n_mod))
+            slot_counts(walk.comps.transpose(1, 0, 2), n_mod)
             if comps is not None and sample_mask is None
             else None
         )
@@ -495,8 +525,9 @@ class NoisyTopKGruLM(_GruLM, MixtureModel):
         gate = self.cell.gate
         probs = np.empty((batch, steps, 1, self.n_modules)) if collect_probs else None
 
-        def select(t, hx):
-            w, _, noise = gate.forward(hx, train, rng)
+        def select(t, logits):
+            z, pre = np.split(logits, 2, axis=1)
+            w, _, noise = gate.mix(z, pre if train else None, rng)
             if collect_probs:
                 probs[:, t, 0] = w
             return w, noise

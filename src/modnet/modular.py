@@ -189,13 +189,9 @@ def checked_ids(a: np.ndarray, n: int, what: str) -> np.ndarray:
 
 def slot_counts(selection: np.ndarray, n_modules: int) -> np.ndarray:
     """How many slots of each row pick each module: (..., slots) ints to
-    (..., modules) floats.  One comparison against every module index and
-    one sum over the slots fill a module-major block, returned as a view:
-    for a (batch, slots) selection, ``counts.T`` is a contiguous (modules,
-    batch) array."""
-    sel = np.asarray(selection).T
-    picks = sel == np.arange(n_modules).reshape(-1, *(1,) * sel.ndim)
-    return picks.sum(axis=1, dtype=np.float64).T
+    a C-contiguous (..., modules) float array, the sum over the slots of
+    the identity matrix's rows that the selection gathers."""
+    return np.eye(n_modules)[selection].sum(axis=-2)
 
 
 def enumerate_compositions(n_modules: int, units: int, slots: int, budget: int) -> np.ndarray:
@@ -323,8 +319,9 @@ class NoisyTopKGate:
     The rule starts from logits and is written once, in raw numpy: ``mix``
     turns the logits of the ``gate`` map and of the ``noise`` scale map
     into the weights, and ``pullback`` turns a gradient of the weights into
-    gradients of both logits.  The recurrent cell runs them on plain arrays
-    (``forward``) inside its own backpropagation through time.  The
+    gradients of both logits.  The recurrent cell runs them on plain arrays,
+    on the logits its unroll forms, inside its own backpropagation through
+    time.  The
     feedforward layer (``route``) records the two maps as plain ``Linear``
     calls, and the pool's ``pool-combine`` record runs the rule's gradient
     on their logits: the gate has no record of its own.
@@ -364,10 +361,6 @@ class NoisyTopKGate:
         z = z + (1.0 - mask) * NEG_MASK
         _, e, s = softmax_parts(z)
         return e / s, mask, noise
-
-    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None):
-        """``mix`` on the maps' logits for the plain (batch, in) array x."""
-        return self.mix(self.gate(x), self.noise(x) if train else None, rng)
 
     @staticmethod
     def pullback(w: np.ndarray, noise, g_w: np.ndarray):
@@ -461,7 +454,8 @@ class Routing:
     afresh (all rows draw; forced ones discard theirs); without ``comps``,
     the argmax when ``greedy``, else a draw with ``rng``: ``sample_rows`` in
     place on the module-major block that ``Controller.distribution`` views,
-    from one (batch, slots) draw of uniforms whatever the layout.  numpy's
+    reading the unit's (batch, slots) slice of one (units, batch, slots)
+    draw of uniforms, made before the first unit.  numpy's
     argmax copies the module axis last.  Off the tape with ``with_ctrl`` it
     adds the ``Controller.log_prob_values`` to ``ctrl_sum``, with the taped
     ``log_prob``'s bits; under a tape (``taped``) the model scores with
@@ -481,7 +475,9 @@ class Routing:
         self.draws = sample_mask is not None or not (greedy or comps is not None)
         if self.draws and rng is None:
             raise ValueError("sampling rollout needs an rng")
-        self.comps, self.sample_mask, self.rng = comps, sample_mask, rng
+        # every unit's uniforms in one draw: the words of one draw per unit
+        self.uniforms = rng.random((units, batch, model.n_slots)) if self.draws else None
+        self.comps, self.sample_mask = comps, sample_mask
         self.chosen = np.empty(shape, dtype=np.int64)
         self.probs = np.empty((*shape, model.n_modules)) if collect_probs else None
         self.need_probs = collect_probs or comps is None or sample_mask is not None
@@ -495,7 +491,7 @@ class Routing:
         parts = controller.parts(x) if self.need_parts else None
         p = controller.distribution(x, parts) if self.need_probs else None
         if self.draws:
-            sel = sample_rows(p, self.rng.random(p.shape[:2]))
+            sel = sample_rows(p, self.uniforms[u])
             if self.comps is not None:
                 sel = np.where(self.sample_mask[:, None], sel, self.comps[:, u])
         else:

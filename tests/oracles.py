@@ -20,12 +20,14 @@ No training run executes anything here.  Three kinds of oracle:
   arithmetic in the same order;
 - plain numpy transcriptions: the cell and the language model's rollout
   (``reference_*``), the controller step in row-major order
-  (``oracle_*``), BPTT reading its operands in place
-  (``strided_pullback``), and the two-regime chains drawn step by step
+  (``oracle_*``), BPTT step by step reading its operands in place
+  (``strided_pullback``), the candidate pre-activations the unroll
+  rectifies (``rectifier_inputs``), and the two-regime chains drawn step by step
   through ``oracle_sample_rows`` (``reference_two_regime_sequences``)
   with the generating process's loss on them (``exact_bayes_nll``).
 """
 
+import contextlib
 import math
 import weakref
 
@@ -47,6 +49,7 @@ from modnet.autodiff import (
 )
 from modnet.autodiff import relu as array_relu
 from modnet.datasets import TwoRegimeData, noisy_permutation_table
+import modnet.gru as gru_mod
 from modnet.modular import Linear, slot_counts
 
 # ---------------------------------------------------------------------------
@@ -414,6 +417,55 @@ def reference_cell_step(cell, h, x, sel):
     return (1.0 - z) * h + z * cand
 
 
+def assert_close(got, want, rtol=1e-12):
+    """``got`` within ``rtol`` of ``want`` relative to the largest |want|:
+    the tolerance of the unroll against the oracles below, whose
+    operations run in another order.  An element that cancels to near zero
+    carries a larger error of its own, so the bound is per array."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, (got.shape, want.shape)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=rtol * np.abs(want).max(initial=0.0))
+
+
+@contextlib.contextmanager
+def rectifier_inputs():
+    """The candidate pre-activations that ``gru``'s unroll rectifies while
+    the block runs, a copy per step: ``gru`` reads numpy through a stand-in
+    whose ``maximum``, the rectifier, is spied."""
+    seen = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def maximum(x, *args, **kwargs):
+            seen.append(np.array(x))
+            return np.maximum(x, *args, **kwargs)
+
+    gru_mod.np = Spy()
+    try:
+        yield seen
+    finally:
+        gru_mod.np = np
+
+
+def gate_select(gate, train=False, rng=None, routed=None):
+    """``select`` for a gate-routed ``ModularGruCell.unroll``, as
+    ``NoisyTopKGruLM`` routes: the gate's rule on each step's logits of the
+    gate map, then the noise map, noisy from ``rng`` when ``train``; each
+    step's (weights, mask) are appended to ``routed`` when given."""
+
+    def select(t, logits):
+        z, pre = np.split(logits, 2, axis=1)
+        w, mask, noise = gate.mix(z, pre if train else None, rng)
+        if routed is not None:
+            routed.append((w, mask))
+        return w, noise
+
+    return select
+
+
 def reference_lm_rollout(lm, tokens, targets, comps):
     """Full value-level reimplementation of the unroll in plain numpy."""
     batch, steps = tokens.shape
@@ -481,13 +533,30 @@ def oracle_log_prob_values(parts, selection):
 # backpropagation through time, operands read in place
 
 
-def strided_pullback(cell, saved, batch):
-    """The unroll record's pullback as it read its operands in place,
-    strided, step by step: the oracle for the contiguous copies."""
-    out, gates, px_rows, cand_rows, weight_rows, mod_rows, noises = saved
+def strided_pullback(cell, kept):
+    """The unroll record's pullback as the cell first ran it, step by step:
+    each gate gradient formed inside the loop from its step's operands,
+    read in place from the strided [h_t | h_{t-1}, x_t] and [r*h, x] rows,
+    and each map's weight gradient from those whole rows.  The oracle for
+    the hoisted factors and the split state and table products, from the
+    blocks the unroll keeps feature-major, (steps, features, batch): states
+    (one step more), gates, r*h, candidates, weights and module outputs,
+    then the noise terms and the (steps, batch, in) inputs."""
+    hs, gates, rhs, cands, ws, mods, noises, xs = kept
     hid, pool, gate = cell.hidden, cell.pool, cell.gate
     n_mod, cat = pool.n_modules, pool.in_dim
-    n, steps = out.shape[0], out.shape[0] // batch
+    steps, batch = xs.shape[:2]
+    n = steps * batch
+
+    def rows(a):
+        return np.moveaxis(a, -1, 1).reshape(n, *a.shape[1:-1])
+
+    x_rows = xs.reshape(n, -1)
+    out = np.concatenate([rows(hs[1:]), rows(hs[:-1]), x_rows], axis=1)
+    gates = rows(gates)
+    px_rows = np.concatenate([rows(rhs), x_rows], axis=1)
+    cand_rows, weight_rows = rows(cands), rows(ws)
+    mod_rows = None if mods is None else rows(mods)
     hx_maps = [cell.update, cell.reset] + ([] if gate is None else [gate.gate, gate.noise])
     hx_w = np.concatenate([m.w.data for m in hx_maps], axis=1)
     mod_w = np.concatenate(list(pool.weights), axis=1)

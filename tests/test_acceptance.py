@@ -24,8 +24,10 @@ from oracles import (
     categorical_log_prob,
     concat_last,
     embedding_lookup,
+    gate_select,
     noisy_topk_gate,
     random_biases,
+    rectifier_inputs,
     relu,
     reshape,
     row_softmax,
@@ -35,7 +37,6 @@ from oracles import (
     sum_along,
 )
 
-import modnet.gru as gru_mod
 import modnet.modular as modular_mod
 from modnet.autodiff import (
     Parameter,
@@ -227,20 +228,28 @@ def emitted_kinds(src=os.path.dirname(modular_mod.__file__)) -> tuple[set[str], 
     return kinds, unscanned
 
 
-def min_relu_input(module, fn) -> float:
-    """Smallest |relu input| while ``fn`` runs with ``module.relu`` spied."""
-    true_relu, seen = module.relu, []
+def min_relu_input(fn) -> float:
+    """Smallest |relu input| while ``fn`` runs with ``modular.relu`` spied."""
+    true_relu, seen = modular_mod.relu, []
 
     def relu_spy(x):
         seen.append(np.abs(x.data).min())
         return true_relu(x)
 
-    module.relu = relu_spy
+    modular_mod.relu = relu_spy
     try:
         fn()
     finally:
-        module.relu = true_relu
+        modular_mod.relu = true_relu
     return min(seen)
+
+
+def min_rectifier_input(fn) -> float:
+    """Smallest |candidate pre-activation| that the unroll rectifies while
+    ``fn`` runs."""
+    with rectifier_inputs() as seen:
+        fn()
+    return min(np.abs(x).min() for x in seen)
 
 
 def topk_margin(x, gate, eps=None) -> float:
@@ -300,7 +309,7 @@ def unroll_checks(rng):
         def fn(read=read):
             return read_unroll(kept(lambda: cell.unroll(xs, tokens, select, h0)), weight, read)
 
-        assert min_relu_input(gru_mod, fn) > 1e-3, "unroll check sits too close to a relu kink"
+        assert min_rectifier_input(fn) > 1e-3, "unroll check sits too close to a relu kink"
         checks.append((f"modular-gru-unroll, reading {read}", fn, [xs] + cell.parameters()))
     return checks
 
@@ -319,7 +328,7 @@ def pool_combine_check(rng):
     def fn():
         return mean_all(mul(pool.select(xp, counts), wout))
 
-    assert min_relu_input(modular_mod, fn) > 1e-3, "pool-combine check sits on a relu kink"
+    assert min_relu_input(fn) > 1e-3, "pool-combine check sits on a relu kink"
     return "pool-combine", fn, [xp] + pool.parameters()
 
 
@@ -365,7 +374,7 @@ def gate_checks(rng):
 
         eps = np.random.default_rng(21).standard_normal((5, 4)) if train else None
         mode = "train" if train else "eval"
-        assert min_relu_input(modular_mod, fn) > 1e-3, f"gate {mode} check sits on a relu kink"
+        assert min_relu_input(fn) > 1e-3, f"gate {mode} check sits on a relu kink"
         assert topk_margin(xp.data, gate, eps) > 1e-3, f"gate {mode} check sits on the top-k cut"
         params = [xp] + pool.parameters() + gate.parameters()
         checks.append((f"pool-combine, gated, {mode}", fn, params))
@@ -385,18 +394,13 @@ def gated_unroll_check(rng):
     weight = rng.standard_normal((6, 3 + 3 + 2))
 
     def rows():
-        noise = np.random.default_rng(23)
-
-        def select(t, hx):
-            w, _, eps = cell.gate.forward(hx, True, noise)
-            return w, eps
-
+        select = gate_select(cell.gate, True, np.random.default_rng(23))
         return kept(lambda: cell.unroll(xs, tokens, select, h0))
 
     def fn():
         return read_unroll(rows(), weight, "both")
 
-    assert min_relu_input(gru_mod, fn) > 1e-3, "gated unroll check sits on a relu kink"
+    assert min_rectifier_input(fn) > 1e-3, "gated unroll check sits on a relu kink"
     noise = np.random.default_rng(23)
     eps = np.concatenate([noise.standard_normal((2, 4)) for _ in range(3)])
     margin = topk_margin(rows()[1].data, cell.gate, eps)
@@ -404,7 +408,7 @@ def gated_unroll_check(rng):
     return "modular-gru-unroll, noisy top-k", fn, [xs] + cell.parameters()
 
 
-def test_criterion_03_gradients_match_finite_differences(monkeypatch):
+def test_criterion_03_gradients_match_finite_differences():
     worst, checked = 0.0, set()
     for name, fn, params in primitive_checks():
         err = grad_check(fn, params, step=1e-5)
@@ -415,13 +419,6 @@ def test_criterion_03_gradients_match_finite_differences(monkeypatch):
     kinds, unscanned = emitted_kinds()
     assert {"matmul", "categorical-head", "pool-combine", "modular-gru-unroll"} <= kinds
     uncovered = sorted(kinds - checked)
-
-    relu_inputs = []
-    true_relu = modular_mod.relu
-
-    def relu_spy(x):
-        relu_inputs.append(float(np.abs(np.asarray(x.data)).min()))
-        return true_relu(x)
 
     # full stacked modular forward, rectified modules, fixed composition.
     # Zero-init biases park dead rows exactly on the relu kink, so draw
@@ -438,10 +435,8 @@ def test_criterion_03_gradients_match_finite_differences(monkeypatch):
     random_biases(task.parameters(), jig)
     idx = np.arange(4)
     comps = task.sample_comps(idx, streams["estep"])
-    monkeypatch.setattr(modular_mod, "relu", relu_spy)
-    task.objective(idx, comps)
-    monkeypatch.setattr(modular_mod, "relu", true_relu)
-    assert min(relu_inputs) > 1e-3, "composition sits too close to a relu kink"
+    rectified = min_relu_input(lambda: task.objective(idx, comps))
+    assert rectified > 1e-3, "composition sits too close to a relu kink"
     err = grad_check(lambda: task.objective(idx, comps), task.parameters(), step=1e-5)
     worst = max(worst, err)
 
@@ -456,11 +451,8 @@ def test_criterion_03_gradients_match_finite_differences(monkeypatch):
     random_biases(task.parameters(), jig)
     idx = np.arange(2)
     comps = task.sample_comps(idx, streams["estep"])
-    relu_inputs.clear()
-    monkeypatch.setattr(gru_mod, "relu", relu_spy)
-    task.objective(idx, comps)
-    monkeypatch.setattr(gru_mod, "relu", true_relu)
-    assert min(relu_inputs) > 1e-3, "rollout sits too close to a relu kink"
+    rectified = min_rectifier_input(lambda: task.objective(idx, comps))
+    assert rectified > 1e-3, "rollout sits too close to a relu kink"
     err = grad_check(lambda: task.objective(idx, comps), task.parameters(), step=1e-5)
     worst = max(worst, err)
 

@@ -184,6 +184,13 @@ def test_validation_rejects_bad_combinations(patch, needle):
         from_dict(patch)
 
 
+@pytest.mark.parametrize("task", ["toy-regression", "two-regime-lm"])
+def test_noisy_topk_defaults_validate_together(task):
+    # no architecture section: the default top-k width fits the default pool
+    cfg = from_dict({"task": {"kind": task}, "trainer": {"kind": "noisy-topk"}})
+    assert 1 <= cfg.architecture.topk <= cfg.architecture.n_modules
+
+
 def test_valid_noisy_topk_and_static_indices_pass():
     cfg = from_dict({"trainer": {"kind": "noisy-topk"},
                      "architecture": {"topk": 2, "n_modules": 3}})

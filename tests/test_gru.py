@@ -5,18 +5,21 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import (
+    assert_close,
     categorical_log_prob,
     composed_topk_step,
     composed_topk_weights,
     composed_unroll,
     concat_last,
     embedding_lookup,
+    gate_select,
     noisy_topk_gate,
     np_sigmoid,
     np_softmax,
     oracle_grads,
     pool_modules,
     random_biases,
+    rectifier_inputs,
     reference_cell_step,
     reference_lm_rollout,
     stack_rows,
@@ -175,7 +178,7 @@ def fused_unroll(cell, h0, x_steps, sels):
         (2, [[1, 1], [0, 2], [2, 0], [2, 2], [0, 1], [1, 0]]),
     ],
 )
-def test_unroll_matches_composed_steps(n_slots, sel_rows, monkeypatch):
+def test_unroll_matches_composed_steps(n_slots, sel_rows):
     rng = np.random.default_rng(70 + n_slots)
     cell = ModularGruCell(rng, in_dim=3, hidden=4, n_modules=3, n_slots=n_slots)
     random_biases(cell.parameters(), rng)
@@ -186,21 +189,13 @@ def test_unroll_matches_composed_steps(n_slots, sel_rows, monkeypatch):
     sels = np.stack([np.roll(np.array(sel_rows, dtype=np.int64), t, axis=0) for t in range(steps)])
     weight = rng.standard_normal((steps * 6, 4 + 4 + 3))
 
-    pre = []
-    true_relu = gru_mod.relu
-
-    def relu_spy(x):
-        pre.append(x.copy())
-        return true_relu(x)
-
-    monkeypatch.setattr(gru_mod, "relu", relu_spy)
-    got, got_g, fused_records = unroll_grads(fused_unroll, cell, h0, xs, sels, weight)
-    monkeypatch.setattr(gru_mod, "relu", true_relu)
+    with rectifier_inputs() as pre:
+        got, got_g, fused_records = unroll_grads(fused_unroll, cell, h0, xs, sels, weight)
     pre = np.concatenate(pre)
     want, want_g, composed_records = unroll_grads(
         composed_unroll, cell, h0, xs, sels, weight, composed=True
     )
-    assert np.array_equal(got, want)
+    assert_close(got, want)
     # input stack, one unroll record, the join of its two outputs, then
     # the loss's mul and sum
     assert fused_records == 5 and composed_records > 20 * steps
@@ -254,12 +249,7 @@ def topk_unrolls(train, seed):
     appends each step's survivor mask to the list passed in its place."""
 
     def fused(cell, h0, x_steps, _):
-        rng = np.random.default_rng(seed)
-
-        def select(t, hx):
-            w, _, noise = cell.gate.forward(hx, train, rng)
-            return w, noise
-
+        select = gate_select(cell.gate, train, np.random.default_rng(seed))
         ids = time_major_ids(len(x_steps), len(h0))
         return cell.unroll(stack_rows(x_steps), ids, select, h0)
 
@@ -278,7 +268,7 @@ def topk_unrolls(train, seed):
 
 @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
 @pytest.mark.parametrize("k", [1, 2])
-def test_topk_unroll_matches_composed_steps(k, train, monkeypatch):
+def test_topk_unroll_matches_composed_steps(k, train):
     rng = np.random.default_rng(80 + k)
     cell = ModularGruCell(rng, in_dim=3, hidden=4, n_modules=4, topk=k)
     random_biases(cell.parameters(), rng)
@@ -288,20 +278,12 @@ def test_topk_unroll_matches_composed_steps(k, train, monkeypatch):
     weight = rng.standard_normal((steps * batch, 4 + 4 + 3))
     fused, composed = topk_unrolls(train, seed=5)
 
-    pre = []
-    true_relu = gru_mod.relu
-
-    def relu_spy(x):
-        pre.append(x.copy())
-        return true_relu(x)
-
-    monkeypatch.setattr(gru_mod, "relu", relu_spy)
-    got, got_g, fused_records = unroll_grads(fused, cell, h0, xs, None, weight)
-    monkeypatch.setattr(gru_mod, "relu", true_relu)
+    with rectifier_inputs() as pre:
+        got, got_g, fused_records = unroll_grads(fused, cell, h0, xs, None, weight)
     pre = np.concatenate(pre)
     masks = []
     want, want_g, _ = unroll_grads(composed, cell, h0, xs, masks, weight, composed=True)
-    assert np.array_equal(got, want)
+    assert_close(got, want)
     assert fused_records == 5
     assert (pre < 0).any() and (pre > 0).any()
     # some module sits out a whole step, so the unroll skips it there
@@ -687,14 +669,8 @@ def test_topk_cell_blends_survivors():
     h = RNG.standard_normal((5, 3))
     x = RNG.standard_normal((5, 2))
     routed = []
-
-    def select(t, hx):
-        w, mask, noise = cell.gate.forward(hx)
-        routed.append((w, mask))
-        return w, noise
-
     with Tape():
-        out = cell.unroll(x, time_major_ids(1, 5), select, h)[0].data
+        out = cell.unroll(x, time_major_ids(1, 5), gate_select(cell.gate, routed=routed), h)[0].data
     (w, mask), = routed
     assert np.all(mask.sum(axis=1) == 2)
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-9)
@@ -770,15 +746,10 @@ def test_fixed_weights_and_select_function_unroll_alike(n_modules, router):
         fixed = slot_counts(sels, n_modules)
     else:
         sels = None
-        weights = []
-
-        def select(t, hx):
-            w, _, noise = cell.gate.forward(hx)
-            weights.append(w)
-            return w, noise
-
+        routed = []
+        select = gate_select(cell.gate, routed=routed)
         cell.unroll(xs.reshape(steps * batch, -1), time_major_ids(steps, batch), select, h0)
-        fixed = np.stack(weights)
+        fixed = np.stack([w for w, _ in routed])
         composed = topk_unrolls(False, seed=0)[1]
 
     ids = time_major_ids(steps, batch)
@@ -795,7 +766,7 @@ def test_fixed_weights_and_select_function_unroll_alike(n_modules, router):
         composed, cell, h0, xs, sels if sels is not None else [], loss_w, composed=True
     )
     assert got.tobytes() == fn_rows.tobytes()
-    assert np.array_equal(got, want)
+    assert_close(got, want)
     for g, f, w in zip(got_g, fn_g, want_g):
         assert g.tobytes() == f.tobytes()
         np.testing.assert_allclose(g, w, rtol=1e-10, atol=0.0)
@@ -817,9 +788,11 @@ def test_unroll_refuses_misshapen_fixed_weights():
 @pytest.mark.parametrize("router", ["controller", "gate"])
 def test_unroll_reads_its_table_as_a_lookup_record_then_rows_would(router):
     # the unroll gathers table[tokens] itself and sums the rows' gradient
-    # per id onto the table: the bits of an embedding-lookup record followed
-    # by an unroll over the looked-up time-major rows, with repeated ids,
-    # one record fewer, and no table gradient formed for a table off the tape
+    # per id onto the table: the loss bits of an embedding-lookup record
+    # followed by an unroll over the looked-up time-major rows, with
+    # repeated ids, and the same gradients to rounding (summed per id before
+    # the table's products, not after), one record fewer, and no table
+    # gradient formed for a table off the tape
     rng = np.random.default_rng(320)
     cell = random_biased_cell(rng, 3, router)
     steps, batch, vocab = 5, 4, 6
@@ -833,13 +806,7 @@ def test_unroll_reads_its_table_as_a_lookup_record_then_rows_would(router):
     def select():
         if router == "controller":
             return forced(sels, 3)
-        noise = np.random.default_rng(7)
-
-        def draw(t, hx):
-            w, _, eps = cell.gate.forward(hx, True, noise)
-            return w, eps
-
-        return draw
+        return gate_select(cell.gate, True, np.random.default_rng(7))
 
     def run(outputs):
         with Tape() as tape:
@@ -859,7 +826,7 @@ def test_unroll_reads_its_table_as_a_lookup_record_then_rows_would(router):
     assert fused[1].tobytes() == looked_up[1].tobytes()
     assert (fused[2], looked_up[2]) == (4, 5)
     for got, want in zip(fused[0], looked_up[0]):
-        assert got.tobytes() == want.tobytes()
+        assert_close(got, want)
     with Tape() as tape:
         cell.unroll(constant(table), tokens, select(), h0)
         _, _, (nodes, pullback) = tape._records[0]
@@ -881,6 +848,7 @@ def test_unroll_refuses_ids_outside_the_table(taped, bad):
 
 @pytest.mark.parametrize("n_modules", [2, 8])
 def test_one_pool_apply_call_per_gru_step(n_modules, monkeypatch):
+    # the pool's input half runs once per unroll, on the zero-padded table
     calls, apply = [], ModulePool.apply
 
     def counting_apply(self, x):
@@ -914,7 +882,7 @@ def test_one_pool_apply_call_per_gru_step(n_modules, monkeypatch):
     for name, run in runs.items():
         calls.clear()
         run()
-        assert calls == [2] * steps, name
+        assert calls == [2], name
 
 
 def test_each_head_hands_the_unroll_its_own_gradient(monkeypatch):
@@ -973,17 +941,13 @@ def test_bptt_keeps_the_strided_oracle_bits(router, n_modules, steps, n_slots, m
         sels = rng.integers(0, n_modules, size=(steps, batch, n_slots))
         select = forced(sels, n_modules)
     else:
-        noise = np.random.default_rng(5)
-
-        def select(t, hx):
-            w, _, eps = cell.gate.forward(hx, True, noise)
-            return w, eps
+        select = gate_select(cell.gate, True, np.random.default_rng(5))
 
     caught, record = {}, ModularGruCell._record
 
-    def spy(self, table, ids, rows, saved, batch):
-        caught["saved"] = saved
-        return record(self, table, ids, rows, saved, batch)
+    def spy(self, table, ids, kept, maps):
+        caught["kept"] = kept
+        return record(self, table, ids, kept, maps)
 
     monkeypatch.setattr(ModularGruCell, "_record", spy)
     monkeypatch.setattr(
@@ -1002,10 +966,10 @@ def test_bptt_keeps_the_strided_oracle_bits(router, n_modules, steps, n_slots, m
             [np.zeros_like(part) if x is None else x for x, part in zip(gs, (g_h, g_hx))], axis=1
         )
         got = caught["pullback"](gs)
-        want = strided_pullback(cell, caught["saved"], batch)(dense)
+        want = strided_pullback(cell, caught["kept"])(dense)
         assert len(got) == len(want)
         for a, b in zip(got, want):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert_close(a, b)
 
 
 @pytest.mark.parametrize("bad", [7, 5, -1])

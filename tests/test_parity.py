@@ -25,8 +25,8 @@ PINNED = {
         "92c8c51947181cc88a80e480ac1ee932b65c3dd067e99173aa463f77dc1cb37e",
     ),
     "two_regime_em_smoke": (
-        "a37294a49fe2072460ce2190c83540f24d60446b6341f9f69d6d1063a972f426",
-        "81b01d87cbae596d3a00d874613b5f8568b85cfbadfbfa9fd7e5198ef0fdc749",
+        "41fbc753a79c420412d1d0ef46fd37bde8f5ecc643b0a9ac2dc67e9bcaf9cd20",
+        "5914f4c35d3054d1045233c2c3f1c7fd0dd9f2a35536f6a89f5952f9445cfc21",
     ),
 }
 
@@ -85,31 +85,31 @@ SHORT_RUNS = {
     "two_regime_reinforce": (
         3,
         "eaa9d9390e0213c2a725c9eff7796b4befb59f8844fdf22e8d2ded7583317678",
-        "3a2251130aea8c88592658802de754fd309b1f69dc926705fa440e474e5c1f31",
+        "e8dc39a707b5204d72b46f8f69f88093f1598db4436c8c8edec79b886d5cc957",
     ),
     # eight modules under two slots: the default clip norm of 5.0 fires on
     # every gradient step, adding one sum per module weight and bias
     "two_regime_reinforce/m8_two_slots_clipped": (
         3,
-        "e300bbffc84f30e62bad5636e1c61c53bb3675d791b5a517fb55ecf06433297d",
-        "a9a73827683c26c493e84377ee7cf3ba5e634fb8eab2f0973940cfdf69ec478c",
+        "355d369bc449895b3c0b3cc7dfe34143bd985c1bf881db09d312fdc173ebbcb5",
+        "aee62a6df78360fee4ad6f99849e47148aba949abcba9d4b204800ae3c06d996",
         "architecture.n_modules=8",
         "architecture.n_slots=2",
     ),
     "two_regime_static": (
         3,
         "05d5874d32a07fff09b7cbb5d28be6d41c7a0467732c708868b3951192f56f33",
-        "c7ea19c2a87e493feda3dc1fabf6d9ab5e7f8ee52b1a22ddd3ba2441228a3bdd",
+        "bbbf1c29b44aec221a1614d2ffcaed22f532ce6a48a2969d3d50daeef2798c24",
     ),
     "two_regime_noisy_topk": (
         3,
         "badbda20483238a9638111305ec86dca8d7a5148a8e5ce965b06ba6b5b53e202",
-        "f04e556e501fdef00b06371db5172f967cec60676ed4d5ad3c5e53702ac234e3",
+        "0a079d082f1727bf51cee211ddc4ff3f89366641d5a6d5b1c779859ae83eb178",
     ),
     # the only run whose unroll reads a real character vocabulary
     "text_char_em": (
         3,
-        "840899f6d4224a8594566ce5c34051561a35c8f444a4ca1b203c1dd1bbca7f77",
+        "de3cef4ef5615685365ce70600f2588f6cc8e28bf31ede8ae9944e881d478181",
         None,
     ),
 }
