@@ -154,7 +154,8 @@ class ModularGruCell:
         pool (one ``ModulePool.apply`` call) on the rows [0 | table].  A
         step multiplies its state by the state halves, one product for the
         [h, x] maps and one for the pool, and adds its tokens' projected
-        rows.  The gates are 0.5 * tanh(a / 2) + 0.5, on halved weights;
+        rows.  The gates are 0.5 * tanh(a / 2) + 0.5, on halved weights
+        and projections: the halving is exact, and tanh cannot overflow;
         the candidate is the pool's outputs weighted per row, summed over
         the modules and rectified by ``np.maximum``; the new state is
         h + z * (cand - h).  A module weighted zero adds exact zeros.
@@ -218,7 +219,8 @@ class ModularGruCell:
             xp = np.empty((len(proj), batch))
             zr, rh, cand = np.empty((2 * hid, batch)), np.empty((hid, batch)), np.empty((hid, batch))
         pre, mod = np.empty((n_hx, batch)), np.empty((n_mod, hid, batch))
-        terms = np.empty((n_mod, hid, batch))
+        # a kept module output stays unweighted for the gate's gradient
+        terms = np.empty((n_mod, hid, batch)) if keep and gate is not None else mod
         hx = np.empty((batch, hx_w.shape[0])) if reads_hx else None
         h = h0.T
         with paused():
@@ -228,7 +230,8 @@ class ModularGruCell:
                     if mods is not None:
                         mod = mods[t]
                 else:
-                    np.take(proj, ids[:, t], axis=1, out=xp)
+                    # ids are checked: "clip" writes straight into the buffer
+                    np.take(proj, ids[:, t], axis=1, out=xp, mode="clip")
                     h_next = np.empty((hid, batch))
                 np.matmul(hx_wh_t, h, out=pre)
                 pre += xp[:n_hx]
@@ -239,7 +242,8 @@ class ModularGruCell:
                 if fixed:
                     weights, noise = select[t], None
                 elif reads_hx:
-                    hx[:, :hid], hx[:, hid:] = h.T, xs[t] if keep else td[ids[:, t]]
+                    hx[:, :hid] = h.T
+                    np.take(td, ids[:, t], axis=0, out=hx[:, hid:], mode="clip")
                     weights, noise = select(t, hx)
                 else:
                     weights, noise = select(t, pre[2 * hid :].T)
@@ -478,7 +482,6 @@ class ModularGruLM(_GruLM, ModularModel):
         )
         ctrl_model, n_mod = self.cell.controller, self.n_modules
         # fully forced selections: every step's slot counts at once, time-major
-        # and contiguous, as the unroll keeps them for BPTT
         forced_counts = (
             slot_counts(walk.comps.transpose(1, 0, 2), n_mod)
             if comps is not None and sample_mask is None

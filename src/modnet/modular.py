@@ -321,10 +321,9 @@ class NoisyTopKGate:
     into the weights, and ``pullback`` turns a gradient of the weights into
     gradients of both logits.  The recurrent cell runs them on plain arrays,
     on the logits its unroll forms, inside its own backpropagation through
-    time.  The
-    feedforward layer (``route``) records the two maps as plain ``Linear``
-    calls, and the pool's ``pool-combine`` record runs the rule's gradient
-    on their logits: the gate has no record of its own.
+    time.  The feedforward layer (``route``) records the two maps as plain
+    ``Linear`` calls, and the pool's ``pool-combine`` record runs the
+    rule's gradient on their logits: the gate has no record of its own.
     """
 
     def __init__(
