@@ -202,6 +202,7 @@ class ModularGruCell:
         proj[: 2 * hid] *= 0.5
         reads_hx = not fixed and gate is None
         keep = active_tape() is not None
+        pre, mod = np.empty((n_hx, batch)), np.empty((n_mod, hid, batch))
         if keep:
             xs = td[ids.T]
             xps = np.ascontiguousarray(proj[:, ids.T].transpose(1, 0, 2))
@@ -216,9 +217,10 @@ class ModularGruCell:
             mods = np.empty((steps, n_mod, hid, batch)) if gate is not None else None
             noises = []
         else:
-            xp = np.empty((len(proj), batch))
-            zr, rh, cand = np.empty((2 * hid, batch)), np.empty((hid, batch)), np.empty((hid, batch))
-        pre, mod = np.empty((n_hx, batch)), np.empty((n_mod, hid, batch))
+            # a step's gates overwrite their pre-activations, and its
+            # candidate overwrites r*h once the pool has read it
+            xp, rh = np.empty((len(proj), batch)), np.empty((hid, batch))
+            zr, cand = pre[: 2 * hid], rh
         # a kept module output stays unweighted for the gate's gradient
         terms = np.empty((n_mod, hid, batch)) if keep and gate is not None else mod
         hx = np.empty((batch, hx_w.shape[0])) if reads_hx else None

@@ -189,9 +189,13 @@ def checked_ids(a: np.ndarray, n: int, what: str) -> np.ndarray:
 
 def slot_counts(selection: np.ndarray, n_modules: int) -> np.ndarray:
     """How many slots of each row pick each module: (..., slots) ints to
-    a C-contiguous (..., modules) float array, the sum over the slots of
-    the identity matrix's rows that the selection gathers."""
-    return np.eye(n_modules)[selection].sum(axis=-2)
+    (..., modules) floats.  One comparison against every module index and
+    one sum over the slots fill a module-major block, returned as a view:
+    for a (batch, slots) selection, ``counts.T`` is a contiguous (modules,
+    batch) array, the layout the recurrent unroll reads."""
+    sel = np.asarray(selection).T
+    picks = sel == np.arange(n_modules).reshape(-1, *(1,) * sel.ndim)
+    return picks.sum(axis=1, dtype=np.float64).T
 
 
 def enumerate_compositions(n_modules: int, units: int, slots: int, budget: int) -> np.ndarray:

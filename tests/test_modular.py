@@ -360,17 +360,15 @@ def test_module_major_step_keeps_the_row_major_bits(n_modules, n_slots, rows):
     assert_step_matches_oracle(ctrl, parts, want, rows + 2, forced, mask)
 
 
-def test_slot_counts_keep_leading_axes_and_come_row_major():
+def test_slot_counts_keep_leading_axes_and_come_module_major():
     rng = np.random.default_rng(3)
     sel = rng.integers(0, 4, size=(5, 6, 3))
     got = slot_counts(sel, 4)
     assert got.shape == (5, 6, 4)
     assert got.tobytes() == oracle_slot_counts(sel, 4).tobytes()
-    # forced counts of every step, (steps, batch, modules) from a transposed
-    # selection, and one step's (batch, modules): the blocks the unroll reads
-    assert slot_counts(sel.transpose(1, 0, 2), 4).flags.c_contiguous
+    # one step's counts: the (modules, batch) block the unroll reads
     for n_slots in (1, 2):
-        assert slot_counts(rng.integers(0, 4, size=(7, n_slots)), 4).flags.c_contiguous
+        assert slot_counts(rng.integers(0, 4, size=(7, n_slots)), 4).T.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
