@@ -16,8 +16,10 @@ No training run executes anything here.  Three kinds of oracle:
   (``noisy_topk_gate``), and the recurrent cell and gate built op by op
   from those primitives (``composed_*``): the references of the
   ``pool-combine`` and ``modular-gru-unroll`` records, which run the
-  embedding lookup and the gate's rule inside their own pullbacks, same
-  arithmetic in the same order;
+  embedding lookup and the gate's rule inside their own pullbacks: the
+  same arithmetic in the same order as ``pool-combine``, and within
+  ``assert_close``'s tolerance of the unroll, which projects its inputs
+  once per unroll;
 - plain numpy transcriptions: the cell and the language model's rollout
   (``reference_*``), the controller step in row-major order
   (``oracle_*``), BPTT step by step reading its operands in place
@@ -326,8 +328,8 @@ def pool_combine(pool, x, weights, used):
 def composed_cell_step(cell, h, x, selection, hx=None):
     """The cell update built from generic primitives, one record per op.
 
-    Reference for each step of ``modular-gru-unroll``: same arithmetic in
-    the same order, so forward values must match bit for bit.
+    Reference for each step of ``modular-gru-unroll``, whose values agree
+    with it to rounding (``assert_close``).
     """
     if hx is None:
         hx = concat_last(h, x)
@@ -375,8 +377,8 @@ def composed_topk_weights(gate, x, train, rng):
 
 def composed_topk_step(cell, h, x, train, rng, hx=None):
     """One step of the gate-routed cell from generic primitives: the
-    reference for ``modular-gru-unroll`` with a noisy top-k router, same
-    arithmetic in the same order, noise drawn first."""
+    reference for ``modular-gru-unroll`` with a noisy top-k router, to
+    rounding (``assert_close``), noise drawn first."""
     if hx is None:
         hx = concat_last(h, x)
     w, mask = composed_topk_weights(cell.gate, hx, train, rng)
